@@ -15,24 +15,23 @@ from .convexgeom import (ConvexBody, Ellipsoid, HorizonSet, SmoothLevelSet,
                          principal_curvatures, quermassintegral,
                          quermassintegrals, sigma_j, superadditivity_gap)
 from .errors import (BodyError, ConfigError, DomainError, GraphMassError,
-                     HypothesisError, IntegrabilityError, NonConvexError,
-                     ParseError, QuadratureError, UnboundParameterError)
+                     IntegrabilityError, NonConvexError, ParseError,
+                     QuadratureError, UnboundParameterError)
 from .expr import parse, to_text
-from .graphgeom import (boundary_integrand, div_field_V, divergence_of_V,
-                        flat_mean_curvature, induced_mean_curvature,
-                        mass_flux_integrand, metric_jet, scalar_curvature)
-from .jets import (ExprField, Jet3, RadialField, RadialProfile, RotatedField,
-                   ScalarField, SumField, fd_jet, flatness_report,
-                   profile_from_gradsq, radial_jet, schwarzschild_profile)
+from .graphgeom import (boundary_integrand, divergence_of_V,
+                        flat_mean_curvature, mass_flux_integrand,
+                        scalar_curvature)
+from .jets import (ExprField, Jet3, RadialField, RadialProfile, ScalarField,
+                   fd_jet, flatness_report, profile_from_gradsq, radial_jet,
+                   schwarzschild_profile)
 from .mass import (BulkResult, CheckOutcome, Decomposition, MassEstimate,
                    Scenario, ScenarioEvaluation, adm_flux_mass, adm_mass,
                    bulk_mass, flux_series, horizon_flux_convergence,
-                   horizon_hypotheses, identities_check, mass_decomposition,
-                   mass_normalization, penrose_check, pmt_check,
-                   shell_sampler, spherical_mass)
+                   horizon_hypotheses, mass_decomposition,
+                   mass_normalization, shell_sampler, spherical_mass)
 from .quad import (ExteriorRegion, QuadConfig, SphereRule, extrapolate_limit,
                    exterior_volume_integrate, sphere_integrate, sphere_rule,
-                   surface_integrate, unit_sphere_area)
+                   unit_sphere_area)
 from .scenarios import REGISTRY, make_scenario, scenario_names
 
 __version__ = "0.1.0"
@@ -40,24 +39,21 @@ __version__ = "0.1.0"
 __all__ = [
     "BodyError", "BulkResult", "CheckOutcome", "ConfigError", "ConvexBody",
     "Decomposition", "DomainError", "Ellipsoid", "ExprField",
-    "ExteriorRegion", "GraphMassError", "HorizonSet", "HypothesisError",
-    "IntegrabilityError", "Jet3", "MassEstimate", "NonConvexError",
-    "ParseError", "QuadConfig", "QuadratureError", "REGISTRY",
-    "RadialField", "RadialProfile", "RotatedField", "ScalarField",
-    "Scenario", "ScenarioEvaluation", "SmoothLevelSet", "Sphere",
-    "SphereRule", "SumField", "UnboundParameterError", "adm_flux_mass",
+    "ExteriorRegion", "GraphMassError", "HorizonSet", "IntegrabilityError",
+    "Jet3", "MassEstimate", "NonConvexError", "ParseError", "QuadConfig",
+    "QuadratureError", "REGISTRY", "RadialField", "RadialProfile",
+    "ScalarField", "Scenario", "ScenarioEvaluation", "SmoothLevelSet",
+    "Sphere", "SphereRule", "UnboundParameterError", "adm_flux_mass",
     "adm_mass", "af_chain_gaps", "af_gap", "boundary_integrand",
-    "bulk_mass", "div_field_V", "divergence_of_V", "extrapolate_limit",
+    "bulk_mass", "divergence_of_V", "extrapolate_limit",
     "exterior_volume_integrate", "fd_jet", "flat_mean_curvature",
     "flatness_report", "flux_series", "horizon_flux_convergence",
-    "horizon_hypotheses", "horizon_mean_curvature_term",
-    "identities_check", "induced_mean_curvature", "make_scenario",
+    "horizon_hypotheses", "horizon_mean_curvature_term", "make_scenario",
     "mass_decomposition", "mass_flux_integrand", "mass_normalization",
-    "metric_jet", "parse", "penrose_bound", "penrose_check", "pmt_check",
-    "principal_curvatures", "profile_from_gradsq", "quermassintegral",
-    "quermassintegrals", "radial_jet", "scalar_curvature",
-    "scenario_names", "schwarzschild_profile", "shell_sampler", "sigma_j",
-    "spherical_mass", "sphere_integrate", "sphere_rule",
-    "superadditivity_gap", "surface_integrate", "to_text",
+    "parse", "penrose_bound", "principal_curvatures",
+    "profile_from_gradsq", "quermassintegral", "quermassintegrals",
+    "radial_jet", "scalar_curvature", "scenario_names",
+    "schwarzschild_profile", "shell_sampler", "sigma_j", "spherical_mass",
+    "sphere_integrate", "sphere_rule", "superadditivity_gap", "to_text",
     "unit_sphere_area",
 ]

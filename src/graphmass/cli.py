@@ -20,13 +20,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy
 
-from .errors import (ConfigError, DomainError, GraphMassError,
-                     IntegrabilityError, QuadratureError)
-from .mass import CheckOutcome, Scenario, ScenarioEvaluation, bulk_mass
+from . import __version__
+from .errors import ConfigError, DomainError, GraphMassError, QuadratureError
+from .mass import (CheckOutcome, Scenario, ScenarioEvaluation, bulk_mass,
+                   horizon_clearance)
 from .report import ReportDocument, bulk_csv, flux_csv
 from .scenarios import REGISTRY, make_scenario, scenario_names
-
-__version__ = "0.1.0"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -184,6 +183,13 @@ def _build_scenario(entry: EntryConfig, run: RunConfig) -> Scenario:
     if radii is not None:
         quad = replace(quad, radii=radii)
     scenario.quad = quad
+    clearance = horizon_clearance(scenario)
+    # geometry-only scenarios use neither the flux radii nor r_max
+    if scenario.field and min(quad.r_max, *quad.radii) <= clearance:
+        raise ConfigError(
+            f"scenario '{entry.name}': r_max = {quad.r_max:g} and the flux "
+            f"radii (smallest {min(quad.radii):g}) must exceed "
+            f"{clearance:.6g}, the radius enclosing every horizon")
     return scenario
 
 
@@ -216,14 +222,14 @@ def _bulk_convergence(scenario: Scenario,
     return rows
 
 
-def _run_entry(entry: EntryConfig, run: RunConfig) -> dict:
-    """Evaluate one scenario; never raises, reports errors in-band."""
+def _run_entry(entry: EntryConfig, run: RunConfig,
+               scenario: Scenario) -> dict:
+    """Evaluate one built scenario; never raises, reports errors in-band."""
     checks = entry.checks if entry.checks is not None else run.checks
     started = time.perf_counter()
     result: dict = {"name": entry.name, "outcomes": [], "error": None,
                     "error_kind": None, "summary": None}
     try:
-        scenario = _build_scenario(entry, run)
         evaluation = ScenarioEvaluation(scenario)
         result["outcomes"] = evaluation.run(checks)
         summary = evaluation.summary()
@@ -235,8 +241,8 @@ def _run_entry(entry: EntryConfig, run: RunConfig) -> dict:
     except ConfigError as exc:
         result["error"] = str(exc)
         result["error_kind"] = "config"
-    except (QuadratureError, IntegrabilityError, DomainError,
-            np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (QuadratureError, DomainError, np.linalg.LinAlgError,
+            FloatingPointError) as exc:
         result["error"] = str(exc)
         result["error_kind"] = "numerical"
     except GraphMassError as exc:
@@ -259,15 +265,16 @@ def _outcome_dict(outcome: CheckOutcome) -> dict:
 
 def execute_run(run: RunConfig) -> tuple[int, ReportDocument, list[dict]]:
     """Run every entry and assemble the report document."""
-    for entry in run.entries:
-        _build_scenario(entry, run)  # fail fast on names and parameters
+    # build everything first: fail fast on names and parameters
+    scenarios = [_build_scenario(entry, run) for entry in run.entries]
     started = time.perf_counter()
+    runs = [run] * len(scenarios)
     if run.workers > 1:
         with ThreadPoolExecutor(max_workers=run.workers) as pool:
-            results = list(pool.map(lambda e: _run_entry(e, run),
-                                    run.entries))
+            results = list(pool.map(_run_entry, run.entries, runs,
+                                    scenarios))
     else:
-        results = [_run_entry(e, run) for e in run.entries]
+        results = list(map(_run_entry, run.entries, runs, scenarios))
 
     body: dict = {
         "tool": "graphmass",
@@ -484,7 +491,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureError, IntegrabilityError) as exc:
+    except QuadratureError as exc:  # IntegrabilityError included
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -39,9 +39,5 @@ class NonConvexError(BodyError):
     """A body failed its convexity check."""
 
 
-class HypothesisError(GraphMassError):
-    """A scenario violates a hypothesis required by the requested check."""
-
-
 class ConfigError(GraphMassError):
     """Invalid run configuration."""

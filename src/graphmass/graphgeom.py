@@ -20,27 +20,10 @@ return matching shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
 from .jets import Jet3, ScalarField
-
-
-@dataclass
-class MetricJet:
-    """All graph-metric quantities at a (batch of) point(s)."""
-
-    n: int
-    jet: Jet3
-    grad_norm_sq: np.ndarray     # |grad f|^2
-    g: np.ndarray                # (..., n, n)
-    ginv: np.ndarray             # (..., n, n) closed form
-    gamma: np.ndarray            # (..., n, n, n), gamma[..., k, i, j]
-    volume_factor: np.ndarray    # sqrt(det g) = sqrt(W)
-    R: np.ndarray                # scalar curvature
-    V: np.ndarray                # (..., n) divergence-identity field
 
 
 def _as_batch(points) -> tuple[np.ndarray, bool]:
@@ -82,45 +65,9 @@ def flux_field_from_jet(jet: Jet3) -> np.ndarray:
     return (tr[..., None] * jet.grad - Hg) / W[..., None]
 
 
-def metric_jet(field: ScalarField, points) -> MetricJet:
-    pts, single = _as_batch(points)
-    jet = field.jet3_many(pts)
-    n = jet.n
-    g1 = jet.grad
-    W = 1.0 + np.einsum("...i,...i->...", g1, g1)
-    eye = np.eye(n)
-    outer = np.einsum("...i,...j->...ij", g1, g1)
-    g = eye + outer
-    ginv = eye - outer / W[..., None, None]
-    gamma = np.einsum("...ij,...k->...kij", jet.hess,
-                      g1 / W[..., None])
-    mj = MetricJet(
-        n=n, jet=jet,
-        grad_norm_sq=W - 1.0,
-        g=g, ginv=ginv, gamma=gamma,
-        volume_factor=np.sqrt(W),
-        R=curvature_from_jet(jet),
-        V=flux_field_from_jet(jet),
-    )
-    if single:
-        mj.grad_norm_sq = float(mj.grad_norm_sq[0])
-        mj.g, mj.ginv, mj.gamma = mj.g[0], mj.ginv[0], mj.gamma[0]
-        mj.volume_factor = float(mj.volume_factor[0])
-        mj.R = float(mj.R[0])
-        mj.V = mj.V[0]
-        mj.jet = Jet3(jet.value[0], jet.grad[0], jet.hess[0], jet.third[0])
-    return mj
-
-
 def scalar_curvature(field: ScalarField, points):
     pts, single = _as_batch(points)
     return _unbatch(curvature_from_jet(field.jet3_many(pts)), single)
-
-
-def div_field_V(field: ScalarField, points):
-    """The vector field whose flat divergence is the scalar curvature."""
-    pts, single = _as_batch(points)
-    return _unbatch(flux_field_from_jet(field.jet3_many(pts)), single)
 
 
 def divergence_of_V(field: ScalarField, points):
@@ -165,15 +112,6 @@ def flat_mean_curvature(field: ScalarField, points):
     return _unbatch(out, single)
 
 
-def induced_mean_curvature(field: ScalarField, points):
-    """Mean curvature of the level set inside the graph metric: H0/sqrt(W)."""
-    pts, single = _as_batch(points)
-    h0 = flat_mean_curvature(field, pts)
-    jet = field.jet3_many(pts)
-    W = 1.0 + np.einsum("...i,...i->...", jet.grad, jet.grad)
-    return _unbatch(h0 / np.sqrt(W), single)
-
-
 def boundary_integrand(field: ScalarField, points, nu):
     """(f_ii f_j - f_ij f_i) nu_j / W = V . nu.
 
@@ -187,6 +125,14 @@ def boundary_integrand(field: ScalarField, points, nu):
     return _unbatch(np.einsum("...j,...j->...", V, nu_arr), single)
 
 
+def flux_integrands_from_jet(jet: Jet3, nu):
+    """(A . nu, A . nu / W) with A_j = f_ii f_j - f_ij f_i."""
+    W, tr, _, Hg, _ = _curvature_parts(jet)
+    A = tr[..., None] * jet.grad - Hg
+    plain = np.einsum("...j,...j->...", A, nu)
+    return plain, plain / W
+
+
 def mass_flux_integrand(field: ScalarField, points, nu, weighted: bool):
     """(f_ii f_j - f_ij f_i) nu_j, optionally with the extra 1/W factor.
 
@@ -196,10 +142,5 @@ def mass_flux_integrand(field: ScalarField, points, nu, weighted: bool):
     """
     pts, single = _as_batch(points)
     nu_arr = np.broadcast_to(np.asarray(nu, float), pts.shape)
-    jet = field.jet3_many(pts)
-    W, tr, _, Hg, _ = _curvature_parts(jet)
-    A = tr[..., None] * jet.grad - Hg
-    out = np.einsum("...j,...j->...", A, nu_arr)
-    if weighted:
-        out = out / W
-    return _unbatch(out, single)
+    plain, wtd = flux_integrands_from_jet(field.jet3_many(pts), nu_arr)
+    return _unbatch(wtd if weighted else plain, single)

@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
+from scipy.stats import qmc
 
 from . import expr as ex
 from .errors import DomainError, UnboundParameterError
+from .quad import sphere_directions
 
 _EPS = np.finfo(float).eps
 
@@ -274,12 +276,6 @@ def _with_context(thunk: Callable[[], Jet3], node: ex.Expr) -> Jet3:
         raise DomainError(f"{err} in '{ex.to_text(node)}'") from None
 
 
-def eval_jet(node: ex.Expr, params: dict[str, float] | None,
-             point: Sequence[float]) -> Jet3:
-    """Order-3 jet of the expression at a single point."""
-    return eval_jet_many(node, params, np.asarray(point, float))
-
-
 def eval_value_many(node: ex.Expr, params: dict[str, float] | None,
                     points: np.ndarray) -> np.ndarray:
     """Values only (used by the finite-difference oracle)."""
@@ -468,8 +464,7 @@ def schwarzschild_profile(m: float, n: int, branch: int = -1) -> RadialProfile:
 # radial jets
 # ----------------------------------------------------------------------
 
-def radial_jet(profile: RadialProfile, point, center=None,
-               with_value: bool = True) -> Jet3:
+def radial_jet(profile: RadialProfile, point, center=None) -> Jet3:
     """Jet of f(|x - center|) from the 1-D profile derivatives.
 
     Uses the radial decomposition (u = (x-c)/r):
@@ -506,9 +501,8 @@ def radial_jet(profile: RadialProfile, point, center=None,
            - 3.0 * _outer3(u, u, u))
     third = (frrr[..., None, None, None] * _outer3(u, u, u)
              + (frr / r - fr / r ** 2)[..., None, None, None] * sym)
-    value = per_radius(profile.f) if with_value else np.zeros_like(r)
-    return Jet3(value, fr[..., None] * u, hess, third).check_finite(
-        profile.label)
+    return Jet3(per_radius(profile.f), fr[..., None] * u, hess,
+                third).check_finite(profile.label)
 
 
 # ----------------------------------------------------------------------
@@ -561,16 +555,14 @@ class ExprField(ScalarField):
 class RadialField(ScalarField):
     """Field f(|x - center|) defined by a radial profile."""
 
-    def __init__(self, profile: RadialProfile, n: int, center=None,
-                 domain_margin: float = 1e-9):
+    def __init__(self, profile: RadialProfile, n: int, center=None):
         self.profile = profile
         self.n = n
         self.center = (np.zeros(n) if center is None
                        else np.asarray(center, float))
         # keep jets off the exact singular radius
-        self.r_inner = profile.r_min * (1.0 + domain_margin) \
+        self.r_inner = profile.r_min * (1.0 + 1e-9) \
             if profile.r_min > 0 else 1e-12
-        self._margin = domain_margin
 
     def _radii(self, points):
         pts = np.asarray(points, float) - self.center
@@ -584,66 +576,6 @@ class RadialField(ScalarField):
 
     def contains(self, points):
         return self._radii(points) > self.r_inner
-
-
-class SumField(ScalarField):
-    """Pointwise sum of fields on a common R^n."""
-
-    def __init__(self, fields: Sequence[ScalarField]):
-        if not fields:
-            raise ValueError("need at least one field")
-        dims = {f.n for f in fields}
-        if len(dims) != 1:
-            raise ValueError(f"mixed dimensions {sorted(dims)}")
-        self.fields = list(fields)
-        self.n = fields[0].n
-
-    def value(self, points):
-        return sum(f.value(points) for f in self.fields)
-
-    def jet3_many(self, points):
-        jets = [f.jet3_many(points) for f in self.fields]
-        out = jets[0]
-        for j in jets[1:]:
-            out = out + j
-        return out
-
-    def contains(self, points):
-        mask = self.fields[0].contains(points)
-        for f in self.fields[1:]:
-            mask = mask & f.contains(points)
-        return mask
-
-
-class RotatedField(ScalarField):
-    """h(x) = f(Qx) for an orthogonal matrix Q."""
-
-    def __init__(self, base: ScalarField, rotation: np.ndarray):
-        Q = np.asarray(rotation, float)
-        if Q.shape != (base.n, base.n):
-            raise ValueError("rotation shape mismatch")
-        if not np.allclose(Q @ Q.T, np.eye(base.n), atol=1e-12):
-            raise ValueError("matrix is not orthogonal")
-        self.base = base
-        self.Q = Q
-        self.n = base.n
-
-    def _map(self, points):
-        return np.asarray(points, float) @ self.Q.T
-
-    def value(self, points):
-        return self.base.value(self._map(points))
-
-    def jet3_many(self, points):
-        j = self.base.jet3_many(self._map(points))
-        Q = self.Q
-        return Jet3(j.value,
-                    np.einsum("...a,ai->...i", j.grad, Q),
-                    np.einsum("...ab,ai,bj->...ij", j.hess, Q, Q),
-                    np.einsum("...abc,ai,bj,ck->...ijk", j.third, Q, Q, Q))
-
-    def contains(self, points):
-        return self.base.contains(self._map(points))
 
 
 # ----------------------------------------------------------------------
@@ -755,9 +687,8 @@ def flatness_report(field: ScalarField, p: float, radii,
                     n_dirs: int = 64, seed: int = 7) -> FlatnessReport:
     """Probe |grad f| r^{p/2}, |hess f| r^{1+p/2}, |D^3 f| r^{2+p/2}."""
     radii = np.sort(np.asarray(radii, float))
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_dirs, field.n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = sphere_directions(
+        qmc.Sobol(d=field.n, scramble=True, seed=seed).random(n_dirs))
     cols = {"grad": [], "hess": [], "third": []}
     for r in radii:
         jet = field.jet3_many(r * dirs)

@@ -26,7 +26,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 from scipy.stats import qmc
 
 from .convexgeom import (HorizonSet, af_chain_gaps,
@@ -34,17 +33,19 @@ from .convexgeom import (HorizonSet, af_chain_gaps,
                          quermassintegrals, superadditivity_gap)
 from .errors import ConfigError, DomainError, NonConvexError
 from .graphgeom import (boundary_integrand, divergence_of_V,
-                        mass_flux_integrand, scalar_curvature)
+                        flux_integrands_from_jet, scalar_curvature)
 from .jets import RadialProfile, ScalarField
-from .quad import (ExtrapolationResult, ExteriorRegion, QuadConfig,
-                   SphereRule, exterior_volume_integrate, extrapolate_limit,
-                   sphere_integrate, unit_sphere_area)
+from .quad import (HORIZON_OFFSET, ExtrapolationResult, ExteriorRegion,
+                   QuadConfig, SphereRule, exterior_volume_integrate,
+                   extrapolate_limit, sphere_directions, sphere_integrate,
+                   unit_sphere_area)
 
 DIV_IDENTITY_TOL = 1e-9      # pointwise |div V - R| / (1 + |R|)
 R_SIGN_TOL = 1e-9            # sampled scalar-curvature sign tolerance
 IDENTITY_REL = 5e-3          # route-agreement relative tolerance
 UNC_FACTOR = 5.0             # route-agreement quadrature-uncertainty factor
 EQUALITY_ABS = 1e-3          # equality-case margin tolerance
+HORIZON_OFFSETS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)  # boundary-flux study
 
 
 def mass_normalization(n: int) -> float:
@@ -72,9 +73,7 @@ def shell_sampler(n: int, lo: float, hi: float,
             need = max(256, 2 * (count - have))
             u = eng.random(1 << (need - 1).bit_length())
             radii = lo * (hi / lo) ** u[:, 0]
-            z = stats.norm.ppf(np.clip(u[:, 1:], 1e-12, 1.0 - 1e-12))
-            z /= np.linalg.norm(z, axis=1, keepdims=True)
-            pts = radii[:, None] * z
+            pts = radii[:, None] * sphere_directions(u[:, 1:])
             if mask is not None:
                 pts = pts[np.asarray(mask(pts), bool)]
             if len(pts):
@@ -151,13 +150,29 @@ class MassEstimate:
     weighted_limit: ExtrapolationResult
 
 
-def _check_flux_radius(scenario: Scenario, r: float) -> None:
-    for body in scenario.horizons:
-        clearance = np.linalg.norm(body.center) + body.outer_radius()
-        if r <= clearance:
-            raise DomainError(
-                f"flux radius {r} does not enclose a horizon component "
-                f"(needs r > {clearance:.3g})")
+def horizon_clearance(scenario: Scenario) -> float:
+    """Radius of the smallest origin-centered ball holding every horizon."""
+    return max((np.linalg.norm(body.center) + body.outer_radius()
+                for body in scenario.horizons), default=0.0)
+
+
+def _flux_pair(scenario: Scenario, r: float, rule: SphereRule) -> tuple:
+    """((plain, weighted) flux masses, their advisory errors) at radius r,
+    both integrands taken from one jet per node set."""
+    fld = scenario.require_field()
+    clearance = horizon_clearance(scenario)
+    if r <= clearance:
+        raise DomainError(
+            f"flux radius {r} does not enclose a horizon component "
+            f"(needs r > {clearance:.3g})")
+
+    def fn(pts):
+        nu = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        return np.stack(flux_integrands_from_jet(fld.jet3_many(pts), nu))
+
+    raw, err = sphere_integrate(fn, r, rule)
+    c = mass_normalization(scenario.n)
+    return (raw[0] / c, raw[1] / c), (err[0] / c, err[1] / c)
 
 
 def adm_flux_mass(scenario: Scenario, r: float, weighted: bool = False,
@@ -169,36 +184,22 @@ def adm_flux_mass(scenario: Scenario, r: float, weighted: bool = False,
     factor; both converge to the ADM mass.  Returns (mass, advisory
     quadrature error).
     """
-    fld = scenario.require_field()
     rule = rule or scenario.quad.flux_rule(scenario.n)
-    _check_flux_radius(scenario, float(r))
-
-    def fn(pts):
-        nu = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        return mass_flux_integrand(fld, pts, nu, weighted=weighted)
-
-    raw, err = sphere_integrate(fn, float(r), rule)
-    c = mass_normalization(scenario.n)
-    return raw / c, err / c
+    values, errors = _flux_pair(scenario, float(r), rule)
+    return values[int(weighted)], errors[int(weighted)]
 
 
-def flux_series(scenario: Scenario, radii=None,
+def flux_series(scenario: Scenario,
                 rule: SphereRule | None = None) -> FluxSeries:
-    radii = tuple(float(r) for r in (radii or scenario.quad.radii))
+    radii = tuple(float(r) for r in scenario.quad.radii)
     rule = rule or scenario.quad.flux_rule(scenario.n)
-    plain, weighted, perr, werr = [], [], [], []
-    for r in radii:
-        v, e = adm_flux_mass(scenario, r, weighted=False, rule=rule)
-        plain.append(v)
-        perr.append(e)
-        v, e = adm_flux_mass(scenario, r, weighted=True, rule=rule)
-        weighted.append(v)
-        werr.append(e)
-    return FluxSeries(radii, tuple(plain), tuple(weighted),
-                      tuple(perr), tuple(werr))
+    values, errors = zip(*(_flux_pair(scenario, r, rule) for r in radii))
+    plain, weighted = zip(*values)
+    plain_err, weighted_err = zip(*errors)
+    return FluxSeries(radii, plain, weighted, plain_err, weighted_err)
 
 
-def adm_mass(scenario: Scenario, radii=None,
+def adm_mass(scenario: Scenario,
              rule: SphereRule | None = None) -> MassEstimate:
     """Extrapolated ADM mass from the flux series.
 
@@ -206,7 +207,7 @@ def adm_mass(scenario: Scenario, radii=None,
     the extrapolation spread, the disagreement between the two
     integrand variants, and the per-radius quadrature advisories.
     """
-    series = flux_series(scenario, radii, rule)
+    series = flux_series(scenario, rule)
     ep = extrapolate_limit(list(zip(series.radii, series.plain)))
     ew = extrapolate_limit(list(zip(series.radii, series.weighted)))
     unc = max(ep.uncertainty, ew.uncertainty, abs(ep.limit - ew.limit),
@@ -307,13 +308,13 @@ def horizon_hypotheses(scenario: Scenario,
 
     The level check measures the variance of f over a homothetic copy
     of the boundary at relative offset 1e-8 (bound 1e-8).  The gradient
-    check samples |grad f| at the configured horizon offset eps and
+    check samples |grad f| at relative offset eps = HORIZON_OFFSET and
     requires (1 - 1e-6)/sqrt((n-2) eps), the exact magnitude of a
     Schwarzschild profile there, at threshold 10^3 for n = 3, eps = 1e-6.
     """
     fld = scenario.require_field()
     rule = rule or scenario.quad.flux_rule(scenario.n)
-    eps = scenario.quad.horizon_offset
+    eps = HORIZON_OFFSET
     floor = (1.0 - 1e-6) / math.sqrt((scenario.n - 2) * eps)
     out = []
     for i, body in enumerate(scenario.horizons):
@@ -378,7 +379,6 @@ def mass_decomposition(scenario: Scenario,
 
 
 def horizon_flux_convergence(scenario: Scenario,
-                             offsets=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
                              rule: SphereRule | None = None) -> list[dict]:
     """Gap between the f-dependent boundary flux at offset surfaces and
     the geometric mean-curvature term, with a fitted decay rate.
@@ -396,13 +396,13 @@ def horizon_flux_convergence(scenario: Scenario,
         a = body.outer_radius()
         geo = float(quermassintegrals(body, rule)[1]) / (2.0 * omega)
         fluxes = []
-        for eps in offsets:
+        for eps in HORIZON_OFFSETS:
             r = a * (1.0 + eps)
             pts = body.center + r * rule.nodes
             vals = boundary_integrand(fld, pts, rule.nodes)
             fluxes.append(r ** (n - 1) * float(rule.weights @ vals) / norm_c)
         gaps = [abs(v - geo) for v in fluxes]
-        keep = [(e, g) for e, g in zip(offsets, gaps)
+        keep = [(e, g) for e, g in zip(HORIZON_OFFSETS, gaps)
                 if g > 1e-13 * (1.0 + abs(geo))]
         rate = None
         if len(keep) >= 3:
@@ -410,7 +410,7 @@ def horizon_flux_convergence(scenario: Scenario,
             lg = np.log([g for _, g in keep])
             rate = float(np.polyfit(le, lg, 1)[0])
         out.append({"component": idx, "radius": a, "geometric": geo,
-                    "offsets": tuple(offsets), "fluxes": tuple(fluxes),
+                    "offsets": HORIZON_OFFSETS, "fluxes": tuple(fluxes),
                     "gaps": tuple(gaps), "rate": rate})
     return out
 
@@ -498,11 +498,7 @@ class ScenarioEvaluation:
                 requested.extend(self.scenario.checks)
             else:
                 requested.append(name)
-        seen: list[str] = []
-        for name in requested:
-            if name not in seen:
-                seen.append(name)
-        return [self.check(name) for name in seen]
+        return [self.check(name) for name in dict.fromkeys(requested)]
 
     # -- individual checks ------------------------------------------------
 
@@ -545,8 +541,8 @@ class ScenarioEvaluation:
 
             if scn.profile is not None:
                 rel = 0.0
-                for r in scn.quad.radii:
-                    flux, _ = adm_flux_mass(scn, r, rule=self.flux_rule)
+                series = self.adm.series
+                for r, flux in zip(series.radii, series.plain):
                     closed = spherical_mass(scn.profile, r, scn.n)
                     rel = max(rel, abs(flux - closed) / (1.0 + abs(closed)))
                 values["radial_agreement"] = rel
@@ -619,18 +615,22 @@ class ScenarioEvaluation:
         scn = self.scenario
         scn.require_field()
         notes: list[str] = []
-        hyp_ok = True
+        convex = True
         try:
             self.geometry  # the curvature solve rejects non-convex bodies
         except NonConvexError as exc:
-            hyp_ok = False
+            convex = False
             notes.append(f"horizon convexity violated: {exc}")
+        hyp_ok = convex
         min_R, max_abs_R, count = self.sampled_R
         if min_R < -R_SIGN_TOL * (1.0 + max_abs_R):
             hyp_ok = False
             notes.append(f"sampled min R = {min_R:.3e} violates the "
                          "sign hypothesis")
-        bound = penrose_bound(scn.horizons, self.flux_rule)
+        # the bound needs the same curvature solve, so it has no value
+        # for a non-convex horizon
+        bound = (penrose_bound(scn.horizons, self.flux_rule) if convex
+                 else math.nan)
         est = self.adm
         bulk = self.bulk
         margin = est.value - bound - bulk.value
@@ -723,17 +723,3 @@ class ScenarioEvaluation:
         if "bound" in scn.expected:
             out["expected_bound"] = scn.expected["bound"]
         return out
-
-
-def identities_check(scenario: Scenario,
-                     seed: int | None = None) -> CheckOutcome:
-    return ScenarioEvaluation(scenario, seed).check("identities")
-
-
-def pmt_check(scenario: Scenario, seed: int | None = None) -> CheckOutcome:
-    return ScenarioEvaluation(scenario, seed).check("pmt")
-
-
-def penrose_check(scenario: Scenario,
-                  seed: int | None = None) -> CheckOutcome:
-    return ScenarioEvaluation(scenario, seed).check("penrose")

@@ -1,4 +1,4 @@
-"""Quadrature over spheres, hypersurfaces, and unbounded exteriors.
+"""Quadrature over spheres and unbounded exteriors.
 
 Sphere rules by dimension:
 
@@ -26,12 +26,10 @@ from scipy.stats import qmc
 
 from .errors import IntegrabilityError, QuadratureError
 
-__all__ = [
-    "unit_sphere_area", "SphereRule", "sphere_rule", "sphere_integrate",
-    "QuadConfig", "ExteriorRegion", "VolumeIntegral",
-    "exterior_volume_integrate", "surface_integrate",
-    "ExtrapolationResult", "extrapolate_limit",
-]
+HORIZON_OFFSET = 1e-6   # relative offset of the graded start at a horizon
+MAX_DEPTH = 8           # bisection depth of an adaptive radial panel
+TAIL_POINTS = 8         # shell samples in the tail fit
+BULK_MC_SAMPLES = 2048  # Sobol rule size inside volume shells (n >= 5)
 
 
 def unit_sphere_area(n: int) -> float:
@@ -98,12 +96,17 @@ def _s3_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def sphere_directions(u: np.ndarray) -> np.ndarray:
+    """Unit vectors from rows of uniform (Sobol) samples: the inverse
+    normal CDF of each coordinate, then each row normalized."""
+    z = stats.norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
 def _qmc_rule(n: int, samples: int, seed: int) -> tuple:
     pairs = max(8, samples // 2)
-    sob = qmc.Sobol(d=n, scramble=True, seed=seed)
-    u = sob.random(pairs)
-    z = stats.norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
-    z = z / np.linalg.norm(z, axis=1, keepdims=True)
+    z = sphere_directions(qmc.Sobol(d=n, scramble=True, seed=seed)
+                          .random(pairs))
     nodes = np.concatenate([z, -z], axis=0)
     weights = np.full(2 * pairs, unit_sphere_area(n) / (2 * pairs))
     return nodes, weights
@@ -145,25 +148,30 @@ def sphere_rule(n: int, order: int | None = None,
 
 
 def sphere_integrate(fn: Callable[[np.ndarray], np.ndarray], r: float,
-                     rule: SphereRule) -> tuple[float, float]:
+                     rule: SphereRule) -> tuple:
     """Integral of fn over the origin-centered sphere of radius r.
 
-    Returns (value, error_estimate); the estimate compares against the
-    rule's coarser companion and is advisory only.
+    fn returns one value per node, or a (k, nodes) array holding k
+    integrands on the same nodes, each integrated on its own.  Returns
+    (value, error_estimate), as floats or as k-tuples; the estimate
+    compares against the rule's coarser companion and is advisory only.
     """
     scale = float(r) ** (rule.n - 1)
     vals = np.asarray(fn(r * rule.nodes), float)
-    if vals.shape != (len(rule.weights),):
+    if vals.ndim > 2 or vals.shape[-1:] != (len(rule.weights),):
         raise QuadratureError("integrand returned a mismatched shape")
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("integrand is not finite on the sphere")
-    value = scale * float(rule.weights @ vals)
-    err = 0.0
+    # one dot per row: a 2-d product may sum in another order
+    value = [scale * float(rule.weights @ row) for row in np.atleast_2d(vals)]
+    err = [0.0] * len(value)
     if rule.half is not None:
-        coarse = scale * float(rule.half.weights
-                               @ np.asarray(fn(r * rule.half.nodes), float))
-        err = abs(value - coarse)
-    return value, err
+        coarse = np.atleast_2d(np.asarray(fn(r * rule.half.nodes), float))
+        err = [abs(v - scale * float(rule.half.weights @ row))
+               for v, row in zip(value, coarse)]
+    if vals.ndim == 2:
+        return tuple(value), tuple(err)
+    return value[0], err[0]
 
 
 # ----------------------------------------------------------------------
@@ -175,16 +183,11 @@ class QuadConfig:
     """Resolution and reproducibility knobs shared by the integrators."""
 
     sphere_order: int | None = None   # per-dimension default when None
-    mc_samples: int = 4096
     bulk_order: int | None = None     # sphere resolution inside volume shells
-    bulk_mc_samples: int = 2048
     seed: int = 20260817
     radii: tuple[float, ...] = (100.0, 200.0, 400.0, 800.0)
     r_max: float = 1000.0
     radial_tol: float = 1e-6
-    horizon_offset: float = 1e-6
-    max_depth: int = 8
-    tail_points: int = 8
 
     def __post_init__(self):
         if self.r_max <= 0:
@@ -193,15 +196,14 @@ class QuadConfig:
             raise ValueError("radii must be positive")
 
     def flux_rule(self, n: int) -> SphereRule:
-        return sphere_rule(n, order=self.sphere_order,
-                           samples=self.mc_samples, seed=self.seed)
+        return sphere_rule(n, order=self.sphere_order, seed=self.seed)
 
     def body_rule(self, n: int) -> SphereRule:
         order = self.bulk_order
         if order is None and n <= 4:
             base = self.sphere_order or {2: 64, 3: 48, 4: 20}[n]
             order = max(8, base // 2)
-        return sphere_rule(n, order=order, samples=self.bulk_mc_samples,
+        return sphere_rule(n, order=order, samples=BULK_MC_SAMPLES,
                            seed=self.seed)
 
 
@@ -212,7 +214,7 @@ class ExteriorRegion:
     The integral runs over r in [r_inner, r_max] (r_max from the config),
     optionally excluding points where ``mask`` is False.  ``graded``
     inserts a geometric panel cascade at the inner edge, starting at
-    offset ``horizon_offset * scale`` outside r_inner, for integrands
+    offset ``HORIZON_OFFSET * scale`` outside r_inner, for integrands
     whose derivatives blow up there.  ``breakpoints`` force panel edges
     at radii where the integrand changes analytic form.
     """
@@ -268,25 +270,25 @@ class _ShellIntegrand:
 
 
 def _adaptive_panel(shell: _ShellIntegrand, lo: float, hi: float,
-                    budget: float, floor: float, depth: int,
-                    max_depth: int) -> tuple[float, float, int]:
+                    budget: float, floor: float,
+                    depth: int) -> tuple[float, float, int]:
     whole = shell.panel(lo, hi)
     mid = 0.5 * (lo + hi)
     halves = shell.panel(lo, mid) + shell.panel(mid, hi)
     disc = abs(whole - halves)
-    if disc <= max(budget, floor) or depth >= max_depth:
+    if disc <= max(budget, floor) or depth >= MAX_DEPTH:
         return halves, disc, 1
     lv, le, lp = _adaptive_panel(shell, lo, mid, budget / 2, floor,
-                                 depth + 1, max_depth)
+                                 depth + 1)
     rv, re, rp = _adaptive_panel(shell, mid, hi, budget / 2, floor,
-                                 depth + 1, max_depth)
+                                 depth + 1)
     return lv + rv, le + re, lp + rp
 
 
-def _tail_fit(shell: _ShellIntegrand, r_lo: float, r_max: float, n: int,
-              points: int) -> tuple[float, float | None]:
+def _tail_fit(shell: _ShellIntegrand, r_lo: float, r_max: float,
+              n: int) -> tuple[float, float | None]:
     """Fit |F(r)| ~ C r^{-s} on the outer decade; tail = 2C R^{1-s}/(s-1)."""
-    radii = np.geomspace(r_lo, r_max, points)
+    radii = np.geomspace(r_lo, r_max, TAIL_POINTS)
     mags = np.abs(shell(radii))
     floor = 1e-250
     if np.all(mags < floor):
@@ -341,7 +343,7 @@ def exterior_volume_integrate(fn, region: ExteriorRegion,
     disc_sum = 0.0
     panels = 0
     if region.graded and r0 > 0.0:
-        offset = cfg.horizon_offset * region.scale
+        offset = HORIZON_OFFSET * region.scale
         stop = min(r0 * 1.01 + offset, cfg.r_max)
         edges = _graded_edges(r0, offset, stop)
         vals = []
@@ -371,8 +373,7 @@ def exterior_volume_integrate(fn, region: ExteriorRegion,
         for a, b in zip(edges[:-1], edges[1:]):
             budget = cfg.radial_tol * max((b - a) / (cfg.r_max - r0), 0.0)
             floor = cfg.radial_tol * 1e-3
-            v, e, p = _adaptive_panel(shell, a, b, budget, floor, 0,
-                                      cfg.max_depth)
+            v, e, p = _adaptive_panel(shell, a, b, budget, floor, 0)
             total += v
             disc_sum += e
             panels += p
@@ -380,27 +381,10 @@ def exterior_volume_integrate(fn, region: ExteriorRegion,
     fit_lo = max([cfg.r_max / 4.0]
                  + [b for b in region.breakpoints if b < cfg.r_max])
     fit_lo = min(fit_lo, 0.9 * cfg.r_max)
-    tail, q = _tail_fit(shell, fit_lo, cfg.r_max, rule.n, cfg.tail_points)
+    tail, q = _tail_fit(shell, fit_lo, cfg.r_max, rule.n)
     unc = max(disc_sum, 0.5 * cfg.radial_tol) + tail
     return VolumeIntegral(value=total, tail_bound=tail, uncertainty=unc,
                           q_fit=q, panels=panels)
-
-
-# ----------------------------------------------------------------------
-# hypersurface quadrature
-# ----------------------------------------------------------------------
-
-def surface_integrate(body, fn, rule: SphereRule) -> float:
-    """Integral of fn over the body's boundary hypersurface.
-
-    The body supplies points and area weights through surface_sample;
-    any object with that method works.
-    """
-    points, weights = body.surface_sample(rule)
-    vals = np.asarray(fn(points), float)
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("surface integrand is not finite")
-    return float(weights @ vals)
 
 
 # ----------------------------------------------------------------------
@@ -413,10 +397,6 @@ class ExtrapolationResult:
     uncertainty: float
     rate: float | None = None
     monotone: bool = True
-
-    def __iter__(self):
-        yield self.limit
-        yield self.uncertainty
 
 
 def _solve_triple(r: np.ndarray, v: np.ndarray):

@@ -294,6 +294,11 @@ def _schwarzschild_perturbed(m: float = 1.0, beta: float = 0.3,
     if n not in (3, 4):
         raise ConfigError("the perturbed scenario is tuned for n = 3, 4")
     a = (2.0 * m * (1.0 - beta)) ** (1.0 / (n - 2))
+    # r^{n-2} - 2m psi vanishes at a and must grow past it
+    if (n - 2) * a ** (n - 3) <= 2.0 * m * beta:
+        raise ConfigError(
+            f"m = {m:g} and beta = {beta:g} leave no single horizon: need "
+            "(n-2) a^(n-3) > 2 m beta")
 
     def psi(r):
         return 1.0 - beta * np.exp(-(r - a))
@@ -446,28 +451,22 @@ class RegistryEntry:
     name: str
     factory: Callable[..., Scenario]
     defaults: dict
-    summary: str
 
 
 REGISTRY: dict[str, RegistryEntry] = {
     e.name: e for e in (
-        RegistryEntry("flat", _flat, {"n": 3},
-                      "flat space, zero mass"),
-        RegistryEntry("schwarzschild3", _schwarzschild3, {"m": 1.0},
-                      "n=3 equality case"),
+        RegistryEntry("flat", _flat, {"n": 3}),
+        RegistryEntry("schwarzschild3", _schwarzschild3, {"m": 1.0}),
         RegistryEntry("schwarzschild_n", _schwarzschild_n,
-                      {"n": 4, "m": 1.0}, "higher-dimension equality case"),
-        RegistryEntry("radial_custom", _radial_custom,
-                      {"m": 0.7, "n": 3}, "horizonless radial graph"),
-        RegistryEntry("bump", _bump, {"alpha": 0.1, "n": 3},
-                      "Gaussian bump, zero mass"),
+                      {"n": 4, "m": 1.0}),
+        RegistryEntry("radial_custom", _radial_custom, {"m": 0.7, "n": 3}),
+        RegistryEntry("bump", _bump, {"alpha": 0.1, "n": 3}),
         RegistryEntry("schwarzschild_perturbed", _schwarzschild_perturbed,
-                      {"m": 1.0, "beta": 0.3, "n": 3},
-                      "strict inequality with R > 0"),
+                      {"m": 1.0, "beta": 0.3, "n": 3}),
         RegistryEntry("ellipsoid_horizon", _ellipsoid_horizon,
-                      {"ratio": 2.0}, "geometry-only horizon pair"),
+                      {"ratio": 2.0}),
         RegistryEntry("two_body_glued", _two_body_glued,
-                      {"m1": 1.0, "m2": 0.8}, "two glued horizons"),
+                      {"m1": 1.0, "m2": 0.8}),
     )
 }
 

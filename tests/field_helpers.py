@@ -1,0 +1,29 @@
+"""Scalar fields that only the tests need."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from graphmass import Jet3, ScalarField
+
+
+class RotatedField(ScalarField):
+    """h(x) = f(Qx) for an orthogonal matrix Q."""
+
+    def __init__(self, base: ScalarField, rotation: np.ndarray):
+        Q = np.asarray(rotation, float)
+        if Q.shape != (base.n, base.n):
+            raise ValueError("rotation shape mismatch")
+        if not np.allclose(Q @ Q.T, np.eye(base.n), atol=1e-12):
+            raise ValueError("matrix is not orthogonal")
+        self.base = base
+        self.Q = Q
+        self.n = base.n
+
+    def jet3_many(self, points):
+        j = self.base.jet3_many(np.asarray(points, float) @ self.Q.T)
+        Q = self.Q
+        return Jet3(j.value,
+                    np.einsum("...a,ai->...i", j.grad, Q),
+                    np.einsum("...ab,ai,bj->...ij", j.hess, Q, Q),
+                    np.einsum("...abc,ai,bj,ck->...ijk", j.third, Q, Q, Q))

@@ -52,12 +52,30 @@ class TestRunCommand:
         assert "takes no parameter" in err
 
     def test_bad_radii_is_numerical_failure(self, capsys):
-        # radius 2 sits on the horizon, so the flux shell is illegal
+        # radius 2 sits on the horizon, so the flux shell is illegal; the
+        # driver rejects it as configuration before any numerics run
         code = main(["run", "schwarzschild3", "--radii", "2,3,4",
                      "--checks", "identities"])
         _, err = capsys.readouterr()
-        assert code == 4
-        assert "[ERROR]" in err
+        assert code == 3
+        assert "must exceed 2" in err
+
+    def test_unrealisable_perturbation_is_config_error(self, capsys):
+        """2 m beta >= 1 in n = 3 leaves the profile without a single
+        horizon; the parameters are rejected, not run into a failure."""
+        code = main(["run", "schwarzschild_perturbed", "--m", "2"])
+        _, err = capsys.readouterr()
+        assert code == 3
+        assert "m = 2 and beta = 0.3" in err
+
+    def test_r_max_inside_horizon_is_config_error(self, capsys):
+        """m = 50 puts the horizon at 99.5, beyond the fixed r_max = 60;
+        the entry is rejected before the bulk route starts."""
+        code = main(["run", "schwarzschild_perturbed", "--m", "50",
+                     "--beta", "0.005"])
+        _, err = capsys.readouterr()
+        assert code == 3
+        assert "r_max = 60" in err
 
 
 class TestConfigFile:
@@ -178,7 +196,7 @@ class TestExitPrecedence:
     def run_with(self, monkeypatch, results):
         queue = list(results)
         monkeypatch.setattr(cli, "_run_entry",
-                            lambda entry, run: queue.pop(0))
+                            lambda entry, run, scenario: queue.pop(0))
         run = RunConfig(entries=[EntryConfig(name="flat")
                                  for _ in results])
         code, document, _ = execute_run(run)

@@ -5,25 +5,27 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from field_helpers import RotatedField
 from graphmass import (
     DomainError,
     ExprField,
     RadialField,
     RadialProfile,
-    RotatedField,
     boundary_integrand,
-    div_field_V,
     divergence_of_V,
     flat_mean_curvature,
-    induced_mean_curvature,
     make_scenario,
     mass_flux_integrand,
-    metric_jet,
     scalar_curvature,
     schwarzschild_profile,
 )
+from graphmass.graphgeom import flux_field_from_jet
 
 GENERIC = ExprField("0.3*x1^2*x2 + sin(1.1*x2)*x3 + 0.2*exp(x3)", 3)
+
+
+def flux_field(field, pts):
+    return flux_field_from_jet(field.jet3_many(pts))
 
 
 def curvature_by_christoffel(field, x):
@@ -139,37 +141,10 @@ class TestDivergenceIdentity:
         Q = np.linalg.qr(np.random.default_rng(21).standard_normal((3, 3)))[0]
         rot = RotatedField(GENERIC, Q)
         pts = np.random.default_rng(22).uniform(-0.7, 0.7, (10, 3))
-        Va = div_field_V(rot, pts)
-        Vb = div_field_V(GENERIC, pts @ Q.T) @ Q
+        Va = flux_field(rot, pts)
+        Vb = flux_field(GENERIC, pts @ Q.T) @ Q
         assert float(np.max(np.abs(Va - Vb))) <= 1e-13 * (
             1.0 + float(np.max(np.abs(Vb))))
-
-
-class TestMetricJet:
-    def test_metric_algebra_against_linalg(self):
-        """det g = 1 + |grad f|^2 and the rank-one inverse formula."""
-        pts = np.random.default_rng(17).uniform(-0.8, 0.8, (30, 3))
-        mj = metric_jet(GENERIC, pts)
-        W = 1.0 + mj.grad_norm_sq
-        dets = np.linalg.det(mj.g)
-        assert float(np.max(np.abs(dets - W))) <= 1e-13 * (
-            1.0 + float(np.max(W)))
-        invs = np.linalg.inv(mj.g)
-        assert float(np.max(np.abs(invs - mj.ginv))) <= 1e-12
-        assert float(np.max(np.abs(mj.volume_factor ** 2 - W))) <= 1e-13 * (
-            1.0 + float(np.max(W)))
-
-    def test_fields_match_standalone_routes(self):
-        pts = np.random.default_rng(18).uniform(-0.8, 0.8, (12, 3))
-        mj = metric_jet(GENERIC, pts)
-        assert np.array_equal(mj.R, scalar_curvature(GENERIC, pts))
-        assert np.array_equal(mj.V, div_field_V(GENERIC, pts))
-
-    def test_single_point_unbatches(self):
-        mj = metric_jet(GENERIC, np.array([0.1, 0.2, 0.3]))
-        assert isinstance(mj.R, float)
-        assert mj.g.shape == (3, 3)
-        assert mj.V.shape == (3,)
 
 
 class TestMeanCurvature:
@@ -189,15 +164,6 @@ class TestMeanCurvature:
             expected = (n - 1) / a
             assert float(np.max(np.abs(h0 - expected))) <= 1e-12 * expected
 
-    def test_induced_is_flat_over_sqrt_W(self):
-        pts = np.random.default_rng(23).uniform(0.4, 0.9, (20, 3))
-        h0 = flat_mean_curvature(GENERIC, pts)
-        hg = induced_mean_curvature(GENERIC, pts)
-        j = GENERIC.jet3_many(pts)
-        W = 1.0 + np.einsum("ij,ij->i", j.grad, j.grad)
-        assert float(np.max(np.abs(hg - h0 / np.sqrt(W)))) <= 1e-13 * (
-            1.0 + float(np.max(np.abs(h0))))
-
     def test_degenerate_gradient_raises(self):
         fld = ExprField("x1^2 + x2^2 + x3^2", 3)
         with pytest.raises(DomainError):
@@ -209,7 +175,7 @@ class TestBoundaryIntegrand:
         pts = np.random.default_rng(31).uniform(0.3, 0.9, (40, 3))
         nu = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         bi = boundary_integrand(GENERIC, pts, nu)
-        vdot = np.einsum("ij,ij->i", div_field_V(GENERIC, pts), nu)
+        vdot = np.einsum("ij,ij->i", flux_field(GENERIC, pts), nu)
         assert float(np.max(np.abs(bi - vdot))) <= 1e-15 * (
             1.0 + float(np.max(np.abs(vdot))))
 

@@ -7,13 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from field_helpers import RotatedField
 from graphmass import (
     DomainError,
     ExprField,
     RadialField,
     RadialProfile,
-    RotatedField,
-    SumField,
     fd_jet,
     flatness_report,
     profile_from_gradsq,
@@ -85,19 +84,6 @@ class TestJetAlgebra:
         for a, b in ((jp.value, jw.value), (jp.grad, jw.grad),
                      (jp.hess, jw.hess), (jp.third, jw.third)):
             assert sup(a - b) <= 1e-12 * (1.0 + sup(b))
-
-    def test_sum_field(self):
-        u = ExprField("x1*x2", 3)
-        v = ExprField("cos(x3)", 3)
-        s = SumField([u, v])
-        pts = np.random.default_rng(6).uniform(-1, 1, (10, 3))
-        js, ju, jv = s.jet3_many(pts), u.jet3_many(pts), v.jet3_many(pts)
-        assert sup(js.grad - ju.grad - jv.grad) == 0.0
-        assert sup(js.third - ju.third - jv.third) == 0.0
-
-    def test_sum_field_rejects_mixed_dimensions(self):
-        with pytest.raises(ValueError):
-            SumField([ExprField("x1", 3), ExprField("x1", 4)])
 
 
 class TestSchwarzschildProfile:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,25 +15,29 @@ from graphmass import (
     HorizonSet,
     QuadConfig,
     RadialProfile,
+    ScalarField,
     Scenario,
     ScenarioEvaluation,
     Sphere,
     adm_flux_mass,
     adm_mass,
     bulk_mass,
+    flux_series,
     horizon_flux_convergence,
     horizon_hypotheses,
-    identities_check,
     make_scenario,
     mass_decomposition,
     mass_normalization,
-    penrose_check,
-    pmt_check,
     schwarzschild_profile,
     shell_sampler,
     spherical_mass,
 )
+from graphmass.errors import NonConvexError
 from graphmass.mass import identity_tolerance
+
+
+def check(scenario, name):
+    return ScenarioEvaluation(scenario).check(name)
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +115,22 @@ class TestFluxMass:
     def test_radius_must_clear_horizon(self, scn3):
         with pytest.raises(DomainError, match="does not enclose"):
             adm_flux_mass(scn3, 1.5)
+
+    def test_one_jet_per_node_set(self, scn3):
+        """Both integrands come from one jet on the full rule and one on
+        its half companion: two jet evaluations per radius."""
+
+        class Counting(ScalarField):
+            n, calls = 3, 0
+
+            def jet3_many(self, points):
+                self.calls += 1
+                return scn3.field.jet3_many(points)
+
+        counting = Counting()
+        series = flux_series(dataclasses.replace(scn3, field=counting))
+        assert counting.calls == 2 * len(scn3.quad.radii)
+        assert series == adm_mass(scn3).series
 
     def test_monotone_approach(self, scn3):
         """The plain series decreases to m from above as r grows."""
@@ -286,7 +307,7 @@ class TestChecks:
             ScenarioEvaluation(scn3).check("bogus")
 
     def test_identities_values(self, scn3):
-        out = identities_check(scn3)
+        out = check(scn3, "identities")
         assert out.passed
         assert out.values["div_identity_sup"] <= 1e-12
         assert out.values["radial_agreement"] <= 1e-10
@@ -296,26 +317,26 @@ class TestChecks:
     def test_bump_pmt_is_vacuous(self, bump):
         """Sign-indefinite curvature: the sign hypothesis fails, the
         check reports that, and the identity still reconciles."""
-        out = pmt_check(bump)
+        out = check(bump, "pmt")
         assert out.vacuous
         assert not out.hypothesis_ok
         assert out.passed
         assert out.values["min_R"] < -1e-3
 
     def test_bump_identities(self, bump):
-        out = identities_check(bump)
+        out = check(bump, "identities")
         assert out.passed
         assert abs(out.values["adm"]) <= 1e-3
 
     def test_flat_pmt(self):
-        out = pmt_check(make_scenario("flat"))
+        out = check(make_scenario("flat"), "pmt")
         assert out.passed and out.hypothesis_ok and not out.vacuous
         assert out.values["mass"] == 0.0
         assert out.values["min_R"] == 0.0
 
     def test_radial_custom_penrose_degenerates(self):
         """No horizon: the bound is zero and positivity decides."""
-        out = penrose_check(make_scenario("radial_custom"))
+        out = check(make_scenario("radial_custom"), "penrose")
         assert out.passed and out.hypothesis_ok
         assert out.values["bound"] == 0.0
         assert abs(out.values["mass"] - 0.7) <= 1e-6
@@ -330,12 +351,32 @@ class TestChecks:
             p=2.0, quad=QuadConfig(radii=(2.0, 2.5, 3.0, 3.5), r_max=12.0),
             bulk_region=ExteriorRegion(),
             sampler=shell_sampler(3, 0.05, 6.0))
-        out = penrose_check(scn)
+        out = check(scn, "penrose")
         assert not out.passed
         assert not out.hypothesis_ok
         assert not out.vacuous
         assert out.values["bound"] == pytest.approx(0.25, rel=1e-12)
         assert any("sign hypothesis" in note for note in out.notes)
+
+    def test_penrose_nonconvex_horizon(self, bump):
+        """A horizon whose curvature solve rejects it is a hypothesis
+        failure; the bound, which needs that solve, is skipped."""
+
+        class NonConvexSphere(Sphere):
+            def shape_spectrum(self, points):
+                raise NonConvexError("principal curvature below zero")
+
+        scn = Scenario(
+            name="fake", n=3, field=bump.field,
+            horizons=HorizonSet((NonConvexSphere(np.zeros(3), 0.5),)),
+            p=2.0, quad=QuadConfig(radii=(2.0, 2.5, 3.0, 3.5), r_max=12.0),
+            bulk_region=ExteriorRegion(),
+            sampler=shell_sampler(3, 0.05, 6.0))
+        out = check(scn, "penrose")
+        assert not out.passed
+        assert not out.hypothesis_ok
+        assert math.isnan(out.values["bound"])
+        assert any("convexity violated" in note for note in out.notes)
 
 
 class TestScenarioPlumbing:
@@ -347,7 +388,6 @@ class TestScenarioPlumbing:
             scn.sample_points(10, 0)
 
     def test_sampler_shape_guard(self, scn3):
-        import dataclasses
         bad = dataclasses.replace(
             scn3, sampler=lambda count, seed: np.zeros((count, 2)))
         with pytest.raises(ConfigError, match="mismatched shape"):

@@ -12,12 +12,10 @@ from graphmass import (
     IntegrabilityError,
     QuadConfig,
     QuadratureError,
-    Sphere,
     exterior_volume_integrate,
     extrapolate_limit,
     sphere_integrate,
     sphere_rule,
-    surface_integrate,
     unit_sphere_area,
 )
 
@@ -105,6 +103,22 @@ class TestSphereIntegrate:
         with pytest.raises(QuadratureError):
             sphere_integrate(lambda p: np.ones(3), 1.0, rule)
 
+    def test_rows_integrate_like_single_integrands(self):
+        """A (k, nodes) integrand gives, row by row, the bits of k calls."""
+        rule = sphere_rule(3)
+        fns = (lambda p: p[:, 0] ** 2, lambda p: 1.0 + p[:, 1] * p[:, 2])
+        vals, errs = sphere_integrate(
+            lambda p: np.stack([fn(p) for fn in fns]), 2.0, rule)
+        singles = [sphere_integrate(fn, 2.0, rule) for fn in fns]
+        assert vals == tuple(v for v, _ in singles)
+        assert errs == tuple(e for _, e in singles)
+
+    def test_rejects_nonfinite_row(self):
+        rule = sphere_rule(3)
+        with pytest.raises(QuadratureError):
+            sphere_integrate(lambda p: np.stack(
+                [np.ones(len(p)), np.full(len(p), np.inf)]), 1.0, rule)
+
 
 class TestExteriorVolume:
     def test_gaussian_reference_value(self):
@@ -169,20 +183,6 @@ class TestExteriorVolume:
                                       sphere_rule(3))
 
 
-class TestSurfaceIntegrate:
-    def test_sphere_area(self):
-        body = Sphere(np.zeros(3), 1.5)
-        rule = sphere_rule(3)
-        area = surface_integrate(body, lambda p: np.ones(len(p)), rule)
-        assert area == pytest.approx(4 * math.pi * 1.5 ** 2, rel=1e-13)
-
-    def test_nonfinite_rejected(self):
-        body = Sphere(np.zeros(3), 1.0)
-        with pytest.raises(QuadratureError):
-            surface_integrate(body, lambda p: np.full(len(p), np.inf),
-                              sphere_rule(3))
-
-
 class TestExtrapolateLimit:
     def test_exact_power_law(self):
         res = extrapolate_limit([(r, 3.0 + 5.0 * r ** -2)
@@ -219,10 +219,6 @@ class TestExtrapolateLimit:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             extrapolate_limit([])
-
-    def test_iterates_as_pair(self):
-        limit, unc = extrapolate_limit([(1.0, 2.0), (2.0, 2.0)])
-        assert (limit, unc) == (2.0, 0.0)
 
 
 class TestQuadConfig:
