@@ -198,7 +198,7 @@ def _criterion_6() -> tuple[bool, str]:
         v = quermassintegrals(body, rule)
         rel = abs(v[-1] / unit_sphere_area(body.n) - 1.0)
         worst = max(worst, rel)
-    ok = worst <= 1e-6
+    ok = bool(worst <= 1e-6)
     return ok, f"{len(bodies)} bodies, worst defect {worst:.1e}"
 
 

@@ -207,18 +207,26 @@ def _entry_echo(entry: EntryConfig, run: RunConfig) -> dict:
 
 def _bulk_convergence(scenario: Scenario,
                       evaluation: ScenarioEvaluation) -> list[dict]:
-    """Bulk mass at coarser radial tolerances plus the production row."""
+    """Bulk mass at coarser radial tolerances plus the production row.
+
+    The production run goes first, so its sign sample sees every node.
+    Both stopping thresholds of the adaptive split scale with
+    ``radial_tol``, so each coarse panel tree is a subtree of the
+    production one: through the evaluation's shell memo the coarse rows
+    evaluate no new shells and equal a fresh run bit for bit.
+    """
+    production = evaluation.bulk
     rows = []
     base = scenario.quad.radial_tol
     for factor in (100.0, 10.0):
         coarse = replace(scenario, quad=replace(scenario.quad,
                                                 radial_tol=base * factor))
-        res = bulk_mass(coarse)
+        res = bulk_mass(coarse, memo=evaluation.shell_memo)
         rows.append({"radial_tol": base * factor, "value": res.value,
                      "uncertainty": res.uncertainty, "panels": res.panels})
-    res = evaluation.bulk
-    rows.append({"radial_tol": base, "value": res.value,
-                 "uncertainty": res.uncertainty, "panels": res.panels})
+    rows.append({"radial_tol": base, "value": production.value,
+                 "uncertainty": production.uncertainty,
+                 "panels": production.panels})
     return rows
 
 

@@ -204,7 +204,7 @@ class SmoothLevelSet(ConvexBody):
     def surface_sample(self, rule):
         rho = self._solve_radii(rule.nodes)
         pts = self.center + rho[:, None] * rule.nodes
-        jet = self.phi.jet3_many(pts)
+        jet = self.phi.jet3_many(pts, order=2)
         gn = np.linalg.norm(jet.grad, axis=1)
         gu = np.einsum("ij,ij->i", jet.grad, rule.nodes)
         if np.any(gu <= 0.0):
@@ -220,7 +220,7 @@ class SmoothLevelSet(ConvexBody):
 
     def shape_spectrum(self, points):
         pts = np.atleast_2d(np.asarray(points, float))
-        jet = self.phi.jet3_many(pts)
+        jet = self.phi.jet3_many(pts, order=2)
         return self._weingarten(pts, jet.grad, jet.hess)
 
     def outer_radius(self):

@@ -1,6 +1,7 @@
 """Pointwise geometry of the graph metric g = delta + df (x) df.
 
-Every quantity reduces to contractions of the order-3 jet of f:
+Every quantity reduces to contractions of the gradient and Hessian of f,
+so the curvature, flux and level-set functions ask for order-2 jets:
 
     g_ij       = delta_ij + f_i f_j
     g^ij       = delta_ij - f_i f_j / W,          W = 1 + |grad f|^2
@@ -13,7 +14,9 @@ The scalar curvature is also the flat divergence of the field
 
     V_j = (f_ii f_j - f_ij f_i) / W,
 
-which is the identity behind the boundary-flux mass formulas.  All
+which is the identity behind the boundary-flux mass formulas.  Only
+:func:`divergence_of_V` asks for the order-3 jet: it expands div V
+through the third derivatives, an independent route to R.  All
 functions accept a single point (shape (n,)) or a batch (..., n) and
 return matching shapes.
 """
@@ -67,7 +70,8 @@ def flux_field_from_jet(jet: Jet3) -> np.ndarray:
 
 def scalar_curvature(field: ScalarField, points):
     pts, single = _as_batch(points)
-    return _unbatch(curvature_from_jet(field.jet3_many(pts)), single)
+    return _unbatch(curvature_from_jet(field.jet3_many(pts, order=2)),
+                    single)
 
 
 def divergence_of_V(field: ScalarField, points):
@@ -83,7 +87,7 @@ def divergence_of_V(field: ScalarField, points):
     the simplified curvature formula.
     """
     pts, single = _as_batch(points)
-    jet = field.jet3_many(pts)
+    jet = field.jet3_many(pts, order=3)
     W, tr, frob, Hg, gHg = _curvature_parts(jet)
     g = jet.grad
     c_iij = np.einsum("...iij->...j", jet.third)
@@ -103,7 +107,7 @@ def flat_mean_curvature(field: ScalarField, points):
     H0 = (n-1)/a > 0.
     """
     pts, single = _as_batch(points)
-    jet = field.jet3_many(pts)
+    jet = field.jet3_many(pts, order=2)
     _, tr, _, Hg, gHg = _curvature_parts(jet)
     gsq = np.einsum("...i,...i->...", jet.grad, jet.grad)
     if np.any(gsq == 0.0):
@@ -120,7 +124,7 @@ def boundary_integrand(field: ScalarField, points, nu):
     """
     pts, single = _as_batch(points)
     nu_arr = np.broadcast_to(np.asarray(nu, float), pts.shape)
-    jet = field.jet3_many(pts)
+    jet = field.jet3_many(pts, order=2)
     V = flux_field_from_jet(jet)
     return _unbatch(np.einsum("...j,...j->...", V, nu_arr), single)
 
@@ -142,5 +146,6 @@ def mass_flux_integrand(field: ScalarField, points, nu, weighted: bool):
     """
     pts, single = _as_batch(points)
     nu_arr = np.broadcast_to(np.asarray(nu, float), pts.shape)
-    plain, wtd = flux_integrands_from_jet(field.jet3_many(pts), nu_arr)
+    plain, wtd = flux_integrands_from_jet(field.jet3_many(pts, order=2),
+                                          nu_arr)
     return _unbatch(wtd if weighted else plain, single)

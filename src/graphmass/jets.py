@@ -1,9 +1,13 @@
-"""Order-3 jets of scalar fields on R^n.
+"""Jets of scalar fields on R^n, to order 2 or 3.
 
 A :class:`Jet3` carries the value, gradient, Hessian, and totally symmetric
 third-derivative tensor of a function at one point or at a batch of points
-(all arrays share an arbitrary leading batch shape).  Jets propagate through
-expression trees by forward-mode rules:
+(all arrays share an arbitrary leading batch shape).  An order-2 jet leaves
+the third tensor as None and computes the rest with the same arithmetic:
+the curvature, flux and level-set consumers read only the gradient and
+Hessian, so they ask for order 2.  Order 3 serves the divergence route,
+the finite-difference comparison and the decay probe.  Jets propagate
+through expression trees by forward-mode rules:
 
 * product:   (fg)''' = f''' g + 3 sym(f'' o g') + 3 sym(f' o g'') + f g'''
 * scalar chain rule for phi(w):
@@ -51,14 +55,25 @@ def _sym_vec_mat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
             + np.einsum("...k,...ij->...ijk", v, m))
 
 
+def check_order(order: int) -> None:
+    """Reject a jet order other than 2 or 3."""
+    if order not in (2, 3):
+        raise ValueError(f"jet order must be 2 or 3, not {order!r}")
+
+
+def _lift(fn, *thirds):
+    """fn of third tensors, or None (an order-2 jet) if any is None."""
+    return None if any(t is None for t in thirds) else fn(*thirds)
+
+
 @dataclass
 class Jet3:
-    """Value and derivatives to order 3 at a (batch of) point(s)."""
+    """Value and derivatives to order 3 (or 2) at a (batch of) point(s)."""
 
-    value: np.ndarray   # shape B
-    grad: np.ndarray    # shape B + (n,)
-    hess: np.ndarray    # shape B + (n, n)
-    third: np.ndarray   # shape B + (n, n, n)
+    value: np.ndarray          # shape B
+    grad: np.ndarray           # shape B + (n,)
+    hess: np.ndarray           # shape B + (n, n)
+    third: np.ndarray | None   # shape B + (n, n, n); None at order 2
 
     @property
     def n(self) -> int:
@@ -68,17 +83,23 @@ class Jet3:
     def batch_shape(self) -> tuple[int, ...]:
         return self.value.shape
 
+    @property
+    def order(self) -> int:
+        return 2 if self.third is None else 3
+
     def __add__(self, other):
         if isinstance(other, Jet3):
             return Jet3(self.value + other.value, self.grad + other.grad,
-                        self.hess + other.hess, self.third + other.third)
+                        self.hess + other.hess,
+                        _lift(np.add, self.third, other.third))
         return Jet3(self.value + other, self.grad.copy(), self.hess.copy(),
-                    self.third.copy())
+                    _lift(np.copy, self.third))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet3(-self.value, -self.grad, -self.hess, -self.third)
+        return Jet3(-self.value, -self.grad, -self.hess,
+                    _lift(np.negative, self.third))
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet3) else -other)
@@ -89,15 +110,19 @@ class Jet3:
     def __mul__(self, other):
         if not isinstance(other, Jet3):
             return Jet3(self.value * other, self.grad * other,
-                        self.hess * other, self.third * other)
+                        self.hess * other,
+                        _lift(lambda t: t * other, self.third))
         a, b = self, other
         av = a.value[..., None]
         bv = b.value[..., None]
         cross = _outer(a.grad, b.grad)
         hess = (av[..., None] * b.hess + bv[..., None] * a.hess
                 + cross + np.swapaxes(cross, -1, -2))
-        third = (av[..., None, None] * b.third + bv[..., None, None] * a.third
-                 + _sym_vec_mat(b.grad, a.hess) + _sym_vec_mat(a.grad, b.hess))
+        third = _lift(lambda at, bt: (av[..., None, None] * bt
+                                      + bv[..., None, None] * at
+                                      + _sym_vec_mat(b.grad, a.hess)
+                                      + _sym_vec_mat(a.grad, b.hess)),
+                      a.third, b.third)
         return Jet3(a.value * b.value, av * b.grad + bv * a.grad, hess, third)
 
     __rmul__ = __mul__
@@ -115,19 +140,24 @@ class Jet3:
 
     def check_finite(self, context: str = "jet") -> "Jet3":
         for part in (self.value, self.grad, self.hess, self.third):
-            if not np.all(np.isfinite(part)):
+            if part is not None and not np.all(np.isfinite(part)):
                 raise DomainError(f"non-finite derivatives in {context}")
         return self
 
 
-def jet_const(value, n: int, batch_shape: tuple[int, ...] = ()) -> Jet3:
+def _zero_third(batch_shape: tuple[int, ...], n: int, order: int):
+    return np.zeros(batch_shape + (n, n, n)) if order == 3 else None
+
+
+def jet_const(value, n: int, batch_shape: tuple[int, ...] = (),
+              order: int = 3) -> Jet3:
     v = np.broadcast_to(np.asarray(value, float), batch_shape).copy()
     return Jet3(v, np.zeros(batch_shape + (n,)),
                 np.zeros(batch_shape + (n, n)),
-                np.zeros(batch_shape + (n, n, n)))
+                _zero_third(batch_shape, n, order))
 
 
-def jet_coord(points: np.ndarray, index: int) -> Jet3:
+def jet_coord(points: np.ndarray, index: int, order: int = 3) -> Jet3:
     """Jet of the coordinate function x_{index} (0-based) at ``points``."""
     pts = np.asarray(points, float)
     n = pts.shape[-1]
@@ -135,18 +165,20 @@ def jet_coord(points: np.ndarray, index: int) -> Jet3:
     grad = np.zeros(batch + (n,))
     grad[..., index] = 1.0
     return Jet3(pts[..., index].copy(), grad, np.zeros(batch + (n, n)),
-                np.zeros(batch + (n, n, n)))
+                _zero_third(batch, n, order))
 
 
 def jet_compose(w: Jet3, d0, d1, d2, d3) -> Jet3:
-    """Chain rule for phi(w) given derivative values d0..d3 of phi at w."""
+    """Chain rule for phi(w) given derivative values d0..d3 of phi at w
+    (d3 is not read for an order-2 w)."""
     g, h = w.grad, w.hess
     d1e = np.asarray(d1)[..., None]
     d2e = np.asarray(d2)[..., None, None]
     hess = d2e * _outer(g, g) + d1e[..., None] * h
-    third = (np.asarray(d3)[..., None, None, None] * _outer3(g, g, g)
-             + d2e[..., None] * _sym_vec_mat(g, h)
-             + d1e[..., None, None] * w.third)
+    third = _lift(lambda wt: (np.asarray(d3)[..., None, None, None]
+                              * _outer3(g, g, g)
+                              + d2e[..., None] * _sym_vec_mat(g, h)
+                              + d1e[..., None, None] * wt), w.third)
     return Jet3(np.broadcast_to(np.asarray(d0, float), w.value.shape).copy(),
                 d1e * g, hess, third)
 
@@ -192,10 +224,10 @@ def jet_cos(w: Jet3) -> Jet3:
 def jet_pow(w: Jet3, c: float) -> Jet3:
     """w**c for a constant exponent c."""
     if c == 0.0:
-        return jet_const(1.0, w.n, w.batch_shape)
+        return jet_const(1.0, w.n, w.batch_shape, w.order)
     if c == 1.0:
         return Jet3(w.value.copy(), w.grad.copy(), w.hess.copy(),
-                    w.third.copy())
+                    _lift(np.copy, w.third))
     v = w.value
     integral = float(c).is_integer()
     if not integral and np.any(v <= 0.0):
@@ -216,18 +248,20 @@ def jet_pow(w: Jet3, c: float) -> Jet3:
 # expression evaluation
 # ----------------------------------------------------------------------
 
-def _radius_sq_jet(points: np.ndarray) -> Jet3:
+def _radius_sq_jet(points: np.ndarray, order: int) -> Jet3:
     pts = np.asarray(points, float)
     batch = pts.shape[:-1]
     n = pts.shape[-1]
     hess = np.broadcast_to(2.0 * np.eye(n), batch + (n, n)).copy()
     return Jet3(np.sum(pts * pts, axis=-1), 2.0 * pts, hess,
-                np.zeros(batch + (n, n, n)))
+                _zero_third(batch, n, order))
 
 
 def eval_jet_many(node: ex.Expr, params: dict[str, float] | None,
-                  points: np.ndarray) -> Jet3:
-    """Order-3 jet of the expression at a batch of points, shape (..., n)."""
+                  points: np.ndarray, order: int = 3) -> Jet3:
+    """Order-2 or order-3 jet of the expression at a batch of points,
+    shape (..., n)."""
+    check_order(order)
     pts = np.asarray(points, float)
     n = pts.shape[-1]
     bindings = params or {}
@@ -235,11 +269,11 @@ def eval_jet_many(node: ex.Expr, params: dict[str, float] | None,
     def walk(e: ex.Expr) -> Jet3:
         match e:
             case ex.Num(v):
-                return jet_const(v, n, pts.shape[:-1])
+                return jet_const(v, n, pts.shape[:-1], order)
             case ex.Coord(i):
-                return jet_coord(pts, i - 1)
+                return jet_coord(pts, i - 1, order)
             case ex.Radial():
-                q = _radius_sq_jet(pts)
+                q = _radius_sq_jet(pts, order)
                 if np.any(q.value <= 0.0):
                     raise DomainError("'r' is singular at the origin")
                 return jet_sqrt(q)
@@ -247,7 +281,7 @@ def eval_jet_many(node: ex.Expr, params: dict[str, float] | None,
                 if name not in bindings:
                     raise UnboundParameterError(
                         f"parameter {name!r} is not bound")
-                return jet_const(bindings[name], n, pts.shape[:-1])
+                return jet_const(bindings[name], n, pts.shape[:-1], order)
             case ex.Neg(a):
                 return -walk(a)
             case ex.Add(a, b):
@@ -464,8 +498,10 @@ def schwarzschild_profile(m: float, n: int, branch: int = -1) -> RadialProfile:
 # radial jets
 # ----------------------------------------------------------------------
 
-def radial_jet(profile: RadialProfile, point, center=None) -> Jet3:
-    """Jet of f(|x - center|) from the 1-D profile derivatives.
+def radial_jet(profile: RadialProfile, point, center=None,
+               order: int = 3) -> Jet3:
+    """Jet of f(|x - center|) from the 1-D profile derivatives; at
+    order 2 neither f_rrr nor the third tensor is evaluated.
 
     Uses the radial decomposition (u = (x-c)/r):
         grad  = f_r u
@@ -473,6 +509,7 @@ def radial_jet(profile: RadialProfile, point, center=None) -> Jet3:
         third = f_rrr u o u o u + (f_rr/r - f_r/r^2) sym3(I, u)
     where sym3(I, u)_ijk = d_ij u_k + d_ik u_j + d_jk u_i - 3 u_i u_j u_k.
     """
+    check_order(order)
     pts = np.asarray(point, float)
     n = pts.shape[-1]
     if center is not None:
@@ -492,15 +529,17 @@ def radial_jet(profile: RadialProfile, point, center=None) -> Jet3:
 
     fr = per_radius(profile.fr)
     frr = per_radius(profile.frr)
-    frrr = per_radius(profile.frrr)
     eye = np.eye(n)
     uu = _outer(u, u)
     proj = eye - uu
     hess = frr[..., None, None] * uu + (fr / r)[..., None, None] * proj
-    sym = (_sym_vec_mat(u, np.broadcast_to(eye, uu.shape))
-           - 3.0 * _outer3(u, u, u))
-    third = (frrr[..., None, None, None] * _outer3(u, u, u)
-             + (frr / r - fr / r ** 2)[..., None, None, None] * sym)
+    third = None
+    if order == 3:
+        frrr = per_radius(profile.frrr)
+        sym = (_sym_vec_mat(u, np.broadcast_to(eye, uu.shape))
+               - 3.0 * _outer3(u, u, u))
+        third = (frrr[..., None, None, None] * _outer3(u, u, u)
+                 + (frr / r - fr / r ** 2)[..., None, None, None] * sym)
     return Jet3(per_radius(profile.f), fr[..., None] * u, hess,
                 third).check_finite(profile.label)
 
@@ -510,14 +549,19 @@ def radial_jet(profile: RadialProfile, point, center=None) -> Jet3:
 # ----------------------------------------------------------------------
 
 class ScalarField:
-    """A scalar function on (a region of) R^n exposing order-3 jets."""
+    """A scalar function on (a region of) R^n exposing jets.
+
+    ``jet3_many(points, order)`` is the one jet entry point: order 3
+    (the default) fills the third tensor, order 2 leaves it None, and
+    any other order raises ValueError.
+    """
 
     n: int
 
     def value(self, points) -> np.ndarray:
         raise NotImplementedError
 
-    def jet3_many(self, points) -> Jet3:
+    def jet3_many(self, points, order: int = 3) -> Jet3:
         raise NotImplementedError
 
     def jet3(self, point) -> Jet3:
@@ -548,8 +592,8 @@ class ExprField(ScalarField):
     def value(self, points):
         return eval_value_many(self.expression, self.params, points)
 
-    def jet3_many(self, points):
-        return eval_jet_many(self.expression, self.params, points)
+    def jet3_many(self, points, order=3):
+        return eval_jet_many(self.expression, self.params, points, order)
 
 
 class RadialField(ScalarField):
@@ -571,8 +615,9 @@ class RadialField(ScalarField):
     def value(self, points):
         return np.asarray(self.profile.f(self._radii(points)), float)
 
-    def jet3_many(self, points):
-        return radial_jet(self.profile, points, center=self.center)
+    def jet3_many(self, points, order=3):
+        return radial_jet(self.profile, points, center=self.center,
+                          order=order)
 
     def contains(self, points):
         return self._radii(points) > self.r_inner

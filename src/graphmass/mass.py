@@ -168,7 +168,8 @@ def _flux_pair(scenario: Scenario, r: float, rule: SphereRule) -> tuple:
 
     def fn(pts):
         nu = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        return np.stack(flux_integrands_from_jet(fld.jet3_many(pts), nu))
+        return np.stack(flux_integrands_from_jet(fld.jet3_many(pts, order=2),
+                                                 nu))
 
     raw, err = sphere_integrate(fn, r, rule)
     c = mass_normalization(scenario.n)
@@ -232,13 +233,19 @@ class BulkResult:
     sign_nodes: int
 
 
-def bulk_mass(scenario: Scenario, rule: SphereRule | None = None
-              ) -> BulkResult:
+def bulk_mass(scenario: Scenario, rule: SphereRule | None = None,
+              memo: dict | None = None) -> BulkResult:
     """Exterior integral of R in the flat measure over 2(n-1) omega.
 
     Quadrature nodes outside a 1% guard band at the inner boundary feed
     a running min of R (the boundary layer evaluates R as a 0/0 form
-    whose float noise says nothing about the sign hypothesis).
+    whose float noise says nothing about the sign hypothesis); each
+    distinct node is counted once.
+
+    ``memo`` is passed to :func:`exterior_volume_integrate`: calls on
+    one scenario that share it (at any ``radial_tol``) reuse each
+    other's shell values.  Nodes another call already evaluated do not
+    reach the sign sample of this one.
     """
     fld = scenario.require_field()
     cfg = scenario.quad
@@ -258,7 +265,7 @@ def bulk_mass(scenario: Scenario, rule: SphereRule | None = None
             state["count"] += int(keep.sum())
         return vals
 
-    vi = exterior_volume_integrate(fn, region, cfg, rule)
+    vi = exterior_volume_integrate(fn, region, cfg, rule, memo=memo)
     c = mass_normalization(scenario.n)
     min_r_seen = state["min"] if state["count"] else 0.0
     return BulkResult(value=vi.value / c, uncertainty=vi.uncertainty / c,
@@ -322,7 +329,7 @@ def horizon_hypotheses(scenario: Scenario,
         rays = pts - body.center
         lvl = fld.value(body.center + rays * (1.0 + 1e-8))
         var = float(np.var(lvl))
-        jet = fld.jet3_many(body.center + rays * (1.0 + eps))
+        jet = fld.jet3_many(body.center + rays * (1.0 + eps), order=2)
         gmin = float(np.linalg.norm(jet.grad, axis=1).min())
         out.append(HypothesisReport(
             component=i, level_variance=var, level_ok=var <= 1e-8,
@@ -436,6 +443,9 @@ class ScenarioEvaluation:
     def __init__(self, scenario: Scenario, seed: int | None = None):
         self.scenario = scenario
         self.seed = scenario.quad.seed if seed is None else int(seed)
+        # shell values of the bulk route, shared with coarser-tolerance
+        # reruns of bulk_mass on this scenario
+        self.shell_memo: dict = {}
 
     @cached_property
     def flux_rule(self) -> SphereRule:
@@ -447,7 +457,7 @@ class ScenarioEvaluation:
 
     @cached_property
     def bulk(self) -> BulkResult:
-        return bulk_mass(self.scenario)
+        return bulk_mass(self.scenario, memo=self.shell_memo)
 
     @cached_property
     def decomposition(self) -> Decomposition:

@@ -239,16 +239,24 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 class _ShellIntegrand:
-    """F(r) = r^{n-1} * (spherical average of fn at radius r)."""
+    """F(r) = r^{n-1} * (spherical average of fn at radius r).
 
-    def __init__(self, fn, rule: SphereRule, mask):
+    Values are kept in ``memo`` per exact radii batch, so a panel that
+    the adaptive split evaluates again (a refined half becomes its
+    child's whole) costs no new evaluation of fn.
+    """
+
+    def __init__(self, fn, rule: SphereRule, mask, memo: dict):
         self.fn = fn
         self.rule = rule
         self.mask = mask
-        self.evals = 0
+        self.memo = memo
 
     def __call__(self, radii: np.ndarray) -> np.ndarray:
         radii = np.asarray(radii, float)
+        key = radii.tobytes()
+        if key in self.memo:
+            return self.memo[key]
         pts = radii[:, None, None] * self.rule.nodes[None, :, :]
         flat = pts.reshape(-1, self.rule.n)
         if self.mask is not None:
@@ -260,9 +268,10 @@ class _ShellIntegrand:
             vals = np.asarray(self.fn(flat), float)
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("integrand is not finite inside a shell")
-        self.evals += len(flat)
         vals = vals.reshape(len(radii), -1)
-        return radii ** (self.rule.n - 1) * (vals @ self.rule.weights)
+        out = radii ** (self.rule.n - 1) * (vals @ self.rule.weights)
+        self.memo[key] = out
+        return out
 
     def panel(self, lo: float, hi: float) -> float:
         mid, h = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -325,17 +334,24 @@ def _graded_edges(r0: float, offset: float, stop: float) -> list[float]:
 
 
 def exterior_volume_integrate(fn, region: ExteriorRegion,
-                              cfg: QuadConfig,
-                              rule: SphereRule) -> VolumeIntegral:
+                              cfg: QuadConfig, rule: SphereRule,
+                              memo: dict | None = None) -> VolumeIntegral:
     """Integral of fn over the exterior region, in shell decomposition.
 
     Returns the truncated integral together with a (conservative) bound
     on the discarded tail and an advisory uncertainty from the panel
     refinement discrepancies.
+
+    ``memo`` holds shell values by radii batch.  Calls that share one
+    must integrate the same fn over the same region with the same rule;
+    a call at a coarser ``radial_tol`` then walks a subtree of the finer
+    call's panels and evaluates nothing new.  Without one, each call
+    still evaluates every radii batch once.
     """
     if cfg.r_max <= region.r_inner:
         raise ValueError("r_max must exceed the inner radius")
-    shell = _ShellIntegrand(fn, rule, region.mask)
+    shell = _ShellIntegrand(fn, rule, region.mask,
+                            {} if memo is None else memo)
 
     r0 = region.r_inner
     start = r0

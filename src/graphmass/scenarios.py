@@ -25,7 +25,8 @@ import numpy as np
 from .convexgeom import Ellipsoid, HorizonSet, Sphere
 from .errors import ConfigError, DomainError
 from .jets import (Jet3, RadialField, RadialProfile, ScalarField, ExprField,
-                   profile_from_gradsq, radial_jet, schwarzschild_profile)
+                   check_order, profile_from_gradsq, radial_jet,
+                   schwarzschild_profile)
 from .mass import Scenario, shell_sampler
 from .quad import ExteriorRegion, QuadConfig
 
@@ -122,26 +123,30 @@ class PiecewiseRadialField(ScalarField):
                          * np.asarray(piece.window.f(rs), float))
         return out
 
-    def jet3_many(self, points):
+    def jet3_many(self, points, order=3):
+        check_order(order)
         pts = np.atleast_2d(np.asarray(points, float))
         m = len(pts)
         val = np.zeros(m)
         grad = np.zeros((m, self.n))
         hess = np.zeros((m, self.n, self.n))
-        third = np.zeros((m, self.n, self.n, self.n))
+        third = np.zeros((m, self.n, self.n, self.n)) if order == 3 else None
         for piece in self.pieces:
             r = self._piece_radii(pts, piece)
             sel = (r > piece.r_lo) & (r < piece.r_hi)
             if not sel.any():
                 continue
             sub = pts[sel]
-            jp = radial_jet(piece.profile, sub, center=piece.center)
-            jw = radial_jet(piece.window, sub, center=piece.center)
+            jp = radial_jet(piece.profile, sub, center=piece.center,
+                            order=order)
+            jw = radial_jet(piece.window, sub, center=piece.center,
+                            order=order)
             jj = jp * jw
             val[sel] += jj.value
             grad[sel] += jj.grad
             hess[sel] += jj.hess
-            third[sel] += jj.third
+            if third is not None:
+                third[sel] += jj.third
         return Jet3(val, grad, hess, third)
 
     def contains(self, points):

@@ -20,10 +20,13 @@ class RotatedField(ScalarField):
         self.Q = Q
         self.n = base.n
 
-    def jet3_many(self, points):
-        j = self.base.jet3_many(np.asarray(points, float) @ self.Q.T)
+    def jet3_many(self, points, order=3):
+        j = self.base.jet3_many(np.asarray(points, float) @ self.Q.T,
+                                order=order)
         Q = self.Q
+        third = (None if j.third is None else
+                 np.einsum("...abc,ai,bj,ck->...ijk", j.third, Q, Q, Q))
         return Jet3(j.value,
                     np.einsum("...a,ai->...i", j.grad, Q),
                     np.einsum("...ab,ai,bj->...ij", j.hess, Q, Q),
-                    np.einsum("...abc,ai,bj,ck->...ijk", j.third, Q, Q, Q))
+                    third)

@@ -17,4 +17,5 @@ def test_criterion(index, name):
     result = run_criteria(only=index)[0]
     print(result.gate_line())
     assert result.name == name
+    assert type(result.passed) is bool
     assert result.passed, result.gate_line()

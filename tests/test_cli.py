@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from graphmass import cli
+from graphmass import ScalarField, cli, make_scenario
 from graphmass.cli import EntryConfig, RunConfig, execute_run, main
 from graphmass.errors import ConfigError
-from graphmass.mass import CheckOutcome
+from graphmass.mass import CheckOutcome, ScenarioEvaluation, bulk_mass
 
 
 @pytest.fixture(autouse=True)
@@ -225,3 +226,49 @@ class TestExitPrecedence:
         with pytest.raises(ConfigError, match="bad knob"):
             self.run_with(monkeypatch, [
                 make_result(error="bad knob", error_kind="config")])
+
+
+class CountingField(ScalarField):
+    def __init__(self, base):
+        self.base, self.n, self.calls = base, base.n, 0
+
+    def jet3_many(self, points, order=3):
+        self.calls += 1
+        return self.base.jet3_many(points, order=order)
+
+
+class TestBulkConvergenceMemo:
+    @pytest.mark.parametrize("name", ["bump", "schwarzschild_perturbed"])
+    def test_rows_equal_fresh_runs(self, name):
+        """The coarse rows reuse the production shells: they take no
+        jet, and value, uncertainty and panels equal a fresh run
+        without a memo bit for bit."""
+        scn = make_scenario(name)
+        counting = CountingField(scn.field)
+        evaluation = ScenarioEvaluation(replace(scn, field=counting))
+        production = evaluation.bulk
+        jets = counting.calls
+        rows = cli._bulk_convergence(evaluation.scenario, evaluation)
+        assert jets > 0 and counting.calls == jets
+        for row in rows[:2]:
+            fresh = bulk_mass(replace(scn, quad=replace(
+                scn.quad, radial_tol=row["radial_tol"])))
+            assert (row["value"], row["uncertainty"], row["panels"]) == (
+                fresh.value, fresh.uncertainty, fresh.panels)
+        assert (rows[2]["value"], rows[2]["uncertainty"],
+                rows[2]["panels"]) == (production.value,
+                                       production.uncertainty,
+                                       production.panels)
+
+    def test_new_evaluation_starts_empty(self):
+        scn = make_scenario("bump")
+        first = ScenarioEvaluation(scn)
+        first.bulk
+        assert first.shell_memo
+        assert ScenarioEvaluation(scn).shell_memo == {}
+
+    def test_repeat_runs_give_the_same_body(self):
+        run = RunConfig(entries=[EntryConfig(name="bump"),
+                                 EntryConfig(name="schwarzschild_perturbed")])
+        first = execute_run(run)[1].body_bytes()
+        assert execute_run(run)[1].body_bytes() == first

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,13 @@ from graphmass import (
     ExprField,
     RadialField,
     RadialProfile,
+    ScalarField,
+    SmoothLevelSet,
+    adm_flux_mass,
     boundary_integrand,
     divergence_of_V,
     flat_mean_curvature,
+    horizon_hypotheses,
     make_scenario,
     mass_flux_integrand,
     scalar_curvature,
@@ -210,3 +216,59 @@ class TestBoundaryIntegrand:
         W = 1.0 + np.einsum("ij,ij->i", j.grad, j.grad)
         assert float(np.max(np.abs(weighted - plain / W))) <= 1e-15 * (
             1.0 + float(np.max(np.abs(plain))))
+
+
+class OrderLog(ScalarField):
+    """Wraps a field and records the jet order of every request."""
+
+    def __init__(self, base):
+        self.base, self.n, self.orders = base, base.n, []
+
+    def value(self, points):
+        return self.base.value(points)
+
+    def jet3_many(self, points, order=3):
+        self.orders.append(order)
+        return self.base.jet3_many(points, order=order)
+
+
+class TestJetOrderRequests:
+    """Every consumer of grad and hess asks for order 2; only the
+    divergence route, which reads the third tensor, asks for order 3."""
+
+    @pytest.fixture
+    def scn3(self):
+        scn = make_scenario("schwarzschild3")
+        return dataclasses.replace(scn, field=OrderLog(scn.field))
+
+    def pts_nu(self):
+        pts = np.random.default_rng(40).uniform(3.0, 9.0, (20, 3))
+        return pts, pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+    def test_pointwise_consumers(self, scn3):
+        fld = scn3.field
+        pts, nu = self.pts_nu()
+        for call, order in (
+                (lambda: scalar_curvature(fld, pts), 2),
+                (lambda: flat_mean_curvature(fld, pts), 2),
+                (lambda: boundary_integrand(fld, pts, nu), 2),
+                (lambda: mass_flux_integrand(fld, pts, nu, True), 2),
+                (lambda: divergence_of_V(fld, pts), 3)):
+            fld.orders.clear()
+            call()
+            assert fld.orders == [order]
+
+    def test_flux_pair_and_horizon_probe(self, scn3):
+        adm_flux_mass(scn3, 100.0)   # full rule and its half companion
+        assert scn3.field.orders == [2, 2]
+        scn3.field.orders.clear()
+        horizon_hypotheses(scn3)
+        assert scn3.field.orders == [2]
+
+    def test_level_set_curvatures(self):
+        phi = OrderLog(ExprField("x1^4 + x2^4 + x3^4", 3))
+        body = SmoothLevelSet(phi, level=1.0)
+        rule = make_scenario("schwarzschild3").quad.body_rule(3)
+        pts, _ = body.surface_sample(rule)
+        body.shape_spectrum(pts)
+        assert phi.orders and set(phi.orders) == {2}

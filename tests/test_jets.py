@@ -1,4 +1,5 @@
-"""Order-3 jet propagation against finite differences and closed forms."""
+"""Jet propagation against finite differences and closed forms, and the
+order-2 jets the curvature consumers ask for."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from graphmass import (
     RadialProfile,
     fd_jet,
     flatness_report,
+    make_scenario,
     profile_from_gradsq,
     radial_jet,
     schwarzschild_profile,
@@ -239,3 +241,51 @@ class TestFlatnessReport:
         rep = flatness_report(fld, p=1.0, radii=np.geomspace(10, 500, 8))
         assert not rep.holds
         assert rep.flags["grad"]
+
+
+class TestJetOrder:
+    """Order 2 computes value, grad and hess with the order-3 arithmetic
+    and leaves the third tensor out."""
+
+    # bump: ExprField; schwarzschild: RadialField; two_body_glued:
+    # PiecewiseRadialField, probed also in the dead zones between pieces
+    SCENARIOS = [("bump", {}), ("schwarzschild3", {}),
+                 ("schwarzschild_n", {"n": 5}), ("two_body_glued", {})]
+    EXTRA = {"two_body_glued": [[0.0, 0.0, 0.0], [0.0, 30.0, 0.0],
+                                [-30.0, 0.0, 110.0], [400.0, 3.0, -2.0],
+                                [-96.0, 2.0, 1.0]]}
+
+    @pytest.mark.parametrize(("name", "params"), SCENARIOS,
+                             ids=[f"{n}{p}" for n, p in SCENARIOS])
+    def test_order2_is_order3_without_third(self, name, params):
+        scn = make_scenario(name, **params)
+        pts = scn.sample_points(300, 5)
+        if name in self.EXTRA:
+            pts = np.concatenate([pts, self.EXTRA[name]])
+        j2 = scn.field.jet3_many(pts, order=2)
+        j3 = scn.field.jet3_many(pts, order=3)
+        assert j2.third is None and j2.order == 2
+        assert j3.third is not None and j3.order == 3
+        for a, b in ((j2.value, j3.value), (j2.grad, j3.grad),
+                     (j2.hess, j3.hess)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", ["bump", "schwarzschild3",
+                                      "two_body_glued"])
+    @pytest.mark.parametrize("order", [1, 4])
+    def test_other_orders_rejected(self, name, order):
+        scn = make_scenario(name)
+        with pytest.raises(ValueError, match="order"):
+            scn.field.jet3_many(scn.sample_points(4, 5), order=order)
+
+    def test_algebra_keeps_order(self):
+        """Sums, products, quotients and compositions of order-2 jets
+        stay order 2 and match the order-3 value, grad and hess."""
+        fld = ExprField("(x1 - 2*x2)^3 / (1 + x3^2) * exp(sin(x1))"
+                        " + sqrt(r) - log(1 + r^2) + cos(x2)", 3)
+        pts = np.random.default_rng(8).uniform(0.3, 1.5, (50, 3))
+        j2, j3 = fld.jet3_many(pts, order=2), fld.jet3_many(pts)
+        assert j2.third is None
+        for a, b in ((j2.value, j3.value), (j2.grad, j3.grad),
+                     (j2.hess, j3.hess)):
+            assert np.array_equal(a, b)

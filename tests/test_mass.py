@@ -123,9 +123,9 @@ class TestFluxMass:
         class Counting(ScalarField):
             n, calls = 3, 0
 
-            def jet3_many(self, points):
+            def jet3_many(self, points, order=3):
                 self.calls += 1
-                return scn3.field.jet3_many(points)
+                return scn3.field.jet3_many(points, order=order)
 
         counting = Counting()
         series = flux_series(dataclasses.replace(scn3, field=counting))
@@ -210,6 +210,25 @@ class TestBulkMass:
         res = bulk_mass(make_scenario("flat"))
         assert res.value == 0.0
         assert res.min_R == 0.0
+
+    @pytest.mark.parametrize("name", ["schwarzschild_perturbed",
+                                      "radial_custom"])
+    def test_sign_nodes_are_distinct_nodes(self, name):
+        """The sign sample counts each evaluated node outside the guard
+        band once, although the adaptive split asks for some twice."""
+        scn = make_scenario(name)
+        memo: dict = {}
+        res = bulk_mass(scn, memo=memo)
+        radii = np.concatenate([np.frombuffer(key) for key in memo])
+        assert len(np.unique(radii)) == len(radii)
+        rule = scn.quad.body_rule(scn.n)
+        pts = (radii[:, None, None] * rule.nodes[None, :, :]).reshape(
+            -1, scn.n)
+        if scn.bulk_region.mask is not None:
+            pts = pts[scn.bulk_region.mask(pts)]
+        guard = 1.01 * scn.bulk_region.r_inner
+        assert res.sign_nodes == int(
+            np.sum(np.linalg.norm(pts, axis=1) >= guard))
 
 
 class TestDecomposition:

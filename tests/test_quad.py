@@ -14,10 +14,13 @@ from graphmass import (
     QuadratureError,
     exterior_volume_integrate,
     extrapolate_limit,
+    make_scenario,
+    scalar_curvature,
     sphere_integrate,
     sphere_rule,
     unit_sphere_area,
 )
+from graphmass import quad
 
 
 class TestSphereArea:
@@ -232,3 +235,30 @@ class TestQuadConfig:
         cfg = QuadConfig(sphere_order=12, bulk_order=8)
         assert len(cfg.flux_rule(3).weights) == len(sphere_rule(3, 12).weights)
         assert len(cfg.body_rule(3).weights) == len(sphere_rule(3, 8).weights)
+
+
+class TestShellMemo:
+    @pytest.mark.parametrize(("name", "refines"),
+                             [("schwarzschild_perturbed", False),
+                              ("radial_custom", True)])
+    def test_each_radii_batch_evaluated_once(self, name, refines,
+                                             monkeypatch):
+        """A refined half is asked for again as its child's whole; the
+        shell memo answers, so fn never sees the same batch twice."""
+        scn = make_scenario(name)
+        requests, seen = [], []
+        panel = quad._ShellIntegrand.panel
+
+        def logged_panel(self, lo, hi):
+            requests.append((lo, hi))
+            return panel(self, lo, hi)
+
+        def fn(pts):
+            seen.append(pts.tobytes())
+            return scalar_curvature(scn.field, pts)
+
+        monkeypatch.setattr(quad._ShellIntegrand, "panel", logged_panel)
+        exterior_volume_integrate(fn, scn.bulk_region, scn.quad,
+                                  scn.quad.body_rule(scn.n))
+        assert seen and len(seen) == len(set(seen))
+        assert (len(set(requests)) < len(requests)) == refines
