@@ -12,8 +12,8 @@ from __future__ import annotations
 from .convexgeom import (ConvexBody, Ellipsoid, HorizonSet, SmoothLevelSet,
                          Sphere, af_chain_gaps, af_gap,
                          horizon_mean_curvature_term, penrose_bound,
-                         principal_curvatures, quermassintegral,
-                         quermassintegrals, sigma_j, superadditivity_gap)
+                         principal_curvatures, quermassintegrals, sigma_j,
+                         superadditivity_gap)
 from .errors import (BodyError, ConfigError, DomainError, GraphMassError,
                      IntegrabilityError, NonConvexError, ParseError,
                      QuadratureError, UnboundParameterError)
@@ -51,7 +51,7 @@ __all__ = [
     "horizon_hypotheses", "horizon_mean_curvature_term", "make_scenario",
     "mass_decomposition", "mass_flux_integrand", "mass_normalization",
     "parse", "penrose_bound", "principal_curvatures",
-    "profile_from_gradsq", "quermassintegral", "quermassintegrals",
+    "profile_from_gradsq", "quermassintegrals",
     "radial_jet", "scalar_curvature", "scenario_names",
     "schwarzschild_profile", "shell_sampler", "sigma_j", "spherical_mass",
     "sphere_integrate", "sphere_rule", "superadditivity_gap", "to_text",

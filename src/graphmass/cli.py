@@ -34,6 +34,7 @@ EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 
 VALID_CHECKS = ("pmt", "penrose", "identities", "all")
+VALID_FORMATS = ("json", "csv", "both")
 
 
 @dataclass
@@ -54,7 +55,6 @@ class RunConfig:
     out: str | None = None
     format: str = "json"
     workers: int = 1
-    convergence_tables: bool = True
 
 
 def _parse_scalar(text: str):
@@ -119,6 +119,14 @@ def _collect_overrides(extras: list[str]) -> dict:
     return params
 
 
+def _config_int(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"config key '{key}' must be an integer, not {value!r}") from exc
+
+
 def load_config_file(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -130,7 +138,7 @@ def load_config_file(path: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     known = {"scenarios", "checks", "seed", "radii", "format", "workers",
-             "convergence_tables", "out"}
+             "out"}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -147,27 +155,34 @@ def load_config_file(path: str) -> RunConfig:
         if extra:
             raise ConfigError(
                 f"unknown scenario entry keys: {sorted(extra)}")
+        params = item.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError("scenario entry key 'params' must be an "
+                              "object")
         entries.append(EntryConfig(
             name=str(item["name"]),
-            params=dict(item.get("params", {})),
+            params=dict(params),
             checks=_parse_checks(item["checks"])
             if "checks" in item else None,
-            seed=int(item["seed"]) if "seed" in item else None,
+            seed=_config_int(item["seed"], "seed")
+            if "seed" in item else None,
             radii=_parse_radii(item["radii"])
             if "radii" in item else None))
     cfg = RunConfig(entries=entries)
     if "checks" in raw:
         cfg.checks = _parse_checks(raw["checks"])
     if "seed" in raw:
-        cfg.seed = int(raw["seed"])
+        cfg.seed = _config_int(raw["seed"], "seed")
     if "radii" in raw:
         cfg.radii = _parse_radii(raw["radii"])
     if "format" in raw:
-        cfg.format = str(raw["format"])
+        if raw["format"] not in VALID_FORMATS:
+            raise ConfigError(
+                f"config key 'format' must be one of "
+                f"{', '.join(VALID_FORMATS)}, not {raw['format']!r}")
+        cfg.format = raw["format"]
     if "workers" in raw:
-        cfg.workers = int(raw["workers"])
-    if "convergence_tables" in raw:
-        cfg.convergence_tables = bool(raw["convergence_tables"])
+        cfg.workers = _config_int(raw["workers"], "workers")
     if "out" in raw:
         cfg.out = str(raw["out"])
     return cfg
@@ -241,7 +256,7 @@ def _run_entry(entry: EntryConfig, run: RunConfig,
         evaluation = ScenarioEvaluation(scenario)
         result["outcomes"] = evaluation.run(checks)
         summary = evaluation.summary()
-        if run.convergence_tables and scenario.field is not None:
+        if scenario.field is not None:
             summary["bulk_convergence"] = _bulk_convergence(scenario,
                                                             evaluation)
         summary["checks"] = [_outcome_dict(o) for o in result["outcomes"]]
@@ -420,9 +435,9 @@ def cmd_run(args, extras: list[str]) -> int:
     if args.format is not None:
         run.format = args.format
     if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("workers must be >= 1")
         run.workers = args.workers
+    if run.workers < 1:
+        raise ConfigError("'workers' must be >= 1")
     code, document, results = execute_run(run)
     _emit(run, document, results)
     return code
@@ -473,8 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list of flux radii")
     p_run.add_argument("--out", default=None,
                        help="output directory (also GRAPHMASS_OUTDIR)")
-    p_run.add_argument("--format", default=None,
-                       choices=("json", "csv", "both"))
+    p_run.add_argument("--format", default=None, choices=VALID_FORMATS)
     p_run.add_argument("--workers", type=int, default=None)
 
     sub.add_parser("list", help="list built-in scenarios")

@@ -11,6 +11,9 @@ Quermassintegrals are V_k = integral over the surface of sigma_k, the
 binomially normalized elementary symmetric function of the principal
 curvatures; V_0 is the area, V_1 = (integral of H_0)/(n-1), and V_{n-1}
 equals the unit-sphere area by the degree of the Gauss map.
+``quermassintegrals(body, rule)`` is the only surface pass; the
+Aleksandrov-Fenchel gaps, the Penrose bound and the horizon boundary
+term are pure functions of its V vectors (or of the areas V_0).
 """
 
 from __future__ import annotations
@@ -273,31 +276,21 @@ def quermassintegrals(body: ConvexBody,
     return (w @ e) / norms
 
 
-def quermassintegral(body: ConvexBody, k: int,
-                     rule: SphereRule | None = None) -> float:
-    if not 0 <= k <= body.n - 1:
-        raise ValueError(f"quermassintegral index {k} out of range")
-    return float(quermassintegrals(body, rule)[k])
-
-
-def af_gap(body: ConvexBody, rule: SphereRule | None = None) -> float:
-    """V_1^{n-1} - V_0^{n-2} V_{n-1}; nonnegative for convex bodies,
-    zero exactly on spheres."""
-    V = quermassintegrals(body, rule)
-    n = body.n
+def af_gap(V) -> float:
+    """V_1^{n-1} - V_0^{n-2} V_{n-1} of one body's quermassintegrals V;
+    nonnegative for convex bodies, zero exactly on spheres."""
+    n = len(V)
     return float(V[1] ** (n - 1) - V[0] ** (n - 2) * V[n - 1])
 
 
-def af_chain_gaps(body: ConvexBody, rule: SphereRule | None = None
-                  ) -> list[tuple[tuple[int, int, int], float, float]]:
+def af_chain_gaps(V) -> list[tuple[tuple[int, int, int], float, float]]:
     """All chain inequalities V_j^{k-i} >= V_i^{k-j} V_k^{j-i}.
 
     Returns (indices, gap, relative_gap) per admissible (i, j, k); the
     relative gap divides by the right-hand side.
     """
-    V = quermassintegrals(body, rule)
     out = []
-    n = body.n
+    n = len(V)
     for i in range(n - 2):
         for j in range(i + 1, n - 1):
             for k in range(j + 1, n):
@@ -341,17 +334,12 @@ class HorizonSet:
         return self.bodies[0].n
 
 
-def penrose_bound(horizons: HorizonSet, rule: SphereRule | None = None,
-                  n: int | None = None) -> float:
+def penrose_bound(areas, n: int) -> float:
     """Sum over components of (1/2)(|Sigma_i|/omega_{n-1})^{(n-2)/(n-1)}."""
-    if len(horizons) == 0:
-        return 0.0
-    n = horizons.n
     omega = unit_sphere_area(n)
     expo = (n - 2) / (n - 1)
     total = 0.0
-    for body in horizons:
-        area = quermassintegral(body, 0, rule)
+    for area in areas:
         total += 0.5 * (area / omega) ** expo
     return total
 
@@ -361,17 +349,13 @@ def superadditivity_gap(areas, n: int) -> float:
     areas = [float(a) for a in areas]
     if not areas or any(a <= 0 for a in areas):
         raise ValueError("areas must be positive")
-    omega = unit_sphere_area(n)
-    expo = (n - 2) / (n - 1)
-    left = sum(0.5 * (a / omega) ** expo for a in areas)
-    right = 0.5 * (sum(areas) / omega) ** expo
-    return left - right
+    return penrose_bound(areas, n) - penrose_bound([sum(areas)], n)
 
 
-def horizon_mean_curvature_term(horizons: HorizonSet,
-                                rule: SphereRule | None = None) -> float:
-    """Sum of integral(H_0)/(2(n-1) omega_{n-1}) = sum of V_1/(2 omega)."""
-    if len(horizons) == 0:
+def horizon_mean_curvature_term(quermass) -> float:
+    """Sum of integral(H_0)/(2(n-1) omega_{n-1}) = sum of V_1/(2 omega)
+    over the quermassintegral vectors of the horizon components."""
+    if len(quermass) == 0:
         return 0.0
-    omega = unit_sphere_area(horizons.n)
-    return sum(quermassintegral(b, 1, rule) for b in horizons) / (2.0 * omega)
+    omega = unit_sphere_area(len(quermass[0]))
+    return sum(float(V[1]) for V in quermass) / (2.0 * omega)

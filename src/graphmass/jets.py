@@ -567,11 +567,6 @@ class ScalarField:
     def jet3(self, point) -> Jet3:
         return self.jet3_many(np.asarray(point, float))
 
-    def contains(self, points) -> np.ndarray:
-        """Boolean mask of points inside the field's domain."""
-        pts = np.asarray(points, float)
-        return np.ones(pts.shape[:-1], dtype=bool)
-
 
 class ExprField(ScalarField):
     """Field defined by a parsed expression."""
@@ -604,9 +599,6 @@ class RadialField(ScalarField):
         self.n = n
         self.center = (np.zeros(n) if center is None
                        else np.asarray(center, float))
-        # keep jets off the exact singular radius
-        self.r_inner = profile.r_min * (1.0 + 1e-9) \
-            if profile.r_min > 0 else 1e-12
 
     def _radii(self, points):
         pts = np.asarray(points, float) - self.center
@@ -618,9 +610,6 @@ class RadialField(ScalarField):
     def jet3_many(self, points, order=3):
         return radial_jet(self.profile, points, center=self.center,
                           order=order)
-
-    def contains(self, points):
-        return self._radii(points) > self.r_inner
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,10 @@ Checks package these into pass/fail outcomes: "identities" reconciles
 the routes and the pointwise divergence identity, "pmt" tests mass
 nonnegativity under sampled R >= 0, "penrose" tests the quermassintegral
 lower bound.  Hypotheses are verified by sampling and reported; a failed
-hypothesis is distinguished from a failed inequality.
+hypothesis is distinguished from a failed inequality.  A
+``ScenarioEvaluation`` computes each quantity once: the flux estimate,
+the bulk integral and one quermassintegral vector per horizon body,
+which the horizon term, the Penrose bound and the geometry table read.
 """
 
 from __future__ import annotations
@@ -53,38 +56,22 @@ def mass_normalization(n: int) -> float:
     return 2.0 * (n - 1) * unit_sphere_area(n)
 
 
-def shell_sampler(n: int, lo: float, hi: float,
-                  mask: Callable[[np.ndarray], np.ndarray] | None = None
+def shell_sampler(n: int, lo: float, hi: float
                   ) -> Callable[[int, int], np.ndarray]:
     """Quasi-random point generator on the shell lo <= |x| <= hi.
 
-    Radii are log-uniform, directions uniform; points failing ``mask``
-    are discarded and redrawn, so the generator also serves domains
-    with excluded balls.
+    Radii are log-uniform, directions uniform.  The draw is rounded up
+    to a power of two, which Sobol balance asks for; its first ``count``
+    points do not depend on the draw size.
     """
     if not 0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
 
     def sample(count: int, seed: int) -> np.ndarray:
         eng = qmc.Sobol(d=n + 1, scramble=True, seed=seed)
-        chunks: list[np.ndarray] = []
-        have = 0
-        for _ in range(64):
-            need = max(256, 2 * (count - have))
-            u = eng.random(1 << (need - 1).bit_length())
-            radii = lo * (hi / lo) ** u[:, 0]
-            pts = radii[:, None] * sphere_directions(u[:, 1:])
-            if mask is not None:
-                pts = pts[np.asarray(mask(pts), bool)]
-            if len(pts):
-                chunks.append(pts)
-                have += len(pts)
-            if have >= count:
-                break
-        else:
-            raise ConfigError("sampler kept rejecting points; "
-                              "check the domain mask")
-        return np.concatenate(chunks, axis=0)[:count]
+        u = eng.random(1 << (count - 1).bit_length())[:count]
+        radii = lo * (hi / lo) ** u[:, 0]
+        return radii[:, None] * sphere_directions(u[:, 1:])
 
     return sample
 
@@ -362,17 +349,18 @@ def identity_tolerance(scenario: Scenario, mass: float,
     return max(scenario.identity_rel * abs(mass), UNC_FACTOR * uncertainty)
 
 
-def mass_decomposition(scenario: Scenario,
-                       rule: SphereRule | None = None,
-                       adm_est: MassEstimate | None = None,
-                       bulk_res: BulkResult | None = None) -> Decomposition:
-    """Geometric boundary term plus bulk term, against the flux mass."""
+def mass_decomposition(scenario: Scenario, est: MassEstimate,
+                       bulk: BulkResult, quermass, rule: SphereRule
+                       ) -> Decomposition:
+    """Geometric boundary term plus bulk term, against the flux mass.
+
+    ``quermass`` holds the quermassintegral vector of each horizon body;
+    ``rule`` samples the horizon hypotheses.
+    """
     scenario.require_field()
     hyps = (horizon_hypotheses(scenario, rule)
             if len(scenario.horizons) else ())
-    boundary = horizon_mean_curvature_term(scenario.horizons, rule)
-    bulk = bulk_res if bulk_res is not None else bulk_mass(scenario)
-    est = adm_est if adm_est is not None else adm_mass(scenario)
+    boundary = horizon_mean_curvature_term(quermass)
     total = boundary + bulk.value
     residual = est.value - total
     tol = identity_tolerance(scenario, est.value,
@@ -385,23 +373,24 @@ def mass_decomposition(scenario: Scenario,
                          hypotheses=hyps)
 
 
-def horizon_flux_convergence(scenario: Scenario,
-                             rule: SphereRule | None = None) -> list[dict]:
+def horizon_flux_convergence(scenario: Scenario, quermass,
+                             rule: SphereRule) -> list[dict]:
     """Gap between the f-dependent boundary flux at offset surfaces and
     the geometric mean-curvature term, with a fitted decay rate.
 
-    How fast the offset flux approaches integral(H_0) is not prescribed;
+    ``quermass`` holds each horizon body's V vector, whose V_1/(2 omega)
+    is the geometric term; ``rule`` samples the offset spheres.  How
+    fast the offset flux approaches integral(H_0) is not prescribed;
     this measures it.  A gap already at roundoff reports rate None.
     """
     fld = scenario.require_field()
-    rule = rule or scenario.quad.flux_rule(scenario.n)
     n = scenario.n
     omega = unit_sphere_area(n)
     norm_c = mass_normalization(n)
     out = []
-    for idx, body in enumerate(scenario.horizons):
+    for idx, (body, V) in enumerate(zip(scenario.horizons, quermass)):
         a = body.outer_radius()
-        geo = float(quermassintegrals(body, rule)[1]) / (2.0 * omega)
+        geo = float(V[1]) / (2.0 * omega)
         fluxes = []
         for eps in HORIZON_OFFSETS:
             r = a * (1.0 + eps)
@@ -460,9 +449,15 @@ class ScenarioEvaluation:
         return bulk_mass(self.scenario, memo=self.shell_memo)
 
     @cached_property
+    def quermass(self) -> list[np.ndarray]:
+        """V_0..V_{n-1} of each horizon body: its one surface pass."""
+        return [quermassintegrals(body, self.flux_rule)
+                for body in self.scenario.horizons]
+
+    @cached_property
     def decomposition(self) -> Decomposition:
-        return mass_decomposition(self.scenario, rule=self.flux_rule,
-                                  adm_est=self.adm, bulk_res=self.bulk)
+        return mass_decomposition(self.scenario, self.adm, self.bulk,
+                                  self.quermass, self.flux_rule)
 
     @cached_property
     def sampled_R(self) -> tuple[float, float, int]:
@@ -480,9 +475,8 @@ class ScenarioEvaluation:
         """Quermassintegral table and inequality gaps per horizon body."""
         omega = unit_sphere_area(self.scenario.n)
         out = []
-        for idx, body in enumerate(self.scenario.horizons):
-            V = quermassintegrals(body, self.flux_rule)
-            chain = af_chain_gaps(body, self.flux_rule)
+        for idx, V in enumerate(self.quermass):
+            chain = af_chain_gaps(V)
             out.append({
                 "component": idx,
                 "quermassintegrals": tuple(float(v) for v in V),
@@ -491,6 +485,12 @@ class ScenarioEvaluation:
                 "min_chain_gap_rel": min(g for _, _, g in chain),
             })
         return out
+
+    @cached_property
+    def bound(self) -> float:
+        """The Penrose area bound of the horizon components."""
+        return penrose_bound([g["area"] for g in self.geometry],
+                             self.scenario.n)
 
     def check(self, name: str) -> CheckOutcome:
         if name == "identities":
@@ -639,8 +639,7 @@ class ScenarioEvaluation:
                          "sign hypothesis")
         # the bound needs the same curvature solve, so it has no value
         # for a non-convex horizon
-        bound = (penrose_bound(scn.horizons, self.flux_rule) if convex
-                 else math.nan)
+        bound = self.bound if convex else math.nan
         est = self.adm
         bulk = self.bulk
         margin = est.value - bound - bulk.value
@@ -723,10 +722,9 @@ class ScenarioEvaluation:
                      "grad_ok": h.grad_ok}
                     for h in dec.hypotheses]
                 out["boundary_convergence"] = horizon_flux_convergence(
-                    scn, rule=self.flux_rule)
+                    scn, self.quermass, self.flux_rule)
         if len(scn.horizons):
-            out["penrose_bound"] = penrose_bound(scn.horizons,
-                                                 self.flux_rule)
+            out["penrose_bound"] = self.bound
             out["bodies"] = self.geometry
         if "mass" in scn.expected:
             out["expected_mass"] = scn.expected["mass"]

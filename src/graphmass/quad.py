@@ -182,7 +182,6 @@ def sphere_integrate(fn: Callable[[np.ndarray], np.ndarray], r: float,
 class QuadConfig:
     """Resolution and reproducibility knobs shared by the integrators."""
 
-    sphere_order: int | None = None   # per-dimension default when None
     bulk_order: int | None = None     # sphere resolution inside volume shells
     seed: int = 20260817
     radii: tuple[float, ...] = (100.0, 200.0, 400.0, 800.0)
@@ -196,13 +195,12 @@ class QuadConfig:
             raise ValueError("radii must be positive")
 
     def flux_rule(self, n: int) -> SphereRule:
-        return sphere_rule(n, order=self.sphere_order, seed=self.seed)
+        return sphere_rule(n, seed=self.seed)
 
     def body_rule(self, n: int) -> SphereRule:
         order = self.bulk_order
         if order is None and n <= 4:
-            base = self.sphere_order or {2: 64, 3: 48, 4: 20}[n]
-            order = max(8, base // 2)
+            order = max(8, {2: 64, 3: 48, 4: 20}[n] // 2)
         return sphere_rule(n, order=order, samples=BULK_MC_SAMPLES,
                            seed=self.seed)
 

@@ -149,15 +149,6 @@ class PiecewiseRadialField(ScalarField):
                 third[sel] += jj.third
         return Jet3(val, grad, hess, third)
 
-    def contains(self, points):
-        pts = np.asarray(points, float)
-        mask = np.ones(pts.shape[:-1], dtype=bool)
-        for piece in self.pieces:
-            if piece.profile.r_min > 0.0:
-                r = self._piece_radii(pts, piece)
-                mask &= r > piece.profile.r_min * (1.0 + 1e-9)
-        return mask
-
 
 # ----------------------------------------------------------------------
 # factories
@@ -371,13 +362,25 @@ def _ellipsoid_horizon(ratio: float = 2.0) -> Scenario:
                    "bound superadditivity"))
 
 
+MAX_GLUED_MASS = 1.2  # largest component mass the bulk route resolves
+
+
 def _two_body_glued(m1: float = 1.0, m2: float = 0.8) -> Scenario:
     m1, m2 = float(m1), float(m2)
     if m1 <= 0 or m2 <= 0:
         raise ConfigError("component masses must be positive")
-    if max(m1, m2) > 2.0:
-        raise ConfigError("component masses above 2 collide with the "
-                          "gluing windows")
+    if max(m1, m2) > MAX_GLUED_MASS:
+        # The exact bulk term is 0: each near annulus carries -m_i and
+        # the far window +(m1 + m2).  The origin-centred shells meet the
+        # near annuli off centre, where the 48-point Gauss rule leaves a
+        # quadrature error growing faster than m_i.  The identity
+        # residual is 79% of its 2% tolerance at (1.2, 1.2), 96% at
+        # (1.3, 1.3), and above it from (1.4, 0.1) on.
+        raise ConfigError(
+            f"m1 = {m1:g} and m2 = {m2:g}: component masses above "
+            f"{MAX_GLUED_MASS:g} are not resolved by the bulk quadrature "
+            "of the gluing annuli (above 2 they also collide with the "
+            "gluing windows)")
     n = 3
     total = m1 + m2
     sep = 100.0

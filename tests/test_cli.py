@@ -69,6 +69,24 @@ class TestRunCommand:
         assert code == 3
         assert "m = 2 and beta = 0.3" in err
 
+    def test_two_body_box_edge_passes_identities(self, capsys):
+        code = main(["run", "two_body_glued", "--m1", "1.2", "--m2", "1.2",
+                     "--checks", "identities"])
+        _, err = capsys.readouterr()
+        assert code == 0
+        assert "[PASS] two_body_glued/identities" in err
+
+    @pytest.mark.parametrize("key", ["m1", "m2"])
+    def test_two_body_past_the_edge_is_config_error(self, capsys, key):
+        """Past the largest mass the bulk quadrature resolves the run is
+        rejected up front rather than failing its identity check."""
+        code = main(["run", "two_body_glued", f"--{key}", "1.21",
+                     "--checks", "identities"])
+        _, err = capsys.readouterr()
+        assert code == 3
+        assert "m1 = " in err and "m2 = " in err
+        assert "1.21" in err
+
     def test_r_max_inside_horizon_is_config_error(self, capsys):
         """m = 50 puts the horizon at 99.5, beyond the fixed r_max = 60;
         the entry is rejected before the bulk route starts."""
@@ -128,6 +146,24 @@ class TestConfigFile:
         _, err = capsys.readouterr()
         assert code == 3
         assert "unknown config keys" in err
+
+    @pytest.mark.parametrize(("payload", "key"), [
+        ({"scenarios": ["flat"], "seed": "abc"}, "seed"),
+        ({"scenarios": ["flat"], "workers": "two"}, "workers"),
+        ({"scenarios": [{"name": "flat", "seed": "x"}]}, "seed"),
+        ({"scenarios": [{"name": "flat", "params": 5}]}, "params"),
+        ({"scenarios": ["flat"], "format": "xml"}, "format"),
+        ({"scenarios": ["flat"], "workers": 0}, "workers"),
+    ])
+    def test_malformed_values_are_config_errors(self, tmp_path, capsys,
+                                                payload, key):
+        """Each bad value exits 3 naming its key, before any scenario
+        runs, instead of escaping as a traceback or running silently."""
+        code = main(["run", write_config(tmp_path, payload)])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert f"'{key}'" in err
+        assert out == ""
 
 
 class TestArtifacts:
@@ -272,3 +308,29 @@ class TestBulkConvergenceMemo:
                                  EntryConfig(name="schwarzschild_perturbed")])
         first = execute_run(run)[1].body_bytes()
         assert execute_run(run)[1].body_bytes() == first
+
+
+class TestOneGeometryPass:
+    @pytest.mark.parametrize("name", ["schwarzschild_perturbed",
+                                      "ellipsoid_horizon",
+                                      "two_body_glued"])
+    def test_one_quermass_call_per_body(self, name, monkeypatch):
+        """Checks, summary and the bulk convergence rows of one
+        evaluation all read a single quermassintegral pass per body."""
+        from graphmass import convexgeom, mass
+        calls = []
+        original = convexgeom.quermassintegrals
+
+        def counted(body, rule=None):
+            calls.append(id(body))
+            return original(body, rule)
+
+        for module in (convexgeom, mass):
+            monkeypatch.setattr(module, "quermassintegrals", counted)
+        scn = make_scenario(name)
+        evaluation = ScenarioEvaluation(scn)
+        evaluation.run(("all",))
+        evaluation.summary()
+        if scn.field is not None:
+            cli._bulk_convergence(scn, evaluation)
+        assert sorted(calls) == sorted(id(b) for b in scn.horizons)

@@ -207,11 +207,6 @@ class TestRadialJet:
         j2 = radial_jet(prof, np.array([4.0, 0.0, 0.0]))
         assert sup(j1.hess - j2.hess) == 0.0
 
-    def test_radial_field_contains(self):
-        fld = RadialField(schwarzschild_profile(1.0, 3), 3)
-        pts = np.array([[3.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        assert list(fld.contains(pts)) == [True, False]
-
 
 class TestRotatedField:
     def test_jets_transform_covariantly(self):

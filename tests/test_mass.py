@@ -26,7 +26,6 @@ from graphmass import (
     horizon_flux_convergence,
     horizon_hypotheses,
     make_scenario,
-    mass_decomposition,
     mass_normalization,
     schwarzschild_profile,
     shell_sampler,
@@ -38,6 +37,11 @@ from graphmass.mass import identity_tolerance
 
 def check(scenario, name):
     return ScenarioEvaluation(scenario).check(name)
+
+
+def boundary_rows(scenario):
+    ev = ScenarioEvaluation(scenario)
+    return horizon_flux_convergence(scenario, ev.quermass, ev.flux_rule)
 
 
 @pytest.fixture(scope="module")
@@ -72,23 +76,11 @@ class TestShellSampler:
         assert np.array_equal(sample(200, 3), sample(200, 3))
         assert not np.array_equal(sample(200, 3), sample(200, 4))
 
-    def test_mask_rejection(self):
-        sample = shell_sampler(3, 0.5, 5.0, mask=lambda p: p[:, 0] > 0.0)
-        pts = sample(300, 1)
-        assert pts.shape == (300, 3)
-        assert np.all(pts[:, 0] > 0.0)
-
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             shell_sampler(3, 0.0, 5.0)
         with pytest.raises(ValueError):
             shell_sampler(3, 5.0, 1.0)
-
-    def test_hopeless_mask(self):
-        sample = shell_sampler(3, 0.5, 5.0,
-                               mask=lambda p: np.zeros(len(p), bool))
-        with pytest.raises(ConfigError, match="rejecting"):
-            sample(10, 0)
 
 
 class TestFluxMass:
@@ -235,7 +227,7 @@ class TestDecomposition:
     def test_schwarzschild3_boundary_only(self, scn3):
         """adm = boundary + bulk with boundary = V_1/(2 omega) = m and a
         bulk term at roundoff."""
-        dec = mass_decomposition(scn3)
+        dec = ScenarioEvaluation(scn3).decomposition
         assert abs(dec.boundary - 1.0) <= 1e-9
         assert abs(dec.bulk) <= 1e-9
         assert abs(dec.residual) <= dec.tolerance
@@ -245,7 +237,7 @@ class TestDecomposition:
 
     def test_perturbed_split(self):
         scn = make_scenario("schwarzschild_perturbed")
-        dec = mass_decomposition(scn)
+        dec = ScenarioEvaluation(scn).decomposition
         assert abs(dec.boundary - 0.7) <= 1e-9
         assert abs(dec.bulk - 0.3) <= 1e-4
         assert abs(dec.adm - 1.0) <= 1e-3
@@ -291,7 +283,7 @@ class TestHorizonFluxConvergence:
     def test_exact_horizon_gap_is_roundoff(self, scn3):
         """For exact Schwarzschild the offset flux equals the geometric
         term identically, so there is no rate to fit."""
-        row = horizon_flux_convergence(scn3)[0]
+        row = boundary_rows(scn3)[0]
         assert row["rate"] is None
         assert max(row["gaps"]) <= 1e-12
         assert abs(row["geometric"] - 1.0) <= 1e-12
@@ -299,7 +291,7 @@ class TestHorizonFluxConvergence:
 
     def test_perturbed_first_order_rate(self):
         scn = make_scenario("schwarzschild_perturbed")
-        row = horizon_flux_convergence(scn)[0]
+        row = boundary_rows(scn)[0]
         assert row["rate"] is not None
         assert 0.9 <= row["rate"] <= 1.1
         assert max(row["gaps"]) <= 0.01

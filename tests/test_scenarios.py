@@ -175,12 +175,6 @@ class TestTwoBodyField:
         assert abs(plain - M * r / (r - 2.0 * M)) <= 1e-12 * M
         assert abs(weighted - M) <= 1e-12 * M
 
-    def test_contains_masks_interiors(self, two_body):
-        pts = np.array([[0.0, 0.0, 0.0], [-99.0, 0.0, 0.0],
-                        [50.0, 0.0, 0.0], [-100.0, 5.0, 0.0]])
-        assert two_body.field.contains(pts).tolist() == [False, False,
-                                                    True, True]
-
     def test_sampler_deterministic(self, two_body):
         a = two_body.sample_points(50, 11)
         assert a.shape == (50, 3)
