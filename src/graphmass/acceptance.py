@@ -20,7 +20,7 @@ from .jets import ExprField, RadialProfile, fd_jet
 from .mass import (ScenarioEvaluation, adm_flux_mass, adm_mass, bulk_mass,
                    spherical_mass)
 from .quad import sphere_rule, unit_sphere_area
-from .scenarios import REGISTRY, make_scenario, scenario_names
+from .scenarios import make_scenario, scenario_names
 
 SEED = 20260817
 FD_STEPS = (0.16, 0.08, 0.04, 0.02)
@@ -299,8 +299,7 @@ def _criterion_9() -> tuple[bool, str]:
     bad = []
     slopes = []
     for name in scenario_names():
-        entry = REGISTRY[name]
-        scenario = entry.factory(**entry.defaults)
+        scenario = make_scenario(name)
         if scenario.field is None:
             continue
         if len(scenario.horizons) > 0:

@@ -22,8 +22,9 @@ import scipy
 
 from . import __version__
 from .errors import ConfigError, DomainError, GraphMassError, QuadratureError
-from .mass import (CheckOutcome, Scenario, ScenarioEvaluation, bulk_mass,
+from .mass import (CheckOutcome, Scenario, ScenarioEvaluation,
                    horizon_clearance)
+from .quad import COARSE_FACTORS
 from .report import ReportDocument, bulk_csv, flux_csv
 from .scenarios import REGISTRY, make_scenario, scenario_names
 
@@ -222,27 +223,14 @@ def _entry_echo(entry: EntryConfig, run: RunConfig) -> dict:
 
 def _bulk_convergence(scenario: Scenario,
                       evaluation: ScenarioEvaluation) -> list[dict]:
-    """Bulk mass at coarser radial tolerances plus the production row.
-
-    The production run goes first, so its sign sample sees every node.
-    Both stopping thresholds of the adaptive split scale with
-    ``radial_tol``, so each coarse panel tree is a subtree of the
-    production one: through the evaluation's shell memo the coarse rows
-    evaluate no new shells and equal a fresh run bit for bit.
-    """
-    production = evaluation.bulk
-    rows = []
-    base = scenario.quad.radial_tol
-    for factor in (100.0, 10.0):
-        coarse = replace(scenario, quad=replace(scenario.quad,
-                                                radial_tol=base * factor))
-        res = bulk_mass(coarse, memo=evaluation.shell_memo)
-        rows.append({"radial_tol": base * factor, "value": res.value,
-                     "uncertainty": res.uncertainty, "panels": res.panels})
-    rows.append({"radial_tol": base, "value": production.value,
-                 "uncertainty": production.uncertainty,
-                 "panels": production.panels})
-    return rows
+    """Bulk mass at the coarser radial tolerances ``COARSE_FACTORS`` and
+    at the production one, all from the evaluation's one bulk walk."""
+    bulk = evaluation.bulk
+    rows = bulk.coarse + ((bulk.value, bulk.uncertainty, bulk.panels),)
+    return [{"radial_tol": scenario.quad.radial_tol * factor, "value": value,
+             "uncertainty": unc, "panels": panels}
+            for factor, (value, unc, panels)
+            in zip(COARSE_FACTORS + (1.0,), rows)]
 
 
 def _run_entry(entry: EntryConfig, run: RunConfig,
@@ -446,7 +434,7 @@ def cmd_run(args, extras: list[str]) -> int:
 def cmd_list(_args) -> int:
     for name in scenario_names():
         entry = REGISTRY[name]
-        scenario = entry.factory(**entry.defaults)
+        scenario = make_scenario(name)
         tags = ", ".join(scenario.exercises)
         kind = " [geometry-only]" if scenario.geometry_only else ""
         defaults = ", ".join(f"{k}={v}" for k, v in

@@ -17,8 +17,9 @@ nonnegativity under sampled R >= 0, "penrose" tests the quermassintegral
 lower bound.  Hypotheses are verified by sampling and reported; a failed
 hypothesis is distinguished from a failed inequality.  A
 ``ScenarioEvaluation`` computes each quantity once: the flux estimate,
-the bulk integral and one quermassintegral vector per horizon body,
-which the horizon term, the Penrose bound and the geometry table read.
+the bulk integral (one panel walk for every tolerance row) and one
+quermassintegral vector per horizon body, which the horizon term, the
+Penrose bound and the geometry table read.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .convexgeom import (HorizonSet, af_chain_gaps,
 from .errors import ConfigError, DomainError, NonConvexError
 from .graphgeom import (boundary_integrand, divergence_of_V,
                         flux_integrands_from_jet, scalar_curvature)
-from .jets import RadialProfile, ScalarField
+from .jets import RadialField, RadialProfile, ScalarField
 from .quad import (HORIZON_OFFSET, ExtrapolationResult, ExteriorRegion,
                    QuadConfig, SphereRule, exterior_volume_integrate,
                    extrapolate_limit, sphere_directions, sphere_integrate,
@@ -84,18 +85,25 @@ class Scenario:
     n: int
     field: ScalarField | None
     horizons: HorizonSet
-    p: float
     quad: QuadConfig
     bulk_region: ExteriorRegion
     params: dict = _field(default_factory=dict)
     expected: dict = _field(default_factory=dict)
     checks: tuple[str, ...] = ("identities",)
-    geometry_only: bool = False
-    profile: RadialProfile | None = None
     sampler: Callable[[int, int], np.ndarray] | None = None
     identity_rel: float = IDENTITY_REL
     description: str = ""
     exercises: tuple[str, ...] = ()
+
+    @property
+    def geometry_only(self) -> bool:
+        return self.field is None
+
+    @property
+    def profile(self) -> RadialProfile | None:
+        """The radial profile of a rotationally symmetric field."""
+        return (self.field.profile if isinstance(self.field, RadialField)
+                else None)
 
     def sample_points(self, count: int, seed: int) -> np.ndarray:
         if self.sampler is None:
@@ -218,21 +226,18 @@ class BulkResult:
     min_R: float
     max_abs_R: float
     sign_nodes: int
+    coarse: tuple[tuple[float, float, int], ...] = ()
 
 
-def bulk_mass(scenario: Scenario, rule: SphereRule | None = None,
-              memo: dict | None = None) -> BulkResult:
+def bulk_mass(scenario: Scenario,
+              rule: SphereRule | None = None) -> BulkResult:
     """Exterior integral of R in the flat measure over 2(n-1) omega.
 
     Quadrature nodes outside a 1% guard band at the inner boundary feed
     a running min of R (the boundary layer evaluates R as a 0/0 form
     whose float noise says nothing about the sign hypothesis); each
-    distinct node is counted once.
-
-    ``memo`` is passed to :func:`exterior_volume_integrate`: calls on
-    one scenario that share it (at any ``radial_tol``) reuse each
-    other's shell values.  Nodes another call already evaluated do not
-    reach the sign sample of this one.
+    distinct node is counted once.  ``coarse`` holds (value, uncertainty,
+    panels) at each coarser tolerance of the same panel walk.
     """
     fld = scenario.require_field()
     cfg = scenario.quad
@@ -252,14 +257,16 @@ def bulk_mass(scenario: Scenario, rule: SphereRule | None = None,
             state["count"] += int(keep.sum())
         return vals
 
-    vi = exterior_volume_integrate(fn, region, cfg, rule, memo=memo)
+    vi = exterior_volume_integrate(fn, region, cfg, rule)
     c = mass_normalization(scenario.n)
     min_r_seen = state["min"] if state["count"] else 0.0
     return BulkResult(value=vi.value / c, uncertainty=vi.uncertainty / c,
                       tail_bound=vi.tail_bound / c, q_fit=vi.q_fit,
                       panels=vi.panels, min_R=min_r_seen,
                       max_abs_R=state["maxabs"],
-                      sign_nodes=state["count"])
+                      sign_nodes=state["count"],
+                      coarse=tuple((v.value / c, v.uncertainty / c, v.panels)
+                                   for v in vi.coarse))
 
 
 # ----------------------------------------------------------------------
@@ -432,9 +439,6 @@ class ScenarioEvaluation:
     def __init__(self, scenario: Scenario, seed: int | None = None):
         self.scenario = scenario
         self.seed = scenario.quad.seed if seed is None else int(seed)
-        # shell values of the bulk route, shared with coarser-tolerance
-        # reruns of bulk_mass on this scenario
-        self.shell_memo: dict = {}
 
     @cached_property
     def flux_rule(self) -> SphereRule:
@@ -446,7 +450,7 @@ class ScenarioEvaluation:
 
     @cached_property
     def bulk(self) -> BulkResult:
-        return bulk_mass(self.scenario, memo=self.shell_memo)
+        return bulk_mass(self.scenario)
 
     @cached_property
     def quermass(self) -> list[np.ndarray]:

@@ -12,6 +12,8 @@ Sphere rules by dimension:
 Volume integrals over exteriors use a shell decomposition with adaptive
 Gauss panels in the radius, an optional geometrically graded start near
 an excised boundary, and a power-law tail fit past the truncation radius.
+One walk of the adaptive split serves the production ``radial_tol`` and
+the coarser ``COARSE_FACTORS`` multiples; it evaluates each panel once.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import IntegrabilityError, QuadratureError
 HORIZON_OFFSET = 1e-6   # relative offset of the graded start at a horizon
 MAX_DEPTH = 8           # bisection depth of an adaptive radial panel
 TAIL_POINTS = 8         # shell samples in the tail fit
-BULK_MC_SAMPLES = 2048  # Sobol rule size inside volume shells (n >= 5)
+COARSE_FACTORS = (100.0, 10.0)  # coarser radial_tol multiples of one walk
 
 
 def unit_sphere_area(n: int) -> float:
@@ -198,11 +200,10 @@ class QuadConfig:
         return sphere_rule(n, seed=self.seed)
 
     def body_rule(self, n: int) -> SphereRule:
-        order = self.bulk_order
-        if order is None and n <= 4:
-            order = max(8, {2: 64, 3: 48, 4: 20}[n] // 2)
-        return sphere_rule(n, order=order, samples=BULK_MC_SAMPLES,
-                           seed=self.seed)
+        """The shells' rule: the flux rule's ``half`` unless set."""
+        if self.bulk_order is None:
+            return self.flux_rule(n).half
+        return sphere_rule(n, order=self.bulk_order, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -231,30 +232,20 @@ class VolumeIntegral:
     uncertainty: float
     q_fit: float | None
     panels: int
+    coarse: tuple["VolumeIntegral", ...] = ()  # one per COARSE_FACTORS
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 class _ShellIntegrand:
-    """F(r) = r^{n-1} * (spherical average of fn at radius r).
+    """F(r) = r^{n-1} * (spherical average of fn at radius r)."""
 
-    Values are kept in ``memo`` per exact radii batch, so a panel that
-    the adaptive split evaluates again (a refined half becomes its
-    child's whole) costs no new evaluation of fn.
-    """
-
-    def __init__(self, fn, rule: SphereRule, mask, memo: dict):
-        self.fn = fn
-        self.rule = rule
-        self.mask = mask
-        self.memo = memo
+    def __init__(self, fn, rule: SphereRule, mask):
+        self.fn, self.rule, self.mask = fn, rule, mask
 
     def __call__(self, radii: np.ndarray) -> np.ndarray:
         radii = np.asarray(radii, float)
-        key = radii.tobytes()
-        if key in self.memo:
-            return self.memo[key]
         pts = radii[:, None, None] * self.rule.nodes[None, :, :]
         flat = pts.reshape(-1, self.rule.n)
         if self.mask is not None:
@@ -267,9 +258,7 @@ class _ShellIntegrand:
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("integrand is not finite inside a shell")
         vals = vals.reshape(len(radii), -1)
-        out = radii ** (self.rule.n - 1) * (vals @ self.rule.weights)
-        self.memo[key] = out
-        return out
+        return radii ** (self.rule.n - 1) * (vals @ self.rule.weights)
 
     def panel(self, lo: float, hi: float) -> float:
         mid, h = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -277,19 +266,25 @@ class _ShellIntegrand:
 
 
 def _adaptive_panel(shell: _ShellIntegrand, lo: float, hi: float,
-                    budget: float, floor: float,
-                    depth: int) -> tuple[float, float, int]:
-    whole = shell.panel(lo, hi)
+                    whole: float, budget: np.ndarray, floor: np.ndarray,
+                    depth: int) -> tuple:
+    """(value, discrepancy, panels) of [lo, hi] per tolerance column, as
+    scalars if all stop here; ``whole`` is a half of the parent.  A column
+    stops where a walk at its tolerance alone would, with an infinite
+    budget below."""
     mid = 0.5 * (lo + hi)
-    halves = shell.panel(lo, mid) + shell.panel(mid, hi)
+    left, right = shell.panel(lo, mid), shell.panel(mid, hi)
+    halves = left + right
     disc = abs(whole - halves)
-    if disc <= max(budget, floor) or depth >= MAX_DEPTH:
+    done = (disc <= np.maximum(budget, floor)) | (depth >= MAX_DEPTH)
+    if done.all():
         return halves, disc, 1
-    lv, le, lp = _adaptive_panel(shell, lo, mid, budget / 2, floor,
+    sub = np.where(done, np.inf, budget / 2)
+    lv, le, lp = _adaptive_panel(shell, lo, mid, left, sub, floor, depth + 1)
+    rv, re, rp = _adaptive_panel(shell, mid, hi, right, sub, floor,
                                  depth + 1)
-    rv, re, rp = _adaptive_panel(shell, mid, hi, budget / 2, floor,
-                                 depth + 1)
-    return lv + rv, le + re, lp + rp
+    return (np.where(done, halves, lv + rv), np.where(done, disc, le + re),
+            np.where(done, 1, lp + rp))
 
 
 def _tail_fit(shell: _ShellIntegrand, r_lo: float, r_max: float,
@@ -331,31 +326,23 @@ def _graded_edges(r0: float, offset: float, stop: float) -> list[float]:
     return edges
 
 
-def exterior_volume_integrate(fn, region: ExteriorRegion,
-                              cfg: QuadConfig, rule: SphereRule,
-                              memo: dict | None = None) -> VolumeIntegral:
+def exterior_volume_integrate(fn, region: ExteriorRegion, cfg: QuadConfig,
+                              rule: SphereRule) -> VolumeIntegral:
     """Integral of fn over the exterior region, in shell decomposition.
 
     Returns the truncated integral together with a (conservative) bound
     on the discarded tail and an advisory uncertainty from the panel
-    refinement discrepancies.
-
-    ``memo`` holds shell values by radii batch.  Calls that share one
-    must integrate the same fn over the same region with the same rule;
-    a call at a coarser ``radial_tol`` then walks a subtree of the finer
-    call's panels and evaluates nothing new.  Without one, each call
-    still evaluates every radii batch once.
+    refinement discrepancies.  ``coarse`` holds, from the same walk, what
+    a call at ``radial_tol`` times each ``COARSE_FACTORS`` would return.
     """
     if cfg.r_max <= region.r_inner:
         raise ValueError("r_max must exceed the inner radius")
-    shell = _ShellIntegrand(fn, rule, region.mask,
-                            {} if memo is None else memo)
+    shell = _ShellIntegrand(fn, rule, region.mask)
+    tols = cfg.radial_tol * np.array(COARSE_FACTORS + (1.0,))  # coarse first
 
     r0 = region.r_inner
     start = r0
-    total = 0.0
-    disc_sum = 0.0
-    panels = 0
+    total, disc_sum, panels = np.zeros((3, len(tols)))
     if region.graded and r0 > 0.0:
         offset = HORIZON_OFFSET * region.scale
         stop = min(r0 * 1.01 + offset, cfg.r_max)
@@ -385,9 +372,9 @@ def exterior_volume_integrate(fn, region: ExteriorRegion,
                                                    )))))
         edges = np.linspace(lo, hi, k + 1)
         for a, b in zip(edges[:-1], edges[1:]):
-            budget = cfg.radial_tol * max((b - a) / (cfg.r_max - r0), 0.0)
-            floor = cfg.radial_tol * 1e-3
-            v, e, p = _adaptive_panel(shell, a, b, budget, floor, 0)
+            budget = tols * max((b - a) / (cfg.r_max - r0), 0.0)
+            v, e, p = _adaptive_panel(shell, a, b, shell.panel(a, b),
+                                      budget, tols * 1e-3, 0)
             total += v
             disc_sum += e
             panels += p
@@ -396,9 +383,11 @@ def exterior_volume_integrate(fn, region: ExteriorRegion,
                  + [b for b in region.breakpoints if b < cfg.r_max])
     fit_lo = min(fit_lo, 0.9 * cfg.r_max)
     tail, q = _tail_fit(shell, fit_lo, cfg.r_max, rule.n)
-    unc = max(disc_sum, 0.5 * cfg.radial_tol) + tail
-    return VolumeIntegral(value=total, tail_bound=tail, uncertainty=unc,
-                          q_fit=q, panels=panels)
+    unc = np.maximum(disc_sum, 0.5 * tols) + tail
+    *coarse, production = (VolumeIntegral(float(v), tail, float(u), q, int(p))
+                           for v, u, p in zip(total, unc, panels))
+    production.coarse = tuple(coarse)
+    return production
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -154,15 +155,15 @@ class PiecewiseRadialField(ScalarField):
 # factories
 # ----------------------------------------------------------------------
 
-def _flat(n: int = 3) -> Scenario:
+def _flat(n: int) -> Scenario:
     n = int(n)
     if n < 3:
         raise ConfigError("dimension must be >= 3")
     quad = QuadConfig(radii=(100.0, 200.0, 400.0, 800.0), r_max=100.0)
     return Scenario(
         name="flat", n=n, field=ExprField("0", n), horizons=HorizonSet(()),
-        p=float(n - 2), quad=quad, bulk_region=ExteriorRegion(),
-        params={"n": n}, expected={"mass": 0.0, "bound": 0.0},
+        quad=quad, bulk_region=ExteriorRegion(), params={"n": n},
+        expected={"mass": 0.0, "bound": 0.0},
         checks=("identities", "pmt"),
         sampler=shell_sampler(n, 0.1, 50.0),
         description="Euclidean space as the graph of f = 0.",
@@ -189,12 +190,11 @@ def _schwarzschild(n: int, m: float) -> Scenario:
     name = "schwarzschild3" if n == 3 else "schwarzschild_n"
     return Scenario(
         name=name, n=n, field=RadialField(profile, n),
-        horizons=HorizonSet((Sphere(np.zeros(n), a),)),
-        p=float(n - 2), quad=quad,
+        horizons=HorizonSet((Sphere(np.zeros(n), a),)), quad=quad,
         bulk_region=ExteriorRegion(r_inner=a, graded=True, scale=a),
         params={"n": n, "m": m},
         expected={"mass": m, "bound": m, "boundary": m, "bulk": 0.0},
-        checks=("identities", "pmt", "penrose"), profile=profile,
+        checks=("identities", "pmt", "penrose"),
         sampler=shell_sampler(n, 1.05 * a, 50.0 * a),
         description="Scalar-flat rotationally symmetric graph with a "
                     "minimal-sphere horizon; the equality case of the "
@@ -203,11 +203,7 @@ def _schwarzschild(n: int, m: float) -> Scenario:
                    "Penrose equality", "radial closed form"))
 
 
-def _schwarzschild3(m: float = 1.0) -> Scenario:
-    return _schwarzschild(3, m)
-
-
-def _schwarzschild_n(n: int = 4, m: float = 1.0) -> Scenario:
+def _schwarzschild_n(n: int, m: float) -> Scenario:
     n = int(n)
     if n < 4:
         raise ConfigError("use schwarzschild3 for n = 3")
@@ -216,7 +212,7 @@ def _schwarzschild_n(n: int = 4, m: float = 1.0) -> Scenario:
     return _schwarzschild(n, m)
 
 
-def _radial_custom(m: float = 0.7, n: int = 3) -> Scenario:
+def _radial_custom(m: float, n: int) -> Scenario:
     """Horizonless positive-curvature graph with f_r^2 = 2m r^2/(1+r^n)."""
     m = float(m)
     n = int(n)
@@ -245,10 +241,9 @@ def _radial_custom(m: float = 0.7, n: int = 3) -> Scenario:
     quad = QuadConfig(radii=(20.0, 40.0, 80.0, 160.0), r_max=200.0)
     return Scenario(
         name="radial_custom", n=n, field=RadialField(profile, n),
-        horizons=HorizonSet(()), p=float(n - 2), quad=quad,
+        horizons=HorizonSet(()), quad=quad,
         bulk_region=ExteriorRegion(), params={"n": n, "m": m},
         expected={"mass": m}, checks=("identities", "pmt"),
-        profile=profile,
         sampler=shell_sampler(n, 0.05, 40.0),
         description="Smooth horizonless radial graph whose flux mass "
                     "approaches m from below.",
@@ -256,7 +251,7 @@ def _radial_custom(m: float = 0.7, n: int = 3) -> Scenario:
                    "positive mass"))
 
 
-def _bump(alpha: float = 0.1, n: int = 3) -> Scenario:
+def _bump(alpha: float, n: int) -> Scenario:
     alpha = float(alpha)
     n = int(n)
     if not 0 < alpha <= 0.5:
@@ -267,7 +262,7 @@ def _bump(alpha: float = 0.1, n: int = 3) -> Scenario:
     quad = QuadConfig(radii=(2.0, 2.5, 3.0, 3.5), r_max=12.0)
     return Scenario(
         name="bump", n=n, field=ExprField(expr, n, {"a": alpha}),
-        horizons=HorizonSet(()), p=2.0, quad=quad,
+        horizons=HorizonSet(()), quad=quad,
         bulk_region=ExteriorRegion(), params={"alpha": alpha, "n": n},
         expected={"mass": 0.0}, checks=("identities",),
         sampler=shell_sampler(n, 0.05, 6.0),
@@ -276,8 +271,7 @@ def _bump(alpha: float = 0.1, n: int = 3) -> Scenario:
         exercises=("flux vs bulk identity", "sign-indefinite curvature"))
 
 
-def _schwarzschild_perturbed(m: float = 1.0, beta: float = 0.3,
-                             n: int = 3) -> Scenario:
+def _schwarzschild_perturbed(m: float, beta: float, n: int) -> Scenario:
     """Horizon graph with f_r^2 = 2m psi/(r^{n-2} - 2m psi),
     psi = 1 - beta exp(-(r-a)); strictly positive scalar curvature."""
     m = float(m)
@@ -328,13 +322,12 @@ def _schwarzschild_perturbed(m: float = 1.0, beta: float = 0.3,
     return Scenario(
         name="schwarzschild_perturbed", n=n,
         field=RadialField(profile, n),
-        horizons=HorizonSet((Sphere(np.zeros(n), a),)),
-        p=float(n - 2), quad=quad,
+        horizons=HorizonSet((Sphere(np.zeros(n), a),)), quad=quad,
         bulk_region=ExteriorRegion(r_inner=a, graded=True, scale=a),
         params={"n": n, "m": m, "beta": beta},
         expected={"mass": m, "bound": m * (1.0 - beta),
                   "bulk": m * beta, "boundary": m * (1.0 - beta)},
-        checks=("identities", "pmt", "penrose"), profile=profile,
+        checks=("identities", "pmt", "penrose"),
         sampler=shell_sampler(n, 1.05 * a, 50.0 * a),
         description="Exponentially perturbed horizon graph with R > 0: "
                     "the area bound holds strictly, with margin carried "
@@ -343,7 +336,7 @@ def _schwarzschild_perturbed(m: float = 1.0, beta: float = 0.3,
                    "positive curvature hypothesis"))
 
 
-def _ellipsoid_horizon(ratio: float = 2.0) -> Scenario:
+def _ellipsoid_horizon(ratio: float) -> Scenario:
     ratio = float(ratio)
     if not 1.0 <= ratio <= 4.0:
         raise ConfigError("axis ratio must lie in [1, 4]")
@@ -353,9 +346,9 @@ def _ellipsoid_horizon(ratio: float = 2.0) -> Scenario:
     quad = QuadConfig(radii=(10.0, 20.0, 40.0, 80.0), r_max=40.0)
     return Scenario(
         name="ellipsoid_horizon", n=3, field=None,
-        horizons=HorizonSet(bodies), p=1.0, quad=quad,
+        horizons=HorizonSet(bodies), quad=quad,
         bulk_region=ExteriorRegion(), params={"ratio": ratio},
-        expected={}, checks=("identities",), geometry_only=True,
+        expected={}, checks=("identities",),
         description="Geometry-only horizon pair (ellipsoid and sphere): "
                     "curvature integrals without a graph function.",
         exercises=("quermassintegral chain", "Gauss-map normalization",
@@ -365,7 +358,7 @@ def _ellipsoid_horizon(ratio: float = 2.0) -> Scenario:
 MAX_GLUED_MASS = 1.2  # largest component mass the bulk route resolves
 
 
-def _two_body_glued(m1: float = 1.0, m2: float = 0.8) -> Scenario:
+def _two_body_glued(m1: float, m2: float) -> Scenario:
     m1, m2 = float(m1), float(m2)
     if m1 <= 0 or m2 <= 0:
         raise ConfigError("component masses must be positive")
@@ -443,7 +436,7 @@ def _two_body_glued(m1: float = 1.0, m2: float = 0.8) -> Scenario:
 
     return Scenario(
         name="two_body_glued", n=n, field=field,
-        horizons=HorizonSet(tuple(horizons)), p=1.0, quad=quad,
+        horizons=HorizonSet(tuple(horizons)), quad=quad,
         bulk_region=region, params={"m1": m1, "m2": m2},
         expected={"mass": total}, checks=("identities",),
         identity_rel=0.02, sampler=sampler,
@@ -464,7 +457,8 @@ class RegistryEntry:
 REGISTRY: dict[str, RegistryEntry] = {
     e.name: e for e in (
         RegistryEntry("flat", _flat, {"n": 3}),
-        RegistryEntry("schwarzschild3", _schwarzschild3, {"m": 1.0}),
+        RegistryEntry("schwarzschild3", partial(_schwarzschild, 3),
+                      {"m": 1.0}),
         RegistryEntry("schwarzschild_n", _schwarzschild_n,
                       {"n": 4, "m": 1.0}),
         RegistryEntry("radial_custom", _radial_custom, {"m": 0.7, "n": 3}),
@@ -486,15 +480,22 @@ def make_scenario(name: str, **params) -> Scenario:
         near = difflib.get_close_matches(name, REGISTRY, n=3, cutoff=0.4)
         hint = f"; did you mean {', '.join(near)}?" if near else ""
         raise ConfigError(f"unknown scenario '{name}'{hint}")
-    merged = dict(entry.defaults)
     for key, value in params.items():
         if key not in entry.defaults:
             raise ConfigError(
                 f"scenario '{name}' takes no parameter '{key}' "
                 f"(accepts: {', '.join(sorted(entry.defaults))})")
-        merged[key] = value
+        try:
+            finite = math.isfinite(float(value))
+        except OverflowError:  # an int too large for a float
+            finite = False
+        except (TypeError, ValueError):
+            finite = True  # not a number: the factory's own check rejects it
+        if not finite:
+            raise ConfigError(f"scenario '{name}': parameter '{key}' must be "
+                              f"finite, not {value!r}")
     try:
-        return entry.factory(**merged)
+        return entry.factory(**{**entry.defaults, **params})
     except (ValueError, DomainError) as exc:
         raise ConfigError(f"scenario '{name}': {exc}") from exc
 

@@ -96,6 +96,19 @@ class TestRunCommand:
         assert code == 3
         assert "r_max = 60" in err
 
+    @pytest.mark.parametrize(("name", "key", "value"), [
+        ("two_body_glued", "m1", "nan"), ("radial_custom", "m", "nan"),
+        ("schwarzschild3", "m", "inf"),
+        ("schwarzschild_perturbed", "m", "nan")])
+    def test_nonfinite_parameter_is_config_error(self, capsys, name, key,
+                                                 value):
+        """NaN passes every range comparison a factory makes, so a
+        non-finite value is rejected up front, naming its key."""
+        code = main(["run", name, f"--{key}", value])
+        _, err = capsys.readouterr()
+        assert code == 3
+        assert f"parameter '{key}'" in err
+
 
 class TestConfigFile:
     PAYLOAD = {"scenarios": [{"name": "flat"},
@@ -274,11 +287,13 @@ class CountingField(ScalarField):
 
 
 class TestBulkConvergenceMemo:
-    @pytest.mark.parametrize("name", ["bump", "schwarzschild_perturbed"])
+    @pytest.mark.parametrize("name", ["bump", "schwarzschild_perturbed",
+                                      "radial_custom"])
     def test_rows_equal_fresh_runs(self, name):
-        """The coarse rows reuse the production shells: they take no
-        jet, and value, uncertainty and panels equal a fresh run
-        without a memo bit for bit."""
+        """The coarse rows come from the production walk: they take no
+        jet, and value, uncertainty and panels equal a separate run at
+        each coarse tolerance bit for bit (radial_custom refines, so
+        its rows stop at different depths)."""
         scn = make_scenario(name)
         counting = CountingField(scn.field)
         evaluation = ScenarioEvaluation(replace(scn, field=counting))
@@ -296,12 +311,24 @@ class TestBulkConvergenceMemo:
                                        production.uncertainty,
                                        production.panels)
 
-    def test_new_evaluation_starts_empty(self):
-        scn = make_scenario("bump")
-        first = ScenarioEvaluation(scn)
-        first.bulk
-        assert first.shell_memo
-        assert ScenarioEvaluation(scn).shell_memo == {}
+    def test_one_volume_walk_per_evaluation(self, monkeypatch):
+        """Checks, summary and the convergence rows of one evaluation
+        read a single exterior integral."""
+        from graphmass import mass
+        calls = []
+        original = mass.exterior_volume_integrate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mass, "exterior_volume_integrate", counted)
+        scn = make_scenario("radial_custom")
+        evaluation = ScenarioEvaluation(scn)
+        evaluation.run(("all",))
+        evaluation.summary()
+        cli._bulk_convergence(scn, evaluation)
+        assert len(calls) == 1
 
     def test_repeat_runs_give_the_same_body(self):
         run = RunConfig(entries=[EntryConfig(name="bump"),
