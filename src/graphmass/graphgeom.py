@@ -16,9 +16,11 @@ The scalar curvature is also the flat divergence of the field
 
 which is the identity behind the boundary-flux mass formulas.  Only
 :func:`divergence_of_V` asks for the order-3 jet: it expands div V
-through the third derivatives, an independent route to R.  All
-functions accept a single point (shape (n,)) or a batch (..., n) and
-return matching shapes.
+through the third derivatives, an independent route to R.  On a field
+radial about a centre at each point, :func:`scalar_curvature` builds no
+jet: R = (n-1)/(r W) (2 h_r h_rr / W + (n-2) h_r^2 / r), with
+:func:`curvature_from_jet` as its oracle.  All functions accept a single
+point (shape (n,)) or a batch (..., n) and return matching shapes.
 """
 
 from __future__ import annotations
@@ -69,9 +71,17 @@ def flux_field_from_jet(jet: Jet3) -> np.ndarray:
 
 
 def scalar_curvature(field: ScalarField, points):
+    """R from the field's radial derivatives when it has them, else from
+    its order-2 jet."""
     pts, single = _as_batch(points)
-    return _unbatch(curvature_from_jet(field.jet3_many(pts, order=2)),
-                    single)
+    radial = field.radial_derivatives(pts)
+    if radial is None:
+        return _unbatch(curvature_from_jet(field.jet3_many(pts, order=2)),
+                        single)
+    n, (r, hr, hrr) = field.n, radial
+    W = 1.0 + hr * hr
+    return _unbatch((n - 1) / (r * W) * (2.0 * hr * hrr / W
+                                         + (n - 2) * hr * hr / r), single)
 
 
 def divergence_of_V(field: ScalarField, points):

@@ -95,17 +95,12 @@ class Jet3:
         return Jet3(self.value + other, self.grad.copy(), self.hess.copy(),
                     _lift(np.copy, self.third))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Jet3(-self.value, -self.grad, -self.hess,
                     _lift(np.negative, self.third))
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet3) else -other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Jet3):
@@ -125,18 +120,10 @@ class Jet3:
                       a.third, b.third)
         return Jet3(a.value * b.value, av * b.grad + bv * a.grad, hess, third)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         if isinstance(other, Jet3):
             return self * jet_recip(other)
         return self * (1.0 / other)
-
-    def __rtruediv__(self, other):
-        return jet_recip(self) * other
-
-    def __pow__(self, exponent):
-        return jet_pow(self, float(exponent))
 
     def check_finite(self, context: str = "jet") -> "Jet3":
         for part in (self.value, self.grad, self.hess, self.third):
@@ -498,6 +485,20 @@ def schwarzschild_profile(m: float, n: int, branch: int = -1) -> RadialProfile:
 # radial jets
 # ----------------------------------------------------------------------
 
+def _profile_at(profile: RadialProfile, r: np.ndarray, orders):
+    """The profile's derivatives of the given orders (0 is f) at radii r
+    outside r_min, each evaluated once per distinct radius: quadrature
+    batches repeat a handful of radii."""
+    if np.any(r <= profile.r_min):
+        raise DomainError(
+            f"radius {float(np.min(r)):.6g} inside r_min={profile.r_min:.6g} "
+            f"of {profile.label}")
+    fns = (profile.f, profile.fr, profile.frr, profile.frrr)
+    uniq, inverse = np.unique(r.reshape(-1), return_inverse=True)
+    return [np.asarray(fns[k](uniq), float)[inverse].reshape(r.shape)
+            for k in orders]
+
+
 def radial_jet(profile: RadialProfile, point, center=None,
                order: int = 3) -> Jet3:
     """Jet of f(|x - center|) from the 1-D profile derivatives; at
@@ -515,32 +516,19 @@ def radial_jet(profile: RadialProfile, point, center=None,
     if center is not None:
         pts = pts - np.asarray(center, float)
     r = np.sqrt(np.sum(pts * pts, axis=-1))
-    if np.any(r <= profile.r_min):
-        raise DomainError(
-            f"radius {float(np.min(r)):.6g} inside r_min={profile.r_min:.6g} "
-            f"of {profile.label}")
+    f, fr, frr, *frrr = _profile_at(profile, r, range(order + 1))
     u = pts / r[..., None]
-    # quadrature batches repeat a handful of radii over many directions,
-    # so evaluate the 1-d profile once per distinct radius
-    uniq, inverse = np.unique(r.reshape(-1), return_inverse=True)
-
-    def per_radius(fn):
-        return np.asarray(fn(uniq), float)[inverse].reshape(r.shape)
-
-    fr = per_radius(profile.fr)
-    frr = per_radius(profile.frr)
     eye = np.eye(n)
     uu = _outer(u, u)
     proj = eye - uu
     hess = frr[..., None, None] * uu + (fr / r)[..., None, None] * proj
     third = None
     if order == 3:
-        frrr = per_radius(profile.frrr)
         sym = (_sym_vec_mat(u, np.broadcast_to(eye, uu.shape))
                - 3.0 * _outer3(u, u, u))
-        third = (frrr[..., None, None, None] * _outer3(u, u, u)
+        third = (frrr[0][..., None, None, None] * _outer3(u, u, u)
                  + (frr / r - fr / r ** 2)[..., None, None, None] * sym)
-    return Jet3(per_radius(profile.f), fr[..., None] * u, hess,
+    return Jet3(f, fr[..., None] * u, hess,
                 third).check_finite(profile.label)
 
 
@@ -563,6 +551,11 @@ class ScalarField:
 
     def jet3_many(self, points, order: int = 3) -> Jet3:
         raise NotImplementedError
+
+    def radial_derivatives(self, points):
+        """(r, h_r, h_rr) per point of a batch (m, n) where the field is
+        h(|x - c|) near each point, c varying or not; else None."""
+        return None
 
     def jet3(self, point) -> Jet3:
         return self.jet3_many(np.asarray(point, float))
@@ -605,11 +598,18 @@ class RadialField(ScalarField):
         return np.sqrt(np.sum(pts * pts, axis=-1))
 
     def value(self, points):
-        return np.asarray(self.profile.f(self._radii(points)), float)
+        return _profile_at(self.profile, self._radii(points), (0,))[0]
 
     def jet3_many(self, points, order=3):
         return radial_jet(self.profile, points, center=self.center,
                           order=order)
+
+    def radial_derivatives(self, points):
+        r = self._radii(points)
+        hr, hrr = _profile_at(self.profile, r, (1, 2))
+        if np.all(np.isfinite(hr + hrr)):
+            return r, hr, hrr
+        raise DomainError(f"non-finite derivatives in {self.profile.label}")
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as _field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -86,12 +86,11 @@ class Scenario:
     field: ScalarField | None
     horizons: HorizonSet
     quad: QuadConfig
-    bulk_region: ExteriorRegion
+    bulk_region: tuple[ExteriorRegion, ...]  # disjoint supports of R
     params: dict = _field(default_factory=dict)
     expected: dict = _field(default_factory=dict)
     checks: tuple[str, ...] = ("identities",)
     sampler: Callable[[int, int], np.ndarray] | None = None
-    identity_rel: float = IDENTITY_REL
     description: str = ""
     exercises: tuple[str, ...] = ()
 
@@ -231,42 +230,45 @@ class BulkResult:
 
 def bulk_mass(scenario: Scenario,
               rule: SphereRule | None = None) -> BulkResult:
-    """Exterior integral of R in the flat measure over 2(n-1) omega.
+    """Exterior integral of R in the flat measure over 2(n-1) omega,
+    summed over the scenario's bulk regions.
 
-    Quadrature nodes outside a 1% guard band at the inner boundary feed
-    a running min of R (the boundary layer evaluates R as a 0/0 form
-    whose float noise says nothing about the sign hypothesis); each
-    distinct node is counted once.  ``coarse`` holds (value, uncertainty,
-    panels) at each coarser tolerance of the same panel walk.
+    Quadrature nodes outside a 1% guard band at a region's inner edge
+    feed a running min of R (the boundary layer evaluates R as a 0/0
+    form whose float noise says nothing about the sign hypothesis);
+    each distinct node is counted once.  ``coarse`` holds (value,
+    uncertainty, panels) at each coarser tolerance of the same walks.
     """
     fld = scenario.require_field()
     cfg = scenario.quad
     rule = rule or cfg.body_rule(scenario.n)
-    region = scenario.bulk_region
-    guard = 1.01 * region.r_inner
     state = {"min": math.inf, "maxabs": 0.0, "count": 0}
 
-    def fn(pts):
+    def fn(region, pts):
         vals = scalar_curvature(fld, pts)
-        keep = np.linalg.norm(pts, axis=1) >= guard
+        center = np.asarray(region.center or (0.0,) * scenario.n)
+        keep = np.linalg.norm(pts - center, axis=1) >= 1.01 * region.r_inner
         if keep.any():
             seen = vals[keep]
             state["min"] = min(state["min"], float(seen.min()))
-            state["maxabs"] = max(state["maxabs"],
-                                  float(np.abs(seen).max()))
+            state["maxabs"] = max(state["maxabs"], float(np.abs(seen).max()))
             state["count"] += int(keep.sum())
         return vals
 
-    vi = exterior_volume_integrate(fn, region, cfg, rule)
+    parts = [exterior_volume_integrate(partial(fn, region), region, cfg, rule)
+             for region in scenario.bulk_region]
     c = mass_normalization(scenario.n)
-    min_r_seen = state["min"] if state["count"] else 0.0
-    return BulkResult(value=vi.value / c, uncertainty=vi.uncertainty / c,
-                      tail_bound=vi.tail_bound / c, q_fit=vi.q_fit,
-                      panels=vi.panels, min_R=min_r_seen,
-                      max_abs_R=state["maxabs"],
-                      sign_nodes=state["count"],
-                      coarse=tuple((v.value / c, v.uncertainty / c, v.panels)
-                                   for v in vi.coarse))
+    *coarse, (value, unc, panels) = [
+        (sum(vi.value for vi in col) / c,
+         sum(vi.uncertainty for vi in col) / c, sum(vi.panels for vi in col))
+        for col in zip(*([*vi.coarse, vi] for vi in parts))]
+    return BulkResult(value=value, uncertainty=unc, panels=panels,
+                      tail_bound=sum(vi.tail_bound for vi in parts) / c,
+                      q_fit=min((vi.q_fit for vi in parts
+                                 if vi.q_fit is not None), default=None),
+                      min_R=state["min"] if state["count"] else 0.0,
+                      max_abs_R=state["maxabs"], sign_nodes=state["count"],
+                      coarse=tuple(coarse))
 
 
 # ----------------------------------------------------------------------
@@ -351,9 +353,8 @@ class Decomposition:
         return all(h.ok for h in self.hypotheses)
 
 
-def identity_tolerance(scenario: Scenario, mass: float,
-                       uncertainty: float) -> float:
-    return max(scenario.identity_rel * abs(mass), UNC_FACTOR * uncertainty)
+def identity_tolerance(mass: float, uncertainty: float) -> float:
+    return max(IDENTITY_REL * abs(mass), UNC_FACTOR * uncertainty)
 
 
 def mass_decomposition(scenario: Scenario, est: MassEstimate,
@@ -370,8 +371,7 @@ def mass_decomposition(scenario: Scenario, est: MassEstimate,
     boundary = horizon_mean_curvature_term(quermass)
     total = boundary + bulk.value
     residual = est.value - total
-    tol = identity_tolerance(scenario, est.value,
-                             est.uncertainty + bulk.uncertainty)
+    tol = identity_tolerance(est.value, est.uncertainty + bulk.uncertainty)
     return Decomposition(boundary=boundary, bulk=bulk.value, total=total,
                          adm=est.value, adm_uncertainty=est.uncertainty,
                          bulk_uncertainty=bulk.uncertainty,

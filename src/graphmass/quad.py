@@ -9,9 +9,11 @@ Sphere rules by dimension:
 * n >= 5: scrambled-Sobol Gaussian directions, normalized, in antithetic
   pairs so odd integrands cancel exactly; fully determined by the seed.
 
-Volume integrals over exteriors use a shell decomposition with adaptive
-Gauss panels in the radius, an optional geometrically graded start near
-an excised boundary, and a power-law tail fit past the truncation radius.
+Volume integrals over exteriors use shells about the region's centre,
+adaptive Gauss panels in the radius, an optional geometrically graded
+start near an excised boundary, and a power-law tail fit past r_max
+unless the region has an outer radius.  Shells are also integrated on
+the rule's ``half``, so the uncertainty covers the angular error.
 One walk of the adaptive split serves the production ``radial_tol`` and
 the coarser ``COARSE_FACTORS`` multiples; it evaluates each panel once.
 """
@@ -19,7 +21,7 @@ the coarser ``COARSE_FACTORS`` multiples; it evaluates each panel once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,6 +34,7 @@ HORIZON_OFFSET = 1e-6   # relative offset of the graded start at a horizon
 MAX_DEPTH = 8           # bisection depth of an adaptive radial panel
 TAIL_POINTS = 8         # shell samples in the tail fit
 COARSE_FACTORS = (100.0, 10.0)  # coarser radial_tol multiples of one walk
+DEFAULT_ORDER = {2: 64, 3: 48, 4: 20}  # sphere rule orders; Sobol for n >= 5
 
 
 def unit_sphere_area(n: int) -> float:
@@ -120,17 +123,13 @@ def sphere_rule(n: int, order: int | None = None,
     """Build a quadrature rule on S^{n-1}."""
     if n < 2:
         raise ValueError("sphere rules need n >= 2")
+    if n <= 4:
+        order = order or DEFAULT_ORDER[n]
     if n == 2:
-        order = order or 64
         nodes, weights = _circle_rule(order)
         label = f"circle-{order}"
-    elif n == 3:
-        order = order or 48
-        nodes, weights = _s2_rule(order)
-        label = f"gauss-{order}"
-    elif n == 4:
-        order = order or 20
-        nodes, weights = _s3_rule(order)
+    elif n <= 4:
+        nodes, weights = (_s2_rule if n == 3 else _s3_rule)(order)
         label = f"gauss-{order}"
     else:
         samples = samples or 4096
@@ -184,7 +183,6 @@ def sphere_integrate(fn: Callable[[np.ndarray], np.ndarray], r: float,
 class QuadConfig:
     """Resolution and reproducibility knobs shared by the integrators."""
 
-    bulk_order: int | None = None     # sphere resolution inside volume shells
     seed: int = 20260817
     radii: tuple[float, ...] = (100.0, 200.0, 400.0, 800.0)
     r_max: float = 1000.0
@@ -200,29 +198,33 @@ class QuadConfig:
         return sphere_rule(n, seed=self.seed)
 
     def body_rule(self, n: int) -> SphereRule:
-        """The shells' rule: the flux rule's ``half`` unless set."""
-        if self.bulk_order is None:
-            return self.flux_rule(n).half
-        return sphere_rule(n, order=self.bulk_order, seed=self.seed)
+        """The shells' rule: the flux rule's ``half``, given a ``half`` of
+        its own for the angular error, drawn with the next seed so that
+        for n >= 5 it repeats no Sobol node of the rule."""
+        rule = self.flux_rule(n).half
+        return replace(rule, half=sphere_rule(
+            n, order=max(4, DEFAULT_ORDER.get(n, 0) // 4),
+            samples=len(rule.weights) // 2, seed=self.seed + 1,
+            with_half=False))
 
 
 @dataclass(frozen=True)
 class ExteriorRegion:
     """Radial description of the integration domain.
 
-    The integral runs over r in [r_inner, r_max] (r_max from the config),
-    optionally excluding points where ``mask`` is False.  ``graded``
-    inserts a geometric panel cascade at the inner edge, starting at
-    offset ``HORIZON_OFFSET * scale`` outside r_inner, for integrands
-    whose derivatives blow up there.  ``breakpoints`` force panel edges
-    at radii where the integrand changes analytic form.
+    The integral runs over |x - center| in [r_inner, r_outer] (r_max from
+    the config if None; the origin if ``center`` is None).  An outer
+    radius means the integrand vanishes beyond it: no tail fit.
+    ``graded`` inserts a geometric panel cascade at the inner edge,
+    starting at offset ``HORIZON_OFFSET * scale`` outside r_inner, for
+    integrands whose derivatives blow up there.
     """
 
     r_inner: float = 0.0
     graded: bool = False
-    breakpoints: tuple[float, ...] = ()
-    mask: Callable[[np.ndarray], np.ndarray] | None = None
     scale: float = 1.0
+    center: tuple[float, ...] | None = None
+    r_outer: float | None = None
 
 
 @dataclass
@@ -239,43 +241,44 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 class _ShellIntegrand:
-    """F(r) = r^{n-1} * (spherical average of fn at radius r)."""
+    """F(r) = r^{n-1} * (integral of fn over the sphere of radius r about
+    ``center``), one row per rule: the rule, then its ``half`` if it has
+    one.  fn sees the nodes of both rules in one batch."""
 
-    def __init__(self, fn, rule: SphereRule, mask):
-        self.fn, self.rule, self.mask = fn, rule, mask
+    def __init__(self, fn, rule: SphereRule, center: np.ndarray):
+        self.fn, self.center, self.n = fn, center, rule.n
+        self.rules = (rule,) if rule.half is None else (rule, rule.half)
+        self.nodes = np.concatenate([q.nodes for q in self.rules])
 
     def __call__(self, radii: np.ndarray) -> np.ndarray:
         radii = np.asarray(radii, float)
-        pts = radii[:, None, None] * self.rule.nodes[None, :, :]
-        flat = pts.reshape(-1, self.rule.n)
-        if self.mask is not None:
-            keep = np.asarray(self.mask(flat), bool)
-            vals = np.zeros(len(flat))
-            if keep.any():
-                vals[keep] = np.asarray(self.fn(flat[keep]), float)
-        else:
-            vals = np.asarray(self.fn(flat), float)
+        pts = self.center + (radii[:, None, None]
+                             * self.nodes[None, :, :]).reshape(-1, self.n)
+        vals = np.asarray(self.fn(pts), float)
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("integrand is not finite inside a shell")
-        vals = vals.reshape(len(radii), -1)
-        return radii ** (self.rule.n - 1) * (vals @ self.rule.weights)
+        parts = np.split(vals.reshape(len(radii), -1),
+                         [len(self.rules[0].weights)], axis=1)
+        return radii ** (self.n - 1) * np.array(
+            [v @ q.weights for v, q in zip(parts, self.rules)])
 
-    def panel(self, lo: float, hi: float) -> float:
+    def panel(self, lo: float, hi: float) -> np.ndarray:
         mid, h = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        return h * float(_GL_WEIGHTS @ self(mid + h * _GL_NODES))
+        return h * (self(mid + h * _GL_NODES) @ _GL_WEIGHTS)
 
 
 def _adaptive_panel(shell: _ShellIntegrand, lo: float, hi: float,
-                    whole: float, budget: np.ndarray, floor: np.ndarray,
+                    whole: np.ndarray, budget: np.ndarray, floor: np.ndarray,
                     depth: int) -> tuple:
     """(value, discrepancy, panels) of [lo, hi] per tolerance column, as
-    scalars if all stop here; ``whole`` is a half of the parent.  A column
-    stops where a walk at its tolerance alone would, with an infinite
-    budget below."""
+    one row if all stop here; a value holds one entry per shell rule, and
+    the first rule's decides.  ``whole`` is a half of the parent.  A
+    column stops where a walk at its tolerance alone would, with an
+    infinite budget below."""
     mid = 0.5 * (lo + hi)
     left, right = shell.panel(lo, mid), shell.panel(mid, hi)
     halves = left + right
-    disc = abs(whole - halves)
+    disc = abs(whole[0] - halves[0])
     done = (disc <= np.maximum(budget, floor)) | (depth >= MAX_DEPTH)
     if done.all():
         return halves, disc, 1
@@ -283,15 +286,15 @@ def _adaptive_panel(shell: _ShellIntegrand, lo: float, hi: float,
     lv, le, lp = _adaptive_panel(shell, lo, mid, left, sub, floor, depth + 1)
     rv, re, rp = _adaptive_panel(shell, mid, hi, right, sub, floor,
                                  depth + 1)
-    return (np.where(done, halves, lv + rv), np.where(done, disc, le + re),
-            np.where(done, 1, lp + rp))
+    return (np.where(done[:, None], halves, lv + rv),
+            np.where(done, disc, le + re), np.where(done, 1, lp + rp))
 
 
 def _tail_fit(shell: _ShellIntegrand, r_lo: float, r_max: float,
               n: int) -> tuple[float, float | None]:
     """Fit |F(r)| ~ C r^{-s} on the outer decade; tail = 2C R^{1-s}/(s-1)."""
     radii = np.geomspace(r_lo, r_max, TAIL_POINTS)
-    mags = np.abs(shell(radii))
+    mags = np.abs(shell(radii)[0])
     floor = 1e-250
     if np.all(mags < floor):
         return 0.0, None
@@ -330,62 +333,57 @@ def exterior_volume_integrate(fn, region: ExteriorRegion, cfg: QuadConfig,
                               rule: SphereRule) -> VolumeIntegral:
     """Integral of fn over the exterior region, in shell decomposition.
 
-    Returns the truncated integral together with a (conservative) bound
-    on the discarded tail and an advisory uncertainty from the panel
-    refinement discrepancies.  ``coarse`` holds, from the same walk, what
-    a call at ``radial_tol`` times each ``COARSE_FACTORS`` would return.
+    Returns the truncated integral, a (conservative) bound on the
+    discarded tail, and an advisory uncertainty: the panel refinement
+    discrepancies plus the gap to the integral on the rule's ``half``.
+    ``coarse`` holds, from the same walk, what a call at ``radial_tol``
+    times each ``COARSE_FACTORS`` would return.
     """
-    if cfg.r_max <= region.r_inner:
-        raise ValueError("r_max must exceed the inner radius")
-    shell = _ShellIntegrand(fn, rule, region.mask)
+    r_outer = cfg.r_max if region.r_outer is None else region.r_outer
+    if r_outer <= region.r_inner:
+        raise ValueError("the outer radius must exceed the inner radius")
+    shell = _ShellIntegrand(
+        fn, rule, np.asarray(region.center or (0.0,) * rule.n, float))
     tols = cfg.radial_tol * np.array(COARSE_FACTORS + (1.0,))  # coarse first
 
     r0 = region.r_inner
     start = r0
-    total, disc_sum, panels = np.zeros((3, len(tols)))
+    total = np.zeros((len(tols), len(shell.rules)))
+    disc_sum, panels = np.zeros((2, len(tols)))
     if region.graded and r0 > 0.0:
         offset = HORIZON_OFFSET * region.scale
-        stop = min(r0 * 1.01 + offset, cfg.r_max)
+        stop = min(r0 * 1.01 + offset, r_outer)
         edges = _graded_edges(r0, offset, stop)
-        vals = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            vals.append(shell.panel(lo, hi))
-            panels += 1
+        vals = [shell.panel(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        panels += len(vals)
         total += sum(vals)
         # skipped sliver [r0, r0 + offset]: extrapolate the geometric trend
-        if len(vals) >= 2 and abs(vals[1]) > 0:
-            rho = abs(vals[0]) / abs(vals[1])
-            if rho < 0.9:
-                disc_sum += abs(vals[0]) * rho / (1.0 - rho)
-            else:
-                disc_sum += abs(vals[0])
+        first = [abs(v[0]) for v in vals[:2]]
+        if len(first) == 2 and first[1] > 0:
+            rho = first[0] / first[1]
+            disc_sum += first[0] * (rho / (1.0 - rho) if rho < 0.9 else 1.0)
         start = edges[-1]
 
-    inner_breaks = sorted({start, cfg.r_max}
-                          | {b for b in region.breakpoints
-                             if start < b < cfg.r_max})
-    for lo, hi in zip(inner_breaks[:-1], inner_breaks[1:]):
-        span = max(hi - lo, 1e-300)
-        # coarse skeleton inside each analytic section
-        k = max(2, min(12, int(math.ceil(math.log2(1.0 + span
-                                                   / max(region.scale, 1e-12)
-                                                   )))))
-        edges = np.linspace(lo, hi, k + 1)
+    if start < r_outer:
+        # coarse skeleton, refined adaptively panel by panel
+        k = max(2, min(12, int(math.ceil(math.log2(
+            1.0 + (r_outer - start) / max(region.scale, 1e-12))))))
+        edges = np.linspace(start, r_outer, k + 1)
         for a, b in zip(edges[:-1], edges[1:]):
-            budget = tols * max((b - a) / (cfg.r_max - r0), 0.0)
+            budget = tols * max((b - a) / (r_outer - r0), 0.0)
             v, e, p = _adaptive_panel(shell, a, b, shell.panel(a, b),
                                       budget, tols * 1e-3, 0)
             total += v
             disc_sum += e
             panels += p
 
-    fit_lo = max([cfg.r_max / 4.0]
-                 + [b for b in region.breakpoints if b < cfg.r_max])
-    fit_lo = min(fit_lo, 0.9 * cfg.r_max)
-    tail, q = _tail_fit(shell, fit_lo, cfg.r_max, rule.n)
-    unc = np.maximum(disc_sum, 0.5 * tols) + tail
+    tail, q = 0.0, None
+    if region.r_outer is None:
+        tail, q = _tail_fit(shell, cfg.r_max / 4.0, cfg.r_max, rule.n)
+    angular = np.abs(total[:, 0] - total[:, -1])
+    unc = np.maximum(disc_sum, 0.5 * tols) + tail + angular
     *coarse, production = (VolumeIntegral(float(v), tail, float(u), q, int(p))
-                           for v, u, p in zip(total, unc, panels))
+                           for v, u, p in zip(total[:, 0], unc, panels))
     production.coarse = tuple(coarse)
     return production
 

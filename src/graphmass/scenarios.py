@@ -10,8 +10,10 @@ two exact horizon components is available, so it glues two
 rotationally symmetric pieces to a common far field through C^3
 windows.  The pieces are exact near each horizon and exact outside the
 gluing annuli, so the ADM mass is exactly the sum of the component
-masses, while the gluing regions carry sign-indefinite curvature that
-integrates to zero against the far-field window.
+masses, while the gluing annuli carry sign-indefinite curvature that
+integrates to zero against the far-field window.  The bulk integral
+runs over each annulus on shells about its own piece's centre, where
+the field is radial and the angular quadrature exact.
 """
 
 from __future__ import annotations
@@ -85,70 +87,80 @@ def window_profile(lo: float, width: float, rising: bool) -> RadialProfile:
                          label=f"window[{lo},{lo + width}]")
 
 
+def windowed(profile: RadialProfile, window: RadialProfile) -> RadialProfile:
+    """The profile times the window, differentiated by the Leibniz rule;
+    where the window is 1 the derivatives are the profile's, bit for bit."""
+    fs = (profile.f, profile.fr, profile.frr, profile.frrr)
+    ws = (window.f, window.fr, window.frr, window.frrr)
+
+    def deriv(k: int) -> Callable:
+        return lambda r: sum(math.comb(k, j) * fs[j](r) * ws[k - j](r)
+                             for j in range(k + 1))
+
+    return RadialProfile(*(deriv(k) for k in range(4)), r_min=profile.r_min,
+                         label=f"{profile.label} x {window.label}")
+
+
 @dataclass
 class _Piece:
     """One windowed radial term of the glued graph."""
 
-    center: np.ndarray
-    profile: RadialProfile
-    window: RadialProfile
-    r_lo: float        # evaluation floor (just outside the profile domain)
-    r_hi: float        # support ceiling (window identically zero beyond)
+    field: RadialField  # its windowed profile about its centre
+    r_lo: float         # evaluation floor (just outside the profile domain)
+    r_hi: float         # support ceiling (window identically zero beyond)
 
 
 class PiecewiseRadialField(ScalarField):
     """Sum of windowed radial pieces with pairwise disjoint supports.
 
     Points outside every support get exactly zero jets, so the field is
-    identically flat in the dead zones between the pieces.
+    identically flat in the dead zones between the pieces; elsewhere it
+    is radial about the centre of the one piece whose support holds it.
     """
 
     def __init__(self, pieces: list[_Piece], n: int):
         self.pieces = pieces
         self.n = n
 
-    def _piece_radii(self, points, piece):
-        d = np.asarray(points, float) - piece.center
-        return np.sqrt(np.sum(d * d, axis=-1))
+    def _split(self, points):
+        """The batch, and (field, selection) of each piece it meets."""
+        pts = np.atleast_2d(np.asarray(points, float))
+        parts = []
+        for piece in self.pieces:
+            d = pts - piece.field.center
+            r = np.sqrt(np.sum(d * d, axis=-1))
+            sel = (r > piece.r_lo) & (r < piece.r_hi)
+            if sel.any():
+                parts.append((piece.field, sel))
+        return pts, parts
 
     def value(self, points):
-        pts = np.atleast_2d(np.asarray(points, float))
+        pts, parts = self._split(points)
         out = np.zeros(len(pts))
-        for piece in self.pieces:
-            r = self._piece_radii(pts, piece)
-            sel = (r > piece.r_lo) & (r < piece.r_hi)
-            if not sel.any():
-                continue
-            rs = r[sel]
-            out[sel] += (np.asarray(piece.profile.f(rs), float)
-                         * np.asarray(piece.window.f(rs), float))
+        for fld, sel in parts:
+            out[sel] = fld.value(pts[sel])
         return out
 
     def jet3_many(self, points, order=3):
         check_order(order)
-        pts = np.atleast_2d(np.asarray(points, float))
-        m = len(pts)
-        val = np.zeros(m)
-        grad = np.zeros((m, self.n))
-        hess = np.zeros((m, self.n, self.n))
-        third = np.zeros((m, self.n, self.n, self.n)) if order == 3 else None
-        for piece in self.pieces:
-            r = self._piece_radii(pts, piece)
-            sel = (r > piece.r_lo) & (r < piece.r_hi)
-            if not sel.any():
-                continue
-            sub = pts[sel]
-            jp = radial_jet(piece.profile, sub, center=piece.center,
-                            order=order)
-            jw = radial_jet(piece.window, sub, center=piece.center,
-                            order=order)
-            jj = jp * jw
-            val[sel] += jj.value
-            grad[sel] += jj.grad
-            hess[sel] += jj.hess
-            if third is not None:
-                third[sel] += jj.third
-        return Jet3(val, grad, hess, third)
+        pts, parts = self._split(points)
+        m, n = len(pts), self.n
+        jet = Jet3(np.zeros(m), np.zeros((m, n)), np.zeros((m, n, n)),
+                   np.zeros((m, n, n, n)) if order == 3 else None)
+        for fld, sel in parts:
+            part = radial_jet(fld.profile, pts[sel], center=fld.center,
+                              order=order)
+            for name in ("value", "grad", "hess", "third")[:order + 1]:
+                getattr(jet, name)[sel] = getattr(part, name)
+        return jet
+
+    def radial_derivatives(self, points):
+        """Outside every support h_r = h_rr = 0 (with r = 1), so R = 0."""
+        pts, parts = self._split(points)
+        r, hr, hrr = np.ones(len(pts)), np.zeros(len(pts)), np.zeros(len(pts))
+        for fld, sel in parts:
+            r[sel], hr[sel], hrr[sel] = fld.radial_derivatives(pts[sel])
+        return r, hr, hrr
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +174,7 @@ def _flat(n: int) -> Scenario:
     quad = QuadConfig(radii=(100.0, 200.0, 400.0, 800.0), r_max=100.0)
     return Scenario(
         name="flat", n=n, field=ExprField("0", n), horizons=HorizonSet(()),
-        quad=quad, bulk_region=ExteriorRegion(), params={"n": n},
+        quad=quad, bulk_region=(ExteriorRegion(),), params={"n": n},
         expected={"mass": 0.0, "bound": 0.0},
         checks=("identities", "pmt"),
         sampler=shell_sampler(n, 0.1, 50.0),
@@ -191,7 +203,7 @@ def _schwarzschild(n: int, m: float) -> Scenario:
     return Scenario(
         name=name, n=n, field=RadialField(profile, n),
         horizons=HorizonSet((Sphere(np.zeros(n), a),)), quad=quad,
-        bulk_region=ExteriorRegion(r_inner=a, graded=True, scale=a),
+        bulk_region=(ExteriorRegion(r_inner=a, graded=True, scale=a),),
         params={"n": n, "m": m},
         expected={"mass": m, "bound": m, "boundary": m, "bulk": 0.0},
         checks=("identities", "pmt", "penrose"),
@@ -242,7 +254,7 @@ def _radial_custom(m: float, n: int) -> Scenario:
     return Scenario(
         name="radial_custom", n=n, field=RadialField(profile, n),
         horizons=HorizonSet(()), quad=quad,
-        bulk_region=ExteriorRegion(), params={"n": n, "m": m},
+        bulk_region=(ExteriorRegion(),), params={"n": n, "m": m},
         expected={"mass": m}, checks=("identities", "pmt"),
         sampler=shell_sampler(n, 0.05, 40.0),
         description="Smooth horizonless radial graph whose flux mass "
@@ -263,7 +275,7 @@ def _bump(alpha: float, n: int) -> Scenario:
     return Scenario(
         name="bump", n=n, field=ExprField(expr, n, {"a": alpha}),
         horizons=HorizonSet(()), quad=quad,
-        bulk_region=ExteriorRegion(), params={"alpha": alpha, "n": n},
+        bulk_region=(ExteriorRegion(),), params={"alpha": alpha, "n": n},
         expected={"mass": 0.0}, checks=("identities",),
         sampler=shell_sampler(n, 0.05, 6.0),
         description="Gaussian bump graph: zero mass with sign-indefinite "
@@ -323,7 +335,7 @@ def _schwarzschild_perturbed(m: float, beta: float, n: int) -> Scenario:
         name="schwarzschild_perturbed", n=n,
         field=RadialField(profile, n),
         horizons=HorizonSet((Sphere(np.zeros(n), a),)), quad=quad,
-        bulk_region=ExteriorRegion(r_inner=a, graded=True, scale=a),
+        bulk_region=(ExteriorRegion(r_inner=a, graded=True, scale=a),),
         params={"n": n, "m": m, "beta": beta},
         expected={"mass": m, "bound": m * (1.0 - beta),
                   "bulk": m * beta, "boundary": m * (1.0 - beta)},
@@ -347,7 +359,7 @@ def _ellipsoid_horizon(ratio: float) -> Scenario:
     return Scenario(
         name="ellipsoid_horizon", n=3, field=None,
         horizons=HorizonSet(bodies), quad=quad,
-        bulk_region=ExteriorRegion(), params={"ratio": ratio},
+        bulk_region=(ExteriorRegion(),), params={"ratio": ratio},
         expected={}, checks=("identities",),
         description="Geometry-only horizon pair (ellipsoid and sphere): "
                     "curvature integrals without a graph function.",
@@ -355,7 +367,7 @@ def _ellipsoid_horizon(ratio: float) -> Scenario:
                    "bound superadditivity"))
 
 
-MAX_GLUED_MASS = 1.2  # largest component mass the bulk route resolves
+MAX_GLUED_MASS = 2.0  # largest component mass the gluing windows allow
 
 
 def _two_body_glued(m1: float, m2: float) -> Scenario:
@@ -363,17 +375,11 @@ def _two_body_glued(m1: float, m2: float) -> Scenario:
     if m1 <= 0 or m2 <= 0:
         raise ConfigError("component masses must be positive")
     if max(m1, m2) > MAX_GLUED_MASS:
-        # The exact bulk term is 0: each near annulus carries -m_i and
-        # the far window +(m1 + m2).  The origin-centred shells meet the
-        # near annuli off centre, where the 48-point Gauss rule leaves a
-        # quadrature error growing faster than m_i.  The identity
-        # residual is 79% of its 2% tolerance at (1.2, 1.2), 96% at
-        # (1.3, 1.3), and above it from (1.4, 0.1) on.
+        # The windows are tuned for horizons of radius 2m <= 4, a
+        # quarter of the near cut at 16.
         raise ConfigError(
             f"m1 = {m1:g} and m2 = {m2:g}: component masses above "
-            f"{MAX_GLUED_MASS:g} are not resolved by the bulk quadrature "
-            "of the gluing annuli (above 2 they also collide with the "
-            "gluing windows)")
+            f"{MAX_GLUED_MASS:g} collide with the gluing windows")
     n = 3
     total = m1 + m2
     sep = 100.0
@@ -385,41 +391,26 @@ def _two_body_glued(m1: float, m2: float) -> Scenario:
     horizons = []
     for center, m in zip(centers, (m1, m2)):
         prof = schwarzschild_profile(m, n)
-        pieces.append(_Piece(
-            center=center, profile=prof,
-            window=window_profile(near_cut, near_width, rising=False),
-            r_lo=prof.r_min * (1.0 + 1e-9),
-            r_hi=near_cut + near_width))
+        near = windowed(prof, window_profile(near_cut, near_width,
+                                             rising=False))
+        pieces.append(_Piece(RadialField(near, n, center),
+                             r_lo=prof.r_min * (1.0 + 1e-9),
+                             r_hi=near_cut + near_width))
         horizons.append(Sphere(center, 2.0 * m))
-    far_prof = schwarzschild_profile(total, n)
-    pieces.append(_Piece(
-        center=np.zeros(n), profile=far_prof,
-        window=window_profile(far_cut, far_width, rising=True),
-        r_lo=far_cut, r_hi=math.inf))
+    far = windowed(schwarzschild_profile(total, n),
+                   window_profile(far_cut, far_width, rising=True))
+    pieces.append(_Piece(RadialField(far, n), r_lo=far_cut, r_hi=math.inf))
     field = PiecewiseRadialField(pieces, n)
 
-    def bulk_mask(pts):
-        # R vanishes identically outside the gluing annuli: the pieces
-        # are scalar-flat where their windows are constant, and f = 0
-        # between the near zones and the far switch.
-        pts = np.asarray(pts, float)
-        a1 = np.linalg.norm(pts - centers[0], axis=-1)
-        a2 = np.linalg.norm(pts - centers[1], axis=-1)
-        r0 = np.linalg.norm(pts, axis=-1)
-        near = ((a1 > near_cut) & (a1 < near_cut + near_width)) \
-            | ((a2 > near_cut) & (a2 < near_cut + near_width))
-        far = (r0 > far_cut) & (r0 < far_cut + far_width)
-        return near | far
-
-    # origin-radius breakpoints where the gluing annuli enter and leave
-    # the integration shells
-    breaks = (sep - near_cut - near_width, sep - near_cut,
-              sep + near_cut, sep + near_cut + near_width,
-              far_cut, far_cut + far_width)
-    region = ExteriorRegion(r_inner=0.0, breakpoints=breaks, mask=bulk_mask)
-
+    # R vanishes outside the gluing annuli: the pieces are scalar-flat
+    # where their windows are constant, and f = 0 between the near zones
+    # and the far switch.  Each annulus is integrated about its own piece.
+    regions = tuple(ExteriorRegion(center=tuple(c), r_inner=near_cut,
+                                   r_outer=near_cut + near_width)
+                    for c in centers) + (
+        ExteriorRegion(r_inner=far_cut, r_outer=far_cut + far_width),)
     quad = QuadConfig(radii=(400.0, 800.0, 1600.0, 3200.0), r_max=400.0,
-                      radial_tol=1e-4, bulk_order=48)
+                      radial_tol=1e-4)
 
     def sampler(count, seed):
         k1 = count * 2 // 5
@@ -437,14 +428,13 @@ def _two_body_glued(m1: float, m2: float) -> Scenario:
     return Scenario(
         name="two_body_glued", n=n, field=field,
         horizons=HorizonSet(tuple(horizons)), quad=quad,
-        bulk_region=region, params={"m1": m1, "m2": m2},
-        expected={"mass": total}, checks=("identities",),
-        identity_rel=0.02, sampler=sampler,
+        bulk_region=regions, params={"m1": m1, "m2": m2},
+        expected={"mass": total}, checks=("identities",), sampler=sampler,
         description="Two far-separated horizon components glued to a "
-                    "common far field; exact total mass with a documented "
-                    "gluing residual in the bulk route.",
+                    "common far field; exact total mass, and a bulk term "
+                    "that cancels between the gluing annuli.",
         exercises=("mass additivity", "multi-horizon superadditivity",
-                   "gluing residual"))
+                   "centred bulk shells"))
 
 
 @dataclass(frozen=True)

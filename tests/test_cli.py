@@ -70,7 +70,7 @@ class TestRunCommand:
         assert "m = 2 and beta = 0.3" in err
 
     def test_two_body_box_edge_passes_identities(self, capsys):
-        code = main(["run", "two_body_glued", "--m1", "1.2", "--m2", "1.2",
+        code = main(["run", "two_body_glued", "--m1", "2", "--m2", "2",
                      "--checks", "identities"])
         _, err = capsys.readouterr()
         assert code == 0
@@ -78,14 +78,14 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("key", ["m1", "m2"])
     def test_two_body_past_the_edge_is_config_error(self, capsys, key):
-        """Past the largest mass the bulk quadrature resolves the run is
-        rejected up front rather than failing its identity check."""
-        code = main(["run", "two_body_glued", f"--{key}", "1.21",
+        """Past the largest mass the gluing windows are tuned for the
+        run is rejected up front."""
+        code = main(["run", "two_body_glued", f"--{key}", "2.01",
                      "--checks", "identities"])
         _, err = capsys.readouterr()
         assert code == 3
         assert "m1 = " in err and "m2 = " in err
-        assert "1.21" in err
+        assert "2.01" in err
 
     def test_r_max_inside_horizon_is_config_error(self, capsys):
         """m = 50 puts the horizon at 99.5, beyond the fixed r_max = 60;
@@ -278,6 +278,9 @@ class TestExitPrecedence:
 
 
 class CountingField(ScalarField):
+    """Forwards to ``base`` and counts every request for derivatives, so
+    a radial base keeps its radial curvature route."""
+
     def __init__(self, base):
         self.base, self.n, self.calls = base, base.n, 0
 
@@ -285,22 +288,27 @@ class CountingField(ScalarField):
         self.calls += 1
         return self.base.jet3_many(points, order=order)
 
+    def radial_derivatives(self, points):
+        self.calls += 1
+        return self.base.radial_derivatives(points)
+
 
 class TestBulkConvergenceMemo:
     @pytest.mark.parametrize("name", ["bump", "schwarzschild_perturbed",
                                       "radial_custom"])
     def test_rows_equal_fresh_runs(self, name):
-        """The coarse rows come from the production walk: they take no
-        jet, and value, uncertainty and panels equal a separate run at
+        """The coarse rows come from the production walk: they evaluate
+        no curvature, and value, uncertainty and panels equal a separate
+        run at
         each coarse tolerance bit for bit (radial_custom refines, so
         its rows stop at different depths)."""
         scn = make_scenario(name)
         counting = CountingField(scn.field)
         evaluation = ScenarioEvaluation(replace(scn, field=counting))
         production = evaluation.bulk
-        jets = counting.calls
+        evaluations = counting.calls
         rows = cli._bulk_convergence(evaluation.scenario, evaluation)
-        assert jets > 0 and counting.calls == jets
+        assert evaluations > 0 and counting.calls == evaluations
         for row in rows[:2]:
             fresh = bulk_mass(replace(scn, quad=replace(
                 scn.quad, radial_tol=row["radial_tol"])))

@@ -25,7 +25,7 @@ from graphmass import (
     scalar_curvature,
     schwarzschild_profile,
 )
-from graphmass.graphgeom import flux_field_from_jet
+from graphmass.graphgeom import curvature_from_jet, flux_field_from_jet
 
 GENERIC = ExprField("0.3*x1^2*x2 + sin(1.1*x2)*x3 + 0.2*exp(x3)", 3)
 
@@ -272,3 +272,65 @@ class TestJetOrderRequests:
         pts, _ = body.surface_sample(rule)
         body.shape_spectrum(pts)
         assert phi.orders and set(phi.orders) == {2}
+
+
+def _shell_points(center, lo, hi, count, seed):
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((count, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return np.asarray(center, float) + rng.uniform(lo, hi, (count, 1)) * dirs
+
+
+class TestRadialRoute:
+    """scalar_curvature of a radial field comes from (r, h_r, h_rr); the
+    closed form on the order-2 jet is its oracle."""
+
+    @staticmethod
+    def agree(field, pts):
+        assert field.radial_derivatives(pts) is not None
+        radial = scalar_curvature(field, pts)
+        jet = curvature_from_jet(field.jet3_many(pts, order=2))
+        assert np.max(np.abs(radial - jet) / (1.0 + np.abs(jet))) <= 1e-13
+        return radial, jet
+
+    @pytest.mark.parametrize(("name", "params"), [
+        ("schwarzschild3", {}), ("schwarzschild_n", {"n": 4}),
+        ("schwarzschild_n", {"n": 5}), ("radial_custom", {}),
+        ("schwarzschild_perturbed", {}), ("two_body_glued", {})])
+    def test_matches_jet_route(self, name, params):
+        scn = make_scenario(name, **params)
+        self.agree(scn.field, scn.sample_points(2000, 3))
+
+    def test_two_body_zones(self):
+        """Both near annuli, the far annulus, and the dead zones between
+        them, where both routes give exactly zero."""
+        field = make_scenario("two_body_glued").field
+        body1, body2 = (-100.0, 0.0, 0.0), (100.0, 0.0, 0.0)
+        for pts in (_shell_points(body1, 16.0, 56.0, 500, 1),
+                    _shell_points(body2, 16.0, 56.0, 500, 2),
+                    _shell_points((0.0, 0.0, 0.0), 200.0, 320.0, 500, 3)):
+            radial, _ = self.agree(field, pts)
+            assert np.all(radial != 0.0)
+        dead = np.concatenate([
+            _shell_points(body1, 56.0, 80.0, 300, 4),
+            _shell_points(body2, 56.0, 80.0, 300, 5),
+            _shell_points((0.0, 0.0, 0.0), 0.0, 40.0, 300, 6),
+            _shell_points((0.0, 0.0, 0.0), 180.0, 200.0, 300, 7)])
+        radial, jet = self.agree(field, dead)
+        assert np.all(radial == 0.0) and np.all(jet == 0.0)
+
+    def test_asks_for_no_jet(self, monkeypatch):
+        """The radial route builds no jet: a jet request would raise."""
+        scn = make_scenario("schwarzschild3")
+
+        def no_jet(self, points, order=3):
+            raise AssertionError("jet requested")
+
+        monkeypatch.setattr(RadialField, "jet3_many", no_jet)
+        pts = scn.sample_points(100, 1)
+        assert np.all(np.isfinite(scalar_curvature(scn.field, pts)))
+
+    def test_inside_profile_domain_rejected(self):
+        fld = RadialField(schwarzschild_profile(1.0, 3), 3)
+        with pytest.raises(DomainError, match="inside r_min"):
+            scalar_curvature(fld, np.array([1.5, 0.0, 0.0]))

@@ -205,30 +205,46 @@ class TestBulkMass:
         assert res.min_R == 0.0
 
     @pytest.mark.parametrize("name", ["schwarzschild_perturbed",
-                                      "radial_custom"])
+                                      "radial_custom", "two_body_glued"])
     def test_sign_nodes_are_distinct_nodes(self, name, monkeypatch):
         """The sign sample counts each evaluated node outside the guard
-        band once."""
+        band of its region once: the nodes of the rule and of its half
+        on the shells about each region's centre."""
         scn = make_scenario(name)
-        batches = []
+        batches: dict = {}
         call = quad._ShellIntegrand.__call__
 
         def logged_call(self, radii):
-            batches.append(np.asarray(radii, float))
+            batches.setdefault(tuple(self.center), []).append(
+                np.asarray(radii, float))
             return call(self, radii)
 
         monkeypatch.setattr(quad._ShellIntegrand, "__call__", logged_call)
         res = bulk_mass(scn)
-        radii = np.concatenate(batches)
-        assert len(np.unique(radii)) == len(radii)
         rule = scn.quad.body_rule(scn.n)
-        pts = (radii[:, None, None] * rule.nodes[None, :, :]).reshape(
-            -1, scn.n)
-        if scn.bulk_region.mask is not None:
-            pts = pts[scn.bulk_region.mask(pts)]
-        guard = 1.01 * scn.bulk_region.r_inner
-        assert res.sign_nodes == int(
-            np.sum(np.linalg.norm(pts, axis=1) >= guard))
+        nodes = np.concatenate([rule.nodes, rule.half.nodes])
+        assert len(batches) == len(scn.bulk_region)
+        count = 0
+        for region in scn.bulk_region:
+            radii = np.concatenate(
+                batches[region.center or (0.0,) * scn.n])
+            assert len(np.unique(radii)) == len(radii)
+            dist = np.linalg.norm(radii[:, None, None] * nodes[None, :, :],
+                                  axis=2)
+            count += int(np.sum(dist >= 1.01 * region.r_inner))
+        assert res.sign_nodes == count
+
+    @pytest.mark.parametrize("name", ["flat", "schwarzschild3",
+                                      "schwarzschild_n", "radial_custom",
+                                      "bump", "schwarzschild_perturbed",
+                                      "two_body_glued"])
+    def test_uncertainty_covers_half_rule(self, name):
+        """The bulk uncertainty covers the gap to the same integral
+        walked on the body rule's half alone."""
+        scn = make_scenario(name)
+        res = bulk_mass(scn)
+        half = bulk_mass(scn, rule=scn.quad.body_rule(scn.n).half)
+        assert abs(res.value - half.value) <= res.uncertainty
 
 
 class TestDecomposition:
@@ -252,9 +268,9 @@ class TestDecomposition:
         assert abs(dec.residual) <= dec.tolerance
         assert dec.identity_ok and dec.hypothesis_ok
 
-    def test_tolerance_formula(self, scn3):
-        assert identity_tolerance(scn3, 2.0, 1e-5) == 0.01
-        assert identity_tolerance(scn3, 0.0, 1e-3) == 5e-3
+    def test_tolerance_formula(self):
+        assert identity_tolerance(2.0, 1e-5) == 0.01
+        assert identity_tolerance(0.0, 1e-3) == 5e-3
 
 
 class TestHorizonHypotheses:
@@ -269,7 +285,7 @@ class TestHorizonHypotheses:
             name="fake", n=3, field=bump.field,
             horizons=HorizonSet((Sphere(np.asarray(center, float), 0.3),)),
             quad=QuadConfig(radii=(2.0, 2.5, 3.0, 3.5), r_max=12.0),
-            bulk_region=ExteriorRegion())
+            bulk_region=(ExteriorRegion(),))
 
     def test_off_center_breaks_level_set(self, bump):
         """A bump is constant on centered spheres only; shifting the
@@ -368,7 +384,7 @@ class TestChecks:
             name="fake", n=3, field=bump.field,
             horizons=HorizonSet((Sphere(np.zeros(3), 0.5),)),
             quad=QuadConfig(radii=(2.0, 2.5, 3.0, 3.5), r_max=12.0),
-            bulk_region=ExteriorRegion(),
+            bulk_region=(ExteriorRegion(),),
             sampler=shell_sampler(3, 0.05, 6.0))
         out = check(scn, "penrose")
         assert not out.passed
@@ -389,7 +405,7 @@ class TestChecks:
             name="fake", n=3, field=bump.field,
             horizons=HorizonSet((NonConvexSphere(np.zeros(3), 0.5),)),
             quad=QuadConfig(radii=(2.0, 2.5, 3.0, 3.5), r_max=12.0),
-            bulk_region=ExteriorRegion(),
+            bulk_region=(ExteriorRegion(),),
             sampler=shell_sampler(3, 0.05, 6.0))
         out = check(scn, "penrose")
         assert not out.passed

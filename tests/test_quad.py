@@ -169,14 +169,27 @@ class TestExteriorVolume:
         assert abs(vi.value) <= 1e-8
         assert vi.tail_bound <= 1e-8
 
-    def test_mask_excludes_region(self):
-        """Masking the half-space x1 < 0 halves the Gaussian integral."""
-        cfg = QuadConfig(r_max=10.0, radial_tol=1e-8)
+    def test_centred_bounded_region(self):
+        """A Gaussian about c on shells about c: the shells see a radial
+        function, and the outer radius replaces the tail fit."""
+        c = (3.0, -1.0, 2.0)
+        cfg = QuadConfig(r_max=1.0, radial_tol=1e-9)
         vi = exterior_volume_integrate(
-            lambda p: np.exp(-np.sum(p * p, axis=1)),
-            ExteriorRegion(mask=lambda p: p[:, 0] >= 0.0),
-            cfg, sphere_rule(3))
-        assert abs(vi.value - 0.5 * math.pi ** 1.5) <= 1e-6
+            lambda p: np.exp(-np.sum((p - c) ** 2, axis=1)),
+            ExteriorRegion(center=c, r_outer=8.0), cfg, sphere_rule(3))
+        assert abs(vi.value - math.pi ** 1.5) <= 1e-9
+        assert vi.tail_bound == 0.0 and vi.q_fit is None
+
+    def test_uncertainty_covers_angular_error(self):
+        """Off centre a coarse rule misses the Gaussian by far more than
+        the radial tolerance; the gap to the rule's half covers it."""
+        cfg = QuadConfig(r_max=12.0, radial_tol=1e-9)
+        vi = exterior_volume_integrate(
+            lambda p: np.exp(-np.sum((p - (1.5, 0.0, 0.0)) ** 2, axis=1)),
+            ExteriorRegion(), cfg, sphere_rule(3, order=8))
+        error = abs(vi.value - math.pi ** 1.5)
+        assert error > 1e-6
+        assert error <= vi.uncertainty
 
     def test_r_max_must_exceed_inner(self):
         cfg = QuadConfig(r_max=1.0)
@@ -231,9 +244,19 @@ class TestQuadConfig:
         with pytest.raises(ValueError):
             QuadConfig(radii=(10.0, -5.0))
 
-    def test_rules_respect_orders(self):
-        cfg = QuadConfig(bulk_order=8)
-        assert len(cfg.body_rule(3).weights) == len(sphere_rule(3, 8).weights)
+    def test_body_rule_size_and_half(self):
+        """The shells use the nodes of the flux rule's half and carry a
+        coarser half of their own that repeats none of their nodes."""
+        cfg = QuadConfig()
+        for n in (3, 4, 5):
+            body, flux_half = cfg.body_rule(n), cfg.flux_rule(n).half
+            assert np.array_equal(body.nodes, flux_half.nodes)
+            assert np.array_equal(body.weights, flux_half.weights)
+            assert body.half is not None and body.half.half is None
+            assert len(body.half.weights) < len(body.weights)
+            shared = set(map(tuple, body.nodes)) & set(
+                map(tuple, body.half.nodes))
+            assert not shared, n
 
 
 class TestShellMemo:
@@ -258,7 +281,7 @@ class TestShellMemo:
             return scalar_curvature(scn.field, pts)
 
         monkeypatch.setattr(quad._ShellIntegrand, "panel", logged_panel)
-        res = exterior_volume_integrate(fn, scn.bulk_region, scn.quad,
+        res = exterior_volume_integrate(fn, scn.bulk_region[0], scn.quad,
                                         scn.quad.body_rule(scn.n))
         assert seen and len(seen) == len(set(seen))
         assert len(set(requests)) == len(requests)

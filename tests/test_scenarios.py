@@ -9,8 +9,10 @@ from graphmass import (
     ConfigError,
     RadialField,
     adm_flux_mass,
+    bulk_mass,
     fd_jet,
     make_scenario,
+    scalar_curvature,
     scenario_names,
     schwarzschild_profile,
 )
@@ -174,6 +176,40 @@ class TestTwoBodyField:
         weighted, _ = adm_flux_mass(two_body, r, weighted=True)
         assert abs(plain - M * r / (r - 2.0 * M)) <= 1e-12 * M
         assert abs(weighted - M) <= 1e-12 * M
+
+    def test_bulk_regions_hold_all_curvature(self, two_body):
+        """Just outside each gluing annulus R is zero: exactly on the
+        dead-zone side (past the near windows, inside the far switch),
+        and to roundoff of its terms on the Schwarzschild side (inside
+        the near windows, past the far switch).  So the annuli carry the
+        whole bulk term, and no tail fit is needed past them."""
+        rng = np.random.default_rng(8)
+        dirs = rng.standard_normal((400, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        regions = two_body.bulk_region
+        assert len(regions) == 3
+        for region in regions:
+            center = (np.zeros(3) if region.center is None
+                      else np.asarray(region.center))
+            inner = center + region.r_inner * (1.0 - 1e-9) * dirs
+            outer = center + region.r_outer * (1.0 + 1e-9) * dirs
+            near = region.center is not None
+            dead, flat = (outer, inner) if near else (inner, outer)
+            assert np.all(scalar_curvature(two_body.field, dead) == 0.0)
+            r, hr, hrr = two_body.field.radial_derivatives(flat)
+            terms = 2.0 * np.abs(hr * hrr) + hr * hr / r
+            R = scalar_curvature(two_body.field, flat)
+            assert np.all(np.abs(R) <= 1e-13 * terms)
+
+    @pytest.mark.parametrize(("m1", "m2"), [(1.0, 0.8), (1.2, 1.2),
+                                            (1.5, 1.5), (1.9, 0.3),
+                                            (2.0, 2.0)])
+    def test_bulk_cancels_between_annuli(self, m1, m2):
+        """The near annuli carry -m1 and -m2, the far one +(m1 + m2):
+        on shells centred on each piece the sum is zero to roundoff."""
+        res = bulk_mass(make_scenario("two_body_glued", m1=m1, m2=m2))
+        assert abs(res.value) <= 1e-8
+        assert res.tail_bound == 0.0 and res.q_fit is None
 
     def test_sampler_deterministic(self, two_body):
         a = two_body.sample_points(50, 11)
