@@ -24,7 +24,6 @@ from . import __version__
 from .errors import ConfigError, DomainError, GraphMassError, QuadratureError
 from .mass import (CheckOutcome, Scenario, ScenarioEvaluation,
                    horizon_clearance)
-from .quad import COARSE_FACTORS
 from .report import ReportDocument, bulk_csv, flux_csv
 from .scenarios import REGISTRY, make_scenario, scenario_names
 
@@ -221,16 +220,18 @@ def _entry_echo(entry: EntryConfig, run: RunConfig) -> dict:
     }
 
 
+# the old name stays: bench/tracer.py instruments it, test_tracer checks it
 def _bulk_convergence(scenario: Scenario,
                       evaluation: ScenarioEvaluation) -> list[dict]:
-    """Bulk mass at the coarser radial tolerances ``COARSE_FACTORS`` and
-    at the production one, all from the evaluation's one bulk walk."""
-    bulk = evaluation.bulk
-    rows = bulk.coarse + ((bulk.value, bulk.uncertainty, bulk.panels),)
-    return [{"radial_tol": scenario.quad.radial_tol * factor, "value": value,
-             "uncertainty": unc, "panels": panels}
-            for factor, (value, unc, panels)
-            in zip(COARSE_FACTORS + (1.0,), rows)]
+    """One row per bulk region, read off the evaluation's bulk walks;
+    the rows sum to the scenario's bulk term."""
+    return [{"center": list(region.center or (0.0,) * scenario.n),
+             "r_inner": region.r_inner,
+             "r_outer": (scenario.quad.r_max if region.r_outer is None
+                         else region.r_outer),
+             "value": value, "uncertainty": unc, "panels": panels}
+            for region, (value, unc, panels)
+            in zip(scenario.bulk_region, evaluation.bulk.regions)]
 
 
 def _run_entry(entry: EntryConfig, run: RunConfig,
@@ -245,8 +246,7 @@ def _run_entry(entry: EntryConfig, run: RunConfig,
         result["outcomes"] = evaluation.run(checks)
         summary = evaluation.summary()
         if scenario.field is not None:
-            summary["bulk_convergence"] = _bulk_convergence(scenario,
-                                                            evaluation)
+            summary["bulk_regions"] = _bulk_convergence(scenario, evaluation)
         summary["checks"] = [_outcome_dict(o) for o in result["outcomes"]]
         result["summary"] = summary
     except ConfigError as exc:

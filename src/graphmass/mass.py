@@ -17,7 +17,7 @@ nonnegativity under sampled R >= 0, "penrose" tests the quermassintegral
 lower bound.  Hypotheses are verified by sampling and reported; a failed
 hypothesis is distinguished from a failed inequality.  A
 ``ScenarioEvaluation`` computes each quantity once: the flux estimate,
-the bulk integral (one panel walk for every tolerance row) and one
+the bulk integral (one panel walk per bulk region) and one
 quermassintegral vector per horizon body, which the horizon term, the
 Penrose bound and the geometry table read.
 """
@@ -225,7 +225,7 @@ class BulkResult:
     min_R: float
     max_abs_R: float
     sign_nodes: int
-    coarse: tuple[tuple[float, float, int], ...] = ()
+    regions: tuple[tuple[float, float, int], ...] = ()
 
 
 def bulk_mass(scenario: Scenario,
@@ -233,11 +233,12 @@ def bulk_mass(scenario: Scenario,
     """Exterior integral of R in the flat measure over 2(n-1) omega,
     summed over the scenario's bulk regions.
 
-    Quadrature nodes outside a 1% guard band at a region's inner edge
-    feed a running min of R (the boundary layer evaluates R as a 0/0
-    form whose float noise says nothing about the sign hypothesis);
-    each distinct node is counted once.  ``coarse`` holds (value,
-    uncertainty, panels) at each coarser tolerance of the same walks.
+    Quadrature nodes feed a running min of R, each distinct node counted
+    once.  A ``graded`` region, whose inner edge is a horizon, leaves out
+    a 1% guard band there: the boundary layer evaluates R as a 0/0 form
+    whose float noise says nothing about the sign hypothesis.
+    ``regions`` holds (value, uncertainty, panels) of each region, in
+    the same normalisation; they sum to the totals.
     """
     fld = scenario.require_field()
     cfg = scenario.quad
@@ -246,29 +247,30 @@ def bulk_mass(scenario: Scenario,
 
     def fn(region, pts):
         vals = scalar_curvature(fld, pts)
-        center = np.asarray(region.center or (0.0,) * scenario.n)
-        keep = np.linalg.norm(pts - center, axis=1) >= 1.01 * region.r_inner
-        if keep.any():
-            seen = vals[keep]
+        seen = vals
+        if region.graded:
+            center = np.asarray(region.center or (0.0,) * scenario.n)
+            seen = vals[np.linalg.norm(pts - center, axis=1)
+                        >= 1.01 * region.r_inner]
+        if seen.size:
             state["min"] = min(state["min"], float(seen.min()))
             state["maxabs"] = max(state["maxabs"], float(np.abs(seen).max()))
-            state["count"] += int(keep.sum())
+            state["count"] += seen.size
         return vals
 
     parts = [exterior_volume_integrate(partial(fn, region), region, cfg, rule)
              for region in scenario.bulk_region]
     c = mass_normalization(scenario.n)
-    *coarse, (value, unc, panels) = [
-        (sum(vi.value for vi in col) / c,
-         sum(vi.uncertainty for vi in col) / c, sum(vi.panels for vi in col))
-        for col in zip(*([*vi.coarse, vi] for vi in parts))]
-    return BulkResult(value=value, uncertainty=unc, panels=panels,
+    return BulkResult(value=sum(vi.value for vi in parts) / c,
+                      uncertainty=sum(vi.uncertainty for vi in parts) / c,
+                      panels=sum(vi.panels for vi in parts),
                       tail_bound=sum(vi.tail_bound for vi in parts) / c,
                       q_fit=min((vi.q_fit for vi in parts
                                  if vi.q_fit is not None), default=None),
                       min_R=state["min"] if state["count"] else 0.0,
                       max_abs_R=state["maxabs"], sign_nodes=state["count"],
-                      coarse=tuple(coarse))
+                      regions=tuple((vi.value / c, vi.uncertainty / c,
+                                     vi.panels) for vi in parts))
 
 
 # ----------------------------------------------------------------------
@@ -436,9 +438,8 @@ class CheckOutcome:
 class ScenarioEvaluation:
     """Caches the expensive per-scenario quantities across checks."""
 
-    def __init__(self, scenario: Scenario, seed: int | None = None):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.seed = scenario.quad.seed if seed is None else int(seed)
 
     @cached_property
     def flux_rule(self) -> SphereRule:
@@ -467,7 +468,7 @@ class ScenarioEvaluation:
     def sampled_R(self) -> tuple[float, float, int]:
         """(min R, max |R|, count) over quasi-random bulk points plus the
         volume-quadrature nodes outside the boundary guard band."""
-        pts = self.scenario.sample_points(10_000, self.seed + 1)
+        pts = self.scenario.sample_points(10_000, self.scenario.quad.seed + 1)
         vals = scalar_curvature(self.scenario.require_field(), pts)
         bulk = self.bulk
         return (min(float(vals.min()), bulk.min_R),
@@ -523,7 +524,7 @@ class ScenarioEvaluation:
         ok = True
 
         if scn.field is not None:
-            pts = scn.sample_points(1000, self.seed)
+            pts = scn.sample_points(1000, scn.quad.seed)
             dv = divergence_of_V(scn.field, pts)
             R = scalar_curvature(scn.field, pts)
             sup = float(np.max(np.abs(dv - R) / (1.0 + np.abs(R))))

@@ -14,8 +14,8 @@ adaptive Gauss panels in the radius, an optional geometrically graded
 start near an excised boundary, and a power-law tail fit past r_max
 unless the region has an outer radius.  Shells are also integrated on
 the rule's ``half``, so the uncertainty covers the angular error.
-One walk of the adaptive split serves the production ``radial_tol`` and
-the coarser ``COARSE_FACTORS`` multiples; it evaluates each panel once.
+The adaptive split evaluates each panel once: a refined half becomes
+its child's whole.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import IntegrabilityError, QuadratureError
 HORIZON_OFFSET = 1e-6   # relative offset of the graded start at a horizon
 MAX_DEPTH = 8           # bisection depth of an adaptive radial panel
 TAIL_POINTS = 8         # shell samples in the tail fit
-COARSE_FACTORS = (100.0, 10.0)  # coarser radial_tol multiples of one walk
 DEFAULT_ORDER = {2: 64, 3: 48, 4: 20}  # sphere rule orders; Sobol for n >= 5
 
 
@@ -215,14 +214,14 @@ class ExteriorRegion:
     The integral runs over |x - center| in [r_inner, r_outer] (r_max from
     the config if None; the origin if ``center`` is None).  An outer
     radius means the integrand vanishes beyond it: no tail fit.
-    ``graded`` inserts a geometric panel cascade at the inner edge,
-    starting at offset ``HORIZON_OFFSET * scale`` outside r_inner, for
-    integrands whose derivatives blow up there.
+    ``graded`` marks r_inner as a horizon: a geometric panel cascade
+    starts at offset ``HORIZON_OFFSET * r_inner`` outside it, for
+    integrands whose derivatives blow up there, and the radial skeleton
+    is sized in units of r_inner instead of 1.
     """
 
     r_inner: float = 0.0
     graded: bool = False
-    scale: float = 1.0
     center: tuple[float, ...] | None = None
     r_outer: float | None = None
 
@@ -234,7 +233,6 @@ class VolumeIntegral:
     uncertainty: float
     q_fit: float | None
     panels: int
-    coarse: tuple["VolumeIntegral", ...] = ()  # one per COARSE_FACTORS
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -268,26 +266,22 @@ class _ShellIntegrand:
 
 
 def _adaptive_panel(shell: _ShellIntegrand, lo: float, hi: float,
-                    whole: np.ndarray, budget: np.ndarray, floor: np.ndarray,
+                    whole: np.ndarray, budget: float, floor: float,
                     depth: int) -> tuple:
-    """(value, discrepancy, panels) of [lo, hi] per tolerance column, as
-    one row if all stop here; a value holds one entry per shell rule, and
-    the first rule's decides.  ``whole`` is a half of the parent.  A
-    column stops where a walk at its tolerance alone would, with an
-    infinite budget below."""
+    """(value, discrepancy, panels) of [lo, hi]; a value holds one entry
+    per shell rule, and the first rule's decides.  ``whole`` is a half
+    of the parent."""
     mid = 0.5 * (lo + hi)
     left, right = shell.panel(lo, mid), shell.panel(mid, hi)
     halves = left + right
     disc = abs(whole[0] - halves[0])
-    done = (disc <= np.maximum(budget, floor)) | (depth >= MAX_DEPTH)
-    if done.all():
+    if disc <= max(budget, floor) or depth >= MAX_DEPTH:
         return halves, disc, 1
-    sub = np.where(done, np.inf, budget / 2)
-    lv, le, lp = _adaptive_panel(shell, lo, mid, left, sub, floor, depth + 1)
-    rv, re, rp = _adaptive_panel(shell, mid, hi, right, sub, floor,
+    lv, le, lp = _adaptive_panel(shell, lo, mid, left, budget / 2, floor,
                                  depth + 1)
-    return (np.where(done[:, None], halves, lv + rv),
-            np.where(done, disc, le + re), np.where(done, 1, lp + rp))
+    rv, re, rp = _adaptive_panel(shell, mid, hi, right, budget / 2, floor,
+                                 depth + 1)
+    return lv + rv, le + re, lp + rp
 
 
 def _tail_fit(shell: _ShellIntegrand, r_lo: float, r_max: float,
@@ -336,22 +330,19 @@ def exterior_volume_integrate(fn, region: ExteriorRegion, cfg: QuadConfig,
     Returns the truncated integral, a (conservative) bound on the
     discarded tail, and an advisory uncertainty: the panel refinement
     discrepancies plus the gap to the integral on the rule's ``half``.
-    ``coarse`` holds, from the same walk, what a call at ``radial_tol``
-    times each ``COARSE_FACTORS`` would return.
+    A panel splits until its discrepancy meets its share of ``radial_tol``.
     """
     r_outer = cfg.r_max if region.r_outer is None else region.r_outer
     if r_outer <= region.r_inner:
         raise ValueError("the outer radius must exceed the inner radius")
     shell = _ShellIntegrand(
         fn, rule, np.asarray(region.center or (0.0,) * rule.n, float))
-    tols = cfg.radial_tol * np.array(COARSE_FACTORS + (1.0,))  # coarse first
-
     r0 = region.r_inner
     start = r0
-    total = np.zeros((len(tols), len(shell.rules)))
-    disc_sum, panels = np.zeros((2, len(tols)))
+    total = np.zeros(len(shell.rules))
+    disc_sum, panels = 0.0, 0
     if region.graded and r0 > 0.0:
-        offset = HORIZON_OFFSET * region.scale
+        offset = HORIZON_OFFSET * r0
         stop = min(r0 * 1.01 + offset, r_outer)
         edges = _graded_edges(r0, offset, stop)
         vals = [shell.panel(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
@@ -366,13 +357,14 @@ def exterior_volume_integrate(fn, region: ExteriorRegion, cfg: QuadConfig,
 
     if start < r_outer:
         # coarse skeleton, refined adaptively panel by panel
+        scale = r0 if region.graded else 1.0
         k = max(2, min(12, int(math.ceil(math.log2(
-            1.0 + (r_outer - start) / max(region.scale, 1e-12))))))
+            1.0 + (r_outer - start) / max(scale, 1e-12))))))
         edges = np.linspace(start, r_outer, k + 1)
         for a, b in zip(edges[:-1], edges[1:]):
-            budget = tols * max((b - a) / (r_outer - r0), 0.0)
+            budget = cfg.radial_tol * max((b - a) / (r_outer - r0), 0.0)
             v, e, p = _adaptive_panel(shell, a, b, shell.panel(a, b),
-                                      budget, tols * 1e-3, 0)
+                                      budget, cfg.radial_tol * 1e-3, 0)
             total += v
             disc_sum += e
             panels += p
@@ -380,12 +372,9 @@ def exterior_volume_integrate(fn, region: ExteriorRegion, cfg: QuadConfig,
     tail, q = 0.0, None
     if region.r_outer is None:
         tail, q = _tail_fit(shell, cfg.r_max / 4.0, cfg.r_max, rule.n)
-    angular = np.abs(total[:, 0] - total[:, -1])
-    unc = np.maximum(disc_sum, 0.5 * tols) + tail + angular
-    *coarse, production = (VolumeIntegral(float(v), tail, float(u), q, int(p))
-                           for v, u, p in zip(total[:, 0], unc, panels))
-    production.coarse = tuple(coarse)
-    return production
+    angular = abs(total[0] - total[-1])
+    unc = max(disc_sum, 0.5 * cfg.radial_tol) + tail + angular
+    return VolumeIntegral(float(total[0]), tail, float(unc), q, panels)
 
 
 # ----------------------------------------------------------------------

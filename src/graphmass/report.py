@@ -1,4 +1,4 @@
-"""Deterministic report documents: JSON body plus CSV convergence tables.
+"""Deterministic report documents: JSON body plus flux and bulk CSV tables.
 
 The document is split into a header (timestamps, runtimes, library
 versions: anything that legitimately varies between runs) and a body
@@ -103,12 +103,13 @@ def flux_csv(body: dict) -> str:
 
 
 def bulk_csv(body: dict) -> str:
-    """Radial-tolerance -> bulk-mass table (the resolution study)."""
-    lines = ["scenario,radial_tol,bulk_mass,uncertainty,panels"]
+    """Bulk mass per integration region, named by its shells' centre."""
+    lines = ["scenario,region,r_inner,r_outer,bulk_mass,uncertainty,panels"]
     for scn in body.get("scenarios", []):
-        for row in scn.get("bulk_convergence", []):
-            lines.append("%s,%s,%s,%s,%d" % (
-                scn["scenario"], "%.17g" % row["radial_tol"],
+        for row in scn.get("bulk_regions", []):
+            lines.append("%s,%s,%s,%s,%s,%s,%d" % (
+                scn["scenario"], " ".join("%.17g" % x for x in row["center"]),
+                "%.17g" % row["r_inner"], "%.17g" % row["r_outer"],
                 "%.17g" % row["value"], "%.17g" % row["uncertainty"],
                 row["panels"]))
     return "\n".join(lines) + "\n"

@@ -167,8 +167,15 @@ class PiecewiseRadialField(ScalarField):
 # factories
 # ----------------------------------------------------------------------
 
+def _dimension(n) -> int:
+    """n as an int; a non-integral value is rejected, not truncated."""
+    if float(n) != int(n):
+        raise ConfigError(f"dimension must be an integer, not {n!r}")
+    return int(n)
+
+
 def _flat(n: int) -> Scenario:
-    n = int(n)
+    n = _dimension(n)
     if n < 3:
         raise ConfigError("dimension must be >= 3")
     quad = QuadConfig(radii=(100.0, 200.0, 400.0, 800.0), r_max=100.0)
@@ -203,7 +210,7 @@ def _schwarzschild(n: int, m: float) -> Scenario:
     return Scenario(
         name=name, n=n, field=RadialField(profile, n),
         horizons=HorizonSet((Sphere(np.zeros(n), a),)), quad=quad,
-        bulk_region=(ExteriorRegion(r_inner=a, graded=True, scale=a),),
+        bulk_region=(ExteriorRegion(r_inner=a, graded=True),),
         params={"n": n, "m": m},
         expected={"mass": m, "bound": m, "boundary": m, "bulk": 0.0},
         checks=("identities", "pmt", "penrose"),
@@ -216,7 +223,7 @@ def _schwarzschild(n: int, m: float) -> Scenario:
 
 
 def _schwarzschild_n(n: int, m: float) -> Scenario:
-    n = int(n)
+    n = _dimension(n)
     if n < 4:
         raise ConfigError("use schwarzschild3 for n = 3")
     if n > 6:
@@ -227,7 +234,7 @@ def _schwarzschild_n(n: int, m: float) -> Scenario:
 def _radial_custom(m: float, n: int) -> Scenario:
     """Horizonless positive-curvature graph with f_r^2 = 2m r^2/(1+r^n)."""
     m = float(m)
-    n = int(n)
+    n = _dimension(n)
     if m <= 0:
         raise ConfigError("mass parameter must be positive")
     if n < 3:
@@ -265,7 +272,7 @@ def _radial_custom(m: float, n: int) -> Scenario:
 
 def _bump(alpha: float, n: int) -> Scenario:
     alpha = float(alpha)
-    n = int(n)
+    n = _dimension(n)
     if not 0 < alpha <= 0.5:
         raise ConfigError("amplitude must lie in (0, 0.5]")
     if n != 3:
@@ -288,7 +295,7 @@ def _schwarzschild_perturbed(m: float, beta: float, n: int) -> Scenario:
     psi = 1 - beta exp(-(r-a)); strictly positive scalar curvature."""
     m = float(m)
     beta = float(beta)
-    n = int(n)
+    n = _dimension(n)
     if m <= 0:
         raise ConfigError("mass parameter must be positive")
     if not 0 < beta < 0.5:
@@ -335,7 +342,7 @@ def _schwarzschild_perturbed(m: float, beta: float, n: int) -> Scenario:
         name="schwarzschild_perturbed", n=n,
         field=RadialField(profile, n),
         horizons=HorizonSet((Sphere(np.zeros(n), a),)), quad=quad,
-        bulk_region=(ExteriorRegion(r_inner=a, graded=True, scale=a),),
+        bulk_region=(ExteriorRegion(r_inner=a, graded=True),),
         params={"n": n, "m": m, "beta": beta},
         expected={"mass": m, "bound": m * (1.0 - beta),
                   "bulk": m * beta, "boundary": m * (1.0 - beta)},
@@ -405,7 +412,7 @@ def _two_body_glued(m1: float, m2: float) -> Scenario:
     # R vanishes outside the gluing annuli: the pieces are scalar-flat
     # where their windows are constant, and f = 0 between the near zones
     # and the far switch.  Each annulus is integrated about its own piece.
-    regions = tuple(ExteriorRegion(center=tuple(c), r_inner=near_cut,
+    regions = tuple(ExteriorRegion(center=tuple(c.tolist()), r_inner=near_cut,
                                    r_outer=near_cut + near_width)
                     for c in centers) + (
         ExteriorRegion(r_inner=far_cut, r_outer=far_cut + far_width),)
@@ -477,13 +484,13 @@ def make_scenario(name: str, **params) -> Scenario:
                 f"(accepts: {', '.join(sorted(entry.defaults))})")
         try:
             finite = math.isfinite(float(value))
-        except OverflowError:  # an int too large for a float
+        except (OverflowError, TypeError):  # a huge int; None, a list
             finite = False
-        except (TypeError, ValueError):
-            finite = True  # not a number: the factory's own check rejects it
+        except ValueError:
+            finite = True  # a string: the factory's own check rejects it
         if not finite:
             raise ConfigError(f"scenario '{name}': parameter '{key}' must be "
-                              f"finite, not {value!r}")
+                              f"a finite number, not {value!r}")
     try:
         return entry.factory(**{**entry.defaults, **params})
     except (ValueError, DomainError) as exc:

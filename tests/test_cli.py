@@ -96,6 +96,13 @@ class TestRunCommand:
         assert code == 3
         assert "r_max = 60" in err
 
+    def test_non_integral_dimension_is_config_error(self, capsys):
+        """A fractional dimension is rejected, not truncated to n = 3."""
+        code = main(["run", "flat", "--n", "3.7"])
+        _, err = capsys.readouterr()
+        assert code == 3
+        assert "dimension must be an integer, not 3.7" in err
+
     @pytest.mark.parametrize(("name", "key", "value"), [
         ("two_body_glued", "m1", "nan"), ("radial_custom", "m", "nan"),
         ("schwarzschild3", "m", "inf"),
@@ -167,6 +174,8 @@ class TestConfigFile:
         ({"scenarios": [{"name": "flat", "params": 5}]}, "params"),
         ({"scenarios": ["flat"], "format": "xml"}, "format"),
         ({"scenarios": ["flat"], "workers": 0}, "workers"),
+        ({"scenarios": [{"name": "flat", "params": {"n": None}}]}, "n"),
+        ({"scenarios": [{"name": "flat", "params": {"n": [3]}}]}, "n"),
     ])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys,
                                                 payload, key):
@@ -188,6 +197,10 @@ class TestArtifacts:
         assert code == 0
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["bulk.csv", "flux.csv", "report.json"]
+        bulk = (out_dir / "bulk.csv").read_text().splitlines()
+        assert bulk[0] == ("scenario,region,r_inner,r_outer,bulk_mass,"
+                           "uncertainty,panels")
+        assert len(bulk) == 2 and bulk[1].startswith("flat,0 0 0,0,100,")
         # gates and "wrote" lines move to stdout when files are written
         assert "[PASS] flat/identities" in out
         assert out.count("wrote ") == 3
@@ -297,31 +310,24 @@ class TestBulkConvergenceMemo:
     @pytest.mark.parametrize("name", ["bump", "schwarzschild_perturbed",
                                       "radial_custom"])
     def test_rows_equal_fresh_runs(self, name):
-        """The coarse rows come from the production walk: they evaluate
-        no curvature, and value, uncertainty and panels equal a separate
-        run at
-        each coarse tolerance bit for bit (radial_custom refines, so
-        its rows stop at different depths)."""
+        """The region rows are read off the evaluation's bulk walk: they
+        evaluate no curvature, and the one row of a single-region
+        scenario equals a separate bulk run bit for bit."""
         scn = make_scenario(name)
         counting = CountingField(scn.field)
         evaluation = ScenarioEvaluation(replace(scn, field=counting))
-        production = evaluation.bulk
+        evaluation.bulk
         evaluations = counting.calls
         rows = cli._bulk_convergence(evaluation.scenario, evaluation)
         assert evaluations > 0 and counting.calls == evaluations
-        for row in rows[:2]:
-            fresh = bulk_mass(replace(scn, quad=replace(
-                scn.quad, radial_tol=row["radial_tol"])))
-            assert (row["value"], row["uncertainty"], row["panels"]) == (
-                fresh.value, fresh.uncertainty, fresh.panels)
-        assert (rows[2]["value"], rows[2]["uncertainty"],
-                rows[2]["panels"]) == (production.value,
-                                       production.uncertainty,
-                                       production.panels)
+        fresh = bulk_mass(scn)
+        [row] = rows
+        assert (row["value"], row["uncertainty"], row["panels"]) == (
+            fresh.value, fresh.uncertainty, fresh.panels)
 
     def test_one_volume_walk_per_evaluation(self, monkeypatch):
-        """Checks, summary and the convergence rows of one evaluation
-        read a single exterior integral."""
+        """Checks, summary and the region rows of one evaluation read a
+        single exterior integral."""
         from graphmass import mass
         calls = []
         original = mass.exterior_volume_integrate
@@ -345,13 +351,54 @@ class TestBulkConvergenceMemo:
         assert execute_run(run)[1].body_bytes() == first
 
 
+FIELD_SCENARIOS = ["flat", "schwarzschild3", "schwarzschild_n",
+                   "radial_custom", "bump", "schwarzschild_perturbed",
+                   "two_body_glued"]
+
+
+class TestBulkRegions:
+    @pytest.mark.parametrize("masses", [(1.0, 0.8), (2.0, 2.0)])
+    def test_two_body_rows_show_the_cancellation(self, masses):
+        """Each near annulus takes its component's mass out and the far
+        annulus puts the total back."""
+        m1, m2 = masses
+        scn = make_scenario("two_body_glued", m1=m1, m2=m2)
+        rows = cli._bulk_convergence(scn, ScenarioEvaluation(scn))
+        assert [row["center"] for row in rows] == [
+            [-100.0, 0.0, 0.0], [100.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        assert [(row["r_inner"], row["r_outer"]) for row in rows] == [
+            (16.0, 56.0), (16.0, 56.0), (200.0, 320.0)]
+        for row, exact in zip(rows, (-m1, -m2, m1 + m2)):
+            assert abs(row["value"] - exact) <= 1e-8
+
+    @pytest.mark.parametrize("name", FIELD_SCENARIOS)
+    def test_rows_add_up_to_the_bulk_block(self, name):
+        """In the report the region rows' panels sum exactly to the bulk
+        block's, their values to its value up to roundoff, and a single
+        row is the block itself."""
+        run = RunConfig(entries=[EntryConfig(name=name)],
+                        checks=("identities",))
+        [summary] = execute_run(run)[1].body["scenarios"]
+        block, rows = summary["bulk_mass"], summary["bulk_regions"]
+        scn = make_scenario(name)
+        assert len(rows) == len(scn.bulk_region)
+        assert sum(row["panels"] for row in rows) == block["panels"]
+        assert abs(sum(row["value"] for row in rows)
+                   - block["value"]) <= 1e-14 * sum(
+                       abs(row["value"]) for row in rows)
+        if len(rows) == 1:
+            assert rows[0]["value"] == block["value"]
+            assert rows[0]["uncertainty"] == block["uncertainty"]
+            assert rows[0]["r_outer"] == scn.quad.r_max
+
+
 class TestOneGeometryPass:
     @pytest.mark.parametrize("name", ["schwarzschild_perturbed",
                                       "ellipsoid_horizon",
                                       "two_body_glued"])
     def test_one_quermass_call_per_body(self, name, monkeypatch):
-        """Checks, summary and the bulk convergence rows of one
-        evaluation all read a single quermassintegral pass per body."""
+        """Checks, summary and the bulk region rows of one evaluation
+        all read a single quermassintegral pass per body."""
         from graphmass import convexgeom, mass
         calls = []
         original = convexgeom.quermassintegrals

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -285,4 +286,8 @@ class TestShellMemo:
                                         scn.quad.body_rule(scn.n))
         assert seen and len(seen) == len(set(seen))
         assert len(set(requests)) == len(requests)
-        assert (res.panels > res.coarse[0].panels) == refines
+        coarse = exterior_volume_integrate(
+            fn, scn.bulk_region[0],
+            replace(scn.quad, radial_tol=100.0 * scn.quad.radial_tol),
+            scn.quad.body_rule(scn.n))
+        assert (res.panels > coarse.panels) == refines

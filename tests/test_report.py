@@ -93,15 +93,18 @@ class TestCsvTables:
 
     def test_bulk_table(self):
         body = {"scenarios": [
-            {"scenario": "demo", "bulk_convergence": [
-                {"radial_tol": 0.5, "value": 0.2, "uncertainty": 1e-05,
+            {"scenario": "demo", "bulk_regions": [
+                {"center": [-100.0, 0.0, 0.5], "r_inner": 16.0,
+                 "r_outer": 56.0, "value": 0.2, "uncertainty": 1e-05,
                  "panels": 128}]},
+            {"scenario": "geometry_only"},
         ]}
         assert bulk_csv(body) == (
-            "scenario,radial_tol,bulk_mass,uncertainty,panels\n"
-            "demo,0.5,0.20000000000000001,1.0000000000000001e-05,128\n")
+            "scenario,region,r_inner,r_outer,bulk_mass,uncertainty,panels\n"
+            "demo,-100 0 0.5,16,56,0.20000000000000001,"
+            "1.0000000000000001e-05,128\n")
 
     def test_empty_body_keeps_header(self):
         assert flux_csv({}) == "scenario,radius,plain_mass,weighted_mass\n"
         assert bulk_csv({}) == (
-            "scenario,radial_tol,bulk_mass,uncertainty,panels\n")
+            "scenario,region,r_inner,r_outer,bulk_mass,uncertainty,panels\n")
