@@ -66,11 +66,16 @@ def _parse_scalar(text: str):
     return text
 
 
-def _parse_checks(text) -> tuple[str, ...]:
+def _list_value(text, key: str) -> list:
     if isinstance(text, str):
-        items = [t.strip() for t in text.split(",") if t.strip()]
-    else:
-        items = [str(t) for t in text]
+        return [t.strip() for t in text.split(",") if t.strip()]
+    if not isinstance(text, list):
+        raise ConfigError(f"'{key}' must be a list, not {text!r}")
+    return text
+
+
+def _parse_checks(text) -> tuple[str, ...]:
+    items = [str(t) for t in _list_value(text, "checks")]
     if not items:
         raise ConfigError("empty check list")
     for item in items:
@@ -82,12 +87,8 @@ def _parse_checks(text) -> tuple[str, ...]:
 
 
 def _parse_radii(text) -> tuple[float, ...]:
-    if isinstance(text, str):
-        items = [t for t in text.split(",") if t.strip()]
-    else:
-        items = list(text)
     try:
-        radii = tuple(float(t) for t in items)
+        radii = tuple(float(t) for t in _list_value(text, "radii"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad radii list: {exc}") from exc
     if len(radii) < 3:
@@ -120,11 +121,10 @@ def _collect_overrides(extras: list[str]) -> dict:
 
 
 def _config_int(value, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(
-            f"config key '{key}' must be an integer, not {value!r}") from exc
+            f"config key '{key}' must be an integer, not {value!r}")
+    return value
 
 
 def load_config_file(path: str) -> RunConfig:

@@ -30,10 +30,6 @@ from .quad import SphereRule, sphere_rule, unit_sphere_area
 _CONVEXITY_TOL = 1e-10
 
 
-def _default_rule(n: int) -> SphereRule:
-    return sphere_rule(n, seed=0)
-
-
 def _tangent_frame(normals: np.ndarray) -> np.ndarray:
     """Orthonormal tangent vectors (N, n, n-1) via Householder frames."""
     m = normals
@@ -179,7 +175,7 @@ class SmoothLevelSet(ConvexBody):
         self.name = name
         if float(phi.value(self.center[None, :])[0]) >= self.level:
             raise BodyError("center is not interior to the level set")
-        probe = _default_rule(self.n)
+        probe = sphere_rule(self.n)
         radii = self._solve_radii(probe.nodes)
         self._outer = float(np.max(radii))
         pts = self.center + radii[:, None] * probe.nodes
@@ -267,7 +263,7 @@ def sigma_j(kappas, j: int):
 def quermassintegrals(body: ConvexBody,
                       rule: SphereRule | None = None) -> np.ndarray:
     """All V_k, k = 0..n-1, from a single surface-quadrature pass."""
-    rule = rule or _default_rule(body.n)
+    rule = rule or sphere_rule(body.n)
     pts, w = body.surface_sample(rule)
     kappas = body.shape_spectrum(pts)
     e = _elementary_all(kappas)

@@ -19,13 +19,14 @@ hypothesis is distinguished from a failed inequality.  A
 ``ScenarioEvaluation`` computes each quantity once: the flux estimate,
 the bulk integral (one panel walk per bulk region) and one
 quermassintegral vector per horizon body, which the horizon term, the
-Penrose bound and the geometry table read.
+Penrose bound and the geometry table read.  Every sphere integral is
+one ``quad`` core call, on a rule that the scenario's config names.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as _field
+from dataclasses import dataclass, field as _field, replace
 from functools import cached_property, partial
 from typing import Callable
 
@@ -40,8 +41,8 @@ from .graphgeom import (boundary_integrand, divergence_of_V,
                         flux_integrands_from_jet, scalar_curvature)
 from .jets import RadialField, RadialProfile, ScalarField
 from .quad import (HORIZON_OFFSET, ExtrapolationResult, ExteriorRegion,
-                   QuadConfig, SphereRule, exterior_volume_integrate,
-                   extrapolate_limit, sphere_directions, sphere_integrate,
+                   QuadConfig, exterior_volume_integrate, extrapolate_limit,
+                   sphere_directions, sphere_integrals, sphere_integrate,
                    unit_sphere_area)
 
 DIV_IDENTITY_TOL = 1e-9      # pointwise |div V - R| / (1 + |R|)
@@ -150,14 +151,15 @@ def horizon_clearance(scenario: Scenario) -> float:
                 for body in scenario.horizons), default=0.0)
 
 
-def _flux_pair(scenario: Scenario, r: float, rule: SphereRule) -> tuple:
-    """((plain, weighted) flux masses, their advisory errors) at radius r,
-    both integrands taken from one jet per node set."""
+def flux_series(scenario: Scenario, radii=None) -> FluxSeries:
+    """Flux masses of both integrand variants at each radius (the
+    scenario's flux radii by default), both from one jet per radius."""
     fld = scenario.require_field()
+    radii = tuple(float(r) for r in (radii or scenario.quad.radii))
     clearance = horizon_clearance(scenario)
-    if r <= clearance:
+    if min(radii) <= clearance:
         raise DomainError(
-            f"flux radius {r} does not enclose a horizon component "
+            f"flux radius {min(radii)} does not enclose a horizon component "
             f"(needs r > {clearance:.3g})")
 
     def fn(pts):
@@ -165,13 +167,17 @@ def _flux_pair(scenario: Scenario, r: float, rule: SphereRule) -> tuple:
         return np.stack(flux_integrands_from_jet(fld.jet3_many(pts, order=2),
                                                  nu))
 
-    raw, err = sphere_integrate(fn, r, rule)
+    rule = scenario.quad.flux_rule(scenario.n)
     c = mass_normalization(scenario.n)
-    return (raw[0] / c, raw[1] / c), (err[0] / c, err[1] / c)
+    values, errors = zip(*(sphere_integrate(fn, r, rule) for r in radii))
+    plain, weighted = (tuple(v / c for v in col) for col in zip(*values))
+    plain_err, weighted_err = (tuple(e / c for e in col)
+                               for col in zip(*errors))
+    return FluxSeries(radii, plain, weighted, plain_err, weighted_err)
 
 
-def adm_flux_mass(scenario: Scenario, r: float, weighted: bool = False,
-                  rule: SphereRule | None = None) -> tuple[float, float]:
+def adm_flux_mass(scenario: Scenario, r: float,
+                  weighted: bool = False) -> tuple[float, float]:
     """Flux mass at one radius: the sphere integral of
     (f_ii f_j - f_ij f_i) nu_j over S_r divided by 2(n-1) omega_{n-1}.
 
@@ -179,30 +185,20 @@ def adm_flux_mass(scenario: Scenario, r: float, weighted: bool = False,
     factor; both converge to the ADM mass.  Returns (mass, advisory
     quadrature error).
     """
-    rule = rule or scenario.quad.flux_rule(scenario.n)
-    values, errors = _flux_pair(scenario, float(r), rule)
-    return values[int(weighted)], errors[int(weighted)]
+    series = flux_series(scenario, (r,))
+    if weighted:
+        return series.weighted[0], series.weighted_err[0]
+    return series.plain[0], series.plain_err[0]
 
 
-def flux_series(scenario: Scenario,
-                rule: SphereRule | None = None) -> FluxSeries:
-    radii = tuple(float(r) for r in scenario.quad.radii)
-    rule = rule or scenario.quad.flux_rule(scenario.n)
-    values, errors = zip(*(_flux_pair(scenario, r, rule) for r in radii))
-    plain, weighted = zip(*values)
-    plain_err, weighted_err = zip(*errors)
-    return FluxSeries(radii, plain, weighted, plain_err, weighted_err)
-
-
-def adm_mass(scenario: Scenario,
-             rule: SphereRule | None = None) -> MassEstimate:
+def adm_mass(scenario: Scenario) -> MassEstimate:
     """Extrapolated ADM mass from the flux series.
 
     The plain-integrand limit is the estimate; the uncertainty covers
     the extrapolation spread, the disagreement between the two
     integrand variants, and the per-radius quadrature advisories.
     """
-    series = flux_series(scenario, rule)
+    series = flux_series(scenario)
     ep = extrapolate_limit(list(zip(series.radii, series.plain)))
     ew = extrapolate_limit(list(zip(series.radii, series.weighted)))
     unc = max(ep.uncertainty, ew.uncertainty, abs(ep.limit - ew.limit),
@@ -228,8 +224,7 @@ class BulkResult:
     regions: tuple[tuple[float, float, int], ...] = ()
 
 
-def bulk_mass(scenario: Scenario,
-              rule: SphereRule | None = None) -> BulkResult:
+def bulk_mass(scenario: Scenario) -> BulkResult:
     """Exterior integral of R in the flat measure over 2(n-1) omega,
     summed over the scenario's bulk regions.
 
@@ -242,7 +237,7 @@ def bulk_mass(scenario: Scenario,
     """
     fld = scenario.require_field()
     cfg = scenario.quad
-    rule = rule or cfg.body_rule(scenario.n)
+    rule = cfg.body_rule(scenario.n)
     state = {"min": math.inf, "maxabs": 0.0, "count": 0}
 
     def fn(region, pts):
@@ -305,9 +300,7 @@ class HypothesisReport:
         return self.level_ok and self.grad_ok
 
 
-def horizon_hypotheses(scenario: Scenario,
-                       rule: SphereRule | None = None
-                       ) -> tuple[HypothesisReport, ...]:
+def horizon_hypotheses(scenario: Scenario) -> tuple[HypothesisReport, ...]:
     """Sampled checks that each horizon sits in a level set of f and
     that |grad f| blows up toward it.
 
@@ -318,7 +311,7 @@ def horizon_hypotheses(scenario: Scenario,
     Schwarzschild profile there, at threshold 10^3 for n = 3, eps = 1e-6.
     """
     fld = scenario.require_field()
-    rule = rule or scenario.quad.flux_rule(scenario.n)
+    rule = scenario.quad.flux_rule(scenario.n)
     eps = HORIZON_OFFSET
     floor = (1.0 - 1e-6) / math.sqrt((scenario.n - 2) * eps)
     out = []
@@ -360,15 +353,13 @@ def identity_tolerance(mass: float, uncertainty: float) -> float:
 
 
 def mass_decomposition(scenario: Scenario, est: MassEstimate,
-                       bulk: BulkResult, quermass, rule: SphereRule
-                       ) -> Decomposition:
+                       bulk: BulkResult, quermass) -> Decomposition:
     """Geometric boundary term plus bulk term, against the flux mass.
 
-    ``quermass`` holds the quermassintegral vector of each horizon body;
-    ``rule`` samples the horizon hypotheses.
+    ``quermass`` holds the quermassintegral vector of each horizon body.
     """
     scenario.require_field()
-    hyps = (horizon_hypotheses(scenario, rule)
+    hyps = (horizon_hypotheses(scenario)
             if len(scenario.horizons) else ())
     boundary = horizon_mean_curvature_term(quermass)
     total = boundary + bulk.value
@@ -382,30 +373,31 @@ def mass_decomposition(scenario: Scenario, est: MassEstimate,
                          hypotheses=hyps)
 
 
-def horizon_flux_convergence(scenario: Scenario, quermass,
-                             rule: SphereRule) -> list[dict]:
+def horizon_flux_convergence(scenario: Scenario, quermass) -> list[dict]:
     """Gap between the f-dependent boundary flux at offset surfaces and
     the geometric mean-curvature term, with a fitted decay rate.
 
     ``quermass`` holds each horizon body's V vector, whose V_1/(2 omega)
-    is the geometric term; ``rule`` samples the offset spheres.  How
-    fast the offset flux approaches integral(H_0) is not prescribed;
+    is the geometric term.  The offset spheres about each body take the
+    flux rule's nodes without its ``half``, one offset per batch.
+    How fast the offset flux approaches integral(H_0) is not prescribed;
     this measures it.  A gap already at roundoff reports rate None.
     """
     fld = scenario.require_field()
     n = scenario.n
     omega = unit_sphere_area(n)
     norm_c = mass_normalization(n)
+    rule = replace(scenario.quad.flux_rule(n), half=None)
     out = []
     for idx, (body, V) in enumerate(zip(scenario.horizons, quermass)):
         a = body.outer_radius()
         geo = float(V[1]) / (2.0 * omega)
         fluxes = []
         for eps in HORIZON_OFFSETS:
-            r = a * (1.0 + eps)
-            pts = body.center + r * rule.nodes
-            vals = boundary_integrand(fld, pts, rule.nodes)
-            fluxes.append(r ** (n - 1) * float(rule.weights @ vals) / norm_c)
+            ints = sphere_integrals(
+                lambda pts: boundary_integrand(fld, pts, rule.nodes),
+                a * (1.0 + eps), rule, body.center)
+            fluxes.append(float(ints[0, 0]) / norm_c)
         gaps = [abs(v - geo) for v in fluxes]
         keep = [(e, g) for e, g in zip(HORIZON_OFFSETS, gaps)
                 if g > 1e-13 * (1.0 + abs(geo))]
@@ -442,12 +434,8 @@ class ScenarioEvaluation:
         self.scenario = scenario
 
     @cached_property
-    def flux_rule(self) -> SphereRule:
-        return self.scenario.quad.flux_rule(self.scenario.n)
-
-    @cached_property
     def adm(self) -> MassEstimate:
-        return adm_mass(self.scenario, rule=self.flux_rule)
+        return adm_mass(self.scenario)
 
     @cached_property
     def bulk(self) -> BulkResult:
@@ -456,13 +444,14 @@ class ScenarioEvaluation:
     @cached_property
     def quermass(self) -> list[np.ndarray]:
         """V_0..V_{n-1} of each horizon body: its one surface pass."""
-        return [quermassintegrals(body, self.flux_rule)
+        rule = self.scenario.quad.flux_rule(self.scenario.n)
+        return [quermassintegrals(body, rule)
                 for body in self.scenario.horizons]
 
     @cached_property
     def decomposition(self) -> Decomposition:
         return mass_decomposition(self.scenario, self.adm, self.bulk,
-                                  self.quermass, self.flux_rule)
+                                  self.quermass)
 
     @cached_property
     def sampled_R(self) -> tuple[float, float, int]:
@@ -727,7 +716,7 @@ class ScenarioEvaluation:
                      "grad_ok": h.grad_ok}
                     for h in dec.hypotheses]
                 out["boundary_convergence"] = horizon_flux_convergence(
-                    scn, self.quermass, self.flux_rule)
+                    scn, self.quermass)
         if len(scn.horizons):
             out["penrose_bound"] = self.bound
             out["bodies"] = self.geometry

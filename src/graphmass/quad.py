@@ -15,13 +15,16 @@ start near an excised boundary, and a power-law tail fit past r_max
 unless the region has an outer radius.  Shells are also integrated on
 the rule's ``half``, so the uncertainty covers the angular error.
 The adaptive split evaluates each panel once: a refined half becomes
-its child's whole.
+its child's whole.  Every sphere integral, shells included, is one
+``sphere_integrals`` call per batch of radii; ``sphere_rule`` builds
+each rule once and shares it read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,11 +122,19 @@ def _qmc_rule(n: int, samples: int, seed: int) -> tuple:
 def sphere_rule(n: int, order: int | None = None,
                 samples: int | None = None, seed: int = 0,
                 with_half: bool = True) -> SphereRule:
-    """Build a quadrature rule on S^{n-1}."""
+    """The quadrature rule on S^{n-1}, built once per distinct rule: the
+    same arguments return the same object, whose arrays are read-only.
+    ``order`` applies to n <= 4, ``samples`` and ``seed`` to n >= 5."""
     if n < 2:
         raise ValueError("sphere rules need n >= 2")
     if n <= 4:
-        order = order or DEFAULT_ORDER[n]
+        return _build_rule(n, order or DEFAULT_ORDER[n], None, 0, with_half)
+    return _build_rule(n, None, samples or 4096, seed, with_half)
+
+
+@lru_cache(maxsize=None)
+def _build_rule(n: int, order: int | None, samples: int | None, seed: int,
+                with_half: bool) -> SphereRule:
     if n == 2:
         nodes, weights = _circle_rule(order)
         label = f"circle-{order}"
@@ -131,20 +142,45 @@ def sphere_rule(n: int, order: int | None = None,
         nodes, weights = (_s2_rule if n == 3 else _s3_rule)(order)
         label = f"gauss-{order}"
     else:
-        samples = samples or 4096
         nodes, weights = _qmc_rule(n, samples, seed)
         label = f"sobol-{len(weights)}"
     nodes, weights = _normalize(nodes, weights, n)
+    nodes.flags.writeable = weights.flags.writeable = False
     half = None
-    if with_half:
-        if n <= 4:
-            half = sphere_rule(n, order=max(4, order // 2), seed=seed,
-                               with_half=False)
-        else:
-            half = sphere_rule(n, samples=max(16, len(weights) // 2),
-                               seed=seed, with_half=False)
+    if with_half and n <= 4:
+        half = _build_rule(n, max(4, order // 2), None, 0, False)
+    elif with_half:
+        half = _build_rule(n, None, max(16, len(weights) // 2), seed, False)
     return SphereRule(n=n, nodes=nodes, weights=weights, label=label,
                       half=half)
+
+
+def sphere_integrals(fn: Callable[[np.ndarray], np.ndarray], radii,
+                     rule: SphereRule, center=0.0) -> np.ndarray:
+    """Integrals of fn over the spheres of the given radii about
+    ``center`` (default the origin), on the rule and on its ``half``.
+
+    fn is called once, on the nodes of both rules at every radius, and
+    returns one value per point or a (k, points) array; every value is
+    checked.  Returns r^{n-1} (weights . values) per rule, row and
+    radius, as an array (rules, k, radii) or (rules, radii).
+    """
+    radii = np.atleast_1d(np.asarray(radii, float))
+    rules = (rule,) if rule.half is None else (rule, rule.half)
+    nodes = np.concatenate([q.nodes for q in rules])
+    pts = center + (radii[:, None, None] * nodes).reshape(-1, rule.n)
+    vals = np.asarray(fn(pts), float)
+    if vals.ndim > 2 or vals.shape[-1:] != (len(pts),):
+        raise QuadratureError("integrand returned a mismatched shape")
+    if not np.all(np.isfinite(vals)):
+        raise QuadratureError("integrand is not finite on a sphere")
+    rows = np.atleast_2d(vals).reshape(-1, len(radii), len(nodes))
+    parts = np.split(rows, [len(rule.weights)], axis=2)
+    scale = [float(r) ** (rule.n - 1) for r in radii]
+    # one 1-D dot per row and radius: a matrix product may sum in another order
+    out = np.array([[[s * float(q.weights @ v) for s, v in zip(scale, row)]
+                     for row in part] for q, part in zip(rules, parts)])
+    return out if vals.ndim == 2 else out[:, 0]
 
 
 def sphere_integrate(fn: Callable[[np.ndarray], np.ndarray], r: float,
@@ -156,22 +192,11 @@ def sphere_integrate(fn: Callable[[np.ndarray], np.ndarray], r: float,
     (value, error_estimate), as floats or as k-tuples; the estimate
     compares against the rule's coarser companion and is advisory only.
     """
-    scale = float(r) ** (rule.n - 1)
-    vals = np.asarray(fn(r * rule.nodes), float)
-    if vals.ndim > 2 or vals.shape[-1:] != (len(rule.weights),):
-        raise QuadratureError("integrand returned a mismatched shape")
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("integrand is not finite on the sphere")
-    # one dot per row: a 2-d product may sum in another order
-    value = [scale * float(rule.weights @ row) for row in np.atleast_2d(vals)]
-    err = [0.0] * len(value)
-    if rule.half is not None:
-        coarse = np.atleast_2d(np.asarray(fn(r * rule.half.nodes), float))
-        err = [abs(v - scale * float(rule.half.weights @ row))
-               for v, row in zip(value, coarse)]
-    if vals.ndim == 2:
-        return tuple(value), tuple(err)
-    return value[0], err[0]
+    ints = sphere_integrals(fn, r, rule)[..., 0]
+    value, err = ints[0], np.abs(ints[0] - ints[-1])
+    if value.ndim:
+        return tuple(map(float, value)), tuple(map(float, err))
+    return float(value), float(err)
 
 
 # ----------------------------------------------------------------------
@@ -240,25 +265,13 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 class _ShellIntegrand:
     """F(r) = r^{n-1} * (integral of fn over the sphere of radius r about
-    ``center``), one row per rule: the rule, then its ``half`` if it has
-    one.  fn sees the nodes of both rules in one batch."""
+    ``center``), one row per rule: the rule, then its ``half``."""
 
-    def __init__(self, fn, rule: SphereRule, center: np.ndarray):
-        self.fn, self.center, self.n = fn, center, rule.n
-        self.rules = (rule,) if rule.half is None else (rule, rule.half)
-        self.nodes = np.concatenate([q.nodes for q in self.rules])
+    def __init__(self, fn, rule: SphereRule, center):
+        self.fn, self.rule, self.center = fn, rule, center
 
     def __call__(self, radii: np.ndarray) -> np.ndarray:
-        radii = np.asarray(radii, float)
-        pts = self.center + (radii[:, None, None]
-                             * self.nodes[None, :, :]).reshape(-1, self.n)
-        vals = np.asarray(self.fn(pts), float)
-        if not np.all(np.isfinite(vals)):
-            raise QuadratureError("integrand is not finite inside a shell")
-        parts = np.split(vals.reshape(len(radii), -1),
-                         [len(self.rules[0].weights)], axis=1)
-        return radii ** (self.n - 1) * np.array(
-            [v @ q.weights for v, q in zip(parts, self.rules)])
+        return sphere_integrals(self.fn, radii, self.rule, self.center)
 
     def panel(self, lo: float, hi: float) -> np.ndarray:
         mid, h = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -339,7 +352,7 @@ def exterior_volume_integrate(fn, region: ExteriorRegion, cfg: QuadConfig,
         fn, rule, np.asarray(region.center or (0.0,) * rule.n, float))
     r0 = region.r_inner
     start = r0
-    total = np.zeros(len(shell.rules))
+    total = 0.0  # becomes one entry per shell rule
     disc_sum, panels = 0.0, 0
     if region.graded and r0 > 0.0:
         offset = HORIZON_OFFSET * r0
@@ -389,6 +402,9 @@ class ExtrapolationResult:
     monotone: bool = True
 
 
+_LOG_TINY = -math.log(np.finfo(float).tiny)
+
+
 def _solve_triple(r: np.ndarray, v: np.ndarray):
     """Exact fit of v = L + c r^{-s} through three samples."""
     d1, d2 = v[0] - v[1], v[1] - v[2]
@@ -399,7 +415,9 @@ def _solve_triple(r: np.ndarray, v: np.ndarray):
         p = r ** (-s)
         return (v[0] - v[1]) * (p[1] - p[2]) - (v[1] - v[2]) * (p[0] - p[1])
 
-    lo, hi = 1e-3, 64.0
+    # r^{-s} must stay a normal float at the largest radius, or the
+    # mismatch underflows to 0 and the bracket end passes for a root
+    lo, hi = 1e-3, min(64.0, _LOG_TINY / math.log(max(r[-1], 2.0)))
     if mismatch(lo) * mismatch(hi) > 0:
         return None
     s = optimize.brentq(mismatch, lo, hi, xtol=1e-13)

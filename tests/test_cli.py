@@ -40,6 +40,15 @@ class TestRunCommand:
         assert code == 2
         assert "hypothesis violated" in err
 
+    def test_large_mass_runs(self, capsys):
+        """m = 1000 puts the flux radii at 2e5-1.6e6, where the radius
+        extrapolation has to keep r^-s a normal float."""
+        code = main(["run", "schwarzschild3", "--m", "1000"])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        adm = json.loads(out)["body"]["scenarios"][0]["adm_mass"]
+        assert abs(adm["value"] - 1000.0) <= 1e-3 * 1000.0
+
     def test_unknown_scenario_suggests(self, capsys):
         code = main(["run", "schwarz"])
         _, err = capsys.readouterr()
@@ -176,6 +185,13 @@ class TestConfigFile:
         ({"scenarios": ["flat"], "workers": 0}, "workers"),
         ({"scenarios": [{"name": "flat", "params": {"n": None}}]}, "n"),
         ({"scenarios": [{"name": "flat", "params": {"n": [3]}}]}, "n"),
+        ({"scenarios": ["flat"], "checks": 5}, "checks"),
+        ({"scenarios": ["flat"], "radii": 5}, "radii"),
+        ({"scenarios": [{"name": "flat", "checks": 5}]}, "checks"),
+        ({"scenarios": [{"name": "flat", "radii": 5}]}, "radii"),
+        ({"scenarios": ["flat"], "seed": 1.5}, "seed"),
+        ({"scenarios": ["flat"], "workers": 2.5}, "workers"),
+        ({"scenarios": ["flat"], "seed": "7"}, "seed"),
     ])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys,
                                                 payload, key):

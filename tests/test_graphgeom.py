@@ -259,8 +259,8 @@ class TestJetOrderRequests:
             assert fld.orders == [order]
 
     def test_flux_pair_and_horizon_probe(self, scn3):
-        adm_flux_mass(scn3, 100.0)   # full rule and its half companion
-        assert scn3.field.orders == [2, 2]
+        adm_flux_mass(scn3, 100.0)   # full rule and its half, one batch
+        assert scn3.field.orders == [2]
         scn3.field.orders.clear()
         horizon_hypotheses(scn3)
         assert scn3.field.orders == [2]

@@ -41,8 +41,8 @@ def check(scenario, name):
 
 
 def boundary_rows(scenario):
-    ev = ScenarioEvaluation(scenario)
-    return horizon_flux_convergence(scenario, ev.quermass, ev.flux_rule)
+    return horizon_flux_convergence(scenario,
+                                    ScenarioEvaluation(scenario).quermass)
 
 
 @pytest.fixture(scope="module")
@@ -110,8 +110,8 @@ class TestFluxMass:
             adm_flux_mass(scn3, 1.5)
 
     def test_one_jet_per_node_set(self, scn3):
-        """Both integrands come from one jet on the full rule and one on
-        its half companion: two jet evaluations per radius."""
+        """Both integrands come from one jet on the nodes of the full rule
+        and of its half companion: one jet evaluation per radius."""
 
         class Counting(ScalarField):
             n, calls = 3, 0
@@ -122,7 +122,7 @@ class TestFluxMass:
 
         counting = Counting()
         series = flux_series(dataclasses.replace(scn3, field=counting))
-        assert counting.calls == 2 * len(scn3.quad.radii)
+        assert counting.calls == len(scn3.quad.radii)
         assert series == adm_mass(scn3).series
 
     def test_monotone_approach(self, scn3):
@@ -239,12 +239,15 @@ class TestBulkMass:
                                       "schwarzschild_n", "radial_custom",
                                       "bump", "schwarzschild_perturbed",
                                       "two_body_glued"])
-    def test_uncertainty_covers_half_rule(self, name):
+    def test_uncertainty_covers_half_rule(self, name, monkeypatch):
         """The bulk uncertainty covers the gap to the same integral
         walked on the body rule's half alone."""
         scn = make_scenario(name)
         res = bulk_mass(scn)
-        half = bulk_mass(scn, rule=scn.quad.body_rule(scn.n).half)
+        body_rule = QuadConfig.body_rule
+        monkeypatch.setattr(QuadConfig, "body_rule",
+                            lambda cfg, n: body_rule(cfg, n).half)
+        half = bulk_mass(scn)
         assert abs(res.value - half.value) <= res.uncertainty
 
 
@@ -313,6 +316,24 @@ class TestHorizonFluxConvergence:
         assert max(row["gaps"]) <= 1e-12
         assert abs(row["geometric"] - 1.0) <= 1e-12
         assert row["radius"] == 2.0
+
+    def test_one_call_per_offset_on_the_flux_nodes(self, monkeypatch):
+        """Each offset sphere is one integrand call on the flux rule's
+        nodes, none on the rule's half."""
+        from graphmass import mass
+        scn = make_scenario("schwarzschild_perturbed")
+        quermass = ScenarioEvaluation(scn).quermass
+        sizes = []
+        original = mass.boundary_integrand
+
+        def counted(field, pts, normals):
+            sizes.append(len(pts))
+            return original(field, pts, normals)
+
+        monkeypatch.setattr(mass, "boundary_integrand", counted)
+        horizon_flux_convergence(scn, quermass)
+        rule = scn.quad.flux_rule(scn.n)
+        assert sizes == [len(rule.weights)] * len(mass.HORIZON_OFFSETS)
 
     def test_perturbed_first_order_rate(self):
         scn = make_scenario("schwarzschild_perturbed")

@@ -89,6 +89,19 @@ class TestSphereRules:
         with pytest.raises(ValueError):
             sphere_rule(1)
 
+    def test_rules_built_once_and_read_only(self):
+        """Equal arguments give the same rule object, whose arrays cannot
+        be written; the seed enters only the Sobol rules of n >= 5."""
+        for n in (3, 5):
+            rule = sphere_rule(n)
+            assert sphere_rule(n) is rule
+            for arr in (rule.nodes, rule.weights, rule.half.nodes,
+                        rule.half.weights):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+        assert sphere_rule(3, order=48, seed=7) is sphere_rule(3)
+        assert sphere_rule(5, seed=7) is not sphere_rule(5)
+
 
 class TestSphereIntegrate:
     def test_constant_scales_with_radius(self):
@@ -122,6 +135,24 @@ class TestSphereIntegrate:
         with pytest.raises(QuadratureError):
             sphere_integrate(lambda p: np.stack(
                 [np.ones(len(p)), np.full(len(p), np.inf)]), 1.0, rule)
+
+    def test_rejects_nonfinite_on_half_nodes(self):
+        """The values on the half's nodes are checked like the rule's."""
+        rule = sphere_rule(3)
+        half = set(map(tuple, rule.half.nodes))
+        with pytest.raises(QuadratureError):
+            sphere_integrate(lambda p: np.where(
+                [tuple(x) in half for x in p], np.nan, 1.0), 1.0, rule)
+
+    def test_rejects_shape_mismatch_on_half_nodes(self):
+        rule = sphere_rule(3)
+        half = set(map(tuple, rule.half.nodes))
+
+        def fn(p):
+            return np.ones(3 if any(tuple(x) in half for x in p) else len(p))
+
+        with pytest.raises(QuadratureError):
+            sphere_integrate(fn, 1.0, rule)
 
 
 class TestExteriorVolume:
@@ -215,6 +246,15 @@ class TestExtrapolateLimit:
                                  for r in (10.0, 20.0, 40.0, 80.0)])
         assert abs(res.limit - 1.0) <= res.uncertainty
         assert res.uncertainty <= 0.05
+
+    def test_large_radii(self):
+        """At 2000 x the default flux radii r^-64 underflows to 0; the
+        root bracket stops where r^-s is still a normal float."""
+        res = extrapolate_limit([(r, 1000.0 + 3.0e4 / r)
+                                 for r in (2e5, 4e5, 8e5, 1.6e6)])
+        assert abs(res.limit - 1000.0) <= 1e-9 * 1000.0
+        assert res.rate == pytest.approx(1.0, abs=1e-5)
+        assert res.monotone
 
     def test_constant_series(self):
         res = extrapolate_limit([(r, 7.25) for r in (1.0, 2.0, 4.0)])
