@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import scipy
@@ -24,6 +26,7 @@ from . import __version__
 from .errors import ConfigError, DomainError, GraphMassError, QuadratureError
 from .mass import (CheckOutcome, Scenario, ScenarioEvaluation,
                    horizon_clearance)
+from .quad import TAIL_FIT_FROM
 from .report import ReportDocument, bulk_csv, flux_csv
 from .scenarios import REGISTRY, make_scenario, scenario_names
 
@@ -93,9 +96,41 @@ def _parse_radii(text) -> tuple[float, ...]:
         raise ConfigError(f"bad radii list: {exc}") from exc
     if len(radii) < 3:
         raise ConfigError("need at least three flux radii")
-    if any(r <= 0 for r in radii):
-        raise ConfigError("flux radii must be positive")
+    if not all(0.0 < r < math.inf for r in radii):
+        raise ConfigError(f"'radii' must be finite and > 0, not {radii}")
     return radii
+
+
+def _integer(key: str, least: int, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"'{key}' must be an integer >= {least}, not "
+                          f"{value!r}")
+    return value
+
+
+def _parse_format(value) -> str:
+    if value not in VALID_FORMATS:
+        raise ConfigError(f"'format' must be one of "
+                          f"{', '.join(VALID_FORMATS)}, not {value!r}")
+    return value
+
+
+def _parse_out(value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"'out' must be a directory name, not {value!r}")
+    return value
+
+
+# one validator per run setting, for flags, config keys and entry keys
+SETTINGS = {"checks": _parse_checks, "seed": partial(_integer, "seed", 0),
+            "radii": _parse_radii, "format": _parse_format,
+            "workers": partial(_integer, "workers", 1), "out": _parse_out}
+ENTRY_SETTINGS = ("checks", "seed", "radii")
+
+
+def _settings(given: dict, keys=tuple(SETTINGS)) -> dict:
+    """The settings among ``keys`` that ``given`` holds, validated."""
+    return {key: SETTINGS[key](given[key]) for key in keys if key in given}
 
 
 def _collect_overrides(extras: list[str]) -> dict:
@@ -120,13 +155,6 @@ def _collect_overrides(extras: list[str]) -> dict:
     return params
 
 
-def _config_int(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(
-            f"config key '{key}' must be an integer, not {value!r}")
-    return value
-
-
 def load_config_file(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -137,9 +165,7 @@ def load_config_file(path: str) -> RunConfig:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    known = {"scenarios", "checks", "seed", "radii", "format", "workers",
-             "out"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {"scenarios", *SETTINGS}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     entries_raw = raw.get("scenarios")
@@ -151,7 +177,7 @@ def load_config_file(path: str) -> RunConfig:
             item = {"name": item}
         if not isinstance(item, dict) or "name" not in item:
             raise ConfigError("each scenario entry needs a 'name'")
-        extra = set(item) - {"name", "params", "checks", "seed", "radii"}
+        extra = set(item) - {"name", "params", *ENTRY_SETTINGS}
         if extra:
             raise ConfigError(
                 f"unknown scenario entry keys: {sorted(extra)}")
@@ -159,65 +185,40 @@ def load_config_file(path: str) -> RunConfig:
         if not isinstance(params, dict):
             raise ConfigError("scenario entry key 'params' must be an "
                               "object")
-        entries.append(EntryConfig(
-            name=str(item["name"]),
-            params=dict(params),
-            checks=_parse_checks(item["checks"])
-            if "checks" in item else None,
-            seed=_config_int(item["seed"], "seed")
-            if "seed" in item else None,
-            radii=_parse_radii(item["radii"])
-            if "radii" in item else None))
-    cfg = RunConfig(entries=entries)
-    if "checks" in raw:
-        cfg.checks = _parse_checks(raw["checks"])
-    if "seed" in raw:
-        cfg.seed = _config_int(raw["seed"], "seed")
-    if "radii" in raw:
-        cfg.radii = _parse_radii(raw["radii"])
-    if "format" in raw:
-        if raw["format"] not in VALID_FORMATS:
-            raise ConfigError(
-                f"config key 'format' must be one of "
-                f"{', '.join(VALID_FORMATS)}, not {raw['format']!r}")
-        cfg.format = raw["format"]
-    if "workers" in raw:
-        cfg.workers = _config_int(raw["workers"], "workers")
-    if "out" in raw:
-        cfg.out = str(raw["out"])
-    return cfg
+        entries.append(EntryConfig(name=str(item["name"]),
+                                   params=dict(params),
+                                   **_settings(item, ENTRY_SETTINGS)))
+    return RunConfig(entries=entries, **_settings(raw))
+
+
+def _resolved(entry: EntryConfig, run: RunConfig) -> EntryConfig:
+    """The entry with each setting it leaves unset taken from the run."""
+    return replace(entry, **{key: getattr(run, key) for key in ENTRY_SETTINGS
+                             if getattr(entry, key) is None})
 
 
 def _build_scenario(entry: EntryConfig, run: RunConfig) -> Scenario:
+    """The entry's scenario with its seed and flux radii; ``entry`` comes
+    resolved against ``run``."""
     scenario = make_scenario(entry.name, **entry.params)
     quad = scenario.quad
-    seed = entry.seed if entry.seed is not None else run.seed
-    radii = entry.radii if entry.radii is not None else run.radii
-    if seed is not None:
-        quad = replace(quad, seed=int(seed))
-    if radii is not None:
-        quad = replace(quad, radii=radii)
+    if entry.seed is not None:
+        quad = replace(quad, seed=entry.seed)
+    if entry.radii is not None:
+        quad = replace(quad, radii=entry.radii)
     scenario.quad = quad
     clearance = horizon_clearance(scenario)
+    # the tail fit samples the field from r_max * TAIL_FIT_FROM outwards
+    r_low = quad.r_max * (TAIL_FIT_FROM if any(
+        region.r_outer is None for region in scenario.bulk_region) else 1.0)
     # geometry-only scenarios use neither the flux radii nor r_max
-    if scenario.field and min(quad.r_max, *quad.radii) <= clearance:
+    if scenario.field and min(r_low, *quad.radii) <= clearance:
         raise ConfigError(
-            f"scenario '{entry.name}': r_max = {quad.r_max:g} and the flux "
-            f"radii (smallest {min(quad.radii):g}) must exceed "
-            f"{clearance:.6g}, the radius enclosing every horizon")
+            f"scenario '{entry.name}': r_max = {quad.r_max:g} (tail fit "
+            f"from {r_low:g}) and the flux radii (smallest "
+            f"{min(quad.radii):g}) must exceed {clearance:.6g}, the radius "
+            f"enclosing every horizon")
     return scenario
-
-
-def _entry_echo(entry: EntryConfig, run: RunConfig) -> dict:
-    return {
-        "name": entry.name,
-        "params": {k: entry.params[k] for k in sorted(entry.params)},
-        "checks": list(entry.checks if entry.checks is not None
-                       else run.checks),
-        "seed": entry.seed if entry.seed is not None else run.seed,
-        "radii": list(entry.radii) if entry.radii is not None
-        else (list(run.radii) if run.radii is not None else None),
-    }
 
 
 # the old name stays: bench/tracer.py instruments it, test_tracer checks it
@@ -236,14 +237,14 @@ def _bulk_convergence(scenario: Scenario,
 
 def _run_entry(entry: EntryConfig, run: RunConfig,
                scenario: Scenario) -> dict:
-    """Evaluate one built scenario; never raises, reports errors in-band."""
-    checks = entry.checks if entry.checks is not None else run.checks
+    """Evaluate one built scenario; never raises, reports errors in-band.
+    ``entry`` comes resolved against ``run``."""
     started = time.perf_counter()
     result: dict = {"name": entry.name, "outcomes": [], "error": None,
                     "error_kind": None, "summary": None}
     try:
         evaluation = ScenarioEvaluation(scenario)
-        result["outcomes"] = evaluation.run(checks)
+        result["outcomes"] = evaluation.run(entry.checks)
         summary = evaluation.summary()
         if scenario.field is not None:
             summary["bulk_regions"] = _bulk_convergence(scenario, evaluation)
@@ -253,7 +254,7 @@ def _run_entry(entry: EntryConfig, run: RunConfig,
         result["error"] = str(exc)
         result["error_kind"] = "config"
     except (QuadratureError, DomainError, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
+            ArithmeticError) as exc:
         result["error"] = str(exc)
         result["error_kind"] = "numerical"
     except GraphMassError as exc:
@@ -276,16 +277,16 @@ def _outcome_dict(outcome: CheckOutcome) -> dict:
 
 def execute_run(run: RunConfig) -> tuple[int, ReportDocument, list[dict]]:
     """Run every entry and assemble the report document."""
+    entries = [_resolved(entry, run) for entry in run.entries]
     # build everything first: fail fast on names and parameters
-    scenarios = [_build_scenario(entry, run) for entry in run.entries]
+    scenarios = [_build_scenario(entry, run) for entry in entries]
     started = time.perf_counter()
     runs = [run] * len(scenarios)
     if run.workers > 1:
         with ThreadPoolExecutor(max_workers=run.workers) as pool:
-            results = list(pool.map(_run_entry, run.entries, runs,
-                                    scenarios))
+            results = list(pool.map(_run_entry, entries, runs, scenarios))
     else:
-        results = list(map(_run_entry, run.entries, runs, scenarios))
+        results = list(map(_run_entry, entries, runs, scenarios))
 
     body: dict = {
         "tool": "graphmass",
@@ -294,7 +295,9 @@ def execute_run(run: RunConfig) -> tuple[int, ReportDocument, list[dict]]:
             "seed": run.seed,
             "radii": list(run.radii) if run.radii is not None else None,
             "format": run.format,
-            "entries": [_entry_echo(e, run) for e in run.entries],
+            "entries": [{**asdict(entry),
+                         "params": dict(sorted(entry.params.items()))}
+                        for entry in entries],
         },
         "scenarios": [],
         "verdicts": [],
@@ -389,43 +392,27 @@ def _emit(run: RunConfig, document: ReportDocument,
 
 def cmd_run(args, extras: list[str]) -> int:
     overrides = _collect_overrides(extras)
+    flags = _settings({k: v for k, v in vars(args).items() if v is not None})
     target = args.target
     if target and os.path.exists(target) and target not in REGISTRY:
         if overrides:
             raise ConfigError("scenario parameter overrides need a "
                               "scenario name, not a config file")
-        run = load_config_file(target)
-    elif target:
-        run = RunConfig(entries=[EntryConfig(name=target,
-                                             params=overrides)])
-    elif args.scenario:
-        run = RunConfig(entries=[EntryConfig(name=args.scenario,
-                                             params=overrides)])
+        run = replace(load_config_file(target), **flags)
+    elif target or args.scenario:
+        run = RunConfig(entries=[EntryConfig(name=target or args.scenario,
+                                             params=overrides)], **flags)
     else:
         if overrides:
             raise ConfigError("scenario parameter overrides need a "
                               "scenario name")
         run = RunConfig(entries=[EntryConfig(name=n)
-                                 for n in scenario_names()])
-    if args.scenario and run.entries and len(run.entries) > 1:
+                                 for n in scenario_names()], **flags)
+    if args.scenario and len(run.entries) > 1:
         run.entries = [e for e in run.entries if e.name == args.scenario]
         if not run.entries:
             raise ConfigError(
                 f"config has no scenario named '{args.scenario}'")
-    if args.checks is not None:
-        run.checks = _parse_checks(args.checks)
-    if args.seed is not None:
-        run.seed = args.seed
-    if args.radii is not None:
-        run.radii = _parse_radii(args.radii)
-    if args.out is not None:
-        run.out = args.out
-    if args.format is not None:
-        run.format = args.format
-    if args.workers is not None:
-        run.workers = args.workers
-    if run.workers < 1:
-        raise ConfigError("'workers' must be >= 1")
     code, document, results = execute_run(run)
     _emit(run, document, results)
     return code
@@ -433,12 +420,11 @@ def cmd_run(args, extras: list[str]) -> int:
 
 def cmd_list(_args) -> int:
     for name in scenario_names():
-        entry = REGISTRY[name]
         scenario = make_scenario(name)
         tags = ", ".join(scenario.exercises)
         kind = " [geometry-only]" if scenario.geometry_only else ""
-        defaults = ", ".join(f"{k}={v}" for k, v in
-                             sorted(entry.defaults.items()))
+        defaults = ", ".join(f"{k}={box.default} ({box})" for k, box in
+                             sorted(REGISTRY[name].boxes.items()))
         print(f"{name} (n={scenario.n}{kind})")
         print(f"    defaults: {defaults}")
         print(f"    {scenario.description}")
@@ -447,7 +433,10 @@ def cmd_list(_args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .acceptance import run_criteria
+    from .acceptance import CRITERIA, run_criteria
+    if args.only is not None and not 1 <= args.only <= len(CRITERIA):
+        raise ConfigError(f"'--only' must name a criterion in "
+                          f"1-{len(CRITERIA)}, not {args.only}")
     results = run_criteria(args.only)
     failed = [r for r in results if not r.passed]
     for res in results:
@@ -456,8 +445,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors (exit 3), not argparse's 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphmass",
         description="Mass and curvature checks for asymptotically flat "
                     "graph metrics")
@@ -476,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list of flux radii")
     p_run.add_argument("--out", default=None,
                        help="output directory (also GRAPHMASS_OUTDIR)")
-    p_run.add_argument("--format", default=None, choices=VALID_FORMATS)
+    p_run.add_argument("--format", default=None,
+                       help=f"one of {', '.join(VALID_FORMATS)}")
     p_run.add_argument("--workers", type=int, default=None)
 
     sub.add_parser("list", help="list built-in scenarios")
@@ -488,9 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, extras = parser.parse_known_args(argv)
     try:
+        args, extras = build_parser().parse_known_args(argv)
         if args.command == "run":
             return cmd_run(args, extras)
         if extras:

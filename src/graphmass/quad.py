@@ -36,6 +36,7 @@ from .errors import IntegrabilityError, QuadratureError
 HORIZON_OFFSET = 1e-6   # relative offset of the graded start at a horizon
 MAX_DEPTH = 8           # bisection depth of an adaptive radial panel
 TAIL_POINTS = 8         # shell samples in the tail fit
+TAIL_FIT_FROM = 0.25    # the tail fit samples [TAIL_FIT_FROM r_max, r_max]
 DEFAULT_ORDER = {2: 64, 3: 48, 4: 20}  # sphere rule orders; Sobol for n >= 5
 
 
@@ -384,7 +385,8 @@ def exterior_volume_integrate(fn, region: ExteriorRegion, cfg: QuadConfig,
 
     tail, q = 0.0, None
     if region.r_outer is None:
-        tail, q = _tail_fit(shell, cfg.r_max / 4.0, cfg.r_max, rule.n)
+        tail, q = _tail_fit(shell, cfg.r_max * TAIL_FIT_FROM, cfg.r_max,
+                            rule.n)
     angular = abs(total[0] - total[-1])
     unc = max(disc_sum, 0.5 * cfg.radial_tol) + tail + angular
     return VolumeIntegral(float(total[0]), tail, float(unc), q, panels)

@@ -167,17 +167,7 @@ class PiecewiseRadialField(ScalarField):
 # factories
 # ----------------------------------------------------------------------
 
-def _dimension(n) -> int:
-    """n as an int; a non-integral value is rejected, not truncated."""
-    if float(n) != int(n):
-        raise ConfigError(f"dimension must be an integer, not {n!r}")
-    return int(n)
-
-
 def _flat(n: int) -> Scenario:
-    n = _dimension(n)
-    if n < 3:
-        raise ConfigError("dimension must be >= 3")
     quad = QuadConfig(radii=(100.0, 200.0, 400.0, 800.0), r_max=100.0)
     return Scenario(
         name="flat", n=n, field=ExprField("0", n), horizons=HorizonSet(()),
@@ -190,9 +180,6 @@ def _flat(n: int) -> Scenario:
 
 
 def _schwarzschild(n: int, m: float) -> Scenario:
-    m = float(m)
-    if m <= 0:
-        raise ConfigError("mass parameter must be positive")
     a = (2.0 * m) ** (1.0 / (n - 2))
     profile = schwarzschild_profile(m, n)
     scale = max(1.0, a)
@@ -222,23 +209,8 @@ def _schwarzschild(n: int, m: float) -> Scenario:
                    "Penrose equality", "radial closed form"))
 
 
-def _schwarzschild_n(n: int, m: float) -> Scenario:
-    n = _dimension(n)
-    if n < 4:
-        raise ConfigError("use schwarzschild3 for n = 3")
-    if n > 6:
-        raise ConfigError("dimensions above 6 are not tuned")
-    return _schwarzschild(n, m)
-
-
 def _radial_custom(m: float, n: int) -> Scenario:
     """Horizonless positive-curvature graph with f_r^2 = 2m r^2/(1+r^n)."""
-    m = float(m)
-    n = _dimension(n)
-    if m <= 0:
-        raise ConfigError("mass parameter must be positive")
-    if n < 3:
-        raise ConfigError("dimension must be >= 3")
 
     def u(r):
         q = np.power(r, n)
@@ -271,12 +243,6 @@ def _radial_custom(m: float, n: int) -> Scenario:
 
 
 def _bump(alpha: float, n: int) -> Scenario:
-    alpha = float(alpha)
-    n = _dimension(n)
-    if not 0 < alpha <= 0.5:
-        raise ConfigError("amplitude must lie in (0, 0.5]")
-    if n != 3:
-        raise ConfigError("the bump scenario is tuned for n = 3")
     expr = "a*exp(-(x1^2+x2^2+x3^2))"
     quad = QuadConfig(radii=(2.0, 2.5, 3.0, 3.5), r_max=12.0)
     return Scenario(
@@ -293,15 +259,6 @@ def _bump(alpha: float, n: int) -> Scenario:
 def _schwarzschild_perturbed(m: float, beta: float, n: int) -> Scenario:
     """Horizon graph with f_r^2 = 2m psi/(r^{n-2} - 2m psi),
     psi = 1 - beta exp(-(r-a)); strictly positive scalar curvature."""
-    m = float(m)
-    beta = float(beta)
-    n = _dimension(n)
-    if m <= 0:
-        raise ConfigError("mass parameter must be positive")
-    if not 0 < beta < 0.5:
-        raise ConfigError("beta must lie in (0, 0.5) for a single horizon")
-    if n not in (3, 4):
-        raise ConfigError("the perturbed scenario is tuned for n = 3, 4")
     a = (2.0 * m * (1.0 - beta)) ** (1.0 / (n - 2))
     # r^{n-2} - 2m psi vanishes at a and must grow past it
     if (n - 2) * a ** (n - 3) <= 2.0 * m * beta:
@@ -356,9 +313,6 @@ def _schwarzschild_perturbed(m: float, beta: float, n: int) -> Scenario:
 
 
 def _ellipsoid_horizon(ratio: float) -> Scenario:
-    ratio = float(ratio)
-    if not 1.0 <= ratio <= 4.0:
-        raise ConfigError("axis ratio must lie in [1, 4]")
     axes = np.array([ratio, 0.5 * (1.0 + ratio), 1.0])
     bodies = (Ellipsoid(np.array([-4.0 * ratio, 0.0, 0.0]), axes),
               Sphere(np.array([4.0 * ratio, 0.0, 0.0]), 1.5))
@@ -374,19 +328,7 @@ def _ellipsoid_horizon(ratio: float) -> Scenario:
                    "bound superadditivity"))
 
 
-MAX_GLUED_MASS = 2.0  # largest component mass the gluing windows allow
-
-
 def _two_body_glued(m1: float, m2: float) -> Scenario:
-    m1, m2 = float(m1), float(m2)
-    if m1 <= 0 or m2 <= 0:
-        raise ConfigError("component masses must be positive")
-    if max(m1, m2) > MAX_GLUED_MASS:
-        # The windows are tuned for horizons of radius 2m <= 4, a
-        # quarter of the near cut at 16.
-        raise ConfigError(
-            f"m1 = {m1:g} and m2 = {m2:g}: component masses above "
-            f"{MAX_GLUED_MASS:g} collide with the gluing windows")
     n = 3
     total = m1 + m2
     sep = 100.0
@@ -445,27 +387,70 @@ def _two_body_glued(m1: float, m2: float) -> Scenario:
 
 
 @dataclass(frozen=True)
+class Box:
+    """The numbers a registry parameter accepts: ``lo`` to ``hi``, each
+    end closed unless marked open, integers only when ``integer``.  The
+    ends are finite, so NaN and the infinities fall outside."""
+
+    default: float
+    lo: float
+    hi: float
+    lo_open: bool = False
+    hi_open: bool = False
+    integer: bool = False
+
+    def __contains__(self, value) -> bool:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        return ((self.lo < value if self.lo_open else self.lo <= value)
+                and (value < self.hi if self.hi_open else value <= self.hi)
+                and (not self.integer or float(value).is_integer()))
+
+    def __str__(self) -> str:
+        return (f"{'an integer' if self.integer else 'a number'} in "
+                f"{'(' if self.lo_open else '['}{self.lo:g}, "
+                f"{self.hi:g}{')' if self.hi_open else ']'}")
+
+
+@dataclass(frozen=True)
 class RegistryEntry:
     name: str
     factory: Callable[..., Scenario]
-    defaults: dict
+    boxes: dict[str, Box]
 
 
+# Each upper end was run and passed every check; past the ends of
+# radial_custom and schwarzschild3 the tail fit or the tolerances give out
+# (radial_custom at m = 100 fits q = 2.68 <= n).  Limits that couple a
+# parameter to another one, or to the fixed flux radii and r_max, are
+# checked when the scenario or the run is built.
 REGISTRY: dict[str, RegistryEntry] = {
     e.name: e for e in (
-        RegistryEntry("flat", _flat, {"n": 3}),
+        RegistryEntry("flat", _flat, {"n": Box(3, 3, 32, integer=True)}),
         RegistryEntry("schwarzschild3", partial(_schwarzschild, 3),
-                      {"m": 1.0}),
-        RegistryEntry("schwarzschild_n", _schwarzschild_n,
-                      {"n": 4, "m": 1.0}),
-        RegistryEntry("radial_custom", _radial_custom, {"m": 0.7, "n": 3}),
-        RegistryEntry("bump", _bump, {"alpha": 0.1, "n": 3}),
+                      {"m": Box(1.0, 0.0, 1e7, lo_open=True)}),
+        RegistryEntry("schwarzschild_n", _schwarzschild,
+                      {"n": Box(4, 4, 6, integer=True),
+                       "m": Box(1.0, 0.0, 100.0, lo_open=True)}),
+        RegistryEntry("radial_custom", _radial_custom,
+                      {"m": Box(0.7, 0.0, 50.0, lo_open=True),
+                       "n": Box(3, 3, 32, integer=True)}),
+        RegistryEntry("bump", _bump,
+                      {"alpha": Box(0.1, 0.0, 0.5, lo_open=True),
+                       "n": Box(3, 3, 3, integer=True)}),
+        # beta < 0.5 keeps a single horizon
         RegistryEntry("schwarzschild_perturbed", _schwarzschild_perturbed,
-                      {"m": 1.0, "beta": 0.3, "n": 3}),
+                      {"m": Box(1.0, 0.0, 50.0, lo_open=True),
+                       "beta": Box(0.3, 0.0, 0.5, lo_open=True,
+                                   hi_open=True),
+                       "n": Box(3, 3, 4, integer=True)}),
         RegistryEntry("ellipsoid_horizon", _ellipsoid_horizon,
-                      {"ratio": 2.0}),
+                      {"ratio": Box(2.0, 1.0, 4.0)}),
+        # the windows are tuned for horizons of radius 2m <= 4, a quarter
+        # of the near cut at 16
         RegistryEntry("two_body_glued", _two_body_glued,
-                      {"m1": 1.0, "m2": 0.8}),
+                      {"m1": Box(1.0, 0.0, 2.0, lo_open=True),
+                       "m2": Box(0.8, 0.0, 2.0, lo_open=True)}),
     )
 }
 
@@ -477,22 +462,20 @@ def make_scenario(name: str, **params) -> Scenario:
         near = difflib.get_close_matches(name, REGISTRY, n=3, cutoff=0.4)
         hint = f"; did you mean {', '.join(near)}?" if near else ""
         raise ConfigError(f"unknown scenario '{name}'{hint}")
-    for key, value in params.items():
-        if key not in entry.defaults:
+    for key in params:
+        if key not in entry.boxes:
             raise ConfigError(
                 f"scenario '{name}' takes no parameter '{key}' "
-                f"(accepts: {', '.join(sorted(entry.defaults))})")
-        try:
-            finite = math.isfinite(float(value))
-        except (OverflowError, TypeError):  # a huge int; None, a list
-            finite = False
-        except ValueError:
-            finite = True  # a string: the factory's own check rejects it
-        if not finite:
-            raise ConfigError(f"scenario '{name}': parameter '{key}' must be "
-                              f"a finite number, not {value!r}")
+                f"(accepts: {', '.join(sorted(entry.boxes))})")
+    admitted = {}
+    for key, box in entry.boxes.items():
+        value = params.get(key, box.default)
+        if value not in box:
+            raise ConfigError(f"scenario '{name}': parameter '{key}' must "
+                              f"be {box}, not {value!r}")
+        admitted[key] = (int if box.integer else float)(value)
     try:
-        return entry.factory(**{**entry.defaults, **params})
+        return entry.factory(**admitted)
     except (ValueError, DomainError) as exc:
         raise ConfigError(f"scenario '{name}': {exc}") from exc
 

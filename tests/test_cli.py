@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -93,8 +94,8 @@ class TestRunCommand:
                      "--checks", "identities"])
         _, err = capsys.readouterr()
         assert code == 3
-        assert "m1 = " in err and "m2 = " in err
-        assert "2.01" in err
+        assert f"parameter '{key}' must be a number in (0, 2], not 2.01" \
+            in err
 
     def test_r_max_inside_horizon_is_config_error(self, capsys):
         """m = 50 puts the horizon at 99.5, beyond the fixed r_max = 60;
@@ -105,12 +106,69 @@ class TestRunCommand:
         assert code == 3
         assert "r_max = 60" in err
 
+    def test_tail_fit_inside_horizon_is_config_error(self, capsys):
+        """m = 20 puts the horizon at 39.6: inside r_max = 60 but past 15,
+        where the bulk tail fit starts sampling the field."""
+        code = main(["run", "schwarzschild_perturbed", "--m", "20",
+                     "--beta", "0.01"])
+        _, err = capsys.readouterr()
+        assert code == 3
+        assert "r_max = 60 (tail fit from 15)" in err
+
+    def test_overflowing_radii_are_numerical_failures(self, capsys):
+        """Radii near the float limit overflow in the sphere quadrature;
+        the run records the error and exits 4 instead of raising."""
+        code = main(["run", "flat", "--radii", "1e300,2e300,3e300"])
+        out, _ = capsys.readouterr()
+        assert code == 4
+        [error] = json.loads(out)["body"]["errors"]
+        assert error["kind"] == "numerical"
+
+    @pytest.mark.parametrize(("name", "key", "edge", "past"), [
+        ("radial_custom", "m", "50", "100"),
+        ("radial_custom", "n", "32", "40"),
+        ("schwarzschild3", "m", "1e7", "1e8")])
+    def test_box_upper_ends(self, capsys, name, key, edge, past):
+        """Each upper end runs every check; the first value seen to fail
+        past it (tail fit q <= n, or the identity residual) exits 3."""
+        assert main(["run", name, f"--{key}", edge]) == 0
+        code = main(["run", name, f"--{key}", past])
+        _, err = capsys.readouterr()
+        assert code == 3
+        assert f"parameter '{key}' must be" in err
+        assert f"not {json.loads(past)!r}" in err
+
     def test_non_integral_dimension_is_config_error(self, capsys):
         """A fractional dimension is rejected, not truncated to n = 3."""
         code = main(["run", "flat", "--n", "3.7"])
         _, err = capsys.readouterr()
         assert code == 3
-        assert "dimension must be an integer, not 3.7" in err
+        assert "parameter 'n' must be an integer in [3, 32], not 3.7" in err
+
+    @pytest.mark.parametrize(("argv", "needle"), [
+        (["run", "flat", "--seed", "abc"], "--seed"),
+        (["run", "flat", "--workers", "x"], "--workers"),
+        (["verify", "--only", "x"], "--only"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        (["run", "flat", "--seed", "-5"], "'seed'"),
+        (["run", "flat", "--radii", "nan,10,20"], "'radii'"),
+        (["run", "flat", "--radii", "inf,inf,inf"], "'radii'"),
+        (["run", "flat", "--format", "xml"], "'format'"),
+        (["verify", "--only", "0"], "1-10"),
+        (["verify", "--only", "11"], "1-10")])
+    def test_bad_arguments_exit_three(self, capsys, argv, needle):
+        """Usage errors and rejected settings are configuration errors,
+        not argparse's exit 2 (the code for a violated hypothesis)."""
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert needle in err and out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "-h"])
+        assert exc.value.code == 0
+        assert "--radii" in capsys.readouterr().out
 
     @pytest.mark.parametrize(("name", "key", "value"), [
         ("two_body_glued", "m1", "nan"), ("radial_custom", "m", "nan"),
@@ -192,6 +250,12 @@ class TestConfigFile:
         ({"scenarios": ["flat"], "seed": 1.5}, "seed"),
         ({"scenarios": ["flat"], "workers": 2.5}, "workers"),
         ({"scenarios": ["flat"], "seed": "7"}, "seed"),
+        ({"scenarios": ["flat"], "seed": -5}, "seed"),
+        ({"scenarios": [{"name": "flat", "seed": -5}]}, "seed"),
+        ({"scenarios": ["flat"], "radii": [math.nan, 10, 20]}, "radii"),
+        ({"scenarios": ["flat"], "radii": [math.inf] * 3}, "radii"),
+        ({"scenarios": [{"name": "flat", "radii": [-1, 2, 3]}]}, "radii"),
+        ({"scenarios": ["flat"], "out": 5}, "out"),
     ])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys,
                                                 payload, key):
@@ -242,7 +306,8 @@ class TestOtherCommands:
         for name in ("schwarzschild3", "two_body_glued"):
             assert name in out
         assert "[geometry-only]" in out
-        assert "defaults:" in out
+        assert ("defaults: m1=1.0 (a number in (0, 2]), "
+                "m2=0.8 (a number in (0, 2])") in out
 
     def test_list_rejects_extras(self, capsys):
         code = main(["list", "--extra"])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -57,18 +60,41 @@ class TestRegistry:
 
     def test_value_validation(self):
         cases = [
-            (("schwarzschild3",), {"m": -1.0}, "positive"),
-            (("schwarzschild_n",), {"n": 3}, "use schwarzschild3"),
-            (("schwarzschild_n",), {"n": 7}, "not tuned"),
-            (("bump",), {"alpha": 0.6}, r"\(0, 0.5\]"),
-            (("schwarzschild_perturbed",), {"beta": 0.7}, r"\(0, 0.5\)"),
-            (("two_body_glued",), {"m1": 3.0}, "collide"),
-            (("ellipsoid_horizon",), {"ratio": 5.0}, r"\[1, 4\]"),
-            (("flat",), {"n": 2}, ">= 3"),
+            ("schwarzschild3", "m", -1.0, "a number in (0, 1e+07]"),
+            ("schwarzschild_n", "n", 3, "an integer in [4, 6]"),
+            ("schwarzschild_n", "n", 7, "an integer in [4, 6]"),
+            ("bump", "alpha", 0.6, "a number in (0, 0.5]"),
+            ("schwarzschild_perturbed", "beta", 0.7, "a number in (0, 0.5)"),
+            ("two_body_glued", "m1", 3.0, "a number in (0, 2]"),
+            ("ellipsoid_horizon", "ratio", 5.0, "a number in [1, 4]"),
+            ("flat", "n", 2, "an integer in [3, 32]"),
         ]
-        for args, kwargs, pattern in cases:
-            with pytest.raises(ConfigError, match=pattern):
-                make_scenario(*args, **kwargs)
+        for name, key, value, box in cases:
+            message = f"parameter '{key}' must be {box}, not {value!r}"
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                make_scenario(name, **{key: value})
+
+    def test_every_parameter_has_a_box(self):
+        """Every registry parameter's default lies in its box; a closed
+        end is admitted and an open one is not; and values just outside,
+        fractions of integer parameters, NaN and non-numbers are
+        rejected with the key, the value and the box."""
+        for name, entry in REGISTRY.items():
+            params = make_scenario(name).params
+            for key, box in entry.boxes.items():
+                assert box.default in box and params[key] == box.default
+                assert (box.lo in box) != box.lo_open
+                assert (box.hi in box) != box.hi_open
+                step = 1 if box.integer else 1e-6 * box.hi
+                bad = [box.lo - step, box.hi + step, math.nan, math.inf,
+                       "1", None, True]
+                if box.integer:
+                    bad.append(box.lo + 0.5)
+                for value in bad:
+                    message = (f"scenario '{name}': parameter '{key}' must "
+                               f"be {box}, not {value!r}")
+                    with pytest.raises(ConfigError, match=re.escape(message)):
+                        make_scenario(name, **{key: value})
 
 
 class TestWindowProfile:
