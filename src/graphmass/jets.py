@@ -557,6 +557,12 @@ class ScalarField:
         h(|x - c|) near each point, c varying or not; else None."""
         return None
 
+    def radial_about(self, center, r_lo: float, r_hi: float) -> bool:
+        """Whether the field is h(|x - center|) on the whole annulus
+        r_lo <= |x - center| <= r_hi, so that every sphere about
+        ``center`` there carries one value of each radial quantity."""
+        return False
+
     def jet3(self, point) -> Jet3:
         return self.jet3_many(np.asarray(point, float))
 
@@ -610,6 +616,9 @@ class RadialField(ScalarField):
         if np.all(np.isfinite(hr + hrr)):
             return r, hr, hrr
         raise DomainError(f"non-finite derivatives in {self.profile.label}")
+
+    def radial_about(self, center, r_lo, r_hi):
+        return bool(np.array_equal(np.asarray(center, float), self.center))
 
 
 # ----------------------------------------------------------------------

@@ -51,6 +51,10 @@ IDENTITY_REL = 5e-3          # route-agreement relative tolerance
 UNC_FACTOR = 5.0             # route-agreement quadrature-uncertainty factor
 EQUALITY_ABS = 1e-3          # equality-case margin tolerance
 HORIZON_OFFSETS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)  # boundary-flux study
+# Bytes of third tensors in one order-3 jet batch.  Much smaller batches
+# cost resident memory instead of saving it: each freed batch raises
+# glibc's mmap threshold, which then keeps later temporaries on the heap.
+JET3_BATCH_BYTES = 1 << 25
 
 
 def mass_normalization(n: int) -> float:
@@ -228,33 +232,62 @@ def bulk_mass(scenario: Scenario) -> BulkResult:
     """Exterior integral of R in the flat measure over 2(n-1) omega,
     summed over the scenario's bulk regions.
 
-    Quadrature nodes feed a running min of R, each distinct node counted
-    once.  A ``graded`` region, whose inner edge is a horizon, leaves out
-    a 1% guard band there: the boundary layer evaluates R as a 0/0 form
-    whose float noise says nothing about the sign hypothesis.
-    ``regions`` holds (value, uncertainty, panels) of each region, in
-    the same normalisation; they sum to the totals.
+    A region whose field is radial about its centre on the whole walked
+    annulus (``ScalarField.radial_about``) takes the radial route: R is
+    evaluated once per radius, at one point c + r e_1, and each shell
+    integral is |S^{n-1}| r^{n-1} R(r).  Other regions, and expression
+    fields such as flat and bump, take the node route: R at every node of
+    the body rule and of its ``half``.  The tail fit reads the nodes on
+    both routes.
+
+    Every R value feeds a running min of R and max of |R|.  ``sign_nodes``
+    counts the distinct nodes of every evaluated shell, rule and half,
+    on both routes: on the radial route each node carries the radius'
+    value by symmetry.  A ``graded`` region, whose inner edge is a
+    horizon, leaves out a 1% guard band there: the boundary layer
+    evaluates R as a 0/0 form whose float noise says nothing about the
+    sign hypothesis.  ``regions`` holds (value, uncertainty, panels) of
+    each region, in the same normalisation; they sum to the totals.
     """
     fld = scenario.require_field()
     cfg = scenario.quad
-    rule = cfg.body_rule(scenario.n)
+    n = scenario.n
+    rule = cfg.body_rule(n)
+    shell_nodes = sum(len(q.weights) for q in (rule, rule.half)
+                      if q is not None)
+    e1 = np.eye(n)[0]
     state = {"min": math.inf, "maxabs": 0.0, "count": 0}
 
-    def fn(region, pts):
-        vals = scalar_curvature(fld, pts)
-        seen = vals
-        if region.graded:
-            center = np.asarray(region.center or (0.0,) * scenario.n)
-            seen = vals[np.linalg.norm(pts - center, axis=1)
-                        >= 1.01 * region.r_inner]
+    def note(seen, nodes_each):
         if seen.size:
             state["min"] = min(state["min"], float(seen.min()))
             state["maxabs"] = max(state["maxabs"], float(np.abs(seen).max()))
-            state["count"] += seen.size
+            state["count"] += seen.size * nodes_each
+
+    def fn(region, center, pts):
+        vals = scalar_curvature(fld, pts)
+        seen = vals
+        if region.graded:
+            seen = vals[np.linalg.norm(pts - center, axis=1)
+                        >= 1.01 * region.r_inner]
+        note(seen, 1)
         return vals
 
-    parts = [exterior_volume_integrate(partial(fn, region), region, cfg, rule)
-             for region in scenario.bulk_region]
+    def radial(region, center, radii):
+        vals = scalar_curvature(fld, center + radii[:, None] * e1)
+        seen = vals[radii >= 1.01 * region.r_inner] if region.graded else vals
+        note(seen, shell_nodes)
+        return vals
+
+    parts = []
+    for region in scenario.bulk_region:
+        center = np.asarray(region.center or (0.0,) * n, float)
+        r_outer = cfg.r_max if region.r_outer is None else region.r_outer
+        on_radii = (partial(radial, region, center)
+                    if fld.radial_about(center, region.r_inner, r_outer)
+                    else None)
+        parts.append(exterior_volume_integrate(
+            partial(fn, region, center), region, cfg, rule, on_radii))
     c = mass_normalization(scenario.n)
     return BulkResult(value=sum(vi.value for vi in parts) / c,
                       uncertainty=sum(vi.uncertainty for vi in parts) / c,
@@ -514,7 +547,9 @@ class ScenarioEvaluation:
 
         if scn.field is not None:
             pts = scn.sample_points(1000, scn.quad.seed)
-            dv = divergence_of_V(scn.field, pts)
+            step = max(1, JET3_BATCH_BYTES // (8 * scn.n ** 3))
+            dv = np.concatenate([divergence_of_V(scn.field, pts[i:i + step])
+                                 for i in range(0, len(pts), step)])
             R = scalar_curvature(scn.field, pts)
             sup = float(np.max(np.abs(dv - R) / (1.0 + np.abs(R))))
             values["div_identity_sup"] = sup

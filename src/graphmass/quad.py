@@ -15,9 +15,12 @@ start near an excised boundary, and a power-law tail fit past r_max
 unless the region has an outer radius.  Shells are also integrated on
 the rule's ``half``, so the uncertainty covers the angular error.
 The adaptive split evaluates each panel once: a refined half becomes
-its child's whole.  Every sphere integral, shells included, is one
-``sphere_integrals`` call per batch of radii; ``sphere_rule`` builds
-each rule once and shares it read-only.
+its child's whole.  Every sphere integral on quadrature nodes, shells
+included, is one ``sphere_integrals`` call per batch of radii;
+``sphere_rule`` builds each rule once and shares it read-only.  An
+integrand invariant under rotations about the region's centre may come
+as one value per radius instead: its shells are |S^{n-1}| r^{n-1} times
+that value, with no angular error, and only the tail fit reads nodes.
 """
 
 from __future__ import annotations
@@ -156,6 +159,29 @@ def _build_rule(n: int, order: int | None, samples: int | None, seed: int,
                       half=half)
 
 
+def _checked(vals, count: int) -> np.ndarray:
+    """An integrand's values, one per point or (k, points), all finite."""
+    vals = np.asarray(vals, float)
+    if vals.ndim > 2 or vals.shape[-1:] != (count,):
+        raise QuadratureError("integrand returned a mismatched shape")
+    if not np.all(np.isfinite(vals)):
+        raise QuadratureError("integrand is not finite on a sphere")
+    return vals
+
+
+def _radius_powers(radii: np.ndarray, n: int) -> list[float]:
+    """The area factor r^{n-1} of each sphere; an overflow names its radius."""
+    scale = []
+    for r in radii:
+        try:
+            scale.append(float(r) ** (n - 1))
+        except OverflowError:
+            raise QuadratureError(
+                f"the area factor r^{n - 1} of a sphere integral overflows "
+                f"at radius r = {float(r):g}") from None
+    return scale
+
+
 def sphere_integrals(fn: Callable[[np.ndarray], np.ndarray], radii,
                      rule: SphereRule, center=0.0) -> np.ndarray:
     """Integrals of fn over the spheres of the given radii about
@@ -170,14 +196,10 @@ def sphere_integrals(fn: Callable[[np.ndarray], np.ndarray], radii,
     rules = (rule,) if rule.half is None else (rule, rule.half)
     nodes = np.concatenate([q.nodes for q in rules])
     pts = center + (radii[:, None, None] * nodes).reshape(-1, rule.n)
-    vals = np.asarray(fn(pts), float)
-    if vals.ndim > 2 or vals.shape[-1:] != (len(pts),):
-        raise QuadratureError("integrand returned a mismatched shape")
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("integrand is not finite on a sphere")
+    vals = _checked(fn(pts), len(pts))
     rows = np.atleast_2d(vals).reshape(-1, len(radii), len(nodes))
     parts = np.split(rows, [len(rule.weights)], axis=2)
-    scale = [float(r) ** (rule.n - 1) for r in radii]
+    scale = _radius_powers(radii, rule.n)
     # one 1-D dot per row and radius: a matrix product may sum in another order
     out = np.array([[[s * float(q.weights @ v) for s, v in zip(scale, row)]
                      for row in part] for q, part in zip(rules, parts)])
@@ -266,13 +288,24 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 class _ShellIntegrand:
     """F(r) = r^{n-1} * (integral of fn over the sphere of radius r about
-    ``center``), one row per rule: the rule, then its ``half``."""
+    ``center``), one row per rule: the rule, then its ``half``.
 
-    def __init__(self, fn, rule: SphereRule, center):
+    With ``radial``, the integrand is invariant under rotations about
+    ``center``: radial(radii) gives its value on each sphere, and every
+    row is |S^{n-1}| r^{n-1} radial(r), so the rows agree exactly."""
+
+    def __init__(self, fn, rule: SphereRule, center, radial=None):
         self.fn, self.rule, self.center = fn, rule, center
+        self.radial = radial
 
     def __call__(self, radii: np.ndarray) -> np.ndarray:
-        return sphere_integrals(self.fn, radii, self.rule, self.center)
+        if self.radial is None:
+            return sphere_integrals(self.fn, radii, self.rule, self.center)
+        radii = np.asarray(radii, float)
+        vals = _checked(self.radial(radii), len(radii))
+        row = (unit_sphere_area(self.rule.n)
+               * np.array(_radius_powers(radii, self.rule.n)) * vals)
+        return np.stack([row] * (1 if self.rule.half is None else 2))
 
     def panel(self, lo: float, hi: float) -> np.ndarray:
         mid, h = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -338,19 +371,28 @@ def _graded_edges(r0: float, offset: float, stop: float) -> list[float]:
 
 
 def exterior_volume_integrate(fn, region: ExteriorRegion, cfg: QuadConfig,
-                              rule: SphereRule) -> VolumeIntegral:
+                              rule: SphereRule, radial=None
+                              ) -> VolumeIntegral:
     """Integral of fn over the exterior region, in shell decomposition.
 
     Returns the truncated integral, a (conservative) bound on the
     discarded tail, and an advisory uncertainty: the panel refinement
     discrepancies plus the gap to the integral on the rule's ``half``.
     A panel splits until its discrepancy meets its share of ``radial_tol``.
+
+    Without ``radial`` every shell evaluates fn on the nodes of the rule
+    and of its ``half``.  A caller whose integrand is invariant under
+    rotations about the region's centre on [r_inner, r_outer] may pass
+    ``radial(radii)``, its value per radius: the walk's shells then cost
+    one value each and their angular error is exactly 0.  The tail fit
+    evaluates fn on the nodes either way, so ``q_fit`` and the tail bound
+    do not depend on the route.
     """
     r_outer = cfg.r_max if region.r_outer is None else region.r_outer
     if r_outer <= region.r_inner:
         raise ValueError("the outer radius must exceed the inner radius")
-    shell = _ShellIntegrand(
-        fn, rule, np.asarray(region.center or (0.0,) * rule.n, float))
+    center = np.asarray(region.center or (0.0,) * rule.n, float)
+    shell = _ShellIntegrand(fn, rule, center, radial)
     r0 = region.r_inner
     start = r0
     total = 0.0  # becomes one entry per shell rule
@@ -385,8 +427,8 @@ def exterior_volume_integrate(fn, region: ExteriorRegion, cfg: QuadConfig,
 
     tail, q = 0.0, None
     if region.r_outer is None:
-        tail, q = _tail_fit(shell, cfg.r_max * TAIL_FIT_FROM, cfg.r_max,
-                            rule.n)
+        tail, q = _tail_fit(_ShellIntegrand(fn, rule, center),
+                            cfg.r_max * TAIL_FIT_FROM, cfg.r_max, rule.n)
     angular = abs(total[0] - total[-1])
     unc = max(disc_sum, 0.5 * cfg.radial_tol) + tail + angular
     return VolumeIntegral(float(total[0]), tail, float(unc), q, panels)

@@ -13,7 +13,7 @@ gluing annuli, so the ADM mass is exactly the sum of the component
 masses, while the gluing annuli carry sign-indefinite curvature that
 integrates to zero against the far-field window.  The bulk integral
 runs over each annulus on shells about its own piece's centre, where
-the field is radial and the angular quadrature exact.
+the field is radial, so each shell takes one value of R per radius.
 """
 
 from __future__ import annotations
@@ -161,6 +161,22 @@ class PiecewiseRadialField(ScalarField):
         for fld, sel in parts:
             r[sel], hr[sel], hrr[sel] = fld.radial_derivatives(pts[sel])
         return r, hr, hrr
+
+    def radial_about(self, center, r_lo, r_hi):
+        """True when every piece whose support meets the annulus is
+        centred at ``center``: the field is zero outside the supports.
+        The annulus, connected for n >= 2, holds the points at distance
+        max(0, d - r_hi, r_lo - d) to d + r_hi from a piece centred at
+        distance d, and meets its support when that range overlaps
+        (r_lo, r_hi) of the piece."""
+        center = np.asarray(center, float)
+        for piece in self.pieces:
+            d = float(np.linalg.norm(piece.field.center - center))
+            if (max(0.0, d - r_hi, r_lo - d) < piece.r_hi
+                    and d + r_hi > piece.r_lo
+                    and not piece.field.radial_about(center, r_lo, r_hi)):
+                return False
+        return True
 
 
 # ----------------------------------------------------------------------

@@ -30,3 +30,24 @@ class RotatedField(ScalarField):
                     np.einsum("...a,ai->...i", j.grad, Q),
                     np.einsum("...ab,ai,bj->...ij", j.hess, Q, Q),
                     third)
+
+
+class CountingField(ScalarField):
+    """Forwards to ``base`` and counts every request for derivatives and
+    the points of the radial ones, so a radial base keeps its radial
+    curvature route and its radial bulk shells."""
+
+    def __init__(self, base: ScalarField):
+        self.base, self.n, self.calls, self.points = base, base.n, 0, 0
+
+    def jet3_many(self, points, order=3):
+        self.calls += 1
+        return self.base.jet3_many(points, order=order)
+
+    def radial_derivatives(self, points):
+        self.calls += 1
+        self.points += len(points)
+        return self.base.radial_derivatives(points)
+
+    def radial_about(self, center, r_lo, r_hi):
+        return self.base.radial_about(center, r_lo, r_hi)

@@ -8,7 +8,8 @@ from dataclasses import replace
 
 import pytest
 
-from graphmass import ScalarField, cli, make_scenario
+from field_helpers import CountingField
+from graphmass import cli, make_scenario
 from graphmass.cli import EntryConfig, RunConfig, execute_run, main
 from graphmass.errors import ConfigError
 from graphmass.mass import CheckOutcome, ScenarioEvaluation, bulk_mass
@@ -117,12 +118,15 @@ class TestRunCommand:
 
     def test_overflowing_radii_are_numerical_failures(self, capsys):
         """Radii near the float limit overflow in the sphere quadrature;
-        the run records the error and exits 4 instead of raising."""
+        the run records an error that names the radius and the operation,
+        and exits 4 instead of raising."""
         code = main(["run", "flat", "--radii", "1e300,2e300,3e300"])
         out, _ = capsys.readouterr()
         assert code == 4
         [error] = json.loads(out)["body"]["errors"]
         assert error["kind"] == "numerical"
+        assert error["message"] == ("the area factor r^2 of a sphere "
+                                    "integral overflows at radius r = 1e+300")
 
     @pytest.mark.parametrize(("name", "key", "edge", "past"), [
         ("radial_custom", "m", "50", "100"),
@@ -369,22 +373,6 @@ class TestExitPrecedence:
         with pytest.raises(ConfigError, match="bad knob"):
             self.run_with(monkeypatch, [
                 make_result(error="bad knob", error_kind="config")])
-
-
-class CountingField(ScalarField):
-    """Forwards to ``base`` and counts every request for derivatives, so
-    a radial base keeps its radial curvature route."""
-
-    def __init__(self, base):
-        self.base, self.n, self.calls = base, base.n, 0
-
-    def jet3_many(self, points, order=3):
-        self.calls += 1
-        return self.base.jet3_many(points, order=order)
-
-    def radial_derivatives(self, points):
-        self.calls += 1
-        return self.base.radial_derivatives(points)
 
 
 class TestBulkConvergenceMemo:

@@ -208,6 +208,19 @@ class TestRadialJet:
         assert sup(j1.hess - j2.hess) == 0.0
 
 
+class TestRadialAbout:
+    def test_radial_field_only_about_its_centre(self):
+        prof = schwarzschild_profile(1.0, 3)
+        fld = RadialField(prof, 3, center=np.array([1.0, 0.0, 0.0]))
+        assert fld.radial_about((1.0, 0.0, 0.0), 3.0, 10.0)
+        assert not fld.radial_about((0.0, 0.0, 0.0), 3.0, 10.0)
+        assert RadialField(prof, 3).radial_about((0.0, 0.0, 0.0), 3.0, 10.0)
+
+    def test_expression_field_claims_no_symmetry(self):
+        fld = ExprField("exp(-(x1^2+x2^2+x3^2))", 3)
+        assert not fld.radial_about((0.0, 0.0, 0.0), 0.0, 10.0)
+
+
 class TestRotatedField:
     def test_jets_transform_covariantly(self):
         base = ExprField("x1^2*x2 + 0.5*sin(x3)", 3)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from field_helpers import CountingField
 from graphmass import (
     ConfigError,
     DomainError,
@@ -251,6 +253,62 @@ class TestBulkMass:
         assert abs(res.value - half.value) <= res.uncertainty
 
 
+RADIAL_CONFIGS = [("schwarzschild3", {}), ("schwarzschild_n", {}),
+                  ("schwarzschild_n", {"n": 5}), ("schwarzschild_n", {"n": 6}),
+                  ("radial_custom", {}), ("schwarzschild_perturbed", {}),
+                  ("two_body_glued", {})]
+
+
+class TestRadialShells:
+    @pytest.mark.parametrize(("name", "params"), RADIAL_CONFIGS)
+    def test_radial_walk_matches_node_walk(self, name, params, monkeypatch):
+        """Each radial default walks its shells on the radial route; the
+        node route, forced by denying the symmetry, is the reference:
+        the same panels, sign count and tail fit, and the same values to
+        roundoff."""
+        scn = make_scenario(name, **params)
+        radial = bulk_mass(scn)
+        monkeypatch.setattr(type(scn.field), "radial_about",
+                            lambda self, center, r_lo, r_hi: False)
+        nodes = bulk_mass(scn)
+        assert radial.panels == nodes.panels
+        assert [p for _, _, p in radial.regions] == [
+            p for _, _, p in nodes.regions]
+        assert radial.sign_nodes == nodes.sign_nodes
+        assert radial.q_fit == nodes.q_fit
+        assert radial.tail_bound == nodes.tail_bound
+        scale = 1.0 + sum(abs(v) for v, _, _ in nodes.regions)
+        assert abs(radial.value - nodes.value) <= 1e-12 * scale
+        assert abs(radial.uncertainty - nodes.uncertainty) <= 1e-12 * scale
+        assert abs(radial.min_R - nodes.min_R) <= 1e-12 * (
+            1.0 + nodes.max_abs_R)
+        assert abs(radial.max_abs_R - nodes.max_abs_R) <= 1e-12 * (
+            1.0 + nodes.max_abs_R)
+
+    @pytest.mark.parametrize(("name", "params"), RADIAL_CONFIGS)
+    def test_one_curvature_point_per_walked_radius(self, name, params,
+                                                   monkeypatch):
+        """The walk asks for R at one point per radius; only the tail
+        fit evaluates the nodes of the rule and of its half."""
+        scn = make_scenario(name, **params)
+        counting = CountingField(scn.field)
+        walked, tail = [], []
+        call = quad._ShellIntegrand.__call__
+
+        def logged_call(self, radii):
+            (tail if self.radial is None else walked).append(len(radii))
+            return call(self, radii)
+
+        monkeypatch.setattr(quad._ShellIntegrand, "__call__", logged_call)
+        bulk_mass(dataclasses.replace(scn, field=counting))
+        rule = scn.quad.body_rule(scn.n)
+        shell_nodes = len(rule.weights) + len(rule.half.weights)
+        assert sum(walked) > 0
+        assert sum(tail) == sum(r.r_outer is None
+                                for r in scn.bulk_region) * quad.TAIL_POINTS
+        assert counting.points == sum(walked) + sum(tail) * shell_nodes
+
+
 class TestDecomposition:
     def test_schwarzschild3_boundary_only(self, scn3):
         """adm = boundary + bulk with boundary = V_1/(2 omega) = m and a
@@ -370,6 +428,20 @@ class TestChecks:
         assert out.values["radial_agreement"] <= 1e-10
         assert out.values["variant_gap"] <= out.values["variant_budget"]
         assert abs(out.values["gauss_defect"]) <= 1e-9
+
+    def test_order3_jets_come_in_bounded_batches(self):
+        """At n = 32 an order-3 jet holds 32^3 floats per point, 256 MiB
+        for the 1000 sample points at once; the identities check builds
+        them in batches, so its traced peak stays far below that."""
+        ev = ScenarioEvaluation(make_scenario("flat", n=32))
+        ev.decomposition
+        tracemalloc.start()
+        try:
+            assert ev.check("identities").passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
     def test_bump_pmt_is_vacuous(self, bump):
         """Sign-indefinite curvature: the sign hypothesis fails, the

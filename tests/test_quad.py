@@ -212,6 +212,46 @@ class TestExteriorVolume:
         assert abs(vi.value - math.pi ** 1.5) <= 1e-9
         assert vi.tail_bound == 0.0 and vi.q_fit is None
 
+    def test_radial_shells_match_node_shells(self):
+        """On shells about the Gaussian's own centre, its value per radius
+        gives the node route's integral, with rows that agree exactly."""
+        c = (3.0, -1.0, 2.0)
+        cfg = QuadConfig(r_max=1.0, radial_tol=1e-9)
+        region = ExteriorRegion(center=c, r_outer=8.0)
+        rule = sphere_rule(3)
+        nodes = exterior_volume_integrate(
+            lambda p: np.exp(-np.sum((p - c) ** 2, axis=1)), region, cfg,
+            rule)
+        radial = exterior_volume_integrate(
+            None, region, cfg, rule, radial=lambda r: np.exp(-r * r))
+        assert radial.panels == nodes.panels
+        assert abs(radial.value - nodes.value) <= 1e-13 * nodes.value
+        shell = quad._ShellIntegrand(None, rule, np.asarray(c),
+                                     lambda r: np.exp(-r * r))
+        rows = shell(np.array([0.5, 1.0, 2.0]))
+        assert rows.shape == (2, 3) and np.array_equal(rows[0], rows[1])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_radial_shells_reject_nonfinite(self, value):
+        cfg = QuadConfig(r_max=1.0)
+        with pytest.raises(QuadratureError, match="not finite"):
+            exterior_volume_integrate(
+                None, ExteriorRegion(r_outer=8.0), cfg, sphere_rule(3),
+                radial=lambda r: np.where(r > 4.0, value, 1.0))
+
+    @pytest.mark.parametrize("route", ["nodes", "radial"])
+    def test_overflowing_shell_names_its_radius(self, route):
+        """r^{n-1} past the float range raises an error that names the
+        radius and the operation on both shell routes."""
+        cfg = QuadConfig(r_max=1.0)
+        radial = (lambda r: np.ones_like(r)) if route == "radial" else None
+        with pytest.raises(QuadratureError,
+                           match=r"area factor r\^2 .* overflows at radius"):
+            exterior_volume_integrate(
+                lambda p: np.ones(len(p)),
+                ExteriorRegion(r_inner=1e200, r_outer=2e200), cfg,
+                sphere_rule(3), radial=radial)
+
     def test_uncertainty_covers_angular_error(self):
         """Off centre a coarse rule misses the Gaussian by far more than
         the radial tolerance; the gap to the rule's half covers it."""

@@ -19,7 +19,8 @@ from graphmass import (
     scenario_names,
     schwarzschild_profile,
 )
-from graphmass.scenarios import REGISTRY, window_profile
+from graphmass.scenarios import (REGISTRY, PiecewiseRadialField,
+                                  window_profile)
 
 
 class TestRegistry:
@@ -236,6 +237,21 @@ class TestTwoBodyField:
         res = bulk_mass(make_scenario("two_body_glued", m1=m1, m2=m2))
         assert abs(res.value) <= 1e-8
         assert res.tail_bound == 0.0 and res.q_fit is None
+
+    def test_radial_about_each_region(self, two_body):
+        """Each gluing annulus meets only its own piece's support.  An
+        annulus about one body that reaches the other body's support
+        (r > 56 about x = 100, so past r = 144 about x = -100) does not
+        see a radial field."""
+        for region in two_body.bulk_region:
+            assert two_body.field.radial_about(
+                region.center or (0.0, 0.0, 0.0), region.r_inner,
+                region.r_outer)
+        near = PiecewiseRadialField(two_body.field.pieces[:2], 3)
+        assert near.radial_about((-100.0, 0.0, 0.0), 16.0, 140.0)
+        assert not near.radial_about((-100.0, 0.0, 0.0), 16.0, 150.0)
+        assert not two_body.field.radial_about((-100.0, 0.0, 0.0), 16.0,
+                                               150.0)
 
     def test_sampler_deterministic(self, two_body):
         a = two_body.sample_points(50, 11)
