@@ -73,8 +73,7 @@ class ConvexBody:
                             "on the surface")
         m = grad / gn[:, None]
         T = _tangent_frame(m)
-        S = np.einsum("...ia,...ij,...jb->...ab", T, hess, T)
-        S = S / gn[:, None, None]
+        S = (np.swapaxes(T, -1, -2) @ hess @ T) / gn[:, None, None]
         kappas = np.linalg.eigvalsh(S)
         if np.min(kappas) < -_CONVEXITY_TOL:
             raise NonConvexError(
@@ -162,7 +161,10 @@ class SmoothLevelSet(ConvexBody):
     ``phi`` is any ScalarField whose Hessian is positive semidefinite on
     the surface (validated by sampling at construction).  The center
     must be an interior point (phi(center) < level); the surface is
-    parametrized radially from it.
+    parametrized radially from it.  Each ray's radius is bisected until
+    the bracket stops moving; the radii of the construction's probe
+    rule, the default ``sphere_rule``, are kept for surface passes on
+    that same rule object.
     """
 
     def __init__(self, phi: ScalarField, level: float, center=None,
@@ -177,6 +179,7 @@ class SmoothLevelSet(ConvexBody):
             raise BodyError("center is not interior to the level set")
         probe = sphere_rule(self.n)
         radii = self._solve_radii(probe.nodes)
+        self._probe = (probe, radii)
         self._outer = float(np.max(radii))
         pts = self.center + radii[:, None] * probe.nodes
         self.shape_spectrum(pts)  # raises NonConvexError if not convex
@@ -194,6 +197,10 @@ class SmoothLevelSet(ConvexBody):
             raise BodyError("level set is unbounded along a ray")
         for _ in range(90):
             mid = 0.5 * (lo + hi)
+            # lo is inside and hi outside, so a midpoint equal to either
+            # leaves both in place: every later step would repeat it
+            if np.all((mid == lo) | (mid == hi)):
+                break
             inside = self.phi.value(self.center + mid[:, None] * dirs) \
                 < self.level
             lo = np.where(inside, mid, lo)
@@ -201,7 +208,8 @@ class SmoothLevelSet(ConvexBody):
         return 0.5 * (lo + hi)
 
     def surface_sample(self, rule):
-        rho = self._solve_radii(rule.nodes)
+        probe, radii = self._probe
+        rho = radii if rule is probe else self._solve_radii(rule.nodes)
         pts = self.center + rho[:, None] * rule.nodes
         jet = self.phi.jet3_many(pts, order=2)
         gn = np.linalg.norm(jet.grad, axis=1)

@@ -265,14 +265,15 @@ def const_fold(node: Expr) -> float | None:
             return None
 
 
-def param_names(node: Expr) -> tuple[str, ...]:
-    """Sorted names of the free parameters of an expression."""
-    names: set[str] = set()
+def free_symbols(node: Expr) -> frozenset[Expr]:
+    """The distinct variable leaves of an expression: its ``Coord``,
+    ``Radial`` and ``Param`` nodes."""
+    leaves: set[Expr] = set()
 
     def walk(e: Expr) -> None:
         match e:
-            case Param(name):
-                names.add(name)
+            case Coord() | Radial() | Param():
+                leaves.add(e)
             case Neg(a) | Call(_, a):
                 walk(a)
             case Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b):
@@ -282,7 +283,13 @@ def param_names(node: Expr) -> tuple[str, ...]:
                 walk(a)
 
     walk(node)
-    return tuple(sorted(names))
+    return frozenset(leaves)
+
+
+def param_names(node: Expr) -> tuple[str, ...]:
+    """Sorted names of the free parameters of an expression."""
+    return tuple(sorted(e.name for e in free_symbols(node)
+                        if isinstance(e, Param)))
 
 
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5

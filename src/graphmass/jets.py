@@ -568,7 +568,12 @@ class ScalarField:
 
 
 class ExprField(ScalarField):
-    """Field defined by a parsed expression."""
+    """Field defined by a parsed expression.
+
+    An expression that reads no coordinate x_i is radial: through ``r``
+    it is a function of |x|, radial about the origin, and with no
+    variable at all it is a constant, radial about every centre.
+    """
 
     def __init__(self, expression: ex.Expr | str, n: int,
                  params: dict[str, float] | None = None):
@@ -588,6 +593,12 @@ class ExprField(ScalarField):
 
     def jet3_many(self, points, order=3):
         return eval_jet_many(self.expression, self.params, points, order)
+
+    def radial_about(self, center, r_lo, r_hi):
+        symbols = ex.free_symbols(self.expression)
+        if any(isinstance(e, ex.Coord) for e in symbols):
+            return False
+        return ex.Radial() not in symbols or not np.any(center)
 
 
 class RadialField(ScalarField):

@@ -235,10 +235,12 @@ def bulk_mass(scenario: Scenario) -> BulkResult:
     A region whose field is radial about its centre on the whole walked
     annulus (``ScalarField.radial_about``) takes the radial route: R is
     evaluated once per radius, at one point c + r e_1, and each shell
-    integral is |S^{n-1}| r^{n-1} R(r).  Other regions, and expression
-    fields such as flat and bump, take the node route: R at every node of
-    the body rule and of its ``half``.  The tail fit reads the nodes on
-    both routes.
+    integral is |S^{n-1}| r^{n-1} R(r).  That holds for the radial
+    profiles, for each annulus of the glued field, and for an expression
+    that reads no coordinate x_i, such as flat's ``0`` and bump's
+    ``a*exp(-r^2)``.  Other regions take the node route: R at every node
+    of the body rule and of its ``half``.  The tail fit reads the nodes
+    on both routes.
 
     Every R value feeds a running min of R and max of |R|.  ``sign_nodes``
     counts the distinct nodes of every evaluated shell, rule and half,

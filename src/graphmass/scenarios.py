@@ -259,7 +259,7 @@ def _radial_custom(m: float, n: int) -> Scenario:
 
 
 def _bump(alpha: float, n: int) -> Scenario:
-    expr = "a*exp(-(x1^2+x2^2+x3^2))"
+    expr = "a*exp(-r^2)"
     quad = QuadConfig(radii=(2.0, 2.5, 3.0, 3.5), r_max=12.0)
     return Scenario(
         name="bump", n=n, field=ExprField(expr, n, {"a": alpha}),
@@ -437,9 +437,12 @@ class RegistryEntry:
 
 # Each upper end was run and passed every check; past the ends of
 # radial_custom and schwarzschild3 the tail fit or the tolerances give out
-# (radial_custom at m = 100 fits q = 2.68 <= n).  Limits that couple a
-# parameter to another one, or to the fixed flux radii and r_max, are
-# checked when the scenario or the run is built.
+# (radial_custom at m = 100 fits q = 2.68 <= n).  bump still passes past
+# n = 9, but its fixed flux radii 2-3.5 stop resolving the zero mass as
+# the peak of its flux profile, at r = sqrt(n)/2, moves out: |adm| is
+# 9.3e-4 at n = 9 and 1.9e-3 at n = 10, past the 1e-3 of EQUALITY_ABS.
+# Limits that couple a parameter to another one, or to the fixed flux
+# radii and r_max, are checked when the scenario or the run is built.
 REGISTRY: dict[str, RegistryEntry] = {
     e.name: e for e in (
         RegistryEntry("flat", _flat, {"n": Box(3, 3, 32, integer=True)}),
@@ -453,7 +456,7 @@ REGISTRY: dict[str, RegistryEntry] = {
                        "n": Box(3, 3, 32, integer=True)}),
         RegistryEntry("bump", _bump,
                       {"alpha": Box(0.1, 0.0, 0.5, lo_open=True),
-                       "n": Box(3, 3, 3, integer=True)}),
+                       "n": Box(3, 3, 9, integer=True)}),
         # beta < 0.5 keeps a single horizon
         RegistryEntry("schwarzschild_perturbed", _schwarzschild_perturbed,
                       {"m": Box(1.0, 0.0, 50.0, lo_open=True),

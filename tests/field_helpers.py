@@ -35,7 +35,9 @@ class RotatedField(ScalarField):
 class CountingField(ScalarField):
     """Forwards to ``base`` and counts every request for derivatives and
     the points of the radial ones, so a radial base keeps its radial
-    curvature route and its radial bulk shells."""
+    curvature route and its radial bulk shells.  ``scalar_curvature``
+    asks for the radial derivatives first, so ``points`` counts the
+    points of every curvature request, on an expression base too."""
 
     def __init__(self, base: ScalarField):
         self.base, self.n, self.calls, self.points = base, base.n, 0, 0

@@ -131,10 +131,12 @@ class TestRunCommand:
     @pytest.mark.parametrize(("name", "key", "edge", "past"), [
         ("radial_custom", "m", "50", "100"),
         ("radial_custom", "n", "32", "40"),
-        ("schwarzschild3", "m", "1e7", "1e8")])
+        ("schwarzschild3", "m", "1e7", "1e8"),
+        ("bump", "n", "9", "10")])
     def test_box_upper_ends(self, capsys, name, key, edge, past):
         """Each upper end runs every check; the first value seen to fail
-        past it (tail fit q <= n, or the identity residual) exits 3."""
+        past it (tail fit q <= n, or the identity residual), or to miss
+        its known mass by more than 1e-3 (bump at n = 10), exits 3."""
         assert main(["run", name, f"--{key}", edge]) == 0
         code = main(["run", name, f"--{key}", past])
         _, err = capsys.readouterr()

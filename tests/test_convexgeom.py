@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -166,6 +167,67 @@ class TestSmoothLevelSet:
         with pytest.raises(BodyError):
             SmoothLevelSet(ExprField("x1^2 + x2^2 + x3^2", 3), level=1.0,
                            center=(2.0, 0.0, 0.0))
+
+
+def fixed_bisection(body, dirs):
+    """Each ray's radius after all 90 halvings of its bracket: the
+    reference for the bisection that stops once the brackets do."""
+    lo, hi = np.zeros(len(dirs)), np.ones(len(dirs))
+    for _ in range(80):
+        grow = body.phi.value(body.center + hi[:, None] * dirs) < body.level
+        if not grow.any():
+            break
+        hi[grow] *= 2.0
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        inside = body.phi.value(body.center + mid[:, None] * dirs) \
+            < body.level
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+LEVEL_SETS = {
+    "quartic3": ("x1^4 + x2^4 + x3^4", 3, 1.0, None),
+    "quartic4": ("x1^4 + x2^4 + x3^4 + x4^4", 4, 1.0, None),
+    "ellipsoid": ("x1^2/2.25 + x2^2/1.69 + x3^2", 3, 1.0, None),
+    "exp": ("exp(x1) + x2^2 + x3^2", 3, 3.0, (0.1, 0.2, -0.1)),
+}
+
+
+class TestLevelSetRadii:
+    @pytest.mark.parametrize("order", [None, 32])
+    @pytest.mark.parametrize("name", sorted(LEVEL_SETS))
+    def test_early_exit_matches_fixed_bisection(self, name, order):
+        """The bisection stops once no bracket moves, in fewer steps than
+        the fixed 90, and leaves every radius bit-identical to them."""
+        text, n, level, center = LEVEL_SETS[name]
+        body = SmoothLevelSet(ExprField(text, n), level, center=center)
+        dirs = sphere_rule(n, order).nodes
+        calls = []
+        value = body.phi.value
+        body.phi.value = lambda pts: (calls.append(1), value(pts))[1]
+        radii = body._solve_radii(dirs)
+        early = len(calls)
+        reference = fixed_bisection(body, dirs)
+        assert np.array_equal(radii, reference)
+        assert early < len(calls) - early
+
+    def test_probe_rule_is_solved_once(self, monkeypatch):
+        """Construction solves the radii on the default rule; a surface
+        pass on that same rule object reuses them, and an equal rule
+        that is another object solves them again, to the same bits."""
+        body = SmoothLevelSet(ExprField("x1^4 + x2^4 + x3^4", 3), 1.0)
+        solves = []
+        solve = SmoothLevelSet._solve_radii
+        monkeypatch.setattr(SmoothLevelSet, "_solve_radii",
+                            lambda self, dirs: (solves.append(len(dirs)),
+                                                solve(self, dirs))[1])
+        V = quermassintegrals(body)
+        assert solves == []
+        copy = dataclasses.replace(sphere_rule(3))
+        assert np.array_equal(quermassintegrals(body, copy), V)
+        assert solves == [len(copy.weights)]
 
 
 class TestSigmaJ:

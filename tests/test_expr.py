@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from graphmass import ExprField, ParseError, UnboundParameterError
-from graphmass.expr import const_fold, param_names, parse, to_text
+from graphmass.expr import (Coord, Param, Radial, const_fold, free_symbols,
+                            param_names, parse, to_text)
 
 
 def ev(text, n, point, params=None):
@@ -91,6 +92,12 @@ class TestFoldingAndParams:
     def test_param_names_sorted(self):
         assert param_names(parse("b*x1 + a*sin(c*x2)", 3)) == ("a", "b", "c")
         assert param_names(parse("x1+x2", 3)) == ()
+
+    def test_free_symbols(self):
+        """Every distinct variable leaf once, under any node kind."""
+        assert free_symbols(parse("a*exp(-r^2) - x2/(1 + a*x2)", 3)) == {
+            Param("a"), Radial(), Coord(2)}
+        assert free_symbols(parse("sqrt(2)^3 - 1", 3)) == frozenset()
 
     def test_unbound_parameter(self):
         with pytest.raises(UnboundParameterError):

@@ -220,6 +220,24 @@ class TestRadialAbout:
         fld = ExprField("exp(-(x1^2+x2^2+x3^2))", 3)
         assert not fld.radial_about((0.0, 0.0, 0.0), 0.0, 10.0)
 
+    def test_expression_in_r_is_radial_about_the_origin(self):
+        fld = ExprField("a*exp(-r^2)", 3, {"a": 0.1})
+        assert fld.radial_about((0.0, 0.0, 0.0), 0.0, 12.0)
+        assert not fld.radial_about((0.4, 0.0, 0.0), 0.0, 12.0)
+
+    @pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (0.4, 0.0, 0.0),
+                                        (-100.0, 3.0, 7.0)])
+    def test_constant_is_radial_about_every_centre(self, center):
+        assert ExprField("0", 3).radial_about(center, 0.0, 100.0)
+        assert ExprField("b*2", 3, {"b": 1.5}).radial_about(center, 1.0, 2.0)
+
+    @pytest.mark.parametrize("text", ["x1", "r + 0*x1", "exp(-r^2)*cos(x1)",
+                                      "1/(1 + x1^2 + x2^2 + x3^2)"])
+    def test_expression_reading_a_coordinate_is_not_radial(self, text):
+        fld = ExprField(text, 3)
+        for center in ((0.0, 0.0, 0.0), (0.4, 0.0, 0.0)):
+            assert not fld.radial_about(center, 0.0, 10.0)
+
 
 class TestRotatedField:
     def test_jets_transform_covariantly(self):

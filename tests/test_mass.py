@@ -253,10 +253,12 @@ class TestBulkMass:
         assert abs(res.value - half.value) <= res.uncertainty
 
 
+# flat ("0") and bump ("a*exp(-r^2)") are expression fields that read no
+# coordinate, so they take the radial route too
 RADIAL_CONFIGS = [("schwarzschild3", {}), ("schwarzschild_n", {}),
                   ("schwarzschild_n", {"n": 5}), ("schwarzschild_n", {"n": 6}),
                   ("radial_custom", {}), ("schwarzschild_perturbed", {}),
-                  ("two_body_glued", {})]
+                  ("two_body_glued", {}), ("flat", {}), ("bump", {})]
 
 
 class TestRadialShells:
@@ -307,6 +309,20 @@ class TestRadialShells:
         assert sum(tail) == sum(r.r_outer is None
                                 for r in scn.bulk_region) * quad.TAIL_POINTS
         assert counting.points == sum(walked) + sum(tail) * shell_nodes
+
+    def test_radial_bulk_route_bounds_the_high_n_peak(self):
+        """flat at n = 32 walks its shells on the radial route: one point
+        per radius instead of 3072 nodes with a 32 x 32 Hessian each.
+        The node route's traced peak was 526 MiB and the bound is half
+        of it; what remains is the tail fit's node batch."""
+        scn = make_scenario("flat", n=32)
+        tracemalloc.start()
+        try:
+            assert bulk_mass(scn).value == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 263 * 2 ** 20
 
 
 class TestDecomposition:
