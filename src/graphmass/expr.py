@@ -12,14 +12,24 @@ Identifiers ``x1`` .. ``xn`` are coordinates, ``r`` is the distance to the
 origin, ``sqrt exp log sin cos`` are functions, and any other identifier is
 a named parameter bound at evaluation time.  Power exponents are restricted
 to constant subexpressions so derivative propagation stays closed-form.
+
+One walk, :func:`evaluate`, gives values (order 0), jets (order 2 or 3, with
+the jet operations of ``jets``) and the parser's constant exponents, all
+checked by one set of domain rules, ``DOMAIN_RULES``.  The only
+order-dependent rule: jets reject ``sqrt`` at 0 and ``r`` at the origin,
+where the slope is infinite.  Order 0 applies no derivative rule, so
+differences of values stay an independent check of the jet rules.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError
+import numpy as np
+
+from .errors import DomainError, ParseError, UnboundParameterError
 
 FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos")
 
@@ -180,7 +190,10 @@ class _Parser:
         if self.peek().kind == "op" and self.peek().text == "^":
             caret = self.advance()
             exp_node = self.unary()
-            exponent = const_fold(exp_node)
+            try:
+                exponent = const_fold(exp_node)
+            except DomainError as err:
+                raise ParseError(f"power exponent: {err}", caret.pos) from None
             if exponent is None:
                 raise ParseError("power exponent must be a constant", caret.pos)
             return Pow(base, exponent)
@@ -232,37 +245,103 @@ def parse(text: str, n: int) -> Expr:
     return _Parser(text, n).parse()
 
 
-def const_fold(node: Expr) -> float | None:
-    """Value of a constant subexpression, or None if it involves variables."""
-    import math
+def power(v, c: float):
+    """``np.power(v, c)``, bit-equal to it for v >= 0.  For an integral c it
+    raises |v| and restores the sign for odd c: ``np.power`` is about 20x
+    slower on a negative base, and the two agree to roundoff there."""
+    if not float(c).is_integer():
+        return np.power(v, c)
+    p = np.power(np.abs(v), c)
+    return np.copysign(p, v) if c % 2 else p
 
-    match node:
-        case Num(v):
-            return v
-        case Neg(a):
-            v = const_fold(a)
-            return None if v is None else -v
-        case Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b):
-            va, vb = const_fold(a), const_fold(b)
-            if va is None or vb is None:
-                return None
-            if isinstance(node, Add):
-                return va + vb
-            if isinstance(node, Sub):
-                return va - vb
-            if isinstance(node, Mul):
-                return va * vb
-            return va / vb
-        case Pow(a, e):
-            va = const_fold(a)
-            return None if va is None else va ** e
-        case Call(fn, a):
-            va = const_fold(a)
-            if va is None:
-                return None
-            return getattr(math, fn)(va)
-        case _:
-            return None
+
+# The operations of values: the leaves take the points, shape (..., n), and
+# the order; "value" reads what the domain rules check.  Sums, differences,
+# products, quotients and negation are the result's own operators.
+VALUES = {
+    "const": lambda v, pts, order: np.broadcast_to(
+        v, pts.shape[:-1]).astype(float),
+    "coord": lambda pts, i, order: pts[..., i],
+    "radius_sq": lambda pts, order: np.sum(pts * pts, axis=-1),
+    "value": lambda v: v, "^": power, "sqrt": np.sqrt, "exp": np.exp,
+    "log": np.log, "sin": np.sin, "cos": np.cos}
+
+
+# The domain rules: per operation ("/", "^" with exponent c, a function),
+# the argument values v it rejects at an order k (0 for values), and why.
+DOMAIN_RULES = {
+    "/": [(lambda v, c, k: v == 0.0, "division by zero")],
+    "log": [(lambda v, c, k: v <= 0.0, "log of a non-positive value")],
+    "sqrt": [(lambda v, c, k: v < 0.0, "sqrt of a negative value"),
+             (lambda v, c, k: k > 0 and v == 0.0,
+              "infinite slope of sqrt at 0")],
+    "^": [(lambda v, c, k: not float(c).is_integer() and v <= 0.0,
+           "non-integer power of a non-positive value"),
+          (lambda v, c, k: c < 0 and v == 0.0, "negative power of zero")],
+}
+
+
+def evaluate(node: Expr, params: dict[str, float] | None, points,
+             order: int = 0, ops: dict = VALUES):
+    """The expression at a batch of points, shape (..., n): values at
+    order 0 with ``VALUES``, jets at order 2 or 3 with a table of jet
+    operations of the same keys.  Raises DomainError naming the
+    subexpression that leaves its domain."""
+    pts = np.asarray(points, float)
+    bindings = params or {}
+
+    def checked(e: Expr, op: str, arg, c: float = 0.0):
+        v = ops["value"](arg)
+        for rejects, reason in DOMAIN_RULES.get(op, ()):
+            if np.any(rejects(v, c, order)):
+                raise DomainError(f"{reason} in '{to_text(e)}'")
+        return arg
+
+    def walk(e: Expr):
+        match e:
+            case Num(v):
+                return ops["const"](v, pts, order)
+            case Coord(i):
+                return ops["coord"](pts, i - 1, order)
+            case Radial():
+                q = ops["radius_sq"](pts, order)
+                return ops["sqrt"](checked(e, "sqrt", q))
+            case Param(name):
+                if name not in bindings:
+                    raise UnboundParameterError(
+                        f"parameter {name!r} is not bound")
+                return ops["const"](bindings[name], pts, order)
+            case Neg(a):
+                return -walk(a)
+            case Add(a, b):
+                return walk(a) + walk(b)
+            case Sub(a, b):
+                return walk(a) - walk(b)
+            case Mul(a, b):
+                return walk(a) * walk(b)
+            case Div(a, b):
+                return walk(a) / checked(e, "/", walk(b))
+            case Pow(a, c):
+                return ops["^"](checked(e, "^", walk(a), c), c)
+            case Call(fn, a):
+                return ops[fn](checked(e, fn, walk(a)))
+        raise TypeError(f"not an expression node: {e!r}")
+
+    return walk(node)
+
+
+def const_fold(node: Expr) -> float | None:
+    """Value of a constant subexpression, or None if it involves variables;
+    DomainError if it leaves a domain or is not finite."""
+    if free_symbols(node):
+        return None
+    # the one point of R^0; an overflow, and a NaN it leads to, is
+    # reported as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(evaluate(node, None, np.zeros(0)))
+    if not math.isfinite(value):
+        raise DomainError(f"'{to_text(node)}' is not finite")
+    return value
 
 
 def free_symbols(node: Expr) -> frozenset[Expr]:

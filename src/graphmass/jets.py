@@ -6,8 +6,10 @@ third-derivative tensor of a function at one point or at a batch of points
 the third tensor as None and computes the rest with the same arithmetic:
 the curvature, flux and level-set consumers read only the gradient and
 Hessian, so they ask for order 2.  Order 3 serves the divergence route,
-the finite-difference comparison and the decay probe.  Jets propagate
-through expression trees by forward-mode rules:
+the finite-difference comparison and the decay probe.  An expression
+field's values and jets come from one walk, ``expr.evaluate``, which checks
+the domain rules; values apply no derivative rule, so :func:`fd_jet` stays
+an independent check of the forward-mode rules the jets apply:
 
 * product:   (fg)''' = f''' g + 3 sym(f'' o g') + 3 sym(f' o g'') + f g'''
 * scalar chain rule for phi(w):
@@ -132,27 +134,17 @@ class Jet3:
         return self
 
 
-def _zero_third(batch_shape: tuple[int, ...], n: int, order: int):
-    return np.zeros(batch_shape + (n, n, n)) if order == 3 else None
-
-
-def jet_const(value, n: int, batch_shape: tuple[int, ...] = (),
-              order: int = 3) -> Jet3:
-    v = np.broadcast_to(np.asarray(value, float), batch_shape).copy()
-    return Jet3(v, np.zeros(batch_shape + (n,)),
-                np.zeros(batch_shape + (n, n)),
-                _zero_third(batch_shape, n, order))
-
-
-def jet_coord(points: np.ndarray, index: int, order: int = 3) -> Jet3:
-    """Jet of the coordinate function x_{index} (0-based) at ``points``."""
-    pts = np.asarray(points, float)
-    n = pts.shape[-1]
-    batch = pts.shape[:-1]
-    grad = np.zeros(batch + (n,))
-    grad[..., index] = 1.0
-    return Jet3(pts[..., index].copy(), grad, np.zeros(batch + (n, n)),
-                _zero_third(batch, n, order))
+def _leaf(shape: tuple[int, ...], order: int, value, grad=None,
+          hess=None) -> Jet3:
+    """Jet over points of shape (..., n) with the given value, gradient and
+    Hessian (zero where not given), each broadcast to the batch, and a zero
+    third tensor."""
+    batch, n = shape[:-1], shape[-1]
+    parts = [np.zeros(batch + (n,) * k) for k in range(order + 1)] + [None]
+    for part, given in zip(parts, (value, grad, hess)):
+        if given is not None:
+            np.copyto(part, given)
+    return Jet3(*parts[:4])
 
 
 def jet_compose(w: Jet3, d0, d1, d2, d3) -> Jet3:
@@ -170,6 +162,9 @@ def jet_compose(w: Jet3, d0, d1, d2, d3) -> Jet3:
                 d1e * g, hess, third)
 
 
+# jet_sqrt, jet_log and jet_pow trust the walk's domain rules; jet_recip
+# checks its own, since it also backs the public ``Jet3 /``.
+
 def jet_recip(w: Jet3) -> Jet3:
     v = w.value
     if np.any(v == 0.0):
@@ -180,8 +175,6 @@ def jet_recip(w: Jet3) -> Jet3:
 
 def jet_sqrt(w: Jet3) -> Jet3:
     v = w.value
-    if np.any(v <= 0.0):
-        raise DomainError("sqrt of a non-positive value")
     s = np.sqrt(v)
     return jet_compose(w, s, 0.5 / s, -0.25 * v ** -1.5, 0.375 * v ** -2.5)
 
@@ -193,8 +186,6 @@ def jet_exp(w: Jet3) -> Jet3:
 
 def jet_log(w: Jet3) -> Jet3:
     v = w.value
-    if np.any(v <= 0.0):
-        raise DomainError("log of a non-positive value")
     return jet_compose(w, np.log(v), 1.0 / v, -v ** -2.0, 2 * v ** -3.0)
 
 
@@ -211,23 +202,17 @@ def jet_cos(w: Jet3) -> Jet3:
 def jet_pow(w: Jet3, c: float) -> Jet3:
     """w**c for a constant exponent c."""
     if c == 0.0:
-        return jet_const(1.0, w.n, w.batch_shape, w.order)
+        return _leaf(w.grad.shape, w.order, 1.0)
     if c == 1.0:
         return Jet3(w.value.copy(), w.grad.copy(), w.hess.copy(),
                     _lift(np.copy, w.third))
     v = w.value
-    integral = float(c).is_integer()
-    if not integral and np.any(v <= 0.0):
-        raise DomainError(f"non-integer power {c} of a non-positive value")
-    if integral and c < 0 and np.any(v == 0.0):
-        raise DomainError(f"negative power {c} of zero")
-    coef1 = c
     coef2 = c * (c - 1)
     coef3 = c * (c - 1) * (c - 2)
-    d0 = np.power(v, c)
-    d1 = coef1 * np.power(v, c - 1)
-    d2 = coef2 * np.power(v, c - 2) if coef2 != 0 else np.zeros_like(v)
-    d3 = coef3 * np.power(v, c - 3) if coef3 != 0 else np.zeros_like(v)
+    d0 = ex.power(v, c)
+    d1 = c * ex.power(v, c - 1)
+    d2 = coef2 * ex.power(v, c - 2) if coef2 != 0 else np.zeros_like(v)
+    d3 = coef3 * ex.power(v, c - 3) if coef3 != 0 else np.zeros_like(v)
     return jet_compose(w, d0, d1, d2, d3)
 
 
@@ -235,124 +220,16 @@ def jet_pow(w: Jet3, c: float) -> Jet3:
 # expression evaluation
 # ----------------------------------------------------------------------
 
-def _radius_sq_jet(points: np.ndarray, order: int) -> Jet3:
-    pts = np.asarray(points, float)
-    batch = pts.shape[:-1]
-    n = pts.shape[-1]
-    hess = np.broadcast_to(2.0 * np.eye(n), batch + (n, n)).copy()
-    return Jet3(np.sum(pts * pts, axis=-1), 2.0 * pts, hess,
-                _zero_third(batch, n, order))
-
-
-def eval_jet_many(node: ex.Expr, params: dict[str, float] | None,
-                  points: np.ndarray, order: int = 3) -> Jet3:
-    """Order-2 or order-3 jet of the expression at a batch of points,
-    shape (..., n)."""
-    check_order(order)
-    pts = np.asarray(points, float)
-    n = pts.shape[-1]
-    bindings = params or {}
-
-    def walk(e: ex.Expr) -> Jet3:
-        match e:
-            case ex.Num(v):
-                return jet_const(v, n, pts.shape[:-1], order)
-            case ex.Coord(i):
-                return jet_coord(pts, i - 1, order)
-            case ex.Radial():
-                q = _radius_sq_jet(pts, order)
-                if np.any(q.value <= 0.0):
-                    raise DomainError("'r' is singular at the origin")
-                return jet_sqrt(q)
-            case ex.Param(name):
-                if name not in bindings:
-                    raise UnboundParameterError(
-                        f"parameter {name!r} is not bound")
-                return jet_const(bindings[name], n, pts.shape[:-1], order)
-            case ex.Neg(a):
-                return -walk(a)
-            case ex.Add(a, b):
-                return walk(a) + walk(b)
-            case ex.Sub(a, b):
-                return walk(a) - walk(b)
-            case ex.Mul(a, b):
-                return walk(a) * walk(b)
-            case ex.Div(a, b):
-                return _with_context(lambda: walk(a) / walk(b), e)
-            case ex.Pow(a, c):
-                return _with_context(lambda: jet_pow(walk(a), c), e)
-            case ex.Call(fn, a):
-                op = {"sqrt": jet_sqrt, "exp": jet_exp, "log": jet_log,
-                      "sin": jet_sin, "cos": jet_cos}[fn]
-                return _with_context(lambda: op(walk(a)), e)
-        raise TypeError(f"not an expression node: {e!r}")
-
-    return walk(node).check_finite(f"'{ex.to_text(node)}'")
-
-
-def _with_context(thunk: Callable[[], Jet3], node: ex.Expr) -> Jet3:
-    try:
-        return thunk()
-    except DomainError as err:
-        raise DomainError(f"{err} in '{ex.to_text(node)}'") from None
-
-
-def eval_value_many(node: ex.Expr, params: dict[str, float] | None,
-                    points: np.ndarray) -> np.ndarray:
-    """Values only (used by the finite-difference oracle)."""
-    pts = np.asarray(points, float)
-    bindings = params or {}
-
-    def walk(e: ex.Expr) -> np.ndarray:
-        match e:
-            case ex.Num(v):
-                return np.broadcast_to(v, pts.shape[:-1]).astype(float)
-            case ex.Coord(i):
-                return pts[..., i - 1]
-            case ex.Radial():
-                return np.sqrt(np.sum(pts * pts, axis=-1))
-            case ex.Param(name):
-                if name not in bindings:
-                    raise UnboundParameterError(
-                        f"parameter {name!r} is not bound")
-                return np.broadcast_to(bindings[name],
-                                       pts.shape[:-1]).astype(float)
-            case ex.Neg(a):
-                return -walk(a)
-            case ex.Add(a, b):
-                return walk(a) + walk(b)
-            case ex.Sub(a, b):
-                return walk(a) - walk(b)
-            case ex.Mul(a, b):
-                return walk(a) * walk(b)
-            case ex.Div(a, b):
-                den = walk(b)
-                if np.any(den == 0.0):
-                    raise DomainError(f"division by zero in '{ex.to_text(e)}'")
-                return walk(a) / den
-            case ex.Pow(a, c):
-                base = walk(a)
-                if not float(c).is_integer() and np.any(base <= 0.0):
-                    raise DomainError(
-                        f"non-integer power of non-positive value in "
-                        f"'{ex.to_text(e)}'")
-                return np.power(base, c)
-            case ex.Call(fn, a):
-                v = walk(a)
-                if fn == "sqrt":
-                    if np.any(v < 0.0):
-                        raise DomainError(
-                            f"sqrt of negative value in '{ex.to_text(e)}'")
-                    return np.sqrt(v)
-                if fn == "log":
-                    if np.any(v <= 0.0):
-                        raise DomainError(
-                            f"log of non-positive value in '{ex.to_text(e)}'")
-                    return np.log(v)
-                return getattr(np, fn)(v)
-        raise TypeError(f"not an expression node: {e!r}")
-
-    return walk(node)
+# the jet operations of the expression walk, keyed as ``expr.VALUES``
+_JET_OPS = {
+    "const": lambda v, pts, order: _leaf(pts.shape, order, v),
+    "coord": lambda pts, i, order: _leaf(pts.shape, order, pts[..., i],
+                                         np.eye(pts.shape[-1])[i]),
+    "radius_sq": lambda pts, order: _leaf(
+        pts.shape, order, np.sum(pts * pts, axis=-1), 2.0 * pts,
+        2.0 * np.eye(pts.shape[-1])),
+    "value": lambda j: j.value, "^": jet_pow, "sqrt": jet_sqrt,
+    "exp": jet_exp, "log": jet_log, "sin": jet_sin, "cos": jet_cos}
 
 
 # ----------------------------------------------------------------------
@@ -589,10 +466,13 @@ class ExprField(ScalarField):
         self.params = dict(params or {})
 
     def value(self, points):
-        return eval_value_many(self.expression, self.params, points)
+        return ex.evaluate(self.expression, self.params, points)
 
     def jet3_many(self, points, order=3):
-        return eval_jet_many(self.expression, self.params, points, order)
+        check_order(order)
+        jet = ex.evaluate(self.expression, self.params, points, order,
+                          _JET_OPS)
+        return jet.check_finite(f"'{ex.to_text(self.expression)}'")
 
     def radial_about(self, center, r_lo, r_hi):
         symbols = ex.free_symbols(self.expression)

@@ -7,7 +7,10 @@ import pytest
 
 from graphmass import ExprField, ParseError, UnboundParameterError
 from graphmass.expr import (Coord, Param, Radial, const_fold, free_symbols,
-                            param_names, parse, to_text)
+                            param_names, parse, power, to_text)
+
+# a numpy overflow or divide in the evaluator fails instead of passing as inf
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def ev(text, n, point, params=None):
@@ -89,6 +92,20 @@ class TestFoldingAndParams:
         assert const_fold(parse("exp(0)+sqrt(4)", 3)) == pytest.approx(3.0)
         assert const_fold(parse("2*x1", 3)) is None
 
+    @pytest.mark.parametrize(("text", "reason"), [
+        ("x1^(1/0)", "division by zero"),
+        ("x1^sqrt(-1)", "sqrt of a negative value"),
+        ("x1^log(0)", "log of a non-positive value"),
+        ("x1^(0^(-1))", "negative power of zero"),
+        ("x1^exp(1000)", "not finite"),
+    ])
+    def test_exponent_outside_a_domain_is_parse_error(self, text, reason):
+        """An exponent that folds to no finite number is a ParseError at
+        the caret that names the reason."""
+        with pytest.raises(ParseError, match=reason) as info:
+            parse(text, 3)
+        assert info.value.position == 2
+
     def test_param_names_sorted(self):
         assert param_names(parse("b*x1 + a*sin(c*x2)", 3)) == ("a", "b", "c")
         assert param_names(parse("x1+x2", 3)) == ()
@@ -105,6 +122,31 @@ class TestFoldingAndParams:
 
     def test_bound_parameter(self):
         assert ev("a*x1 + b", 3, [2, 0, 0], {"a": 3.0, "b": 1.0}) == 7.0
+
+
+class TestPower:
+    """``power``, the one power of the values and of the four jet powers:
+    |v|^c with the sign restored for odd integral c."""
+
+    @pytest.mark.parametrize("c", [-2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0,
+                                   0.5, 2.5, -1.5])
+    def test_bit_equal_to_np_power_on_nonnegative_bases(self, c):
+        v = np.random.default_rng(4).uniform(0.0, 3.0, 1000)
+        if c > 0:
+            v[:2] = 0.0
+        assert np.array_equal(power(v, c), np.power(v, c))
+        for single in (np.float64(1.7), np.array(1.7), 1.7):
+            assert power(single, c) == np.power(single, c)
+
+    @pytest.mark.parametrize("c", [-2.0, -1.0, 2.0, 3.0, 4.0])
+    def test_negative_bases_within_roundoff(self, c):
+        v = -np.random.default_rng(5).uniform(1e-3, 3.0, 1000)
+        ref = np.power(v, c)
+        assert np.max(np.abs(power(v, c) - ref) / np.abs(ref)) <= 4e-16
+        for single in (np.float64(-1.7), np.array(-1.7), -1.7):
+            got, want = power(single, c), np.power(single, c)
+            assert np.shape(got) == np.shape(want)
+            assert abs(got - want) <= 4e-16 * abs(want)
 
 
 class TestRendering:

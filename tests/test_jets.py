@@ -4,6 +4,7 @@ order-2 jets the curvature consumers ask for."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from graphmass import (
     ExprField,
     RadialField,
     RadialProfile,
+    UnboundParameterError,
     fd_jet,
     flatness_report,
     make_scenario,
@@ -21,6 +23,11 @@ from graphmass import (
     radial_jet,
     schwarzschild_profile,
 )
+from graphmass.expr import evaluate, parse
+from graphmass.jets import _JET_OPS
+
+# a numpy overflow or divide in the evaluator fails instead of passing as inf
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def sup(a):
@@ -72,6 +79,76 @@ class TestExprJets:
     def test_fd_jet_rejects_batches(self):
         with pytest.raises(ValueError):
             fd_jet(self.FIELD, np.zeros((4, 3)))
+
+
+class TestDomainRules:
+    """One set of domain rules for values (order 0) and jets (orders 2
+    and 3): each case gives a value at every order or raises at every
+    order, except sqrt and r at 0, where only the jet's slope is
+    infinite."""
+
+    CASES = [
+        ("x1^(-1)", [0.0, 1.0, 1.0], "negative power of zero in 'x1^(-1)'"),
+        ("1/x1", [0.0, 1.0, 1.0], "division by zero in '1/x1'"),
+        ("log(x1)", [0.0, 1.0, 1.0], "log of a non-positive value in "
+         "'log(x1)'"),
+        ("x1^0.5", [-1.0, 1.0, 1.0], "non-integer power of a non-positive "
+         "value in 'x1^0.5'"),
+        ("sqrt(x1)", [0.0, 1.0, 1.0], 0.0),
+        ("r", [0.0, 0.0, 0.0], 0.0),
+        ("2 + a*x1", [1.0, 1.0, 1.0], UnboundParameterError),
+    ]
+
+    @pytest.mark.parametrize("order", [0, 2, 3])
+    @pytest.mark.parametrize(("text", "point", "expected"), CASES,
+                             ids=[c[0] for c in CASES])
+    def test_value_or_named_error_at_every_order(self, text, point,
+                                                 expected, order):
+        node = parse(text, 3)
+        pts = np.asarray(point, float)[None, :]
+
+        def run():
+            if order == 0:
+                return evaluate(node, {}, pts)
+            return evaluate(node, {}, pts, order, _JET_OPS)
+
+        if expected is UnboundParameterError:
+            with pytest.raises(UnboundParameterError, match="'a'"):
+                run()
+        elif isinstance(expected, str):
+            with pytest.raises(DomainError, match=re.escape(expected)):
+                run()
+        elif order == 0:
+            assert run()[0] == expected
+        else:  # sqrt and r at 0: the slope is infinite
+            with pytest.raises(DomainError,
+                               match=re.escape(f"sqrt at 0 in '{text}'")):
+                run()
+
+
+class TestHorizonOracle:
+    """Schwarzschild n = 3 written as an expression whose sqrt vanishes on
+    the horizon r = 2m: the form of a non-round convex horizon graph."""
+
+    FIELD = ExprField("-sqrt(8*m*(r - 2*m))", 3, {"m": 1.0})
+
+    def test_matches_the_radial_field_outside(self):
+        scn = make_scenario("schwarzschild3", m=1.0)
+        pts = scn.sample_points(200, 13)
+        got, want = self.FIELD.jet3_many(pts), scn.field.jet3_many(pts)
+        for name in ("value", "grad", "hess", "third"):
+            a, b = getattr(got, name), getattr(want, name)
+            axes = tuple(range(1, b.ndim))  # per point
+            scale = np.max(np.abs(b), axis=axes)
+            err = np.max(np.abs(a - b), axis=axes)
+            assert np.all(err <= 1e-12 * scale), name
+
+    def test_zero_on_the_horizon_where_the_jet_raises(self):
+        on = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, -2.0]])
+        assert np.all(self.FIELD.value(on) == 0.0)
+        for order in (2, 3):
+            with pytest.raises(DomainError, match="sqrt at 0"):
+                self.FIELD.jet3_many(on, order=order)
 
 
 class TestJetAlgebra:
