@@ -3,8 +3,10 @@
 Exit codes: 0 all requested checks passed; 1 an inequality or identity
 check failed; 2 a scenario hypothesis was violated (reported, not
 silently passed); 3 configuration error; 4 numerical failure (tail fit,
-extrapolation, quadrature).  When several apply, the more diagnostic
-code wins: 3 > 4 > 2 > 1.
+extrapolation, quadrature).  ``EXIT_CODES`` maps the ``kind`` of each
+error class to its code, the more diagnostic first: when several apply,
+3 > 4 > 2 > 1.  A run records each exception under its kind, one from
+outside the package as numerical; a config error stops the run.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import ConfigError, DomainError, GraphMassError, QuadratureError
+from .errors import ConfigError, GraphMassError
 from .mass import (CheckOutcome, Scenario, ScenarioEvaluation,
                    horizon_clearance)
 from .quad import TAIL_FIT_FROM
@@ -31,10 +33,9 @@ from .report import ReportDocument, bulk_csv, flux_csv
 from .scenarios import REGISTRY, make_scenario, scenario_names
 
 EXIT_OK = 0
-EXIT_CHECK_FAILED = 1
-EXIT_HYPOTHESIS = 2
-EXIT_CONFIG = 3
-EXIT_NUMERICAL = 4
+# exit code per failure kind, the most diagnostic first: a run exits
+# with the first kind it saw
+EXIT_CODES = {"config": 3, "numerical": 4, "hypothesis": 2, "failed": 1}
 
 VALID_CHECKS = ("pmt", "penrose", "identities", "all")
 VALID_FORMATS = ("json", "csv", "both")
@@ -250,16 +251,10 @@ def _run_entry(entry: EntryConfig, run: RunConfig,
             summary["bulk_regions"] = _bulk_convergence(scenario, evaluation)
         summary["checks"] = [_outcome_dict(o) for o in result["outcomes"]]
         result["summary"] = summary
-    except ConfigError as exc:
-        result["error"] = str(exc)
-        result["error_kind"] = "config"
-    except (QuadratureError, DomainError, np.linalg.LinAlgError,
-            ArithmeticError) as exc:
-        result["error"] = str(exc)
-        result["error_kind"] = "numerical"
-    except GraphMassError as exc:
-        result["error"] = str(exc)
-        result["error_kind"] = "hypothesis"
+    except Exception as exc:  # from outside the package: numerical
+        ours = isinstance(exc, GraphMassError)
+        result["error_kind"] = exc.kind if ours else "numerical"
+        result["error"] = str(exc) if ours else f"{type(exc).__name__}: {exc}"
     result["runtime"] = time.perf_counter() - started
     return result
 
@@ -303,8 +298,7 @@ def execute_run(run: RunConfig) -> tuple[int, ReportDocument, list[dict]]:
         "verdicts": [],
         "errors": [],
     }
-    exit_code = EXIT_OK
-    saw_fail = saw_hyp = saw_num = False
+    seen = set()
     for res in results:
         if res["summary"] is not None:
             body["scenarios"].append(res["summary"])
@@ -314,10 +308,7 @@ def execute_run(run: RunConfig) -> tuple[int, ReportDocument, list[dict]]:
                                    "message": res["error"]})
             if res["error_kind"] == "config":
                 raise ConfigError(f"{res['name']}: {res['error']}")
-            if res["error_kind"] == "numerical":
-                saw_num = True
-            else:
-                saw_hyp = True
+            seen.add(res["error_kind"])
         for outcome in res["outcomes"]:
             body["verdicts"].append({
                 "scenario": outcome.scenario,
@@ -326,15 +317,11 @@ def execute_run(run: RunConfig) -> tuple[int, ReportDocument, list[dict]]:
                 "hypothesis_ok": outcome.hypothesis_ok,
             })
             if not outcome.passed:
-                saw_fail = True
+                seen.add("failed")
             if not outcome.hypothesis_ok:
-                saw_hyp = True
-    if saw_num:
-        exit_code = EXIT_NUMERICAL
-    elif saw_hyp:
-        exit_code = EXIT_HYPOTHESIS
-    elif saw_fail:
-        exit_code = EXIT_CHECK_FAILED
+                seen.add("hypothesis")
+    exit_code = next((code for kind, code in EXIT_CODES.items()
+                      if kind in seen), EXIT_OK)
 
     header = {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -365,23 +352,23 @@ def _emit(run: RunConfig, document: ReportDocument,
             print(f"[ERROR] {res['name']}: {res['error']}",
                   file=gate_stream)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        wrote = []
+        files = []
         if run.format in ("json", "both"):
-            path = os.path.join(out_dir, "report.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(document.to_json())
-                fh.write("\n")
-            wrote.append(path)
+            files.append(("report.json", document.to_json() + "\n"))
         if run.format in ("csv", "both"):
-            for name, text in (("flux.csv", flux_csv(document.body)),
-                               ("bulk.csv", bulk_csv(document.body))):
-                path = os.path.join(out_dir, name)
-                with open(path, "w", encoding="utf-8") as fh:
+            files += [("flux.csv", flux_csv(document.body)),
+                      ("bulk.csv", bulk_csv(document.body))]
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            for name, text in files:
+                with open(os.path.join(out_dir, name), "w",
+                          encoding="utf-8") as fh:
                     fh.write(text)
-                wrote.append(path)
-        for path in wrote:
-            print(f"wrote {path}", file=gate_stream)
+        except OSError as exc:
+            raise ConfigError(f"cannot write the report to '{out_dir}': "
+                              f"{exc}") from exc
+        for name, _ in files:
+            print(f"wrote {os.path.join(out_dir, name)}", file=gate_stream)
     else:
         if run.format in ("json", "both"):
             print(document.to_json())
@@ -442,7 +429,7 @@ def cmd_verify(args) -> int:
     for res in results:
         print(res.gate_line())
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
-    return EXIT_OK if not failed else EXIT_CHECK_FAILED
+    return EXIT_CODES["failed"] if failed else EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -494,12 +481,9 @@ def main(argv=None) -> int:
         if args.command == "list":
             return cmd_list(args)
         return cmd_verify(args)
-    except ConfigError as exc:
+    except GraphMassError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except QuadratureError as exc:  # IntegrabilityError included
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_CODES[exc.kind]
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.  Each class declares
+the ``kind`` of failure it reports, which ``cli.EXIT_CODES`` maps to an
+exit code; a subclass keeps its parent's kind unless it sets its own."""
 
 from __future__ import annotations
 
@@ -6,9 +8,13 @@ from __future__ import annotations
 class GraphMassError(Exception):
     """Base class for all library-specific failures."""
 
+    kind = "numerical"
+
 
 class ParseError(GraphMassError):
     """Syntax or validation error while parsing an expression."""
+
+    kind = "config"
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -22,6 +28,8 @@ class DomainError(GraphMassError):
 class UnboundParameterError(GraphMassError):
     """An expression parameter was not bound before evaluation."""
 
+    kind = "config"
+
 
 class QuadratureError(GraphMassError):
     """A quadrature routine could not produce a trustworthy result."""
@@ -34,10 +42,16 @@ class IntegrabilityError(QuadratureError):
 class BodyError(GraphMassError):
     """Invalid convex body or surface operation."""
 
+    kind = "config"
+
 
 class NonConvexError(BodyError):
     """A body failed its convexity check."""
 
+    kind = "hypothesis"
+
 
 class ConfigError(GraphMassError):
     """Invalid run configuration."""
+
+    kind = "config"

@@ -257,26 +257,26 @@ def _graded_gauss_value(fr: Callable, r_min: float,
 
     With an inverse-square-root singularity of fr at r_min, substituting
     s = r_min + t^2 makes the integrand smooth, so plain Gauss panels on t
-    converge fast.
+    converge fast: max(4, ceil(T)) of them on [0, T], T = sqrt(r - r_min).
+    Radii with the same panel count are integrated in one batch.
     """
     nodes, weights = np.polynomial.legendre.leggauss(order)
 
     def value(r):
         r = np.asarray(r, float)
-        out = np.zeros_like(r)
-        flat = out.reshape(-1)
-        for idx, ri in enumerate(np.ravel(r)):
-            T = math.sqrt(max(ri - r_min, 0.0))
-            if T == 0.0:
-                flat[idx] = 0.0
-                continue
-            n_panels = max(4, int(math.ceil(T)))
-            edges = np.linspace(0.0, T, n_panels + 1)
-            lo, hi = edges[:-1, None], edges[1:, None]
+        T = np.sqrt(np.maximum(r.reshape(-1) - r_min, 0.0))
+        # 0 at r_min; a count too large to allocate raises in linspace
+        panels = np.where(T > 0.0, np.maximum(4.0, np.ceil(T)), 0.0)
+        flat = np.zeros(T.shape)
+        for count in np.unique(panels[panels > 0.0]):
+            sel = panels == count
+            edges = np.linspace(0.0, T[sel], int(count) + 1, axis=-1)
+            lo, hi = edges[:, :-1, None], edges[:, 1:, None]
             t = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
             w = 0.5 * (hi - lo) * weights
-            flat[idx] = float(np.sum(w * 2.0 * t * fr(r_min + t * t)))
-        return out if out.shape else float(flat[0])
+            terms = w * 2.0 * t * fr(r_min + t * t)
+            flat[sel] = np.sum(terms.reshape(len(t), -1), axis=-1)
+        return flat.reshape(r.shape) if r.shape else float(flat[0])
 
     return value
 
@@ -466,7 +466,13 @@ class ExprField(ScalarField):
         self.params = dict(params or {})
 
     def value(self, points):
-        return ex.evaluate(self.expression, self.params, points)
+        # an overflow, and a NaN it leads to, is reported as not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = ex.evaluate(self.expression, self.params, points)
+        if not np.all(np.isfinite(vals)):
+            raise DomainError(
+                f"non-finite value of '{ex.to_text(self.expression)}'")
+        return vals
 
     def jet3_many(self, points, order=3):
         check_order(order)

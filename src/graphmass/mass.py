@@ -500,6 +500,13 @@ class ScenarioEvaluation:
                 len(pts) + bulk.sign_nodes)
 
     @cached_property
+    def R_sign_ok(self) -> bool:
+        """Whether the sampled R meets the sign hypothesis R >= 0, to
+        ``R_SIGN_TOL`` relative to the largest |R| sampled."""
+        min_R, max_abs_R, _ = self.sampled_R
+        return min_R >= -R_SIGN_TOL * (1.0 + max_abs_R)
+
+    @cached_property
     def geometry(self) -> list[dict]:
         """Quermassintegral table and inequality gaps per horizon body."""
         omega = unit_sphere_area(self.scenario.n)
@@ -625,7 +632,6 @@ class ScenarioEvaluation:
                   "sign_sample_size": count,
                   "identity_residual": dec.residual}
         notes: list[str] = []
-        hyp_ok = min_R >= -R_SIGN_TOL * (1.0 + max_abs_R)
         if scn.profile is not None:
             lo = scn.profile.r_min if scn.profile.r_min > 0 else 1e-3
             radii = np.geomspace(lo * (1.0 + 1e-6) if scn.profile.r_min > 0
@@ -634,7 +640,7 @@ class ScenarioEvaluation:
             values["min_radial_flux_mass"] = float(np.min(sm))
             notes.append("rotationally symmetric: flux mass nonnegative "
                          "at every sampled radius")
-        if not hyp_ok:
+        if not self.R_sign_ok:
             notes.append("hypothesis not met (R changes sign); "
                          "identity still verified" if dec.identity_ok
                          else "hypothesis not met and the mass identity "
@@ -662,10 +668,9 @@ class ScenarioEvaluation:
         except NonConvexError as exc:
             convex = False
             notes.append(f"horizon convexity violated: {exc}")
-        hyp_ok = convex
-        min_R, max_abs_R, count = self.sampled_R
-        if min_R < -R_SIGN_TOL * (1.0 + max_abs_R):
-            hyp_ok = False
+        hyp_ok = convex and self.R_sign_ok
+        min_R, _, count = self.sampled_R
+        if not self.R_sign_ok:
             notes.append(f"sampled min R = {min_R:.3e} violates the "
                          "sign hypothesis")
         # the bound needs the same curvature solve, so it has no value

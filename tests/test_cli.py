@@ -6,12 +6,15 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from field_helpers import CountingField
 from graphmass import cli, make_scenario
 from graphmass.cli import EntryConfig, RunConfig, execute_run, main
-from graphmass.errors import ConfigError
+from graphmass.errors import (BodyError, ConfigError, DomainError,
+                              IntegrabilityError, NonConvexError, ParseError,
+                              QuadratureError, UnboundParameterError)
 from graphmass.mass import CheckOutcome, ScenarioEvaluation, bulk_mass
 
 
@@ -127,6 +130,18 @@ class TestRunCommand:
         assert error["kind"] == "numerical"
         assert error["message"] == ("the area factor r^2 of a sphere "
                                     "integral overflows at radius r = 1e+300")
+
+    def test_unallocatable_profile_is_numerical_failure(self, capsys):
+        """Radii near 1e100 ask the profile antiderivative for more
+        panels than numpy can allocate: the run reports the ValueError
+        in-band, under its type name, and exits 4."""
+        code = main(["run", "radial_custom", "--radii", "1e100,2e100,4e100"])
+        out, err = capsys.readouterr()
+        assert code == 4
+        [error] = json.loads(out)["body"]["errors"]
+        assert error["kind"] == "numerical"
+        assert error["message"].startswith("ValueError: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(("name", "key", "edge", "past"), [
         ("radial_custom", "m", "50", "100"),
@@ -303,6 +318,19 @@ class TestArtifacts:
         assert (tmp_path / "env_out" / "report.json").exists()
         assert "[PASS] flat/identities" in out
 
+    def test_unwritable_out_dir_is_config_error(self, tmp_path, capsys):
+        """An output directory under a regular file cannot be made: the
+        run exits 3 naming the path, with no traceback."""
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out_dir = str(blocker / "sub")
+        code = main(["run", "flat", "--checks", "identities",
+                     "--out", out_dir])
+        _, err = capsys.readouterr()
+        assert code == 3
+        assert f"cannot write the report to '{out_dir}'" in err
+        assert "Traceback" not in err
+
 
 class TestOtherCommands:
     def test_list(self, capsys):
@@ -375,6 +403,60 @@ class TestExitPrecedence:
         with pytest.raises(ConfigError, match="bad knob"):
             self.run_with(monkeypatch, [
                 make_result(error="bad knob", error_kind="config")])
+
+
+class TestFailureKinds:
+    """One row per exception type: raised inside a run, it is reported
+    in-band with its kind, and the run exits with that kind's code."""
+
+    ROWS = [
+        (BodyError("no body"), "config", 3, "no body"),
+        (ParseError("bad token", 4), "config", 3,
+         "bad token (at position 4)"),
+        (UnboundParameterError("parameter 'a' is not bound"), "config", 3,
+         "parameter 'a' is not bound"),
+        (NonConvexError("not convex"), "hypothesis", 2, "not convex"),
+        (DomainError("log of 0"), "numerical", 4, "log of 0"),
+        (QuadratureError("no rule"), "numerical", 4, "no rule"),
+        (IntegrabilityError("q <= n"), "numerical", 4, "q <= n"),
+        (ZeroDivisionError("float division by zero"), "numerical", 4,
+         "ZeroDivisionError: float division by zero"),
+        (np.linalg.LinAlgError("Singular matrix"), "numerical", 4,
+         "LinAlgError: Singular matrix"),
+        (ValueError("Maximum allowed size exceeded"), "numerical", 4,
+         "ValueError: Maximum allowed size exceeded"),
+    ]
+
+    @pytest.mark.parametrize(("exc", "kind", "code", "message"), ROWS,
+                             ids=[type(row[0]).__name__ for row in ROWS])
+    def test_kind_and_exit_code(self, monkeypatch, capsys, exc, kind, code,
+                                message):
+        def raising(self, names=("all",)):
+            raise exc
+
+        monkeypatch.setattr(ScenarioEvaluation, "run", raising)
+        entry = EntryConfig(name="flat", checks=("identities",))
+        result = cli._run_entry(entry, RunConfig(entries=[entry]),
+                                make_scenario("flat"))
+        assert (result["error_kind"], result["error"]) == (kind, message)
+        assert main(["run", "flat", "--checks", "identities"]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(("exc", "code"), [
+        (NonConvexError("not convex"), 2), (QuadratureError("no rule"), 4),
+        (BodyError("no body"), 3)],
+        ids=["NonConvexError", "QuadratureError", "BodyError"])
+    def test_package_errors_outside_a_run(self, monkeypatch, capsys, exc,
+                                          code):
+        """A package error raised while the run is being set up exits with
+        its kind's code."""
+        def raising(name, **params):
+            raise exc
+
+        monkeypatch.setattr(cli, "make_scenario", raising)
+        assert main(["run", "flat"]) == code
+        assert str(exc) in capsys.readouterr().err
 
 
 class TestBulkConvergenceMemo:

@@ -126,6 +126,15 @@ class TestDomainRules:
                 run()
 
 
+    @pytest.mark.parametrize("text", ["exp(x1)", "exp(x1) - exp(x1)"])
+    def test_non_finite_value_raises(self, text):
+        """An overflow, or the NaN it leads to, raises naming the
+        expression instead of passing as inf or NaN."""
+        with pytest.raises(DomainError, match=re.escape(
+                f"non-finite value of '{text}'")):
+            ExprField(text, 3).value([[1000.0, 0.0, 0.0]])
+
+
 class TestHorizonOracle:
     """Schwarzschild n = 3 written as an expression whose sqrt vanishes on
     the horizon r = 2m: the form of a non-round convex horizon graph."""
@@ -235,6 +244,22 @@ class TestNumericAntiderivative:
             fd = (float(prof.f(r + h)) - float(prof.f(r - h))) / (2 * h)
             fr = float(prof.fr(r))
             assert abs(fd - fr) <= 1e-8 * (1.0 + abs(fr)), (r, fd, fr)
+
+    def test_batch_equals_one_radius_at_a_time(self):
+        """Radii that share a panel count are integrated in one batch,
+        bit for bit as each radius alone; r_min itself gives 0."""
+        prof = schwarzschild_profile(1.0, 5)
+        r = np.concatenate([[prof.r_min], np.linspace(1.3, 400.0, 301)])
+        batch = prof.f(r)
+        assert batch[0] == 0.0
+        assert np.array_equal(batch, [prof.f(x) for x in r])
+        assert np.array_equal(prof.f(r.reshape(2, -1)), batch.reshape(2, -1))
+
+    def test_unallocatable_panel_count_raises(self):
+        """sqrt(r) panels at r = 1e100 cannot be allocated; the request
+        raises instead of wrapping to a few panels."""
+        with pytest.raises(ValueError):
+            schwarzschild_profile(1.0, 5).f(np.array([3.0, 1e100]))
 
     def test_negative_slope_squared_rejected(self):
         prof = profile_from_gradsq(lambda r: 1.0 - r,

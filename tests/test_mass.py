@@ -459,6 +459,16 @@ class TestChecks:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
 
+    @pytest.mark.parametrize("min_R", [-1.9e-9, -2.1e-9])
+    def test_one_sign_rule(self, scn3, min_R):
+        """pmt and penrose read the one R >= 0 rule: at max |R| = 1 the
+        sampled minimum may reach -2e-9."""
+        ev = ScenarioEvaluation(scn3)
+        ev.sampled_R = (min_R, 1.0, 10)
+        assert ev.R_sign_ok is (min_R > -2e-9)
+        assert ev.check("pmt").hypothesis_ok is ev.R_sign_ok
+        assert ev.check("penrose").hypothesis_ok is ev.R_sign_ok
+
     def test_bump_pmt_is_vacuous(self, bump):
         """Sign-indefinite curvature: the sign hypothesis fails, the
         check reports that, and the identity still reconciles."""
