@@ -29,11 +29,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import expr as ex
 from .errors import DomainError, UnboundParameterError
-from .quad import sphere_directions
+from .quad import sobol, sphere_directions
 
 _EPS = np.finfo(float).eps
 
@@ -627,8 +626,7 @@ def flatness_report(field: ScalarField, p: float, radii,
                     n_dirs: int = 64, seed: int = 7) -> FlatnessReport:
     """Probe |grad f| r^{p/2}, |hess f| r^{1+p/2}, |D^3 f| r^{2+p/2}."""
     radii = np.sort(np.asarray(radii, float))
-    dirs = sphere_directions(
-        qmc.Sobol(d=field.n, scramble=True, seed=seed).random(n_dirs))
+    dirs = sphere_directions(sobol(field.n, n_dirs, seed))
     cols = {"grad": [], "hess": [], "third": []}
     for r in radii:
         jet = field.jet3_many(r * dirs)

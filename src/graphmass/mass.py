@@ -31,7 +31,6 @@ from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 from .convexgeom import (HorizonSet, af_chain_gaps,
                          horizon_mean_curvature_term, penrose_bound,
@@ -42,8 +41,8 @@ from .graphgeom import (boundary_integrand, divergence_of_V,
 from .jets import RadialField, RadialProfile, ScalarField
 from .quad import (HORIZON_OFFSET, ExtrapolationResult, ExteriorRegion,
                    QuadConfig, exterior_volume_integrate, extrapolate_limit,
-                   sphere_directions, sphere_integrals, sphere_integrate,
-                   unit_sphere_area)
+                   sobol, sphere_directions, sphere_integrals,
+                   sphere_integrate, unit_sphere_area)
 
 DIV_IDENTITY_TOL = 1e-9      # pointwise |div V - R| / (1 + |R|)
 R_SIGN_TOL = 1e-9            # sampled scalar-curvature sign tolerance
@@ -66,16 +65,14 @@ def shell_sampler(n: int, lo: float, hi: float
                   ) -> Callable[[int, int], np.ndarray]:
     """Quasi-random point generator on the shell lo <= |x| <= hi.
 
-    Radii are log-uniform, directions uniform.  The draw is rounded up
-    to a power of two, which Sobol balance asks for; its first ``count``
-    points do not depend on the draw size.
+    Radii are log-uniform, directions uniform.  Exactly ``count`` Sobol
+    points are drawn; they are the first ``count`` of any longer draw.
     """
     if not 0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
 
     def sample(count: int, seed: int) -> np.ndarray:
-        eng = qmc.Sobol(d=n + 1, scramble=True, seed=seed)
-        u = eng.random(1 << (count - 1).bit_length())[:count]
+        u = sobol(n + 1, count, seed)
         radii = lo * (hi / lo) ** u[:, 0]
         return radii[:, None] * sphere_directions(u[:, 1:])
 

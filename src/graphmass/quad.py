@@ -8,6 +8,10 @@ Sphere rules by dimension:
   from dS_3 = sqrt(1 - t^2) dt dS_2.
 * n >= 5: scrambled-Sobol Gaussian directions, normalized, in antithetic
   pairs so odd integrands cancel exactly; fully determined by the seed.
+  ``sobol`` generates the points in-package, with the Joe-Kuo direction
+  numbers read from the data file that scipy ships for ``qmc.Sobol``,
+  and returns exactly what ``qmc.Sobol(d, scramble=True, seed=seed)``
+  does, without importing ``scipy.stats``.
 
 Volume integrals over exteriors use shells about the region's centre,
 adaptive Gauss panels in the radius, an optional geometrically graded
@@ -26,13 +30,14 @@ that value, with no angular error, and only the tail fit reads nodes.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize, stats
-from scipy.stats import qmc
+import scipy
+from scipy import optimize, special
 
 from .errors import IntegrabilityError, QuadratureError
 
@@ -41,6 +46,7 @@ MAX_DEPTH = 8           # bisection depth of an adaptive radial panel
 TAIL_POINTS = 8         # shell samples in the tail fit
 TAIL_FIT_FROM = 0.25    # the tail fit samples [TAIL_FIT_FROM r_max, r_max]
 DEFAULT_ORDER = {2: 64, 3: 48, 4: 20}  # sphere rule orders; Sobol for n >= 5
+SOBOL_BITS = 30         # digits of each Sobol coordinate, as in scipy
 
 
 def unit_sphere_area(n: int) -> float:
@@ -107,17 +113,68 @@ def _s3_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@lru_cache(maxsize=None)
+def _sobol_table() -> tuple[np.ndarray, np.ndarray]:
+    """Joe and Kuo's primitive polynomials and initial direction numbers,
+    from the file scipy's ``qmc.Sobol`` reads; loaded once per process."""
+    path = os.path.join(os.path.dirname(scipy.__file__), "stats",
+                        "_sobol_direction_numbers.npz")
+    with np.load(path) as table:
+        return table["poly"], table["vinit"]
+
+
+@lru_cache(maxsize=None)
+def _sobol_directions(d: int) -> np.ndarray:
+    """The (d, SOBOL_BITS) direction numbers, column j scaled by
+    2^(SOBOL_BITS - 1 - j)."""
+    poly, vinit = _sobol_table()
+    v = np.ones((d, SOBOL_BITS), dtype=np.int64)
+    for k in range(1, d):
+        p = int(poly[k])
+        m = p.bit_length() - 1
+        v[k, :m] = vinit[k, :m]
+        for j in range(m, SOBOL_BITS):
+            new = v[k, j - m]
+            for i in range(m):
+                if (p >> (m - 1 - i)) & 1:
+                    new ^= v[k, j - i - 1] << (i + 1)
+            v[k, j] = new
+    return (v << np.arange(SOBOL_BITS - 1, -1, -1)).astype(np.uint32)
+
+
+def sobol(d: int, count: int, seed: int) -> np.ndarray:
+    """The first ``count`` points of the scrambled Sobol sequence in
+    [0, 1)^d, bit for bit those of ``qmc.Sobol(d=d, scramble=True,
+    seed=seed).random(count)``: Matousek's linear matrix scrambling plus
+    a digital shift, drawn in Gray-code order.  Prefixes agree across
+    ``count``."""
+    rng = np.random.default_rng(seed)
+    powers = 1 << np.arange(SOBOL_BITS, dtype=np.uint32)
+    shift = rng.integers(2, size=(d, SOBOL_BITS), dtype=np.uint32) @ powers
+    ltm = np.tril(rng.integers(2, size=(d, SOBOL_BITS, SOBOL_BITS),
+                               dtype=np.uint32))
+    ltm |= np.eye(SOBOL_BITS, dtype=np.uint32)
+    # direction j of dimension k becomes ltm[k] times its bits over GF(2),
+    # both read most significant bit first
+    msb_first = powers[::-1]
+    bits = _sobol_directions(d)[:, :, None] // msb_first & 1
+    sv = (np.einsum("kpi,kji->kjp", ltm, bits) & 1) @ msb_first
+    # row i is row i - 1 XOR the direction of the lowest set bit of i
+    i = np.arange(1, count)
+    steps = np.vstack([shift, sv.T[np.frexp(i & -i)[1] - 1]])[:count]
+    return np.bitwise_xor.accumulate(steps, axis=0) * 2.0 ** -SOBOL_BITS
+
+
 def sphere_directions(u: np.ndarray) -> np.ndarray:
     """Unit vectors from rows of uniform (Sobol) samples: the inverse
     normal CDF of each coordinate, then each row normalized."""
-    z = stats.norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
+    z = special.ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 def _qmc_rule(n: int, samples: int, seed: int) -> tuple:
     pairs = max(8, samples // 2)
-    z = sphere_directions(qmc.Sobol(d=n, scramble=True, seed=seed)
-                          .random(pairs))
+    z = sphere_directions(sobol(n, pairs, seed))
     nodes = np.concatenate([z, -z], axis=0)
     weights = np.full(2 * pairs, unit_sphere_area(n) / (2 * pairs))
     return nodes, weights

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -101,6 +105,48 @@ class TestSphereRules:
                     arr[0] = 0.0
         assert sphere_rule(3, order=48, seed=7) is sphere_rule(3)
         assert sphere_rule(5, seed=7) is not sphere_rule(5)
+
+
+class TestSobol:
+    """The in-package generator against scipy's: the only place that
+    imports ``scipy.stats``, so a change in scipy's generator or a move
+    of its direction-number file fails here."""
+
+    def test_bit_identical_to_scipy(self):
+        from scipy.stats import qmc
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # m not 2^k
+            for d in range(1, 34):  # box dimension n <= 32, plus a radius
+                for seed in (0, 1, 7, 2 ** 31):
+                    for m in (1, 2, 1000, 4096):
+                        want = qmc.Sobol(d=d, scramble=True,
+                                         seed=seed).random(m)
+                        got = quad.sobol(d, m, seed)
+                        assert got.dtype == want.dtype
+                        assert np.array_equal(got, want), (d, seed, m)
+
+    def test_prefix_stable(self):
+        for d in (4, 7, 33):
+            whole = quad.sobol(d, 1024, 3)
+            for count in (0, 1, 643, 1000):
+                assert np.array_equal(quad.sobol(d, count, 3),
+                                      whole[:count])
+
+    def test_ndtri_is_norm_ppf(self):
+        from scipy import special, stats
+        u = np.clip(quad.sobol(6, 4096, 11), 1e-12, 1.0 - 1e-12)
+        u[:3, 0] = (1e-12, 0.5, 1.0 - 1e-12)
+        assert np.array_equal(special.ndtri(u), stats.norm.ppf(u))
+
+    def test_package_import_leaves_out_scipy_stats(self):
+        code = ("import sys, graphmass, graphmass.cli, graphmass.acceptance\n"
+                "print(sorted(k for k in sys.modules"
+                " if k.startswith('scipy.stats')))")
+        src = os.path.dirname(os.path.dirname(quad.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestSphereIntegrate:
