@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import ConfigError, GraphMassError
@@ -327,9 +326,7 @@ def execute_run(run: RunConfig) -> tuple[int, ReportDocument, list[dict]]:
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "runtime_seconds": time.perf_counter() - started,
         "scenario_runtimes": {r["name"]: r["runtime"] for r in results},
-        "versions": {"graphmass": __version__,
-                     "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+        "versions": {"graphmass": __version__, "numpy": np.__version__},
     }
     return exit_code, ReportDocument(header=header, body=body), results
 

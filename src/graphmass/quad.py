@@ -8,10 +8,10 @@ Sphere rules by dimension:
   from dS_3 = sqrt(1 - t^2) dt dS_2.
 * n >= 5: scrambled-Sobol Gaussian directions, normalized, in antithetic
   pairs so odd integrands cancel exactly; fully determined by the seed.
-  ``sobol`` generates the points in-package, with the Joe-Kuo direction
-  numbers read from the data file that scipy ships for ``qmc.Sobol``,
-  and returns exactly what ``qmc.Sobol(d, scramble=True, seed=seed)``
-  does, without importing ``scipy.stats``.
+  ``sobol`` generates the points from Joe and Kuo's direction numbers,
+  tabulated here for d <= 33, and returns exactly what scipy's
+  ``qmc.Sobol(d, scramble=True, seed=seed)`` does; ``ndtri`` is
+  Wichura's AS241 inverse normal CDF.  The package imports numpy only.
 
 Volume integrals over exteriors use shells about the region's centre,
 adaptive Gauss panels in the radius, an optional geometrically graded
@@ -30,16 +30,13 @@ that value, with no angular error, and only the tail fit reads nodes.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy
-from scipy import optimize, special
 
-from .errors import IntegrabilityError, QuadratureError
+from .errors import ConfigError, IntegrabilityError, QuadratureError
 
 HORIZON_OFFSET = 1e-6   # relative offset of the graded start at a horizon
 MAX_DEPTH = 8           # bisection depth of an adaptive radial panel
@@ -47,6 +44,27 @@ TAIL_POINTS = 8         # shell samples in the tail fit
 TAIL_FIT_FROM = 0.25    # the tail fit samples [TAIL_FIT_FROM r_max, r_max]
 DEFAULT_ORDER = {2: 64, 3: 48, 4: 20}  # sphere rule orders; Sobol for n >= 5
 SOBOL_BITS = 30         # digits of each Sobol coordinate, as in scipy
+FIT_XTOL = 1e-13        # tolerance of a fitted rate, relative past 1
+
+# Joe and Kuo's primitive polynomial and initial direction numbers of
+# dimensions 0 to 32, the rows of scipy's _sobol_direction_numbers.npz
+# (poly, vinit) without their trailing zeros
+SOBOL_TABLE = (
+    (1, (1,)), (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)), (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)), (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)),
+    (91, (1, 1, 1, 15, 21, 21)), (97, (1, 3, 1, 13, 27, 49)),
+    (103, (1, 1, 1, 15, 7, 5)), (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)), (131, (1, 3, 7, 11, 23, 15, 103)),
+    (137, (1, 3, 7, 13, 13, 15, 69)), (143, (1, 1, 3, 13, 7, 35, 63)),
+    (145, (1, 3, 5, 9, 1, 25, 53)), (157, (1, 3, 1, 13, 9, 35, 107)),
+    (167, (1, 3, 1, 5, 27, 61, 31)), (171, (1, 1, 5, 11, 19, 41, 61)),
+    (185, (1, 3, 5, 3, 3, 13, 69)), (191, (1, 1, 7, 13, 1, 19, 1)),
+    (193, (1, 3, 7, 5, 13, 19, 59)), (203, (1, 1, 3, 9, 25, 29, 41)),
+    (211, (1, 3, 5, 13, 23, 1, 55)), (213, (1, 3, 7, 3, 13, 59, 17)),
+    (229, (1, 3, 1, 3, 5, 53, 69)),
+)
 
 
 def unit_sphere_area(n: int) -> float:
@@ -114,25 +132,18 @@ def _s3_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _sobol_table() -> tuple[np.ndarray, np.ndarray]:
-    """Joe and Kuo's primitive polynomials and initial direction numbers,
-    from the file scipy's ``qmc.Sobol`` reads; loaded once per process."""
-    path = os.path.join(os.path.dirname(scipy.__file__), "stats",
-                        "_sobol_direction_numbers.npz")
-    with np.load(path) as table:
-        return table["poly"], table["vinit"]
-
-
-@lru_cache(maxsize=None)
 def _sobol_directions(d: int) -> np.ndarray:
     """The (d, SOBOL_BITS) direction numbers, column j scaled by
     2^(SOBOL_BITS - 1 - j)."""
-    poly, vinit = _sobol_table()
+    if d > len(SOBOL_TABLE):
+        raise ConfigError(
+            f"Sobol points of dimension d = {d} requested; direction "
+            f"numbers are tabulated for d <= {len(SOBOL_TABLE)}")
     v = np.ones((d, SOBOL_BITS), dtype=np.int64)
     for k in range(1, d):
-        p = int(poly[k])
+        p, vinit = SOBOL_TABLE[k]
         m = p.bit_length() - 1
-        v[k, :m] = vinit[k, :m]
+        v[k, :m] = vinit
         for j in range(m, SOBOL_BITS):
             new = v[k, j - m]
             for i in range(m):
@@ -165,10 +176,73 @@ def sobol(d: int, count: int, seed: int) -> np.ndarray:
     return np.bitwise_xor.accumulate(steps, axis=0) * 2.0 ** -SOBOL_BITS
 
 
+# Wichura's AS241 (PPND16): numerator and denominator coefficients of
+# its rational approximations, constant term first, in 0.425^2 - q^2 on
+# |q| = |p - 1/2| <= 0.425, and in t - 1.6 for t <= 5 and t - 5 beyond,
+# with t = sqrt(-log(min(p, 1 - p)))
+_NDTRI_CENTRAL = (
+    (3.3871328727963666080e0, 1.3314166789178437745e2,
+     1.9715909503065514427e3, 1.3731693765509461125e4,
+     4.5921953931549871457e4, 6.7265770927008700853e4,
+     3.3430575583588128105e4, 2.5090809287301226727e3),
+    (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2,
+     5.3941960214247511077e3, 2.1213794301586595867e4,
+     3.9307895800092710610e4, 2.8729085735721942674e4,
+     5.2264952788528545610e3))
+_NDTRI_NEAR = (
+    (1.42343711074968357734e0, 4.63033784615654529590e0,
+     5.76949722146069140550e0, 3.64784832476320460504e0,
+     1.27045825245236838258e0, 2.41780725177450611770e-1,
+     2.27238449892691845833e-2, 7.74545014278341407640e-4),
+    (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0,
+     6.89767334985100004550e-1, 1.48103976427480074590e-1,
+     1.51986665636164571966e-2, 5.47593808499534494600e-4,
+     1.05075007164441684324e-9))
+_NDTRI_FAR = (
+    (6.65790464350110377720e0, 5.46378491116411436990e0,
+     1.78482653991729133580e0, 2.96560571828504891230e-1,
+     2.65321895265761230930e-2, 1.24266094738807843860e-3,
+     2.71155556874348757815e-5, 2.01033439929228813265e-7),
+    (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
+     1.48753612908506148525e-2, 7.86869131145613259100e-4,
+     1.84631831751005468180e-5, 1.42151175831644588870e-7,
+     2.04426310338993978564e-15))
+
+
+def _horner(coefs: tuple, x: np.ndarray) -> np.ndarray:
+    acc = np.full_like(x, coefs[-1])
+    for c in coefs[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def ndtri(p) -> np.ndarray:
+    """The inverse of the standard normal CDF on (0, 1), by Wichura's
+    AS241.  Its approximations are good to about 1e-16 relative; in
+    double the result is within 5 ulp of the exact quantile."""
+    shape = np.shape(p)
+    p = np.ravel(np.asarray(p, float))
+    q = p - 0.5
+    # the central approximation everywhere, kept finite where |q| > 0.425;
+    # those tails are then replaced
+    r = 0.180625 - np.minimum(q * q, 0.180625)
+    num, den = _NDTRI_CENTRAL
+    z = q * _horner(num, r) / _horner(den, r)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    t = np.sqrt(-np.log(np.minimum(p[tail], 1.0 - p[tail])))
+    for part, (num, den), shift in ((t <= 5.0, _NDTRI_NEAR, 1.6),
+                                    (t > 5.0, _NDTRI_FAR, 5.0)):
+        x = t[part] - shift
+        t[part] = _horner(num, x) / _horner(den, x)
+    z[tail] = np.copysign(t, q[tail])
+    return z.reshape(shape)
+
+
 def sphere_directions(u: np.ndarray) -> np.ndarray:
     """Unit vectors from rows of uniform (Sobol) samples: the inverse
     normal CDF of each coordinate, then each row normalized."""
-    z = special.ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
@@ -506,6 +580,24 @@ class ExtrapolationResult:
 _LOG_TINY = -math.log(np.finfo(float).tiny)
 
 
+def _bisect(f: Callable[[float], float], a: float, b: float,
+            fa: float) -> float:
+    """A sign change of f between a and b, within FIT_XTOL (relative
+    past 1), given fa = f(a) and f(b) of the other sign or 0."""
+    if fa == 0.0:
+        return a
+    while abs(b - a) > FIT_XTOL * max(1.0, abs(a)):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = m, fm
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
 def _solve_triple(r: np.ndarray, v: np.ndarray):
     """Exact fit of v = L + c r^{-s} through three samples."""
     d1, d2 = v[0] - v[1], v[1] - v[2]
@@ -519,13 +611,51 @@ def _solve_triple(r: np.ndarray, v: np.ndarray):
     # r^{-s} must stay a normal float at the largest radius, or the
     # mismatch underflows to 0 and the bracket end passes for a root
     lo, hi = 1e-3, min(64.0, _LOG_TINY / math.log(max(r[-1], 2.0)))
-    if mismatch(lo) * mismatch(hi) > 0:
+    f_lo = mismatch(lo)
+    if f_lo * mismatch(hi) > 0:
         return None
-    s = optimize.brentq(mismatch, lo, hi, xtol=1e-13)
+    s = _bisect(mismatch, lo, hi, f_lo)
     p = r ** (-s)
     c = (v[0] - v[2]) / (p[0] - p[2])
     L = v[2] - c * p[2]
     return L, c, s
+
+
+def _projection(r: np.ndarray, v: np.ndarray, s: float, terms: int):
+    """The least-squares fit of v = L + c_1 r^{-s} (+ c_2 r^{-(s+1)} with
+    two terms) at the fixed rate s, which is linear in the coefficients:
+    (coefficients, residuals, d(residual sum of squares)/ds)."""
+    p = r ** (-s)
+    basis = np.stack([np.ones_like(r), p, p / r][:terms + 1], axis=1)
+    coef = np.linalg.lstsq(basis, v, rcond=None)[0]
+    res = v - basis @ coef
+    # the optimal coefficients' own change with s drops out of the slope
+    slope = 2.0 * (res * np.log(r)) @ (basis[:, 1:] @ coef[1:])
+    return coef, res, slope
+
+
+def _fit_rate(r: np.ndarray, v: np.ndarray, terms: int,
+              start: float) -> float:
+    """The rate of the least-squares minimum nearest ``start`` downhill,
+    within [start/2, 2 start] (variable projection, Golub and Pereyra
+    1973): steps of doubling length from ``start`` until the slope of
+    the residual changes sign, then bisection; a bracket end that is
+    still downhill is the answer."""
+    def slope(s):
+        return _projection(r, v, s, terms)[2]
+
+    lo, hi = 0.5 * start, 2.0 * start
+    a, f_a = start, slope(start)
+    step = 1e-3 * start * (1.0 if f_a < 0.0 else -1.0)
+    while f_a != 0.0:
+        b = min(max(a + step, lo), hi)
+        f_b = slope(b)
+        if f_b == 0.0 or (f_b > 0.0) != (f_a > 0.0):
+            return _bisect(slope, a, b, f_a)
+        if b in (lo, hi):
+            return b
+        a, f_a, step = b, f_b, 2.0 * step
+    return a
 
 
 def extrapolate_limit(samples: Sequence[tuple[float, float]]
@@ -535,7 +665,9 @@ def extrapolate_limit(samples: Sequence[tuple[float, float]]
 
     Needs >= 3 samples for a fit; constants return uncertainty 0; a
     non-monotone diff pattern falls back to the largest-radius value
-    with an inflated uncertainty and monotone=False.
+    with an inflated uncertainty and monotone=False.  With more than
+    three samples the rate is refitted by least squares from the last
+    triple's exact fit, within a factor 2 of its rate.
     """
     pts = sorted((float(r), float(v)) for r, v in samples)
     if len(pts) == 0:
@@ -567,31 +699,23 @@ def extrapolate_limit(samples: Sequence[tuple[float, float]]
         return ExtrapolationResult(float(v[-1]), max(spread, 1e-15),
                                    rate=None, monotone=False)
 
-    L0, c0, s0 = fits[-1]
+    L0, _, s0 = fits[-1]
     resid_rms = 0.0
     trunc = 0.0
     if len(pts) > 3:
-        def resid(x):
-            return x[0] + x[1] * r ** (-abs(x[2])) - v
-
-        sol = optimize.least_squares(resid, x0=[L0, c0, s0], xtol=1e-14,
-                                     ftol=1e-14, gtol=1e-14)
-        L0, c0, s0 = sol.x[0], sol.x[1], abs(sol.x[2])
-        resid_rms = float(np.sqrt(np.mean(sol.fun ** 2)))
+        s0 = _fit_rate(r, v, 1, s0)
+        coef, res, _ = _projection(r, v, s0, 1)
+        L0 = coef[0]
+        resid_rms = float(np.sqrt(np.mean(res ** 2)))
 
         # Single-term fits of a multi-term decay are biased the same way
         # in every window, so the inter-fit spread misses the systematic
-        # model error.  Gauge it against a two-term refit with a free
-        # shared exponent: v = L + c1 r^-s + c2 r^-(s+1).
-        def resid2(x):
-            s = abs(x[3])
-            return (x[0] + x[1] * r ** (-s)
-                    + x[2] * r ** (-(s + 1.0)) - v)
-
-        sol2 = optimize.least_squares(resid2, x0=[L0, c0, 0.0, s0],
-                                      xtol=1e-14, ftol=1e-14, gtol=1e-14)
-        if np.all(np.isfinite(sol2.x)):
-            trunc = abs(L0 - float(sol2.x[0]))
+        # model error.  Gauge it against a two-term refit with a shared
+        # rate, v = L + c1 r^-s + c2 r^-(s+1), started at the one-term
+        # rate: four samples fit it exactly at many rates, so only the
+        # nearest minimum is the same decay.
+        coef2 = _projection(r, v, _fit_rate(r, v, 2, s0), 2)[0]
+        trunc = abs(L0 - coef2[0])
 
     spread = max((abs(f[0] - L0) for f in fits), default=0.0)
     unc = max(spread, resid_rms, 2.0 * trunc, 1e-15 * (1.0 + abs(L0)))

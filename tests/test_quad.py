@@ -13,19 +13,44 @@ import numpy as np
 import pytest
 
 from graphmass import (
+    ConfigError,
     ExteriorRegion,
     IntegrabilityError,
     QuadConfig,
     QuadratureError,
     exterior_volume_integrate,
     extrapolate_limit,
+    flux_series,
     make_scenario,
     scalar_curvature,
+    scenario_names,
     sphere_integrate,
     sphere_rule,
     unit_sphere_area,
 )
 from graphmass import quad
+
+# the fits and the inverse normal CDF must not overflow silently
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+SRC = os.path.dirname(os.path.dirname(quad.__file__))
+
+# A fresh interpreter in which importing any scipy module fails.
+REFUSE_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"no module named {name!r} (refused)")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+"""
+
+
+def ulps(got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    return np.abs(got - want) / np.spacing(np.abs(want))
 
 
 class TestSphereArea:
@@ -108,9 +133,13 @@ class TestSphereRules:
 
 
 class TestSobol:
-    """The in-package generator against scipy's: the only place that
-    imports ``scipy.stats``, so a change in scipy's generator or a move
-    of its direction-number file fails here."""
+    """The in-package generator and inverse normal CDF against scipy's,
+    which only the tests import: a change in scipy's generator or in its
+    direction-number file fails here."""
+
+    # measured against 50-digit quantiles on these points: AS241 in
+    # double is within 5 ulp of the exact value, scipy's ndtri within 4
+    NDTRI_ULPS = 6
 
     def test_bit_identical_to_scipy(self):
         from scipy.stats import qmc
@@ -132,21 +161,85 @@ class TestSobol:
                 assert np.array_equal(quad.sobol(d, count, 3),
                                       whole[:count])
 
-    def test_ndtri_is_norm_ppf(self):
-        from scipy import special, stats
+    def test_vendored_table_is_scipys(self):
+        import scipy
+        path = os.path.join(os.path.dirname(scipy.__file__), "stats",
+                            "_sobol_direction_numbers.npz")
+        with np.load(path) as table:
+            poly, vinit = table["poly"], table["vinit"]
+        assert len(quad.SOBOL_TABLE) == 33
+        for k, (p, row) in enumerate(quad.SOBOL_TABLE):
+            assert p == poly[k]
+            padded = np.zeros(vinit.shape[1], dtype=vinit.dtype)
+            padded[:len(row)] = row
+            assert np.array_equal(padded, vinit[k]), k
+
+    def test_dimension_past_the_table_is_config_error(self):
+        with pytest.raises(ConfigError, match=r"d = 34\b"):
+            quad.sobol(34, 8, 0)
+
+    @staticmethod
+    def _ndtri_points() -> np.ndarray:
         u = np.clip(quad.sobol(6, 4096, 11), 1e-12, 1.0 - 1e-12)
         u[:3, 0] = (1e-12, 0.5, 1.0 - 1e-12)
-        assert np.array_equal(special.ndtri(u), stats.norm.ppf(u))
+        return u
 
-    def test_package_import_leaves_out_scipy_stats(self):
-        code = ("import sys, graphmass, graphmass.cli, graphmass.acceptance\n"
-                "print(sorted(k for k in sys.modules"
-                " if k.startswith('scipy.stats')))")
-        src = os.path.dirname(os.path.dirname(quad.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
+    def test_ndtri_matches_scipy(self):
+        from scipy import special
+        u = self._ndtri_points()
+        want = special.ndtri(u)
+        got = quad.ndtri(u)
+        assert got[1, 0] == 0.0
+        for x, z in zip(u[:5, 0], got[:5, 0]):  # scalars, both branches
+            assert quad.ndtri(x) == z
+        assert ulps(got[want != 0], want[want != 0]).max() <= self.NDTRI_ULPS
+        # past the clip the tails run down to the smallest normal floats
+        p = np.geomspace(np.finfo(float).tiny, 0.07, 2000)
+        for u in (p, 1.0 - p[p > 1e-16]):
+            assert ulps(quad.ndtri(u), special.ndtri(u)).max() \
+                <= self.NDTRI_ULPS
+
+    def test_ndtri_is_norm_ppf(self):
+        from scipy import stats
+        u = self._ndtri_points()
+        want = stats.norm.ppf(u)
+        got = quad.ndtri(u)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert ulps(got[want != 0], want[want != 0]).max() <= self.NDTRI_ULPS
+
+
+class TestNumpyOnlyRuntime:
+    """A run needs numpy alone: scipy is a test oracle."""
+
+    def run_fresh(self, code: str, tmp_path) -> subprocess.CompletedProcess:
+        env = {k: v for k, v in os.environ.items()
+               if k != "GRAPHMASS_OUTDIR"}
+        env["PYTHONPATH"] = SRC
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              cwd=tmp_path, capture_output=True, text=True,
+                              timeout=120)
+
+    def test_package_import_leaves_out_scipy(self, tmp_path):
+        out = self.run_fresh(
+            "import sys, graphmass, graphmass.cli, graphmass.acceptance\n"
+            "print(sorted(k for k in sys.modules"
+            " if k.split('.')[0] == 'scipy'))", tmp_path)
+        assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
+
+    def test_run_with_scipy_refused(self, tmp_path):
+        """`graphmass run flat` and the n >= 5 mass criterion, which
+        draws Sobol directions and fits the flux limit, pass in an
+        interpreter that cannot import scipy."""
+        out = self.run_fresh(REFUSE_SCIPY + """
+from graphmass import acceptance, cli
+code = cli.main(["run", "flat"])
+(criterion,) = acceptance.run_criteria(2)
+loaded = sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+print(code, criterion.passed, loaded)
+""", tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip().splitlines()[-1] == "0 True []"
 
 
 class TestSphereIntegrate:
@@ -362,6 +455,69 @@ class TestExtrapolateLimit:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             extrapolate_limit([])
+
+    # bump's plain flux series: mass 0, decaying like exp(-r^2)
+    ZERO_MASS = ((2.0, 5.3674020464401896e-05), (2.5, 1.164579116274583e-06),
+                 (3.0, 8.224189062144796e-09), (3.5, 1.9634476301410563e-11))
+
+    def test_zero_mass_series_fits_its_least_squares_rate(self):
+        """r^-s is about 0 at every sample once s is large, so a local
+        fit could stall on that plateau (a rate of 1.4e5 and a limit of
+        1.4e-5).  The fit finds the least-squares rate, s = 17.09, whose
+        residual is as small as at any rate of the search bracket."""
+        res = extrapolate_limit(self.ZERO_MASS)
+        r, v = np.array(self.ZERO_MASS).T
+
+        def rms(s):
+            basis = np.stack([np.ones_like(r), r ** -s], axis=1)
+            coef = np.linalg.lstsq(basis, v, rcond=None)[0]
+            return math.sqrt(np.mean((basis @ coef - v) ** 2))
+
+        s0 = quad._solve_triple(r[1:], v[1:])[2]  # the bracket's centre
+        assert res.rate < 64.0
+        grid = min(rms(s) for s in np.linspace(s0 / 2, 2 * s0, 1001))
+        assert rms(res.rate) <= grid * (1.0 + 1e-9)
+        assert abs(res.limit) <= res.uncertainty <= 1e-7
+
+    def test_limits_match_the_least_squares_fit(self):
+        """On each flux series of the registry defaults whose
+        ``least_squares`` fit does not stall on the plateau, the limit
+        is that fit's to 1e-10 relative.  The fit starts, as the package
+        did before variable projection, from ``brentq``'s exact fit
+        through the last three samples: on the slow weighted series of
+        radial_custom, a start 1e-13 away moves its limit by 2e-10."""
+        from scipy import optimize
+
+        def mismatch(s, r, v):
+            p = r ** -s
+            return ((v[0] - v[1]) * (p[1] - p[2])
+                    - (v[1] - v[2]) * (p[0] - p[1]))
+
+        compared = 0
+        for name in scenario_names():
+            scn = make_scenario(name)
+            if scn.geometry_only:
+                continue
+            series = flux_series(scn)
+            r = np.array(series.radii)
+            for v in map(np.array, (series.plain, series.weighted)):
+                res = extrapolate_limit(zip(r, v))
+                if res.rate is None:  # constant or not monotone
+                    continue
+                hi = min(64.0, quad._LOG_TINY / math.log(r[-1]))
+                s0 = optimize.brentq(mismatch, 1e-3, hi, args=(r[1:], v[1:]),
+                                     xtol=1e-13)
+                p = r[1:] ** -s0
+                c0 = (v[1] - v[3]) / (p[0] - p[2])
+                fit = optimize.least_squares(
+                    lambda x: x[0] + x[1] * r ** -abs(x[2]) - v,
+                    x0=[v[3] - c0 * p[2], c0, s0], xtol=1e-14, ftol=1e-14,
+                    gtol=1e-14)
+                if abs(fit.x[2]) >= 64.0:
+                    continue
+                assert res.limit == pytest.approx(fit.x[0], rel=1e-10), name
+                compared += 1
+        assert compared == 6
 
 
 class TestQuadConfig:
