@@ -20,14 +20,16 @@ hypothesis is distinguished from a failed inequality.  A
 the bulk integral (one panel walk per bulk region) and one
 quermassintegral vector per horizon body, which the horizon term, the
 Penrose bound and the geometry table read.  Every sphere integral is
-one ``quad`` core call, on a rule that the scenario's config names.
+one ``quad`` core call, on a rule that the scenario's config names, and
+on a field radial about the sphere's centre it evaluates one point per
+radius instead of the rule's nodes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as _field, replace
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -61,6 +63,17 @@ def mass_normalization(n: int) -> float:
     return 2.0 * (n - 1) * unit_sphere_area(n)
 
 
+@lru_cache(maxsize=16)
+def _unit_draw(d: int, count: int, seed: int) -> tuple:
+    """The first coordinate of ``sobol(d, count, seed)`` and the unit
+    directions of the others, drawn once per process and read-only:
+    every shell sampler of one dimension shares them."""
+    u = sobol(d, count, seed)
+    first, dirs = u[:, 0].copy(), sphere_directions(u[:, 1:])
+    first.flags.writeable = dirs.flags.writeable = False
+    return first, dirs
+
+
 def shell_sampler(n: int, lo: float, hi: float
                   ) -> Callable[[int, int], np.ndarray]:
     """Quasi-random point generator on the shell lo <= |x| <= hi.
@@ -72,9 +85,8 @@ def shell_sampler(n: int, lo: float, hi: float
         raise ValueError("need 0 < lo < hi")
 
     def sample(count: int, seed: int) -> np.ndarray:
-        u = sobol(n + 1, count, seed)
-        radii = lo * (hi / lo) ** u[:, 0]
-        return radii[:, None] * sphere_directions(u[:, 1:])
+        first, dirs = _unit_draw(n + 1, count, seed)
+        return (lo * (hi / lo) ** first)[:, None] * dirs
 
     return sample
 
@@ -154,7 +166,9 @@ def horizon_clearance(scenario: Scenario) -> float:
 
 def flux_series(scenario: Scenario, radii=None) -> FluxSeries:
     """Flux masses of both integrand variants at each radius (the
-    scenario's flux radii by default), both from one jet per radius."""
+    scenario's flux radii by default), both from one jet per radius: on
+    the nodes of the flux rule and its ``half``, or at the one point
+    r e_1 where the field is radial about the origin over the radii."""
     fld = scenario.require_field()
     radii = tuple(float(r) for r in (radii or scenario.quad.radii))
     clearance = horizon_clearance(scenario)
@@ -170,7 +184,9 @@ def flux_series(scenario: Scenario, radii=None) -> FluxSeries:
 
     rule = scenario.quad.flux_rule(scenario.n)
     c = mass_normalization(scenario.n)
-    values, errors = zip(*(sphere_integrate(fn, r, rule) for r in radii))
+    radial = fld.radial_about(np.zeros(scenario.n), min(radii), max(radii))
+    values, errors = zip(*(sphere_integrate(fn, r, rule, radial)
+                           for r in radii))
     plain, weighted = (tuple(v / c for v in col) for col in zip(*values))
     plain_err, weighted_err = (tuple(e / c for e in col)
                                for col in zip(*errors))
@@ -197,7 +213,8 @@ def adm_mass(scenario: Scenario) -> MassEstimate:
 
     The plain-integrand limit is the estimate; the uncertainty covers
     the extrapolation spread, the disagreement between the two
-    integrand variants, and the per-radius quadrature advisories.
+    integrand variants, and the per-radius quadrature advisories, which
+    are exactly 0 on a field radial about the origin.
     """
     series = flux_series(scenario)
     ep = extrapolate_limit(list(zip(series.radii, series.plain)))
@@ -254,39 +271,29 @@ def bulk_mass(scenario: Scenario) -> BulkResult:
     rule = cfg.body_rule(n)
     shell_nodes = sum(len(q.weights) for q in (rule, rule.half)
                       if q is not None)
-    e1 = np.eye(n)[0]
     state = {"min": math.inf, "maxabs": 0.0, "count": 0}
 
-    def note(seen, nodes_each):
-        if seen.size:
-            state["min"] = min(state["min"], float(seen.min()))
-            state["maxabs"] = max(state["maxabs"], float(np.abs(seen).max()))
-            state["count"] += seen.size * nodes_each
-
-    def fn(region, center, pts):
+    def fn(region, center, nodes_each, pts):
         vals = scalar_curvature(fld, pts)
         seen = vals
         if region.graded:
             seen = vals[np.linalg.norm(pts - center, axis=1)
                         >= 1.01 * region.r_inner]
-        note(seen, 1)
-        return vals
-
-    def radial(region, center, radii):
-        vals = scalar_curvature(fld, center + radii[:, None] * e1)
-        seen = vals[radii >= 1.01 * region.r_inner] if region.graded else vals
-        note(seen, shell_nodes)
+        if seen.size:
+            state["min"] = min(state["min"], float(seen.min()))
+            state["maxabs"] = max(state["maxabs"], float(np.abs(seen).max()))
+            state["count"] += seen.size * nodes_each
         return vals
 
     parts = []
     for region in scenario.bulk_region:
         center = np.asarray(region.center or (0.0,) * n, float)
         r_outer = cfg.r_max if region.r_outer is None else region.r_outer
-        on_radii = (partial(radial, region, center)
+        on_radii = (partial(fn, region, center, shell_nodes)
                     if fld.radial_about(center, region.r_inner, r_outer)
                     else None)
         parts.append(exterior_volume_integrate(
-            partial(fn, region, center), region, cfg, rule, on_radii))
+            partial(fn, region, center, 1), region, cfg, rule, on_radii))
     c = mass_normalization(scenario.n)
     return BulkResult(value=sum(vi.value for vi in parts) / c,
                       uncertainty=sum(vi.uncertainty for vi in parts) / c,
@@ -411,8 +418,9 @@ def horizon_flux_convergence(scenario: Scenario, quermass) -> list[dict]:
 
     ``quermass`` holds each horizon body's V vector, whose V_1/(2 omega)
     is the geometric term.  The offset spheres about each body take the
-    flux rule's nodes without its ``half``, one offset per batch.
-    How fast the offset flux approaches integral(H_0) is not prescribed;
+    flux rule's nodes without its ``half``, one offset per batch, or one
+    point each where the field is radial about the body's centre.  How
+    fast the offset flux approaches integral(H_0) is not prescribed;
     this measures it.  A gap already at roundoff reports rate None.
     """
     fld = scenario.require_field()
@@ -424,12 +432,12 @@ def horizon_flux_convergence(scenario: Scenario, quermass) -> list[dict]:
     for idx, (body, V) in enumerate(zip(scenario.horizons, quermass)):
         a = body.outer_radius()
         geo = float(V[1]) / (2.0 * omega)
-        fluxes = []
-        for eps in HORIZON_OFFSETS:
-            ints = sphere_integrals(
-                lambda pts: boundary_integrand(fld, pts, rule.nodes),
-                a * (1.0 + eps), rule, body.center)
-            fluxes.append(float(ints[0, 0]) / norm_c)
+        radii = a * (1.0 + np.array(HORIZON_OFFSETS))
+        radial = fld.radial_about(body.center, radii.min(), radii.max())
+        nu = np.eye(n)[0] if radial else rule.nodes
+        fluxes = [float(sphere_integrals(
+            lambda pts: boundary_integrand(fld, pts, nu), r, rule,
+            body.center, radial)[0, 0]) / norm_c for r in radii]
         gaps = [abs(v - geo) for v in fluxes]
         keep = [(e, g) for e, g in zip(HORIZON_OFFSETS, gaps)
                 if g > 1e-13 * (1.0 + abs(geo))]

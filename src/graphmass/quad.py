@@ -19,12 +19,12 @@ start near an excised boundary, and a power-law tail fit past r_max
 unless the region has an outer radius.  Shells are also integrated on
 the rule's ``half``, so the uncertainty covers the angular error.
 The adaptive split evaluates each panel once: a refined half becomes
-its child's whole.  Every sphere integral on quadrature nodes, shells
-included, is one ``sphere_integrals`` call per batch of radii;
-``sphere_rule`` builds each rule once and shares it read-only.  An
-integrand invariant under rotations about the region's centre may come
-as one value per radius instead: its shells are |S^{n-1}| r^{n-1} times
-that value, with no angular error, and only the tail fit reads nodes.
+its child's whole.  Every sphere integral, shells included, is one
+``sphere_integrals`` call per batch of radii; ``sphere_rule`` builds
+each rule once and shares it read-only.  An integrand invariant under
+rotations about the sphere's centre is evaluated at one point per
+radius instead of on the nodes: the integral is |S^{n-1}| r^{n-1} times
+that value, with no angular error.  A shell walk's tail fit reads nodes.
 """
 
 from __future__ import annotations
@@ -314,7 +314,8 @@ def _radius_powers(radii: np.ndarray, n: int) -> list[float]:
 
 
 def sphere_integrals(fn: Callable[[np.ndarray], np.ndarray], radii,
-                     rule: SphereRule, center=0.0) -> np.ndarray:
+                     rule: SphereRule, center=0.0,
+                     radial: bool = False) -> np.ndarray:
     """Integrals of fn over the spheres of the given radii about
     ``center`` (default the origin), on the rule and on its ``half``.
 
@@ -322,9 +323,18 @@ def sphere_integrals(fn: Callable[[np.ndarray], np.ndarray], radii,
     returns one value per point or a (k, points) array; every value is
     checked.  Returns r^{n-1} (weights . values) per rule, row and
     radius, as an array (rules, k, radii) or (rules, radii).
+    With ``radial`` fn is invariant under rotations about ``center``: it
+    is called at center + r e_1 only, and every row is |S^{n-1}| r^{n-1}
+    times that value, so the rows agree exactly.
     """
     radii = np.atleast_1d(np.asarray(radii, float))
     rules = (rule,) if rule.half is None else (rule, rule.half)
+    if radial:
+        vals = _checked(fn(center + radii[:, None] * np.eye(rule.n)[0]),
+                        len(radii))
+        row = (unit_sphere_area(rule.n)
+               * np.array(_radius_powers(radii, rule.n)) * vals)
+        return np.stack([row] * len(rules))
     nodes = np.concatenate([q.nodes for q in rules])
     pts = center + (radii[:, None, None] * nodes).reshape(-1, rule.n)
     vals = _checked(fn(pts), len(pts))
@@ -338,15 +348,16 @@ def sphere_integrals(fn: Callable[[np.ndarray], np.ndarray], radii,
 
 
 def sphere_integrate(fn: Callable[[np.ndarray], np.ndarray], r: float,
-                     rule: SphereRule) -> tuple:
+                     rule: SphereRule, radial: bool = False) -> tuple:
     """Integral of fn over the origin-centered sphere of radius r.
 
     fn returns one value per node, or a (k, nodes) array holding k
     integrands on the same nodes, each integrated on its own.  Returns
     (value, error_estimate), as floats or as k-tuples; the estimate
-    compares against the rule's coarser companion and is advisory only.
+    compares against the rule's coarser companion and is advisory only,
+    and exactly 0 with ``radial`` (see ``sphere_integrals``).
     """
-    ints = sphere_integrals(fn, r, rule)[..., 0]
+    ints = sphere_integrals(fn, r, rule, radial=radial)[..., 0]
     value, err = ints[0], np.abs(ints[0] - ints[-1])
     if value.ndim:
         return tuple(map(float, value)), tuple(map(float, err))
@@ -421,9 +432,8 @@ class _ShellIntegrand:
     """F(r) = r^{n-1} * (integral of fn over the sphere of radius r about
     ``center``), one row per rule: the rule, then its ``half``.
 
-    With ``radial``, the integrand is invariant under rotations about
-    ``center``: radial(radii) gives its value on each sphere, and every
-    row is |S^{n-1}| r^{n-1} radial(r), so the rows agree exactly."""
+    A ``radial`` integrand, invariant under rotations about ``center``,
+    takes the radial route of ``sphere_integrals`` instead of fn."""
 
     def __init__(self, fn, rule: SphereRule, center, radial=None):
         self.fn, self.rule, self.center = fn, rule, center
@@ -432,11 +442,8 @@ class _ShellIntegrand:
     def __call__(self, radii: np.ndarray) -> np.ndarray:
         if self.radial is None:
             return sphere_integrals(self.fn, radii, self.rule, self.center)
-        radii = np.asarray(radii, float)
-        vals = _checked(self.radial(radii), len(radii))
-        row = (unit_sphere_area(self.rule.n)
-               * np.array(_radius_powers(radii, self.rule.n)) * vals)
-        return np.stack([row] * (1 if self.rule.half is None else 2))
+        return sphere_integrals(self.radial, radii, self.rule, self.center,
+                                radial=True)
 
     def panel(self, lo: float, hi: float) -> np.ndarray:
         mid, h = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -514,10 +521,10 @@ def exterior_volume_integrate(fn, region: ExteriorRegion, cfg: QuadConfig,
     Without ``radial`` every shell evaluates fn on the nodes of the rule
     and of its ``half``.  A caller whose integrand is invariant under
     rotations about the region's centre on [r_inner, r_outer] may pass
-    ``radial(radii)``, its value per radius: the walk's shells then cost
-    one value each and their angular error is exactly 0.  The tail fit
-    evaluates fn on the nodes either way, so ``q_fit`` and the tail bound
-    do not depend on the route.
+    ``radial``, fn or fn with other bookkeeping: the walk's shells then
+    call it at one point per radius, and their angular error is exactly
+    0.  The tail fit evaluates fn on the nodes either way, so ``q_fit``
+    and the tail bound do not depend on the route.
     """
     r_outer = cfg.r_max if region.r_outer is None else region.r_outer
     if r_outer <= region.r_inner:

@@ -37,13 +37,16 @@ class CountingField(ScalarField):
     the points of the radial ones, so a radial base keeps its radial
     curvature route and its radial bulk shells.  ``scalar_curvature``
     asks for the radial derivatives first, so ``points`` counts the
-    points of every curvature request, on an expression base too."""
+    points of every curvature request, on an expression base too;
+    ``jet_points`` counts the points of every jet."""
 
     def __init__(self, base: ScalarField):
         self.base, self.n, self.calls, self.points = base, base.n, 0, 0
+        self.jet_points = 0
 
     def jet3_many(self, points, order=3):
         self.calls += 1
+        self.jet_points += len(points)
         return self.base.jet3_many(points, order=order)
 
     def radial_derivatives(self, points):

@@ -16,8 +16,8 @@ from graphmass import (
     ExteriorRegion,
     HorizonSet,
     QuadConfig,
+    RadialField,
     RadialProfile,
-    ScalarField,
     Scenario,
     ScenarioEvaluation,
     Sphere,
@@ -35,7 +35,7 @@ from graphmass import (
 )
 from graphmass import quad
 from graphmass.errors import NonConvexError
-from graphmass.mass import identity_tolerance
+from graphmass.mass import HORIZON_OFFSETS, identity_tolerance
 
 
 def check(scenario, name):
@@ -79,6 +79,29 @@ class TestShellSampler:
         assert np.array_equal(sample(200, 3), sample(200, 3))
         assert not np.array_equal(sample(200, 3), sample(200, 4))
 
+    def test_samplers_share_one_unit_draw(self, monkeypatch):
+        """Samplers of one dimension draw each (count, seed) once and
+        share its read-only arrays; their points equal those of an
+        uncached draw bit for bit."""
+        from graphmass import mass
+        mass._unit_draw.cache_clear()
+        draws = []
+
+        def counted(*key):
+            draws.append(key)
+            return quad.sobol(*key)
+
+        monkeypatch.setattr(mass, "sobol", counted)
+        near, far = shell_sampler(3, 0.5, 20.0), shell_sampler(3, 2.0, 90.0)
+        points = near(300, 5), far(300, 5)
+        assert draws == [(4, 300, 5)]
+        assert not any(a.flags.writeable for a in mass._unit_draw(4, 300, 5))
+        u = quad.sobol(4, 300, 5)
+        for (lo, hi), pts in zip(((0.5, 20.0), (2.0, 90.0)), points):
+            radii = lo * (hi / lo) ** u[:, 0]
+            assert np.array_equal(
+                pts, radii[:, None] * quad.sphere_directions(u[:, 1:]))
+
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             shell_sampler(3, 0.0, 5.0)
@@ -111,21 +134,22 @@ class TestFluxMass:
         with pytest.raises(DomainError, match="does not enclose"):
             adm_flux_mass(scn3, 1.5)
 
-    def test_one_jet_per_node_set(self, scn3):
-        """Both integrands come from one jet on the nodes of the full rule
-        and of its half companion: one jet evaluation per radius."""
-
-        class Counting(ScalarField):
-            n, calls = 3, 0
-
-            def jet3_many(self, points, order=3):
-                self.calls += 1
-                return scn3.field.jet3_many(points, order=order)
-
-        counting = Counting()
+    def test_one_jet_per_radius(self, scn3):
+        """Both integrands come from one jet per radius: at one point on a
+        field radial about the origin, and on the nodes of the full rule
+        and of its half companion on a field that is not."""
+        counting = CountingField(scn3.field)
         series = flux_series(dataclasses.replace(scn3, field=counting))
-        assert counting.calls == len(scn3.quad.radii)
+        radii = len(scn3.quad.radii)
+        assert (counting.calls, counting.jet_points) == (radii, radii)
         assert series == adm_mass(scn3).series
+        off = CountingField(RadialField(schwarzschild_profile(1.0, 3), 3,
+                                        center=(0.5, 0.0, 0.0)))
+        flux_series(dataclasses.replace(scn3, field=off))
+        rule = scn3.quad.flux_rule(3)
+        assert off.calls == radii
+        assert off.jet_points == radii * (len(rule.weights)
+                                          + len(rule.half.weights))
 
     def test_monotone_approach(self, scn3):
         """The plain series decreases to m from above as r grows."""
@@ -325,6 +349,32 @@ class TestRadialShells:
         assert peak < 263 * 2 ** 20
 
 
+class TestRadialSpheres:
+    @pytest.mark.parametrize(("name", "params"), RADIAL_CONFIGS)
+    def test_one_point_route_matches_node_route(self, name, params,
+                                                monkeypatch):
+        """Each radial default takes the flux and horizon-offset spheres
+        at one point per radius; the node route, forced by denying the
+        symmetry, is the reference: the same values to roundoff."""
+        scn = make_scenario(name, **params)
+        quermass = ScenarioEvaluation(scn).quermass
+        radial = flux_series(scn)
+        radial_rows = horizon_flux_convergence(scn, quermass)
+        monkeypatch.setattr(type(scn.field), "radial_about",
+                            lambda self, center, r_lo, r_hi: False)
+        nodes = flux_series(scn)
+        node_rows = horizon_flux_convergence(scn, quermass)
+        assert radial.plain_err == radial.weighted_err == (0.0,) * len(
+            radial.radii)
+        for one, many in zip(radial.plain + radial.weighted,
+                             nodes.plain + nodes.weighted):
+            assert abs(one - many) <= 1e-13 * abs(many)
+        assert len(radial_rows) == len(node_rows) == len(scn.horizons)
+        for one, many in zip(radial_rows, node_rows):
+            for a, b in zip(one["fluxes"], many["fluxes"]):
+                assert abs(a - b) <= 1e-11 * abs(b)
+
+
 class TestDecomposition:
     def test_schwarzschild3_boundary_only(self, scn3):
         """adm = boundary + bulk with boundary = V_1/(2 omega) = m and a
@@ -391,23 +441,38 @@ class TestHorizonFluxConvergence:
         assert abs(row["geometric"] - 1.0) <= 1e-12
         assert row["radius"] == 2.0
 
-    def test_one_call_per_offset_on_the_flux_nodes(self, monkeypatch):
-        """Each offset sphere is one integrand call on the flux rule's
-        nodes, none on the rule's half."""
-        from graphmass import mass
+    def test_one_call_per_offset(self):
+        """Each offset sphere is one jet: at one point on a field radial
+        about the body's centre, on the flux rule's nodes, none of its
+        half's, on a field that is not."""
         scn = make_scenario("schwarzschild_perturbed")
         quermass = ScenarioEvaluation(scn).quermass
-        sizes = []
-        original = mass.boundary_integrand
-
-        def counted(field, pts, normals):
-            sizes.append(len(pts))
-            return original(field, pts, normals)
-
-        monkeypatch.setattr(mass, "boundary_integrand", counted)
-        horizon_flux_convergence(scn, quermass)
+        counting = CountingField(scn.field)
+        horizon_flux_convergence(dataclasses.replace(scn, field=counting),
+                                 quermass)
+        offsets = len(HORIZON_OFFSETS)
+        assert (counting.calls, counting.jet_points) == (offsets, offsets)
+        # a Schwarzschild field centred off the body, clear of its horizon
+        off = CountingField(RadialField(schwarzschild_profile(0.4, 3), 3,
+                                        center=(0.5, 0.0, 0.0)))
+        horizon_flux_convergence(dataclasses.replace(scn, field=off),
+                                 quermass)
         rule = scn.quad.flux_rule(scn.n)
-        assert sizes == [len(rule.weights)] * len(mass.HORIZON_OFFSETS)
+        assert off.calls == offsets
+        assert off.jet_points == offsets * len(rule.weights)
+
+    @pytest.mark.parametrize(("name", "params"), [
+        *[("schwarzschild3", {"m": m}) for m in (0.5, 2.0, 50.0)],
+        *[("schwarzschild_n", {"n": n, "m": m})
+          for n in (4, 5, 6) for m in (0.3, 5.0, 30.0)],
+        ("two_body_glued", {"m1": 2.0, "m2": 2.0})])
+    def test_roundoff_gaps_fit_no_rate(self, name, params):
+        """On exact Schwarzschild horizons each offset flux is one
+        evaluation, whose roundoff gap (up to a few 1e-12 at large m)
+        may pass the keep-floor at some offsets; no rate is fitted to
+        that noise."""
+        rows = boundary_rows(make_scenario(name, **params))
+        assert rows and all(row["rate"] is None for row in rows)
 
     def test_perturbed_first_order_rate(self):
         scn = make_scenario("schwarzschild_perturbed")

@@ -352,21 +352,23 @@ class TestExteriorVolume:
         assert vi.tail_bound == 0.0 and vi.q_fit is None
 
     def test_radial_shells_match_node_shells(self):
-        """On shells about the Gaussian's own centre, its value per radius
-        gives the node route's integral, with rows that agree exactly."""
+        """On shells about the Gaussian's own centre, its value at one
+        point per radius gives the node route's integral, with rows that
+        agree exactly."""
         c = (3.0, -1.0, 2.0)
         cfg = QuadConfig(r_max=1.0, radial_tol=1e-9)
         region = ExteriorRegion(center=c, r_outer=8.0)
         rule = sphere_rule(3)
-        nodes = exterior_volume_integrate(
-            lambda p: np.exp(-np.sum((p - c) ** 2, axis=1)), region, cfg,
-            rule)
-        radial = exterior_volume_integrate(
-            None, region, cfg, rule, radial=lambda r: np.exp(-r * r))
+
+        def gauss(p):
+            return np.exp(-np.sum((p - c) ** 2, axis=1))
+
+        nodes = exterior_volume_integrate(gauss, region, cfg, rule)
+        radial = exterior_volume_integrate(None, region, cfg, rule,
+                                           radial=gauss)
         assert radial.panels == nodes.panels
         assert abs(radial.value - nodes.value) <= 1e-13 * nodes.value
-        shell = quad._ShellIntegrand(None, rule, np.asarray(c),
-                                     lambda r: np.exp(-r * r))
+        shell = quad._ShellIntegrand(None, rule, np.asarray(c), gauss)
         rows = shell(np.array([0.5, 1.0, 2.0]))
         assert rows.shape == (2, 3) and np.array_equal(rows[0], rows[1])
 
@@ -376,14 +378,14 @@ class TestExteriorVolume:
         with pytest.raises(QuadratureError, match="not finite"):
             exterior_volume_integrate(
                 None, ExteriorRegion(r_outer=8.0), cfg, sphere_rule(3),
-                radial=lambda r: np.where(r > 4.0, value, 1.0))
+                radial=lambda p: np.where(p[:, 0] > 4.0, value, 1.0))
 
     @pytest.mark.parametrize("route", ["nodes", "radial"])
     def test_overflowing_shell_names_its_radius(self, route):
         """r^{n-1} past the float range raises an error that names the
         radius and the operation on both shell routes."""
         cfg = QuadConfig(r_max=1.0)
-        radial = (lambda r: np.ones_like(r)) if route == "radial" else None
+        radial = (lambda p: np.ones(len(p))) if route == "radial" else None
         with pytest.raises(QuadratureError,
                            match=r"area factor r\^2 .* overflows at radius"):
             exterior_volume_integrate(
@@ -480,18 +482,43 @@ class TestExtrapolateLimit:
         assert abs(res.limit) <= res.uncertainty <= 1e-7
 
     def test_limits_match_the_least_squares_fit(self):
-        """On each flux series of the registry defaults whose
-        ``least_squares`` fit does not stall on the plateau, the limit
-        is that fit's to 1e-10 relative.  The fit starts, as the package
-        did before variable projection, from ``brentq``'s exact fit
-        through the last three samples: on the slow weighted series of
-        radial_custom, a start 1e-13 away moves its limit by 2e-10."""
-        from scipy import optimize
+        """On each flux series of the registry defaults that has a rate,
+        the limit is that of the least-squares minimum to 1e-10 relative.
+        The oracle minimises the variable-projection residual over the
+        package's bracket [s0/2, 2 s0] in 50-digit arithmetic: a grid,
+        then golden sections.  A float ``least_squares`` fit is no oracle
+        here: on radial_custom's weighted series it stops on xtol, and a
+        few-ulp change of the series moves its limit by 1.7e-10."""
+        mpmath = pytest.importorskip("mpmath")
 
-        def mismatch(s, r, v):
-            p = r ** -s
-            return ((v[0] - v[1]) * (p[1] - p[2])
-                    - (v[1] - v[2]) * (p[0] - p[1]))
+        def projected_limit(r, v, lo, hi):
+            r, v = [mpmath.mpf(x) for x in r], [mpmath.mpf(x) for x in v]
+            vbar = sum(v) / len(v)
+
+            def fit(s):  # (residual sum of squares, limit) at rate s
+                p = [x ** -s for x in r]
+                pbar = sum(p) / len(p)
+                spp = sum((x - pbar) ** 2 for x in p)
+                c = sum((x - pbar) * y for x, y in zip(p, v)) / spp
+                rss = sum((y - vbar) ** 2 for y in v) - c * c * spp
+                return rss, vbar - c * pbar
+
+            grid = [lo + (hi - lo) * k / 64 for k in range(65)]
+            k = min(range(65), key=lambda i: fit(grid[i])[0])
+            a, b = grid[max(k - 1, 0)], grid[min(k + 1, 64)]
+            g = (mpmath.sqrt(5) - 1) / 2
+            x1, x2 = b - g * (b - a), a + g * (b - a)
+            f1, f2 = fit(x1)[0], fit(x2)[0]
+            while b - a > mpmath.mpf(10) ** -30:
+                if f1 <= f2:
+                    b, x2, f2 = x2, x1, f1
+                    x1 = b - g * (b - a)
+                    f1 = fit(x1)[0]
+                else:
+                    a, x1, f1 = x1, x2, f2
+                    x2 = a + g * (b - a)
+                    f2 = fit(x2)[0]
+            return float(fit((a + b) / 2)[1])
 
         compared = 0
         for name in scenario_names():
@@ -504,20 +531,13 @@ class TestExtrapolateLimit:
                 res = extrapolate_limit(zip(r, v))
                 if res.rate is None:  # constant or not monotone
                     continue
-                hi = min(64.0, quad._LOG_TINY / math.log(r[-1]))
-                s0 = optimize.brentq(mismatch, 1e-3, hi, args=(r[1:], v[1:]),
-                                     xtol=1e-13)
-                p = r[1:] ** -s0
-                c0 = (v[1] - v[3]) / (p[0] - p[2])
-                fit = optimize.least_squares(
-                    lambda x: x[0] + x[1] * r ** -abs(x[2]) - v,
-                    x0=[v[3] - c0 * p[2], c0, s0], xtol=1e-14, ftol=1e-14,
-                    gtol=1e-14)
-                if abs(fit.x[2]) >= 64.0:
-                    continue
-                assert res.limit == pytest.approx(fit.x[0], rel=1e-10), name
+                s0 = quad._solve_triple(r[1:], v[1:])[2]
+                with mpmath.workdps(50):
+                    oracle = projected_limit(r, v, mpmath.mpf(s0) / 2,
+                                             2 * mpmath.mpf(s0))
+                assert res.limit == pytest.approx(oracle, rel=1e-10), name
                 compared += 1
-        assert compared == 6
+        assert compared == 8
 
 
 class TestQuadConfig:
