@@ -15,9 +15,10 @@ import numpy as np
 
 from .convexgeom import (Ellipsoid, SmoothLevelSet, Sphere, af_chain_gaps,
                          af_gap, quermassintegrals, superadditivity_gap)
-from .graphgeom import divergence_of_V, scalar_curvature
+from .graphgeom import scalar_curvature
 from .jets import ExprField, RadialProfile, fd_jet
 from .mass import (ScenarioEvaluation, adm_flux_mass, adm_mass, bulk_mass,
+                   divergence_identity_sup, identity_tolerance,
                    spherical_mass)
 from .quad import sphere_rule, unit_sphere_area
 from .scenarios import make_scenario, scenario_names
@@ -106,11 +107,8 @@ def _criterion_3() -> tuple[bool, str]:
         scenario = make_scenario(name)
         if scenario.field is None:
             continue
-        pts = scenario.sample_points(1000, seed=SEED)
-        r = scalar_curvature(scenario.field, pts)
-        d = divergence_of_V(scenario.field, pts)
-        worst = max(worst, float(np.max(np.abs(d - r)
-                                        / (1.0 + np.abs(r)))))
+        worst = max(worst, divergence_identity_sup(
+            scenario.field, scenario.sample_points(1000, seed=SEED)))
         count += 1
     dt = time.perf_counter() - t0
     ok = count >= 5 and worst <= 1e-9 and dt <= 5.0
@@ -128,8 +126,8 @@ def _criterion_4() -> tuple[bool, str]:
         adm = adm_mass(scenario)
         blk = bulk_mass(scenario)
         gap = abs(adm.value - blk.value)
-        tol = max(5e-3 * abs(adm.value),
-                  5.0 * (adm.uncertainty + blk.uncertainty))
+        tol = identity_tolerance(adm.value,
+                                 adm.uncertainty + blk.uncertainty)
         case_ok = gap <= tol
         ok = ok and case_ok
         parts.append(f"alpha={alpha}: gap {gap:.2e} vs tol {tol:.2e}")

@@ -19,8 +19,8 @@ which is the identity behind the boundary-flux mass formulas.  Only
 through the third derivatives, an independent route to R.  On a field
 radial about a centre at each point, :func:`scalar_curvature` builds no
 jet: R = (n-1)/(r W) (2 h_r h_rr / W + (n-2) h_r^2 / r), with
-:func:`curvature_from_jet` as its oracle.  All functions accept a single
-point (shape (n,)) or a batch (..., n) and return matching shapes.
+:func:`curvature_from_jet` as its oracle.  All functions accept a batch
+(..., n) of points and return matching shapes.
 """
 
 from __future__ import annotations
@@ -29,20 +29,6 @@ import numpy as np
 
 from .errors import DomainError
 from .jets import Jet3, ScalarField
-
-
-def _as_batch(points) -> tuple[np.ndarray, bool]:
-    pts = np.asarray(points, float)
-    if pts.ndim == 1:
-        return pts[None, :], True
-    return pts, False
-
-
-def _unbatch(arr: np.ndarray, single: bool):
-    if not single:
-        return arr
-    out = arr[0]
-    return float(out) if out.ndim == 0 else out
 
 
 def _curvature_parts(jet: Jet3):
@@ -73,15 +59,14 @@ def flux_field_from_jet(jet: Jet3) -> np.ndarray:
 def scalar_curvature(field: ScalarField, points):
     """R from the field's radial derivatives when it has them, else from
     its order-2 jet."""
-    pts, single = _as_batch(points)
+    pts = np.asarray(points, float)
     radial = field.radial_derivatives(pts)
     if radial is None:
-        return _unbatch(curvature_from_jet(field.jet3_many(pts, order=2)),
-                        single)
+        return curvature_from_jet(field.jet3_many(pts, order=2))
     n, (r, hr, hrr) = field.n, radial
     W = 1.0 + hr * hr
-    return _unbatch((n - 1) / (r * W) * (2.0 * hr * hrr / W
-                                         + (n - 2) * hr * hr / r), single)
+    return (n - 1) / (r * W) * (2.0 * hr * hrr / W
+                                 + (n - 2) * hr * hr / r)
 
 
 def divergence_of_V(field: ScalarField, points):
@@ -96,7 +81,7 @@ def divergence_of_V(field: ScalarField, points):
     as written so this route exercises the full expansion rather than
     the simplified curvature formula.
     """
-    pts, single = _as_batch(points)
+    pts = np.asarray(points, float)
     jet = field.jet3_many(pts, order=3)
     W, tr, frob, Hg, gHg = _curvature_parts(jet)
     g = jet.grad
@@ -105,8 +90,7 @@ def divergence_of_V(field: ScalarField, points):
     div_A = (np.einsum("...j,...j->...", c_iij, g) + tr * tr
              - np.einsum("...i,...i->...", c_jji, g) - frob)
     HgHg = np.einsum("...i,...i->...", Hg, Hg)
-    out = div_A / W - 2.0 * (tr * gHg - HgHg) / (W * W)
-    return _unbatch(out, single)
+    return div_A / W - 2.0 * (tr * gHg - HgHg) / (W * W)
 
 
 def flat_mean_curvature(field: ScalarField, points):
@@ -116,14 +100,13 @@ def flat_mean_curvature(field: ScalarField, points):
     with this sign a sphere of radius a given by f = -|x| has
     H0 = (n-1)/a > 0.
     """
-    pts, single = _as_batch(points)
+    pts = np.asarray(points, float)
     jet = field.jet3_many(pts, order=2)
     _, tr, _, Hg, gHg = _curvature_parts(jet)
     gsq = np.einsum("...i,...i->...", jet.grad, jet.grad)
     if np.any(gsq == 0.0):
         raise DomainError("level set is degenerate: grad f vanishes")
-    out = (-tr + gHg / gsq) / np.sqrt(gsq)
-    return _unbatch(out, single)
+    return (-tr + gHg / gsq) / np.sqrt(gsq)
 
 
 def boundary_integrand(field: ScalarField, points, nu):
@@ -132,11 +115,11 @@ def boundary_integrand(field: ScalarField, points, nu):
     With nu = -grad f/|grad f| this equals |grad f|^2 H0 / W, the
     horizon-limit form of the boundary mass term.
     """
-    pts, single = _as_batch(points)
+    pts = np.asarray(points, float)
     nu_arr = np.broadcast_to(np.asarray(nu, float), pts.shape)
     jet = field.jet3_many(pts, order=2)
     V = flux_field_from_jet(jet)
-    return _unbatch(np.einsum("...j,...j->...", V, nu_arr), single)
+    return np.einsum("...j,...j->...", V, nu_arr)
 
 
 def flux_integrands_from_jet(jet: Jet3, nu):
@@ -154,8 +137,8 @@ def mass_flux_integrand(field: ScalarField, points, nu, weighted: bool):
     weighted form (V . nu) is its algebraically equivalent variant whose
     flux converges faster for the model profiles.
     """
-    pts, single = _as_batch(points)
+    pts = np.asarray(points, float)
     nu_arr = np.broadcast_to(np.asarray(nu, float), pts.shape)
     plain, wtd = flux_integrands_from_jet(field.jet3_many(pts, order=2),
                                           nu_arr)
-    return _unbatch(wtd if weighted else plain, single)
+    return wtd if weighted else plain

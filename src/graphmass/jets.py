@@ -81,10 +81,6 @@ class Jet3:
         return self.grad.shape[-1]
 
     @property
-    def batch_shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
-    @property
     def order(self) -> int:
         return 2 if self.third is None else 3
 

@@ -85,7 +85,6 @@ class SphereRule:
     n: int
     nodes: np.ndarray    # (N, n), unit vectors
     weights: np.ndarray  # (N,)
-    label: str = ""
     half: "SphereRule | None" = None  # coarser companion for error estimates
 
 
@@ -103,29 +102,24 @@ def _circle_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, np.full(m, 2.0 * math.pi / m)
 
 
-def _s2_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    t, wt = np.polynomial.legendre.leggauss(order)
-    m = 2 * order
-    ang = 2.0 * math.pi * (np.arange(m) + 0.5) / m
-    s = np.sqrt(1.0 - t * t)
-    nodes = np.stack([
-        np.repeat(t, m),
-        np.outer(s, np.cos(ang)).ravel(),
-        np.outer(s, np.sin(ang)).ravel(),
-    ], axis=1)
-    weights = np.repeat(wt, m) * (2.0 * math.pi / m)
-    return nodes, weights
-
-
-def _s3_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    k = np.arange(1, order + 1)
-    t = np.cos(k * math.pi / (order + 1))
-    wt = (math.pi / (order + 1)) * np.sin(k * math.pi / (order + 1)) ** 2
-    base_nodes, base_w = _s2_rule(order)
+def _product_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rule on S^{n-1}, n <= 4, from dS_{n-1} = (1 - t^2)^{(n-3)/2}
+    dt dS_{n-2}: a rule in the polar cosine t (Gauss-Legendre at n = 3,
+    Gauss-Chebyshev of the second kind at n = 4) times the rule one
+    dimension down, scaled by sqrt(1 - t^2)."""
+    if n == 2:
+        return _circle_rule(order)
+    if n == 3:
+        t, wt = np.polynomial.legendre.leggauss(order)
+    else:
+        k = np.arange(1, order + 1)
+        t = np.cos(k * math.pi / (order + 1))
+        wt = (math.pi / (order + 1)) * np.sin(k * math.pi / (order + 1)) ** 2
+    base_nodes, base_w = _product_rule(n - 1, order)
     s = np.sqrt(1.0 - t * t)
     nodes = np.concatenate([
         np.repeat(t, len(base_nodes))[:, None],
-        np.einsum("i,jk->ijk", s, base_nodes).reshape(-1, 3),
+        np.einsum("i,jk->ijk", s, base_nodes).reshape(-1, n - 1),
     ], axis=1)
     weights = np.outer(wt, base_w).ravel()
     return nodes, weights
@@ -270,15 +264,10 @@ def sphere_rule(n: int, order: int | None = None,
 @lru_cache(maxsize=None)
 def _build_rule(n: int, order: int | None, samples: int | None, seed: int,
                 with_half: bool) -> SphereRule:
-    if n == 2:
-        nodes, weights = _circle_rule(order)
-        label = f"circle-{order}"
-    elif n <= 4:
-        nodes, weights = (_s2_rule if n == 3 else _s3_rule)(order)
-        label = f"gauss-{order}"
+    if n <= 4:
+        nodes, weights = _product_rule(n, order)
     else:
         nodes, weights = _qmc_rule(n, samples, seed)
-        label = f"sobol-{len(weights)}"
     nodes, weights = _normalize(nodes, weights, n)
     nodes.flags.writeable = weights.flags.writeable = False
     half = None
@@ -286,8 +275,7 @@ def _build_rule(n: int, order: int | None, samples: int | None, seed: int,
         half = _build_rule(n, max(4, order // 2), None, 0, False)
     elif with_half:
         half = _build_rule(n, None, max(16, len(weights) // 2), seed, False)
-    return SphereRule(n=n, nodes=nodes, weights=weights, label=label,
-                      half=half)
+    return SphereRule(n=n, nodes=nodes, weights=weights, half=half)
 
 
 def _checked(vals, count: int) -> np.ndarray:
@@ -691,17 +679,14 @@ def extrapolate_limit(samples: Sequence[tuple[float, float]]
     diffs = np.diff(v)
     shrinking = np.all(np.abs(diffs[1:]) <= np.abs(diffs[:-1]) * (1 + 1e-9))
     same_sign = np.all(diffs > 0) or np.all(diffs < 0)
-    if not (same_sign and shrinking):
-        spread = float(np.max(np.abs(v - v[-1])))
-        return ExtrapolationResult(float(v[-1]), max(spread, 1e-15),
-                                   rate=None, monotone=False)
-
     fits = []
-    for i in range(len(pts) - 2):
-        fit = _solve_triple(r[i:i + 3], v[i:i + 3])
-        if fit is not None:
-            fits.append(fit)
+    if same_sign and shrinking:
+        for i in range(len(pts) - 2):
+            fit = _solve_triple(r[i:i + 3], v[i:i + 3])
+            if fit is not None:
+                fits.append(fit)
     if not fits:
+        # a non-monotone diff pattern, or no triple with a fit
         spread = float(np.max(np.abs(v - v[-1])))
         return ExtrapolationResult(float(v[-1]), max(spread, 1e-15),
                                    rate=None, monotone=False)

@@ -78,14 +78,7 @@ class ReportDocument:
         return encode_body(self.body).encode("ascii")
 
     def to_json(self) -> str:
-        out: list[str] = ["{", json.dumps("header"), ":"]
-        _encode(self.header, out)
-        out.append(",")
-        out.append(json.dumps("body"))
-        out.append(":")
-        _encode(self.body, out)
-        out.append("}")
-        return "".join(out)
+        return encode_body({"header": self.header, "body": self.body})
 
 
 def flux_csv(body: dict) -> str:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from graphmass import Jet3, ScalarField
+from graphmass.jets import Jet3, ScalarField
 
 
 class RotatedField(ScalarField):

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from field_helpers import CountingField
-from graphmass import cli, make_scenario
+from graphmass import cli
 from graphmass.cli import EntryConfig, RunConfig, execute_run, main
 from graphmass.errors import (BodyError, ConfigError, DomainError,
                               IntegrabilityError, NonConvexError, ParseError,
                               QuadratureError, UnboundParameterError)
 from graphmass.mass import CheckOutcome, ScenarioEvaluation, bulk_mass
+from graphmass.scenarios import make_scenario
 
 
 @pytest.fixture(autouse=True)

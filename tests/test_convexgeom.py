@@ -8,25 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from graphmass import (
-    BodyError,
-    Ellipsoid,
-    ExprField,
-    HorizonSet,
-    NonConvexError,
-    SmoothLevelSet,
-    Sphere,
-    af_chain_gaps,
-    af_gap,
-    horizon_mean_curvature_term,
-    penrose_bound,
-    principal_curvatures,
-    quermassintegrals,
-    sigma_j,
-    sphere_rule,
-    superadditivity_gap,
-    unit_sphere_area,
-)
+from graphmass.convexgeom import (Ellipsoid, HorizonSet, SmoothLevelSet,
+                                  Sphere, af_chain_gaps, af_gap,
+                                  horizon_mean_curvature_term, penrose_bound,
+                                  principal_curvatures, quermassintegrals,
+                                  sigma_j, superadditivity_gap)
+from graphmass.errors import BodyError, NonConvexError
+from graphmass.jets import ExprField
+from graphmass.quad import sphere_rule, unit_sphere_area
 
 
 def quermass(horizons):

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from graphmass import ExprField, ParseError, UnboundParameterError
+from graphmass.errors import ParseError, UnboundParameterError
 from graphmass.expr import (Coord, Param, Radial, const_fold, free_symbols,
                             param_names, parse, power, to_text)
+from graphmass.jets import ExprField
 
 # a numpy overflow or divide in the evaluator fails instead of passing as inf
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")

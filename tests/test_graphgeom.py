@@ -8,24 +8,16 @@ import numpy as np
 import pytest
 
 from field_helpers import RotatedField
-from graphmass import (
-    DomainError,
-    ExprField,
-    RadialField,
-    RadialProfile,
-    ScalarField,
-    SmoothLevelSet,
-    adm_flux_mass,
-    boundary_integrand,
-    divergence_of_V,
-    flat_mean_curvature,
-    horizon_hypotheses,
-    make_scenario,
-    mass_flux_integrand,
-    scalar_curvature,
-    schwarzschild_profile,
-)
-from graphmass.graphgeom import curvature_from_jet, flux_field_from_jet
+from graphmass.convexgeom import SmoothLevelSet
+from graphmass.errors import DomainError
+from graphmass.graphgeom import (boundary_integrand, curvature_from_jet,
+                                 divergence_of_V, flat_mean_curvature,
+                                 flux_field_from_jet, mass_flux_integrand,
+                                 scalar_curvature)
+from graphmass.jets import (ExprField, RadialField, RadialProfile, ScalarField,
+                            schwarzschild_profile)
+from graphmass.mass import adm_flux_mass, horizon_hypotheses
+from graphmass.scenarios import make_scenario
 
 GENERIC = ExprField("0.3*x1^2*x2 + sin(1.1*x2)*x3 + 0.2*exp(x3)", 3)
 
@@ -333,4 +325,4 @@ class TestRadialRoute:
     def test_inside_profile_domain_rejected(self):
         fld = RadialField(schwarzschild_profile(1.0, 3), 3)
         with pytest.raises(DomainError, match="inside r_min"):
-            scalar_curvature(fld, np.array([1.5, 0.0, 0.0]))
+            scalar_curvature(fld, np.array([[1.5, 0.0, 0.0]]))

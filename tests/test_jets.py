@@ -10,21 +10,12 @@ import numpy as np
 import pytest
 
 from field_helpers import RotatedField
-from graphmass import (
-    DomainError,
-    ExprField,
-    RadialField,
-    RadialProfile,
-    UnboundParameterError,
-    fd_jet,
-    flatness_report,
-    make_scenario,
-    profile_from_gradsq,
-    radial_jet,
-    schwarzschild_profile,
-)
+from graphmass.errors import DomainError, UnboundParameterError
 from graphmass.expr import evaluate, parse
-from graphmass.jets import _JET_OPS
+from graphmass.jets import (_JET_OPS, ExprField, RadialField, RadialProfile,
+                            fd_jet, flatness_report, profile_from_gradsq,
+                            radial_jet, schwarzschild_profile)
+from graphmass.scenarios import make_scenario
 
 # a numpy overflow or divide in the evaluator fails instead of passing as inf
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")

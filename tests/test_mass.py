@@ -10,32 +10,17 @@ import numpy as np
 import pytest
 
 from field_helpers import CountingField
-from graphmass import (
-    ConfigError,
-    DomainError,
-    ExteriorRegion,
-    HorizonSet,
-    QuadConfig,
-    RadialField,
-    RadialProfile,
-    Scenario,
-    ScenarioEvaluation,
-    Sphere,
-    adm_flux_mass,
-    adm_mass,
-    bulk_mass,
-    flux_series,
-    horizon_flux_convergence,
-    horizon_hypotheses,
-    make_scenario,
-    mass_normalization,
-    schwarzschild_profile,
-    shell_sampler,
-    spherical_mass,
-)
 from graphmass import quad
-from graphmass.errors import NonConvexError
-from graphmass.mass import HORIZON_OFFSETS, identity_tolerance
+from graphmass.convexgeom import HorizonSet, Sphere
+from graphmass.errors import ConfigError, DomainError, NonConvexError
+from graphmass.jets import RadialField, RadialProfile, schwarzschild_profile
+from graphmass.mass import (HORIZON_OFFSETS, Scenario, ScenarioEvaluation,
+                            adm_flux_mass, adm_mass, bulk_mass, flux_series,
+                            horizon_flux_convergence, horizon_hypotheses,
+                            identity_tolerance, mass_normalization,
+                            shell_sampler, spherical_mass)
+from graphmass.quad import ExteriorRegion, QuadConfig
+from graphmass.scenarios import make_scenario
 
 
 def check(scenario, name):

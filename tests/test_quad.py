@@ -12,23 +12,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from graphmass import (
-    ConfigError,
-    ExteriorRegion,
-    IntegrabilityError,
-    QuadConfig,
-    QuadratureError,
-    exterior_volume_integrate,
-    extrapolate_limit,
-    flux_series,
-    make_scenario,
-    scalar_curvature,
-    scenario_names,
-    sphere_integrate,
-    sphere_rule,
-    unit_sphere_area,
-)
 from graphmass import quad
+from graphmass.errors import ConfigError, IntegrabilityError, QuadratureError
+from graphmass.graphgeom import scalar_curvature
+from graphmass.mass import flux_series
+from graphmass.quad import (ExteriorRegion, QuadConfig,
+                            exterior_volume_integrate, extrapolate_limit,
+                            sphere_integrate, sphere_rule, unit_sphere_area)
+from graphmass.scenarios import make_scenario, scenario_names
 
 # the fits and the inverse normal CDF must not overflow silently
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")

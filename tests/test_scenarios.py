@@ -8,19 +8,13 @@ import re
 import numpy as np
 import pytest
 
-from graphmass import (
-    ConfigError,
-    RadialField,
-    adm_flux_mass,
-    bulk_mass,
-    fd_jet,
-    make_scenario,
-    scalar_curvature,
-    scenario_names,
-    schwarzschild_profile,
-)
+from graphmass.errors import ConfigError
+from graphmass.graphgeom import scalar_curvature
+from graphmass.jets import RadialField, fd_jet, schwarzschild_profile
+from graphmass.mass import adm_flux_mass, bulk_mass
 from graphmass.scenarios import (REGISTRY, PiecewiseRadialField,
-                                  window_profile)
+                                 make_scenario, scenario_names,
+                                 window_profile)
 
 
 class TestRegistry:

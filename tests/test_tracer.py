@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from graphmass import make_scenario
+from graphmass.scenarios import make_scenario
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench", "tracer.py")

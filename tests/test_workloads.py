@@ -1,0 +1,47 @@
+"""The benchmark's workloads call package names from outside; building
+each one must still work, so a removed name fails here first."""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+import sys
+
+import pytest
+
+from graphmass import acceptance, cli, mass
+
+WORKLOADS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench", "workloads.py")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # @dataclass looks its module up in sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_suite_builds(workloads):
+    suite = workloads.Suite(1)
+    assert suite.cli is cli
+    assert isinstance(suite.config, cli.RunConfig)
+    assert [e.name for e in suite.config.entries] == list(
+        workloads.SUITE_ENTRIES)
+
+
+def test_verify_builds(workloads, monkeypatch):
+    # Verify taps adm_mass in both modules; the fixture puts them back
+    monkeypatch.setattr(mass, "adm_mass", mass.adm_mass)
+    monkeypatch.setattr(acceptance, "adm_mass", acceptance.adm_mass)
+    verify = workloads.Verify(1)
+    assert verify.acceptance is acceptance
+    assert mass.adm_mass is acceptance.adm_mass
+    assert callable(acceptance.run_criteria)
