@@ -10,7 +10,12 @@ the body with the exact area-element Jacobian of the parametrization.
 Quermassintegrals are V_k = integral over the surface of sigma_k, the
 binomially normalized elementary symmetric function of the principal
 curvatures; V_0 is the area, V_1 = (integral of H_0)/(n-1), and V_{n-1}
-equals the unit-sphere area by the degree of the Gauss map.
+equals the unit-sphere area by the degree of the Gauss map.  A body's
+``elementary`` gives e_0..e_{n-1} of its curvatures.  In general they
+come from the eigenvalues of the Weingarten map.  An ellipsoid has a
+diagonal Hessian c = 2/a^2, and Cauchy-Binet expands the curvature
+functions of its level set in closed form (Reilly 1973):
+e_k = sum_i m_i^2 e_k(c without c_i) / |grad phi|^k, with no eigen-solve.
 ``quermassintegrals(body, rule)`` is the only surface pass; the
 Aleksandrov-Fenchel gaps, the Penrose bound and the horizon boundary
 term are pure functions of its V vectors (or of the areas V_0).
@@ -28,6 +33,15 @@ from .jets import ScalarField
 from .quad import SphereRule, sphere_rule, unit_sphere_area
 
 _CONVEXITY_TOL = 1e-10
+
+
+def _unit_normal(grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit normals grad/|grad| and the norms |grad| of a batch."""
+    gn = np.linalg.norm(grad, axis=-1)
+    if np.any(gn == 0.0):
+        raise BodyError("defining function has a critical point "
+                        "on the surface")
+    return grad / gn[:, None], gn
 
 
 def _tangent_frame(normals: np.ndarray) -> np.ndarray:
@@ -58,6 +72,10 @@ class ConvexBody:
         """Principal curvatures (ascending) at on-surface points."""
         raise NotImplementedError
 
+    def elementary(self, points: np.ndarray) -> np.ndarray:
+        """e_0..e_{n-1} of the principal curvatures, shape (N, n)."""
+        return _elementary_all(self.shape_spectrum(points))
+
     def assert_on_surface(self, points: np.ndarray,
                           tol: float = 1e-10) -> None:
         raise NotImplementedError
@@ -66,12 +84,8 @@ class ConvexBody:
         """Radius of a center-based bounding sphere (for disjointness)."""
         raise NotImplementedError
 
-    def _weingarten(self, points, grad, hess) -> np.ndarray:
-        gn = np.linalg.norm(grad, axis=-1)
-        if np.any(gn == 0.0):
-            raise BodyError("defining function has a critical point "
-                            "on the surface")
-        m = grad / gn[:, None]
+    def _weingarten(self, grad, hess) -> np.ndarray:
+        m, gn = _unit_normal(grad)
         T = _tangent_frame(m)
         S = (np.swapaxes(T, -1, -2) @ hess @ T) / gn[:, None, None]
         kappas = np.linalg.eigvalsh(S)
@@ -133,13 +147,6 @@ class Ellipsoid(ConvexBody):
             u / self.semiaxes, axis=1)
         return pts, rule.weights * jac
 
-    def _phi_grad_hess(self, points):
-        y = (np.asarray(points, float) - self.center)
-        grad = 2.0 * y / self.semiaxes ** 2
-        hess = np.broadcast_to(np.diag(2.0 / self.semiaxes ** 2),
-                               (len(grad), self.n, self.n))
-        return grad, hess
-
     def assert_on_surface(self, points, tol=1e-10):
         y = (np.asarray(points, float) - self.center) / self.semiaxes
         phi = np.einsum("...i,...i->...", y, y)
@@ -148,8 +155,21 @@ class Ellipsoid(ConvexBody):
 
     def shape_spectrum(self, points):
         pts = np.atleast_2d(np.asarray(points, float))
-        grad, hess = self._phi_grad_hess(pts)
-        return self._weingarten(pts, grad, hess)
+        c = 2.0 / self.semiaxes ** 2
+        hess = np.broadcast_to(np.diag(c), (len(pts), self.n, self.n))
+        return self._weingarten(c * (pts - self.center), hess)
+
+    def elementary(self, points):
+        """Closed form: e_k = sum_i m_i^2 e_k(c without c_i) / |grad|^k
+        with c = diag(Hess phi), so every e_k > 0 (see module docstring)."""
+        pts = np.atleast_2d(np.asarray(points, float))
+        c = 2.0 / self.semiaxes ** 2
+        m, gn = _unit_normal(c * (pts - self.center))
+        table = np.array([_elementary_all(np.delete(c, i))
+                          for i in range(self.n)])
+        e = (m * m) @ table / gn[:, None] ** np.arange(self.n)
+        e[:, 0] = 1.0  # sum_i m_i^2 = 1 up to roundoff
+        return e
 
     def outer_radius(self):
         return float(np.max(self.semiaxes))
@@ -228,7 +248,7 @@ class SmoothLevelSet(ConvexBody):
     def shape_spectrum(self, points):
         pts = np.atleast_2d(np.asarray(points, float))
         jet = self.phi.jet3_many(pts, order=2)
-        return self._weingarten(pts, jet.grad, jet.hess)
+        return self._weingarten(jet.grad, jet.hess)
 
     def outer_radius(self):
         return self._outer
@@ -273,8 +293,7 @@ def quermassintegrals(body: ConvexBody,
     """All V_k, k = 0..n-1, from a single surface-quadrature pass."""
     rule = rule or sphere_rule(body.n)
     pts, w = body.surface_sample(rule)
-    kappas = body.shape_spectrum(pts)
-    e = _elementary_all(kappas)
+    e = body.elementary(pts)
     d = body.n - 1
     norms = np.array([math.comb(d, j) for j in range(d + 1)], float)
     return (w @ e) / norms

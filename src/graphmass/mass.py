@@ -684,13 +684,19 @@ class ScenarioEvaluation:
         # the bound needs the same curvature solve, so it has no value
         # for a non-convex horizon
         bound = self.bound if convex else math.nan
+        # the AF inequality bounds the horizon term by the area bound
+        af_deficit = (horizon_mean_curvature_term(self.quermass) - bound
+                      if convex else math.nan)
         est = self.adm
         bulk = self.bulk
-        margin = est.value - bound - bulk.value
+        slack = est.value - bound
+        # margin is the mass identity's residual, not the bound's slack
+        margin = slack - bulk.value
         tol = max(UNC_FACTOR * (est.uncertainty + bulk.uncertainty),
                   EQUALITY_ABS * (1.0 + abs(est.value)))
         values = {"mass": est.value, "bound": bound, "bulk": bulk.value,
-                  "margin": margin, "tolerance": tol, "min_R": min_R,
+                  "margin": margin, "slack": slack, "af_deficit": af_deficit,
+                  "tolerance": tol, "min_R": min_R,
                   "sign_sample_size": count}
         if not hyp_ok:
             return CheckOutcome(name="penrose", scenario=scn.name,
@@ -701,7 +707,7 @@ class ScenarioEvaluation:
         if not passed:
             notes.append(f"mass {est.value:.6g} falls below the bound "
                          f"{bound:.6g}")
-        elif margin > tol:
+        elif slack > tol:
             notes.append("inequality holds strictly")
         else:
             notes.append("equality case within tolerance")

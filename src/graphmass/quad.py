@@ -317,18 +317,18 @@ def sphere_integrals(fn: Callable[[np.ndarray], np.ndarray], radii,
     """
     radii = np.atleast_1d(np.asarray(radii, float))
     rules = (rule,) if rule.half is None else (rule, rule.half)
+    # an overflowing area factor is named before fn meets that radius
+    scale = _radius_powers(radii, rule.n)
     if radial:
         vals = _checked(fn(center + radii[:, None] * np.eye(rule.n)[0]),
                         len(radii))
-        row = (unit_sphere_area(rule.n)
-               * np.array(_radius_powers(radii, rule.n)) * vals)
+        row = unit_sphere_area(rule.n) * np.array(scale) * vals
         return np.stack([row] * len(rules))
     nodes = np.concatenate([q.nodes for q in rules])
     pts = center + (radii[:, None, None] * nodes).reshape(-1, rule.n)
     vals = _checked(fn(pts), len(pts))
     rows = np.atleast_2d(vals).reshape(-1, len(radii), len(nodes))
     parts = np.split(rows, [len(rule.weights)], axis=2)
-    scale = _radius_powers(radii, rule.n)
     # one 1-D dot per row and radius: a matrix product may sum in another order
     out = np.array([[[s * float(q.weights @ v) for s, v in zip(scale, row)]
                      for row in part] for q, part in zip(rules, parts)])

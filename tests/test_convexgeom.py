@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from graphmass.convexgeom import (Ellipsoid, HorizonSet, SmoothLevelSet,
-                                  Sphere, af_chain_gaps, af_gap,
-                                  horizon_mean_curvature_term, penrose_bound,
-                                  principal_curvatures, quermassintegrals,
-                                  sigma_j, superadditivity_gap)
+                                  Sphere, _elementary_all, af_chain_gaps,
+                                  af_gap, horizon_mean_curvature_term,
+                                  penrose_bound, principal_curvatures,
+                                  quermassintegrals, sigma_j,
+                                  superadditivity_gap)
 from graphmass.errors import BodyError, NonConvexError
 from graphmass.jets import ExprField
 from graphmass.quad import sphere_rule, unit_sphere_area
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def quermass(horizons):
@@ -124,6 +127,45 @@ class TestEllipsoid:
         body = Ellipsoid(np.zeros(3), (2.0, 1.0, 1.0))
         with pytest.raises(BodyError):
             principal_curvatures(body, np.array([1.0, 1.0, 1.0]))
+
+
+class TestEllipsoidClosedForm:
+    """``Ellipsoid.elementary`` expands e_k from the Hessian diagonal; the
+    eigenvalues of the Weingarten map are the reference."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_weingarten_eigenvalues(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            body = Ellipsoid(rng.uniform(-2.0, 2.0, n),
+                             rng.uniform(0.3, 3.0, n))
+            pts, _ = body.surface_sample(sphere_rule(n))
+            ref = _elementary_all(principal_curvatures(body, pts))
+            e = body.elementary(pts)
+            assert e.shape == (len(pts), n)
+            rel = float(np.max(np.abs(e - ref) / np.abs(ref)))
+            assert rel <= 1e-13, (n, rel)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_equal_semiaxes_reproduce_sphere(self, n):
+        center = np.linspace(-1.0, 1.0, n)
+        ball = Ellipsoid(center, np.full(n, 1.3))
+        pts, _ = ball.surface_sample(sphere_rule(n))
+        assert np.all(ball.elementary(pts) > 0.0)
+        V = quermassintegrals(ball)
+        ref = quermassintegrals(Sphere(center, 1.3))
+        assert np.max(np.abs(V - ref) / ref) <= 1e-14
+
+    def test_no_eigen_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        body = Ellipsoid(np.zeros(4), (1.8, 1.4, 1.1, 1.0))
+        V = quermassintegrals(body, sphere_rule(4, order=32))
+        assert abs(V[-1] / unit_sphere_area(4) - 1.0) <= 1e-8
+        with pytest.raises(AssertionError, match="eigvalsh"):
+            principal_curvatures(body, np.array([1.8, 0.0, 0.0, 0.0]))
 
 
 class TestSmoothLevelSet:

@@ -546,6 +546,41 @@ class TestChecks:
         assert out.values["bound"] == 0.0
         assert abs(out.values["mass"] - 0.7) <= 1e-6
 
+    @pytest.mark.parametrize("name, params", [
+        ("schwarzschild_perturbed", {}),
+        ("schwarzschild_perturbed", {"beta": 0.2}),
+        ("radial_custom", {})])
+    def test_penrose_note_reads_the_slack(self, name, params):
+        """These masses clear their area bounds by far more than the
+        tolerance, although the identity residual `margin` is below it;
+        the note follows slack = mass - bound."""
+        out = check(make_scenario(name, **params), "penrose")
+        values = out.values
+        assert out.passed
+        assert values["slack"] == values["mass"] - values["bound"]
+        assert values["slack"] > values["tolerance"] > values["margin"]
+        assert abs(values["af_deficit"]) <= 1e-12
+        assert out.notes == ("inequality holds strictly",)
+
+    @pytest.mark.parametrize("name, params", [
+        ("schwarzschild3", {}), ("schwarzschild_n", {}),
+        ("schwarzschild_n", {"n": 5})])
+    def test_penrose_equality_cases(self, name, params):
+        out = check(make_scenario(name, **params), "penrose")
+        assert out.passed
+        assert abs(out.values["slack"]) <= out.values["tolerance"]
+        assert abs(out.values["af_deficit"]) <= 1e-12
+        assert out.notes == ("equality case within tolerance",)
+
+    def test_glued_penrose_reports_the_sign_hypothesis(self):
+        """The gluing windows make R negative, so the check is a
+        hypothesis failure whatever the slack, which is at equality."""
+        out = check(make_scenario("two_body_glued"), "penrose")
+        assert not out.passed and not out.hypothesis_ok
+        assert abs(out.values["slack"]) <= out.values["tolerance"]
+        assert len(out.notes) == 1
+        assert "violates the sign hypothesis" in out.notes[0]
+
     def test_penrose_hypothesis_failure(self, bump):
         """A fake horizon under a bump field: convexity is fine but the
         sampled curvature changes sign, so the verdict is a hypothesis
