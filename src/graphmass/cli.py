@@ -348,30 +348,27 @@ def _emit(run: RunConfig, document: ReportDocument,
         if res["error"]:
             print(f"[ERROR] {res['name']}: {res['error']}",
                   file=gate_stream)
-    if out_dir:
-        files = []
-        if run.format in ("json", "both"):
-            files.append(("report.json", document.to_json() + "\n"))
-        if run.format in ("csv", "both"):
-            files += [("flux.csv", flux_csv(document.body)),
-                      ("bulk.csv", bulk_csv(document.body))]
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-            for name, text in files:
-                with open(os.path.join(out_dir, name), "w",
-                          encoding="utf-8") as fh:
-                    fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write the report to '{out_dir}': "
-                              f"{exc}") from exc
-        for name, _ in files:
-            print(f"wrote {os.path.join(out_dir, name)}", file=gate_stream)
-    else:
-        if run.format in ("json", "both"):
-            print(document.to_json())
-        if run.format in ("csv", "both"):
-            sys.stdout.write(flux_csv(document.body))
-            sys.stdout.write(bulk_csv(document.body))
+    files = []
+    if run.format in ("json", "both"):
+        files.append(("report.json", document.to_json() + "\n"))
+    if run.format in ("csv", "both"):
+        files += [("flux.csv", flux_csv(document.body)),
+                  ("bulk.csv", bulk_csv(document.body))]
+    if not out_dir:
+        for _, text in files:
+            sys.stdout.write(text)
+        return
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, text in files:
+            with open(os.path.join(out_dir, name), "w",
+                      encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the report to '{out_dir}': "
+                          f"{exc}") from exc
+    for name, _ in files:
+        print(f"wrote {os.path.join(out_dir, name)}", file=gate_stream)
 
 
 def cmd_run(args, extras: list[str]) -> int:

@@ -20,9 +20,9 @@ hypothesis is distinguished from a failed inequality.  A
 the bulk integral (one panel walk per bulk region) and one
 quermassintegral vector per horizon body, which the horizon term, the
 Penrose bound and the geometry table read.  Every sphere integral is
-one ``quad`` core call, on a rule that the scenario's config names, and
-on a field radial about the sphere's centre it evaluates one point per
-radius instead of the rule's nodes.
+one ``quad`` core call, on a rule that the scenario's config names or,
+where ``ScalarField.radial_about`` says the field is radial about the
+sphere's centre, on ``quad.point_rule``: one point per radius.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .graphgeom import (boundary_integrand, divergence_of_V,
 from .jets import RadialField, RadialProfile, ScalarField
 from .quad import (HORIZON_OFFSET, ExtrapolationResult, ExteriorRegion,
                    QuadConfig, exterior_volume_integrate, extrapolate_limit,
-                   sobol, sphere_directions, sphere_integrals,
+                   point_rule, sobol, sphere_directions, sphere_integrals,
                    sphere_integrate, unit_sphere_area)
 
 DIV_IDENTITY_TOL = 1e-9      # pointwise |div V - R| / (1 + |R|)
@@ -166,11 +166,13 @@ def horizon_clearance(scenario: Scenario) -> float:
 
 def flux_series(scenario: Scenario, radii=None) -> FluxSeries:
     """Flux masses of both integrand variants at each radius (the
-    scenario's flux radii by default), both from one jet per radius: on
-    the nodes of the flux rule and its ``half``, or at the one point
-    r e_1 where the field is radial about the origin over the radii."""
+    scenario's flux radii when ``radii`` is None), both from one jet per
+    radius: on the nodes of the flux rule and its ``half``, or on
+    ``point_rule`` where the field is radial about the origin over the
+    radii."""
     fld = scenario.require_field()
-    radii = tuple(float(r) for r in (radii or scenario.quad.radii))
+    radii = tuple(float(r) for r in (
+        scenario.quad.radii if radii is None else radii))
     clearance = horizon_clearance(scenario)
     if min(radii) <= clearance:
         raise DomainError(
@@ -182,11 +184,11 @@ def flux_series(scenario: Scenario, radii=None) -> FluxSeries:
         return np.stack(flux_integrands_from_jet(fld.jet3_many(pts, order=2),
                                                  nu))
 
-    rule = scenario.quad.flux_rule(scenario.n)
     c = mass_normalization(scenario.n)
-    radial = fld.radial_about(np.zeros(scenario.n), min(radii), max(radii))
-    values, errors = zip(*(sphere_integrate(fn, r, rule, radial)
-                           for r in radii))
+    rule = (point_rule(scenario.n)
+            if fld.radial_about(np.zeros(scenario.n), min(radii), max(radii))
+            else scenario.quad.flux_rule(scenario.n))
+    values, errors = zip(*(sphere_integrate(fn, r, rule) for r in radii))
     plain, weighted = (tuple(v / c for v in col) for col in zip(*values))
     plain_err, weighted_err = (tuple(e / c for e in col)
                                for col in zip(*errors))
@@ -247,19 +249,19 @@ def bulk_mass(scenario: Scenario) -> BulkResult:
     summed over the scenario's bulk regions.
 
     A region whose field is radial about its centre on the whole walked
-    annulus (``ScalarField.radial_about``) takes the radial route: R is
-    evaluated once per radius, at one point c + r e_1, and each shell
-    integral is |S^{n-1}| r^{n-1} R(r).  That holds for the radial
-    profiles, for each annulus of the glued field, and for an expression
-    that reads no coordinate x_i, such as flat's ``0`` and bump's
-    ``a*exp(-r^2)``.  Other regions take the node route: R at every node
-    of the body rule and of its ``half``.  The tail fit reads the nodes
-    on both routes.
+    annulus (``ScalarField.radial_about``) walks its shells on
+    ``point_rule``: R is evaluated once per radius, at c + r e_1, and
+    each shell integral is r^{n-1} |S^{n-1}| R(r).  That holds for the
+    radial profiles, for each annulus of the glued field, and for an
+    expression that reads no coordinate x_i, such as flat's ``0`` and
+    bump's ``a*exp(-r^2)``.  Other regions walk the body rule: R at every
+    node of it and of its ``half``.  The tail fit reads the body rule's
+    nodes either way.
 
     Every R value feeds a running min of R and max of |R|.  ``sign_nodes``
     counts the distinct nodes of every evaluated shell, rule and half,
-    on both routes: on the radial route each node carries the radius'
-    value by symmetry.  A ``graded`` region, whose inner edge is a
+    either way: on the point rule each body-rule node carries the
+    radius' value by symmetry.  A ``graded`` region, whose inner edge is a
     horizon, leaves out a 1% guard band there: the boundary layer
     evaluates R as a 0/0 form whose float noise says nothing about the
     sign hypothesis.  ``regions`` holds (value, uncertainty, panels) of
@@ -425,8 +427,9 @@ def horizon_flux_convergence(scenario: Scenario, quermass) -> list[dict]:
 
     ``quermass`` holds each horizon body's V vector, whose V_1/(2 omega)
     is the geometric term.  The offset spheres about each body take the
-    flux rule's nodes without its ``half``, one offset per batch, or one
-    point each where the field is radial about the body's centre.  How
+    flux rule's nodes without its ``half``, one offset per batch, or
+    ``point_rule`` where the field is radial about the body's centre; the
+    rule's nodes are the outward normals.  How
     fast the offset flux approaches integral(H_0) is not prescribed;
     this measures it.  A gap already at roundoff reports rate None.
     """
@@ -434,17 +437,18 @@ def horizon_flux_convergence(scenario: Scenario, quermass) -> list[dict]:
     n = scenario.n
     omega = unit_sphere_area(n)
     norm_c = mass_normalization(n)
-    rule = replace(scenario.quad.flux_rule(n), half=None)
+    node_rule = replace(scenario.quad.flux_rule(n), half=None)
     out = []
     for idx, (body, V) in enumerate(zip(scenario.horizons, quermass)):
         a = body.outer_radius()
         geo = float(V[1]) / (2.0 * omega)
         radii = a * (1.0 + np.array(HORIZON_OFFSETS))
-        radial = fld.radial_about(body.center, radii.min(), radii.max())
-        nu = np.eye(n)[0] if radial else rule.nodes
+        rule = (point_rule(n)
+                if fld.radial_about(body.center, radii.min(), radii.max())
+                else node_rule)
         fluxes = [float(sphere_integrals(
-            lambda pts: boundary_integrand(fld, pts, nu), r, rule,
-            body.center, radial)[0, 0]) / norm_c for r in radii]
+            lambda pts: boundary_integrand(fld, pts, rule.nodes), r, rule,
+            body.center)[0, 0]) / norm_c for r in radii]
         gaps = [abs(v - geo) for v in fluxes]
         keep = [(e, g) for e, g in zip(HORIZON_OFFSETS, gaps)
                 if g > 1e-13 * (1.0 + abs(geo))]

@@ -22,9 +22,9 @@ The adaptive split evaluates each panel once: a refined half becomes
 its child's whole.  Every sphere integral, shells included, is one
 ``sphere_integrals`` call per batch of radii; ``sphere_rule`` builds
 each rule once and shares it read-only.  An integrand invariant under
-rotations about the sphere's centre is evaluated at one point per
-radius instead of on the nodes: the integral is |S^{n-1}| r^{n-1} times
-that value, with no angular error.  A shell walk's tail fit reads nodes.
+rotations about the sphere's centre is integrated exactly by
+``point_rule``: one node, e_1, of weight |S^{n-1}|, and no ``half``, so
+there is no angular error.  A shell walk's tail fit reads the nodes.
 """
 
 from __future__ import annotations
@@ -278,6 +278,16 @@ def _build_rule(n: int, order: int | None, samples: int | None, seed: int,
     return SphereRule(n=n, nodes=nodes, weights=weights, half=half)
 
 
+@lru_cache(maxsize=None)
+def point_rule(n: int) -> SphereRule:
+    """The one-node rule on S^{n-1}: e_1 with weight |S^{n-1}|, exact for
+    integrands invariant under rotations about the sphere's centre.
+    Built once per n; its arrays are read-only and it has no ``half``."""
+    nodes, weights = np.eye(1, n), np.array([unit_sphere_area(n)])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return SphereRule(n=n, nodes=nodes, weights=weights)
+
+
 def _checked(vals, count: int) -> np.ndarray:
     """An integrand's values, one per point or (k, points), all finite."""
     vals = np.asarray(vals, float)
@@ -302,8 +312,7 @@ def _radius_powers(radii: np.ndarray, n: int) -> list[float]:
 
 
 def sphere_integrals(fn: Callable[[np.ndarray], np.ndarray], radii,
-                     rule: SphereRule, center=0.0,
-                     radial: bool = False) -> np.ndarray:
+                     rule: SphereRule, center=0.0) -> np.ndarray:
     """Integrals of fn over the spheres of the given radii about
     ``center`` (default the origin), on the rule and on its ``half``.
 
@@ -311,19 +320,11 @@ def sphere_integrals(fn: Callable[[np.ndarray], np.ndarray], radii,
     returns one value per point or a (k, points) array; every value is
     checked.  Returns r^{n-1} (weights . values) per rule, row and
     radius, as an array (rules, k, radii) or (rules, radii).
-    With ``radial`` fn is invariant under rotations about ``center``: it
-    is called at center + r e_1 only, and every row is |S^{n-1}| r^{n-1}
-    times that value, so the rows agree exactly.
     """
     radii = np.atleast_1d(np.asarray(radii, float))
     rules = (rule,) if rule.half is None else (rule, rule.half)
     # an overflowing area factor is named before fn meets that radius
     scale = _radius_powers(radii, rule.n)
-    if radial:
-        vals = _checked(fn(center + radii[:, None] * np.eye(rule.n)[0]),
-                        len(radii))
-        row = unit_sphere_area(rule.n) * np.array(scale) * vals
-        return np.stack([row] * len(rules))
     nodes = np.concatenate([q.nodes for q in rules])
     pts = center + (radii[:, None, None] * nodes).reshape(-1, rule.n)
     vals = _checked(fn(pts), len(pts))
@@ -336,16 +337,16 @@ def sphere_integrals(fn: Callable[[np.ndarray], np.ndarray], radii,
 
 
 def sphere_integrate(fn: Callable[[np.ndarray], np.ndarray], r: float,
-                     rule: SphereRule, radial: bool = False) -> tuple:
+                     rule: SphereRule) -> tuple:
     """Integral of fn over the origin-centered sphere of radius r.
 
     fn returns one value per node, or a (k, nodes) array holding k
     integrands on the same nodes, each integrated on its own.  Returns
     (value, error_estimate), as floats or as k-tuples; the estimate
     compares against the rule's coarser companion and is advisory only,
-    and exactly 0 with ``radial`` (see ``sphere_integrals``).
+    and exactly 0 on a rule without one, such as ``point_rule``.
     """
-    ints = sphere_integrals(fn, r, rule, radial=radial)[..., 0]
+    ints = sphere_integrals(fn, r, rule)[..., 0]
     value, err = ints[0], np.abs(ints[0] - ints[-1])
     if value.ndim:
         return tuple(map(float, value)), tuple(map(float, err))
@@ -418,20 +419,13 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 class _ShellIntegrand:
     """F(r) = r^{n-1} * (integral of fn over the sphere of radius r about
-    ``center``), one row per rule: the rule, then its ``half``.
+    ``center``), one row per rule: the rule, then its ``half``."""
 
-    A ``radial`` integrand, invariant under rotations about ``center``,
-    takes the radial route of ``sphere_integrals`` instead of fn."""
-
-    def __init__(self, fn, rule: SphereRule, center, radial=None):
+    def __init__(self, fn, rule: SphereRule, center):
         self.fn, self.rule, self.center = fn, rule, center
-        self.radial = radial
 
     def __call__(self, radii: np.ndarray) -> np.ndarray:
-        if self.radial is None:
-            return sphere_integrals(self.fn, radii, self.rule, self.center)
-        return sphere_integrals(self.radial, radii, self.rule, self.center,
-                                radial=True)
+        return sphere_integrals(self.fn, radii, self.rule, self.center)
 
     def panel(self, lo: float, hi: float) -> np.ndarray:
         mid, h = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -463,8 +457,6 @@ def _tail_fit(shell: _ShellIntegrand, r_lo: float, r_max: float,
     radii = np.geomspace(r_lo, r_max, TAIL_POINTS)
     mags = np.abs(shell(radii)[0])
     floor = 1e-250
-    if np.all(mags < floor):
-        return 0.0, None
     good = mags > floor
     if good.sum() < 3:
         return 0.0, None
@@ -510,15 +502,17 @@ def exterior_volume_integrate(fn, region: ExteriorRegion, cfg: QuadConfig,
     and of its ``half``.  A caller whose integrand is invariant under
     rotations about the region's centre on [r_inner, r_outer] may pass
     ``radial``, fn or fn with other bookkeeping: the walk's shells then
-    call it at one point per radius, and their angular error is exactly
-    0.  The tail fit evaluates fn on the nodes either way, so ``q_fit``
-    and the tail bound do not depend on the route.
+    integrate it on ``point_rule``, one point per radius with no angular
+    error.  The tail fit evaluates fn on the nodes either way, so
+    ``q_fit`` and the tail bound do not depend on the walked rule.
     """
     r_outer = cfg.r_max if region.r_outer is None else region.r_outer
     if r_outer <= region.r_inner:
         raise ValueError("the outer radius must exceed the inner radius")
     center = np.asarray(region.center or (0.0,) * rule.n, float)
-    shell = _ShellIntegrand(fn, rule, center, radial)
+    on_nodes = _ShellIntegrand(fn, rule, center)
+    shell = (on_nodes if radial is None
+             else _ShellIntegrand(radial, point_rule(rule.n), center))
     r0 = region.r_inner
     start = r0
     total = 0.0  # becomes one entry per shell rule
@@ -553,8 +547,8 @@ def exterior_volume_integrate(fn, region: ExteriorRegion, cfg: QuadConfig,
 
     tail, q = 0.0, None
     if region.r_outer is None:
-        tail, q = _tail_fit(_ShellIntegrand(fn, rule, center),
-                            cfg.r_max * TAIL_FIT_FROM, cfg.r_max, rule.n)
+        tail, q = _tail_fit(on_nodes, cfg.r_max * TAIL_FIT_FROM, cfg.r_max,
+                            rule.n)
     angular = abs(total[0] - total[-1])
     unc = max(disc_sum, 0.5 * cfg.radial_tol) + tail + angular
     return VolumeIntegral(float(total[0]), tail, float(unc), q, panels)

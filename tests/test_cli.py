@@ -313,6 +313,22 @@ class TestArtifacts:
         assert set(doc) == {"header", "body"}
         assert doc["body"]["tool"] == "graphmass"
 
+    def test_stdout_carries_what_out_writes(self, tmp_path, capsys):
+        """``--format both`` prints the report line, then the two tables
+        that ``--out`` writes as files for the same run."""
+        args = ["run", "flat", "--checks", "identities", "--format", "both"]
+        assert main(args) == 0
+        out, _ = capsys.readouterr()
+        out_dir = tmp_path / "artifacts"
+        assert main(args + ["--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        tables = ((out_dir / "flux.csv").read_text()
+                  + (out_dir / "bulk.csv").read_text())
+        report, rest = out.split("\n", 1)
+        assert rest == tables
+        assert json.loads(report)["body"] == json.loads(
+            (out_dir / "report.json").read_text())["body"]
+
     def test_outdir_env_variable(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GRAPHMASS_OUTDIR", str(tmp_path / "env_out"))
         code = main(["run", "flat", "--checks", "identities"])

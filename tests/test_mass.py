@@ -119,6 +119,16 @@ class TestFluxMass:
         with pytest.raises(DomainError, match="does not enclose"):
             adm_flux_mass(scn3, 1.5)
 
+    @pytest.mark.parametrize("radii", [[100.0, 200.0],
+                                       np.array([100.0, 200.0]),
+                                       (100.0, 200.0)])
+    def test_radii_as_list_or_array(self, scn3, radii):
+        """Given radii replace the scenario's whatever their container."""
+        series = flux_series(scn3, radii)
+        assert series.radii == (100.0, 200.0)
+        assert series.plain == tuple(adm_flux_mass(scn3, r)[0]
+                                     for r in (100.0, 200.0))
+
     def test_one_jet_per_radius(self, scn3):
         """Both integrands come from one jet per radius: at one point on a
         field radial about the origin, and on the nodes of the full rule
@@ -307,7 +317,8 @@ class TestRadialShells:
         call = quad._ShellIntegrand.__call__
 
         def logged_call(self, radii):
-            (tail if self.radial is None else walked).append(len(radii))
+            walks = self.rule is quad.point_rule(scn.n)
+            (walked if walks else tail).append(len(radii))
             return call(self, radii)
 
         monkeypatch.setattr(quad._ShellIntegrand, "__call__", logged_call)

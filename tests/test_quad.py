@@ -18,7 +18,8 @@ from graphmass.graphgeom import scalar_curvature
 from graphmass.mass import flux_series
 from graphmass.quad import (ExteriorRegion, QuadConfig,
                             exterior_volume_integrate, extrapolate_limit,
-                            sphere_integrate, sphere_rule, unit_sphere_area)
+                            point_rule, sphere_integrals, sphere_integrate,
+                            sphere_rule, unit_sphere_area)
 from graphmass.scenarios import make_scenario, scenario_names
 
 # the fits and the inverse normal CDF must not overflow silently
@@ -121,6 +122,18 @@ class TestSphereRules:
                     arr[0] = 0.0
         assert sphere_rule(3, order=48, seed=7) is sphere_rule(3)
         assert sphere_rule(5, seed=7) is not sphere_rule(5)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_point_rule_built_once_and_read_only(self, n):
+        """One node, e_1, carrying the sphere's whole area, no half."""
+        rule = point_rule(n)
+        assert point_rule(n) is rule
+        assert rule.half is None and rule.n == n
+        assert np.array_equal(rule.nodes, np.eye(n)[:1])
+        assert rule.weights.tolist() == [unit_sphere_area(n)]
+        for arr in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestSobol:
@@ -250,6 +263,27 @@ class TestSphereIntegrate:
         with pytest.raises(QuadratureError):
             sphere_integrate(lambda p: np.ones(3), 1.0, rule)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_point_rule_integrates_radial_functions(self, n):
+        """About an off-origin centre, a function of the distance to it
+        integrates on the one point as on the rule's nodes, in one row."""
+        c = np.linspace(0.5, -1.5, n)
+        radii = np.array([0.5, 2.0, 7.0])
+
+        def fn(p):
+            d2 = np.sum((p - c) ** 2, axis=1)
+            return np.stack([np.exp(-d2), 1.0 / (1.0 + d2)])
+
+        one = sphere_integrals(fn, radii, point_rule(n), c)
+        nodes = sphere_integrals(fn, radii, sphere_rule(n), c)
+        assert one.shape == (1, 2, len(radii))
+        assert np.max(np.abs(one[0] - nodes[0]) / np.abs(nodes[0])) <= 1e-13
+        value, err = sphere_integrate(lambda p: np.ones(len(p)), 2.0,
+                                      point_rule(n))
+        assert value == pytest.approx(unit_sphere_area(n) * 2.0 ** (n - 1),
+                                      rel=1e-15)
+        assert err == 0.0
+
     def test_rows_integrate_like_single_integrands(self):
         """A (k, nodes) integrand gives, row by row, the bits of k calls."""
         rule = sphere_rule(3)
@@ -343,9 +377,9 @@ class TestExteriorVolume:
         assert vi.tail_bound == 0.0 and vi.q_fit is None
 
     def test_radial_shells_match_node_shells(self):
-        """On shells about the Gaussian's own centre, its value at one
-        point per radius gives the node route's integral, with rows that
-        agree exactly."""
+        """On shells about the Gaussian's own centre, the walk on
+        ``point_rule`` gives the node walk's integral, and a shell is one
+        row with one value per radius."""
         c = (3.0, -1.0, 2.0)
         cfg = QuadConfig(r_max=1.0, radial_tol=1e-9)
         region = ExteriorRegion(center=c, r_outer=8.0)
@@ -359,9 +393,12 @@ class TestExteriorVolume:
                                            radial=gauss)
         assert radial.panels == nodes.panels
         assert abs(radial.value - nodes.value) <= 1e-13 * nodes.value
-        shell = quad._ShellIntegrand(None, rule, np.asarray(c), gauss)
-        rows = shell(np.array([0.5, 1.0, 2.0]))
-        assert rows.shape == (2, 3) and np.array_equal(rows[0], rows[1])
+        shell = quad._ShellIntegrand(gauss, point_rule(3), np.asarray(c))
+        r = np.array([0.5, 1.0, 2.0])
+        rows = shell(r)
+        assert rows.shape == (1, 3)
+        assert np.allclose(rows[0], 4.0 * math.pi * r * r * np.exp(-r * r),
+                           rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_radial_shells_reject_nonfinite(self, value):

@@ -45,3 +45,16 @@ def test_verify_builds(workloads, monkeypatch):
     assert verify.acceptance is acceptance
     assert mass.adm_mass is acceptance.adm_mass
     assert callable(acceptance.run_criteria)
+
+
+def test_suite_passes_are_correct_and_repeatable(workloads):
+    """The benchmark's own gate: every operation of a suite pass is ok,
+    and two passes give the same report body."""
+    suite = workloads.Suite(7)
+    first, second = suite.run_pass(), suite.run_pass()
+    for result in (first, second):
+        assert [op.label for op in result.ops] == list(
+            workloads.SUITE_ENTRIES)
+        assert all(op.ok for op in result.ops), [
+            (op.label, op.note) for op in result.ops if not op.ok]
+    assert first.digest is not None and first.digest == second.digest
