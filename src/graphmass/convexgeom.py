@@ -76,10 +76,6 @@ class ConvexBody:
         """e_0..e_{n-1} of the principal curvatures, shape (N, n)."""
         return _elementary_all(self.shape_spectrum(points))
 
-    def assert_on_surface(self, points: np.ndarray,
-                          tol: float = 1e-10) -> None:
-        raise NotImplementedError
-
     def outer_radius(self) -> float:
         """Radius of a center-based bounding sphere (for disjointness)."""
         raise NotImplementedError
@@ -113,11 +109,6 @@ class Sphere(ConvexBody):
         w = rule.weights * self.radius ** (self.n - 1)
         return pts, w
 
-    def assert_on_surface(self, points, tol=1e-10):
-        r = np.linalg.norm(np.asarray(points, float) - self.center, axis=-1)
-        if np.any(np.abs(r - self.radius) > tol * max(1.0, self.radius)):
-            raise BodyError("point is not on the sphere")
-
     def shape_spectrum(self, points):
         pts = np.atleast_2d(np.asarray(points, float))
         return np.full((len(pts), self.n - 1), 1.0 / self.radius)
@@ -146,12 +137,6 @@ class Ellipsoid(ConvexBody):
         jac = np.prod(self.semiaxes) * np.linalg.norm(
             u / self.semiaxes, axis=1)
         return pts, rule.weights * jac
-
-    def assert_on_surface(self, points, tol=1e-10):
-        y = (np.asarray(points, float) - self.center) / self.semiaxes
-        phi = np.einsum("...i,...i->...", y, y)
-        if np.any(np.abs(phi - 1.0) > tol):
-            raise BodyError("point is not on the ellipsoid")
 
     def shape_spectrum(self, points):
         pts = np.atleast_2d(np.asarray(points, float))
@@ -239,12 +224,6 @@ class SmoothLevelSet(ConvexBody):
         w = rule.weights * rho ** (self.n - 1) * gn / gu
         return pts, w
 
-    def assert_on_surface(self, points, tol=1e-10):
-        vals = self.phi.value(np.atleast_2d(np.asarray(points, float)))
-        if np.any(np.abs(vals - self.level) > tol * max(1.0,
-                                                        abs(self.level))):
-            raise BodyError("point is not on the level set")
-
     def shape_spectrum(self, points):
         pts = np.atleast_2d(np.asarray(points, float))
         jet = self.phi.jet3_many(pts, order=2)
@@ -252,15 +231,6 @@ class SmoothLevelSet(ConvexBody):
 
     def outer_radius(self):
         return self._outer
-
-
-def principal_curvatures(body: ConvexBody, points) -> np.ndarray:
-    """Principal curvatures at surface points (ascending per point)."""
-    pts = np.asarray(points, float)
-    single = pts.ndim == 1
-    body.assert_on_surface(pts)
-    kappas = body.shape_spectrum(pts)
-    return kappas[0] if single else kappas
 
 
 def _elementary_all(kappas: np.ndarray) -> np.ndarray:
@@ -274,18 +244,6 @@ def _elementary_all(kappas: np.ndarray) -> np.ndarray:
         for j in range(top, 0, -1):
             e[..., j] += k * e[..., j - 1]
     return e
-
-
-def sigma_j(kappas, j: int):
-    """Normalized elementary symmetric function of the curvatures."""
-    kap = np.asarray(kappas, float)
-    single = kap.ndim == 1
-    kap = np.atleast_2d(kap)
-    d = kap.shape[-1]
-    if not 0 <= j <= d:
-        raise ValueError(f"sigma index {j} out of range 0..{d}")
-    out = _elementary_all(kap)[..., j] / math.comb(d, j)
-    return float(out[0]) if single else out
 
 
 def quermassintegrals(body: ConvexBody,
@@ -349,12 +307,6 @@ class HorizonSet:
 
     def __iter__(self):
         return iter(self.bodies)
-
-    @property
-    def n(self) -> int:
-        if not self.bodies:
-            raise BodyError("empty horizon set has no dimension")
-        return self.bodies[0].n
 
 
 def penrose_bound(areas, n: int) -> float:

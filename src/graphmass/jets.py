@@ -310,6 +310,45 @@ def profile_from_gradsq(u: Callable, du: Callable, d2u: Callable,
     return RadialProfile(f, fr, frr, frrr, r_min=r_min, label=label)
 
 
+def horizon_profile(m: float, n: int, a: float,
+                    psi: Callable | None = None, branch: int = -1,
+                    label: str = "horizon graph") -> RadialProfile:
+    """Profile with f_r^2 = 2 mu/D, D = r^{n-2} - 2 mu, outside its horizon
+    r = a, a single root of D: raises ValueError unless D'(a) > 0.
+
+    mu = m psi(r) is the weighted flux mass at radius r, and the scalar
+    curvature is R = 2(n-1) mu'/r^{n-1}.  ``psi(r)`` returns (psi, psi',
+    psi''); None means psi = 1, the Schwarzschild graph."""
+
+    def parts(r, k):
+        """psi, psi', psi'' and D to its k-th derivative at radii r."""
+        r = np.asarray(r, float)
+        ps = (1.0, 0.0, 0.0) if psi is None else psi(r)
+        coefs = (1, n - 2, (n - 2) * (n - 3))[:k + 1]
+        return ps, [c * np.power(r, max(n - 2 - j, 0)) - 2.0 * m * ps[j]
+                    for j, c in enumerate(coefs)]
+
+    if not parts(a, 1)[1][1] > 0.0:  # D'(a)
+        raise ValueError(f"{label} leaves no single horizon: need "
+                         "D'(a) > 0 for D = r^(n-2) - 2 m psi")
+
+    def u(r):
+        (ps, _, _), (D,) = parts(r, 0)
+        return 2.0 * m * ps / D
+
+    def du(r):
+        (ps, dps, _), (D, dD) = parts(r, 1)
+        return 2.0 * m * (dps * D - ps * dD) / (D * D)
+
+    def d2u(r):
+        (ps, dps, d2ps), (D, dD, d2D) = parts(r, 2)
+        num, dnum = dps * D - ps * dD, d2ps * D - ps * d2D
+        return 2.0 * m * (dnum * D - 2.0 * dD * num) / (D * D * D)
+
+    return profile_from_gradsq(u, du, d2u, r_min=a, branch=branch,
+                               label=label)
+
+
 def schwarzschild_profile(m: float, n: int, branch: int = -1) -> RadialProfile:
     """Profile with f_r^2 = 2m/(r^{n-2} - 2m); horizon at r = (2m)^{1/(n-2)}.
 
@@ -322,23 +361,8 @@ def schwarzschild_profile(m: float, n: int, branch: int = -1) -> RadialProfile:
         raise ValueError("mass must be positive")
     a = (2.0 * m) ** (1.0 / (n - 2))
     sign = 1.0 if branch > 0 else -1.0
-
-    def u(r):
-        return 2.0 * m / (np.power(r, n - 2) - 2.0 * m)
-
-    def du(r):
-        p = np.power(r, n - 2) - 2.0 * m
-        return -2.0 * m * (n - 2) * np.power(r, n - 3) / (p * p)
-
-    def d2u(r):
-        p = np.power(r, n - 2) - 2.0 * m
-        dp = (n - 2) * np.power(r, n - 3)
-        d2p = (n - 2) * (n - 3) * np.power(r, max(n - 4, 0)) if n > 3 \
-            else np.zeros_like(np.asarray(r, float))
-        return 2.0 * m * (2.0 * dp * dp - p * d2p) / (p * p * p)
-
-    prof = profile_from_gradsq(u, du, d2u, r_min=a, branch=branch,
-                               label=f"schwarzschild(n={n}, m={m})")
+    prof = horizon_profile(m, n, a, branch=branch,
+                           label=f"schwarzschild(n={n}, m={m})")
     if n == 3:
         prof.f = lambda r: sign * np.sqrt(8.0 * m * (np.asarray(r, float)
                                                      - 2.0 * m))

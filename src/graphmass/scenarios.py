@@ -28,8 +28,8 @@ import numpy as np
 from .convexgeom import Ellipsoid, HorizonSet, Sphere
 from .errors import ConfigError, DomainError
 from .jets import (Jet3, RadialField, RadialProfile, ScalarField, ExprField,
-                   check_order, profile_from_gradsq, radial_jet,
-                   schwarzschild_profile)
+                   check_order, horizon_profile, profile_from_gradsq,
+                   radial_jet, schwarzschild_profile)
 from .mass import Scenario, shell_sampler
 from .quad import ExteriorRegion, QuadConfig
 
@@ -195,10 +195,21 @@ def _flat(n: int) -> Scenario:
         exercises=("zero-mass baseline", "divergence identity"))
 
 
+def _horizon_graph(profile: RadialProfile, n: int, **scenario) -> Scenario:
+    """A rotationally symmetric graph outside the horizon sphere at the
+    profile's r_min, with its bulk on the graded exterior and every check."""
+    a = profile.r_min
+    return Scenario(
+        n=n, field=RadialField(profile, n),
+        horizons=HorizonSet((Sphere(np.zeros(n), a),)),
+        bulk_region=(ExteriorRegion(r_inner=a, graded=True),),
+        checks=("identities", "pmt", "penrose"),
+        sampler=shell_sampler(n, 1.05 * a, 50.0 * a), **scenario)
+
+
 def _schwarzschild(n: int, m: float) -> Scenario:
-    a = (2.0 * m) ** (1.0 / (n - 2))
     profile = schwarzschild_profile(m, n)
-    scale = max(1.0, a)
+    scale = max(1.0, profile.r_min)
     if n == 3:
         radii = tuple(r * scale for r in (100.0, 200.0, 400.0, 800.0))
         r_max = 400.0 * scale
@@ -208,16 +219,10 @@ def _schwarzschild(n: int, m: float) -> Scenario:
     else:
         radii = (10.0, 20.0, 40.0, 80.0)
         r_max = 60.0
-    quad = QuadConfig(radii=radii, r_max=r_max)
-    name = "schwarzschild3" if n == 3 else "schwarzschild_n"
-    return Scenario(
-        name=name, n=n, field=RadialField(profile, n),
-        horizons=HorizonSet((Sphere(np.zeros(n), a),)), quad=quad,
-        bulk_region=(ExteriorRegion(r_inner=a, graded=True),),
-        params={"n": n, "m": m},
+    return _horizon_graph(
+        profile, n, name="schwarzschild3" if n == 3 else "schwarzschild_n",
+        quad=QuadConfig(radii=radii, r_max=r_max), params={"n": n, "m": m},
         expected={"mass": m, "bound": m, "boundary": m, "bulk": 0.0},
-        checks=("identities", "pmt", "penrose"),
-        sampler=shell_sampler(n, 1.05 * a, 50.0 * a),
         description="Scalar-flat rotationally symmetric graph with a "
                     "minimal-sphere horizon; the equality case of the "
                     "mass and area bounds.",
@@ -273,54 +278,23 @@ def _bump(alpha: float, n: int) -> Scenario:
 
 
 def _schwarzschild_perturbed(m: float, beta: float, n: int) -> Scenario:
-    """Horizon graph with f_r^2 = 2m psi/(r^{n-2} - 2m psi),
-    psi = 1 - beta exp(-(r-a)); strictly positive scalar curvature."""
+    """Horizon graph with psi = 1 - beta exp(-(r-a)); strictly positive
+    scalar curvature."""
     a = (2.0 * m * (1.0 - beta)) ** (1.0 / (n - 2))
-    # r^{n-2} - 2m psi vanishes at a and must grow past it
-    if (n - 2) * a ** (n - 3) <= 2.0 * m * beta:
-        raise ConfigError(
-            f"m = {m:g} and beta = {beta:g} leave no single horizon: need "
-            "(n-2) a^(n-3) > 2 m beta")
 
     def psi(r):
-        return 1.0 - beta * np.exp(-(r - a))
+        e = beta * np.exp(-(r - a))
+        return 1.0 - e, e, -e
 
-    def u(r):
-        return 2.0 * m * psi(r) / (np.power(r, n - 2) - 2.0 * m * psi(r))
-
-    def du(r):
-        ps = psi(r)
-        dps = beta * np.exp(-(r - a))
-        D = np.power(r, n - 2) - 2.0 * m * ps
-        dD = (n - 2) * np.power(r, n - 3) - 2.0 * m * dps
-        return 2.0 * m * (dps * D - ps * dD) / (D * D)
-
-    def d2u(r):
-        ps = psi(r)
-        dps = beta * np.exp(-(r - a))
-        d2ps = -dps
-        D = np.power(r, n - 2) - 2.0 * m * ps
-        dD = (n - 2) * np.power(r, n - 3) - 2.0 * m * dps
-        d2D = ((n - 2) * (n - 3) * np.power(r, max(n - 4, 0))
-               if n > 3 else np.zeros_like(np.asarray(r, float)))
-        d2D = d2D - 2.0 * m * d2ps
-        num = dps * D - ps * dD
-        dnum = d2ps * D - ps * d2D
-        return 2.0 * m * (dnum * D - 2.0 * dD * num) / (D ** 3)
-
-    profile = profile_from_gradsq(u, du, d2u, r_min=a, branch=-1,
-                                  label=f"perturbed(m={m}, beta={beta})")
-    quad = QuadConfig(radii=(100.0, 200.0, 400.0, 800.0), r_max=60.0)
-    return Scenario(
-        name="schwarzschild_perturbed", n=n,
-        field=RadialField(profile, n),
-        horizons=HorizonSet((Sphere(np.zeros(n), a),)), quad=quad,
-        bulk_region=(ExteriorRegion(r_inner=a, graded=True),),
+    profile = horizon_profile(
+        m, n, a, psi, label=f"perturbed graph with m = {m:g} and "
+                            f"beta = {beta:g}")
+    return _horizon_graph(
+        profile, n, name="schwarzschild_perturbed",
+        quad=QuadConfig(radii=(100.0, 200.0, 400.0, 800.0), r_max=60.0),
         params={"n": n, "m": m, "beta": beta},
-        expected={"mass": m, "bound": m * (1.0 - beta),
-                  "bulk": m * beta, "boundary": m * (1.0 - beta)},
-        checks=("identities", "pmt", "penrose"),
-        sampler=shell_sampler(n, 1.05 * a, 50.0 * a),
+        expected={"mass": m, "bound": m * (1.0 - beta), "bulk": m * beta,
+                  "boundary": m * (1.0 - beta)},
         description="Exponentially perturbed horizon graph with R > 0: "
                     "the area bound holds strictly, with margin carried "
                     "by the bulk term.",
@@ -435,12 +409,16 @@ class RegistryEntry:
     boxes: dict[str, Box]
 
 
-# Each upper end was run and passed every check; past the ends of
-# radial_custom and schwarzschild3 the tail fit or the tolerances give out
-# (radial_custom at m = 100 fits q = 2.68 <= n).  bump still passes past
-# n = 9, but its fixed flux radii 2-3.5 stop resolving the zero mass as
-# the peak of its flux profile, at r = sqrt(n)/2, moves out: |adm| is
-# 9.3e-4 at n = 9 and 1.9e-3 at n = 10, past the 1e-3 of EQUALITY_ABS.
+# Each upper end runs every check and passes at the other parameters'
+# defaults, except schwarzschild_perturbed's m: its end is coupled to beta
+# and n (at n = 3 the horizon needs 2 m beta < 1, and even beta = 0.009
+# puts it past r_max = 60; m = 50 runs at n = 4, beta = 0.01).  Past the
+# ends of radial_custom and schwarzschild3 the tail fit or the tolerances
+# give out (radial_custom at m = 100 fits q = 2.68 <= n).  bump still
+# passes past n = 9, but its fixed flux radii 2-3.5 stop resolving the
+# zero mass as the peak of its flux profile, at r = sqrt(n)/2, moves out:
+# |adm| is 9.3e-4 at n = 9 and 1.9e-3 at n = 10, past the 1e-3 of
+# EQUALITY_ABS.
 # Limits that couple a parameter to another one, or to the fixed flux
 # radii and r_max, are checked when the scenario or the run is built.
 REGISTRY: dict[str, RegistryEntry] = {

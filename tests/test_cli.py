@@ -120,7 +120,6 @@ class TestRunCommand:
         assert code == 3
         assert "r_max = 60 (tail fit from 15)" in err
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_radii_are_numerical_failures(self, capsys):
         """Radii near the float limit overflow in the sphere quadrature;
         the run records an error that names the radius and the operation,
@@ -150,11 +149,19 @@ class TestRunCommand:
         ("radial_custom", "m", "50", "100"),
         ("radial_custom", "n", "32", "40"),
         ("schwarzschild3", "m", "1e7", "1e8"),
-        ("bump", "n", "9", "10")])
+        ("schwarzschild_n", "n", "6", "7"),
+        ("schwarzschild_n", "m", "100", "101"),
+        ("schwarzschild_perturbed", "n", "4", "5"),
+        ("bump", "n", "9", "10"),
+        ("bump", "alpha", "0.5", "0.6"),
+        ("flat", "n", "32", "33"),
+        ("ellipsoid_horizon", "ratio", "4", "5")])
     def test_box_upper_ends(self, capsys, name, key, edge, past):
-        """Each upper end runs every check; the first value seen to fail
-        past it (tail fit q <= n, or the identity residual), or to miss
-        its known mass by more than 1e-3 (bump at n = 10), exits 3."""
+        """Each upper end runs every check, and the value past it exits 3
+        naming the parameter.  Where a box ends at a measured failure
+        (tail fit q <= n, the identity residual, or bump's mass off by
+        more than 1e-3 at n = 10), the past value is the first seen to
+        fail."""
         assert main(["run", name, f"--{key}", edge]) == 0
         code = main(["run", name, f"--{key}", past])
         _, err = capsys.readouterr()

