@@ -427,11 +427,11 @@ def horizon_flux_convergence(scenario: Scenario, quermass) -> list[dict]:
 
     ``quermass`` holds each horizon body's V vector, whose V_1/(2 omega)
     is the geometric term.  The offset spheres about each body take the
-    flux rule's nodes without its ``half``, one offset per batch, or
-    ``point_rule`` where the field is radial about the body's centre; the
-    rule's nodes are the outward normals.  How
-    fast the offset flux approaches integral(H_0) is not prescribed;
-    this measures it.  A gap already at roundoff reports rate None.
+    flux rule's nodes without its ``half``, or ``point_rule`` where the
+    field is radial about the body's centre, all offsets in one batch;
+    the rule's nodes are the outward normals.  How fast the offset flux
+    approaches integral(H_0) is not prescribed; this measures it.  A gap
+    already at roundoff reports rate None.
     """
     fld = scenario.require_field()
     n = scenario.n
@@ -446,9 +446,10 @@ def horizon_flux_convergence(scenario: Scenario, quermass) -> list[dict]:
         rule = (point_rule(n)
                 if fld.radial_about(body.center, radii.min(), radii.max())
                 else node_rule)
-        fluxes = [float(sphere_integrals(
-            lambda pts: boundary_integrand(fld, pts, rule.nodes), r, rule,
-            body.center)[0, 0]) / norm_c for r in radii]
+        normals = np.tile(rule.nodes, (len(radii), 1))
+        fluxes = [float(v) / norm_c for v in sphere_integrals(
+            lambda pts: boundary_integrand(fld, pts, normals), radii, rule,
+            body.center)[0]]
         gaps = [abs(v - geo) for v in fluxes]
         keep = [(e, g) for e, g in zip(HORIZON_OFFSETS, gaps)
                 if g > 1e-13 * (1.0 + abs(geo))]

@@ -19,8 +19,10 @@ start near an excised boundary, and a power-law tail fit past r_max
 unless the region has an outer radius.  Shells are also integrated on
 the rule's ``half``, so the uncertainty covers the angular error.
 The adaptive split evaluates each panel once: a refined half becomes
-its child's whole.  Every sphere integral, shells included, is one
-``sphere_integrals`` call per batch of radii; ``sphere_rule`` builds
+its child's whole.  It refines one level at a time, the halves of every
+open panel in one batch, but no batch passes more points than one panel
+on the rule and its ``half``.  Every sphere integral, shells included,
+is one ``sphere_integrals`` call per batch of radii; ``sphere_rule`` builds
 each rule once and shares it read-only.  An integrand invariant under
 rotations about the sphere's centre is integrated exactly by
 ``point_rule``: one node, e_1, of weight |S^{n-1}|, and no ``half``, so
@@ -419,36 +421,87 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 class _ShellIntegrand:
     """F(r) = r^{n-1} * (integral of fn over the sphere of radius r about
-    ``center``), one row per rule: the rule, then its ``half``."""
+    ``center``), one row per rule: the rule, then its ``half``.  A batch
+    of panels passes fn at most ``max_points`` points per call, by
+    default one panel's worth on this rule."""
 
-    def __init__(self, fn, rule: SphereRule, center):
+    def __init__(self, fn, rule: SphereRule, center,
+                 max_points: int | None = None):
         self.fn, self.rule, self.center = fn, rule, center
+        panel_points = len(_GL_NODES) * _points_per_radius(rule)
+        self.per_call = max(1, (max_points or panel_points) // panel_points)
 
     def __call__(self, radii: np.ndarray) -> np.ndarray:
         return sphere_integrals(self.fn, radii, self.rule, self.center)
 
-    def panel(self, lo: float, hi: float) -> np.ndarray:
-        mid, h = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        return h * (self(mid + h * _GL_NODES) @ _GL_WEIGHTS)
+    def panels(self, spans) -> list[np.ndarray]:
+        """The Gauss panel of F on each span (lo, hi), from one call per
+        batch of at most ``per_call`` spans."""
+        out = []
+        for i in range(0, len(spans), self.per_call):
+            lo, hi = np.array(spans[i:i + self.per_call], float).T
+            mid, h = 0.5 * (hi + lo), 0.5 * (hi - lo)
+            rows = self((mid[:, None] + h[:, None] * _GL_NODES).ravel())
+            # one contiguous (rules, nodes) block per span, as a lone
+            # panel has, so each weighted sum runs in the same order
+            blocks = rows.reshape(len(rows), len(h), -1).transpose(1, 0, 2)
+            out += [w * (b @ _GL_WEIGHTS)
+                    for w, b in zip(h, np.ascontiguousarray(blocks))]
+        return out
 
 
-def _adaptive_panel(shell: _ShellIntegrand, lo: float, hi: float,
-                    whole: np.ndarray, budget: float, floor: float,
-                    depth: int) -> tuple:
-    """(value, discrepancy, panels) of [lo, hi]; a value holds one entry
-    per shell rule, and the first rule's decides.  ``whole`` is a half
-    of the parent."""
-    mid = 0.5 * (lo + hi)
-    left, right = shell.panel(lo, mid), shell.panel(mid, hi)
-    halves = left + right
-    disc = abs(whole[0] - halves[0])
-    if disc <= max(budget, floor) or depth >= MAX_DEPTH:
-        return halves, disc, 1
-    lv, le, lp = _adaptive_panel(shell, lo, mid, left, budget / 2, floor,
-                                 depth + 1)
-    rv, re, rp = _adaptive_panel(shell, mid, hi, right, budget / 2, floor,
-                                 depth + 1)
-    return lv + rv, le + re, lp + rp
+def _points_per_radius(rule: SphereRule) -> int:
+    return len(rule.weights) + (0 if rule.half is None
+                                else len(rule.half.weights))
+
+
+def _adaptive_panels(shell: _ShellIntegrand, roots, floor: float) -> list:
+    """(value, discrepancy, panels) of each root (lo, hi, whole, budget),
+    where ``whole`` is the root's own panel; a value holds one entry per
+    shell rule, and the first rule's decides.
+
+    The refinement runs breadth first: at each level the halves of
+    every open panel go out in one ``panels`` batch.  A panel closes when
+    its halves' sum is within max(budget, floor) of its whole, or at
+    MAX_DEPTH; otherwise each half opens with half the budget and itself
+    as whole.  Closed panels are summed left then right from the leaves
+    up, so each result is that of the depth-first recursion to the bit.
+    """
+    spans = [(lo, hi) for lo, hi, _, _ in roots]
+    wholes = [whole for _, _, whole, _ in roots]
+    budgets = [budget for _, _, _, budget in roots]
+    done: list = [None] * len(roots)
+    kids = {}
+    level = list(range(len(roots)))
+    for depth in range(MAX_DEPTH + 1):
+        if not level:
+            break
+        halves = []
+        for lo, hi in (spans[i] for i in level):
+            mid = 0.5 * (lo + hi)
+            halves += [(lo, mid), (mid, hi)]
+        vals = shell.panels(halves)
+        opened = []
+        for k, i in enumerate(level):
+            left, right = vals[2 * k], vals[2 * k + 1]
+            both = left + right
+            disc = abs(wholes[i][0] - both[0])
+            if disc <= max(budgets[i], floor) or depth >= MAX_DEPTH:
+                done[i] = (both, disc, 1)
+                continue
+            j = len(spans)
+            kids[i] = (j, j + 1)
+            spans += halves[2 * k:2 * k + 2]
+            wholes += [left, right]
+            budgets += [budgets[i] / 2] * 2
+            done += [None, None]
+            opened += [j, j + 1]
+        level = opened
+    # kids come after their parent, so a backward pass sums them first
+    for i in sorted(kids, reverse=True):
+        (lv, le, lp), (rv, re, rp) = (done[k] for k in kids[i])
+        done[i] = (lv + rv, le + re, lp + rp)
+    return done[:len(roots)]
 
 
 def _tail_fit(shell: _ShellIntegrand, r_lo: float, r_max: float,
@@ -496,7 +549,8 @@ def exterior_volume_integrate(fn, region: ExteriorRegion, cfg: QuadConfig,
     Returns the truncated integral, a (conservative) bound on the
     discarded tail, and an advisory uncertainty: the panel refinement
     discrepancies plus the gap to the integral on the rule's ``half``.
-    A panel splits until its discrepancy meets its share of ``radial_tol``.
+    A panel splits until its discrepancy meets its share of ``radial_tol``;
+    the panels of each refinement level are evaluated together.
 
     Without ``radial`` every shell evaluates fn on the nodes of the rule
     and of its ``half``.  A caller whose integrand is invariant under
@@ -510,40 +564,45 @@ def exterior_volume_integrate(fn, region: ExteriorRegion, cfg: QuadConfig,
     if r_outer <= region.r_inner:
         raise ValueError("the outer radius must exceed the inner radius")
     center = np.asarray(region.center or (0.0,) * rule.n, float)
-    on_nodes = _ShellIntegrand(fn, rule, center)
-    shell = (on_nodes if radial is None
-             else _ShellIntegrand(radial, point_rule(rule.n), center))
+    # no fn call gets more points than one panel on the rule and its half
+    max_points = len(_GL_NODES) * _points_per_radius(rule)
+    on_nodes = _ShellIntegrand(fn, rule, center, max_points)
+    shell = (on_nodes if radial is None else _ShellIntegrand(
+        radial, point_rule(rule.n), center, max_points))
     r0 = region.r_inner
     start = r0
-    total = 0.0  # becomes one entry per shell rule
-    disc_sum, panels = 0.0, 0
+    cascade, skeleton = [], []
     if region.graded and r0 > 0.0:
         offset = HORIZON_OFFSET * r0
         stop = min(r0 * 1.01 + offset, r_outer)
         edges = _graded_edges(r0, offset, stop)
-        vals = [shell.panel(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-        panels += len(vals)
-        total += sum(vals)
-        # skipped sliver [r0, r0 + offset]: extrapolate the geometric trend
-        first = [abs(v[0]) for v in vals[:2]]
-        if len(first) == 2 and first[1] > 0:
-            rho = first[0] / first[1]
-            disc_sum += first[0] * (rho / (1.0 - rho) if rho < 0.9 else 1.0)
+        cascade = list(zip(edges[:-1], edges[1:]))
         start = edges[-1]
-
     if start < r_outer:
-        # coarse skeleton, refined adaptively panel by panel
+        # coarse skeleton, refined adaptively
         scale = r0 if region.graded else 1.0
         k = max(2, min(12, int(math.ceil(math.log2(
             1.0 + (r_outer - start) / max(scale, 1e-12))))))
         edges = np.linspace(start, r_outer, k + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            budget = cfg.radial_tol * max((b - a) / (r_outer - r0), 0.0)
-            v, e, p = _adaptive_panel(shell, a, b, shell.panel(a, b),
-                                      budget, cfg.radial_tol * 1e-3, 0)
-            total += v
-            disc_sum += e
-            panels += p
+        skeleton = list(zip(edges[:-1], edges[1:]))
+
+    # the cascade and the skeleton's whole panels go out as one batch
+    vals = shell.panels(cascade + skeleton)
+    vals, wholes = vals[:len(cascade)], vals[len(cascade):]
+    total = sum(vals, 0.0)  # becomes one entry per shell rule
+    disc_sum, panels = 0.0, len(vals)
+    # skipped sliver [r0, r0 + offset]: extrapolate the geometric trend
+    first = [abs(v[0]) for v in vals[:2]]
+    if len(first) == 2 and first[1] > 0:
+        rho = first[0] / first[1]
+        disc_sum += first[0] * (rho / (1.0 - rho) if rho < 0.9 else 1.0)
+    roots = [(a, b, whole,
+              cfg.radial_tol * max((b - a) / (r_outer - r0), 0.0))
+             for (a, b), whole in zip(skeleton, wholes)]
+    for v, e, p in _adaptive_panels(shell, roots, cfg.radial_tol * 1e-3):
+        total += v
+        disc_sum += e
+        panels += p
 
     tail, q = 0.0, None
     if region.r_outer is None:

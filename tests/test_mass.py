@@ -437,24 +437,24 @@ class TestHorizonFluxConvergence:
         assert abs(row["geometric"] - 1.0) <= 1e-12
         assert row["radius"] == 2.0
 
-    def test_one_call_per_offset(self):
-        """Each offset sphere is one jet: at one point on a field radial
-        about the body's centre, on the flux rule's nodes, none of its
-        half's, on a field that is not."""
+    def test_one_call_per_body(self):
+        """All offset spheres of a body are one jet: at one point per
+        offset on a field radial about the body's centre, on the flux
+        rule's nodes, none of its half's, on a field that is not."""
         scn = make_scenario("schwarzschild_perturbed")
         quermass = ScenarioEvaluation(scn).quermass
         counting = CountingField(scn.field)
         horizon_flux_convergence(dataclasses.replace(scn, field=counting),
                                  quermass)
         offsets = len(HORIZON_OFFSETS)
-        assert (counting.calls, counting.jet_points) == (offsets, offsets)
+        assert (counting.calls, counting.jet_points) == (1, offsets)
         # a Schwarzschild field centred off the body, clear of its horizon
         off = CountingField(RadialField(schwarzschild_profile(0.4, 3), 3,
                                         center=(0.5, 0.0, 0.0)))
         horizon_flux_convergence(dataclasses.replace(scn, field=off),
                                  quermass)
         rule = scn.quad.flux_rule(scn.n)
-        assert off.calls == offsets
+        assert off.calls == 1
         assert off.jet_points == offsets * len(rule.weights)
 
     @pytest.mark.parametrize(("name", "params"), [

@@ -12,9 +12,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from graphmass import quad
+from graphmass import mass, quad
 from graphmass.errors import ConfigError, IntegrabilityError, QuadratureError
 from graphmass.graphgeom import scalar_curvature
+from graphmass.jets import ExprField
 from graphmass.mass import flux_series
 from graphmass.quad import (ExteriorRegion, QuadConfig,
                             exterior_volume_integrate, extrapolate_limit,
@@ -594,27 +595,207 @@ class TestShellMemo:
     def test_each_radii_batch_evaluated_once(self, name, refines,
                                              monkeypatch):
         """A refined half becomes its child's whole without a second
-        request, so no panel is requested twice and fn never sees the
+        request, so no span is requested twice and fn never sees the
         same batch twice, whether or not the walk refines."""
         scn = make_scenario(name)
         requests, seen = [], []
-        panel = quad._ShellIntegrand.panel
+        panels = quad._ShellIntegrand.panels
 
-        def logged_panel(self, lo, hi):
-            requests.append((lo, hi))
-            return panel(self, lo, hi)
+        def logged_panels(self, spans):
+            requests.extend((float(lo), float(hi)) for lo, hi in spans)
+            return panels(self, spans)
 
         def fn(pts):
             seen.append(pts.tobytes())
             return scalar_curvature(scn.field, pts)
 
-        monkeypatch.setattr(quad._ShellIntegrand, "panel", logged_panel)
-        res = exterior_volume_integrate(fn, scn.bulk_region[0], scn.quad,
-                                        scn.quad.body_rule(scn.n))
-        assert seen and len(seen) == len(set(seen))
-        assert len(set(requests)) == len(requests)
-        coarse = exterior_volume_integrate(
-            fn, scn.bulk_region[0],
-            replace(scn.quad, radial_tol=100.0 * scn.quad.radial_tol),
-            scn.quad.body_rule(scn.n))
-        assert (res.panels > coarse.panels) == refines
+        monkeypatch.setattr(quad._ShellIntegrand, "panels", logged_panels)
+        region, rule = scn.bulk_region[0], scn.quad.body_rule(scn.n)
+        for radial in (None, fn):
+            requests.clear()
+            seen.clear()
+            res = exterior_volume_integrate(fn, region, scn.quad, rule,
+                                            radial)
+            assert seen and len(seen) == len(set(seen))
+            assert len(set(requests)) == len(requests)
+            coarse = exterior_volume_integrate(
+                fn, region,
+                replace(scn.quad, radial_tol=100.0 * scn.quad.radial_tol),
+                rule, radial)
+            assert (res.panels > coarse.panels) == refines
+
+
+def depth_first_panel(shell, lo, hi):
+    mid, h = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    return h * (shell(mid + h * quad._GL_NODES) @ quad._GL_WEIGHTS)
+
+
+def depth_first_refine(shell, lo, hi, whole, budget, floor, depth):
+    """(value, discrepancy, panels) of [lo, hi] by recursion, one panel
+    per call: the order the level walk replaces.  ``whole`` is a half of
+    the parent."""
+    mid = 0.5 * (lo + hi)
+    left = depth_first_panel(shell, lo, mid)
+    right = depth_first_panel(shell, mid, hi)
+    halves = left + right
+    disc = abs(whole[0] - halves[0])
+    if disc <= max(budget, floor) or depth >= quad.MAX_DEPTH:
+        return halves, disc, 1
+    lv, le, lp = depth_first_refine(shell, lo, mid, left, budget / 2, floor,
+                                    depth + 1)
+    rv, re, rp = depth_first_refine(shell, mid, hi, right, budget / 2,
+                                    floor, depth + 1)
+    return lv + rv, le + re, lp + rp
+
+
+def depth_first_volume(fn, region, cfg, rule, radial=None):
+    """(value, uncertainty, panels, tail bound, q_fit) of
+    ``exterior_volume_integrate`` walked one panel per call, depth first."""
+    r_outer = cfg.r_max if region.r_outer is None else region.r_outer
+    center = np.asarray(region.center or (0.0,) * rule.n, float)
+    on_nodes = quad._ShellIntegrand(fn, rule, center)
+    shell = (on_nodes if radial is None
+             else quad._ShellIntegrand(radial, point_rule(rule.n), center))
+    r0 = start = region.r_inner
+    total, disc_sum, panels = 0.0, 0.0, 0
+    if region.graded and r0 > 0.0:
+        offset = quad.HORIZON_OFFSET * r0
+        edges = quad._graded_edges(r0, offset,
+                                   min(r0 * 1.01 + offset, r_outer))
+        vals = [depth_first_panel(shell, lo, hi)
+                for lo, hi in zip(edges[:-1], edges[1:])]
+        panels += len(vals)
+        total += sum(vals)
+        first = [abs(v[0]) for v in vals[:2]]
+        if len(first) == 2 and first[1] > 0:
+            rho = first[0] / first[1]
+            disc_sum += first[0] * (rho / (1.0 - rho) if rho < 0.9 else 1.0)
+        start = edges[-1]
+    if start < r_outer:
+        scale = r0 if region.graded else 1.0
+        k = max(2, min(12, int(math.ceil(math.log2(
+            1.0 + (r_outer - start) / max(scale, 1e-12))))))
+        edges = np.linspace(start, r_outer, k + 1)
+        for a, b in zip(edges[:-1], edges[1:]):
+            budget = cfg.radial_tol * max((b - a) / (r_outer - r0), 0.0)
+            v, e, p = depth_first_refine(
+                shell, a, b, depth_first_panel(shell, a, b), budget,
+                cfg.radial_tol * 1e-3, 0)
+            total += v
+            disc_sum += e
+            panels += p
+    tail, q = 0.0, None
+    if region.r_outer is None:
+        tail, q = quad._tail_fit(on_nodes, cfg.r_max * quad.TAIL_FIT_FROM,
+                                 cfg.r_max, rule.n)
+    angular = abs(total[0] - total[-1])
+    unc = max(disc_sum, 0.5 * cfg.radial_tol) + tail + angular
+    return float(total[0]), float(unc), panels, tail, q
+
+
+def bulk_walks(scn, monkeypatch) -> list:
+    """(level walk, depth-first reference, points of each fn call of the
+    level walk) for each bulk region of ``bulk_mass(scn)``."""
+    walks = []
+    level_walk = mass.exterior_volume_integrate
+
+    def both(fn, region, cfg, rule, radial=None):
+        calls = []
+
+        def counted(f):
+            def g(pts):
+                calls.append(len(pts))
+                return f(pts)
+            return None if f is None else g
+
+        got = level_walk(counted(fn), region, cfg, rule, counted(radial))
+        walks.append((got, depth_first_volume(fn, region, cfg, rule, radial),
+                       calls))
+        return got
+
+    monkeypatch.setattr(mass, "exterior_volume_integrate", both)
+    mass.bulk_mass(scn)
+    return walks
+
+
+FIELD_DEFAULTS = [name for name in scenario_names()
+                  if not make_scenario(name).geometry_only]
+
+
+class TestLevelWalk:
+    """The walk refines one level at a time, every open panel of a level
+    in one batch, and gives the depth-first recursion's numbers."""
+
+    @pytest.mark.parametrize("name", FIELD_DEFAULTS)
+    def test_registry_walks_match_depth_first(self, name, monkeypatch):
+        walks = bulk_walks(make_scenario(name), monkeypatch)
+        assert walks
+        for got, want, _ in walks:
+            assert (got.value, got.uncertainty, got.panels, got.tail_bound,
+                    got.q_fit) == want
+
+    def test_body_rule_walk_matches_depth_first(self, monkeypatch):
+        """A field that reads x1 walks the body rule's nodes."""
+        scn = replace(make_scenario("bump"), field=ExprField(
+            "a*exp(-r^2)*(1 + x1/4)", 3, {"a": 0.1}))
+        [(got, want, calls)] = bulk_walks(scn, monkeypatch)
+        assert (got.value, got.uncertainty, got.panels, got.tail_bound,
+                got.q_fit) == want
+        assert got.panels > 1
+
+    @pytest.mark.parametrize("route", ["nodes", "radial"])
+    def test_refined_walk_matches_depth_first(self, route):
+        """A kink at |x| = 1.3 refines several levels deep, where a sum
+        in another order than left then right from the leaves up moves
+        the low bits."""
+        def kink(pts):
+            r = np.linalg.norm(pts, axis=1)
+            return np.exp(-r * r) * np.abs(r - 1.3)
+
+        cfg, region = QuadConfig(radial_tol=1e-9), ExteriorRegion(r_outer=6.0)
+        radial = kink if route == "radial" else None
+        got = exterior_volume_integrate(kink, region, cfg,
+                                        sphere_rule(3, order=8), radial)
+        assert (got.value, got.uncertainty, got.panels, got.tail_bound,
+                got.q_fit) == depth_first_volume(
+            kink, region, cfg, sphere_rule(3, order=8), radial)
+        assert got.panels >= 8
+
+    @pytest.mark.parametrize("name", FIELD_DEFAULTS)
+    def test_few_calls_per_walk(self, name, monkeypatch):
+        """The cascade and skeleton, one batch per level and the tail
+        fit: one call more than one per level of the deepest walk."""
+        for got, _, calls in bulk_walks(make_scenario(name), monkeypatch):
+            assert len(calls) <= quad.MAX_DEPTH + 3
+            assert got.panels > len(calls)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_no_call_past_one_body_rule_panel(self, n):
+        """No fn call gets more points than one panel on the body rule
+        and its half: the walk on that rule asks for one panel at a
+        time, the walk on ``point_rule`` for many."""
+        cfg = QuadConfig(r_max=12.0)
+        rule = cfg.body_rule(n)
+        cap = len(quad._GL_NODES) * (len(rule.weights)
+                                     + len(rule.half.weights))
+        sizes = []
+
+        def gauss(pts):
+            sizes.append(len(pts))
+            return np.exp(-np.sum(pts * pts, axis=1))
+
+        def tilted(pts):
+            return gauss(pts) * (1.0 + pts[:, 0] / 4.0)
+
+        for radial in (None, gauss):
+            sizes.clear()
+            res = exterior_volume_integrate(radial or tilted,
+                                            ExteriorRegion(), cfg, rule,
+                                            radial)
+            assert max(sizes) <= cap
+            walked = sizes[:-1]  # the last call is the tail fit's
+            if radial:
+                assert max(walked) > len(quad._GL_NODES)
+            else:
+                assert set(walked) == {cap}
+            assert res.panels > 1
