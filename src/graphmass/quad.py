@@ -628,22 +628,49 @@ class ExtrapolationResult:
 _LOG_TINY = -math.log(np.finfo(float).tiny)
 
 
-def _bisect(f: Callable[[float], float], a: float, b: float,
-            fa: float) -> float:
-    """A sign change of f between a and b, within FIT_XTOL (relative
-    past 1), given fa = f(a) and f(b) of the other sign or 0."""
+def _brent(f: Callable[[float], float], a: float, b: float,
+           fa: float, fb: float) -> float:
+    """A sign change of f between a and b, given fa = f(a) and fb = f(b)
+    of opposite signs or 0, to a bracket of width FIT_XTOL (relative past
+    1): Brent's method (Algorithms for Minimization without Derivatives,
+    1973, ch. 4), inverse quadratic or secant steps where they stay in
+    the bracket and shrink it fast enough, bisection where they do not."""
     if fa == 0.0:
         return a
-    while abs(b - a) > FIT_XTOL * max(1.0, abs(a)):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = m, fm
+    c, fc, d = a, fa, b - a
+    e = d
+    while fb != 0.0:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc, d = a, fa, b - a
+            e = d
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 0.5 * FIT_XTOL * max(1.0, abs(b))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            break
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            b = m
-    return 0.5 * (a + b)
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+    return b
 
 
 def _solve_triple(r: np.ndarray, v: np.ndarray):
@@ -659,10 +686,10 @@ def _solve_triple(r: np.ndarray, v: np.ndarray):
     # r^{-s} must stay a normal float at the largest radius, or the
     # mismatch underflows to 0 and the bracket end passes for a root
     lo, hi = 1e-3, min(64.0, _LOG_TINY / math.log(max(r[-1], 2.0)))
-    f_lo = mismatch(lo)
-    if f_lo * mismatch(hi) > 0:
+    f_lo, f_hi = mismatch(lo), mismatch(hi)
+    if f_lo * f_hi > 0:
         return None
-    s = _bisect(mismatch, lo, hi, f_lo)
+    s = _brent(mismatch, lo, hi, f_lo, f_hi)
     p = r ** (-s)
     c = (v[0] - v[2]) / (p[0] - p[2])
     L = v[2] - c * p[2]
@@ -687,8 +714,8 @@ def _fit_rate(r: np.ndarray, v: np.ndarray, terms: int,
     """The rate of the least-squares minimum nearest ``start`` downhill,
     within [start/2, 2 start] (variable projection, Golub and Pereyra
     1973): steps of doubling length from ``start`` until the slope of
-    the residual changes sign, then bisection; a bracket end that is
-    still downhill is the answer."""
+    the residual changes sign, then Brent's method; a bracket end that
+    is still downhill is the answer."""
     def slope(s):
         return _projection(r, v, s, terms)[2]
 
@@ -699,7 +726,7 @@ def _fit_rate(r: np.ndarray, v: np.ndarray, terms: int,
         b = min(max(a + step, lo), hi)
         f_b = slope(b)
         if f_b == 0.0 or (f_b > 0.0) != (f_a > 0.0):
-            return _bisect(slope, a, b, f_a)
+            return _brent(slope, a, b, f_a, f_b)
         if b in (lo, hi):
             return b
         a, f_a, step = b, f_b, 2.0 * step

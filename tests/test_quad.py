@@ -566,6 +566,31 @@ class TestExtrapolateLimit:
         assert compared == 8
 
 
+class TestBrent:
+    @pytest.mark.parametrize(("f", "a", "b", "root"), [
+        (lambda x: x ** 3 - 2.0, 0.0, 4.0, 2.0 ** (1.0 / 3.0)),
+        (lambda x: math.exp(x) - 40.0, 1.0, 60.0, math.log(40.0)),
+        (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
+        (lambda x: math.atan(x - 0.3), 60.0, -50.0, 0.3)])
+    def test_root_within_xtol_in_few_steps(self, f, a, b, root):
+        """The root to FIT_XTOL (relative past 1) in far fewer steps
+        than the ~45 halvings of bisection."""
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        got = quad._brent(counted, a, b, f(a), f(b))
+        assert abs(got - root) <= quad.FIT_XTOL * max(1.0, abs(root))
+        assert min(a, b) <= got <= max(a, b)
+        assert len(calls) <= 20
+
+    def test_zero_end_is_the_root(self):
+        assert quad._brent(lambda x: 1 / 0, 2.0, 3.0, 0.0, 1.0) == 2.0
+        assert quad._brent(lambda x: 1 / 0, 2.0, 3.0, -1.0, 0.0) == 3.0
+
+
 class TestQuadConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
