@@ -428,8 +428,10 @@ class _ShellIntegrand:
     def __init__(self, fn, rule: SphereRule, center,
                  max_points: int | None = None):
         self.fn, self.rule, self.center = fn, rule, center
-        panel_points = len(_GL_NODES) * _points_per_radius(rule)
-        self.per_call = max(1, (max_points or panel_points) // panel_points)
+        self.panel_points = len(_GL_NODES) * sum(
+            len(q.weights) for q in (rule, rule.half) if q is not None)
+        self.per_call = max(1, (max_points or self.panel_points)
+                            // self.panel_points)
 
     def __call__(self, radii: np.ndarray) -> np.ndarray:
         return sphere_integrals(self.fn, radii, self.rule, self.center)
@@ -442,17 +444,10 @@ class _ShellIntegrand:
             lo, hi = np.array(spans[i:i + self.per_call], float).T
             mid, h = 0.5 * (hi + lo), 0.5 * (hi - lo)
             rows = self((mid[:, None] + h[:, None] * _GL_NODES).ravel())
-            # one contiguous (rules, nodes) block per span, as a lone
-            # panel has, so each weighted sum runs in the same order
-            blocks = rows.reshape(len(rows), len(h), -1).transpose(1, 0, 2)
-            out += [w * (b @ _GL_WEIGHTS)
-                    for w, b in zip(h, np.ascontiguousarray(blocks))]
+            # one product per span: a batched product may sum in another order
+            blocks = rows.reshape(len(rows), len(h), -1)
+            out += [w * (blocks[:, j] @ _GL_WEIGHTS) for j, w in enumerate(h)]
         return out
-
-
-def _points_per_radius(rule: SphereRule) -> int:
-    return len(rule.weights) + (0 if rule.half is None
-                                else len(rule.half.weights))
 
 
 def _adaptive_panels(shell: _ShellIntegrand, roots, floor: float) -> list:
@@ -467,35 +462,32 @@ def _adaptive_panels(shell: _ShellIntegrand, roots, floor: float) -> list:
     as whole.  Closed panels are summed left then right from the leaves
     up, so each result is that of the depth-first recursion to the bit.
     """
-    spans = [(lo, hi) for lo, hi, _, _ in roots]
-    wholes = [whole for _, _, whole, _ in roots]
-    budgets = [budget for _, _, _, budget in roots]
-    done: list = [None] * len(roots)
+    nodes = list(roots)
+    done: list = [None] * len(nodes)
     kids = {}
-    level = list(range(len(roots)))
+    level = list(range(len(nodes)))
     for depth in range(MAX_DEPTH + 1):
         if not level:
             break
         halves = []
-        for lo, hi in (spans[i] for i in level):
+        for lo, hi, _, _ in (nodes[i] for i in level):
             mid = 0.5 * (lo + hi)
             halves += [(lo, mid), (mid, hi)]
         vals = shell.panels(halves)
         opened = []
         for k, i in enumerate(level):
-            left, right = vals[2 * k], vals[2 * k + 1]
+            whole, budget = nodes[i][2:]
+            left, right = vals[2 * k:2 * k + 2]
             both = left + right
-            disc = abs(wholes[i][0] - both[0])
-            if disc <= max(budgets[i], floor) or depth >= MAX_DEPTH:
+            disc = abs(whole[0] - both[0])
+            if disc <= max(budget, floor) or depth >= MAX_DEPTH:
                 done[i] = (both, disc, 1)
                 continue
-            j = len(spans)
-            kids[i] = (j, j + 1)
-            spans += halves[2 * k:2 * k + 2]
-            wholes += [left, right]
-            budgets += [budgets[i] / 2] * 2
+            kids[i] = (len(nodes), len(nodes) + 1)
+            opened += kids[i]
+            nodes += [(*halves[2 * k], left, budget / 2),
+                      (*halves[2 * k + 1], right, budget / 2)]
             done += [None, None]
-            opened += [j, j + 1]
         level = opened
     # kids come after their parent, so a backward pass sums them first
     for i in sorted(kids, reverse=True):
@@ -564,11 +556,10 @@ def exterior_volume_integrate(fn, region: ExteriorRegion, cfg: QuadConfig,
     if r_outer <= region.r_inner:
         raise ValueError("the outer radius must exceed the inner radius")
     center = np.asarray(region.center or (0.0,) * rule.n, float)
+    on_nodes = _ShellIntegrand(fn, rule, center)
     # no fn call gets more points than one panel on the rule and its half
-    max_points = len(_GL_NODES) * _points_per_radius(rule)
-    on_nodes = _ShellIntegrand(fn, rule, center, max_points)
     shell = (on_nodes if radial is None else _ShellIntegrand(
-        radial, point_rule(rule.n), center, max_points))
+        radial, point_rule(rule.n), center, on_nodes.panel_points))
     r0 = region.r_inner
     start = r0
     cascade, skeleton = [], []
