@@ -207,10 +207,10 @@ def _criterion_7() -> tuple[bool, str]:
     for _ in range(1000):
         n = int(rng.integers(3, 6))
         a, b, c, d = rng.uniform(-2.0, 2.0, 4)
-        fr = (lambda r, a=a, b=b, c=c, d=d:
-              a * np.sin(b * r) / (1.0 + r) + c * r / (1.0 + r * r) + d)
-        prof = RadialProfile(zero, fr, zero, zero, r_min=0.0,
-                             label="random")
+        slopes = (lambda r, k, a=a, b=b, c=c, d=d:
+                  [a * np.sin(b * r) / (1.0 + r) + c * r / (1.0 + r * r) + d]
+                  + [zero(r)] * (k - 1))
+        prof = RadialProfile(zero, slopes, r_min=0.0, label="random")
         r = float(rng.uniform(0.2, 50.0))
         sm = spherical_mass(prof, r, n)
         if not sm >= 0.0:

@@ -25,7 +25,7 @@ rule above produces symmetric output from symmetric input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -231,17 +231,16 @@ _JET_OPS = {
 # radial profiles
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class RadialProfile:
     """1-D profile f(r) with derivatives to order 3; defined for r > r_min.
 
-    The callables must accept numpy arrays.
+    ``f(r)`` is the value and ``slopes(r, k)`` the list [f_r, ..., f^(k)]
+    for 1 <= k <= 3, taken in one pass; both accept numpy arrays.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
-    fr: Callable[[np.ndarray], np.ndarray]
-    frr: Callable[[np.ndarray], np.ndarray]
-    frrr: Callable[[np.ndarray], np.ndarray]
+    slopes: Callable[[np.ndarray, int], list]
     r_min: float = 0.0
     label: str = "profile"
 
@@ -276,38 +275,37 @@ def _graded_gauss_value(fr: Callable, r_min: float,
     return value
 
 
-def profile_from_gradsq(u: Callable, du: Callable, d2u: Callable,
-                        r_min: float = 0.0, branch: int = -1,
+def profile_from_gradsq(gradsq: Callable, r_min: float = 0.0,
+                        branch: int = -1,
                         label: str = "profile") -> RadialProfile:
-    """Profile with prescribed squared slope u(r) = f_r(r)^2 >= 0.
+    """Profile with prescribed squared slope u(r) = f_r(r)^2 >= 0, where
+    ``gradsq(r, k)`` returns [u, ..., u^(k-1)].
 
     ``branch`` selects the sign of f_r.  The value f(r) is recovered by
     integrating |f_r| from r_min with a singularity-absorbing substitution.
     """
     sign = 1.0 if branch > 0 else -1.0
 
-    def fr(r):
-        ur = np.asarray(u(r), float)
+    def slopes(r, k):
+        ur, *dus = gradsq(r, k)
         if np.any(ur < 0.0):
             raise DomainError(f"negative squared slope in {label}")
-        return sign * np.sqrt(ur)
+        root = np.sqrt(ur)
+        out = [sign * root]
+        if k > 1:
+            out.append(sign * dus[0] / (2.0 * root))
+        if k > 2:
+            out.append(sign * (dus[1] / (2.0 * root)
+                               - dus[0] * dus[0] / (4.0 * np.power(ur, 1.5))))
+        return out
 
-    def frr(r):
-        return sign * du(r) / (2.0 * np.sqrt(u(r)))
-
-    def frrr(r):
-        ur = u(r)
-        dur = du(r)
-        return sign * (d2u(r) / (2.0 * np.sqrt(ur))
-                       - dur * dur / (4.0 * np.power(ur, 1.5)))
-
-    antider = _graded_gauss_value(lambda r: np.sqrt(np.maximum(u(r), 0.0)),
-                                  r_min)
+    antider = _graded_gauss_value(
+        lambda r: np.sqrt(np.maximum(gradsq(r, 1)[0], 0.0)), r_min)
 
     def f(r):
         return sign * antider(r)
 
-    return RadialProfile(f, fr, frr, frrr, r_min=r_min, label=label)
+    return RadialProfile(f, slopes, r_min=r_min, label=label)
 
 
 def horizon_profile(m: float, n: int, a: float,
@@ -332,21 +330,19 @@ def horizon_profile(m: float, n: int, a: float,
         raise ValueError(f"{label} leaves no single horizon: need "
                          "D'(a) > 0 for D = r^(n-2) - 2 m psi")
 
-    def u(r):
-        (ps, _, _), (D,) = parts(r, 0)
-        return 2.0 * m * ps / D
+    def gradsq(r, k):
+        (ps, dps, d2ps), D = parts(r, k - 1)
+        out = [2.0 * m * ps / D[0]]
+        if k > 1:
+            num = dps * D[0] - ps * D[1]
+            out.append(2.0 * m * num / (D[0] * D[0]))
+        if k > 2:
+            dnum = d2ps * D[0] - ps * D[2]
+            out.append(2.0 * m * (dnum * D[0] - 2.0 * D[1] * num)
+                       / (D[0] * D[0] * D[0]))
+        return out
 
-    def du(r):
-        (ps, dps, _), (D, dD) = parts(r, 1)
-        return 2.0 * m * (dps * D - ps * dD) / (D * D)
-
-    def d2u(r):
-        (ps, dps, d2ps), (D, dD, d2D) = parts(r, 2)
-        num, dnum = dps * D - ps * dD, d2ps * D - ps * d2D
-        return 2.0 * m * (dnum * D - 2.0 * dD * num) / (D * D * D)
-
-    return profile_from_gradsq(u, du, d2u, r_min=a, branch=branch,
-                               label=label)
+    return profile_from_gradsq(gradsq, r_min=a, branch=branch, label=label)
 
 
 def schwarzschild_profile(m: float, n: int, branch: int = -1) -> RadialProfile:
@@ -364,16 +360,16 @@ def schwarzschild_profile(m: float, n: int, branch: int = -1) -> RadialProfile:
     prof = horizon_profile(m, n, a, branch=branch,
                            label=f"schwarzschild(n={n}, m={m})")
     if n == 3:
-        prof.f = lambda r: sign * np.sqrt(8.0 * m * (np.asarray(r, float)
-                                                     - 2.0 * m))
-    elif n == 4:
+        return replace(prof, f=lambda r: sign * np.sqrt(
+            8.0 * m * (np.asarray(r, float) - 2.0 * m)))
+    if n == 4:
         s2m = math.sqrt(2.0 * m)
 
         def f4(r):
             r = np.asarray(r, float)
             return sign * s2m * np.log((r + np.sqrt(r * r - 2.0 * m)) / s2m)
 
-        prof.f = f4
+        return replace(prof, f=f4)
     return prof
 
 
@@ -383,15 +379,17 @@ def schwarzschild_profile(m: float, n: int, branch: int = -1) -> RadialProfile:
 
 def _profile_at(profile: RadialProfile, r: np.ndarray, orders):
     """The profile's derivatives of the given orders (0 is f) at radii r
-    outside r_min, each evaluated once per distinct radius: quadrature
-    batches repeat a handful of radii."""
+    outside r_min, from at most one f and one slopes call on the distinct
+    radii: quadrature batches repeat a handful of radii."""
     if np.any(r <= profile.r_min):
         raise DomainError(
             f"radius {float(np.min(r)):.6g} inside r_min={profile.r_min:.6g} "
             f"of {profile.label}")
-    fns = (profile.f, profile.fr, profile.frr, profile.frrr)
     uniq, inverse = np.unique(r.reshape(-1), return_inverse=True)
-    return [np.asarray(fns[k](uniq), float)[inverse].reshape(r.shape)
+    table = [profile.f(uniq) if 0 in orders else None]
+    if max(orders) > 0:
+        table += profile.slopes(uniq, max(orders))
+    return [np.asarray(table[k], float)[inverse].reshape(r.shape)
             for k in orders]
 
 

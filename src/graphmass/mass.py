@@ -40,7 +40,7 @@ from .convexgeom import (HorizonSet, af_chain_gaps,
 from .errors import ConfigError, DomainError, NonConvexError
 from .graphgeom import (boundary_integrand, divergence_of_V,
                         flux_integrands_from_jet, scalar_curvature)
-from .jets import RadialField, RadialProfile, ScalarField
+from .jets import RadialField, RadialProfile, ScalarField, _profile_at
 from .quad import (HORIZON_OFFSET, ExtrapolationResult, ExteriorRegion,
                    QuadConfig, exterior_volume_integrate, extrapolate_limit,
                    point_rule, sobol, sphere_directions, sphere_integrals,
@@ -317,9 +317,7 @@ def spherical_mass(profile: RadialProfile, r, n: int):
     """Flux mass of a rotationally symmetric graph at radius r:
     f_r(r)^2 r^{n-2} / 2, nonnegative by the square."""
     rr = np.asarray(r, float)
-    if np.any(rr <= profile.r_min):
-        raise DomainError("radius is inside the profile domain boundary")
-    out = 0.5 * np.asarray(profile.fr(rr), float) ** 2 * rr ** (n - 2)
+    out = 0.5 * _profile_at(profile, rr, (1,))[0] ** 2 * rr ** (n - 2)
     return float(out) if np.isscalar(r) or rr.ndim == 0 else out
 
 

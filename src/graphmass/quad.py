@@ -553,18 +553,21 @@ def exterior_volume_integrate(fn, region: ExteriorRegion, cfg: QuadConfig,
     ``q_fit`` and the tail bound do not depend on the walked rule.
     """
     r_outer = cfg.r_max if region.r_outer is None else region.r_outer
-    if r_outer <= region.r_inner:
-        raise ValueError("the outer radius must exceed the inner radius")
+    r0 = region.r_inner
+    # a graded region's first shell starts at the horizon offset
+    offset = HORIZON_OFFSET * r0 if region.graded and r0 > 0.0 else 0.0
+    if r_outer <= r0 + offset:
+        raise ValueError(
+            f"the outer radius {r_outer} must exceed the inner radius {r0}"
+            + (f" plus its horizon offset {offset:g}" if offset else ""))
     center = np.asarray(region.center or (0.0,) * rule.n, float)
     on_nodes = _ShellIntegrand(fn, rule, center)
     # no fn call gets more points than one panel on the rule and its half
     shell = (on_nodes if radial is None else _ShellIntegrand(
         radial, point_rule(rule.n), center, on_nodes.panel_points))
-    r0 = region.r_inner
     start = r0
     cascade, skeleton = [], []
-    if region.graded and r0 > 0.0:
-        offset = HORIZON_OFFSET * r0
+    if offset:
         stop = min(r0 * 1.01 + offset, r_outer)
         edges = _graded_edges(r0, offset, stop)
         cascade = list(zip(edges[:-1], edges[1:]))

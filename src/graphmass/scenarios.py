@@ -73,31 +73,34 @@ def window_profile(lo: float, width: float, rising: bool) -> RadialProfile:
     """
     sign = 1.0 if rising else -1.0
 
-    def deriv(order: int) -> Callable:
-        def call(r):
-            t = (np.asarray(r, float) - lo) / width
-            val = _s7(t, order) / width ** order
-            if order == 0:
-                return val if rising else 1.0 - val
-            return sign * val
-        return call
+    def f(r):
+        val = _s7((np.asarray(r, float) - lo) / width, 0)
+        return val if rising else 1.0 - val
 
-    return RadialProfile(f=deriv(0), fr=deriv(1), frr=deriv(2),
-                         frrr=deriv(3), r_min=0.0,
+    def slopes(r, k):
+        t = (np.asarray(r, float) - lo) / width
+        return [sign * (_s7(t, j) / width ** j) for j in range(1, k + 1)]
+
+    return RadialProfile(f, slopes, r_min=0.0,
                          label=f"window[{lo},{lo + width}]")
 
 
 def windowed(profile: RadialProfile, window: RadialProfile) -> RadialProfile:
-    """The profile times the window, differentiated by the Leibniz rule;
-    where the window is 1 the derivatives are the profile's, bit for bit."""
-    fs = (profile.f, profile.fr, profile.frr, profile.frrr)
-    ws = (window.f, window.fr, window.frr, window.frrr)
+    """The profile times the window, differentiated by the Leibniz rule
+    over one table of each factor; where the window is 1 the derivatives
+    are the profile's, bit for bit."""
 
-    def deriv(k: int) -> Callable:
-        return lambda r: sum(math.comb(k, j) * fs[j](r) * ws[k - j](r)
-                             for j in range(k + 1))
+    def leibniz(r, k):
+        """[(f w), ..., (f w)^(k)] at radii r."""
+        fs, ws = [profile.f(r)], [window.f(r)]
+        if k:
+            fs += profile.slopes(r, k)
+            ws += window.slopes(r, k)
+        return [sum(math.comb(i, j) * fs[j] * ws[i - j] for j in range(i + 1))
+                for i in range(k + 1)]
 
-    return RadialProfile(*(deriv(k) for k in range(4)), r_min=profile.r_min,
+    return RadialProfile(lambda r: leibniz(r, 0)[0],
+                         lambda r, k: leibniz(r, k)[1:], r_min=profile.r_min,
                          label=f"{profile.label} x {window.label}")
 
 
@@ -233,22 +236,19 @@ def _schwarzschild(n: int, m: float) -> Scenario:
 def _radial_custom(m: float, n: int) -> Scenario:
     """Horizonless positive-curvature graph with f_r^2 = 2m r^2/(1+r^n)."""
 
-    def u(r):
+    def gradsq(r, k):
         q = np.power(r, n)
-        return 2.0 * m * r * r / (1.0 + q)
+        out = [2.0 * m * r * r / (1.0 + q)]
+        if k > 1:
+            out.append(2.0 * m * (2.0 * r / (1.0 + q)
+                                  - n * np.power(r, n + 1) / (1.0 + q) ** 2))
+        if k > 2:
+            out.append(2.0 * m * (2.0 / (1.0 + q)
+                                  - n * (n + 3) * q / (1.0 + q) ** 2
+                                  + 2.0 * n * n * q * q / (1.0 + q) ** 3))
+        return out
 
-    def du(r):
-        q = np.power(r, n)
-        return 2.0 * m * (2.0 * r / (1.0 + q)
-                          - n * np.power(r, n + 1) / (1.0 + q) ** 2)
-
-    def d2u(r):
-        q = np.power(r, n)
-        return 2.0 * m * (2.0 / (1.0 + q)
-                          - n * (n + 3) * q / (1.0 + q) ** 2
-                          + 2.0 * n * n * q * q / (1.0 + q) ** 3)
-
-    profile = profile_from_gradsq(u, du, d2u, r_min=0.0, branch=1,
+    profile = profile_from_gradsq(gradsq, r_min=0.0, branch=1,
                                   label=f"radial_custom(m={m})")
     quad = QuadConfig(radii=(20.0, 40.0, 80.0, 160.0), r_max=200.0)
     return Scenario(

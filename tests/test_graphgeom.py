@@ -171,9 +171,8 @@ class TestMeanCurvature:
         outward normal -grad f/|grad f|."""
         prof = RadialProfile(
             f=lambda r: -r,
-            fr=lambda r: -np.ones_like(r),
-            frr=lambda r: np.zeros_like(r),
-            frrr=lambda r: np.zeros_like(r))
+            slopes=lambda r, k: [-np.ones_like(r), np.zeros_like(r),
+                                 np.zeros_like(r)][:k])
         for n, a in ((3, 2.0), (4, 0.5)):
             fld = RadialField(prof, n)
             dirs = np.random.default_rng(n).standard_normal((50, n))

@@ -189,10 +189,10 @@ class TestSphericalMass:
         zero = lambda r: np.zeros_like(np.asarray(r, float))  # noqa: E731
         for _ in range(200):
             a, b, c = rng.uniform(-3.0, 3.0, 3)
-            fr = (lambda r, a=a, b=b, c=c:
-                  a * np.cos(b * r) + c * r / (1.0 + r * r))
-            prof = RadialProfile(zero, fr, zero, zero, r_min=0.0,
-                                 label="sweep")
+            slopes = (lambda r, k, a=a, b=b, c=c:
+                      [a * np.cos(b * r) + c * r / (1.0 + r * r)]
+                      + [zero(r)] * (k - 1))
+            prof = RadialProfile(zero, slopes, r_min=0.0, label="sweep")
             n = int(rng.integers(3, 6))
             r = float(rng.uniform(0.1, 30.0))
             assert spherical_mass(prof, r, n) >= 0.0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -436,6 +437,23 @@ class TestExteriorVolume:
             exterior_volume_integrate(lambda p: np.ones(len(p)),
                                       ExteriorRegion(r_inner=2.0), cfg,
                                       sphere_rule(3))
+
+    @pytest.mark.parametrize("r_outer", [1.0000005, 1.000001])
+    def test_graded_region_thinner_than_its_offset_is_rejected(self,
+                                                               r_outer):
+        """A graded region whose outer radius does not pass the first
+        shell at r_inner (1 + HORIZON_OFFSET) holds no panel: a
+        ValueError names both radii."""
+        region = ExteriorRegion(r_inner=1.0, graded=True, r_outer=r_outer)
+        message = (f"outer radius {r_outer} must exceed the inner radius "
+                   "1.0 plus its horizon offset 1e-06")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            exterior_volume_integrate(lambda p: np.ones(len(p)), region,
+                                      QuadConfig(r_max=1.0), sphere_rule(3))
+        thin = ExteriorRegion(r_inner=1.0, graded=True, r_outer=1.000002)
+        vi = exterior_volume_integrate(lambda p: np.ones(len(p)), thin,
+                                       QuadConfig(r_max=1.0), sphere_rule(3))
+        assert vi.panels > 0
 
 
 class TestExtrapolateLimit:

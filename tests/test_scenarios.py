@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from graphmass import jets, scenarios
 from graphmass.errors import ConfigError
 from graphmass.graphgeom import scalar_curvature
 from graphmass.jets import RadialField, fd_jet, schwarzschild_profile
@@ -99,24 +100,26 @@ class TestWindowProfile:
         w = window_profile(2.0, 3.0, rising=True)
         lo, hi = np.array([2.0]), np.array([5.0])
         assert w.f(lo)[0] == 0.0 and w.f(hi)[0] == 1.0
-        for d in (w.fr, w.frr, w.frrr):
-            assert d(lo)[0] == 0.0 and d(hi)[0] == 0.0
+        for d_lo, d_hi in zip(w.slopes(lo, 3), w.slopes(hi, 3)):
+            assert d_lo[0] == 0.0 and d_hi[0] == 0.0
 
     def test_falling_is_complement(self):
         rise = window_profile(2.0, 3.0, rising=True)
         fall = window_profile(2.0, 3.0, rising=False)
         r = np.linspace(1.5, 5.5, 41)
         assert np.max(np.abs(rise.f(r) + fall.f(r) - 1.0)) <= 1e-15
-        assert np.max(np.abs(rise.fr(r) + fall.fr(r))) == 0.0
+        assert np.max(np.abs(rise.slopes(r, 1)[0]
+                             + fall.slopes(r, 1)[0])) == 0.0
 
     def test_interior_derivative_consistency(self):
         w = window_profile(2.0, 3.0, rising=True)
         r = np.array([2.4, 3.3, 4.1])
         h = 1e-5
+        fr, frr = w.slopes(r, 2)
         fd = (w.f(r + h) - w.f(r - h)) / (2.0 * h)
-        assert np.max(np.abs(fd - w.fr(r))) <= 1e-8
-        fd2 = (w.fr(r + h) - w.fr(r - h)) / (2.0 * h)
-        assert np.max(np.abs(fd2 - w.frr(r))) <= 1e-7
+        assert np.max(np.abs(fd - fr)) <= 1e-8
+        fd2 = (w.slopes(r + h, 1)[0] - w.slopes(r - h, 1)[0]) / (2.0 * h)
+        assert np.max(np.abs(fd2 - frr)) <= 1e-7
 
 
 class TestRadialCustomProfile:
@@ -125,23 +128,97 @@ class TestRadialCustomProfile:
         prof = make_scenario("radial_custom").profile
         r = np.array([0.5, 1.0, 2.0, 7.0])
         exact = 2.0 * 0.7 * r ** 2 / (1.0 + r ** 3)
-        assert np.max(np.abs(prof.fr(r) ** 2 - exact) / exact) <= 1e-12
+        fr, = prof.slopes(r, 1)
+        assert np.max(np.abs(fr ** 2 - exact) / exact) <= 1e-12
 
     def test_higher_derivatives_consistent(self):
         prof = make_scenario("radial_custom").profile
         r = np.array([0.5, 1.0, 2.0, 7.0])
         h = 1e-5
-        fd_frr = (prof.fr(r + h) - prof.fr(r - h)) / (2.0 * h)
-        rel = np.abs(fd_frr - prof.frr(r)) / (1.0 + np.abs(prof.frr(r)))
+        _, frr, frrr = prof.slopes(r, 3)
+        (fr_hi, frr_hi), (fr_lo, frr_lo) = (prof.slopes(r + h, 2),
+                                            prof.slopes(r - h, 2))
+        fd_frr = (fr_hi - fr_lo) / (2.0 * h)
+        rel = np.abs(fd_frr - frr) / (1.0 + np.abs(frr))
         assert np.max(rel) <= 1e-8
-        fd_frrr = (prof.frr(r + h) - prof.frr(r - h)) / (2.0 * h)
-        rel = np.abs(fd_frrr - prof.frrr(r)) / (1.0 + np.abs(prof.frrr(r)))
+        fd_frrr = (frr_hi - frr_lo) / (2.0 * h)
+        rel = np.abs(fd_frrr - frrr) / (1.0 + np.abs(frrr))
         assert np.max(rel) <= 1e-8
 
 
 @pytest.fixture(scope="module")
 def two_body():
     return make_scenario("two_body_glued")
+
+
+def _counted(calls: list, fn):
+    """fn, recording the arguments after the radii of every call."""
+    def wrapped(r, *args):
+        calls.append(args)
+        return fn(r, *args)
+    return wrapped
+
+
+class TestProfileSlopes:
+    RADII = np.geomspace(0.1, 400.0, 61)
+
+    def test_prefix_consistency(self, two_body):
+        """slopes(r, k) is slopes(r, 3)[:k] bit for bit in every profile
+        family, so the (h_r, h_rr) of radial_derivatives equal the jets'
+        on the same radii."""
+        pieces = two_body.field.pieces
+        profiles = [schwarzschild_profile(1.0, n) for n in (3, 4, 5)] + [
+            make_scenario("schwarzschild_perturbed").profile,
+            make_scenario("radial_custom").profile,
+            window_profile(2.0, 3.0, rising=True),
+            pieces[0].field.profile, pieces[-1].field.profile]
+        assert [p.label for p in profiles[-2:]] == [
+            "schwarzschild(n=3, m=1.0) x window[16.0,56.0]",
+            "schwarzschild(n=3, m=1.8) x window[200.0,320.0]"]
+        for prof in profiles:
+            r = self.RADII[self.RADII > prof.r_min * (1.0 + 1e-6)]
+            full = prof.slopes(r, 3)
+            assert len(full) == 3
+            for k in (1, 2):
+                head = prof.slopes(r, k)
+                assert len(head) == k
+                for got, want in zip(head, full):
+                    assert np.array_equal(got, want), (prof.label, k)
+
+    def test_one_gradsq_call_per_request(self, monkeypatch):
+        """radial_derivatives asks gradsq once, for (u, u'); an order-3
+        jet asks once for (u, u', u'') and otherwise only for u, in the
+        antiderivative of its value."""
+        calls = []
+        monkeypatch.setattr(
+            scenarios, "profile_from_gradsq",
+            lambda gradsq, **kw: jets.profile_from_gradsq(
+                _counted(calls, gradsq), **kw))
+        field = make_scenario("radial_custom").field
+        pts = np.random.default_rng(3).uniform(-4.0, 4.0, (50, 3))
+        calls.clear()
+        field.radial_derivatives(pts)
+        assert calls == [(2,)]
+        calls.clear()
+        field.jet3_many(pts, order=3)
+        assert calls.count((3,)) == 1
+        assert calls.count((1,)) == len(calls) - 1 >= 1
+
+    def test_one_psi_call_per_slope_request(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            scenarios, "horizon_profile",
+            lambda m, n, a, psi, **kw: jets.horizon_profile(
+                m, n, a, _counted(calls, psi), **kw))
+        scenario = make_scenario("schwarzschild_perturbed")
+        r = scenario.profile.r_min * np.array([1.01, 2.0, 5.0, 40.0])
+        for k in (1, 2, 3):
+            calls.clear()
+            scenario.profile.slopes(r, k)
+            assert len(calls) == 1, k
+        calls.clear()
+        scenario.field.radial_derivatives(r[:, None] * np.eye(3)[0])
+        assert len(calls) == 1
 
 
 class TestTwoBodyField:
