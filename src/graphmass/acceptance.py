@@ -209,7 +209,7 @@ def _criterion_7() -> tuple[bool, str]:
         a, b, c, d = rng.uniform(-2.0, 2.0, 4)
         slopes = (lambda r, k, a=a, b=b, c=c, d=d:
                   [a * np.sin(b * r) / (1.0 + r) + c * r / (1.0 + r * r) + d]
-                  + [zero(r)] * (k - 1))
+                  + [zero(r) for _ in range(k - 1)])
         prof = RadialProfile(zero, slopes, r_min=0.0, label="random")
         r = float(rng.uniform(0.2, 50.0))
         sm = spherical_mass(prof, r, n)

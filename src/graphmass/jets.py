@@ -380,15 +380,15 @@ def schwarzschild_profile(m: float, n: int, branch: int = -1) -> RadialProfile:
 def _profile_at(profile: RadialProfile, r: np.ndarray, orders):
     """The profile's derivatives of the given orders (0 is f) at radii r
     outside r_min, from at most one f and one slopes call on the distinct
-    radii: quadrature batches repeat a handful of radii."""
+    radii (batches repeat a handful; a lone radius stays a 0-d array)."""
     if np.any(r <= profile.r_min):
         raise DomainError(
             f"radius {float(np.min(r)):.6g} inside r_min={profile.r_min:.6g} "
             f"of {profile.label}")
-    uniq, inverse = np.unique(r.reshape(-1), return_inverse=True)
+    uniq, inverse = ((r, ...) if r.ndim == 0
+                     else np.unique(r.reshape(-1), return_inverse=True))
     table = [profile.f(uniq) if 0 in orders else None]
-    if max(orders) > 0:
-        table += profile.slopes(uniq, max(orders))
+    table += profile.slopes(uniq, max(orders)) if max(orders) else []
     return [np.asarray(table[k], float)[inverse].reshape(r.shape)
             for k in orders]
 

@@ -177,6 +177,14 @@ class TestSphericalMass:
         assert out.shape == (2,)
         assert out[1] == pytest.approx(4.0 / 3.0, rel=1e-14)
 
+    def test_one_radius_keeps_its_shape_and_matches_a_batch(self):
+        profile = schwarzschild_profile(1.0, 4)
+        batch = spherical_mass(profile, np.array([3.0, 7.0, 3.0]), 4)
+        for shape in ((), (1,), (1, 1)):
+            one = spherical_mass(profile, np.full(shape, 7.0), 4)
+            assert np.shape(one) == shape
+            assert float(np.ravel(one)[0]) == batch[1]
+
     def test_matches_flux_at_quad_radii(self, scn3):
         for r in scn3.quad.radii:
             flux, _ = adm_flux_mass(scn3, r)
