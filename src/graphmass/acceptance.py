@@ -262,8 +262,8 @@ def _fd_slope(field, x) -> tuple[bool, str]:
                       float(np.max(np.abs(analytic.hess))),
                       float(np.max(np.abs(analytic.third))))
     hs = np.array(FD_STEPS)
-    errs = np.array([_jet_sup_err(fd_jet(field, x, h), analytic)
-                     for h in hs])
+    fd = fd_jet(field, x, hs)
+    errs = np.array([_jet_sup_err(fd[k], analytic) for k in range(len(hs))])
     if errs.max() <= 1e-9 * scale:
         return True, "exact"
     keep = errs > 1e-13 * scale

@@ -16,7 +16,8 @@ come from the eigenvalues of the Weingarten map.  An ellipsoid has a
 diagonal Hessian c = 2/a^2, and Cauchy-Binet expands the curvature
 functions of its level set in closed form (Reilly 1973):
 e_k = sum_i m_i^2 e_k(c without c_i) / |grad phi|^k, with no eigen-solve.
-``quermassintegrals(body, rule)`` is the only surface pass; the
+``quermassintegrals(body, rule)`` is the only surface pass; it reads the
+weights and e_k from the body's ``surface_terms(rule)``.  The
 Aleksandrov-Fenchel gaps, the Penrose bound and the horizon boundary
 term are pure functions of its V vectors (or of the areas V_0).
 """
@@ -33,6 +34,7 @@ from .jets import ScalarField
 from .quad import SphereRule, sphere_rule, unit_sphere_area
 
 _CONVEXITY_TOL = 1e-10
+_EPS = np.finfo(float).eps
 
 
 def _unit_normal(grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -75,6 +77,11 @@ class ConvexBody:
     def elementary(self, points: np.ndarray) -> np.ndarray:
         """e_0..e_{n-1} of the principal curvatures, shape (N, n)."""
         return _elementary_all(self.shape_spectrum(points))
+
+    def surface_terms(self, rule: SphereRule):
+        """Area weights and e_0..e_{n-1} at the rule's surface points."""
+        pts, w = self.surface_sample(rule)
+        return w, self.elementary(pts)
 
     def outer_radius(self) -> float:
         """Radius of a center-based bounding sphere (for disjointness)."""
@@ -166,10 +173,12 @@ class SmoothLevelSet(ConvexBody):
     ``phi`` is any ScalarField whose Hessian is positive semidefinite on
     the surface (validated by sampling at construction).  The center
     must be an interior point (phi(center) < level); the surface is
-    parametrized radially from it.  Each ray's radius is bisected until
-    the bracket stops moving; the radii of the construction's probe
-    rule, the default ``sphere_rule``, are kept for surface passes on
-    that same rule object.
+    parametrized radially from it.  Each ray's radius is bracketed by
+    doubling, narrowed to a few ulp by Chandrupatla's method and halved
+    until its ends are adjacent floats, inside and outside.  A surface
+    pass takes weights and curvatures from one order-2 jet of phi; the
+    construction's convexity check makes that pass on its probe rule,
+    the default ``sphere_rule``, and keeps it for that rule object.
     """
 
     def __init__(self, phi: ScalarField, level: float, center=None,
@@ -180,49 +189,94 @@ class SmoothLevelSet(ConvexBody):
         self.center = (np.zeros(self.n) if center is None
                        else np.asarray(center, float))
         self.name = name
-        if float(phi.value(self.center[None, :])[0]) >= self.level:
+        self._excess0 = float(phi.value(self.center[None, :])[0]) - self.level
+        if self._excess0 >= 0.0:
             raise BodyError("center is not interior to the level set")
         probe = sphere_rule(self.n)
         radii = self._solve_radii(probe.nodes)
-        self._probe = (probe, radii)
         self._outer = float(np.max(radii))
-        pts = self.center + radii[:, None] * probe.nodes
-        self.shape_spectrum(pts)  # raises NonConvexError if not convex
+        self._probe = (probe, radii, None)
+        # a probe pass; it raises NonConvexError if not convex
+        self._probe = (probe, radii, self._terms(probe))
+
+    def _excess(self, t: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """phi - level at distances t along the rays dirs."""
+        return self.phi.value(self.center + t[:, None] * dirs) - self.level
 
     def _solve_radii(self, dirs: np.ndarray) -> np.ndarray:
-        lo = np.zeros(len(dirs))
-        hi = np.full(len(dirs), 1.0)
+        lo, hi = np.zeros(len(dirs)), np.ones(len(dirs))
+        f_lo = np.full(len(dirs), self._excess0)
         for _ in range(80):
-            vals = self.phi.value(self.center + hi[:, None] * dirs)
-            grow = vals < self.level
+            f_hi = self._excess(hi, dirs)
+            grow = f_hi < 0.0
             if not grow.any():
                 break
+            lo[grow], f_lo[grow] = hi[grow], f_hi[grow]
             hi[grow] *= 2.0
         else:
             raise BodyError("level set is unbounded along a ray")
+        # Chandrupatla's steps until each bracket is at most 4 ulp wide:
+        # per ray, a is the newest point, b the other end of the bracket
+        # [lo, hi] (lo inside, hi outside) and c the end that a replaced
+        rays, a, fa, b, fb, t = np.arange(len(dirs)), lo, f_lo, hi, f_hi, 0.5
+        for _ in range(60):
+            x = a + t * (b - a)
+            fx = self._excess(x, dirs[rays])
+            same = (fx < 0.0) == (fa < 0.0)
+            a, b, c = x, np.where(same, b, a), np.where(same, a, b)
+            fa, fb, fc = fx, np.where(same, fb, fa), np.where(same, fa, fb)
+            lo[rays], hi[rays] = np.where(fa < 0.0, (a, b), (b, a))
+            keep = np.abs(b - a) > 4.0 * _EPS * np.maximum(a, b)
+            if not keep.any():
+                break
+            rays, a, b, c, fa, fb, fc = (
+                v[keep] for v in (rays, a, b, c, fa, fb, fc))
+            with np.errstate(all="ignore"):  # iqi is taken only where safe
+                xi, ph = (a - b) / (c - b), (fa - fb) / (fc - fb)
+                iqi = (fa / (fb - fa) * fc / (fb - fc)
+                       + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+                t = np.where((ph * ph < xi) & ((1 - ph) ** 2 < 1 - xi),
+                             iqi, 0.5)
+            tl = 2.0 * _EPS * np.maximum(a, b) / np.abs(b - a)
+            t = np.clip(t, tl, 1.0 - tl)
+        return self._halve(dirs, lo, hi)
+
+    def _halve(self, dirs, lo, hi):
+        """Halve the brackets [lo, hi] (lo inside, hi outside) until no
+        end moves: the radii of 90 halvings, in fewer steps."""
         for _ in range(90):
             mid = 0.5 * (lo + hi)
             # lo is inside and hi outside, so a midpoint equal to either
             # leaves both in place: every later step would repeat it
             if np.all((mid == lo) | (mid == hi)):
                 break
-            inside = self.phi.value(self.center + mid[:, None] * dirs) \
-                < self.level
+            inside = self._excess(mid, dirs) < 0.0
             lo = np.where(inside, mid, lo)
             hi = np.where(inside, hi, mid)
         return 0.5 * (lo + hi)
 
-    def surface_sample(self, rule):
-        probe, radii = self._probe
+    def _terms(self, rule, curvatures=True):
+        """Points, area weights and (with ``curvatures``) e_0..e_{n-1} on
+        the rule's rays from one order-2 jet; the probe's are kept."""
+        probe, radii, kept = self._probe
+        if rule is probe and kept is not None:
+            return kept
         rho = radii if rule is probe else self._solve_radii(rule.nodes)
         pts = self.center + rho[:, None] * rule.nodes
         jet = self.phi.jet3_many(pts, order=2)
+        e = (_elementary_all(self._weingarten(jet.grad, jet.hess))
+             if curvatures else None)
         gn = np.linalg.norm(jet.grad, axis=1)
         gu = np.einsum("ij,ij->i", jet.grad, rule.nodes)
         if np.any(gu <= 0.0):
             raise BodyError("surface is not star-shaped about the center")
-        w = rule.weights * rho ** (self.n - 1) * gn / gu
-        return pts, w
+        return pts, rule.weights * rho ** (self.n - 1) * gn / gu, e
+
+    def surface_sample(self, rule):
+        return self._terms(rule, curvatures=False)[:2]
+
+    def surface_terms(self, rule):
+        return self._terms(rule)[1:]
 
     def shape_spectrum(self, points):
         pts = np.atleast_2d(np.asarray(points, float))
@@ -250,8 +304,7 @@ def quermassintegrals(body: ConvexBody,
                       rule: SphereRule | None = None) -> np.ndarray:
     """All V_k, k = 0..n-1, from a single surface-quadrature pass."""
     rule = rule or sphere_rule(body.n)
-    pts, w = body.surface_sample(rule)
-    e = body.elementary(pts)
+    w, e = body.surface_terms(rule)
     d = body.n - 1
     norms = np.array([math.comb(d, j) for j in range(d + 1)], float)
     return (w @ e) / norms

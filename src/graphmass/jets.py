@@ -24,6 +24,8 @@ rule above produces symmetric output from symmetric input.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -121,6 +123,11 @@ class Jet3:
         if isinstance(other, Jet3):
             return self * jet_recip(other)
         return self * (1.0 / other)
+
+    def __getitem__(self, index) -> "Jet3":
+        """The jet at one index (or slice) of the leading batch axis."""
+        return Jet3(np.asarray(self.value[index]), self.grad[index],
+                    self.hess[index], _lift(lambda t: t[index], self.third))
 
     def check_finite(self, context: str = "jet") -> "Jet3":
         for part in (self.value, self.grad, self.hess, self.third):
@@ -539,11 +546,46 @@ class RadialField(ScalarField):
 # finite-difference oracle
 # ----------------------------------------------------------------------
 
-def fd_jet(field: ScalarField, point, h: float | None = None) -> Jet3:
+@functools.lru_cache(maxsize=None)
+def _fd_stencil(n: int):
+    """The central-difference stencil in R^n, built once per n: its points'
+    offsets from x in steps (x first); the ordered pairs i != j and the
+    triples i < j < k; the parities si sj sk; and the indices of the
+    points x + m e_i (m = 1, -1, 2, -2), x + si e_i + sj e_j and
+    x + si e_i + sj e_j + sk e_k, signs in product order."""
+    index = {(): 0}
+
+    def at(*steps):
+        return index.setdefault(tuple(sorted(steps)), len(index))
+
+    signs = list(itertools.product((1, -1), repeat=3))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    triples = list(itertools.combinations(range(n), 3))
+    tables = ([[at((i, m)) for i in range(n)] for m in (1, -1, 2, -2)],
+              [[at((i, si), (j, sj)) for i, j in pairs]
+               for si, sj in itertools.product((1, -1), repeat=2)],
+              [[at(*zip(t, s)) for t in triples] for s in signs])
+    offsets = np.zeros((len(index), n))
+    for key, k in index.items():
+        for axis, mult in key:
+            offsets[k, axis] = mult
+    out = (offsets, np.array(pairs, int).reshape(-1, 2).T,
+           np.array(triples, int).reshape(-1, 3).T,
+           np.prod(signs, axis=1).astype(float),
+           *(np.array(t, int).reshape(len(t), -1) for t in tables))
+    for table in out:  # the cache hands the same arrays to every call
+        table.flags.writeable = False
+    return out
+
+
+def fd_jet(field: ScalarField, point, h=None) -> Jet3:
     """Central-difference jet, O(h^2) accurate in every component.
 
     Only ``field.value`` is used, so this is an independent check of the
-    analytic propagation rules.
+    analytic propagation rules.  A 1-D array ``h`` of steps gives a jet
+    with a leading step axis from one ``field.value`` call; each step's
+    2h, h^2 and h^3 are Python floats, so its components equal those of
+    a call with that step alone.
     """
     x = np.asarray(point, float)
     n = x.shape[-1]
@@ -551,69 +593,34 @@ def fd_jet(field: ScalarField, point, h: float | None = None) -> Jet3:
         raise ValueError("fd_jet takes a single point")
     if h is None:
         h = _EPS ** (1.0 / 3.0) * max(1.0, float(np.max(np.abs(x))))
-
-    offsets: dict[tuple[int, ...], int] = {}
-    points: list[np.ndarray] = []
-
-    def at(*steps: tuple[int, int]) -> int:
-        """Index of the evaluation point x + h * sum(step_e * e_i)."""
-        key = tuple(sorted(steps))
-        if key not in offsets:
-            p = x.copy()
-            for axis, mult in steps:
-                p[axis] += mult * h
-            offsets[key] = len(points)
-            points.append(p)
-        return offsets[key]
-
-    center = at()
-    for i in range(n):
-        at((i, 1)), at((i, -1)), at((i, 2)), at((i, -2))
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    at((i, si), (j, sj))
-            for k in range(j + 1, n):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        for sk in (1, -1):
-                            at((i, si), (j, sj), (k, sk))
-
-    vals = np.asarray(field.value(np.stack(points)), float)
-
-    def v(*steps):
-        return vals[at(*steps)]
-
-    grad = np.zeros(n)
-    hess = np.zeros((n, n))
-    third = np.zeros((n, n, n))
-    for i in range(n):
-        grad[i] = (v((i, 1)) - v((i, -1))) / (2 * h)
-        hess[i, i] = (v((i, 1)) - 2 * vals[center] + v((i, -1))) / h ** 2
-        third[i, i, i] = (v((i, 2)) - 2 * v((i, 1)) + 2 * v((i, -1))
-                          - v((i, -2))) / (2 * h ** 3)
-        for j in range(n):
-            if j == i:
-                continue
-            t = (v((i, 1), (j, 1)) - 2 * v((j, 1)) + v((i, -1), (j, 1))
-                 - v((i, 1), (j, -1)) + 2 * v((j, -1))
-                 - v((i, -1), (j, -1))) / (2 * h ** 3)
-            third[i, i, j] = third[i, j, i] = third[j, i, i] = t
-        for j in range(i + 1, n):
-            hess[i, j] = hess[j, i] = (
-                v((i, 1), (j, 1)) - v((i, 1), (j, -1))
-                - v((i, -1), (j, 1)) + v((i, -1), (j, -1))) / (4 * h ** 2)
-            for k in range(j + 1, n):
-                acc = 0.0
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        for sk in (1, -1):
-                            acc += si * sj * sk * v((i, si), (j, sj), (k, sk))
-                t = acc / (8 * h ** 3)
-                for perm in ((i, j, k), (i, k, j), (j, i, k), (j, k, i),
-                             (k, i, j), (k, j, i)):
-                    third[perm] = t
-    return Jet3(np.asarray(vals[center]), grad, hess, third)
+    if np.ndim(h) > 1:
+        raise ValueError("fd_jet takes one step or a 1-D array of steps")
+    steps = [float(s) for s in np.atleast_1d(h)]
+    offsets, (I, J), tri, parity, one, two, three = _fd_stencil(n)
+    pts = x + offsets * np.array(steps)[:, None, None]
+    vals = np.asarray(field.value(pts.reshape(-1, n)), float).reshape(
+        len(steps), -1)
+    d1, d2, d3, d2x, d3x = np.array(
+        [[2 * s, s ** 2, 2 * s ** 3, 4 * s ** 2, 8 * s ** 3]
+         for s in steps]).T[:, :, None]
+    p1, m1, p2, m2, pp, pm, mp, mm = (vals[:, k] for k in (*one, *two))
+    diag, upper = np.arange(n), I < J
+    hess = np.zeros((len(steps), n, n))
+    hess[:, diag, diag] = (p1 - 2 * vals[:, :1] + m1) / d2
+    # formed for i < j only, as hess[j, i] would sum in another order
+    hess[:, I[upper], J[upper]] = hess[:, J[upper], I[upper]] = (
+        pp - pm - mp + mm)[:, upper] / d2x
+    third = np.zeros((len(steps), n, n, n))
+    third[:, diag, diag, diag] = (p2 - 2 * p1 + 2 * m1 - m2) / d3
+    third[:, I, I, J] = third[:, I, J, I] = third[:, J, I, I] = (
+        pp - 2 * p1[:, J] + mp - pm + 2 * m1[:, J] - mm) / d3
+    acc = np.zeros((len(steps), tri.shape[1]))
+    for k, sign in zip(three, parity):
+        acc = acc + sign * vals[:, k]
+    for a, b, c in itertools.permutations(tri):
+        third[:, a, b, c] = acc / d3x
+    jet = Jet3(vals[:, 0], (p1 - m1) / d1, hess, third)
+    return jet if np.ndim(h) else jet[0]
 
 
 # ----------------------------------------------------------------------

@@ -56,3 +56,72 @@ class CountingField(ScalarField):
 
     def radial_about(self, center, r_lo, r_hi):
         return self.base.radial_about(center, r_lo, r_hi)
+
+
+def loop_fd_jet(field: ScalarField, x, h: float) -> Jet3:
+    """Central-difference jet at one point with one step, one stencil
+    point at a time: the reference for ``jets.fd_jet``'s tables."""
+    x = np.asarray(x, float)
+    n = x.shape[-1]
+    offsets: dict[tuple[int, ...], int] = {}
+    points: list[np.ndarray] = []
+
+    def at(*steps: tuple[int, int]) -> int:
+        """Index of the evaluation point x + h * sum(step_e * e_i)."""
+        key = tuple(sorted(steps))
+        if key not in offsets:
+            p = x.copy()
+            for axis, mult in steps:
+                p[axis] += mult * h
+            offsets[key] = len(points)
+            points.append(p)
+        return offsets[key]
+
+    center = at()
+    for i in range(n):
+        at((i, 1)), at((i, -1)), at((i, 2)), at((i, -2))
+        for j in range(i + 1, n):
+            for si in (1, -1):
+                for sj in (1, -1):
+                    at((i, si), (j, sj))
+            for k in range(j + 1, n):
+                for si in (1, -1):
+                    for sj in (1, -1):
+                        for sk in (1, -1):
+                            at((i, si), (j, sj), (k, sk))
+
+    vals = np.asarray(field.value(np.stack(points)), float)
+
+    def v(*steps):
+        return vals[at(*steps)]
+
+    grad = np.zeros(n)
+    hess = np.zeros((n, n))
+    third = np.zeros((n, n, n))
+    for i in range(n):
+        grad[i] = (v((i, 1)) - v((i, -1))) / (2 * h)
+        hess[i, i] = (v((i, 1)) - 2 * vals[center] + v((i, -1))) / h ** 2
+        third[i, i, i] = (v((i, 2)) - 2 * v((i, 1)) + 2 * v((i, -1))
+                          - v((i, -2))) / (2 * h ** 3)
+        for j in range(n):
+            if j == i:
+                continue
+            t = (v((i, 1), (j, 1)) - 2 * v((j, 1)) + v((i, -1), (j, 1))
+                 - v((i, 1), (j, -1)) + 2 * v((j, -1))
+                 - v((i, -1), (j, -1))) / (2 * h ** 3)
+            third[i, i, j] = third[i, j, i] = third[j, i, i] = t
+        for j in range(i + 1, n):
+            hess[i, j] = hess[j, i] = (
+                v((i, 1), (j, 1)) - v((i, 1), (j, -1))
+                - v((i, -1), (j, 1)) + v((i, -1), (j, -1))) / (4 * h ** 2)
+            for k in range(j + 1, n):
+                acc = 0.0
+                for si in (1, -1):
+                    for sj in (1, -1):
+                        for sk in (1, -1):
+                            acc += si * sj * sk * v((i, si), (j, sj), (k, sk))
+                t = acc / (8 * h ** 3)
+                for perm in ((i, j, k), (i, k, j), (j, i, k), (j, k, i),
+                             (k, i, j), (k, j, i)):
+                    third[perm] = t
+    return Jet3(np.asarray(vals[center]), grad, hess, third)

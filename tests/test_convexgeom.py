@@ -186,28 +186,54 @@ class TestSmoothLevelSet:
         with pytest.raises(NonConvexError):
             SmoothLevelSet(phi, level=0.2)
 
+    def test_unbounded_ray_rejected(self):
+        with pytest.raises(BodyError,
+                           match="level set is unbounded along a ray"):
+            SmoothLevelSet(ExprField("x1", 3), 1.0)
+
     def test_center_must_be_interior(self):
         with pytest.raises(BodyError):
             SmoothLevelSet(ExprField("x1^2 + x2^2 + x3^2", 3), level=1.0,
                            center=(2.0, 0.0, 0.0))
 
 
-def fixed_bisection(body, dirs):
-    """Each ray's radius after all 90 halvings of its bracket: the
-    reference for the bisection that stops once the brackets do."""
-    lo, hi = np.zeros(len(dirs)), np.ones(len(dirs))
+def inside(body, t, dirs):
+    """Whether phi < level at distances t along the rays dirs."""
+    return body.phi.value(body.center + t[:, None] * dirs) < body.level
+
+
+def doubled(body, dirs):
+    """The outer ends hi of the brackets [0, hi] that doubling from 1
+    gives."""
+    hi = np.ones(len(dirs))
     for _ in range(80):
-        grow = body.phi.value(body.center + hi[:, None] * dirs) < body.level
+        grow = inside(body, hi, dirs)
         if not grow.any():
             break
         hi[grow] *= 2.0
+    return hi
+
+
+def fixed_bisection(body, dirs, lo=None, hi=None):
+    """Each ray's radius after all 90 halvings of its bracket [lo, hi]
+    (lo inside, hi outside), by default [0, doubled(body, dirs)]: the
+    reference for the halving loop that stops once the brackets do."""
+    if hi is None:
+        lo, hi = np.zeros(len(dirs)), doubled(body, dirs)
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        inside = body.phi.value(body.center + mid[:, None] * dirs) \
-            < body.level
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
+        ins = inside(body, mid, dirs)
+        lo = np.where(ins, mid, lo)
+        hi = np.where(ins, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def count_calls(obj, name):
+    """Counts the calls of obj.name from now on, in a list."""
+    calls = []
+    method = getattr(obj, name)
+    setattr(obj, name, lambda *a, **k: (calls.append(1), method(*a, **k))[1])
+    return calls
 
 
 LEVEL_SETS = {
@@ -218,23 +244,58 @@ LEVEL_SETS = {
 }
 
 
+def level_set_rays(name, order):
+    text, n, level, center = LEVEL_SETS[name]
+    body = SmoothLevelSet(ExprField(text, n), level, center=center)
+    return body, sphere_rule(n, order).nodes
+
+
+each_level_set = pytest.mark.parametrize(
+    "name, order", [(name, order) for name in sorted(LEVEL_SETS)
+                    for order in (None, 32)])
+
+
 class TestLevelSetRadii:
-    @pytest.mark.parametrize("order", [None, 32])
-    @pytest.mark.parametrize("name", sorted(LEVEL_SETS))
+    @each_level_set
     def test_early_exit_matches_fixed_bisection(self, name, order):
-        """The bisection stops once no bracket moves, in fewer steps than
+        """From the doubling bracket [0, hi] and from [r/2, 2r], the
+        halving loop stops once no bracket moves, in fewer steps than
         the fixed 90, and leaves every radius bit-identical to them."""
-        text, n, level, center = LEVEL_SETS[name]
-        body = SmoothLevelSet(ExprField(text, n), level, center=center)
-        dirs = sphere_rule(n, order).nodes
-        calls = []
-        value = body.phi.value
-        body.phi.value = lambda pts: (calls.append(1), value(pts))[1]
-        radii = body._solve_radii(dirs)
-        early = len(calls)
-        reference = fixed_bisection(body, dirs)
-        assert np.array_equal(radii, reference)
-        assert early < len(calls) - early
+        body, dirs = level_set_rays(name, order)
+        r = body._solve_radii(dirs)
+        for lo, hi in ((np.zeros(len(dirs)), doubled(body, dirs)),
+                       (0.5 * r, 2.0 * r)):
+            calls = count_calls(body.phi, "value")
+            radii = body._halve(dirs, lo, hi)
+            early = len(calls)
+            assert np.array_equal(radii, fixed_bisection(body, dirs, lo, hi))
+            assert early < len(calls) - early
+            del body.phi.value
+
+    @each_level_set
+    def test_radius_is_a_one_ulp_sign_change(self, name, order):
+        """Each radius is the midpoint of two adjacent floats, the inner
+        one inside the body and the outer one outside."""
+        body, dirs = level_set_rays(name, order)
+        r = body._solve_radii(dirs)
+        at_r = inside(body, r, dirs)
+        lo = np.where(at_r, r, np.nextafter(r, 0.0))
+        hi = np.nextafter(lo, np.inf)
+        assert np.array_equal(0.5 * (lo + hi), r)
+        assert inside(body, lo, dirs).all()
+        assert not inside(body, hi, dirs).any()
+
+    @each_level_set
+    def test_few_calls_near_fixed_bisection(self, name, order):
+        """A solve makes at most 20 value calls (55-60 for bisection from
+        the doubling bracket), and every radius lies within 2 ulp of the
+        bisection's; roundoff can flip phi < level more than once there."""
+        body, dirs = level_set_rays(name, order)
+        calls = count_calls(body.phi, "value")
+        r = body._solve_radii(dirs)
+        assert len(calls) <= 20
+        ref = fixed_bisection(body, dirs)
+        assert np.all(np.abs(r - ref) <= 2 * np.spacing(ref))
 
     def test_probe_rule_is_solved_once(self, monkeypatch):
         """Construction solves the radii on the default rule; a surface
@@ -251,6 +312,33 @@ class TestLevelSetRadii:
         copy = dataclasses.replace(sphere_rule(3))
         assert np.array_equal(quermassintegrals(body, copy), V)
         assert solves == [len(copy.weights)]
+
+
+class TestLevelSetPasses:
+    QUARTIC = "x1^4 + x2^4 + x3^4"
+    # V of the quartic body as bisected radii and two jets per pass gave
+    V_RULE64 = ("0x1.1965205d857d7p+4", "0x1.e54187a1335bap+3",
+                "0x1.921fb54442d1ap+3")
+    V_PROBE = ("0x1.1965205d858a6p+4", "0x1.e54187a1270d6p+3",
+               "0x1.921fb543edb57p+3")
+
+    def test_one_jet_per_node_set(self, monkeypatch):
+        """A pass on a new rule builds one order-2 jet; a pass on the
+        construction's probe rule builds none and solves no eigenproblem;
+        the V vectors are unchanged bit for bit."""
+        body = SmoothLevelSet(ExprField(self.QUARTIC, 3), 1.0)
+        jets = count_calls(body.phi, "jet3_many")
+        V64 = quermassintegrals(body, sphere_rule(3, 64))
+        assert len(jets) == 1
+        assert tuple(float(v).hex() for v in V64) == self.V_RULE64
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        V = quermassintegrals(body)
+        assert len(jets) == 1
+        assert tuple(float(v).hex() for v in V) == self.V_PROBE
 
 
 class TestHorizonSet:

@@ -9,14 +9,15 @@ import re
 import numpy as np
 import pytest
 
-from field_helpers import RotatedField
+from field_helpers import RotatedField, loop_fd_jet
+from graphmass import acceptance
 from graphmass.errors import DomainError, UnboundParameterError
 from graphmass.expr import evaluate, parse
 from graphmass.jets import (_JET_OPS, ExprField, RadialField, RadialProfile,
                             fd_jet, flatness_report, horizon_profile,
                             profile_from_gradsq, radial_jet,
                             schwarzschild_profile)
-from graphmass.scenarios import make_scenario
+from graphmass.scenarios import make_scenario, scenario_names
 
 
 def sup(a):
@@ -68,6 +69,65 @@ class TestExprJets:
     def test_fd_jet_rejects_batches(self):
         with pytest.raises(ValueError):
             fd_jet(self.FIELD, np.zeros((4, 3)))
+
+
+def fd_probes():
+    """Acceptance criterion 9's probe points (every registry field with
+    one, then the 20 seeded random expressions) and one point each in
+    n = 4 and n = 5."""
+    out = []
+    for name in scenario_names():
+        scn = make_scenario(name)
+        if scn.field is None:
+            continue
+        direction = acceptance._probe_direction(scn.n)
+        if len(scn.horizons) > 0:
+            body = scn.horizons.bodies[0]
+            x = body.center + 2.2 * body.outer_radius() * direction
+        else:
+            x = 0.9 * direction
+        out.append((name, scn.field, x))
+    rng = np.random.default_rng(acceptance.SEED + 9)
+    for _ in range(20):
+        text = acceptance._random_expression(rng)
+        out.append((text, ExprField(text, 3), rng.uniform(-0.8, 0.8, 3)))
+    out.append(("n4", ExprField("x1*x2*x3*x4 + exp(x1 - x4) + sin(x2)*x3^2",
+                                4), np.array([0.3, -0.2, 0.5, 0.1])))
+    out.append(("n5", ExprField("x1*x3*x5 + x2^2*x4 + cos(x1 + x5)", 5),
+                np.array([0.3, -0.2, 0.5, 0.1, -0.4])))
+    return out
+
+
+class TestFdSteps:
+    def test_one_value_call_equals_the_per_step_loop(self):
+        """fd_jet over an array of steps makes one field.value call, and
+        each step's value, grad, hess and third equal the one-step loop's
+        bit for bit."""
+        probes = fd_probes()
+        assert len(probes) == 29
+        steps = acceptance.FD_STEPS
+        for name, field, x in probes:
+            calls = []
+            value = field.value
+            field.value = lambda pts: (calls.append(1), value(pts))[1]
+            fd = fd_jet(field, x, np.array(steps))
+            assert len(calls) == 1, name
+            del field.value
+            assert fd.grad.shape == (len(steps), len(x))
+            for k, h in enumerate(steps):
+                ref = loop_fd_jet(field, x, h)
+                for part in ("value", "grad", "hess", "third"):
+                    assert np.array_equal(getattr(fd[k], part),
+                                          getattr(ref, part)), (name, h, part)
+
+    def test_one_step_keeps_the_unbatched_shapes(self):
+        x = np.array([0.2, -0.4, 0.6])
+        fd = fd_jet(TestExprJets.FIELD, x, 0.02)
+        assert fd.value.shape == () and fd.third.shape == (3, 3, 3)
+        ref = loop_fd_jet(TestExprJets.FIELD, x, 0.02)
+        assert np.array_equal(fd.third, ref.third)
+        with pytest.raises(ValueError):
+            fd_jet(TestExprJets.FIELD, x, np.ones((2, 2)))
 
 
 class TestDomainRules:
