@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
@@ -277,6 +276,7 @@ def execute_run(run: RunConfig) -> tuple[int, ReportDocument, list[dict]]:
     started = time.perf_counter()
     runs = [run] * len(scenarios)
     if run.workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=run.workers) as pool:
             results = list(pool.map(_run_entry, entries, runs, scenarios))
     else:

@@ -5,8 +5,11 @@ third-derivative tensor of a function at one point or at a batch of points
 (all arrays share an arbitrary leading batch shape).  An order-2 jet leaves
 the third tensor as None and computes the rest with the same arithmetic:
 the curvature, flux and level-set consumers read only the gradient and
-Hessian, so they ask for order 2.  Order 3 serves the divergence route,
-the finite-difference comparison and the decay probe.  An expression
+Hessian, so they ask for order 2.  A radial or piecewise radial jet leaves
+the value as None, since its profile value f is an integral that no
+derivative needs: ``field.value(points)`` reads f.  Order 3 serves the
+divergence route, the finite-difference comparison and the decay probe.
+An expression
 field's values and jets come from one walk, ``expr.evaluate``, which checks
 the domain rules; values apply no derivative rule, so :func:`fd_jet` stays
 an independent check of the forward-mode rules the jets apply:
@@ -64,16 +67,16 @@ def check_order(order: int) -> None:
         raise ValueError(f"jet order must be 2 or 3, not {order!r}")
 
 
-def _lift(fn, *thirds):
-    """fn of third tensors, or None (an order-2 jet) if any is None."""
-    return None if any(t is None for t in thirds) else fn(*thirds)
+def _lift(fn, *parts):
+    """fn of jet parts, or None if any is (order-2 third, radial value)."""
+    return None if any(t is None for t in parts) else fn(*parts)
 
 
 @dataclass
 class Jet3:
-    """Value and derivatives to order 3 (or 2) at a (batch of) point(s)."""
+    """Value (None if radial) and derivatives to order 3 (or 2) at points."""
 
-    value: np.ndarray          # shape B
+    value: np.ndarray | None   # shape B; None on a radial jet
     grad: np.ndarray           # shape B + (n,)
     hess: np.ndarray           # shape B + (n, n)
     third: np.ndarray | None   # shape B + (n, n, n); None at order 2
@@ -126,8 +129,9 @@ class Jet3:
 
     def __getitem__(self, index) -> "Jet3":
         """The jet at one index (or slice) of the leading batch axis."""
-        return Jet3(np.asarray(self.value[index]), self.grad[index],
-                    self.hess[index], _lift(lambda t: t[index], self.third))
+        return Jet3(_lift(lambda v: np.asarray(v[index]), self.value),
+                    self.grad[index], self.hess[index],
+                    _lift(lambda t: t[index], self.third))
 
     def check_finite(self, context: str = "jet") -> "Jet3":
         for part in (self.value, self.grad, self.hess, self.third):
@@ -387,7 +391,9 @@ def schwarzschild_profile(m: float, n: int, branch: int = -1) -> RadialProfile:
 def _profile_at(profile: RadialProfile, r: np.ndarray, orders):
     """The profile's derivatives of the given orders (0 is f) at radii r
     outside r_min, from at most one f and one slopes call on the distinct
-    radii (batches repeat a handful; a lone radius stays a 0-d array)."""
+    radii (batches repeat a handful; a lone radius stays a 0-d array).
+    Only ``RadialField.value`` asks for order 0: f is an integral of f_r
+    (a numerical one on most profiles), so jets leave it out."""
     if np.any(r <= profile.r_min):
         raise DomainError(
             f"radius {float(np.min(r)):.6g} inside r_min={profile.r_min:.6g} "
@@ -403,7 +409,8 @@ def _profile_at(profile: RadialProfile, r: np.ndarray, orders):
 def radial_jet(profile: RadialProfile, point, center=None,
                order: int = 3) -> Jet3:
     """Jet of f(|x - center|) from the 1-D profile derivatives; at
-    order 2 neither f_rrr nor the third tensor is evaluated.
+    order 2 neither f_rrr nor the third tensor is evaluated, and at no
+    order the value f, which ``RadialField.value`` reads: value=None.
 
     Uses the radial decomposition (u = (x-c)/r):
         grad  = f_r u
@@ -417,7 +424,7 @@ def radial_jet(profile: RadialProfile, point, center=None,
     if center is not None:
         pts = pts - np.asarray(center, float)
     r = np.sqrt(np.sum(pts * pts, axis=-1))
-    f, fr, frr, *frrr = _profile_at(profile, r, range(order + 1))
+    fr, frr, *frrr = _profile_at(profile, r, range(1, order + 1))
     u = pts / r[..., None]
     eye = np.eye(n)
     uu = _outer(u, u)
@@ -429,7 +436,7 @@ def radial_jet(profile: RadialProfile, point, center=None,
                - 3.0 * _outer3(u, u, u))
         third = (frrr[0][..., None, None, None] * _outer3(u, u, u)
                  + (frr / r - fr / r ** 2)[..., None, None, None] * sym)
-    return Jet3(f, fr[..., None] * u, hess,
+    return Jet3(None, fr[..., None] * u, hess,
                 third).check_finite(profile.label)
 
 

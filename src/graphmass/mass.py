@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .convexgeom import (HorizonSet, af_chain_gaps,
+from .convexgeom import (HorizonSet, Sphere, af_chain_gaps,
                          horizon_mean_curvature_term, penrose_bound,
                          quermassintegrals, superadditivity_gap)
 from .errors import ConfigError, DomainError, NonConvexError
@@ -344,9 +344,13 @@ def horizon_hypotheses(scenario: Scenario) -> tuple[HypothesisReport, ...]:
     that |grad f| blows up toward it.
 
     The level check measures the variance of f over a homothetic copy
-    of the boundary at relative offset 1e-8 (bound 1e-8).  The gradient
-    check samples |grad f| at relative offset eps = HORIZON_OFFSET and
-    requires (1 - 1e-6)/sqrt((n-2) eps), the exact magnitude of a
+    of the boundary at relative offset 1e-8 (bound 1e-8), on the flux
+    rule's nodes, or on one node where the horizon is a sphere and the
+    field is radial about its centre out to offset eps = HORIZON_OFFSET:
+    f is then one value on the copy, so its variance is 0.  The gradient
+    check samples |grad f| at offset eps on every node, as |h_r| where
+    the field has radial derivatives and from an order-2 jet elsewhere,
+    and requires (1 - 1e-6)/sqrt((n-2) eps), the exact magnitude of a
     Schwarzschild profile there, at threshold 10^3 for n = 3, eps = 1e-6.
     """
     fld = scenario.require_field()
@@ -357,10 +361,17 @@ def horizon_hypotheses(scenario: Scenario) -> tuple[HypothesisReport, ...]:
     for i, body in enumerate(scenario.horizons):
         pts, _ = body.surface_sample(rule)
         rays = pts - body.center
-        lvl = fld.value(body.center + rays * (1.0 + 1e-8))
+        a = body.outer_radius()
+        level_rays = (rays[:1] if isinstance(body, Sphere) and
+                      fld.radial_about(body.center, a, a * (1.0 + eps))
+                      else rays)
+        lvl = fld.value(body.center + level_rays * (1.0 + 1e-8))
         var = float(np.var(lvl))
-        jet = fld.jet3_many(body.center + rays * (1.0 + eps), order=2)
-        gmin = float(np.linalg.norm(jet.grad, axis=1).min())
+        near = body.center + rays * (1.0 + eps)
+        radial = fld.radial_derivatives(near)
+        grad = (np.linalg.norm(fld.jet3_many(near, order=2).grad, axis=1)
+                if radial is None else np.abs(radial[1]))
+        gmin = float(grad.min())
         out.append(HypothesisReport(
             component=i, level_variance=var, level_ok=var <= 1e-8,
             grad_min=gmin, grad_floor=floor, grad_ok=gmin >= floor))

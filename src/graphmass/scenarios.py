@@ -116,9 +116,10 @@ class _Piece:
 class PiecewiseRadialField(ScalarField):
     """Sum of windowed radial pieces with pairwise disjoint supports.
 
-    Points outside every support get exactly zero jets, so the field is
-    identically flat in the dead zones between the pieces; elsewhere it
-    is radial about the centre of the one piece whose support holds it.
+    Points outside every support get exactly zero values and derivatives,
+    so the field is identically flat in the dead zones between the
+    pieces; elsewhere it is radial about the centre of the one piece
+    whose support holds it.  Its jets, like radial ones, carry no value.
     """
 
     def __init__(self, pieces: list[_Piece], n: int):
@@ -148,12 +149,12 @@ class PiecewiseRadialField(ScalarField):
         check_order(order)
         pts, parts = self._split(points)
         m, n = len(pts), self.n
-        jet = Jet3(np.zeros(m), np.zeros((m, n)), np.zeros((m, n, n)),
+        jet = Jet3(None, np.zeros((m, n)), np.zeros((m, n, n)),
                    np.zeros((m, n, n, n)) if order == 3 else None)
         for fld, sel in parts:
             part = radial_jet(fld.profile, pts[sel], center=fld.center,
                               order=order)
-            for name in ("value", "grad", "hess", "third")[:order + 1]:
+            for name in ("grad", "hess", "third")[:order]:
                 getattr(jet, name)[sel] = getattr(part, name)
         return jet
 

@@ -20,6 +20,9 @@ class RotatedField(ScalarField):
         self.Q = Q
         self.n = base.n
 
+    def value(self, points):
+        return self.base.value(np.asarray(points, float) @ self.Q.T)
+
     def jet3_many(self, points, order=3):
         j = self.base.jet3_many(np.asarray(points, float) @ self.Q.T,
                                 order=order)
@@ -38,11 +41,16 @@ class CountingField(ScalarField):
     curvature route and its radial bulk shells.  ``scalar_curvature``
     asks for the radial derivatives first, so ``points`` counts the
     points of every curvature request, on an expression base too;
-    ``jet_points`` counts the points of every jet."""
+    ``jet_points`` counts the points of every jet and ``value_points``
+    those of every value request."""
 
     def __init__(self, base: ScalarField):
         self.base, self.n, self.calls, self.points = base, base.n, 0, 0
-        self.jet_points = 0
+        self.jet_points = self.value_points = 0
+
+    def value(self, points):
+        self.value_points += len(points)
+        return self.base.value(points)
 
     def jet3_many(self, points, order=3):
         self.calls += 1

@@ -134,16 +134,22 @@ class TestRunCommand:
                                     "integral overflows at radius r = 1e+300")
 
     def test_unallocatable_profile_is_numerical_failure(self, capsys):
-        """Radii near 1e100 ask the profile antiderivative for more
-        panels than numpy can allocate: the run reports the ValueError
-        in-band, under its type name, and exits 4."""
+        """Radii near 1e100 overflow the profile's slopes on the flux
+        route (jets evaluate no antiderivative): the run reports the
+        warning, an error under the test settings, in-band under its type
+        name and exits 4.  The value there asks the antiderivative for
+        more panels than numpy can allocate, which raises ValueError."""
         code = main(["run", "radial_custom", "--radii", "1e100,2e100,4e100"])
         out, err = capsys.readouterr()
         assert code == 4
         [error] = json.loads(out)["body"]["errors"]
         assert error["kind"] == "numerical"
-        assert error["message"].startswith("ValueError: ")
+        assert error["message"] == ("RuntimeWarning: overflow encountered "
+                                    "in power")
         assert "Traceback" not in err
+        field = make_scenario("radial_custom").field
+        with pytest.raises(ValueError):
+            field.value(np.array([[1e100, 0.0, 0.0]]))
 
     @pytest.mark.parametrize(("name", "key", "edge", "past"), [
         ("radial_custom", "m", "50", "100"),

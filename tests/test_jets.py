@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from graphmass.jets import (_JET_OPS, ExprField, RadialField, RadialProfile,
                             fd_jet, flatness_report, horizon_profile,
                             profile_from_gradsq, radial_jet,
                             schwarzschild_profile)
-from graphmass.scenarios import make_scenario, scenario_names
+from graphmass.scenarios import (PiecewiseRadialField, _Piece,
+                                 make_scenario, scenario_names)
 
 
 def sup(a):
@@ -194,6 +196,7 @@ class TestHorizonOracle:
         scn = make_scenario("schwarzschild3", m=1.0)
         pts = scn.sample_points(200, 13)
         got, want = self.FIELD.jet3_many(pts), scn.field.jet3_many(pts)
+        want.value = scn.field.value(pts)  # a radial jet carries none
         for name in ("value", "grad", "hess", "third"):
             a, b = getattr(got, name), getattr(want, name)
             axes = tuple(range(1, b.ndim))  # per point
@@ -345,7 +348,7 @@ class TestRadialJet:
         expr = ExprField("sqrt(1 + x1^2 + x2^2 + x3^2)", 3)
         pts = np.random.default_rng(9).uniform(0.3, 2.0, (40, 3))
         ja, jb = radial.jet3_many(pts), expr.jet3_many(pts)
-        for a, b in ((ja.value, jb.value), (ja.grad, jb.grad),
+        for a, b in ((radial.value(pts), jb.value), (ja.grad, jb.grad),
                      (ja.hess, jb.hess), (ja.third, jb.third)):
             assert sup(a - b) <= 1e-12 * (1.0 + sup(b))
 
@@ -365,6 +368,27 @@ class TestRadialJet:
         prof = schwarzschild_profile(1.0, 3)
         with pytest.raises(DomainError):
             radial_jet(prof, np.array([1.5, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_no_antiderivative(self, order):
+        """Radial and piecewise radial jets carry no value, so neither
+        evaluates the profile's antiderivative (a numerical one at
+        n = 5); the field's value evaluates it once per distinct radius."""
+        prof = schwarzschild_profile(1.0, 5)
+        radii = []
+        counted = replace(prof, f=lambda r: radii.append(np.size(r))
+                          or prof.f(r))
+        field = RadialField(counted, 5, center=np.full(5, 0.5))
+        piecewise = PiecewiseRadialField(
+            [_Piece(field, r_lo=prof.r_min, r_hi=math.inf)], 5)
+        pts = np.random.default_rng(2).uniform(2.0, 4.0, (30, 5))
+        for fld in (field, piecewise):
+            jet = fld.jet3_many(pts, order=order)
+            assert jet.value is None and jet[0].value is None
+            assert jet.order == order
+        assert radii == []
+        field.value(pts)
+        assert radii == [len(pts)]
 
     def test_off_center(self):
         prof = schwarzschild_profile(1.0, 3)

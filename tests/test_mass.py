@@ -9,9 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from field_helpers import CountingField
+from field_helpers import CountingField, RotatedField
 from graphmass import quad
-from graphmass.convexgeom import HorizonSet, Sphere
+from graphmass.convexgeom import Ellipsoid, HorizonSet, Sphere
 from graphmass.errors import ConfigError, DomainError, NonConvexError
 from graphmass.jets import RadialField, RadialProfile, schwarzschild_profile
 from graphmass.mass import (HORIZON_OFFSETS, Scenario, ScenarioEvaluation,
@@ -19,7 +19,7 @@ from graphmass.mass import (HORIZON_OFFSETS, Scenario, ScenarioEvaluation,
                             horizon_flux_convergence, horizon_hypotheses,
                             identity_tolerance, mass_normalization,
                             shell_sampler, spherical_mass)
-from graphmass.quad import ExteriorRegion, QuadConfig
+from graphmass.quad import HORIZON_OFFSET, ExteriorRegion, QuadConfig
 from graphmass.scenarios import make_scenario
 
 
@@ -433,6 +433,61 @@ class TestHorizonHypotheses:
         assert rep.level_ok
         assert not rep.grad_ok
         assert rep.grad_min < 1.0 < rep.grad_floor
+
+
+HYPOTHESIS_CASES = [("schwarzschild3", {}), ("schwarzschild_perturbed", {}),
+                    ("two_body_glued", {}),
+                    ("two_body_glued", {"m1": 0.001, "m2": 0.001})]
+
+
+@pytest.fixture(scope="module", params=HYPOTHESIS_CASES,
+                ids=["schwarzschild3", "schwarzschild_perturbed",
+                     "two_body_glued", "two_body_glued-small"])
+def horizon_scn(request):
+    name, params = request.param
+    return make_scenario(name, **params)
+
+
+class TestHorizonHypothesisRoutes:
+    """Where a round horizon's field is radial about its centre, the
+    level check reads f at one node and the gradient check reads |h_r|
+    at every node; a field that hides its radial structure (here a
+    rotation by the identity) takes the node route through jets."""
+
+    def test_radial_route_agrees_with_node_route(self, horizon_scn):
+        counting = CountingField(horizon_scn.field)
+        radial = horizon_hypotheses(
+            dataclasses.replace(horizon_scn, field=counting))
+        assert counting.value_points == len(horizon_scn.horizons)
+        assert counting.jet_points == 0
+        node = horizon_hypotheses(dataclasses.replace(
+            horizon_scn, field=RotatedField(horizon_scn.field,
+                                            np.eye(horizon_scn.n))))
+        assert len(radial) == len(node) == len(horizon_scn.horizons)
+        for a, b in zip(radial, node):
+            assert (a.level_ok, a.grad_ok) == (b.level_ok, b.grad_ok)
+            assert a.grad_min == pytest.approx(b.grad_min, rel=1e-9)
+
+    def test_grad_min_is_the_jet_minimum(self, horizon_scn):
+        """|h_r| at every node of the flux rule has the minimum of the
+        order-2 jet's |grad f| there, to within 4 ulp."""
+        rule = horizon_scn.quad.flux_rule(horizon_scn.n)
+        reps = horizon_hypotheses(horizon_scn)
+        for rep, body in zip(reps, horizon_scn.horizons, strict=True):
+            pts, _ = body.surface_sample(rule)
+            near = body.center + (pts - body.center) * (1.0 + HORIZON_OFFSET)
+            jet = horizon_scn.field.jet3_many(near, order=2)
+            want = np.linalg.norm(jet.grad, axis=1).min()
+            assert abs(rep.grad_min - want) <= 4 * np.spacing(want)
+
+    def test_non_round_horizon_takes_every_node(self, scn3):
+        """A field radial about an ellipsoid's centre varies on it."""
+        counting = CountingField(scn3.field)
+        body = Ellipsoid(np.zeros(3), np.array([2.5, 3.0, 3.5]))
+        [rep] = horizon_hypotheses(dataclasses.replace(
+            scn3, field=counting, horizons=HorizonSet((body,))))
+        assert counting.value_points == len(scn3.quad.flux_rule(3).nodes)
+        assert not rep.level_ok
 
 
 class TestHorizonFluxConvergence:

@@ -212,7 +212,8 @@ class TestSobol:
 
 
 class TestNumpyOnlyRuntime:
-    """A run needs numpy alone: scipy is a test oracle."""
+    """A run needs numpy alone: scipy is a test oracle, and the thread
+    pool is imported only by a run with more than one worker."""
 
     def run_fresh(self, code: str, tmp_path) -> subprocess.CompletedProcess:
         env = {k: v for k, v in os.environ.items()
@@ -229,6 +230,13 @@ class TestNumpyOnlyRuntime:
             " if k.split('.')[0] == 'scipy'))", tmp_path)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
+
+    def test_cli_import_leaves_out_thread_pool(self, tmp_path):
+        out = self.run_fresh(
+            "import sys, graphmass.cli\n"
+            "print('concurrent.futures' in sys.modules)", tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
     def test_run_with_scipy_refused(self, tmp_path):
         """`graphmass run flat` and the n >= 5 mass criterion, which
