@@ -34,6 +34,11 @@ from .jets import ScalarField
 from .quad import SphereRule, sphere_rule, unit_sphere_area
 
 _CONVEXITY_TOL = 1e-10
+# The Gauss map of a closed convex surface covers the sphere once, so
+# V_{n-1} = |S^{n-1}|.  A level set's probe pass misses it by at most
+# 2.7e-4 relative on the bounded test sets (a quartic at n = 4), and by
+# 0.5 on the unbounded exp(x1) + x2^2 + x3^2 < 3.
+_GAUSS_MAP_TOL = 0.05
 _EPS = np.finfo(float).eps
 
 
@@ -178,7 +183,9 @@ class SmoothLevelSet(ConvexBody):
     until its ends are adjacent floats, inside and outside.  A surface
     pass takes weights and curvatures from one order-2 jet of phi; the
     construction's convexity check makes that pass on its probe rule,
-    the default ``sphere_rule``, and keeps it for that rule object.
+    the default ``sphere_rule``, and keeps it for that rule object.  The
+    same pass rejects an unbounded set, whose V_{n-1} misses the unit
+    sphere's area.
     """
 
     def __init__(self, phi: ScalarField, level: float, center=None,
@@ -198,6 +205,12 @@ class SmoothLevelSet(ConvexBody):
         self._probe = (probe, radii, None)
         # a probe pass; it raises NonConvexError if not convex
         self._probe = (probe, radii, self._terms(probe))
+        _, w, e = self._probe[2]
+        cover = float(w @ e[:, -1]) / unit_sphere_area(self.n)
+        if abs(cover - 1.0) > _GAUSS_MAP_TOL:
+            raise BodyError(
+                f"level set is unbounded: its Gauss map covers {cover:.3g} "
+                "of the unit sphere, not all of it once")
 
     def _excess(self, t: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         """phi - level at distances t along the rays dirs."""

@@ -36,7 +36,10 @@ class QuadratureError(GraphMassError):
 
 
 class IntegrabilityError(QuadratureError):
-    """Tail fit indicates the integrand decays too slowly to integrate."""
+    """Tail fit indicates the integrand decays too slowly to integrate:
+    the decay at infinity that the mass identity assumes fails."""
+
+    kind = "hypothesis"
 
 
 class BodyError(GraphMassError):

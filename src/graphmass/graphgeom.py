@@ -19,8 +19,10 @@ which is the identity behind the boundary-flux mass formulas.  Only
 through the third derivatives, an independent route to R.  On a field
 radial about a centre at each point, :func:`scalar_curvature` builds no
 jet: R = (n-1)/(r W) (2 h_r h_rr / W + (n-2) h_r^2 / r), with
-:func:`curvature_from_jet` as its oracle.  All functions accept a batch
-(..., n) of points and return matching shapes.
+:func:`curvature_from_jet` as its oracle.  :func:`curvature_and_scale`
+also returns T, the size of the terms that cancel in R, from the same
+derivatives: a value of R within a few ulp of T is roundoff.  All
+functions accept a batch (..., n) of points and return matching shapes.
 """
 
 from __future__ import annotations
@@ -43,11 +45,19 @@ def _curvature_parts(jet: Jet3):
     return W, tr, frob, Hg, gHg
 
 
-def curvature_from_jet(jet: Jet3) -> np.ndarray:
-    """Scalar curvature of the graph metric from a jet of f."""
+def _jet_curvature(jet: Jet3, scale: bool):
+    """R and, with ``scale``, T (else None) from a jet of f."""
     W, tr, frob, Hg, gHg = _curvature_parts(jet)
     HgHg = np.einsum("...i,...i->...", Hg, Hg)
-    return (tr * tr - frob - 2.0 * (tr * gHg - HgHg) / W) / W
+    R = (tr * tr - frob - 2.0 * (tr * gHg - HgHg) / W) / W
+    if not scale:
+        return R, None
+    return R, (tr * tr + frob + 2.0 * (np.abs(tr * gHg) + HgHg) / W) / W
+
+
+def curvature_from_jet(jet: Jet3) -> np.ndarray:
+    """Scalar curvature of the graph metric from a jet of f."""
+    return _jet_curvature(jet, False)[0]
 
 
 def flux_field_from_jet(jet: Jet3) -> np.ndarray:
@@ -59,14 +69,25 @@ def flux_field_from_jet(jet: Jet3) -> np.ndarray:
 def scalar_curvature(field: ScalarField, points):
     """R from the field's radial derivatives when it has them, else from
     its order-2 jet."""
+    return curvature_and_scale(field, points, scale=False)[0]
+
+
+def curvature_and_scale(field: ScalarField, points, scale: bool = True):
+    """(R, T) as :func:`scalar_curvature` forms R, with T the size of the
+    terms that cancel in it, from the same derivatives; T is None
+    without ``scale``.  From the jet, T = (tr^2 + |H|^2 + 2(|tr gHg| +
+    |Hg|^2)/W)/W; from the radial derivatives, T = (n-1)/(r W)
+    (|2 h_r h_rr / W| + (n-2) h_r^2 / r)."""
     pts = np.asarray(points, float)
     radial = field.radial_derivatives(pts)
     if radial is None:
-        return curvature_from_jet(field.jet3_many(pts, order=2))
+        return _jet_curvature(field.jet3_many(pts, order=2), scale)
     n, (r, hr, hrr) = field.n, radial
     W = 1.0 + hr * hr
-    return (n - 1) / (r * W) * (2.0 * hr * hrr / W
-                                 + (n - 2) * hr * hr / r)
+    factor = (n - 1) / (r * W)
+    bend, spread = 2.0 * hr * hrr / W, (n - 2) * hr * hr / r
+    R = factor * (bend + spread)
+    return R, factor * (np.abs(bend) + spread) if scale else None
 
 
 def divergence_of_V(field: ScalarField, points):

@@ -38,8 +38,9 @@ from .convexgeom import (HorizonSet, Sphere, af_chain_gaps,
                          horizon_mean_curvature_term, penrose_bound,
                          quermassintegrals, superadditivity_gap)
 from .errors import ConfigError, DomainError, NonConvexError
-from .graphgeom import (boundary_integrand, divergence_of_V,
-                        flux_integrands_from_jet, scalar_curvature)
+from .graphgeom import (boundary_integrand, curvature_and_scale,
+                        divergence_of_V, flux_integrands_from_jet,
+                        scalar_curvature)
 from .jets import RadialField, RadialProfile, ScalarField, _profile_at
 from .quad import (HORIZON_OFFSET, ExtrapolationResult, ExteriorRegion,
                    QuadConfig, exterior_volume_integrate, extrapolate_limit,
@@ -255,13 +256,17 @@ def bulk_mass(scenario: Scenario) -> BulkResult:
     radial profiles, for each annulus of the glued field, and for an
     expression that reads no coordinate x_i, such as flat's ``0`` and
     bump's ``a*exp(-r^2)``.  Other regions walk the body rule: R at every
-    node of it and of its ``half``.  The tail fit reads the body rule's
-    nodes either way.
+    node of it and of its ``half``.  The tail fit past r_max takes the
+    walk's route, without the ``half``, and reads R and the size T of
+    its cancelling terms from the same derivatives, at the tail radii
+    only: a radius whose shell value of R is at most ``quad.ROUNDOFF_K``
+    eps times that of T is roundoff, not tail.
 
     Every R value feeds a running min of R and max of |R|.  ``sign_nodes``
-    counts the distinct nodes of every evaluated shell, rule and half,
-    either way: on the point rule each body-rule node carries the
-    radius' value by symmetry.  A ``graded`` region, whose inner edge is a
+    counts the distinct nodes of every evaluated shell, tail included:
+    on the point rule each node of the body rule and of its ``half``
+    carries the radius' value by symmetry, and on the nodes it counts
+    those evaluated.  A ``graded`` region, whose inner edge is a
     horizon, leaves out a 1% guard band there: the boundary layer
     evaluates R as a 0/0 form whose float noise says nothing about the
     sign hypothesis.  ``regions`` holds (value, uncertainty, panels) of
@@ -275,8 +280,11 @@ def bulk_mass(scenario: Scenario) -> BulkResult:
                       if q is not None)
     state = {"min": math.inf, "maxabs": 0.0, "count": 0}
 
-    def fn(region, center, nodes_each, pts):
-        vals = scalar_curvature(fld, pts)
+    def fn(region, center, nodes_each, pts, scale=False):
+        if scale:
+            vals, cancelling = curvature_and_scale(fld, pts)
+        else:
+            vals = scalar_curvature(fld, pts)
         seen = vals
         if region.graded:
             seen = vals[np.linalg.norm(pts - center, axis=1)
@@ -285,17 +293,18 @@ def bulk_mass(scenario: Scenario) -> BulkResult:
             state["min"] = min(state["min"], float(seen.min()))
             state["maxabs"] = max(state["maxabs"], float(np.abs(seen).max()))
             state["count"] += seen.size * nodes_each
-        return vals
+        return np.stack([vals, cancelling]) if scale else vals
 
     parts = []
     for region in scenario.bulk_region:
         center = np.asarray(region.center or (0.0,) * n, float)
         r_outer = cfg.r_max if region.r_outer is None else region.r_outer
-        on_radii = (partial(fn, region, center, shell_nodes)
-                    if fld.radial_about(center, region.r_inner, r_outer)
-                    else None)
+        radial = fld.radial_about(center, region.r_inner, r_outer)
+        each = shell_nodes if radial else 1
         parts.append(exterior_volume_integrate(
-            partial(fn, region, center, 1), region, cfg, rule, on_radii))
+            partial(fn, region, center, 1), region, cfg, rule,
+            partial(fn, region, center, each) if radial else None,
+            partial(fn, region, center, each, scale=True)))
     c = mass_normalization(scenario.n)
     return BulkResult(value=sum(vi.value for vi in parts) / c,
                       uncertainty=sum(vi.uncertainty for vi in parts) / c,

@@ -413,9 +413,14 @@ class RegistryEntry:
 # Each upper end runs every check and passes at the other parameters'
 # defaults, except schwarzschild_perturbed's m: its end is coupled to beta
 # and n (at n = 3 the horizon needs 2 m beta < 1, and even beta = 0.009
-# puts it past r_max = 60; m = 50 runs at n = 4, beta = 0.01).  Past the
-# ends of radial_custom and schwarzschild3 the tail fit or the tolerances
-# give out (radial_custom at m = 100 fits q = 2.68 <= n).  bump still
+# puts it past r_max = 60; m = 50 runs at n = 4, beta = 0.01).  Past
+# radial_custom's m end the tail window [50, 200] is not yet asymptotic:
+# the fit reads q = 2.98 <= n at m = 52 and 2.68 at m = 100, and the run
+# exits 2.  Its n end is the Sobol table: the sampler draws n + 1 <= 33
+# coordinates.  schwarzschild3's tail is R = 0 roundoff, which is no
+# tail, and m from 2e7 to 1e30 passes (the fit to that noise failed at
+# m = 1e8 with q = 2.91); its end stays until a test covers the scale
+# covariance of the checks.  bump still
 # passes past n = 9, but its fixed flux radii 2-3.5 stop resolving the
 # zero mass as the peak of its flux profile, at r = sqrt(n)/2, moves out:
 # |adm| is 9.3e-4 at n = 9 and 1.9e-3 at n = 10, past the 1e-3 of

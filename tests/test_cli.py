@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from graphmass.cli import EntryConfig, RunConfig, execute_run, main
 from graphmass.errors import (BodyError, ConfigError, DomainError,
                               IntegrabilityError, NonConvexError, ParseError,
                               QuadratureError, UnboundParameterError)
+from graphmass.jets import ExprField
 from graphmass.mass import CheckOutcome, ScenarioEvaluation, bulk_mass
 from graphmass.scenarios import make_scenario
 
@@ -450,7 +452,7 @@ class TestFailureKinds:
         (NonConvexError("not convex"), "hypothesis", 2, "not convex"),
         (DomainError("log of 0"), "numerical", 4, "log of 0"),
         (QuadratureError("no rule"), "numerical", 4, "no rule"),
-        (IntegrabilityError("q <= n"), "numerical", 4, "q <= n"),
+        (IntegrabilityError("q <= n"), "hypothesis", 2, "q <= n"),
         (ZeroDivisionError("float division by zero"), "numerical", 4,
          "ZeroDivisionError: float division by zero"),
         (np.linalg.LinAlgError("Singular matrix"), "numerical", 4,
@@ -474,6 +476,24 @@ class TestFailureKinds:
         assert main(["run", "flat", "--checks", "identities"]) == code
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("route", ["radial", "nodes"])
+    def test_slow_decay_is_a_hypothesis_failure(self, monkeypatch, capsys,
+                                                route):
+        """f = (1 + r^2)^{3/8} has R ~ r^{-5/2}, too slow for the mass
+        integral over R^3: on either route the tail fit names the decay
+        exponent, and a run of it exits 2."""
+        scn = replace(make_scenario("bump"),
+                      field=ExprField("(1 + r^2)^0.375", 3))
+        if route == "nodes":
+            monkeypatch.setattr(ExprField, "radial_about",
+                                lambda self, center, r_lo, r_hi: False)
+        message = "tail decay exponent q = 2.57 <= n = 3"
+        with pytest.raises(IntegrabilityError, match=re.escape(message)):
+            bulk_mass(scn)
+        monkeypatch.setattr(cli, "make_scenario", lambda name, **params: scn)
+        assert main(["run", "bump"]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(("exc", "code"), [
         (NonConvexError("not convex"), 2), (QuadratureError("no rule"), 4),

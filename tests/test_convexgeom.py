@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from graphmass import convexgeom
 from graphmass.convexgeom import (Ellipsoid, HorizonSet, SmoothLevelSet,
                                   Sphere, _elementary_all, af_chain_gaps,
                                   af_gap, horizon_mean_curvature_term,
@@ -191,6 +192,23 @@ class TestSmoothLevelSet:
                            match="level set is unbounded along a ray"):
             SmoothLevelSet(ExprField("x1", 3), 1.0)
 
+    def test_unbounded_set_rejected(self):
+        """exp(x1) + x2^2 + x3^2 < 3 runs off along -x1, yet every probe
+        ray leaves it: its Gauss map covers half the sphere (V_2 = 2 pi,
+        not 4 pi)."""
+        with pytest.raises(BodyError,
+                           match=r"unbounded: its Gauss map covers 0\.5 "):
+            SmoothLevelSet(ExprField("exp(x1) + x2^2 + x3^2", 3), 3.0,
+                           center=(0.1, 0.2, -0.1))
+
+    def test_bounded_sets_clear_the_cover_test_by_100x(self):
+        """Each bounded test set's probe V_{n-1} is within a hundredth of
+        the tolerance of the unit sphere's area."""
+        for text, n, level, center in LEVEL_SETS.values():
+            body = SmoothLevelSet(ExprField(text, n), level, center=center)
+            cover = quermassintegrals(body)[-1] / unit_sphere_area(n)
+            assert abs(cover - 1.0) <= convexgeom._GAUSS_MAP_TOL / 100.0
+
     def test_center_must_be_interior(self):
         with pytest.raises(BodyError):
             SmoothLevelSet(ExprField("x1^2 + x2^2 + x3^2", 3), level=1.0,
@@ -240,7 +258,7 @@ LEVEL_SETS = {
     "quartic3": ("x1^4 + x2^4 + x3^4", 3, 1.0, None),
     "quartic4": ("x1^4 + x2^4 + x3^4 + x4^4", 4, 1.0, None),
     "ellipsoid": ("x1^2/2.25 + x2^2/1.69 + x3^2", 3, 1.0, None),
-    "exp": ("exp(x1) + x2^2 + x3^2", 3, 3.0, (0.1, 0.2, -0.1)),
+    "exp": ("exp(x1) + x1^2 + x2^2 + x3^2", 3, 3.0, (0.1, 0.2, -0.1)),
 }
 
 

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from field_helpers import RotatedField
+from graphmass import quad
 from graphmass.convexgeom import SmoothLevelSet
 from graphmass.errors import DomainError
-from graphmass.graphgeom import (boundary_integrand, curvature_from_jet,
-                                 divergence_of_V, flat_mean_curvature,
-                                 flux_field_from_jet, mass_flux_integrand,
-                                 scalar_curvature)
+from graphmass.graphgeom import (boundary_integrand, curvature_and_scale,
+                                 curvature_from_jet, divergence_of_V,
+                                 flat_mean_curvature, flux_field_from_jet,
+                                 mass_flux_integrand, scalar_curvature)
 from graphmass.jets import (ExprField, RadialField, RadialProfile, ScalarField,
                             schwarzschild_profile)
 from graphmass.mass import adm_flux_mass, horizon_hypotheses
@@ -290,6 +291,31 @@ def _shell_points(center, lo, hi, count, seed):
     dirs = rng.standard_normal((count, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return np.asarray(center, float) + rng.uniform(lo, hi, (count, 1)) * dirs
+
+
+class TestCancellingScale:
+    """``curvature_and_scale`` gives R as ``scalar_curvature`` does, and
+    T >= |R|, the size of the terms that cancel in R, on the radial and
+    on the jet route; on a scalar-flat graph R is within the roundoff
+    floor ROUNDOFF_K eps T, at masses from 1e-4 to 1e7."""
+
+    @pytest.mark.parametrize(("name", "params"), [
+        ("schwarzschild3", {}), ("schwarzschild3", {"m": 1e-4}),
+        ("schwarzschild3", {"m": 1e7}), ("schwarzschild_n", {"n": 6}),
+        ("radial_custom", {}), ("schwarzschild_perturbed", {}),
+        ("bump", {})])
+    def test_scale_bounds_R(self, name, params):
+        scn = make_scenario(name, **params)
+        pts = scn.sample_points(500, 1)
+        eps = np.finfo(float).eps
+        # the scenario's field, then the jet route alone
+        for fld in (scn.field, OrderLog(scn.field)):
+            R, T = curvature_and_scale(fld, pts)
+            assert np.array_equal(R, scalar_curvature(fld, pts))
+            assert curvature_and_scale(fld, pts, scale=False)[1] is None
+            assert np.all(np.abs(R) <= T * (1.0 + 4.0 * eps))
+            if scn.expected.get("bulk") == 0.0:
+                assert np.all(np.abs(R) <= quad.ROUNDOFF_K * eps * T)
 
 
 class TestRadialRoute:

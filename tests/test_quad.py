@@ -699,9 +699,11 @@ def depth_first_refine(shell, lo, hi, whole, budget, floor, depth):
     return lv + rv, le + re, lp + rp
 
 
-def depth_first_volume(fn, region, cfg, rule, radial=None):
+def depth_first_volume(fn, region, cfg, rule, radial=None, tail=None):
     """(value, uncertainty, panels, tail bound, q_fit) of
-    ``exterior_volume_integrate`` walked one panel per call, depth first."""
+    ``exterior_volume_integrate`` walked one panel per call, depth first;
+    ``tail`` returns the integrand and its roundoff scale, by default
+    the walked integrand and its modulus."""
     r_outer = cfg.r_max if region.r_outer is None else region.r_outer
     center = np.asarray(region.center or (0.0,) * rule.n, float)
     on_nodes = quad._ShellIntegrand(fn, rule, center)
@@ -735,13 +737,21 @@ def depth_first_volume(fn, region, cfg, rule, radial=None):
             total += v
             disc_sum += e
             panels += p
-    tail, q = 0.0, None
+    bound, q = 0.0, None
     if region.r_outer is None:
-        tail, q = quad._tail_fit(on_nodes, cfg.r_max * quad.TAIL_FIT_FROM,
-                                 cfg.r_max, rule.n)
+        if tail is None:
+            def tail(pts, walked=radial or fn):
+                vals = walked(pts)
+                return np.stack([vals, np.abs(vals)])
+
+        tail_rule = (replace(rule, half=None) if radial is None
+                     else point_rule(rule.n))
+        bound, q = quad._tail_fit(
+            quad._ShellIntegrand(tail, tail_rule, center),
+            cfg.r_max * quad.TAIL_FIT_FROM, cfg.r_max, rule.n)
     angular = abs(total[0] - total[-1])
-    unc = max(disc_sum, 0.5 * cfg.radial_tol) + tail + angular
-    return float(total[0]), float(unc), panels, tail, q
+    unc = max(disc_sum, 0.5 * cfg.radial_tol) + bound + angular
+    return float(total[0]), float(unc), panels, bound, q
 
 
 def bulk_walks(scn, monkeypatch) -> list:
@@ -750,7 +760,7 @@ def bulk_walks(scn, monkeypatch) -> list:
     walks = []
     level_walk = mass.exterior_volume_integrate
 
-    def both(fn, region, cfg, rule, radial=None):
+    def both(fn, region, cfg, rule, radial=None, tail=None):
         calls = []
 
         def counted(f):
@@ -759,8 +769,10 @@ def bulk_walks(scn, monkeypatch) -> list:
                 return f(pts)
             return None if f is None else g
 
-        got = level_walk(counted(fn), region, cfg, rule, counted(radial))
-        walks.append((got, depth_first_volume(fn, region, cfg, rule, radial),
+        got = level_walk(counted(fn), region, cfg, rule, counted(radial),
+                         counted(tail))
+        walks.append((got, depth_first_volume(fn, region, cfg, rule, radial,
+                                              tail),
                        calls))
         return got
 
@@ -793,6 +805,17 @@ class TestLevelWalk:
         assert (got.value, got.uncertainty, got.panels, got.tail_bound,
                 got.q_fit) == want
         assert got.panels > 1
+        # the tail fit reads the rule alone, not its half, to the same bits
+        rule = scn.quad.body_rule(3)
+        assert calls[-1] == quad.TAIL_POINTS * len(rule.weights)
+        radii = np.geomspace(3.0, 12.0, quad.TAIL_POINTS)
+
+        def curvature(pts):
+            return scalar_curvature(scn.field, pts)
+
+        alone = sphere_integrals(curvature, radii, replace(rule, half=None))
+        assert np.array_equal(alone[0],
+                              sphere_integrals(curvature, radii, rule)[0])
 
     @pytest.mark.parametrize("route", ["nodes", "radial"])
     def test_refined_walk_matches_depth_first(self, route):
