@@ -135,21 +135,15 @@ def _settings(given: dict, keys=tuple(SETTINGS)) -> dict:
 def _collect_overrides(extras: list[str]) -> dict:
     """Turn trailing '--key value' pairs into scenario parameters."""
     params: dict = {}
-    i = 0
-    while i < len(extras):
-        token = extras[i]
+    tokens = iter(extras)
+    for token in tokens:
         if not token.startswith("--") or len(token) <= 2:
             raise ConfigError(f"unexpected argument '{token}'")
-        body = token[2:]
-        if "=" in body:
-            key, value = body.split("=", 1)
-            i += 1
-        else:
-            key = body
-            if i + 1 >= len(extras):
+        key, eq, value = token[2:].partition("=")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
                 raise ConfigError(f"missing value for '--{key}'")
-            value = extras[i + 1]
-            i += 2
         params[key] = _parse_scalar(value)
     return params
 

@@ -375,22 +375,28 @@ class HorizonSet:
         return iter(self.bodies)
 
 
-def penrose_bound(areas, n: int) -> float:
-    """Sum over components of (1/2)(|Sigma_i|/omega_{n-1})^{(n-2)/(n-1)}."""
-    omega = unit_sphere_area(n)
+def penrose_bound(areas, n: int):
+    """Sum over components of (1/2)(|Sigma_i|/omega_{n-1})^{(n-2)/(n-1)}:
+    shape (...) for areas of shape (..., k), a float for one vector.  The
+    powers are scalar ones and the sums run left to right, so each row
+    equals its own call bit for bit, as a vectorised power need not."""
+    a = np.asarray(areas, float)
     expo = (n - 2) / (n - 1)
-    total = 0.0
-    for area in areas:
-        total += 0.5 * (area / omega) ** expo
-    return total
+    terms = np.reshape([0.5 * x ** expo for x in
+                        (a / unit_sphere_area(n)).ravel().tolist()], a.shape)
+    total = sum((terms[..., j] for j in range(a.shape[-1])),
+                np.zeros(a.shape[:-1]))
+    return float(total) if total.ndim == 0 else total
 
 
-def superadditivity_gap(areas, n: int) -> float:
-    """Componentwise bound minus merged-area bound; >= 0, zero iff one part."""
-    areas = [float(a) for a in areas]
-    if not areas or any(a <= 0 for a in areas):
+def superadditivity_gap(areas, n: int):
+    """Componentwise bound minus merged-area bound; >= 0, zero iff one
+    part.  Broadcasts over leading axes as ``penrose_bound`` does."""
+    a = np.asarray(areas, float)
+    if a.ndim == 0 or a.shape[-1] == 0 or np.any(a <= 0):
         raise ValueError("areas must be positive")
-    return penrose_bound(areas, n) - penrose_bound([sum(areas)], n)
+    merged = np.cumsum(a, axis=-1)[..., -1:]
+    return penrose_bound(a, n) - penrose_bound(merged, n)
 
 
 def horizon_mean_curvature_term(quermass) -> float:

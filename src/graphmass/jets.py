@@ -37,7 +37,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DomainError, UnboundParameterError
-from .quad import sobol, sphere_directions
+from .quad import _GL24_NODES, _GL24_WEIGHTS, sobol, sphere_directions
 
 _EPS = np.finfo(float).eps
 
@@ -256,16 +256,15 @@ class RadialProfile:
     label: str = "profile"
 
 
-def _graded_gauss_value(fr: Callable, r_min: float,
-                        order: int = 24) -> Callable:
+def _graded_gauss_value(fr: Callable, r_min: float) -> Callable:
     """Antiderivative of fr from the substitution-regularized lower end.
 
     With an inverse-square-root singularity of fr at r_min, substituting
     s = r_min + t^2 makes the integrand smooth, so plain Gauss panels on t
     converge fast: max(4, ceil(T)) of them on [0, T], T = sqrt(r - r_min).
-    Radii with the same panel count are integrated in one batch.
+    Radii with the same panel count are integrated in one batch, on
+    24-point Gauss-Legendre panels.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
 
     def value(r):
         r = np.asarray(r, float)
@@ -277,8 +276,8 @@ def _graded_gauss_value(fr: Callable, r_min: float,
             sel = panels == count
             edges = np.linspace(0.0, T[sel], int(count) + 1, axis=-1)
             lo, hi = edges[:, :-1, None], edges[:, 1:, None]
-            t = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-            w = 0.5 * (hi - lo) * weights
+            t = 0.5 * (hi - lo) * _GL24_NODES + 0.5 * (hi + lo)
+            w = 0.5 * (hi - lo) * _GL24_WEIGHTS
             terms = w * 2.0 * t * fr(r_min + t * t)
             flat[sel] = np.sum(terms.reshape(len(t), -1), axis=-1)
         return flat.reshape(r.shape) if r.shape else float(flat[0])

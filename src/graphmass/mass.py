@@ -198,17 +198,11 @@ def flux_series(scenario: Scenario, radii=None) -> FluxSeries:
 
 def adm_flux_mass(scenario: Scenario, r: float,
                   weighted: bool = False) -> tuple[float, float]:
-    """Flux mass at one radius: the sphere integral of
-    (f_ii f_j - f_ij f_i) nu_j over S_r divided by 2(n-1) omega_{n-1}.
-
-    ``weighted`` selects the variant with the extra 1/(1+|grad f|^2)
-    factor; both converge to the ADM mass.  Returns (mass, advisory
-    quadrature error).
-    """
-    series = flux_series(scenario, (r,))
-    if weighted:
-        return series.weighted[0], series.weighted_err[0]
-    return series.plain[0], series.plain_err[0]
+    """(flux mass, advisory quadrature error) at one radius from
+    ``flux_series``; ``weighted`` picks the 1/(1+|grad f|^2) variant."""
+    s = flux_series(scenario, (r,))
+    return ((s.weighted[0], s.weighted_err[0]) if weighted
+            else (s.plain[0], s.plain_err[0]))
 
 
 def adm_mass(scenario: Scenario) -> MassEstimate:
@@ -619,11 +613,11 @@ class ScenarioEvaluation:
                 notes.append("integrand variants extrapolate apart")
 
             if scn.profile is not None:
-                rel = 0.0
                 series = self.adm.series
-                for r, flux in zip(series.radii, series.plain):
-                    closed = spherical_mass(scn.profile, r, scn.n)
-                    rel = max(rel, abs(flux - closed) / (1.0 + abs(closed)))
+                closed = spherical_mass(scn.profile, np.array(series.radii),
+                                        scn.n)
+                rel = float(np.max(np.abs(np.subtract(series.plain, closed))
+                                   / (1.0 + np.abs(closed))))
                 values["radial_agreement"] = rel
                 if rel > 1e-10:
                     ok = False

@@ -13,27 +13,21 @@ Sphere rules by dimension:
   ``qmc.Sobol(d, scramble=True, seed=seed)`` does; ``ndtri`` is
   Wichura's AS241 inverse normal CDF.  The package imports numpy only.
 
-Volume integrals over exteriors use shells about the region's centre,
-adaptive Gauss panels in the radius, an optional geometrically graded
-start near an excised boundary, and a power-law tail fit past r_max
-unless the region has an outer radius.  Shells are also integrated on
-the rule's ``half``, so the uncertainty covers the angular error.
-The adaptive split evaluates each panel once: a refined half becomes
-its child's whole.  It refines one level at a time, the halves of every
-open panel in one batch, but no batch passes more points than one panel
-on the rule and its ``half``.  Every sphere integral, shells included,
-is one ``sphere_integrals`` call per batch of radii; ``sphere_rule`` builds
-each rule once and shares it read-only.  An integrand invariant under
-rotations about the sphere's centre is integrated exactly by
-``point_rule``: one node, e_1, of weight |S^{n-1}|, and no ``half``, so
-there is no angular error.  A shell walk's tail fit takes the walk's
-route, on the rule alone or on ``point_rule``, and drops every radius
-whose shell value is within a roundoff floor of 0.
+Volume integrals over exteriors (``exterior_volume_integrate``) use
+shells about the region's centre, adaptive Gauss panels in the radius,
+an optional geometrically graded start near an excised boundary, and a
+power-law tail fit past r_max unless the region has an outer radius.
+Every sphere integral, shells included, is one ``sphere_integrals`` call
+per batch of radii; ``sphere_rule`` builds each rule once and shares it
+read-only, and ``point_rule`` integrates a rotation-invariant integrand
+exactly on one node.  ``extrapolate_limit`` fits the limit r -> infinity
+of a flux series in closed form on floats.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -425,6 +419,8 @@ class VolumeIntegral:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# the panels of jets' graded profile antiderivative
+_GL24_NODES, _GL24_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 class _ShellIntegrand:
@@ -698,15 +694,15 @@ def _brent(f: Callable[[float], float], a: float, b: float,
     return b
 
 
-def _solve_triple(r: np.ndarray, v: np.ndarray):
-    """Exact fit of v = L + c r^{-s} through three samples."""
+def _solve_triple(r, v):
+    """Exact fit of v = L + c r^{-s} through three samples, on floats."""
     d1, d2 = v[0] - v[1], v[1] - v[2]
     if d1 == 0.0 or d2 == 0.0 or d1 * d2 < 0.0:
         return None
 
     def mismatch(s):
-        p = r ** (-s)
-        return (v[0] - v[1]) * (p[1] - p[2]) - (v[1] - v[2]) * (p[0] - p[1])
+        p0, p1, p2 = (x ** -s for x in r)
+        return d1 * (p1 - p2) - d2 * (p0 - p1)
 
     # r^{-s} must stay a normal float at the largest radius, or the
     # mismatch underflows to 0 and the bracket end passes for a root
@@ -715,27 +711,51 @@ def _solve_triple(r: np.ndarray, v: np.ndarray):
     if f_lo * f_hi > 0:
         return None
     s = _brent(mismatch, lo, hi, f_lo, f_hi)
-    p = r ** (-s)
-    c = (v[0] - v[2]) / (p[0] - p[2])
-    L = v[2] - c * p[2]
-    return L, c, s
+    c = (v[0] - v[2]) / (r[0] ** -s - r[2] ** -s)
+    return v[2] - c * r[2] ** -s, c, s
 
 
-def _projection(r: np.ndarray, v: np.ndarray, s: float, terms: int):
+def _dot(x, y) -> float:
+    return sum(map(operator.mul, x, y))
+
+
+def _projection(r, v, s: float, terms: int):
     """The least-squares fit of v = L + c_1 r^{-s} (+ c_2 r^{-(s+1)} with
     two terms) at the fixed rate s, which is linear in the coefficients:
-    (coefficients, residuals, d(residual sum of squares)/ds)."""
-    p = r ** (-s)
-    basis = np.stack([np.ones_like(r), p, p / r][:terms + 1], axis=1)
-    coef = np.linalg.lstsq(basis, v, rcond=None)[0]
-    res = v - basis @ coef
+    (coefficients, residuals, d(residual sum of squares)/ds).  Closed form
+    on floats: p = r^{-s} and q = r^{-(s+1)} centred on the constant
+    column, q made orthogonal to p by a Gram-Schmidt step taken twice.  As
+    in a solver's rank cutoff, a column below eps m times the basis' size,
+    for m samples, gets coefficient 0."""
+    m = len(v)
+    p = [x ** -s for x in r]
+    q = [a / x for a, x in zip(p, r)]
+    floor = (_EPS * m) ** 2 * (m + _dot(p, p) + (terms - 1) * _dot(q, q))
+    vbar, pbar, qbar = sum(v) / m, sum(p) / m, sum(q) / m
+    res = [y - vbar for y in v]
+    pc = [x - pbar for x in p]
+    spp = _dot(pc, pc)
+    c1 = _dot(pc, res) / spp if spp > floor else 0.0
+    res = [a - c1 * b for a, b in zip(res, pc)]
+    c2 = 0.0
+    if terms == 2:
+        u, g = [x - qbar for x in q], 0.0
+        for _ in range(2 if spp > floor else 0):
+            h = _dot(pc, u) / spp
+            u, g = [a - h * b for a, b in zip(u, pc)], g + h
+        uu = _dot(u, u)
+        c2 = _dot(u, res) / uu if uu > floor else 0.0
+        res = [a - c2 * b for a, b in zip(res, u)]
+        # c1 pc + c2 u = (c1 - c2 g) pc + c2 (q - qbar)
+        c1 -= c2 * g
+    coef = (vbar - c1 * pbar - c2 * qbar, c1, c2)[:terms + 1]
     # the optimal coefficients' own change with s drops out of the slope
-    slope = 2.0 * (res * np.log(r)) @ (basis[:, 1:] @ coef[1:])
+    slope = 2.0 * sum(e * math.log(x) * (c1 * a + c2 * b)
+                      for e, x, a, b in zip(res, r, p, q))
     return coef, res, slope
 
 
-def _fit_rate(r: np.ndarray, v: np.ndarray, terms: int,
-              start: float) -> float:
+def _fit_rate(r, v, terms: int, start: float) -> float:
     """The rate of the least-squares minimum nearest ``start`` downhill,
     within [start/2, 2 start] (variable projection, Golub and Pereyra
     1973): steps of doubling length from ``start`` until the slope of
@@ -772,18 +792,16 @@ def extrapolate_limit(samples: Sequence[tuple[float, float]]
     pts = sorted((float(r), float(v)) for r, v in samples)
     if len(pts) == 0:
         raise ValueError("no samples")
-    r = np.array([p[0] for p in pts])
-    v = np.array([p[1] for p in pts])
-    if len(pts) == 1:
+    r, v = [p[0] for p in pts], [p[1] for p in pts]
+    if len(pts) == 1 or all(x == v[0] for x in v):
         return ExtrapolationResult(v[0], 0.0)
-    if np.all(v == v[0]):
-        return ExtrapolationResult(float(v[0]), 0.0)
     if len(pts) == 2:
-        return ExtrapolationResult(float(v[-1]), float(abs(v[1] - v[0])))
+        return ExtrapolationResult(v[-1], abs(v[1] - v[0]))
 
-    diffs = np.diff(v)
-    shrinking = np.all(np.abs(diffs[1:]) <= np.abs(diffs[:-1]) * (1 + 1e-9))
-    same_sign = np.all(diffs > 0) or np.all(diffs < 0)
+    diffs = [b - a for a, b in zip(v, v[1:])]
+    shrinking = all(abs(b) <= abs(a) * (1 + 1e-9)
+                    for a, b in zip(diffs, diffs[1:]))
+    same_sign = all(d > 0 for d in diffs) or all(d < 0 for d in diffs)
     fits = []
     if same_sign and shrinking:
         for i in range(len(pts) - 2):
@@ -792,8 +810,8 @@ def extrapolate_limit(samples: Sequence[tuple[float, float]]
                 fits.append(fit)
     if not fits:
         # a non-monotone diff pattern, or no triple with a fit
-        spread = float(np.max(np.abs(v - v[-1])))
-        return ExtrapolationResult(float(v[-1]), max(spread, 1e-15),
+        spread = float(np.max(np.abs(np.subtract(v, v[-1]))))
+        return ExtrapolationResult(v[-1], max(spread, 1e-15),
                                    rate=None, monotone=False)
 
     L0, _, s0 = fits[-1]
@@ -803,7 +821,7 @@ def extrapolate_limit(samples: Sequence[tuple[float, float]]
         s0 = _fit_rate(r, v, 1, s0)
         coef, res, _ = _projection(r, v, s0, 1)
         L0 = coef[0]
-        resid_rms = float(np.sqrt(np.mean(res ** 2)))
+        resid_rms = math.sqrt(_dot(res, res) / len(res))
 
         # Single-term fits of a multi-term decay are biased the same way
         # in every window, so the inter-fit spread misses the systematic
@@ -816,5 +834,4 @@ def extrapolate_limit(samples: Sequence[tuple[float, float]]
 
     spread = max((abs(f[0] - L0) for f in fits), default=0.0)
     unc = max(spread, resid_rms, 2.0 * trunc, 1e-15 * (1.0 + abs(L0)))
-    return ExtrapolationResult(float(L0), float(unc), rate=float(s0),
-                               monotone=True)
+    return ExtrapolationResult(L0, unc, rate=s0, monotone=True)

@@ -28,12 +28,8 @@ def format_float(x: float) -> str:
 def _encode(value, out: list[str]) -> None:
     if value is None:
         out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, np.bool_):
-        out.append("true" if bool(value) else "false")
+    elif isinstance(value, (bool, np.bool_)):
+        out.append("true" if value else "false")
     elif isinstance(value, str):
         out.append(json.dumps(value))
     elif isinstance(value, (int, np.integer)):

@@ -352,18 +352,14 @@ def _two_body_glued(m1: float, m2: float) -> Scenario:
     quad = QuadConfig(radii=(400.0, 800.0, 1600.0, 3200.0), r_max=400.0,
                       radial_tol=1e-4)
 
-    def sampler(count, seed):
-        k1 = count * 2 // 5
-        k2 = count * 2 // 5
-        k0 = count - k1 - k2
-        near1 = shell_sampler(n, 2.5 * m1, near_cut + near_width)
-        near2 = shell_sampler(n, 2.5 * m2, near_cut + near_width)
+    def sampler(count, seed):  # 2/5 of the points near each body
+        k = count * 2 // 5
+        near = [shell_sampler(n, 2.5 * m, near_cut + near_width)
+                for m in (m1, m2)]
         far = shell_sampler(n, far_cut * 0.4, 390.0)
-        pts = np.concatenate([
-            centers[0] + near1(k1, seed),
-            centers[1] + near2(k2, seed + 1),
-            far(k0, seed + 2)], axis=0)
-        return pts
+        return np.concatenate([centers[0] + near[0](k, seed),
+                               centers[1] + near[1](k, seed + 1),
+                               far(count - 2 * k, seed + 2)])
 
     return Scenario(
         name="two_body_glued", n=n, field=field,

@@ -395,6 +395,20 @@ class TestPenroseBound:
             penrose_bound(areas(a), 3) + penrose_bound(areas(b), 3),
             rel=1e-13)
 
+    def test_one_vector_is_a_left_to_right_float_sum(self):
+        """A 1-D call returns the Python float of scalar powers summed
+        left to right, bit for bit; leading axes broadcast."""
+        areas = [3.7, 12.1, 0.4, 50.0, 7.3, 0.01, 22.2, 9.9, 1.5]
+        for n in (3, 4, 5, 9):
+            omega, expo, want = unit_sphere_area(n), (n - 2) / (n - 1), 0.0
+            for area in areas:
+                want += 0.5 * (area / omega) ** expo
+            got = penrose_bound(np.array(areas), n)
+            assert type(got) is float and got == want
+            assert penrose_bound(areas, n) == want
+        assert penrose_bound(np.ones((2, 3, 4)), 3).shape == (2, 3)
+        assert penrose_bound(np.ones((2, 0)), 3).tolist() == [0.0, 0.0]
+
     def test_mean_curvature_term_sphere(self):
         """V_1/(2 omega) = a^{n-2}/2; at a = 2m this is exactly m."""
         for n, m in ((3, 1.0), (4, 0.7), (5, 1.3)):
@@ -422,3 +436,20 @@ class TestSuperadditivity:
             superadditivity_gap([1.0, -2.0], 3)
         with pytest.raises(ValueError):
             superadditivity_gap([], 3)
+        with pytest.raises(ValueError):
+            superadditivity_gap(np.ones((3, 0)), 3)
+
+    def test_batch_equals_rows(self):
+        """A (cases, k) array gives each row's own gap, within 4 ulp, and
+        exactly 0 on singletons; a row's call returns a Python float."""
+        rng = np.random.default_rng(7)
+        for k in range(1, 7):
+            for n in (3, 4, 5):
+                batch = rng.uniform(0.01, 50.0, (40, k))
+                gaps = superadditivity_gap(batch, n)
+                rows = [superadditivity_gap(row, n) for row in batch]
+                assert gaps.shape == (40,)
+                assert all(type(g) is float for g in rows)
+                assert np.all(np.abs(gaps - rows)
+                              <= 4 * np.spacing(np.abs(rows)))
+                assert np.all(gaps == 0.0) if k == 1 else np.all(gaps > 0.0)

@@ -329,6 +329,20 @@ class TestNumericAntiderivative:
         with pytest.raises(ValueError):
             schwarzschild_profile(1.0, 5).f(np.array([3.0, 1e100]))
 
+    def test_gauss_table_built_at_import(self, monkeypatch):
+        """The 24-node Gauss-Legendre table of the antiderivative is built
+        once, when the package is imported: building and evaluating the
+        scenarios with numeric profiles computes no rule."""
+        calls = []
+        built = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda deg: calls.append(deg) or built(deg))
+        for name in ("schwarzschild3", "two_body_glued"):
+            scn = make_scenario(name)
+        assert scn.field.value(np.array([[30.0, 4.0, 0.0]])).shape == (1,)
+        assert make_scenario("schwarzschild3").profile.f(4.0) < 0.0
+        assert calls == []
+
     def test_negative_slope_squared_rejected(self):
         prof = profile_from_gradsq(
             lambda r, k: [1.0 - r, -np.ones_like(r), np.zeros_like(r)][:k])

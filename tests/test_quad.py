@@ -591,6 +591,55 @@ class TestExtrapolateLimit:
                 compared += 1
         assert compared == 8
 
+    def test_projection_matches_the_least_squares_solver(self):
+        """The closed-form projection against numpy's least-squares
+        solver at s0/2, s0 and 2 s0 (s0 the bracket's centre), with one
+        and two terms, on every registry default series with a triple
+        fit.  Coefficients, each times its column's size, and residuals
+        agree to 1e-9 of the series' size, and the slope has the solver's
+        sign wherever the solver's slope is above its roundoff floor: at
+        s = 2 s0 on bump both leave r^-s out as below eps, and there the
+        solver's slope is 4e-43 and the projection's 0."""
+        compared = signs = 0
+        for name in scenario_names():
+            scn = make_scenario(name)
+            if scn.geometry_only:
+                continue
+            series = flux_series(scn)
+            r = np.array(series.radii)
+            for v in map(np.array, (series.plain, series.weighted)):
+                triple = quad._solve_triple(r[1:], v[1:])
+                if triple is None:
+                    continue
+                scale = np.max(np.abs(v))
+                for s, terms in ((s, t) for s in np.array([0.5, 1, 2])
+                                 * triple[2] for t in (1, 2)):
+                    p = r ** -s
+                    basis = np.stack([np.ones_like(r), p, p / r][:terms + 1],
+                                     axis=1)
+                    coef = np.linalg.lstsq(basis, v, rcond=None)[0]
+                    res = v - basis @ coef
+                    slope = 2.0 * (res * np.log(r)) @ (basis[:, 1:]
+                                                      @ coef[1:])
+                    got, got_res, got_slope = quad._projection(
+                        r.tolist(), v.tolist(), s, terms)
+                    assert len(got) == terms + 1
+                    assert np.all(np.abs(np.subtract(got, coef))
+                                  * np.abs(basis).max(axis=0)
+                                  <= 1e-9 * scale), (name, s, terms)
+                    assert np.all(np.abs(np.subtract(got_res, res))
+                                  <= 1e-9 * scale), (name, s, terms)
+                    # residuals of K eps of the series times a trend of
+                    # its size, the most a resolved fit can carry
+                    floor = (2.0 * quad.ROUNDOFF_K * quad._EPS * scale ** 2
+                             * np.log(r).sum())
+                    if abs(slope) > floor:
+                        assert np.sign(got_slope) == np.sign(slope), name
+                        signs += 1
+                    compared += 1
+        assert compared == 54
+        assert signs >= 2 * compared // 3
+
 
 class TestBrent:
     @pytest.mark.parametrize(("f", "a", "b", "root"), [
