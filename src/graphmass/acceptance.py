@@ -186,7 +186,7 @@ def _criterion_6() -> tuple[bool, str]:
         Ellipsoid(np.zeros(3), [1.5, 1.2, 0.9]),
         Ellipsoid(np.zeros(4), [1.5, 1.2, 1.0, 0.8]),
         SmoothLevelSet(ExprField("x1^4 + x2^4 + x3^4", 3), 1.0,
-                       name="quartic"),
+                       name="quartic", rule=sphere_rule(3, 64)),
     ]
     worst = 0.0
     for body in bodies:

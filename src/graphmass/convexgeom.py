@@ -10,15 +10,15 @@ the body with the exact area-element Jacobian of the parametrization.
 Quermassintegrals are V_k = integral over the surface of sigma_k, the
 binomially normalized elementary symmetric function of the principal
 curvatures; V_0 is the area, V_1 = (integral of H_0)/(n-1), and V_{n-1}
-equals the unit-sphere area by the degree of the Gauss map.  A body's
-``elementary`` gives e_0..e_{n-1} of its curvatures.  In general they
-come from the eigenvalues of the Weingarten map.  An ellipsoid has a
-diagonal Hessian c = 2/a^2, and Cauchy-Binet expands the curvature
-functions of its level set in closed form (Reilly 1973):
+equals the unit-sphere area by the degree of the Gauss map.
+``quermassintegrals(body, rule)`` is the only surface pass: it reads the
+weights and e_0..e_{n-1} from ``surface_terms(rule)``, one pass over the
+rule's nodes.  A level set takes e_k from Weingarten eigenvalues on radii
+solved once per rule; a sphere repeats one point's constant e row.  An
+ellipsoid has a diagonal Hessian c = 2/a^2, and Cauchy-Binet expands the
+curvature functions of its level set in closed form (Reilly 1973):
 e_k = sum_i m_i^2 e_k(c without c_i) / |grad phi|^k, with no eigen-solve.
-``quermassintegrals(body, rule)`` is the only surface pass; it reads the
-weights and e_k from the body's ``surface_terms(rule)``.  The
-Aleksandrov-Fenchel gaps, the Penrose bound and the horizon boundary
+The Aleksandrov-Fenchel gaps, the Penrose bound and the horizon boundary
 term are pure functions of its V vectors (or of the areas V_0).
 """
 
@@ -40,15 +40,6 @@ _CONVEXITY_TOL = 1e-10
 # 0.5 on the unbounded exp(x1) + x2^2 + x3^2 < 3.
 _GAUSS_MAP_TOL = 0.05
 _EPS = np.finfo(float).eps
-
-
-def _unit_normal(grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The unit normals grad/|grad| and the norms |grad| of a batch."""
-    gn = np.linalg.norm(grad, axis=-1)
-    if np.any(gn == 0.0):
-        raise BodyError("defining function has a critical point "
-                        "on the surface")
-    return grad / gn[:, None], gn
 
 
 def _tangent_frame(normals: np.ndarray) -> np.ndarray:
@@ -79,22 +70,20 @@ class ConvexBody:
         """Principal curvatures (ascending) at on-surface points."""
         raise NotImplementedError
 
-    def elementary(self, points: np.ndarray) -> np.ndarray:
-        """e_0..e_{n-1} of the principal curvatures, shape (N, n)."""
-        return _elementary_all(self.shape_spectrum(points))
-
-    def surface_terms(self, rule: SphereRule):
-        """Area weights and e_0..e_{n-1} at the rule's surface points."""
-        pts, w = self.surface_sample(rule)
-        return w, self.elementary(pts)
+    def surface_terms(self, rule: SphereRule) -> tuple[np.ndarray, ...]:
+        """Area weights and e_0..e_{n-1} (N, n) at the surface points."""
+        raise NotImplementedError
 
     def outer_radius(self) -> float:
         """Radius of a center-based bounding sphere (for disjointness)."""
         raise NotImplementedError
 
     def _weingarten(self, grad, hess) -> np.ndarray:
-        m, gn = _unit_normal(grad)
-        T = _tangent_frame(m)
+        gn = np.linalg.norm(grad, axis=-1)
+        if np.any(gn == 0.0):
+            raise BodyError("defining function has a critical point "
+                            "on the surface")
+        T = _tangent_frame(grad / gn[:, None])
         S = (np.swapaxes(T, -1, -2) @ hess @ T) / gn[:, None, None]
         kappas = np.linalg.eigvalsh(S)
         if np.min(kappas) < -_CONVEXITY_TOL:
@@ -104,7 +93,7 @@ class ConvexBody:
         return kappas
 
 
-@dataclass
+@dataclass(eq=False)
 class Sphere(ConvexBody):
     center: np.ndarray
     radius: float
@@ -125,11 +114,18 @@ class Sphere(ConvexBody):
         pts = np.atleast_2d(np.asarray(points, float))
         return np.full((len(pts), self.n - 1), 1.0 / self.radius)
 
+    def surface_terms(self, rule):
+        """The curvatures are constant: one point's e row, repeated."""
+        e = _elementary_all(self.shape_spectrum(
+            self.center + self.radius * rule.nodes[:1]))
+        return (rule.weights * self.radius ** (self.n - 1),
+                np.repeat(e, len(rule.weights), axis=0))
+
     def outer_radius(self):
         return self.radius
 
 
-@dataclass
+@dataclass(eq=False)
 class Ellipsoid(ConvexBody):
     center: np.ndarray
     semiaxes: np.ndarray
@@ -144,11 +140,9 @@ class Ellipsoid(ConvexBody):
             raise BodyError("semiaxes must be positive")
 
     def surface_sample(self, rule):
-        u = rule.nodes
-        pts = self.center + u * self.semiaxes
         jac = np.prod(self.semiaxes) * np.linalg.norm(
-            u / self.semiaxes, axis=1)
-        return pts, rule.weights * jac
+            rule.nodes / self.semiaxes, axis=1)
+        return self.center + rule.nodes * self.semiaxes, rule.weights * jac
 
     def shape_spectrum(self, points):
         pts = np.atleast_2d(np.asarray(points, float))
@@ -156,17 +150,23 @@ class Ellipsoid(ConvexBody):
         hess = np.broadcast_to(np.diag(c), (len(pts), self.n, self.n))
         return self._weingarten(c * (pts - self.center), hess)
 
-    def elementary(self, points):
-        """Closed form: e_k = sum_i m_i^2 e_k(c without c_i) / |grad|^k
-        with c = diag(Hess phi), so every e_k > 0 (see module docstring)."""
-        pts = np.atleast_2d(np.asarray(points, float))
+    def surface_terms(self, rule):
+        """One pass over the nodes u: with q = u/a the area element is
+        prod(a)|q|, and grad phi = 2q at center + a u, so m = q/|q| and
+        e_k = sum_i m_i^2 e_k(c without c_i) / (2|q|)^k, c = 2/a^2."""
+        q = rule.nodes / self.semiaxes
+        qn = np.linalg.norm(q, axis=1)
         c = 2.0 / self.semiaxes ** 2
-        m, gn = _unit_normal(c * (pts - self.center))
         table = np.array([_elementary_all(np.delete(c, i))
                           for i in range(self.n)])
-        e = (m * m) @ table / gn[:, None] ** np.arange(self.n)
+        m = q / qn[:, None]
+        e = (m * m) @ table
         e[:, 0] = 1.0  # sum_i m_i^2 = 1 up to roundoff
-        return e
+        inv = power = 0.5 / qn
+        for k in range(1, self.n):  # a running product, column by column
+            e[:, k] *= power
+            power = power * inv
+        return rule.weights * (np.prod(self.semiaxes) * qn), e
 
     def outer_radius(self):
         return float(np.max(self.semiaxes))
@@ -182,30 +182,31 @@ class SmoothLevelSet(ConvexBody):
     doubling, narrowed to a few ulp by Chandrupatla's method and halved
     until its ends are adjacent floats, inside and outside.  A surface
     pass takes weights and curvatures from one order-2 jet of phi; the
-    construction's convexity check makes that pass on its probe rule,
-    the default ``sphere_rule``, and keeps it for that rule object.  The
-    same pass rejects an unbounded set, whose V_{n-1} misses the unit
-    sphere's area.
+    construction's convexity check makes that pass on ``rule`` (default
+    ``sphere_rule(n)``) and keeps it for that rule object, so a body read
+    on the rule it was built on solves its radii once.  The same pass
+    rejects an unbounded set, whose V_{n-1} misses the unit sphere's area.
     """
 
     def __init__(self, phi: ScalarField, level: float, center=None,
-                 name: str = "levelset"):
+                 name: str = "levelset", rule: SphereRule | None = None):
         self.phi = phi
         self.level = float(level)
         self.n = phi.n
+        probe = sphere_rule(self.n) if rule is None else rule
+        if probe.n != self.n:
+            raise BodyError(f"rule has n = {probe.n}, phi has n = {self.n}")
         self.center = (np.zeros(self.n) if center is None
                        else np.asarray(center, float))
         self.name = name
         self._excess0 = float(phi.value(self.center[None, :])[0]) - self.level
         if self._excess0 >= 0.0:
             raise BodyError("center is not interior to the level set")
-        probe = sphere_rule(self.n)
         radii = self._solve_radii(probe.nodes)
         self._outer = float(np.max(radii))
-        self._probe = (probe, radii, None)
         # a probe pass; it raises NonConvexError if not convex
-        self._probe = (probe, radii, self._terms(probe))
-        _, w, e = self._probe[2]
+        self._kept = (probe, self._terms(probe, radii))
+        _, w, e = self._kept[1]
         cover = float(w @ e[:, -1]) / unit_sphere_area(self.n)
         if abs(cover - 1.0) > _GAUSS_MAP_TOL:
             raise BodyError(
@@ -268,13 +269,12 @@ class SmoothLevelSet(ConvexBody):
             hi = np.where(inside, hi, mid)
         return 0.5 * (lo + hi)
 
-    def _terms(self, rule, curvatures=True):
-        """Points, area weights and (with ``curvatures``) e_0..e_{n-1} on
-        the rule's rays from one order-2 jet; the probe's are kept."""
-        probe, radii, kept = self._probe
-        if rule is probe and kept is not None:
-            return kept
-        rho = radii if rule is probe else self._solve_radii(rule.nodes)
+    def _terms(self, rule, rho=None, curvatures=True):
+        """Points, weights and (with ``curvatures``) e_0..e_{n-1} from one
+        order-2 jet at radii rho, solved if None; kept for the probe rule."""
+        if rho is None and rule is self._kept[0]:
+            return self._kept[1]
+        rho = self._solve_radii(rule.nodes) if rho is None else rho
         pts = self.center + rho[:, None] * rule.nodes
         jet = self.phi.jet3_many(pts, order=2)
         e = (_elementary_all(self._weingarten(jet.grad, jet.hess))
@@ -348,7 +348,7 @@ def af_chain_gaps(V) -> list[tuple[tuple[int, int, int], float, float]]:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class HorizonSet:
     """Pairwise-disjoint convex bodies acting as horizon components."""
 

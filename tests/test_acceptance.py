@@ -8,8 +8,10 @@ import pytest
 
 from graphmass import acceptance
 from graphmass.acceptance import CRITERIA, CriterionResult, run_criteria
+from graphmass.convexgeom import SmoothLevelSet
 from graphmass.jets import RadialProfile
 from graphmass.mass import spherical_mass
+from graphmass.quad import sphere_rule
 
 CASES = [(i, name) for i, (name, _) in enumerate(CRITERIA, 1)]
 
@@ -39,6 +41,20 @@ def test_array_criteria_keep_their_detail_lines(index, detail):
     """Criteria 7 and 8 check their draws in array calls; their detail
     lines are those of the scalar loops they replaced, byte for byte."""
     assert run_criteria(only=index)[0].detail == detail
+
+
+def test_criterion_6_solves_the_quartic_radii_once(monkeypatch):
+    """Criterion 6 builds its quartic on the 64-node rule it reads it on,
+    so the construction's radius solve is the only one, and the detail
+    line stays the same."""
+    solves = []
+    solve = SmoothLevelSet._solve_radii
+    monkeypatch.setattr(SmoothLevelSet, "_solve_radii",
+                        lambda self, dirs: (solves.append(len(dirs)),
+                                            solve(self, dirs))[1])
+    assert acceptance._criterion_6() == (
+        True, "7 bodies, worst defect 1.0e-13")
+    assert solves == [len(sphere_rule(3, 64).weights)]
 
 
 def test_criterion_7_batch_matches_scalar_calls(monkeypatch):

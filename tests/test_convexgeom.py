@@ -17,6 +17,7 @@ from graphmass.convexgeom import (Ellipsoid, HorizonSet, SmoothLevelSet,
 from graphmass.errors import BodyError, NonConvexError
 from graphmass.jets import ExprField
 from graphmass.quad import sphere_rule, unit_sphere_area
+from graphmass.scenarios import make_scenario
 
 
 def quermass(horizons):
@@ -123,28 +124,34 @@ class TestEllipsoid:
 
 
 class TestEllipsoidClosedForm:
-    """``Ellipsoid.elementary`` expands e_k from the Hessian diagonal; the
-    eigenvalues of the Weingarten map are the reference."""
+    """``surface_terms`` of spheres and ellipsoids takes one pass over the
+    rule's nodes: a sphere repeats one point's e row, an ellipsoid expands
+    e_k from the Hessian diagonal.  The eigenvalues of the Weingarten map
+    at ``surface_sample``'s points are the reference."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_matches_weingarten_eigenvalues(self, n):
         rng = np.random.default_rng(100 + n)
-        for _ in range(3):
-            body = Ellipsoid(rng.uniform(-2.0, 2.0, n),
-                             rng.uniform(0.3, 3.0, n))
-            pts, _ = body.surface_sample(sphere_rule(n))
+        rule = sphere_rule(n)
+        bodies = [Sphere(rng.uniform(-2.0, 2.0, n), rng.uniform(0.3, 3.0))
+                  for _ in range(2)]
+        bodies += [Ellipsoid(rng.uniform(-2.0, 2.0, n),
+                             rng.uniform(0.3, 3.0, n)) for _ in range(3)]
+        for body in bodies:
+            assert np.any(body.center != 0.0)
+            pts, w_ref = body.surface_sample(rule)
             ref = _elementary_all(body.shape_spectrum(pts))
-            e = body.elementary(pts)
+            w, e = body.surface_terms(rule)
+            assert np.array_equal(w, w_ref)
             assert e.shape == (len(pts), n)
             rel = float(np.max(np.abs(e - ref) / np.abs(ref)))
-            assert rel <= 1e-13, (n, rel)
+            assert rel <= 1e-13, (body, rel)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_equal_semiaxes_reproduce_sphere(self, n):
         center = np.linspace(-1.0, 1.0, n)
         ball = Ellipsoid(center, np.full(n, 1.3))
-        pts, _ = ball.surface_sample(sphere_rule(n))
-        assert np.all(ball.elementary(pts) > 0.0)
+        assert np.all(ball.surface_terms(sphere_rule(n))[1] > 0.0)
         V = quermassintegrals(ball)
         ref = quermassintegrals(Sphere(center, 1.3))
         assert np.max(np.abs(V - ref) / ref) <= 1e-14
@@ -213,6 +220,13 @@ class TestSmoothLevelSet:
         with pytest.raises(BodyError):
             SmoothLevelSet(ExprField("x1^2 + x2^2 + x3^2", 3), level=1.0,
                            center=(2.0, 0.0, 0.0))
+
+    def test_rule_dimension_must_match(self):
+        """A rule on another sphere than phi's is refused, and the
+        message names both dimensions."""
+        with pytest.raises(BodyError, match=r"rule has n = 4, phi has n = 3"):
+            SmoothLevelSet(ExprField("x1^2 + x2^2 + x3^2", 3), 1.0,
+                           rule=sphere_rule(4))
 
 
 def inside(body, t, dirs):
@@ -331,6 +345,24 @@ class TestLevelSetRadii:
         assert np.array_equal(quermassintegrals(body, copy), V)
         assert solves == [len(copy.weights)]
 
+    @pytest.mark.parametrize("name", sorted(LEVEL_SETS))
+    def test_built_on_the_rule_it_is_read_on(self, name, monkeypatch):
+        """A body built with ``rule=R`` solves its radii once, on R, and
+        its V on R equals a default-built body's bit for bit."""
+        text, n, level, center = LEVEL_SETS[name]
+        rule = sphere_rule(n, 32)
+        want = quermassintegrals(
+            SmoothLevelSet(ExprField(text, n), level, center=center), rule)
+        solves = []
+        solve = SmoothLevelSet._solve_radii
+        monkeypatch.setattr(SmoothLevelSet, "_solve_radii",
+                            lambda self, dirs: (solves.append(len(dirs)),
+                                                solve(self, dirs))[1])
+        body = SmoothLevelSet(ExprField(text, n), level, center=center,
+                              rule=rule)
+        assert np.array_equal(quermassintegrals(body, rule), want)
+        assert solves == [len(rule.weights)]
+
 
 class TestLevelSetPasses:
     QUARTIC = "x1^4 + x2^4 + x3^4"
@@ -360,6 +392,19 @@ class TestLevelSetPasses:
 
 
 class TestHorizonSet:
+    def test_bodies_compare_by_identity(self):
+        """Bodies hold numpy arrays, so they compare by identity and hash
+        as objects; equal-looking bodies, horizon sets and the scenarios
+        that reach them compare unequal instead of raising."""
+        a, b = Sphere([0.0, 0.0, 0.0], 1.0), Sphere([0.0, 0.0, 0.0], 1.0)
+        ell = Ellipsoid(np.zeros(3), (1.0, 2.0, 3.0))
+        assert a == a and a != b
+        assert len({a, b, ell, HorizonSet((a,)), HorizonSet((a,))}) == 5
+        assert ell != Ellipsoid(np.zeros(3), (1.0, 2.0, 3.0))
+        assert make_scenario("ellipsoid_horizon") != \
+            make_scenario("ellipsoid_horizon")
+        assert repr(a) == "Sphere(center=array([0., 0., 0.]), radius=1.0)"
+
     def test_disjoint_pair(self):
         hs = HorizonSet((Sphere(np.array([-3.0, 0.0, 0.0]), 1.0),
                          Sphere(np.array([3.0, 0.0, 0.0]), 1.5)))
