@@ -260,6 +260,17 @@ def fixed_bisection(body, dirs, lo=None, hi=None):
     return 0.5 * (lo + hi)
 
 
+def count_solves(monkeypatch):
+    """The ray counts of every ``SmoothLevelSet._solve_radii`` call from
+    now on, in a list."""
+    solves = []
+    solve = SmoothLevelSet._solve_radii
+    monkeypatch.setattr(SmoothLevelSet, "_solve_radii",
+                        lambda self, dirs: (solves.append(len(dirs)),
+                                            solve(self, dirs))[1])
+    return solves
+
+
 def count_calls(obj, name):
     """Counts the calls of obj.name from now on, in a list."""
     calls = []
@@ -334,11 +345,7 @@ class TestLevelSetRadii:
         pass on that same rule object reuses them, and an equal rule
         that is another object solves them again, to the same bits."""
         body = SmoothLevelSet(ExprField("x1^4 + x2^4 + x3^4", 3), 1.0)
-        solves = []
-        solve = SmoothLevelSet._solve_radii
-        monkeypatch.setattr(SmoothLevelSet, "_solve_radii",
-                            lambda self, dirs: (solves.append(len(dirs)),
-                                                solve(self, dirs))[1])
+        solves = count_solves(monkeypatch)
         V = quermassintegrals(body)
         assert solves == []
         copy = dataclasses.replace(sphere_rule(3))
@@ -353,11 +360,7 @@ class TestLevelSetRadii:
         rule = sphere_rule(n, 32)
         want = quermassintegrals(
             SmoothLevelSet(ExprField(text, n), level, center=center), rule)
-        solves = []
-        solve = SmoothLevelSet._solve_radii
-        monkeypatch.setattr(SmoothLevelSet, "_solve_radii",
-                            lambda self, dirs: (solves.append(len(dirs)),
-                                                solve(self, dirs))[1])
+        solves = count_solves(monkeypatch)
         body = SmoothLevelSet(ExprField(text, n), level, center=center,
                               rule=rule)
         assert np.array_equal(quermassintegrals(body, rule), want)
