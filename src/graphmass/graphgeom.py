@@ -18,7 +18,7 @@ which is the identity behind the boundary-flux mass formulas.  Only
 :func:`divergence_of_V` asks for the order-3 jet: it expands div V
 through the third derivatives, an independent route to R.  On a field
 radial about a centre at each point, :func:`scalar_curvature` builds no
-jet: R = (n-1)/(r W) (2 h_r h_rr / W + (n-2) h_r^2 / r), with
+n-D jet: R = (n-1)/(r W) (2 h_r h_rr / W + (n-2) h_r^2 / r), with
 :func:`curvature_from_jet` as its oracle.  :func:`curvature_and_scale`
 also returns T, the size of the terms that cancel in R, from the same
 derivatives: a value of R within a few ulp of T is roundoff.  All

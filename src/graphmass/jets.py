@@ -51,14 +51,13 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _outer3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...j,...k->...ijk", a, b, c)
+    return _outer(a, b)[..., None] * c[..., None, None, :]
 
 
 def _sym_vec_mat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     """v_i m_jk + v_j m_ik + v_k m_ij (symmetric if m is)."""
-    return (np.einsum("...i,...jk->...ijk", v, m)
-            + np.einsum("...j,...ik->...ijk", v, m)
-            + np.einsum("...k,...ij->...ijk", v, m))
+    t = v[..., :, None, None] * m[..., None, :, :]  # t_ijk = v_i m_jk
+    return t + np.swapaxes(t, -3, -2) + np.moveaxis(t, -3, -1)
 
 
 def check_order(order: int) -> None:
@@ -74,7 +73,10 @@ def _lift(fn, *parts):
 
 @dataclass
 class Jet3:
-    """Value (None if radial) and derivatives to order 3 (or 2) at points."""
+    """Value (None if radial) and derivatives to order 3 (or 2) at points;
+    a plain number in ``+ - * /`` is a constant, added or scaled by."""
+
+    __array_ufunc__ = None  # a numpy scalar defers to the reflected operators
 
     value: np.ndarray | None   # shape B; None on a radial jet
     grad: np.ndarray           # shape B + (n,)
@@ -102,7 +104,10 @@ class Jet3:
                     _lift(np.negative, self.third))
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet3) else -other)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
         if not isinstance(other, Jet3):
@@ -127,16 +132,22 @@ class Jet3:
             return self * jet_recip(other)
         return self * (1.0 / other)
 
+    def __rtruediv__(self, other):
+        return jet_recip(self) * other
+
+    __radd__, __rmul__ = __add__, __mul__
+
     def __getitem__(self, index) -> "Jet3":
         """The jet at one index (or slice) of the leading batch axis."""
         return Jet3(_lift(lambda v: np.asarray(v[index]), self.value),
                     self.grad[index], self.hess[index],
                     _lift(lambda t: t[index], self.third))
 
-    def check_finite(self, context: str = "jet") -> "Jet3":
+    def check_finite(self, context: str | Callable[[], str] = "jet"):
         for part in (self.value, self.grad, self.hess, self.third):
             if part is not None and not np.all(np.isfinite(part)):
-                raise DomainError(f"non-finite derivatives in {context}")
+                raise DomainError("non-finite derivatives in " + (
+                    context() if callable(context) else context))
         return self
 
 
@@ -226,16 +237,25 @@ def jet_pow(w: Jet3, c: float) -> Jet3:
 # expression evaluation
 # ----------------------------------------------------------------------
 
-# the jet operations of the expression walk, keyed as ``expr.VALUES``
+def _on_jets(jet_op: Callable, value_op: Callable) -> Callable:
+    """jet_op on a jet, value_op on a constant (a plain number)."""
+    return lambda w, *c: (jet_op(w, *c) if isinstance(w, Jet3)
+                          else value_op(w, *c))
+
+
+# the jet operations of the expression walk, keyed as ``expr.VALUES``; a
+# constant stays a number, so a product with it is a scaling
 _JET_OPS = {
-    "const": lambda v, pts, order: _leaf(pts.shape, order, v),
+    "const": lambda v, pts, order: float(v),
     "coord": lambda pts, i, order: _leaf(pts.shape, order, pts[..., i],
                                          np.eye(pts.shape[-1])[i]),
     "radius_sq": lambda pts, order: _leaf(
         pts.shape, order, np.sum(pts * pts, axis=-1), 2.0 * pts,
         2.0 * np.eye(pts.shape[-1])),
-    "value": lambda j: j.value, "^": jet_pow, "sqrt": jet_sqrt,
-    "exp": jet_exp, "log": jet_log, "sin": jet_sin, "cos": jet_cos}
+    "value": lambda w: w.value if isinstance(w, Jet3) else w,
+    **{key: _on_jets(op, ex.VALUES[key]) for key, op in (
+        ("^", jet_pow), ("sqrt", jet_sqrt), ("exp", jet_exp),
+        ("log", jet_log), ("sin", jet_sin), ("cos", jet_cos))}}
 
 
 # ----------------------------------------------------------------------
@@ -389,20 +409,20 @@ def schwarzschild_profile(m: float, n: int, branch: int = -1) -> RadialProfile:
 
 def _profile_at(profile: RadialProfile, r: np.ndarray, orders):
     """The profile's derivatives of the given orders (0 is f) at radii r
-    outside r_min, from at most one f and one slopes call on the distinct
-    radii (batches repeat a handful; a lone radius stays a 0-d array).
-    Only ``RadialField.value`` asks for order 0: f is an integral of f_r
-    (a numerical one on most profiles), so jets leave it out."""
+    outside r_min: the elementwise slopes from one call on the batch as
+    given, f from one call on the distinct radii (batches repeat a
+    handful; a lone radius stays a 0-d array).  Only ``RadialField.value``
+    asks for f, an integral of f_r (a numerical one on most profiles)."""
     if np.any(r <= profile.r_min):
         raise DomainError(
             f"radius {float(np.min(r)):.6g} inside r_min={profile.r_min:.6g} "
             f"of {profile.label}")
-    uniq, inverse = ((r, ...) if r.ndim == 0
-                     else np.unique(r.reshape(-1), return_inverse=True))
-    table = [profile.f(uniq) if 0 in orders else None]
-    table += profile.slopes(uniq, max(orders)) if max(orders) else []
-    return [np.asarray(table[k], float)[inverse].reshape(r.shape)
-            for k in orders]
+    table = [None, *(profile.slopes(r, max(orders)) if max(orders) else [])]
+    if 0 in orders:
+        uniq, inverse = ((r, ...) if r.ndim == 0
+                         else np.unique(r.reshape(-1), return_inverse=True))
+        table[0] = np.asarray(profile.f(uniq), float)[inverse].reshape(r.shape)
+    return [np.asarray(table[k], float) for k in orders]
 
 
 def radial_jet(profile: RadialProfile, point, center=None,
@@ -431,9 +451,9 @@ def radial_jet(profile: RadialProfile, point, center=None,
     hess = frr[..., None, None] * uu + (fr / r)[..., None, None] * proj
     third = None
     if order == 3:
-        sym = (_sym_vec_mat(u, np.broadcast_to(eye, uu.shape))
-               - 3.0 * _outer3(u, u, u))
-        third = (frrr[0][..., None, None, None] * _outer3(u, u, u)
+        uuu = uu[..., None] * u[..., None, None, :]
+        sym = _sym_vec_mat(u, eye) - 3.0 * uuu
+        third = (frrr[0][..., None, None, None] * uuu
                  + (frr / r - fr / r ** 2)[..., None, None, None] * sym)
     return Jet3(None, fr[..., None] * u, hess,
                 third).check_finite(profile.label)
@@ -479,7 +499,8 @@ class ExprField(ScalarField):
 
     An expression that reads no coordinate x_i is radial: through ``r``
     it is a function of |x|, radial about the origin, and with no
-    variable at all it is a constant, radial about every centre.
+    variable at all it is a constant, radial about every centre.  Its
+    radial derivatives, which R reads, come from a jet on the points r.
     """
 
     def __init__(self, expression: ex.Expr | str, n: int,
@@ -506,9 +527,26 @@ class ExprField(ScalarField):
 
     def jet3_many(self, points, order=3):
         check_order(order)
-        jet = ex.evaluate(self.expression, self.params, points, order,
-                          _JET_OPS)
-        return jet.check_finite(f"'{ex.to_text(self.expression)}'")
+        # an overflow, and a NaN it leads to, is reported as not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            jet = ex.evaluate(self.expression, self.params, points, order,
+                              _JET_OPS)
+        if not isinstance(jet, Jet3):  # a constant expression
+            jet = _leaf(np.shape(points), order, jet)
+        return jet.check_finite(lambda: f"'{ex.to_text(self.expression)}'")
+
+    def radial_derivatives(self, points):
+        """From an order-2 jet on the 1-D points r = |x| if the expression
+        reads no x_i (a constant takes r = 1 at the origin, about e_1)."""
+        symbols = ex.free_symbols(self.expression)
+        if any(isinstance(e, ex.Coord) for e in symbols):
+            return None
+        pts = np.asarray(points, float)
+        r = np.sqrt(np.sum(pts * pts, axis=-1))
+        if ex.Radial() not in symbols:
+            r = np.where(r > 0.0, r, 1.0)
+        jet = self.jet3_many(r[..., None], order=2)
+        return r, jet.grad[..., 0], jet.hess[..., 0, 0]
 
     def radial_about(self, center, r_lo, r_hi):
         symbols = ex.free_symbols(self.expression)
@@ -537,8 +575,9 @@ class RadialField(ScalarField):
         return radial_jet(self.profile, points, center=self.center,
                           order=order)
 
-    def radial_derivatives(self, points):
-        r = self._radii(points)
+    def radial_derivatives(self, points, r=None):
+        """``r``: the points' distances to the centre, if known."""
+        r = self._radii(points) if r is None else r
         hr, hrr = _profile_at(self.profile, r, (1, 2))
         if np.all(np.isfinite(hr + hrr)):
             return r, hr, hrr

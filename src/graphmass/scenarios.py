@@ -127,21 +127,22 @@ class PiecewiseRadialField(ScalarField):
         self.n = n
 
     def _split(self, points):
-        """The batch, and (field, selection) of each piece it meets."""
+        """The batch, and (field, selection, radii of the selected points
+        about the piece's centre) of each piece it meets."""
         pts = np.atleast_2d(np.asarray(points, float))
         parts = []
         for piece in self.pieces:
             d = pts - piece.field.center
-            r = np.sqrt(np.sum(d * d, axis=-1))
-            sel = (r > piece.r_lo) & (r < piece.r_hi)
+            rad = np.sqrt(np.sum(d * d, axis=-1))
+            sel = (rad > piece.r_lo) & (rad < piece.r_hi)
             if sel.any():
-                parts.append((piece.field, sel))
+                parts.append((piece.field, sel, rad[sel]))
         return pts, parts
 
     def value(self, points):
         pts, parts = self._split(points)
         out = np.zeros(len(pts))
-        for fld, sel in parts:
+        for fld, sel, _ in parts:
             out[sel] = fld.value(pts[sel])
         return out
 
@@ -151,7 +152,7 @@ class PiecewiseRadialField(ScalarField):
         m, n = len(pts), self.n
         jet = Jet3(None, np.zeros((m, n)), np.zeros((m, n, n)),
                    np.zeros((m, n, n, n)) if order == 3 else None)
-        for fld, sel in parts:
+        for fld, sel, _ in parts:
             part = radial_jet(fld.profile, pts[sel], center=fld.center,
                               order=order)
             for name in ("grad", "hess", "third")[:order]:
@@ -162,8 +163,8 @@ class PiecewiseRadialField(ScalarField):
         """Outside every support h_r = h_rr = 0 (with r = 1), so R = 0."""
         pts, parts = self._split(points)
         r, hr, hrr = np.ones(len(pts)), np.zeros(len(pts)), np.zeros(len(pts))
-        for fld, sel in parts:
-            r[sel], hr[sel], hrr[sel] = fld.radial_derivatives(pts[sel])
+        for fld, sel, rad in parts:
+            r[sel], hr[sel], hrr[sel] = fld.radial_derivatives(pts[sel], rad)
         return r, hr, hrr
 
     def radial_about(self, center, r_lo, r_hi):

@@ -333,7 +333,8 @@ class TestRadialRoute:
     @pytest.mark.parametrize(("name", "params"), [
         ("schwarzschild3", {}), ("schwarzschild_n", {"n": 4}),
         ("schwarzschild_n", {"n": 5}), ("radial_custom", {}),
-        ("schwarzschild_perturbed", {}), ("two_body_glued", {})])
+        ("schwarzschild_perturbed", {}), ("two_body_glued", {}),
+        ("bump", {}), ("bump", {"n": 5}), ("flat", {})])
     def test_matches_jet_route(self, name, params):
         scn = make_scenario(name, **params)
         self.agree(scn.field, scn.sample_points(2000, 3))
@@ -366,6 +367,22 @@ class TestRadialRoute:
         monkeypatch.setattr(RadialField, "jet3_many", no_jet)
         pts = scn.sample_points(100, 1)
         assert np.all(np.isfinite(scalar_curvature(scn.field, pts)))
+
+    def test_radial_expression_asks_for_no_n_d_jet(self, monkeypatch):
+        """bump's R comes from a jet on the 1-D points r, so its div V,
+        from the n-D order-3 jet, is an independent route to R."""
+        scn = make_scenario("bump")
+        dims = []
+        jet3_many = ExprField.jet3_many
+
+        def logged(self, points, order=3):
+            dims.append(np.shape(points)[-1])
+            return jet3_many(self, points, order=order)
+
+        monkeypatch.setattr(ExprField, "jet3_many", logged)
+        pts = scn.sample_points(100, 1)
+        assert np.all(np.isfinite(scalar_curvature(scn.field, pts)))
+        assert dims == [1]
 
     def test_inside_profile_domain_rejected(self):
         fld = RadialField(schwarzschild_profile(1.0, 3), 3)

@@ -12,6 +12,7 @@ import pytest
 
 from field_helpers import RotatedField, loop_fd_jet
 from graphmass import acceptance
+from graphmass import expr as ex
 from graphmass.errors import DomainError, UnboundParameterError
 from graphmass.expr import evaluate, parse
 from graphmass.jets import (_JET_OPS, ExprField, RadialField, RadialProfile,
@@ -184,6 +185,26 @@ class TestDomainRules:
         with pytest.raises(DomainError, match=re.escape(
                 f"non-finite value of '{text}'")):
             ExprField(text, 3).value([[1000.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_non_finite_jet_raises(self, order):
+        """A jet overflows as the value does: the DomainError, not numpy's
+        RuntimeWarning (an error across the tests)."""
+        with pytest.raises(DomainError, match=re.escape(
+                "non-finite derivatives in 'exp(x1)'")):
+            ExprField("exp(x1)", 3).jet3_many([[1000.0, 0.0, 0.0]],
+                                              order=order)
+
+    def test_finite_jet_renders_no_text(self, monkeypatch):
+        """The expression's text is rendered for an error message only."""
+        field = ExprField("a*exp(-r^2)*x1 - 1/x2", 3, {"a": 0.5})
+        rendered = []
+        monkeypatch.setattr(ex, "to_text",
+                            lambda node: rendered.append(node) or "?")
+        for order in (2, 3):
+            field.jet3_many([[0.3, 0.5, -0.2]], order=order)
+            field.radial_derivatives([[0.3, 0.5, -0.2]])
+        assert rendered == []
 
 
 class TestHorizonOracle:
@@ -404,12 +425,111 @@ class TestRadialJet:
         field.value(pts)
         assert radii == [len(pts)]
 
+    def test_slopes_on_the_batch_and_f_on_distinct_radii(self):
+        """Slopes are elementwise: one call on the batch as given, repeats
+        and all.  f, an integral, runs once per distinct radius."""
+        prof = schwarzschild_profile(1.0, 5)
+        f_sizes, slope_args = [], []
+        counted = replace(
+            prof, f=lambda r: f_sizes.append(np.size(r)) or prof.f(r),
+            slopes=lambda r, k: slope_args.append(r) or prof.slopes(r, k))
+        field = RadialField(counted, 5)
+        axes = np.concatenate([np.eye(5), -np.eye(5)])
+        pts = np.concatenate([rad * axes for rad in (2.0, 3.0, 4.5)])
+        field.value(pts)
+        assert f_sizes == [3]
+        r, _, _ = field.radial_derivatives(pts)
+        assert len(slope_args) == 1 and np.array_equal(slope_args[0], r)
+        for order in (2, 3):
+            slope_args.clear()
+            field.jet3_many(pts, order=order)
+            assert len(slope_args) == 1
+            assert np.array_equal(slope_args[0], r)
+        assert f_sizes == [3]
+
     def test_off_center(self):
         prof = schwarzschild_profile(1.0, 3)
         c = np.array([10.0, -3.0, 1.0])
         j1 = radial_jet(prof, c + np.array([4.0, 0.0, 0.0]), center=c)
         j2 = radial_jet(prof, np.array([4.0, 0.0, 0.0]))
         assert sup(j1.hess - j2.hess) == 0.0
+
+
+class TestRadialExpression:
+    """An expression that reads no x_i gives (r, h_r, h_rr) from an
+    order-2 jet on the 1-D points r; they are r, grad f . x/r and
+    x^T H x / r^2 of the n-D jet."""
+
+    @pytest.mark.parametrize("text", ["a*exp(-r^2)", "sqrt(1 + r^2)", "0",
+                                      "a"])
+    def test_matches_the_n_d_jet(self, text):
+        field = ExprField(text, 4, {"a": 0.7})
+        pts = np.random.default_rng(3).uniform(-2.0, 2.0, (50, 4))
+        r, hr, hrr = field.radial_derivatives(pts)
+        jet = field.jet3_many(pts, order=2)
+        u = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        want = (np.linalg.norm(pts, axis=1),
+                np.einsum("mi,mi->m", jet.grad, u),
+                np.einsum("mi,mij,mj->m", u, jet.hess, u))
+        for got, ref in zip((r, hr, hrr), want):
+            assert got.shape == ref.shape == (50,)
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+    @pytest.mark.parametrize("text", ["x1", "r + 0*x1", "exp(-r^2)*cos(x2)"])
+    def test_reading_a_coordinate_gives_none(self, text):
+        assert ExprField(text, 3).radial_derivatives(np.ones((4, 3))) is None
+
+    @pytest.mark.parametrize("text", ["r", "a*exp(-r^2)"])
+    def test_r_at_the_origin_raises_as_the_n_d_jet(self, text):
+        field = ExprField(text, 3, {"a": 0.7})
+        origin = np.zeros((2, 3))
+        with pytest.raises(DomainError) as n_d:
+            field.jet3_many(origin, order=2)
+        with pytest.raises(DomainError) as radial:
+            field.radial_derivatives(origin)
+        assert str(radial.value) == str(n_d.value)
+
+    def test_constant_at_the_origin_is_flat(self):
+        """A constant is radial about any centre: at the origin it takes
+        one at unit distance, so its curvature stays 0 there."""
+        r, hr, hrr = ExprField("a", 3, {"a": 0.7}).radial_derivatives(
+            np.zeros((2, 3)))
+        assert np.array_equal(r, [1.0, 1.0])
+        assert not hr.any() and not hrr.any()
+
+
+class TestConstants:
+    """A constant stays a number in the jet walk: a product with it is a
+    scaling, and a wholly constant expression is a zero-derivative jet."""
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize(("text", "value"), [("3", 3.0), ("a", 0.7)])
+    def test_constant_expression_is_a_zero_derivative_jet(self, text, value,
+                                                          order):
+        pts = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 4))
+        jet = ExprField(text, 4, {"a": 0.7}).jet3_many(pts, order=order)
+        assert np.array_equal(jet.value, np.full(6, value))
+        assert jet.grad.shape == (6, 4) and jet.hess.shape == (6, 4, 4)
+        assert not jet.grad.any() and not jet.hess.any()
+        if order == 2:
+            assert jet.third is None
+        else:
+            assert jet.third.shape == (6, 4, 4, 4) and not jet.third.any()
+
+    def test_scalar_constants_match_fd(self):
+        """Numbers on either side of * / + -, a numpy one included
+        (exp(1)), against value-only central differences."""
+        field = ExprField("2*x1*x2 - 1/x3 + exp(1)*x3", 3)
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            x = rng.uniform(0.5, 1.5, 3)
+            fd = fd_jet(field, x)
+            jet = field.jet3_many(x[None, :], order=2)
+            g, h = jet.grad[0], jet.hess[0]
+            assert abs(jet.value[0] - field.value(x[None, :])[0]) <= 1e-15 * (
+                1.0 + abs(jet.value[0]))
+            assert sup(fd.grad - g) <= 1e-7 * (1.0 + sup(g)), f"grad at {x}"
+            assert sup(fd.hess - h) <= 1e-5 * (1.0 + sup(h)), f"hess at {x}"
 
 
 class TestRadialAbout:
