@@ -160,8 +160,7 @@ def _criterion_5() -> tuple[bool, str]:
 
     chain_bodies = [
         Ellipsoid(np.zeros(3), [2.0, 1.5, 1.0]),
-        SmoothLevelSet(ExprField("x1^4 + x2^4 + x3^4", 3), 1.0,
-                       name="quartic"),
+        SmoothLevelSet(ExprField("x1^4 + x2^4 + x3^4", 3), 1.0),
         Sphere(np.zeros(4), 2.0),
         Ellipsoid(np.zeros(4), [1.8, 1.4, 1.1, 1.0]),
     ]
@@ -186,7 +185,7 @@ def _criterion_6() -> tuple[bool, str]:
         Ellipsoid(np.zeros(3), [1.5, 1.2, 0.9]),
         Ellipsoid(np.zeros(4), [1.5, 1.2, 1.0, 0.8]),
         SmoothLevelSet(ExprField("x1^4 + x2^4 + x3^4", 3), 1.0,
-                       name="quartic", rule=sphere_rule(3, 64)),
+                       rule=sphere_rule(3, 64)),
     ]
     worst = 0.0
     for body in bodies:

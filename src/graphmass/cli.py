@@ -97,6 +97,8 @@ def _parse_radii(text) -> tuple[float, ...]:
         raise ConfigError("need at least three flux radii")
     if not all(0.0 < r < math.inf for r in radii):
         raise ConfigError(f"'radii' must be finite and > 0, not {radii}")
+    if len(set(radii)) < len(radii):
+        raise ConfigError(f"'radii' must be distinct, not {radii}")
     return radii
 
 

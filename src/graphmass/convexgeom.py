@@ -189,7 +189,7 @@ class SmoothLevelSet(ConvexBody):
     """
 
     def __init__(self, phi: ScalarField, level: float, center=None,
-                 name: str = "levelset", rule: SphereRule | None = None):
+                 rule: SphereRule | None = None):
         self.phi = phi
         self.level = float(level)
         self.n = phi.n
@@ -198,7 +198,6 @@ class SmoothLevelSet(ConvexBody):
             raise BodyError(f"rule has n = {probe.n}, phi has n = {self.n}")
         self.center = (np.zeros(self.n) if center is None
                        else np.asarray(center, float))
-        self.name = name
         self._excess0 = float(phi.value(self.center[None, :])[0]) - self.level
         if self._excess0 >= 0.0:
             raise BodyError("center is not interior to the level set")

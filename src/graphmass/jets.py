@@ -339,10 +339,10 @@ def profile_from_gradsq(gradsq: Callable, r_min: float = 0.0,
 
 
 def horizon_profile(m: float, n: int, a: float,
-                    psi: Callable | None = None, branch: int = -1,
+                    psi: Callable | None = None,
                     label: str = "horizon graph") -> RadialProfile:
-    """Profile with f_r^2 = 2 mu/D, D = r^{n-2} - 2 mu, outside its horizon
-    r = a, a single root of D: raises ValueError unless D'(a) > 0.
+    """Profile with f_r^2 = 2 mu/D, D = r^{n-2} - 2 mu, f_r < 0, outside its
+    horizon r = a, a single root of D: raises ValueError unless D'(a) > 0.
 
     mu = m psi(r) is the weighted flux mass at radius r, and the scalar
     curvature is R = 2(n-1) mu'/r^{n-1}.  ``psi(r)`` returns (psi, psi',
@@ -372,32 +372,30 @@ def horizon_profile(m: float, n: int, a: float,
                        / (D[0] * D[0] * D[0]))
         return out
 
-    return profile_from_gradsq(gradsq, r_min=a, branch=branch, label=label)
+    return profile_from_gradsq(gradsq, r_min=a, label=label)
 
 
-def schwarzschild_profile(m: float, n: int, branch: int = -1) -> RadialProfile:
+def schwarzschild_profile(m: float, n: int) -> RadialProfile:
     """Profile with f_r^2 = 2m/(r^{n-2} - 2m); horizon at r = (2m)^{1/(n-2)}.
 
-    For n = 3, 4 the antiderivative is closed-form; higher n integrates
-    numerically.  ``branch=+1`` gives the increasing branch.
+    The branch is the decreasing one, f_r < 0.  For n = 3, 4 the
+    antiderivative is closed-form; higher n integrates numerically.
     """
     if n < 3:
         raise ValueError("dimension must be >= 3")
     if m <= 0:
         raise ValueError("mass must be positive")
     a = (2.0 * m) ** (1.0 / (n - 2))
-    sign = 1.0 if branch > 0 else -1.0
-    prof = horizon_profile(m, n, a, branch=branch,
-                           label=f"schwarzschild(n={n}, m={m})")
+    prof = horizon_profile(m, n, a, label=f"schwarzschild(n={n}, m={m})")
     if n == 3:
-        return replace(prof, f=lambda r: sign * np.sqrt(
+        return replace(prof, f=lambda r: -np.sqrt(
             8.0 * m * (np.asarray(r, float) - 2.0 * m)))
     if n == 4:
         s2m = math.sqrt(2.0 * m)
 
         def f4(r):
             r = np.asarray(r, float)
-            return sign * s2m * np.log((r + np.sqrt(r * r - 2.0 * m)) / s2m)
+            return -s2m * np.log((r + np.sqrt(r * r - 2.0 * m)) / s2m)
 
         return replace(prof, f=f4)
     return prof

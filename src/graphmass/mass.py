@@ -23,6 +23,7 @@ Penrose bound and the geometry table read.  Every sphere integral is
 one ``quad`` core call, on a rule that the scenario's config names or,
 where ``ScalarField.radial_about`` says the field is radial about the
 sphere's centre, on ``quad.point_rule``: one point per radius.
+``_rule_about`` makes that choice; ``quad`` walks the rule it is given.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from .graphgeom import (boundary_integrand, curvature_and_scale,
 from .jets import RadialField, RadialProfile, ScalarField, _profile_at
 from .quad import (HORIZON_OFFSET, ExtrapolationResult, ExteriorRegion,
                    QuadConfig, exterior_volume_integrate, extrapolate_limit,
-                   point_rule, sobol, sphere_directions, sphere_integrals,
-                   sphere_integrate, unit_sphere_area)
+                   SphereRule, point_rule, sobol, sphere_directions,
+                   sphere_integrals, sphere_integrate, unit_sphere_area)
 
 DIV_IDENTITY_TOL = 1e-9      # pointwise |div V - R| / (1 + |R|)
 R_SIGN_TOL = 1e-9            # sampled scalar-curvature sign tolerance
@@ -165,6 +166,14 @@ def horizon_clearance(scenario: Scenario) -> float:
                 for body in scenario.horizons), default=0.0)
 
 
+def _rule_about(fld: ScalarField, rule: SphereRule, center, r_lo: float,
+                r_hi: float) -> SphereRule:
+    """``point_rule`` where fld is radial about ``center`` on radii
+    [r_lo, r_hi] (``ScalarField.radial_about``), else ``rule``."""
+    return (point_rule(rule.n) if fld.radial_about(center, r_lo, r_hi)
+            else rule)
+
+
 def flux_series(scenario: Scenario, radii=None) -> FluxSeries:
     """Flux masses of both integrand variants at each radius (the
     scenario's flux radii when ``radii`` is None), both from one jet per
@@ -186,9 +195,8 @@ def flux_series(scenario: Scenario, radii=None) -> FluxSeries:
                                                  nu))
 
     c = mass_normalization(scenario.n)
-    rule = (point_rule(scenario.n)
-            if fld.radial_about(np.zeros(scenario.n), min(radii), max(radii))
-            else scenario.quad.flux_rule(scenario.n))
+    rule = _rule_about(fld, scenario.quad.flux_rule(scenario.n),
+                       np.zeros(scenario.n), min(radii), max(radii))
     values, errors = zip(*(sphere_integrate(fn, r, rule) for r in radii))
     plain, weighted = (tuple(v / c for v in col) for col in zip(*values))
     plain_err, weighted_err = (tuple(e / c for e in col)
@@ -251,7 +259,7 @@ def bulk_mass(scenario: Scenario) -> BulkResult:
     expression that reads no coordinate x_i, such as flat's ``0`` and
     bump's ``a*exp(-r^2)``.  Other regions walk the body rule: R at every
     node of it and of its ``half``.  The tail fit past r_max takes the
-    walk's route, without the ``half``, and reads R and the size T of
+    walk's rule, without the ``half``, and reads R and the size T of
     its cancelling terms from the same derivatives, at the tail radii
     only: a radius whose shell value of R is at most ``quad.ROUNDOFF_K``
     eps times that of T is roundoff, not tail.
@@ -293,11 +301,10 @@ def bulk_mass(scenario: Scenario) -> BulkResult:
     for region in scenario.bulk_region:
         center = np.asarray(region.center or (0.0,) * n, float)
         r_outer = cfg.r_max if region.r_outer is None else region.r_outer
-        radial = fld.radial_about(center, region.r_inner, r_outer)
-        each = shell_nodes if radial else 1
+        walk = _rule_about(fld, rule, center, region.r_inner, r_outer)
+        each = 1 if walk is rule else shell_nodes
         parts.append(exterior_volume_integrate(
-            partial(fn, region, center, 1), region, cfg, rule,
-            partial(fn, region, center, each) if radial else None,
+            partial(fn, region, center, each), region, cfg, walk,
             partial(fn, region, center, each, scale=True)))
     c = mass_normalization(scenario.n)
     return BulkResult(value=sum(vi.value for vi in parts) / c,
@@ -455,9 +462,8 @@ def horizon_flux_convergence(scenario: Scenario, quermass) -> list[dict]:
         a = body.outer_radius()
         geo = float(V[1]) / (2.0 * omega)
         radii = a * (1.0 + np.array(HORIZON_OFFSETS))
-        rule = (point_rule(n)
-                if fld.radial_about(body.center, radii.min(), radii.max())
-                else node_rule)
+        rule = _rule_about(fld, node_rule, body.center, radii.min(),
+                           radii.max())
         normals = np.tile(rule.nodes, (len(radii), 1))
         fluxes = [float(v) / norm_c for v in sphere_integrals(
             lambda pts: boundary_integrand(fld, pts, normals), radii, rule,

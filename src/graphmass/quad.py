@@ -18,10 +18,10 @@ shells about the region's centre, adaptive Gauss panels in the radius,
 an optional geometrically graded start near an excised boundary, and a
 power-law tail fit past r_max unless the region has an outer radius.
 Every sphere integral, shells included, is one ``sphere_integrals`` call
-per batch of radii; ``sphere_rule`` builds each rule once and shares it
-read-only, and ``point_rule`` integrates a rotation-invariant integrand
-exactly on one node.  ``extrapolate_limit`` fits the limit r -> infinity
-of a flux series in closed form on floats.
+per batch of radii on the rule the caller picks; ``sphere_rule`` builds
+each rule once and shares it read-only, and ``point_rule`` integrates a
+rotation-invariant integrand exactly on one node.  ``extrapolate_limit``
+fits the limit r -> infinity of a flux series in closed form on floats.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ TAIL_FIT_FROM = 0.25    # the tail fit samples [TAIL_FIT_FROM r_max, r_max]
 # identity's residual measured at most 5.3 eps T, and R >= -3 eps T
 # where R >= 0 exactly.
 ROUNDOFF_K = 64.0
+# At most this many points per shell-walk call, and at least one panel: a
+# body-rule panel (17,280-36,864) goes alone, a point_rule level at once
+SHELL_CALL_POINTS = 1 << 15
 DEFAULT_ORDER = {2: 64, 3: 48, 4: 20}  # sphere rule orders; Sobol for n >= 5
 SOBOL_BITS = 30         # digits of each Sobol coordinate, as in scipy
 FIT_XTOL = 1e-13        # tolerance of a fitted rate, relative past 1
@@ -426,16 +429,14 @@ _GL24_NODES, _GL24_WEIGHTS = np.polynomial.legendre.leggauss(24)
 class _ShellIntegrand:
     """F(r) = r^{n-1} * (integral of fn over the sphere of radius r about
     ``center``), one row per rule: the rule, then its ``half``.  A batch
-    of panels passes fn at most ``max_points`` points per call, by
-    default one panel's worth on this rule."""
+    of panels passes fn as many whole panels per call as fit in
+    SHELL_CALL_POINTS points, and at least one."""
 
-    def __init__(self, fn, rule: SphereRule, center,
-                 max_points: int | None = None):
+    def __init__(self, fn, rule: SphereRule, center):
         self.fn, self.rule, self.center = fn, rule, center
-        self.panel_points = len(_GL_NODES) * sum(
+        panel_points = len(_GL_NODES) * sum(
             len(q.weights) for q in (rule, rule.half) if q is not None)
-        self.per_call = max(1, (max_points or self.panel_points)
-                            // self.panel_points)
+        self.per_call = max(1, SHELL_CALL_POINTS // panel_points)
 
     def __call__(self, radii: np.ndarray) -> np.ndarray:
         return sphere_integrals(self.fn, radii, self.rule, self.center)
@@ -544,8 +545,7 @@ def _graded_edges(r0: float, offset: float, stop: float) -> list[float]:
 
 
 def exterior_volume_integrate(fn, region: ExteriorRegion, cfg: QuadConfig,
-                              rule: SphereRule, radial=None, tail=None
-                              ) -> VolumeIntegral:
+                              rule: SphereRule, tail=None) -> VolumeIntegral:
     """Integral of fn over the exterior region, in shell decomposition.
 
     Returns the truncated integral, a (conservative) bound on the
@@ -554,20 +554,16 @@ def exterior_volume_integrate(fn, region: ExteriorRegion, cfg: QuadConfig,
     A panel splits until its discrepancy meets its share of ``radial_tol``;
     the panels of each refinement level are evaluated together.
 
-    Without ``radial`` every shell evaluates fn on the nodes of the rule
-    and of its ``half``.  A caller whose integrand is invariant under
-    rotations about the region's centre on [r_inner, r_outer] may pass
-    ``radial``, fn or fn with other bookkeeping: the walk's shells then
-    integrate it on ``point_rule``, one point per radius with no angular
-    error.
+    Every shell evaluates fn on the nodes of ``rule`` and of its
+    ``half``.  The caller picks the rule: ``point_rule`` for an integrand
+    invariant under rotations about the region's centre on [r_inner,
+    r_outer] makes each shell one point per radius with no angular error.
 
-    The tail fit past r_max takes the walk's route: the nodes of the
-    rule without its ``half``, or one point per radius with ``radial``.
+    The tail fit past r_max evaluates on the rule without its ``half``.
     There it calls ``tail``, which returns two rows: the integrand, and
     the size T >= 0 of the terms that cancel in it, whose shell integral
     times ROUNDOFF_K eps is each radius' roundoff floor.  By default
-    ``tail`` is the walked integrand with T = |integrand|: the floor of
-    the sphere sum alone.
+    ``tail`` is fn with T = |fn|: the floor of the sphere sum alone.
     """
     r_outer = cfg.r_max if region.r_outer is None else region.r_outer
     r0 = region.r_inner
@@ -578,10 +574,7 @@ def exterior_volume_integrate(fn, region: ExteriorRegion, cfg: QuadConfig,
             f"the outer radius {r_outer} must exceed the inner radius {r0}"
             + (f" plus its horizon offset {offset:g}" if offset else ""))
     center = np.asarray(region.center or (0.0,) * rule.n, float)
-    on_nodes = _ShellIntegrand(fn, rule, center)
-    # no fn call gets more points than one panel on the rule and its half
-    shell = (on_nodes if radial is None else _ShellIntegrand(
-        radial, point_rule(rule.n), center, on_nodes.panel_points))
+    shell = _ShellIntegrand(fn, rule, center)
     start = r0
     cascade, skeleton = [], []
     if offset:
@@ -618,17 +611,13 @@ def exterior_volume_integrate(fn, region: ExteriorRegion, cfg: QuadConfig,
     tail_bound, q = 0.0, None
     if region.r_outer is None:
         if tail is None:
-            walked = fn if radial is None else radial
-
             def tail(pts):
-                vals = walked(pts)
+                vals = fn(pts)
                 return np.stack([vals, np.abs(vals)])
 
-        tail_rule = (replace(rule, half=None) if radial is None
-                     else point_rule(rule.n))
+        tail_rule = rule if rule.half is None else replace(rule, half=None)
         tail_bound, q = _tail_fit(_ShellIntegrand(tail, tail_rule, center),
-                                  cfg.r_max * TAIL_FIT_FROM, cfg.r_max,
-                                  rule.n)
+                                  cfg.r_max * TAIL_FIT_FROM, cfg.r_max, rule.n)
     angular = abs(total[0] - total[-1])
     unc = max(disc_sum, 0.5 * cfg.radial_tol) + tail_bound + angular
     return VolumeIntegral(float(total[0]), tail_bound, float(unc), q, panels)

@@ -194,7 +194,8 @@ class TestRunCommand:
         (["run", "flat", "--radii", "inf,inf,inf"], "'radii'"),
         (["run", "flat", "--format", "xml"], "'format'"),
         (["verify", "--only", "0"], "1-10"),
-        (["verify", "--only", "11"], "1-10")])
+        (["verify", "--only", "11"], "1-10"),
+        (["run", "schwarzschild3", "--radii", "100,200,100,400"], "'radii'")])
     def test_bad_arguments_exit_three(self, capsys, argv, needle):
         """Usage errors and rejected settings are configuration errors,
         not argparse's exit 2 (the code for a violated hypothesis)."""
@@ -295,6 +296,8 @@ class TestConfigFile:
         ({"scenarios": ["flat"], "radii": [math.inf] * 3}, "radii"),
         ({"scenarios": [{"name": "flat", "radii": [-1, 2, 3]}]}, "radii"),
         ({"scenarios": ["flat"], "out": 5}, "out"),
+        ({"scenarios": [{"name": "schwarzschild3", "radii": [100] * 3}]},
+         "radii"),
     ])
     def test_malformed_values_are_config_errors(self, tmp_path, capsys,
                                                 payload, key):

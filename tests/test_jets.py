@@ -249,22 +249,14 @@ class TestJetAlgebra:
 
 class TestSchwarzschildProfile:
     def test_frozen_derivatives_n3(self):
-        """Increasing branch, m=1: f_r = sqrt(2/(r-2)), so at r=4 the jet
-        values are f=4, f_r=1, f_rr=-1/4, f_rrr=3/16."""
-        prof = schwarzschild_profile(1.0, 3, branch=+1)
+        """Decreasing branch, m=1: f_r = -sqrt(2/(r-2)), so at r=4 the jet
+        values are f=-4, f_r=-1, f_rr=1/4, f_rrr=-3/16."""
+        prof = schwarzschild_profile(1.0, 3)
         fr, frr, frrr = prof.slopes(4.0, 3)
-        assert float(prof.f(4.0)) == pytest.approx(4.0, abs=1e-13)
-        assert float(fr) == pytest.approx(1.0, rel=1e-14)
-        assert float(frr) == pytest.approx(-0.25, rel=1e-14)
-        assert float(frrr) == pytest.approx(3.0 / 16.0, rel=1e-13)
-
-    def test_decreasing_branch_flips_sign(self):
-        plus = schwarzschild_profile(1.0, 3, branch=+1)
-        minus = schwarzschild_profile(1.0, 3)
-        for r in (2.5, 4.0, 9.0):
-            assert float(minus.f(r)) == -float(plus.f(r))
-            assert (float(minus.slopes(r, 1)[0])
-                    == -float(plus.slopes(r, 1)[0]))
+        assert float(prof.f(4.0)) == pytest.approx(-4.0, abs=1e-13)
+        assert float(fr) == pytest.approx(-1.0, rel=1e-14)
+        assert float(frr) == pytest.approx(0.25, rel=1e-14)
+        assert float(frrr) == pytest.approx(-3.0 / 16.0, rel=1e-13)
 
     def test_horizon_radius(self):
         assert schwarzschild_profile(1.0, 3).r_min == 2.0

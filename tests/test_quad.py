@@ -396,8 +396,7 @@ class TestExteriorVolume:
             return np.exp(-np.sum((p - c) ** 2, axis=1))
 
         nodes = exterior_volume_integrate(gauss, region, cfg, rule)
-        radial = exterior_volume_integrate(None, region, cfg, rule,
-                                           radial=gauss)
+        radial = exterior_volume_integrate(gauss, region, cfg, point_rule(3))
         assert radial.panels == nodes.panels
         assert abs(radial.value - nodes.value) <= 1e-13 * nodes.value
         shell = quad._ShellIntegrand(gauss, point_rule(3), np.asarray(c))
@@ -412,21 +411,20 @@ class TestExteriorVolume:
         cfg = QuadConfig(r_max=1.0)
         with pytest.raises(QuadratureError, match="not finite"):
             exterior_volume_integrate(
-                None, ExteriorRegion(r_outer=8.0), cfg, sphere_rule(3),
-                radial=lambda p: np.where(p[:, 0] > 4.0, value, 1.0))
+                lambda p: np.where(p[:, 0] > 4.0, value, 1.0),
+                ExteriorRegion(r_outer=8.0), cfg, point_rule(3))
 
     @pytest.mark.parametrize("route", ["nodes", "radial"])
     def test_overflowing_shell_names_its_radius(self, route):
         """r^{n-1} past the float range raises an error that names the
         radius and the operation on both shell routes."""
         cfg = QuadConfig(r_max=1.0)
-        radial = (lambda p: np.ones(len(p))) if route == "radial" else None
+        rule = point_rule(3) if route == "radial" else sphere_rule(3)
         with pytest.raises(QuadratureError,
                            match=r"area factor r\^2 .* overflows at radius"):
             exterior_volume_integrate(
                 lambda p: np.ones(len(p)),
-                ExteriorRegion(r_inner=1e200, r_outer=2e200), cfg,
-                sphere_rule(3), radial=radial)
+                ExteriorRegion(r_inner=1e200, r_outer=2e200), cfg, rule)
 
     def test_uncertainty_covers_angular_error(self):
         """Off centre a coarse rule misses the Gaussian by far more than
@@ -710,18 +708,17 @@ class TestShellMemo:
             return scalar_curvature(scn.field, pts)
 
         monkeypatch.setattr(quad._ShellIntegrand, "panels", logged_panels)
-        region, rule = scn.bulk_region[0], scn.quad.body_rule(scn.n)
-        for radial in (None, fn):
+        region = scn.bulk_region[0]
+        for rule in (scn.quad.body_rule(scn.n), point_rule(scn.n)):
             requests.clear()
             seen.clear()
-            res = exterior_volume_integrate(fn, region, scn.quad, rule,
-                                            radial)
+            res = exterior_volume_integrate(fn, region, scn.quad, rule)
             assert seen and len(seen) == len(set(seen))
             assert len(set(requests)) == len(requests)
             coarse = exterior_volume_integrate(
                 fn, region,
                 replace(scn.quad, radial_tol=100.0 * scn.quad.radial_tol),
-                rule, radial)
+                rule)
             assert (res.panels > coarse.panels) == refines
 
 
@@ -748,16 +745,14 @@ def depth_first_refine(shell, lo, hi, whole, budget, floor, depth):
     return lv + rv, le + re, lp + rp
 
 
-def depth_first_volume(fn, region, cfg, rule, radial=None, tail=None):
+def depth_first_volume(fn, region, cfg, rule, tail=None):
     """(value, uncertainty, panels, tail bound, q_fit) of
     ``exterior_volume_integrate`` walked one panel per call, depth first;
     ``tail`` returns the integrand and its roundoff scale, by default
     the walked integrand and its modulus."""
     r_outer = cfg.r_max if region.r_outer is None else region.r_outer
     center = np.asarray(region.center or (0.0,) * rule.n, float)
-    on_nodes = quad._ShellIntegrand(fn, rule, center)
-    shell = (on_nodes if radial is None
-             else quad._ShellIntegrand(radial, point_rule(rule.n), center))
+    shell = quad._ShellIntegrand(fn, rule, center)
     r0 = start = region.r_inner
     total, disc_sum, panels = 0.0, 0.0, 0
     if region.graded and r0 > 0.0:
@@ -789,12 +784,11 @@ def depth_first_volume(fn, region, cfg, rule, radial=None, tail=None):
     bound, q = 0.0, None
     if region.r_outer is None:
         if tail is None:
-            def tail(pts, walked=radial or fn):
-                vals = walked(pts)
+            def tail(pts):
+                vals = fn(pts)
                 return np.stack([vals, np.abs(vals)])
 
-        tail_rule = (replace(rule, half=None) if radial is None
-                     else point_rule(rule.n))
+        tail_rule = rule if rule.half is None else replace(rule, half=None)
         bound, q = quad._tail_fit(
             quad._ShellIntegrand(tail, tail_rule, center),
             cfg.r_max * quad.TAIL_FIT_FROM, cfg.r_max, rule.n)
@@ -809,7 +803,7 @@ def bulk_walks(scn, monkeypatch) -> list:
     walks = []
     level_walk = mass.exterior_volume_integrate
 
-    def both(fn, region, cfg, rule, radial=None, tail=None):
+    def both(fn, region, cfg, rule, tail=None):
         calls = []
 
         def counted(f):
@@ -818,11 +812,9 @@ def bulk_walks(scn, monkeypatch) -> list:
                 return f(pts)
             return None if f is None else g
 
-        got = level_walk(counted(fn), region, cfg, rule, counted(radial),
-                         counted(tail))
-        walks.append((got, depth_first_volume(fn, region, cfg, rule, radial,
-                                              tail),
-                       calls))
+        got = level_walk(counted(fn), region, cfg, rule, counted(tail))
+        walks.append((got, depth_first_volume(fn, region, cfg, rule, tail),
+                      calls))
         return got
 
     monkeypatch.setattr(mass, "exterior_volume_integrate", both)
@@ -876,12 +868,10 @@ class TestLevelWalk:
             return np.exp(-r * r) * np.abs(r - 1.3)
 
         cfg, region = QuadConfig(radial_tol=1e-9), ExteriorRegion(r_outer=6.0)
-        radial = kink if route == "radial" else None
-        got = exterior_volume_integrate(kink, region, cfg,
-                                        sphere_rule(3, order=8), radial)
+        rule = point_rule(3) if route == "radial" else sphere_rule(3, order=8)
+        got = exterior_volume_integrate(kink, region, cfg, rule)
         assert (got.value, got.uncertainty, got.panels, got.tail_bound,
-                got.q_fit) == depth_first_volume(
-            kink, region, cfg, sphere_rule(3, order=8), radial)
+                got.q_fit) == depth_first_volume(kink, region, cfg, rule)
         assert got.panels >= 8
 
     @pytest.mark.parametrize("name", FIELD_DEFAULTS)
@@ -896,11 +886,12 @@ class TestLevelWalk:
     def test_no_call_past_one_body_rule_panel(self, n):
         """No fn call gets more points than one panel on the body rule
         and its half: the walk on that rule asks for one panel at a
-        time, the walk on ``point_rule`` for many."""
+        time, even past SHELL_CALL_POINTS at n = 5, and the walk on
+        ``point_rule`` for many panels per call, within that cap."""
         cfg = QuadConfig(r_max=12.0)
         rule = cfg.body_rule(n)
-        cap = len(quad._GL_NODES) * (len(rule.weights)
-                                     + len(rule.half.weights))
+        panel = len(quad._GL_NODES) * (len(rule.weights)
+                                       + len(rule.half.weights))
         sizes = []
 
         def gauss(pts):
@@ -910,15 +901,14 @@ class TestLevelWalk:
         def tilted(pts):
             return gauss(pts) * (1.0 + pts[:, 0] / 4.0)
 
-        for radial in (None, gauss):
+        for fn, walk in ((tilted, rule), (gauss, point_rule(n))):
             sizes.clear()
-            res = exterior_volume_integrate(radial or tilted,
-                                            ExteriorRegion(), cfg, rule,
-                                            radial)
-            assert max(sizes) <= cap
+            res = exterior_volume_integrate(fn, ExteriorRegion(), cfg, walk)
+            assert max(sizes) <= panel
             walked = sizes[:-1]  # the last call is the tail fit's
-            if radial:
-                assert max(walked) > len(quad._GL_NODES)
+            if walk is rule:
+                assert set(walked) == {panel}
             else:
-                assert set(walked) == {cap}
+                assert len(quad._GL_NODES) < max(walked)
+                assert max(walked) <= quad.SHELL_CALL_POINTS
             assert res.panels > 1

@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from graphmass import acceptance, mass
 from graphmass.scenarios import make_scenario
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(
@@ -69,3 +70,32 @@ def test_jet_order_keyword_is_traced(tracer):
         recorder.end_op()
     finally:
         recorder.uninstall()
+
+
+# instrumented names that only tests call: no workload pass reaches them
+UNREACHED = {"jets.flatness_report", "graphgeom.mass_flux_integrand",
+             "graphgeom.flat_mean_curvature", "mass.adm_flux_mass"}
+
+
+def test_workload_passes_reach_every_instrumented_name(tracer, workloads,
+                                                       monkeypatch):
+    """One suite pass and one verify pass record at least one span of
+    each instrumented name outside UNREACHED, and none of those: a name
+    that drops off the path the benchmark runs reads 0 in its metrics."""
+    # Verify taps adm_mass in both modules; monkeypatch puts them back
+    monkeypatch.setattr(mass, "adm_mass", mass.adm_mass)
+    monkeypatch.setattr(acceptance, "adm_mass", acceptance.adm_mass)
+    passes = (workloads.Suite(5), workloads.Verify(5))
+    recorder = tracer.Recorder()
+    recorder.install()
+    try:
+        results = [workload.run_pass(recorder) for workload in passes]
+    finally:
+        recorder.uninstall()
+    for result in results:
+        assert all(op.ok for op in result.ops), [
+            (op.label, op.note) for op in result.ops if not op.ok]
+    seen = {span[tracer.NAME] for span in recorder.spans}
+    names = {span for _, _, span, _ in tracer.INSTRUMENTED}
+    assert UNREACHED <= names
+    assert names - seen == UNREACHED

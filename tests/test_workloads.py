@@ -3,30 +3,7 @@ each one must still work, so a removed name fails here first."""
 
 from __future__ import annotations
 
-import importlib.util
-import os
-import sys
-
-import pytest
-
 from graphmass import acceptance, cli, mass
-
-WORKLOADS = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "bench", "workloads.py")
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # @dataclass looks its module up in sys.modules
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[spec.name]
 
 
 def test_suite_builds(workloads):
