@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BodyError, NonConvexError
 from .jets import ScalarField
-from .quad import SphereRule, sphere_rule, unit_sphere_area
+from .quad import SphereRule, norm_sq, sphere_rule, unit_sphere_area
 
 _CONVEXITY_TOL = 1e-10
 # The Gauss map of a closed convex surface covers the sphere once, so
@@ -79,7 +79,7 @@ class ConvexBody:
         raise NotImplementedError
 
     def _weingarten(self, grad, hess) -> np.ndarray:
-        gn = np.linalg.norm(grad, axis=-1)
+        gn = np.sqrt(norm_sq(grad))
         if np.any(gn == 0.0):
             raise BodyError("defining function has a critical point "
                             "on the surface")
@@ -140,8 +140,8 @@ class Ellipsoid(ConvexBody):
             raise BodyError("semiaxes must be positive")
 
     def surface_sample(self, rule):
-        jac = np.prod(self.semiaxes) * np.linalg.norm(
-            rule.nodes / self.semiaxes, axis=1)
+        jac = np.prod(self.semiaxes) * np.sqrt(norm_sq(
+            rule.nodes / self.semiaxes))
         return self.center + rule.nodes * self.semiaxes, rule.weights * jac
 
     def shape_spectrum(self, points):
@@ -155,7 +155,7 @@ class Ellipsoid(ConvexBody):
         prod(a)|q|, and grad phi = 2q at center + a u, so m = q/|q| and
         e_k = sum_i m_i^2 e_k(c without c_i) / (2|q|)^k, c = 2/a^2."""
         q = rule.nodes / self.semiaxes
-        qn = np.linalg.norm(q, axis=1)
+        qn = np.sqrt(norm_sq(q))
         c = 2.0 / self.semiaxes ** 2
         table = np.array([_elementary_all(np.delete(c, i))
                           for i in range(self.n)])
@@ -278,7 +278,7 @@ class SmoothLevelSet(ConvexBody):
         jet = self.phi.jet3_many(pts, order=2)
         e = (_elementary_all(self._weingarten(jet.grad, jet.hess))
              if curvatures else None)
-        gn = np.linalg.norm(jet.grad, axis=1)
+        gn = np.sqrt(norm_sq(jet.grad))
         gu = np.einsum("ij,ij->i", jet.grad, rule.nodes)
         if np.any(gu <= 0.0):
             raise BodyError("surface is not star-shaped about the center")

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParseError, UnboundParameterError
+from .quad import norm_sq
 
 FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos")
 
@@ -262,7 +263,7 @@ VALUES = {
     "const": lambda v, pts, order: np.broadcast_to(
         v, pts.shape[:-1]).astype(float),
     "coord": lambda pts, i, order: pts[..., i],
-    "radius_sq": lambda pts, order: np.sum(pts * pts, axis=-1),
+    "radius_sq": lambda pts, order: norm_sq(pts),
     "value": lambda v: v, "^": power, "sqrt": np.sqrt, "exp": np.exp,
     "log": np.log, "sin": np.sin, "cos": np.cos}
 

@@ -37,7 +37,8 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DomainError, UnboundParameterError
-from .quad import _GL24_NODES, _GL24_WEIGHTS, sobol, sphere_directions
+from .quad import (_GL24_NODES, _GL24_WEIGHTS, norm_sq, sobol,
+                   sphere_directions)
 
 _EPS = np.finfo(float).eps
 
@@ -250,7 +251,7 @@ _JET_OPS = {
     "coord": lambda pts, i, order: _leaf(pts.shape, order, pts[..., i],
                                          np.eye(pts.shape[-1])[i]),
     "radius_sq": lambda pts, order: _leaf(
-        pts.shape, order, np.sum(pts * pts, axis=-1), 2.0 * pts,
+        pts.shape, order, norm_sq(pts), 2.0 * pts,
         2.0 * np.eye(pts.shape[-1])),
     "value": lambda w: w.value if isinstance(w, Jet3) else w,
     **{key: _on_jets(op, ex.VALUES[key]) for key, op in (
@@ -277,10 +278,9 @@ class RadialProfile:
 
 
 def _graded_gauss_value(fr: Callable, r_min: float) -> Callable:
-    """Antiderivative of fr from the substitution-regularized lower end.
-
-    With an inverse-square-root singularity of fr at r_min, substituting
-    s = r_min + t^2 makes the integrand smooth, so plain Gauss panels on t
+    """Antiderivative from r_min of an integrand ``fr(d)`` of the offset
+    d = r - r_min.  With an inverse-square-root singularity at r_min,
+    substituting d = t^2 makes it smooth, so plain Gauss panels on t
     converge fast: max(4, ceil(T)) of them on [0, T], T = sqrt(r - r_min).
     Radii with the same panel count are integrated in one batch, on
     24-point Gauss-Legendre panels.
@@ -298,7 +298,7 @@ def _graded_gauss_value(fr: Callable, r_min: float) -> Callable:
             lo, hi = edges[:, :-1, None], edges[:, 1:, None]
             t = 0.5 * (hi - lo) * _GL24_NODES + 0.5 * (hi + lo)
             w = 0.5 * (hi - lo) * _GL24_WEIGHTS
-            terms = w * 2.0 * t * fr(r_min + t * t)
+            terms = w * 2.0 * t * fr(t * t)
             flat[sel] = np.sum(terms.reshape(len(t), -1), axis=-1)
         return flat.reshape(r.shape) if r.shape else float(flat[0])
 
@@ -330,7 +330,7 @@ def profile_from_gradsq(gradsq: Callable, r_min: float = 0.0,
         return out
 
     antider = _graded_gauss_value(
-        lambda r: np.sqrt(np.maximum(gradsq(r, 1)[0], 0.0)), r_min)
+        lambda d: np.sqrt(np.maximum(gradsq(r_min + d, 1)[0], 0.0)), r_min)
 
     def f(r):
         return sign * antider(r)
@@ -340,13 +340,17 @@ def profile_from_gradsq(gradsq: Callable, r_min: float = 0.0,
 
 def horizon_profile(m: float, n: int, a: float,
                     psi: Callable | None = None,
-                    label: str = "horizon graph") -> RadialProfile:
+                    label: str = "horizon graph",
+                    psi_rise: Callable | None = None) -> RadialProfile:
     """Profile with f_r^2 = 2 mu/D, D = r^{n-2} - 2 mu, f_r < 0, outside its
     horizon r = a, a single root of D: raises ValueError unless D'(a) > 0.
 
     mu = m psi(r) is the weighted flux mass at radius r, and the scalar
     curvature is R = 2(n-1) mu'/r^{n-1}.  ``psi(r)`` returns (psi, psi',
-    psi''); None means psi = 1, the Schwarzschild graph."""
+    psi''); None means psi = 1, the Schwarzschild graph.  f integrates
+    f_r in the offset d = r - a, by D(a + d) = a^{n-2} expm1((n-2)
+    log1p(d/a)) - 2m psi_rise(d) with its digits as d -> 0, where
+    ``psi_rise(d)`` is psi(a + d) - psi(a) (None: the difference)."""
 
     def parts(r, k):
         """psi, psi', psi'' and D to its k-th derivative at radii r."""
@@ -360,6 +364,16 @@ def horizon_profile(m: float, n: int, a: float,
         raise ValueError(f"{label} leaves no single horizon: need "
                          "D'(a) > 0 for D = r^(n-2) - 2 m psi")
 
+    psi_a = parts(a, 0)[0][0]
+    rise = psi_rise or (lambda d: 0.0 if psi is None
+                        else psi(a + d)[0] - psi_a)
+
+    def abs_slope(d):
+        """|f_r| at the radii a + d, from the offsets d."""
+        dpsi = rise(d)
+        D = a ** (n - 2) * np.expm1((n - 2) * np.log1p(d / a)) - 2 * m * dpsi
+        return np.sqrt(np.maximum(2.0 * m * (psi_a + dpsi) / D, 0.0))
+
     def gradsq(r, k):
         (ps, dps, d2ps), D = parts(r, k - 1)
         out = [2.0 * m * ps / D[0]]
@@ -372,7 +386,9 @@ def horizon_profile(m: float, n: int, a: float,
                        / (D[0] * D[0] * D[0]))
         return out
 
-    return profile_from_gradsq(gradsq, r_min=a, label=label)
+    antider = _graded_gauss_value(abs_slope, a)
+    return replace(profile_from_gradsq(gradsq, r_min=a, label=label),
+                   f=lambda r: -antider(r))
 
 
 def schwarzschild_profile(m: float, n: int) -> RadialProfile:
@@ -423,6 +439,16 @@ def _profile_at(profile: RadialProfile, r: np.ndarray, orders):
     return [np.asarray(table[k], float) for k in orders]
 
 
+@functools.lru_cache(maxsize=None)
+def _sym3_table(n: int) -> np.ndarray:
+    """The (n, n^3) table C, built once per n, with (u @ C)_ijk = d_ij u_k
+    + d_ik u_j + d_jk u_i: one term u_m per entry, or 3 u_i at i = j = k."""
+    eye = np.eye(n)
+    table = _sym_vec_mat(eye, eye).reshape(n, n ** 3)
+    table.flags.writeable = False
+    return table
+
+
 def radial_jet(profile: RadialProfile, point, center=None,
                order: int = 3) -> Jet3:
     """Jet of f(|x - center|) from the 1-D profile derivatives; at
@@ -433,14 +459,15 @@ def radial_jet(profile: RadialProfile, point, center=None,
         grad  = f_r u
         hess  = f_rr u o u + (f_r / r)(I - u o u)
         third = f_rrr u o u o u + (f_rr/r - f_r/r^2) sym3(I, u)
-    where sym3(I, u)_ijk = d_ij u_k + d_ik u_j + d_jk u_i - 3 u_i u_j u_k.
+    where sym3(I, u)_ijk = d_ij u_k + d_ik u_j + d_jk u_i - 3 u_i u_j u_k,
+    its first three terms one product u @ ``_sym3_table(n)``.
     """
     check_order(order)
     pts = np.asarray(point, float)
     n = pts.shape[-1]
     if center is not None:
         pts = pts - np.asarray(center, float)
-    r = np.sqrt(np.sum(pts * pts, axis=-1))
+    r = np.sqrt(norm_sq(pts))
     fr, frr, *frrr = _profile_at(profile, r, range(1, order + 1))
     u = pts / r[..., None]
     eye = np.eye(n)
@@ -450,7 +477,7 @@ def radial_jet(profile: RadialProfile, point, center=None,
     third = None
     if order == 3:
         uuu = uu[..., None] * u[..., None, None, :]
-        sym = _sym_vec_mat(u, eye) - 3.0 * uuu
+        sym = (u @ _sym3_table(n)).reshape(uuu.shape) - 3.0 * uuu
         third = (frrr[0][..., None, None, None] * uuu
                  + (frr / r - fr / r ** 2)[..., None, None, None] * sym)
     return Jet3(None, fr[..., None] * u, hess,
@@ -540,7 +567,7 @@ class ExprField(ScalarField):
         if any(isinstance(e, ex.Coord) for e in symbols):
             return None
         pts = np.asarray(points, float)
-        r = np.sqrt(np.sum(pts * pts, axis=-1))
+        r = np.sqrt(norm_sq(pts))
         if ex.Radial() not in symbols:
             r = np.where(r > 0.0, r, 1.0)
         jet = self.jet3_many(r[..., None], order=2)
@@ -564,7 +591,7 @@ class RadialField(ScalarField):
 
     def _radii(self, points):
         pts = np.asarray(points, float) - self.center
-        return np.sqrt(np.sum(pts * pts, axis=-1))
+        return np.sqrt(norm_sq(pts))
 
     def value(self, points):
         return _profile_at(self.profile, self._radii(points), (0,))[0]

@@ -45,7 +45,7 @@ from .graphgeom import (boundary_integrand, curvature_and_scale,
 from .jets import RadialField, RadialProfile, ScalarField, _profile_at
 from .quad import (HORIZON_OFFSET, ExtrapolationResult, ExteriorRegion,
                    QuadConfig, exterior_volume_integrate, extrapolate_limit,
-                   SphereRule, point_rule, sobol, sphere_directions,
+                   SphereRule, norm_sq, point_rule, sobol, sphere_directions,
                    sphere_integrals, sphere_integrate, unit_sphere_area)
 
 DIV_IDENTITY_TOL = 1e-9      # pointwise |div V - R| / (1 + |R|)
@@ -176,8 +176,8 @@ def _rule_about(fld: ScalarField, rule: SphereRule, center, r_lo: float,
 
 def flux_series(scenario: Scenario, radii=None) -> FluxSeries:
     """Flux masses of both integrand variants at each radius (the
-    scenario's flux radii when ``radii`` is None), both from one jet per
-    radius: on the nodes of the flux rule and its ``half``, or on
+    scenario's flux radii when ``radii`` is None), all from one jet: on
+    the nodes of the flux rule and its ``half`` at every radius, or on
     ``point_rule`` where the field is radial about the origin over the
     radii."""
     fld = scenario.require_field()
@@ -190,17 +190,16 @@ def flux_series(scenario: Scenario, radii=None) -> FluxSeries:
             f"(needs r > {clearance:.3g})")
 
     def fn(pts):
-        nu = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        nu = pts / np.sqrt(norm_sq(pts))[:, None]
         return np.stack(flux_integrands_from_jet(fld.jet3_many(pts, order=2),
                                                  nu))
 
     c = mass_normalization(scenario.n)
     rule = _rule_about(fld, scenario.quad.flux_rule(scenario.n),
                        np.zeros(scenario.n), min(radii), max(radii))
-    values, errors = zip(*(sphere_integrate(fn, r, rule) for r in radii))
-    plain, weighted = (tuple(v / c for v in col) for col in zip(*values))
-    plain_err, weighted_err = (tuple(e / c for e in col)
-                               for col in zip(*errors))
+    values, errors = sphere_integrate(fn, radii, rule)
+    plain, weighted, plain_err, weighted_err = (
+        tuple(v / c for v in row.tolist()) for row in (*values, *errors))
     return FluxSeries(radii, plain, weighted, plain_err, weighted_err)
 
 
@@ -289,7 +288,7 @@ def bulk_mass(scenario: Scenario) -> BulkResult:
             vals = scalar_curvature(fld, pts)
         seen = vals
         if region.graded:
-            seen = vals[np.linalg.norm(pts - center, axis=1)
+            seen = vals[np.sqrt(norm_sq(pts - center))
                         >= 1.01 * region.r_inner]
         if seen.size:
             state["min"] = min(state["min"], float(seen.min()))
@@ -379,7 +378,7 @@ def horizon_hypotheses(scenario: Scenario) -> tuple[HypothesisReport, ...]:
         var = float(np.var(lvl))
         near = body.center + rays * (1.0 + eps)
         radial = fld.radial_derivatives(near)
-        grad = (np.linalg.norm(fld.jet3_many(near, order=2).grad, axis=1)
+        grad = (np.sqrt(norm_sq(fld.jet3_many(near, order=2).grad))
                 if radial is None else np.abs(radial[1]))
         gmin = float(grad.min())
         out.append(HypothesisReport(

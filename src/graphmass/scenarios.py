@@ -31,7 +31,7 @@ from .jets import (Jet3, RadialField, RadialProfile, ScalarField, ExprField,
                    check_order, horizon_profile, profile_from_gradsq,
                    radial_jet, schwarzschild_profile)
 from .mass import Scenario, shell_sampler
-from .quad import ExteriorRegion, QuadConfig
+from .quad import ExteriorRegion, QuadConfig, norm_sq
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +133,7 @@ class PiecewiseRadialField(ScalarField):
         parts = []
         for piece in self.pieces:
             d = pts - piece.field.center
-            rad = np.sqrt(np.sum(d * d, axis=-1))
+            rad = np.sqrt(norm_sq(d))
             sel = (rad > piece.r_lo) & (rad < piece.r_hi)
             if sel.any():
                 parts.append((piece.field, sel, rad[sel]))
@@ -290,7 +290,8 @@ def _schwarzschild_perturbed(m: float, beta: float, n: int) -> Scenario:
 
     profile = horizon_profile(
         m, n, a, psi, label=f"perturbed graph with m = {m:g} and "
-                            f"beta = {beta:g}")
+                            f"beta = {beta:g}",
+        psi_rise=lambda d: -beta * np.expm1(-d))
     return _horizon_graph(
         profile, n, name="schwarzschild_perturbed",
         quad=QuadConfig(radii=(100.0, 200.0, 400.0, 800.0), r_max=60.0),

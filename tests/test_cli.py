@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -56,6 +57,22 @@ class TestRunCommand:
         assert code == 0
         adm = json.loads(out)["body"]["scenarios"][0]["adm_mass"]
         assert abs(adm["value"] - 1000.0) <= 1e-3 * 1000.0
+
+    def test_near_critical_beta_reports_finite_hypotheses(self, capsys):
+        """beta = 0.499 leaves D'(a) = 0.002 at the horizon: the level-set
+        value there stays finite, so the run exits 0 with every hypothesis
+        row finite and no warning."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "schwarzschild_perturbed", "--beta", "0.499"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert not caught and "Warning" not in err
+        rows = json.loads(out)["body"]["scenarios"][0]["hypotheses"]
+        assert rows and all(row["level_ok"] and row["grad_ok"]
+                            for row in rows)
+        assert all(isinstance(v, (int, float)) and math.isfinite(v)
+                   for row in rows for v in row.values())
 
     def test_unknown_scenario_suggests(self, capsys):
         code = main(["run", "schwarz"])

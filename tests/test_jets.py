@@ -13,10 +13,12 @@ import pytest
 from field_helpers import RotatedField, loop_fd_jet
 from graphmass import acceptance
 from graphmass import expr as ex
+from graphmass import jets
 from graphmass.errors import DomainError, UnboundParameterError
 from graphmass.expr import evaluate, parse
 from graphmass.jets import (_JET_OPS, ExprField, RadialField, RadialProfile,
-                            fd_jet, flatness_report, horizon_profile,
+                            _profile_at, _sym_vec_mat, fd_jet,
+                            flatness_report, horizon_profile,
                             profile_from_gradsq, radial_jet,
                             schwarzschild_profile)
 from graphmass.scenarios import (PiecewiseRadialField, _Piece,
@@ -356,6 +358,29 @@ class TestNumericAntiderivative:
             np.array([1.5, 3.0, 40.0])) < 0.0)  # numeric in n = 5
         assert calls == []
 
+    @pytest.mark.parametrize("m", [0.5, 1.0, 3.0])
+    def test_value_near_the_horizon_keeps_its_digits(self, m):
+        """f integrates f_r in the offset from the horizon, so at
+        r = a (1 + 1e-8), where a + t^2 rounds to a on the first Gauss
+        nodes, the numeric psi = 1 profile in n = 3 still matches the
+        closed form -sqrt(8m(r - 2m))."""
+        a = 2.0 * m
+        r = np.array([a * (1.0 + 1e-8), a * (1.0 + 1e-4), 3.0 * a])
+        exact = -np.sqrt(8.0 * m * (r - a))
+        assert sup(horizon_profile(m, 3, a).f(r) / exact - 1.0) <= 1e-12
+
+    def test_perturbed_value_near_a_slow_horizon_is_finite(self):
+        """At beta = 0.499, D'(a) = 1 - 2 m beta = 0.002: D(a + d) formed
+        from d keeps its digits where a + d rounds to a, and f at the
+        level-set offset is finite and close to its leading term
+        -2 sqrt(2 m psi(a) d / D'(a))."""
+        field = make_scenario("schwarzschild_perturbed", beta=0.499).field
+        a = field.profile.r_min
+        d = a * 1e-8
+        got = float(field.value(np.array([[a + d, 0.0, 0.0]]))[0])
+        lead = -2.0 * math.sqrt(2.0 * 0.501 * d / 0.002)
+        assert math.isfinite(got) and abs(got / lead - 1.0) <= 1e-3
+
     def test_negative_slope_squared_rejected(self):
         prof = profile_from_gradsq(
             lambda r, k: [1.0 - r, -np.ones_like(r), np.zeros_like(r)][:k])
@@ -438,6 +463,28 @@ class TestRadialJet:
             assert len(slope_args) == 1
             assert np.array_equal(slope_args[0], r)
         assert f_sizes == [3]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_sym3_table_is_the_sym_vec_mat_construction(self, n):
+        """u @ C equals _sym_vec_mat(u, I) entry for entry (one term, or
+        3 u_i on the diagonal), and the order-3 radial jet's third tensor
+        equals its construction from _sym_vec_mat bit for bit."""
+        rng = np.random.default_rng(n)
+        prof = schwarzschild_profile(1.0, 3)
+        pts = rng.uniform(-6.0, 6.0, (300, n))
+        pts[:, 0] += 12.0  # outside the horizon at r = 2
+        for x in (pts, pts[5], pts[:24].reshape(4, 6, n)):
+            table = (x @ jets._sym3_table(n)).reshape(x.shape + (n, n))
+            assert np.array_equal(table, _sym_vec_mat(x, np.eye(n)))
+        r = np.sqrt(np.sum(pts * pts, axis=-1))
+        u = pts / r[:, None]
+        fr, frr, frrr = _profile_at(prof, r, (1, 2, 3))
+        uuu = np.einsum("...i,...j->...ij", u, u)[..., None] * u[
+            :, None, None, :]
+        want = (frrr[:, None, None, None] * uuu
+                + (frr / r - fr / r ** 2)[:, None, None, None]
+                * (_sym_vec_mat(u, np.eye(n)) - 3.0 * uuu))
+        assert radial_jet(prof, pts).third.tobytes() == want.tobytes()
 
     def test_off_center(self):
         prof = schwarzschild_profile(1.0, 3)

@@ -13,14 +13,15 @@ from field_helpers import CountingField, RotatedField
 from graphmass import quad
 from graphmass.convexgeom import Ellipsoid, HorizonSet, Sphere
 from graphmass.errors import ConfigError, DomainError, NonConvexError
-from graphmass.jets import RadialField, RadialProfile, schwarzschild_profile
+from graphmass.jets import (ExprField, RadialField, RadialProfile,
+                            schwarzschild_profile)
 from graphmass.mass import (HORIZON_OFFSETS, Scenario, ScenarioEvaluation,
                             adm_flux_mass, adm_mass, bulk_mass, flux_series,
                             horizon_flux_convergence, horizon_hypotheses,
                             identity_tolerance, mass_normalization,
                             shell_sampler, spherical_mass)
 from graphmass.quad import HORIZON_OFFSET, ExteriorRegion, QuadConfig
-from graphmass.scenarios import make_scenario
+from graphmass.scenarios import make_scenario, scenario_names
 
 
 def check(scenario, name):
@@ -129,22 +130,45 @@ class TestFluxMass:
         assert series.plain == tuple(adm_flux_mass(scn3, r)[0]
                                      for r in (100.0, 200.0))
 
-    def test_one_jet_per_radius(self, scn3):
-        """Both integrands come from one jet per radius: at one point on a
-        field radial about the origin, and on the nodes of the full rule
-        and of its half companion on a field that is not."""
+    def test_one_jet_per_series(self, scn3):
+        """Both integrands at every radius come from one jet: at one point
+        per radius on a field radial about the origin, and on the nodes of
+        the full rule and of its half companion at every radius on a field
+        that is not."""
         counting = CountingField(scn3.field)
         series = flux_series(dataclasses.replace(scn3, field=counting))
         radii = len(scn3.quad.radii)
-        assert (counting.calls, counting.jet_points) == (radii, radii)
+        assert (counting.calls, counting.jet_points) == (1, radii)
         assert series == adm_mass(scn3).series
         off = CountingField(RadialField(schwarzschild_profile(1.0, 3), 3,
                                         center=(0.5, 0.0, 0.0)))
         flux_series(dataclasses.replace(scn3, field=off))
         rule = scn3.quad.flux_rule(3)
-        assert off.calls == radii
+        assert off.calls == 1
         assert off.jet_points == radii * (len(rule.weights)
                                           + len(rule.half.weights))
+
+    @pytest.mark.parametrize("name", [n for n in scenario_names()
+                                      if n != "ellipsoid_horizon"])
+    def test_one_call_equals_a_call_per_radius(self, name):
+        """The series from one jet equals the series of one radius at a
+        time bit for bit, on every registry default, and on fields that
+        take the node rule."""
+        scn = make_scenario(name)
+        cases = [scn]
+        if name == "schwarzschild3":
+            cases += [dataclasses.replace(scn, field=RadialField(
+                scn.profile, 3, center=(0.5, 0.0, 0.0))),
+                dataclasses.replace(scn, field=ExprField(
+                    "0.2*x1/(1 + r^2) + 0.1*x2*x3/(1 + r^3)", 3))]
+        for case in cases:
+            whole = flux_series(case)
+            for i, r in enumerate(whole.radii):
+                one = flux_series(case, (r,))
+                for key in ("plain", "weighted", "plain_err",
+                            "weighted_err"):
+                    assert (getattr(one, key)[0].hex()
+                            == getattr(whole, key)[i].hex()), (name, key, r)
 
     def test_monotone_approach(self, scn3):
         """The plain series decreases to m from above as r grows."""

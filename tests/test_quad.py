@@ -20,8 +20,8 @@ from graphmass.jets import ExprField
 from graphmass.mass import flux_series
 from graphmass.quad import (ExteriorRegion, QuadConfig,
                             exterior_volume_integrate, extrapolate_limit,
-                            point_rule, sphere_integrals, sphere_integrate,
-                            sphere_rule, unit_sphere_area)
+                            norm_sq, point_rule, sphere_integrals,
+                            sphere_integrate, sphere_rule, unit_sphere_area)
 from graphmass.scenarios import make_scenario, scenario_names
 
 SRC = os.path.dirname(os.path.dirname(quad.__file__))
@@ -42,6 +42,24 @@ sys.meta_path.insert(0, RefuseScipy())
 
 def ulps(got: np.ndarray, want: np.ndarray) -> np.ndarray:
     return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+class TestNormSq:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bit_for_bit_the_numpy_reductions(self, n):
+        """Summed column by column, it is np.sum(x * x, axis=-1) and the
+        square of np.linalg.norm(x, axis=1) to the bit, on batches of any
+        leading shape and on a strided view."""
+        rng = np.random.default_rng(n)
+        for shape in ((n,), (1000, n), (3, 5, n)):
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 5, shape)
+            got, want = norm_sq(x), np.sum(x * x, axis=-1)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        x = rng.standard_normal((n, 500)).T
+        assert norm_sq(x).tobytes() == np.sum(x * x, axis=-1).tobytes()
+        assert (np.sqrt(norm_sq(x)).tobytes()
+                == np.linalg.norm(x, axis=1).tobytes())
 
 
 class TestSphereArea:
@@ -290,6 +308,45 @@ class TestSphereIntegrate:
         assert value == pytest.approx(unit_sphere_area(n) * 2.0 ** (n - 1),
                                       rel=1e-15)
         assert err == 0.0
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_point_rule_is_the_one_node_dot(self, n):
+        """On point_rule the integrals of every row and radius are one
+        array product, bit for bit r^{n-1} (w . v) of the 1-element dot,
+        signed zeros included."""
+        rule = point_rule(n)
+        radii = np.geomspace(0.3, 900.0, 41)
+
+        def fn(pts):
+            r = pts[:, 0]
+            return np.stack([np.cos(r) * r ** -1.5,
+                             np.where(r > 100.0, -0.0, -np.exp(-r))])
+
+        got = sphere_integrals(fn, radii, rule)
+        rows = fn(radii[:, None] * rule.nodes)
+        want = np.array([[[r ** (n - 1) * float(rule.weights @ row[i:i + 1])
+                           for i, r in enumerate(radii.tolist())]
+                          for row in rows]])
+        assert got.tobytes() == want.tobytes()
+        assert (sphere_integrals(lambda p: fn(p)[1], radii, rule).tobytes()
+                == want[:, 1].tobytes())
+
+    def test_radii_sequence_is_one_call(self):
+        """A 1-D sequence of radii makes one fn call and returns arrays
+        over the radii equal to one call per radius."""
+        rule = sphere_rule(3)
+        calls = []
+
+        def fn(pts):
+            calls.append(len(pts))
+            return np.stack([pts[:, 2] ** 2, np.exp(pts[:, 0] / 9.0)])
+
+        radii = (1.0, 2.5, 7.0)
+        value, err = sphere_integrate(fn, radii, rule)
+        assert len(calls) == 1 and value.shape == err.shape == (2, 3)
+        for i, r in enumerate(radii):
+            one = sphere_integrate(fn, r, rule)
+            assert one == (tuple(value[:, i]), tuple(err[:, i]))
 
     def test_rows_integrate_like_single_integrands(self):
         """A (k, nodes) integrand gives, row by row, the bits of k calls."""
