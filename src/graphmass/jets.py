@@ -9,10 +9,11 @@ Hessian, so they ask for order 2.  A radial or piecewise radial jet leaves
 the value as None, since its profile value f is an integral that no
 derivative needs: ``field.value(points)`` reads f.  Order 3 serves the
 divergence route, the finite-difference comparison and the decay probe.
-An expression
-field's values and jets come from one walk, ``expr.evaluate``, which checks
-the domain rules; values apply no derivative rule, so :func:`fd_jet` stays
-an independent check of the forward-mode rules the jets apply:
+An expression field's values and jets come from one walk,
+``expr.evaluate``, which checks the domain rules; a function of r alone
+is walked on the 1-D points r and its n-D jet assembled as a radial
+profile's.  Values apply no derivative rule, so :func:`fd_jet` stays an
+independent check of the forward-mode rules the jets apply:
 
 * product:   (fg)''' = f''' g + 3 sym(f'' o g') + 3 sym(f' o g'') + f g'''
 * scalar chain rule for phi(w):
@@ -449,39 +450,45 @@ def _sym3_table(n: int) -> np.ndarray:
     return table
 
 
-def radial_jet(profile: RadialProfile, point, center=None,
-               order: int = 3) -> Jet3:
-    """Jet of f(|x - center|) from the 1-D profile derivatives; at
-    order 2 neither f_rrr nor the third tensor is evaluated, and at no
-    order the value f, which ``RadialField.value`` reads: value=None.
-
-    Uses the radial decomposition (u = (x-c)/r):
+def _radial_tensors(pts, r, fr, frr, frrr=None):
+    """Gradient, Hessian and, given f_rrr, third tensor (else None) of
+    f(|x|) at the offsets ``pts`` from the centre, r = |pts|, from the
+    profile's derivatives at r, by the radial decomposition (u = x/r):
         grad  = f_r u
         hess  = f_rr u o u + (f_r / r)(I - u o u)
         third = f_rrr u o u o u + (f_rr/r - f_r/r^2) sym3(I, u)
     where sym3(I, u)_ijk = d_ij u_k + d_ik u_j + d_jk u_i - 3 u_i u_j u_k,
     its first three terms one product u @ ``_sym3_table(n)``.
     """
+    n = pts.shape[-1]
+    u = pts / r[..., None]
+    uu = _outer(u, u)
+    hess = (frr[..., None, None] * uu
+            + (fr / r)[..., None, None] * (np.eye(n) - uu))
+    third = None
+    if frrr is not None:
+        uuu = uu[..., None] * u[..., None, None, :]
+        sym = (u @ _sym3_table(n)).reshape(uuu.shape) - 3.0 * uuu
+        third = (frrr[..., None, None, None] * uuu
+                 + (frr / r - fr / r ** 2)[..., None, None, None] * sym)
+    return fr[..., None] * u, hess, third
+
+
+def radial_jet(profile: RadialProfile, point, center=None,
+               order: int = 3) -> Jet3:
+    """Jet of f(|x - center|) from the 1-D profile derivatives
+    (``_radial_tensors``); at order 2 neither f_rrr nor the third tensor
+    is evaluated, and at no order the value f, which
+    ``RadialField.value`` reads: value=None.
+    """
     check_order(order)
     pts = np.asarray(point, float)
-    n = pts.shape[-1]
     if center is not None:
         pts = pts - np.asarray(center, float)
     r = np.sqrt(norm_sq(pts))
-    fr, frr, *frrr = _profile_at(profile, r, range(1, order + 1))
-    u = pts / r[..., None]
-    eye = np.eye(n)
-    uu = _outer(u, u)
-    proj = eye - uu
-    hess = frr[..., None, None] * uu + (fr / r)[..., None, None] * proj
-    third = None
-    if order == 3:
-        uuu = uu[..., None] * u[..., None, None, :]
-        sym = (u @ _sym3_table(n)).reshape(uuu.shape) - 3.0 * uuu
-        third = (frrr[0][..., None, None, None] * uuu
-                 + (frr / r - fr / r ** 2)[..., None, None, None] * sym)
-    return Jet3(None, fr[..., None] * u, hess,
-                third).check_finite(profile.label)
+    derivs = _profile_at(profile, r, range(1, order + 1))
+    return Jet3(None, *_radial_tensors(pts, r, *derivs)).check_finite(
+        profile.label)
 
 
 # ----------------------------------------------------------------------
@@ -524,8 +531,10 @@ class ExprField(ScalarField):
 
     An expression that reads no coordinate x_i is radial: through ``r``
     it is a function of |x|, radial about the origin, and with no
-    variable at all it is a constant, radial about every centre.  Its
-    radial derivatives, which R reads, come from a jet on the points r.
+    variable at all it is a constant, radial about every centre, as
+    decided once, at construction.  A function of r takes its jets and
+    the radial derivatives that R reads from one walk on the 1-D points
+    r; its n-D jets are assembled as ``radial_jet`` assembles a profile's.
     """
 
     def __init__(self, expression: ex.Expr | str, n: int,
@@ -540,6 +549,9 @@ class ExprField(ScalarField):
         self.expression = expression
         self.n = n
         self.params = dict(params or {})
+        symbols = ex.free_symbols(expression)
+        self._reads_x = any(isinstance(e, ex.Coord) for e in symbols)
+        self._reads_r = ex.Radial() in symbols
 
     def value(self, points):
         # an overflow, and a NaN it leads to, is reported as not finite
@@ -550,8 +562,8 @@ class ExprField(ScalarField):
                 f"non-finite value of '{ex.to_text(self.expression)}'")
         return vals
 
-    def jet3_many(self, points, order=3):
-        check_order(order)
+    def _walk(self, points, order):
+        """The expression walk's jet at points (..., d), any d."""
         # an overflow, and a NaN it leads to, is reported as not finite
         with np.errstate(over="ignore", invalid="ignore"):
             jet = ex.evaluate(self.expression, self.params, points, order,
@@ -560,24 +572,32 @@ class ExprField(ScalarField):
             jet = _leaf(np.shape(points), order, jet)
         return jet.check_finite(lambda: f"'{ex.to_text(self.expression)}'")
 
-    def radial_derivatives(self, points):
-        """From an order-2 jet on the 1-D points r = |x| if the expression
-        reads no x_i (a constant takes r = 1 at the origin, about e_1)."""
-        symbols = ex.free_symbols(self.expression)
-        if any(isinstance(e, ex.Coord) for e in symbols):
-            return None
+    def jet3_many(self, points, order=3):
+        check_order(order)
+        if self._reads_x or not self._reads_r:
+            return self._walk(points, order)
         pts = np.asarray(points, float)
         r = np.sqrt(norm_sq(pts))
-        if ex.Radial() not in symbols:
+        jet = self._walk(r[..., None], order)
+        return Jet3(jet.value, *_radial_tensors(
+            pts, r, jet.grad[..., 0], jet.hess[..., 0, 0],
+            _lift(lambda t: t[..., 0, 0, 0], jet.third))).check_finite(
+                lambda: f"'{ex.to_text(self.expression)}'")
+
+    def radial_derivatives(self, points):
+        """From an order-2 walk on the 1-D points r = |x| if the expression
+        reads no x_i (a constant takes r = 1 at the origin, about e_1)."""
+        if self._reads_x:
+            return None
+        r = np.sqrt(norm_sq(np.asarray(points, float)))
+        if not self._reads_r:
             r = np.where(r > 0.0, r, 1.0)
-        jet = self.jet3_many(r[..., None], order=2)
+        jet = self._walk(r[..., None], 2)
         return r, jet.grad[..., 0], jet.hess[..., 0, 0]
 
     def radial_about(self, center, r_lo, r_hi):
-        symbols = ex.free_symbols(self.expression)
-        if any(isinstance(e, ex.Coord) for e in symbols):
-            return False
-        return ex.Radial() not in symbols or not np.any(center)
+        return not self._reads_x and (not self._reads_r
+                                      or not np.any(center))
 
 
 class RadialField(ScalarField):

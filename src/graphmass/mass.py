@@ -23,7 +23,9 @@ Penrose bound and the geometry table read.  Every sphere integral is
 one ``quad`` core call, on a rule that the scenario's config names or,
 where ``ScalarField.radial_about`` says the field is radial about the
 sphere's centre, on ``quad.point_rule``: one point per radius.
-``_rule_about`` makes that choice; ``quad`` walks the rule it is given.
+``_rule_about`` makes that choice, also for the horizon hypotheses,
+which read one node of a round horizon; ``quad`` walks the rule it is
+given.
 """
 
 from __future__ import annotations
@@ -352,15 +354,16 @@ def horizon_hypotheses(scenario: Scenario) -> tuple[HypothesisReport, ...]:
     """Sampled checks that each horizon sits in a level set of f and
     that |grad f| blows up toward it.
 
-    The level check measures the variance of f over a homothetic copy
-    of the boundary at relative offset 1e-8 (bound 1e-8), on the flux
-    rule's nodes, or on one node where the horizon is a sphere and the
-    field is radial about its centre out to offset eps = HORIZON_OFFSET:
-    f is then one value on the copy, so its variance is 0.  The gradient
-    check samples |grad f| at offset eps on every node, as |h_r| where
-    the field has radial derivatives and from an order-2 jet elsewhere,
-    and requires (1 - 1e-6)/sqrt((n-2) eps), the exact magnitude of a
-    Schwarzschild profile there, at threshold 10^3 for n = 3, eps = 1e-6.
+    Both read the nodes of the flux rule, or the one node of
+    ``point_rule`` where the horizon is a sphere and the field is radial
+    about its centre out to offset eps = HORIZON_OFFSET (``_rule_about``):
+    f and |grad f| then take one value on each copy of the sphere.  The
+    level check measures the variance of f over a homothetic copy of the
+    boundary at relative offset 1e-8 (bound 1e-8).  The gradient check
+    samples |grad f| at offset eps, as |h_r| where the field has radial
+    derivatives and from an order-2 jet elsewhere, and requires
+    (1 - 1e-6)/sqrt((n-2) eps), the exact magnitude of a Schwarzschild
+    profile there, at threshold 10^3 for n = 3, eps = 1e-6.
     """
     fld = scenario.require_field()
     rule = scenario.quad.flux_rule(scenario.n)
@@ -368,13 +371,12 @@ def horizon_hypotheses(scenario: Scenario) -> tuple[HypothesisReport, ...]:
     floor = (1.0 - 1e-6) / math.sqrt((scenario.n - 2) * eps)
     out = []
     for i, body in enumerate(scenario.horizons):
-        pts, _ = body.surface_sample(rule)
-        rays = pts - body.center
         a = body.outer_radius()
-        level_rays = (rays[:1] if isinstance(body, Sphere) and
-                      fld.radial_about(body.center, a, a * (1.0 + eps))
-                      else rays)
-        lvl = fld.value(body.center + level_rays * (1.0 + 1e-8))
+        pts, _ = body.surface_sample(
+            _rule_about(fld, rule, body.center, a, a * (1.0 + eps))
+            if isinstance(body, Sphere) else rule)
+        rays = pts - body.center
+        lvl = fld.value(body.center + rays * (1.0 + 1e-8))
         var = float(np.var(lvl))
         near = body.center + rays * (1.0 + eps)
         radial = fld.radial_derivatives(near)

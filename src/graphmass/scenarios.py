@@ -38,48 +38,44 @@ from .quad import ExteriorRegion, QuadConfig, norm_sq
 # C^3 window machinery for the glued two-body graph
 # ----------------------------------------------------------------------
 
-def _s7(t: np.ndarray, order: int) -> np.ndarray:
-    """Septic smoothstep 35t^4 - 84t^5 + 70t^6 - 20t^7 and derivatives.
+# the septic smoothstep and its first three derivatives, in Horner form
+_S7_ORDERS = (
+    lambda t: t ** 4 * (35.0 + t * (-84.0 + t * (70.0 - 20.0 * t))),
+    lambda t: 140.0 * (t * (1.0 - t)) ** 3,
+    lambda t: t ** 2 * (420.0 + t * (-1680.0 + t * (2100.0 - 840.0 * t))),
+    lambda t: t * (840.0 + t * (-5040.0 + t * (8400.0 - 4200.0 * t))))
+
+
+def _s7(t: np.ndarray, orders) -> list[np.ndarray]:
+    """Septic smoothstep 35t^4 - 84t^5 + 70t^6 - 20t^7 and its
+    derivatives of the given orders (0 to 3), all on one copy of t
+    clipped to [0, 1]: each polynomial is exactly 0 or 1 at the ends, as
+    the step and its derivatives are past them.
 
     Flat to third order at both ends, so windowed products keep C^3
     regularity, which is all the order-3 jets need.
     """
     t = np.asarray(t, float)
-    inside = (t > 0.0) & (t < 1.0)
-    out = np.zeros_like(t)
-    if order == 0:
-        out[t >= 1.0] = 1.0
-    if inside.any():
-        ti = t[inside]
-        if order == 0:
-            val = ti ** 4 * (35.0 + ti * (-84.0 + ti * (70.0 - 20.0 * ti)))
-        elif order == 1:
-            val = 140.0 * (ti * (1.0 - ti)) ** 3
-        elif order == 2:
-            val = ti ** 2 * (420.0 + ti * (-1680.0 + ti
-                                           * (2100.0 - 840.0 * ti)))
-        else:
-            val = ti * (840.0 + ti * (-5040.0 + ti
-                                      * (8400.0 - 4200.0 * ti)))
-        out[inside] = val
-    return out
+    # 1-D even for one t: a numpy scalar's ** rounds unlike an array's
+    flat = np.clip(t.reshape(-1), 0.0, 1.0)
+    return [_S7_ORDERS[j](flat).reshape(t.shape) for j in orders]
 
 
 def window_profile(lo: float, width: float, rising: bool) -> RadialProfile:
     """Radial window: smoothstep from ``lo`` over ``width``.
 
     rising=True goes 0 -> 1 (far-field switch); rising=False goes
-    1 -> 0 (near-zone cutoff).
+    1 -> 0 (near-zone cutoff).  ``slopes(r, k)`` reads one ``_s7`` call.
     """
     sign = 1.0 if rising else -1.0
 
     def f(r):
-        val = _s7((np.asarray(r, float) - lo) / width, 0)
+        val, = _s7((np.asarray(r, float) - lo) / width, (0,))
         return val if rising else 1.0 - val
 
     def slopes(r, k):
-        t = (np.asarray(r, float) - lo) / width
-        return [sign * (_s7(t, j) / width ** j) for j in range(1, k + 1)]
+        table = _s7((np.asarray(r, float) - lo) / width, range(1, k + 1))
+        return [sign * (d / width ** j) for j, d in enumerate(table, 1)]
 
     return RadialProfile(f, slopes, r_min=0.0,
                          label=f"window[{lo},{lo + width}]")
@@ -87,8 +83,9 @@ def window_profile(lo: float, width: float, rising: bool) -> RadialProfile:
 
 def windowed(profile: RadialProfile, window: RadialProfile) -> RadialProfile:
     """The profile times the window, differentiated by the Leibniz rule
-    over one table of each factor; where the window is 1 the derivatives
-    are the profile's, bit for bit."""
+    over one table of each factor, each sum started from its first term;
+    where the window is 1 the derivatives are the profile's, bit for
+    bit."""
 
     def leibniz(r, k):
         """[(f w), ..., (f w)^(k)] at radii r."""
@@ -96,7 +93,8 @@ def windowed(profile: RadialProfile, window: RadialProfile) -> RadialProfile:
         if k:
             fs += profile.slopes(r, k)
             ws += window.slopes(r, k)
-        return [sum(math.comb(i, j) * fs[j] * ws[i - j] for j in range(i + 1))
+        return [sum((math.comb(i, j) * fs[j] * ws[i - j]
+                     for j in range(1, i + 1)), fs[0] * ws[i])
                 for i in range(k + 1)]
 
     return RadialProfile(lambda r: leibniz(r, 0)[0],

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from field_helpers import RotatedField
-from graphmass import quad
+from graphmass import expr, quad
 from graphmass.convexgeom import SmoothLevelSet
 from graphmass.errors import DomainError
 from graphmass.graphgeom import (boundary_integrand, curvature_and_scale,
@@ -369,20 +369,26 @@ class TestRadialRoute:
         assert np.all(np.isfinite(scalar_curvature(scn.field, pts)))
 
     def test_radial_expression_asks_for_no_n_d_jet(self, monkeypatch):
-        """bump's R comes from a jet on the 1-D points r, so its div V,
-        from the n-D order-3 jet, is an independent route to R."""
+        """bump's R comes from one order-2 walk on the 1-D points r and
+        builds no jet; its div V, the order-3 expansion of the jet that
+        another walk and the radial assembly give, is as independent a
+        route to R as on a RadialField."""
         scn = make_scenario("bump")
-        dims = []
-        jet3_many = ExprField.jet3_many
+        walks = []
+        evaluate = expr.evaluate
 
-        def logged(self, points, order=3):
-            dims.append(np.shape(points)[-1])
-            return jet3_many(self, points, order=order)
+        def logged(node, params, points, order=0, ops=expr.VALUES):
+            walks.append((np.shape(points), order))
+            return evaluate(node, params, points, order, ops)
 
-        monkeypatch.setattr(ExprField, "jet3_many", logged)
+        def no_jet(self, points, order=3):
+            raise AssertionError("jet requested")
+
+        monkeypatch.setattr(expr, "evaluate", logged)
+        monkeypatch.setattr(ExprField, "jet3_many", no_jet)
         pts = scn.sample_points(100, 1)
         assert np.all(np.isfinite(scalar_curvature(scn.field, pts)))
-        assert dims == [1]
+        assert walks == [((100, 1), 2)]
 
     def test_inside_profile_domain_rejected(self):
         fld = RadialField(schwarzschild_profile(1.0, 3), 3)

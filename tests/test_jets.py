@@ -494,10 +494,87 @@ class TestRadialJet:
         assert sup(j1.hess - j2.hess) == 0.0
 
 
+def n_d_walk(field, pts, order):
+    """The expression walk's jet on the n-D points, which a function of r
+    alone no longer takes."""
+    jet = evaluate(field.expression, field.params, pts, order, _JET_OPS)
+    return jet if isinstance(jet, jets.Jet3) else jets._leaf(
+        pts.shape, order, jet)
+
+
+def log_walks(monkeypatch) -> list:
+    """(points shape, order) of every expression walk from now on."""
+    walks = []
+    walk = ex.evaluate
+
+    def logged(node, params, points, order=0, ops=ex.VALUES):
+        walks.append((np.shape(points), order))
+        return walk(node, params, points, order, ops)
+
+    monkeypatch.setattr(ex, "evaluate", logged)
+    return walks
+
+
 class TestRadialExpression:
     """An expression that reads no x_i gives (r, h_r, h_rr) from an
     order-2 jet on the 1-D points r; they are r, grad f . x/r and
-    x^T H x / r^2 of the n-D jet."""
+    x^T H x / r^2 of the n-D walk's jet.  A function of r takes its
+    order-2 and order-3 jets from one walk on the points r too."""
+
+    # expression and the radius its domain starts at
+    CASES = [("a*exp(-r^2)", 0.0), ("sqrt(8*(r-2))", 2.0),
+             ("r^3 - 2*r", 0.0)]
+
+    @staticmethod
+    def shell(n, r_lo, count=40, seed=11):
+        rng = np.random.default_rng(seed)
+        dirs = rng.normal(size=(count, n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        return dirs * rng.uniform(r_lo + 0.1, r_lo + 3.0, (count, 1))
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize(("text", "r_lo"), CASES)
+    def test_radial_route_matches_the_n_d_walk(self, text, r_lo, n, order,
+                                               monkeypatch):
+        """Each component to 1e-12 of its scale, from one walk on (m, 1)
+        points; criterion 9's finite-difference slope holds."""
+        field = ExprField(text, n, {"a": 0.7})
+        pts = self.shell(n, r_lo)
+        want = n_d_walk(field, pts, order)
+        walks = log_walks(monkeypatch)
+        got = field.jet3_many(pts, order=order)
+        assert walks == [((len(pts), 1), order)]
+        for part in ("value", "grad", "hess", "third")[:order + 1]:
+            g, w = getattr(got, part), getattr(want, part)
+            assert g.shape == w.shape, part
+            assert sup(g - w) <= 1e-12 * sup(w), (text, part)
+        assert got.order == order
+        good, note = acceptance._fd_slope(field, pts[0])
+        assert good, note
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("text", ["a*exp(-r^2)", "r^3 - 2*r"])
+    def test_both_routes_raise_at_the_origin(self, text, order):
+        field = ExprField(text, 3, {"a": 0.7})
+        origin = np.zeros((2, 3))
+        with pytest.raises(DomainError) as n_d:
+            n_d_walk(field, origin, order)
+        with pytest.raises(DomainError) as radial:
+            field.jet3_many(origin, order=order)
+        assert str(radial.value) == str(n_d.value)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_reading_a_coordinate_keeps_the_n_d_walk(self, order,
+                                                     monkeypatch):
+        """x1*r walks the n-D points, so the n-D r leaf stays covered."""
+        field = ExprField("x1*r", 3)
+        pts = self.shell(3, 0.0)
+        walks = log_walks(monkeypatch)
+        field.jet3_many(pts, order=order)
+        assert walks == [(pts.shape, order)]
+        good, note = acceptance._fd_slope(field, pts[0])
+        assert good, note
 
     @pytest.mark.parametrize("text", ["a*exp(-r^2)", "sqrt(1 + r^2)", "0",
                                       "a"])
@@ -505,7 +582,7 @@ class TestRadialExpression:
         field = ExprField(text, 4, {"a": 0.7})
         pts = np.random.default_rng(3).uniform(-2.0, 2.0, (50, 4))
         r, hr, hrr = field.radial_derivatives(pts)
-        jet = field.jet3_many(pts, order=2)
+        jet = n_d_walk(field, pts, 2)
         u = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         want = (np.linalg.norm(pts, axis=1),
                 np.einsum("mi,mi->m", jet.grad, u),

@@ -122,6 +122,129 @@ class TestWindowProfile:
         assert np.max(np.abs(fd2 - frr)) <= 1e-7
 
 
+def _parent_s7(t, order):
+    """The septic step's table of one order, formed as before the orders
+    shared one mask."""
+    t = np.asarray(t, float)
+    inside = (t > 0.0) & (t < 1.0)
+    out = np.zeros_like(t)
+    if order == 0:
+        out[t >= 1.0] = 1.0
+    if inside.any():
+        ti = t[inside]
+        if order == 0:
+            val = ti ** 4 * (35.0 + ti * (-84.0 + ti * (70.0 - 20.0 * ti)))
+        elif order == 1:
+            val = 140.0 * (ti * (1.0 - ti)) ** 3
+        elif order == 2:
+            val = ti ** 2 * (420.0 + ti * (-1680.0 + ti
+                                           * (2100.0 - 840.0 * ti)))
+        else:
+            val = ti * (840.0 + ti * (-5040.0 + ti
+                                      * (8400.0 - 4200.0 * ti)))
+        out[inside] = val
+    return out
+
+
+def _parent_window(lo, width, rising):
+    sign = 1.0 if rising else -1.0
+
+    def f(r):
+        val = _parent_s7((np.asarray(r, float) - lo) / width, 0)
+        return val if rising else 1.0 - val
+
+    def slopes(r, k):
+        t = (np.asarray(r, float) - lo) / width
+        return [sign * (_parent_s7(t, j) / width ** j)
+                for j in range(1, k + 1)]
+
+    return jets.RadialProfile(f, slopes, label=f"window[{lo},{lo + width}]")
+
+
+def _parent_windowed(profile, window):
+    """The Leibniz sums as generator sums from the int 0."""
+
+    def leibniz(r, k):
+        fs, ws = [profile.f(r)], [window.f(r)]
+        if k:
+            fs += profile.slopes(r, k)
+            ws += window.slopes(r, k)
+        return [sum(math.comb(i, j) * fs[j] * ws[i - j] for j in range(i + 1))
+                for i in range(k + 1)]
+
+    return jets.RadialProfile(lambda r: leibniz(r, 0)[0],
+                              lambda r, k: leibniz(r, k)[1:],
+                              r_min=profile.r_min,
+                              label=f"{profile.label} x {window.label}")
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestWindowTables:
+    """One ``_s7`` call per table gives the per-order formulas' values,
+    and the Leibniz sums started from their first term the generator
+    sums', bit for bit: on a grid across t = 0 and t = 1, and on
+    two_body_glued's identity sample."""
+
+    T = np.concatenate([np.linspace(-0.5, 1.5, 81), [
+        0.0, 1.0, np.nextafter(0.0, 1.0), np.nextafter(0.0, -1.0),
+        np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]])
+
+    def test_s7_orders(self):
+        for orders in ((0,), range(1, 2), range(1, 4), range(4)):
+            table = scenarios._s7(self.T, orders)
+            assert len(table) == len(orders)
+            for j, got in zip(orders, table):
+                assert _same_bits(got, _parent_s7(self.T, j)), (orders, j)
+        for t in self.T[::7]:  # a lone t stays a 0-d array, as before
+            for j, got in enumerate(scenarios._s7(t, range(4))):
+                assert _same_bits(got, _parent_s7(t, j)), (t, j)
+
+    @pytest.mark.parametrize("rising", [True, False])
+    def test_window_profile(self, rising):
+        lo, width = 16.0, 40.0
+        r = lo + width * self.T
+        got = window_profile(lo, width, rising)
+        want = _parent_window(lo, width, rising)
+        assert _same_bits(got.f(r), want.f(r))
+        for k in (1, 2, 3):
+            for g, w in zip(got.slopes(r, k), want.slopes(r, k), strict=True):
+                assert _same_bits(g, w), k
+
+    def test_windowed_field_on_the_identity_sample(self, two_body,
+                                                   monkeypatch):
+        monkeypatch.setattr(scenarios, "window_profile", _parent_window)
+        monkeypatch.setattr(scenarios, "windowed", _parent_windowed)
+        parent = make_scenario("two_body_glued").field
+        pts = two_body.sample_points(1000, two_body.quad.seed)
+        for got, want in zip(two_body.field.radial_derivatives(pts),
+                             parent.radial_derivatives(pts), strict=True):
+            assert _same_bits(got, want)
+        got, want = (f.jet3_many(pts, order=3) for f in (two_body.field,
+                                                         parent))
+        for part in ("grad", "hess", "third"):
+            assert _same_bits(getattr(got, part), getattr(want, part)), part
+        # each piece's profile across its window, t = 0 and t = 1 included:
+        # bit for bit on the open support, the radii the field evaluates;
+        # where the window and its slopes are 0 (at and past the support's
+        # ends) equal, up to the sign of a product of zeros
+        for piece, old, (lo, width) in zip(
+                two_body.field.pieces, parent.pieces,
+                [(16.0, 40.0), (16.0, 40.0), (200.0, 120.0)], strict=True):
+            prof, ref = piece.field.profile, old.field.profile
+            r = lo + width * self.T
+            r = r[r > prof.r_min * (1.0 + 1e-6)]
+            support = (r > piece.r_lo) & (r < piece.r_hi)
+            assert support.sum() > 40 and (~support).sum() > 5
+            for got, want in zip([prof.f(r)] + prof.slopes(r, 3),
+                                 [ref.f(r)] + ref.slopes(r, 3)):
+                assert _same_bits(got[support], want[support])
+                assert np.array_equal(got, want)
+
+
 class TestRadialCustomProfile:
     def test_slope_squared(self):
         """The profile realizes f_r^2 = 2m r^2/(1 + r^n) exactly."""
