@@ -14,7 +14,9 @@ The scalar curvature is also the flat divergence of the field
 
     V_j = (f_ii f_j - f_ij f_i) / W,
 
-which is the identity behind the boundary-flux mass formulas.  Only
+which is the identity behind the boundary-flux mass formulas.  Every
+flux integrand is a row of V . nu's one contraction, A . nu and A . nu/W
+(A = W V) in :func:`flux_integrands_from_jet`.  Only
 :func:`divergence_of_V` asks for the order-3 jet: it expands div V
 through the third derivatives, an independent route to R.  On a field
 radial about a centre at each point, :func:`scalar_curvature` builds no
@@ -130,25 +132,26 @@ def flat_mean_curvature(field: ScalarField, points):
     return (-tr + gHg / gsq) / np.sqrt(gsq)
 
 
-def boundary_integrand(field: ScalarField, points, nu):
-    """(f_ii f_j - f_ij f_i) nu_j / W = V . nu.
-
-    With nu = -grad f/|grad f| this equals |grad f|^2 H0 / W, the
-    horizon-limit form of the boundary mass term.
-    """
-    pts = np.asarray(points, float)
-    nu_arr = np.broadcast_to(np.asarray(nu, float), pts.shape)
-    jet = field.jet3_many(pts, order=2)
-    V = flux_field_from_jet(jet)
-    return np.einsum("...j,...j->...", V, nu_arr)
-
-
 def flux_integrands_from_jet(jet: Jet3, nu):
     """(A . nu, A . nu / W) with A_j = f_ii f_j - f_ij f_i."""
     W, tr, _, Hg, _ = _curvature_parts(jet)
     A = tr[..., None] * jet.grad - Hg
     plain = np.einsum("...j,...j->...", A, nu)
     return plain, plain / W
+
+
+def _flux_rows(field: ScalarField, points, nu):
+    jet = field.jet3_many(np.asarray(points, float), order=2)
+    return flux_integrands_from_jet(jet, np.asarray(nu, float))
+
+
+def boundary_integrand(field: ScalarField, points, nu):
+    """V . nu = (f_ii f_j - f_ij f_i) nu_j / W.
+
+    With nu = -grad f/|grad f| this equals |grad f|^2 H0 / W, the
+    horizon-limit form of the boundary mass term.
+    """
+    return _flux_rows(field, points, nu)[1]
 
 
 def mass_flux_integrand(field: ScalarField, points, nu, weighted: bool):
@@ -158,8 +161,4 @@ def mass_flux_integrand(field: ScalarField, points, nu, weighted: bool):
     weighted form (V . nu) is its algebraically equivalent variant whose
     flux converges faster for the model profiles.
     """
-    pts = np.asarray(points, float)
-    nu_arr = np.broadcast_to(np.asarray(nu, float), pts.shape)
-    plain, wtd = flux_integrands_from_jet(field.jet3_many(pts, order=2),
-                                          nu_arr)
-    return wtd if weighted else plain
+    return _flux_rows(field, points, nu)[weighted]

@@ -324,10 +324,11 @@ def profile_from_gradsq(gradsq: Callable, r_min: float = 0.0,
         root = np.sqrt(ur)
         out = [sign * root]
         if k > 1:
-            out.append(sign * dus[0] / (2.0 * root))
+            h = dus[0] / (2.0 * root)
+            out.append(sign * h)
         if k > 2:
-            out.append(sign * (dus[1] / (2.0 * root)
-                               - dus[0] * dus[0] / (4.0 * np.power(ur, 1.5))))
+            # h^2/sqrt(u), not u'^2/(4 u^{3/2}): u^{3/2} underflows first
+            out.append(sign * (dus[1] / (2.0 * root) - h * h / root))
         return out
 
     antider = _graded_gauss_value(

@@ -17,9 +17,11 @@ nonnegativity under sampled R >= 0, "penrose" tests the quermassintegral
 lower bound.  Hypotheses are verified by sampling and reported; a failed
 hypothesis is distinguished from a failed inequality.  A
 ``ScenarioEvaluation`` computes each quantity once: the flux estimate,
-the bulk integral (one panel walk per bulk region) and one
-quermassintegral vector per horizon body, which the horizon term, the
-Penrose bound and the geometry table read.  Every sphere integral is
+the bulk integral (one panel walk per bulk region), one quermassintegral
+vector per horizon body (read by the horizon term, the Penrose bound and
+the geometry table), the decomposition, whose horizon term the Penrose
+check also reads, and the horizon hypotheses, which only the report
+reads.  Every sphere integral is
 one ``quad`` core call, on a rule that the scenario's config names or,
 where ``ScalarField.radial_about`` says the field is radial about the
 sphere's centre, on ``quad.point_rule``: one point per radius.
@@ -31,7 +33,7 @@ given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as _field, replace
+from dataclasses import asdict, dataclass, field as _field, replace
 from functools import cached_property, lru_cache, partial
 from typing import Callable
 
@@ -391,20 +393,16 @@ def horizon_hypotheses(scenario: Scenario) -> tuple[HypothesisReport, ...]:
 
 @dataclass
 class Decomposition:
-    """Boundary + bulk mass split and its reconciliation with the flux."""
+    """Boundary + bulk mass split reconciled with the flux mass, fields in
+    the report's order; the ADM mass and the horizon hypotheses are
+    ``ScenarioEvaluation.adm`` and ``ScenarioEvaluation.hypotheses``."""
 
     boundary: float
     bulk: float
     total: float
-    adm: float
     residual: float
     tolerance: float
     identity_ok: bool
-    hypotheses: tuple[HypothesisReport, ...]
-
-    @property
-    def hypothesis_ok(self) -> bool:
-        return all(h.ok for h in self.hypotheses)
 
 
 def divergence_identity_sup(field: ScalarField, pts: np.ndarray) -> float:
@@ -422,23 +420,19 @@ def identity_tolerance(mass: float, uncertainty: float) -> float:
     return max(IDENTITY_REL * abs(mass), UNC_FACTOR * uncertainty)
 
 
-def mass_decomposition(scenario: Scenario, est: MassEstimate,
-                       bulk: BulkResult, quermass) -> Decomposition:
+def mass_decomposition(est: MassEstimate, bulk: BulkResult,
+                       quermass) -> Decomposition:
     """Geometric boundary term plus bulk term, against the flux mass.
 
     ``quermass`` holds the quermassintegral vector of each horizon body.
     """
-    scenario.require_field()
-    hyps = (horizon_hypotheses(scenario)
-            if len(scenario.horizons) else ())
     boundary = horizon_mean_curvature_term(quermass)
     total = boundary + bulk.value
     residual = est.value - total
     tol = identity_tolerance(est.value, est.uncertainty + bulk.uncertainty)
     return Decomposition(boundary=boundary, bulk=bulk.value, total=total,
-                         adm=est.value, residual=residual, tolerance=tol,
-                         identity_ok=abs(residual) <= tol,
-                         hypotheses=hyps)
+                         residual=residual, tolerance=tol,
+                         identity_ok=abs(residual) <= tol)
 
 
 def horizon_flux_convergence(scenario: Scenario, quermass) -> list[dict]:
@@ -521,8 +515,11 @@ class ScenarioEvaluation:
 
     @cached_property
     def decomposition(self) -> Decomposition:
-        return mass_decomposition(self.scenario, self.adm, self.bulk,
-                                  self.quermass)
+        return mass_decomposition(self.adm, self.bulk, self.quermass)
+
+    @cached_property
+    def hypotheses(self) -> tuple[HypothesisReport, ...]:
+        return horizon_hypotheses(self.scenario)
 
     @cached_property
     def sampled_R(self) -> tuple[float, float, int]:
@@ -599,7 +596,7 @@ class ScenarioEvaluation:
                 notes.append(f"divergence identity off by {sup:.3e}")
 
             dec = self.decomposition
-            values.update(adm=dec.adm, boundary_term=dec.boundary,
+            values.update(adm=self.adm.value, boundary_term=dec.boundary,
                           bulk_term=dec.bulk, residual=dec.residual,
                           residual_tolerance=dec.tolerance)
             if not dec.identity_ok:
@@ -709,7 +706,7 @@ class ScenarioEvaluation:
         # for a non-convex horizon
         bound = self.bound if convex else math.nan
         # the AF inequality bounds the horizon term by the area bound
-        af_deficit = (horizon_mean_curvature_term(self.quermass) - bound
+        af_deficit = (self.decomposition.boundary - bound
                       if convex else math.nan)
         est = self.adm
         bulk = self.bulk
@@ -755,7 +752,6 @@ class ScenarioEvaluation:
         if scn.field is not None:
             est = self.adm
             series = est.series
-            dec = self.decomposition
             min_R, max_abs_R, count = self.sampled_R
             out["flux_table"] = {
                 "radii": list(series.radii),
@@ -776,25 +772,11 @@ class ScenarioEvaluation:
                 "q_fit": self.bulk.q_fit,
                 "panels": self.bulk.panels,
             }
-            out["decomposition"] = {
-                "boundary": dec.boundary,
-                "bulk": dec.bulk,
-                "total": dec.total,
-                "residual": dec.residual,
-                "tolerance": dec.tolerance,
-                "identity_ok": dec.identity_ok,
-            }
+            out["decomposition"] = asdict(self.decomposition)
             out["scalar_curvature_sample"] = {
                 "min": min_R, "max_abs": max_abs_R, "count": count}
             if len(scn.horizons):
-                out["hypotheses"] = [
-                    {"component": h.component,
-                     "level_variance": h.level_variance,
-                     "level_ok": h.level_ok,
-                     "grad_min": h.grad_min,
-                     "grad_floor": h.grad_floor,
-                     "grad_ok": h.grad_ok}
-                    for h in dec.hypotheses]
+                out["hypotheses"] = [asdict(h) for h in self.hypotheses]
                 out["boundary_convergence"] = horizon_flux_convergence(
                     scn, self.quermass)
         if len(scn.horizons):

@@ -359,26 +359,18 @@ def sphere_integrals(fn: Callable[[np.ndarray], np.ndarray], radii,
     return out if vals.ndim == 2 else out[:, 0]
 
 
-def sphere_integrate(fn: Callable[[np.ndarray], np.ndarray], r,
-                     rule: SphereRule) -> tuple:
-    """Integral of fn over the origin-centered sphere of radius r, or
-    over each sphere of a 1-D sequence of radii r in one fn call.
+def sphere_integrate(fn: Callable[[np.ndarray], np.ndarray], radii,
+                     rule: SphereRule) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of fn over the origin-centered spheres of the given
+    radii (a number or a 1-D sequence), in one fn call.
 
-    fn returns one value per point, or a (k, points) array holding k
-    integrands on the same points, each integrated on its own.  Returns
-    (value, error_estimate), as floats or k-tuples, or for a sequence as
-    arrays (radii,) or (k, radii).  The estimate
-    compares against the rule's coarser companion and is advisory only,
-    and exactly 0 on a rule without one, such as ``point_rule``.
+    fn returns one value per point, or a (k, points) array of k
+    integrands, each integrated on its own.  Returns (values, error
+    estimates) as arrays (radii,) or (k, radii).  The estimate compares
+    against the rule's ``half``: advisory, and exactly 0 without one.
     """
-    ints = sphere_integrals(fn, r, rule)
-    value, err = ints[0], np.abs(ints[0] - ints[-1])
-    if np.ndim(r):
-        return value, err
-    value, err = value[..., 0], err[..., 0]
-    if value.ndim:
-        return tuple(map(float, value)), tuple(map(float, err))
-    return float(value), float(err)
+    ints = sphere_integrals(fn, radii, rule)
+    return ints[0], np.abs(ints[0] - ints[-1])
 
 
 # ----------------------------------------------------------------------

@@ -139,6 +139,19 @@ class TestRunCommand:
         assert code == 3
         assert "r_max = 60 (tail fit from 15)" in err
 
+    def test_tiny_mass_runs(self, capsys):
+        """m = 1e-300 puts u = f_r^2 near 1e-300, where u^{3/2}
+        underflows to 0: f_rrr is formed from h^2/sqrt(u) with
+        h = u'/(2 sqrt(u)), so the run exits 0 with no warning."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "radial_custom", "--m", "1e-300"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert not caught and "Warning" not in err
+        adm = json.loads(out)["body"]["scenarios"][0]["adm_mass"]
+        assert abs(adm["value"] - 1e-300) <= 1e-3 * 1e-300
+
     def test_overflowing_radii_are_numerical_failures(self, capsys):
         """Radii near the float limit overflow in the sphere quadrature;
         the run records an error that names the radius and the operation,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from field_helpers import CountingField, RotatedField
-from graphmass import quad
+from graphmass import mass, quad
 from graphmass.convexgeom import Ellipsoid, HorizonSet, Sphere
 from graphmass.errors import ConfigError, DomainError, NonConvexError
 from graphmass.jets import (ExprField, RadialField, RadialProfile,
@@ -444,22 +444,40 @@ class TestDecomposition:
     def test_schwarzschild3_boundary_only(self, scn3):
         """adm = boundary + bulk with boundary = V_1/(2 omega) = m and a
         bulk term at roundoff."""
-        dec = ScenarioEvaluation(scn3).decomposition
+        ev = ScenarioEvaluation(scn3)
+        dec = ev.decomposition
         assert abs(dec.boundary - 1.0) <= 1e-9
         assert abs(dec.bulk) <= 1e-9
         assert abs(dec.residual) <= dec.tolerance
         assert dec.identity_ok
-        assert dec.hypothesis_ok
+        assert all(h.ok for h in ev.hypotheses)
         assert dec.total == dec.boundary + dec.bulk
 
     def test_perturbed_split(self):
         scn = make_scenario("schwarzschild_perturbed")
-        dec = ScenarioEvaluation(scn).decomposition
+        ev = ScenarioEvaluation(scn)
+        dec = ev.decomposition
         assert abs(dec.boundary - 0.7) <= 1e-9
         assert abs(dec.bulk - 0.3) <= 1e-4
-        assert abs(dec.adm - 1.0) <= 1e-3
+        assert abs(ev.adm.value - 1.0) <= 1e-3
         assert abs(dec.residual) <= dec.tolerance
-        assert dec.identity_ok and dec.hypothesis_ok
+        assert dec.identity_ok and all(h.ok for h in ev.hypotheses)
+
+    def test_hypotheses_evaluated_once_by_the_report(self, scn3,
+                                                     monkeypatch):
+        """The decomposition reads no horizon hypothesis; the report
+        evaluates them once per evaluation."""
+        calls = []
+        probe = mass.horizon_hypotheses
+        monkeypatch.setattr(mass, "horizon_hypotheses",
+                            lambda scn: calls.append(scn) or probe(scn))
+        ev = ScenarioEvaluation(scn3)
+        ev.decomposition
+        assert calls == []
+        first, second = ev.summary(), ev.summary()
+        assert calls == [scn3]
+        assert first["hypotheses"] == second["hypotheses"] == [
+            dataclasses.asdict(h) for h in probe(scn3)]
 
     def test_tolerance_formula(self):
         assert identity_tolerance(2.0, 1e-5) == 0.01

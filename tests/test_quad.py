@@ -274,7 +274,8 @@ print(code, criterion.passed, loaded)
 class TestSphereIntegrate:
     def test_constant_scales_with_radius(self):
         rule = sphere_rule(3)
-        val, err = sphere_integrate(lambda p: np.ones(len(p)), 2.5, rule)
+        [val], [err] = sphere_integrate(lambda p: np.ones(len(p)), 2.5,
+                                        rule)
         assert val == pytest.approx(4 * math.pi * 2.5 ** 2, rel=1e-13)
         assert err >= 0.0
 
@@ -303,8 +304,8 @@ class TestSphereIntegrate:
         nodes = sphere_integrals(fn, radii, sphere_rule(n), c)
         assert one.shape == (1, 2, len(radii))
         assert np.max(np.abs(one[0] - nodes[0]) / np.abs(nodes[0])) <= 1e-13
-        value, err = sphere_integrate(lambda p: np.ones(len(p)), 2.0,
-                                      point_rule(n))
+        [value], [err] = sphere_integrate(lambda p: np.ones(len(p)), 2.0,
+                                          point_rule(n))
         assert value == pytest.approx(unit_sphere_area(n) * 2.0 ** (n - 1),
                                       rel=1e-15)
         assert err == 0.0
@@ -333,7 +334,7 @@ class TestSphereIntegrate:
 
     def test_radii_sequence_is_one_call(self):
         """A 1-D sequence of radii makes one fn call and returns arrays
-        over the radii equal to one call per radius."""
+        over the radii whose columns equal one-radius batches."""
         rule = sphere_rule(3)
         calls = []
 
@@ -345,18 +346,21 @@ class TestSphereIntegrate:
         value, err = sphere_integrate(fn, radii, rule)
         assert len(calls) == 1 and value.shape == err.shape == (2, 3)
         for i, r in enumerate(radii):
-            one = sphere_integrate(fn, r, rule)
-            assert one == (tuple(value[:, i]), tuple(err[:, i]))
+            one_value, one_err = sphere_integrate(fn, [r], rule)
+            assert one_value.shape == one_err.shape == (2, 1)
+            assert np.array_equal(one_value[:, 0], value[:, i])
+            assert np.array_equal(one_err[:, 0], err[:, i])
 
     def test_rows_integrate_like_single_integrands(self):
         """A (k, nodes) integrand gives, row by row, the bits of k calls."""
         rule = sphere_rule(3)
         fns = (lambda p: p[:, 0] ** 2, lambda p: 1.0 + p[:, 1] * p[:, 2])
         vals, errs = sphere_integrate(
-            lambda p: np.stack([fn(p) for fn in fns]), 2.0, rule)
-        singles = [sphere_integrate(fn, 2.0, rule) for fn in fns]
-        assert vals == tuple(v for v, _ in singles)
-        assert errs == tuple(e for _, e in singles)
+            lambda p: np.stack([fn(p) for fn in fns]), [2.0], rule)
+        singles = [sphere_integrate(fn, [2.0], rule) for fn in fns]
+        assert vals.shape == errs.shape == (2, 1)
+        assert np.array_equal(vals, [v for v, _ in singles])
+        assert np.array_equal(errs, [e for _, e in singles])
 
     def test_rejects_nonfinite_row(self):
         rule = sphere_rule(3)
