@@ -26,7 +26,7 @@ from . import __version__
 from .errors import ConfigError, GraphMassError
 from .mass import (CheckOutcome, Scenario, ScenarioEvaluation,
                    horizon_clearance)
-from .quad import TAIL_FIT_FROM
+from .quad import TAIL_FIT_FROM, ladder_ratio
 from .report import ReportDocument, bulk_csv, flux_csv
 from .scenarios import REGISTRY, make_scenario, scenario_names
 
@@ -92,13 +92,16 @@ def _parse_radii(text) -> tuple[float, ...]:
     try:
         radii = tuple(float(t) for t in _list_value(text, "radii"))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad radii list: {exc}") from exc
-    if len(radii) < 3:
-        raise ConfigError("need at least three flux radii")
+        raise ConfigError(f"bad 'radii' list: {exc}") from exc
     if not all(0.0 < r < math.inf for r in radii):
         raise ConfigError(f"'radii' must be finite and > 0, not {radii}")
-    if len(set(radii)) < len(radii):
-        raise ConfigError(f"'radii' must be distinct, not {radii}")
+    if len(radii) < 4:
+        raise ConfigError(f"'radii' needs at least four flux radii, not "
+                          f"{radii}")
+    try:
+        ladder_ratio(radii)
+    except ValueError as exc:
+        raise ConfigError(f"'radii': {exc}") from exc
     return radii
 
 
@@ -446,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list of pmt,penrose,identities,all")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--radii", default=None,
-                       help="comma list of flux radii")
+                       help="comma list of at least four flux radii on "
+                            "a geometric ladder, e.g. 100,200,400,800")
     p_run.add_argument("--out", default=None,
                        help="output directory (also GRAPHMASS_OUTDIR)")
     p_run.add_argument("--format", default=None,

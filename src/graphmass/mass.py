@@ -220,9 +220,11 @@ def adm_mass(scenario: Scenario) -> MassEstimate:
     """Extrapolated ADM mass from the flux series.
 
     The plain-integrand limit is the estimate; the uncertainty covers
-    the extrapolation spread, the disagreement between the two
-    integrand variants, and the per-radius quadrature advisories, which
-    are exactly 0 on a field radial about the origin.
+    each variant's extrapolation error (``extrapolate_limit``: the gap
+    between the two-term and one-term limits on the radius ladder, or
+    the roundoff floor of a converged series), the disagreement between
+    the two integrand variants, and the per-radius quadrature
+    advisories, which are exactly 0 on a field radial about the origin.
     """
     series = flux_series(scenario)
     ep = extrapolate_limit(list(zip(series.radii, series.plain)))

@@ -21,13 +21,14 @@ Every sphere integral, shells included, is one ``sphere_integrals`` call
 per batch of radii on the rule the caller picks; ``sphere_rule`` builds
 each rule once and shares it read-only, and ``point_rule`` integrates a
 rotation-invariant integrand exactly on one node.  ``extrapolate_limit``
-fits the limit r -> infinity of a flux series in closed form on floats.
+takes the limit r -> infinity of a flux series on a geometric radius
+ladder (``ladder_ratio``) in closed form: two-term Richardson
+extrapolation, with the gap to Aitken's one-term limit as its error.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -50,8 +51,7 @@ ROUNDOFF_K = 64.0
 SHELL_CALL_POINTS = 1 << 15
 DEFAULT_ORDER = {2: 64, 3: 48, 4: 20}  # sphere rule orders; Sobol for n >= 5
 SOBOL_BITS = 30         # digits of each Sobol coordinate, as in scipy
-FIT_XTOL = 1e-13        # tolerance of a fitted rate, relative past 1
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 # Joe and Kuo's primitive polynomial and initial direction numbers of
 # dimensions 0 to 32, the rows of scipy's _sobol_direction_numbers.npz
@@ -648,192 +648,61 @@ class ExtrapolationResult:
     monotone: bool = True
 
 
-_LOG_TINY = -math.log(np.finfo(float).tiny)
-
-
-def _brent(f: Callable[[float], float], a: float, b: float,
-           fa: float, fb: float) -> float:
-    """A sign change of f between a and b, given fa = f(a) and fb = f(b)
-    of opposite signs or 0, to a bracket of width FIT_XTOL (relative past
-    1): Brent's method (Algorithms for Minimization without Derivatives,
-    1973, ch. 4), inverse quadratic or secant steps where they stay in
-    the bracket and shrink it fast enough, bisection where they do not."""
-    if fa == 0.0:
-        return a
-    c, fc, d = a, fa, b - a
-    e = d
-    while fb != 0.0:
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc, d = a, fa, b - a
-            e = d
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 0.5 * FIT_XTOL * max(1.0, abs(b))
-        m = 0.5 * (c - b)
-        if abs(m) <= tol:
-            break
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
-    return b
-
-
-def _solve_triple(r, v):
-    """Exact fit of v = L + c r^{-s} through three samples, on floats."""
-    d1, d2 = v[0] - v[1], v[1] - v[2]
-    if d1 == 0.0 or d2 == 0.0 or d1 * d2 < 0.0:
-        return None
-
-    def mismatch(s):
-        p0, p1, p2 = (x ** -s for x in r)
-        return d1 * (p1 - p2) - d2 * (p0 - p1)
-
-    # r^{-s} must stay a normal float at the largest radius, or the
-    # mismatch underflows to 0 and the bracket end passes for a root
-    lo, hi = 1e-3, min(64.0, _LOG_TINY / math.log(max(r[-1], 2.0)))
-    f_lo, f_hi = mismatch(lo), mismatch(hi)
-    if f_lo * f_hi > 0:
-        return None
-    s = _brent(mismatch, lo, hi, f_lo, f_hi)
-    c = (v[0] - v[2]) / (r[0] ** -s - r[2] ** -s)
-    return v[2] - c * r[2] ** -s, c, s
-
-
-def _dot(x, y) -> float:
-    return sum(map(operator.mul, x, y))
-
-
-def _projection(r, v, s: float, terms: int):
-    """The least-squares fit of v = L + c_1 r^{-s} (+ c_2 r^{-(s+1)} with
-    two terms) at the fixed rate s, which is linear in the coefficients:
-    (coefficients, residuals, d(residual sum of squares)/ds).  Closed form
-    on floats: p = r^{-s} and q = r^{-(s+1)} centred on the constant
-    column, q made orthogonal to p by a Gram-Schmidt step taken twice.  As
-    in a solver's rank cutoff, a column below eps m times the basis' size,
-    for m samples, gets coefficient 0."""
-    m = len(v)
-    p = [x ** -s for x in r]
-    q = [a / x for a, x in zip(p, r)]
-    floor = (_EPS * m) ** 2 * (m + _dot(p, p) + (terms - 1) * _dot(q, q))
-    vbar, pbar, qbar = sum(v) / m, sum(p) / m, sum(q) / m
-    res = [y - vbar for y in v]
-    pc = [x - pbar for x in p]
-    spp = _dot(pc, pc)
-    c1 = _dot(pc, res) / spp if spp > floor else 0.0
-    res = [a - c1 * b for a, b in zip(res, pc)]
-    c2 = 0.0
-    if terms == 2:
-        u, g = [x - qbar for x in q], 0.0
-        for _ in range(2 if spp > floor else 0):
-            h = _dot(pc, u) / spp
-            u, g = [a - h * b for a, b in zip(u, pc)], g + h
-        uu = _dot(u, u)
-        c2 = _dot(u, res) / uu if uu > floor else 0.0
-        res = [a - c2 * b for a, b in zip(res, u)]
-        # c1 pc + c2 u = (c1 - c2 g) pc + c2 (q - qbar)
-        c1 -= c2 * g
-    coef = (vbar - c1 * pbar - c2 * qbar, c1, c2)[:terms + 1]
-    # the optimal coefficients' own change with s drops out of the slope
-    slope = 2.0 * sum(e * math.log(x) * (c1 * a + c2 * b)
-                      for e, x, a, b in zip(res, r, p, q))
-    return coef, res, slope
-
-
-def _fit_rate(r, v, terms: int, start: float) -> float:
-    """The rate of the least-squares minimum nearest ``start`` downhill,
-    within [start/2, 2 start] (variable projection, Golub and Pereyra
-    1973): steps of doubling length from ``start`` until the slope of
-    the residual changes sign, then Brent's method; a bracket end that
-    is still downhill is the answer."""
-    def slope(s):
-        return _projection(r, v, s, terms)[2]
-
-    lo, hi = 0.5 * start, 2.0 * start
-    a, f_a = start, slope(start)
-    step = 1e-3 * start * (1.0 if f_a < 0.0 else -1.0)
-    while f_a != 0.0:
-        b = min(max(a + step, lo), hi)
-        f_b = slope(b)
-        if f_b == 0.0 or (f_b > 0.0) != (f_a > 0.0):
-            return _brent(slope, a, b, f_a, f_b)
-        if b in (lo, hi):
-            return b
-        a, f_a, step = b, f_b, 2.0 * step
-    return a
+def ladder_ratio(radii) -> float:
+    """The ratio q > 1 of a geometric ladder r_k = r_0 q^k: the sorted
+    radii's successive ratios agree to 1e-12 relative, which also rules
+    out repeats; else a ValueError."""
+    r = sorted(float(x) for x in radii)
+    ratios = [b / a for a, b in zip(r, r[1:])]
+    q = ratios[0] if ratios else 0.0
+    if not q > 1.0 or any(abs(x - q) > 1e-12 * q for x in ratios):
+        raise ValueError(f"radii {tuple(r)} are not a geometric ladder "
+                         "r_0 q^k with q > 1")
+    return q
 
 
 def extrapolate_limit(samples: Sequence[tuple[float, float]]
                       ) -> ExtrapolationResult:
-    """Limit of v(r) as r -> infinity from samples (r, v), fitted as
-    v = L + c r^{-s}.
+    """Limit of v(r) as r -> infinity from samples (r, v) on a geometric
+    ladder r_k = r_0 q^k (``ladder_ratio``), at least four of them.
 
-    Needs >= 3 samples for a fit; constants return uncertainty 0; a
-    non-monotone diff pattern falls back to the largest-radius value
-    with an inflated uncertainty and monotone=False.  With more than
-    three samples the rate is refitted by least squares from the last
-    triple's exact fit, within a factor 2 of its rate.
+    The last four samples fix the two-term model v = L + c_1 r^{-s} +
+    c_2 r^{-(s+1)} in closed form (Richardson 1927; Sidi, Practical
+    Extrapolation Methods, 2003, ch. 1): its differences are
+    d_k = A x^k + B y^k with x = q^{-s} and y = x/q, so the last three
+    fix x through (d_0/q) x^2 - (1 + 1/q) d_1 x + d_2 = 0, and the tail
+    d_3 + d_4 + ... follows from their recurrence.  The uncertainty is
+    the gap to Aitken's one-term limit, x = d_2/d_1.  A last difference
+    within the roundoff floor ROUNDOFF_K eps max|v| returns the last
+    value, the floor as uncertainty and no rate; differences that do not
+    shrink with one sign, or no root x in (0, 1), fall back to the last
+    value with the series' spread about it and monotone=False.
     """
     pts = sorted((float(r), float(v)) for r, v in samples)
-    if len(pts) == 0:
-        raise ValueError("no samples")
-    r, v = [p[0] for p in pts], [p[1] for p in pts]
-    if len(pts) == 1 or all(x == v[0] for x in v):
-        return ExtrapolationResult(v[0], 0.0)
-    if len(pts) == 2:
-        return ExtrapolationResult(v[-1], abs(v[1] - v[0]))
-
-    diffs = [b - a for a, b in zip(v, v[1:])]
-    shrinking = all(abs(b) <= abs(a) * (1 + 1e-9)
-                    for a, b in zip(diffs, diffs[1:]))
-    same_sign = all(d > 0 for d in diffs) or all(d < 0 for d in diffs)
-    fits = []
-    if same_sign and shrinking:
-        for i in range(len(pts) - 2):
-            fit = _solve_triple(r[i:i + 3], v[i:i + 3])
-            if fit is not None:
-                fits.append(fit)
-    if not fits:
-        # a non-monotone diff pattern, or no triple with a fit
-        spread = float(np.max(np.abs(np.subtract(v, v[-1]))))
-        return ExtrapolationResult(v[-1], max(spread, 1e-15),
-                                   rate=None, monotone=False)
-
-    L0, _, s0 = fits[-1]
-    resid_rms = 0.0
-    trunc = 0.0
-    if len(pts) > 3:
-        s0 = _fit_rate(r, v, 1, s0)
-        coef, res, _ = _projection(r, v, s0, 1)
-        L0 = coef[0]
-        resid_rms = math.sqrt(_dot(res, res) / len(res))
-
-        # Single-term fits of a multi-term decay are biased the same way
-        # in every window, so the inter-fit spread misses the systematic
-        # model error.  Gauge it against a two-term refit with a shared
-        # rate, v = L + c1 r^-s + c2 r^-(s+1), started at the one-term
-        # rate: four samples fit it exactly at many rates, so only the
-        # nearest minimum is the same decay.
-        coef2 = _projection(r, v, _fit_rate(r, v, 2, s0), 2)[0]
-        trunc = abs(L0 - coef2[0])
-
-    spread = max((abs(f[0] - L0) for f in fits), default=0.0)
-    unc = max(spread, resid_rms, 2.0 * trunc, 1e-15 * (1.0 + abs(L0)))
-    return ExtrapolationResult(L0, unc, rate=s0, monotone=True)
+    if len(pts) < 4:
+        raise ValueError(f"need at least four samples, not {len(pts)}")
+    q = ladder_ratio(p[0] for p in pts)
+    v = [p[1] for p in pts]
+    floor = ROUNDOFF_K * _EPS * max(abs(x) for x in v)
+    d0, d1, d2 = (b - a for a, b in zip(v[-4:], v[-3:]))
+    if abs(d2) <= floor:
+        return ExtrapolationResult(v[-1], floor)
+    roots = []
+    if d0 and d1 and 0.0 < d1 / d0 < 1.0 and 0.0 < d2 / d1 < 1.0:
+        x1 = d2 / d1
+        # the quadratic over d_1: a x^2 + b x + x1, with a > 0 and b < 0
+        a, b = d0 / (q * d1), -(1.0 + 1.0 / q)
+        disc = b * b - 4.0 * a * x1
+        if disc >= 0.0:
+            h = 0.5 * (math.sqrt(disc) - b)
+            roots = [x for x in (h / a, x1 / h) if 0.0 < x < 1.0]
+    if not roots:
+        spread = max(abs(x - v[-1]) for x in v)
+        return ExtrapolationResult(v[-1], spread, rate=None, monotone=False)
+    x = min(roots, key=lambda t: abs(t - x1))
+    y = x / q
+    aitken = v[-1] + d2 * x1 / (1.0 - x1)
+    limit = v[-1] + ((x + y) * d2 - x * y * (d1 + d2)) / ((1.0 - x)
+                                                          * (1.0 - y))
+    return ExtrapolationResult(limit, max(abs(limit - aitken), floor),
+                               rate=-math.log(x) / math.log(q))

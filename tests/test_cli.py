@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from field_helpers import CountingField
-from graphmass import cli
+from graphmass import cli, quad
 from graphmass.cli import EntryConfig, RunConfig, execute_run, main
 from graphmass.errors import (BodyError, ConfigError, DomainError,
                               IntegrabilityError, NonConvexError, ParseError,
@@ -50,8 +50,7 @@ class TestRunCommand:
         assert "hypothesis violated" in err
 
     def test_large_mass_runs(self, capsys):
-        """m = 1000 puts the flux radii at 2e5-1.6e6, where the radius
-        extrapolation has to keep r^-s a normal float."""
+        """m = 1000 puts the flux radii at 2e5-1.6e6."""
         code = main(["run", "schwarzschild3", "--m", "1000"])
         out, _ = capsys.readouterr()
         assert code == 0
@@ -86,10 +85,10 @@ class TestRunCommand:
         assert code == 3
         assert "takes no parameter" in err
 
-    def test_bad_radii_is_numerical_failure(self, capsys):
+    def test_bad_radii_is_config_error(self, capsys):
         # radius 2 sits on the horizon, so the flux shell is illegal; the
         # driver rejects it as configuration before any numerics run
-        code = main(["run", "schwarzschild3", "--radii", "2,3,4",
+        code = main(["run", "schwarzschild3", "--radii", "1,2,4,8",
                      "--checks", "identities"])
         _, err = capsys.readouterr()
         assert code == 3
@@ -139,6 +138,19 @@ class TestRunCommand:
         assert code == 3
         assert "r_max = 60 (tail fit from 15)" in err
 
+    def test_roundoff_flat_series_reports_no_rate(self, capsys):
+        """At n = 9 the plain flux series is flat to roundoff: the report
+        gives no rate, and the uncertainty is the roundoff floor
+        ROUNDOFF_K eps max|v| of the series."""
+        assert main(["run", "radial_custom", "--n", "9"]) == 0
+        out, _ = capsys.readouterr()
+        [scn] = json.loads(out)["body"]["scenarios"]
+        table = scn["flux_table"]
+        floor = quad.ROUNDOFF_K * quad._EPS * max(
+            map(abs, table["plain"] + table["weighted"]))
+        assert scn["adm_mass"]["plain_rate"] is None
+        assert scn["adm_mass"]["uncertainty"] == floor
+
     def test_tiny_mass_runs(self, capsys):
         """m = 1e-300 puts u = f_r^2 near 1e-300, where u^{3/2}
         underflows to 0: f_rrr is formed from h^2/sqrt(u) with
@@ -157,7 +169,7 @@ class TestRunCommand:
         the run records an error that names the radius and the operation,
         and exits 4 instead of raising.  The area factor is checked before
         the integrand runs, so no numpy overflow warning leaks."""
-        code = main(["run", "flat", "--radii", "1e300,2e300,3e300"])
+        code = main(["run", "flat", "--radii", "1e300,2e300,4e300,8e300"])
         out, _ = capsys.readouterr()
         assert code == 4
         [error] = json.loads(out)["body"]["errors"]
@@ -171,7 +183,8 @@ class TestRunCommand:
         warning, an error under the test settings, in-band under its type
         name and exits 4.  The value there asks the antiderivative for
         more panels than numpy can allocate, which raises ValueError."""
-        code = main(["run", "radial_custom", "--radii", "1e100,2e100,4e100"])
+        code = main(["run", "radial_custom", "--radii",
+                     "1e100,2e100,4e100,8e100"])
         out, err = capsys.readouterr()
         assert code == 4
         [error] = json.loads(out)["body"]["errors"]
@@ -197,9 +210,8 @@ class TestRunCommand:
     def test_box_upper_ends(self, capsys, name, key, edge, past):
         """Each upper end runs every check, and the value past it exits 3
         naming the parameter.  Where a box ends at a measured failure
-        (tail fit q <= n, the identity residual, or bump's mass off by
-        more than 1e-3 at n = 10), the past value is the first seen to
-        fail."""
+        (tail fit q <= n or the identity residual), the past value is the
+        first seen to fail."""
         assert main(["run", name, f"--{key}", edge]) == 0
         code = main(["run", name, f"--{key}", past])
         _, err = capsys.readouterr()
@@ -225,7 +237,9 @@ class TestRunCommand:
         (["run", "flat", "--format", "xml"], "'format'"),
         (["verify", "--only", "0"], "1-10"),
         (["verify", "--only", "11"], "1-10"),
-        (["run", "schwarzschild3", "--radii", "100,200,100,400"], "'radii'")])
+        (["run", "schwarzschild3", "--radii", "100,200,100,400"], "'radii'"),
+        (["run", "schwarzschild3", "--radii", "100,200,300,400"], "'radii'"),
+        (["run", "schwarzschild3", "--radii", "100,200,400"], "'radii'")])
     def test_bad_arguments_exit_three(self, capsys, argv, needle):
         """Usage errors and rejected settings are configuration errors,
         not argparse's exit 2 (the code for a violated hypothesis)."""

@@ -192,6 +192,28 @@ class TestAdmMass:
         assert est.uncertainty == 0.0
         assert est.series.plain == (0.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize(("name", "params"), [
+        *(("schwarzschild3", {"m": m}) for m in (1e-4, 1e-2, 1.0, 100.0,
+                                                 1e7)),
+        *(("schwarzschild_n", {"n": n, "m": m}) for n in (4, 5, 6)
+          for m in (0.01, 1.0, 100.0)),
+        *(("radial_custom", {"n": n, "m": m}) for n in (3, 5, 9, 32)
+          for m in (0.01, 0.7, 50.0)),
+        *(("schwarzschild_perturbed", {"n": n, "beta": b}) for n in (3, 4)
+          for b in (0.01, 0.3, 0.49)),
+        *(("bump", {"n": n, "alpha": a}) for n in (3, 6, 9)
+          for a in (0.01, 0.5)),
+        *(("two_body_glued", {"m1": m1, "m2": m2})
+          for m1, m2 in ((1.0, 0.8), (2.0, 2.0), (0.1, 0.1)))])
+    def test_each_limit_covers_the_expected_mass(self, name, params):
+        """Each variant's limit lies within its own uncertainty of the
+        expected mass across the registry boxes, at large masses, high
+        dimensions and on series flat to roundoff alike."""
+        scn = make_scenario(name, **params)
+        est = adm_mass(scn)
+        for res in (est.plain_limit, est.weighted_limit):
+            assert abs(res.limit - scn.expected["mass"]) <= res.uncertainty
+
 
 class TestSphericalMass:
     def test_known_values(self):
@@ -495,7 +517,7 @@ class TestHorizonHypotheses:
         return Scenario(
             name="fake", n=3, field=bump.field,
             horizons=HorizonSet((Sphere(np.asarray(center, float), 0.3),)),
-            quad=QuadConfig(radii=(2.0, 2.5, 3.0, 3.5), r_max=12.0),
+            quad=QuadConfig(radii=(2.0, 4.0, 8.0, 16.0), r_max=12.0),
             bulk_region=(ExteriorRegion(),))
 
     def test_off_center_breaks_level_set(self, bump):
@@ -761,7 +783,7 @@ class TestChecks:
         scn = Scenario(
             name="fake", n=3, field=bump.field,
             horizons=HorizonSet((Sphere(np.zeros(3), 0.5),)),
-            quad=QuadConfig(radii=(2.0, 2.5, 3.0, 3.5), r_max=12.0),
+            quad=QuadConfig(radii=(2.0, 4.0, 8.0, 16.0), r_max=12.0),
             bulk_region=(ExteriorRegion(),),
             sampler=shell_sampler(3, 0.05, 6.0))
         out = check(scn, "penrose")
@@ -782,7 +804,7 @@ class TestChecks:
         scn = Scenario(
             name="fake", n=3, field=bump.field,
             horizons=HorizonSet((NonConvexSphere(np.zeros(3), 0.5),)),
-            quad=QuadConfig(radii=(2.0, 2.5, 3.0, 3.5), r_max=12.0),
+            quad=QuadConfig(radii=(2.0, 4.0, 8.0, 16.0), r_max=12.0),
             bulk_region=(ExteriorRegion(),),
             sampler=shell_sampler(3, 0.05, 6.0))
         out = check(scn, "penrose")

@@ -532,16 +532,29 @@ class TestExtrapolateLimit:
         assert res.monotone
 
     def test_two_term_decay_covered_by_uncertainty(self):
-        """A single-rate fit of 1 + r^-1 + 10 r^-2 lands off the true limit
-        by a few 1e-3; the reported uncertainty has to cover that."""
+        """Aitken's one-term limit of 1 + r^-1 + 10 r^-2 lands off the
+        true limit by a few 1e-3; the reported uncertainty, its gap to the
+        two-term limit, has to cover that."""
         res = extrapolate_limit([(r, 1.0 + 1.0 / r + 10.0 / r ** 2)
                                  for r in (10.0, 20.0, 40.0, 80.0)])
         assert abs(res.limit - 1.0) <= res.uncertainty
         assert res.uncertainty <= 0.05
 
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    def test_two_term_model_is_exact(self, s, q):
+        """v = L + a r^-s + b r^-(s+1) on a ladder gives back L to 1e-12
+        relative, and its rate s."""
+        radii = 10.0 * q ** np.arange(4)
+        res = extrapolate_limit([(r, 2.5 + 3.0 * r ** -s - 7.0 * r ** -(s + 1))
+                                 for r in radii])
+        assert res.limit == pytest.approx(2.5, rel=1e-12)
+        assert res.rate == pytest.approx(s, rel=1e-9)
+        assert res.monotone
+
     def test_large_radii(self):
-        """At 2000 x the default flux radii r^-64 underflows to 0; the
-        root bracket stops where r^-s is still a normal float."""
+        """At 2000 x the default flux radii the differences are still
+        far above the roundoff floor of a series of size 1000."""
         res = extrapolate_limit([(r, 1000.0 + 3.0e4 / r)
                                  for r in (2e5, 4e5, 8e5, 1.6e6)])
         assert abs(res.limit - 1000.0) <= 1e-9 * 1000.0
@@ -549,9 +562,22 @@ class TestExtrapolateLimit:
         assert res.monotone
 
     def test_constant_series(self):
-        res = extrapolate_limit([(r, 7.25) for r in (1.0, 2.0, 4.0)])
+        res = extrapolate_limit([(r, 7.25) for r in (1.0, 2.0, 4.0, 8.0)])
         assert res.limit == 7.25
-        assert res.uncertainty == 0.0
+        assert res.uncertainty == quad.ROUNDOFF_K * quad._EPS * 7.25
+        assert res.rate is None and res.monotone
+
+    def test_gaussian_decay_is_converged(self):
+        """bump's flux decays like exp(-2 r^2): on its ladder 2-16 the
+        series reaches roundoff, so each variant returns its last value,
+        the roundoff floor as uncertainty and no rate."""
+        series = flux_series(make_scenario("bump"))
+        for v in (series.plain, series.weighted):
+            res = extrapolate_limit(zip(series.radii, v))
+            floor = quad.ROUNDOFF_K * quad._EPS * max(map(abs, v))
+            assert (res.limit, res.uncertainty) == (v[-1], floor)
+            assert res.rate is None and res.monotone
+            assert abs(res.limit) <= 1e-200
 
     def test_non_monotone_falls_back(self):
         res = extrapolate_limit([(1.0, 1.0), (2.0, 2.0), (4.0, 1.5),
@@ -560,169 +586,14 @@ class TestExtrapolateLimit:
         assert res.limit == 1.8
         assert res.uncertainty >= 0.8
 
-    def test_two_samples(self):
-        res = extrapolate_limit([(1.0, 1.0), (2.0, 1.5)])
-        assert res.limit == 1.5
-        assert res.uncertainty == 0.5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            extrapolate_limit([])
-
-    # bump's plain flux series: mass 0, decaying like exp(-r^2)
-    ZERO_MASS = ((2.0, 5.3674020464401896e-05), (2.5, 1.164579116274583e-06),
-                 (3.0, 8.224189062144796e-09), (3.5, 1.9634476301410563e-11))
-
-    def test_zero_mass_series_fits_its_least_squares_rate(self):
-        """r^-s is about 0 at every sample once s is large, so a local
-        fit could stall on that plateau (a rate of 1.4e5 and a limit of
-        1.4e-5).  The fit finds the least-squares rate, s = 17.09, whose
-        residual is as small as at any rate of the search bracket."""
-        res = extrapolate_limit(self.ZERO_MASS)
-        r, v = np.array(self.ZERO_MASS).T
-
-        def rms(s):
-            basis = np.stack([np.ones_like(r), r ** -s], axis=1)
-            coef = np.linalg.lstsq(basis, v, rcond=None)[0]
-            return math.sqrt(np.mean((basis @ coef - v) ** 2))
-
-        s0 = quad._solve_triple(r[1:], v[1:])[2]  # the bracket's centre
-        assert res.rate < 64.0
-        grid = min(rms(s) for s in np.linspace(s0 / 2, 2 * s0, 1001))
-        assert rms(res.rate) <= grid * (1.0 + 1e-9)
-        assert abs(res.limit) <= res.uncertainty <= 1e-7
-
-    def test_limits_match_the_least_squares_fit(self):
-        """On each flux series of the registry defaults that has a rate,
-        the limit is that of the least-squares minimum to 1e-10 relative.
-        The oracle minimises the variable-projection residual over the
-        package's bracket [s0/2, 2 s0] in 50-digit arithmetic: a grid,
-        then golden sections.  A float ``least_squares`` fit is no oracle
-        here: on radial_custom's weighted series it stops on xtol, and a
-        few-ulp change of the series moves its limit by 1.7e-10."""
-        mpmath = pytest.importorskip("mpmath")
-
-        def projected_limit(r, v, lo, hi):
-            r, v = [mpmath.mpf(x) for x in r], [mpmath.mpf(x) for x in v]
-            vbar = sum(v) / len(v)
-
-            def fit(s):  # (residual sum of squares, limit) at rate s
-                p = [x ** -s for x in r]
-                pbar = sum(p) / len(p)
-                spp = sum((x - pbar) ** 2 for x in p)
-                c = sum((x - pbar) * y for x, y in zip(p, v)) / spp
-                rss = sum((y - vbar) ** 2 for y in v) - c * c * spp
-                return rss, vbar - c * pbar
-
-            grid = [lo + (hi - lo) * k / 64 for k in range(65)]
-            k = min(range(65), key=lambda i: fit(grid[i])[0])
-            a, b = grid[max(k - 1, 0)], grid[min(k + 1, 64)]
-            g = (mpmath.sqrt(5) - 1) / 2
-            x1, x2 = b - g * (b - a), a + g * (b - a)
-            f1, f2 = fit(x1)[0], fit(x2)[0]
-            while b - a > mpmath.mpf(10) ** -30:
-                if f1 <= f2:
-                    b, x2, f2 = x2, x1, f1
-                    x1 = b - g * (b - a)
-                    f1 = fit(x1)[0]
-                else:
-                    a, x1, f1 = x1, x2, f2
-                    x2 = a + g * (b - a)
-                    f2 = fit(x2)[0]
-            return float(fit((a + b) / 2)[1])
-
-        compared = 0
-        for name in scenario_names():
-            scn = make_scenario(name)
-            if scn.geometry_only:
-                continue
-            series = flux_series(scn)
-            r = np.array(series.radii)
-            for v in map(np.array, (series.plain, series.weighted)):
-                res = extrapolate_limit(zip(r, v))
-                if res.rate is None:  # constant or not monotone
-                    continue
-                s0 = quad._solve_triple(r[1:], v[1:])[2]
-                with mpmath.workdps(50):
-                    oracle = projected_limit(r, v, mpmath.mpf(s0) / 2,
-                                             2 * mpmath.mpf(s0))
-                assert res.limit == pytest.approx(oracle, rel=1e-10), name
-                compared += 1
-        assert compared == 8
-
-    def test_projection_matches_the_least_squares_solver(self):
-        """The closed-form projection against numpy's least-squares
-        solver at s0/2, s0 and 2 s0 (s0 the bracket's centre), with one
-        and two terms, on every registry default series with a triple
-        fit.  Coefficients, each times its column's size, and residuals
-        agree to 1e-9 of the series' size, and the slope has the solver's
-        sign wherever the solver's slope is above its roundoff floor: at
-        s = 2 s0 on bump both leave r^-s out as below eps, and there the
-        solver's slope is 4e-43 and the projection's 0."""
-        compared = signs = 0
-        for name in scenario_names():
-            scn = make_scenario(name)
-            if scn.geometry_only:
-                continue
-            series = flux_series(scn)
-            r = np.array(series.radii)
-            for v in map(np.array, (series.plain, series.weighted)):
-                triple = quad._solve_triple(r[1:], v[1:])
-                if triple is None:
-                    continue
-                scale = np.max(np.abs(v))
-                for s, terms in ((s, t) for s in np.array([0.5, 1, 2])
-                                 * triple[2] for t in (1, 2)):
-                    p = r ** -s
-                    basis = np.stack([np.ones_like(r), p, p / r][:terms + 1],
-                                     axis=1)
-                    coef = np.linalg.lstsq(basis, v, rcond=None)[0]
-                    res = v - basis @ coef
-                    slope = 2.0 * (res * np.log(r)) @ (basis[:, 1:]
-                                                      @ coef[1:])
-                    got, got_res, got_slope = quad._projection(
-                        r.tolist(), v.tolist(), s, terms)
-                    assert len(got) == terms + 1
-                    assert np.all(np.abs(np.subtract(got, coef))
-                                  * np.abs(basis).max(axis=0)
-                                  <= 1e-9 * scale), (name, s, terms)
-                    assert np.all(np.abs(np.subtract(got_res, res))
-                                  <= 1e-9 * scale), (name, s, terms)
-                    # residuals of K eps of the series times a trend of
-                    # its size, the most a resolved fit can carry
-                    floor = (2.0 * quad.ROUNDOFF_K * quad._EPS * scale ** 2
-                             * np.log(r).sum())
-                    if abs(slope) > floor:
-                        assert np.sign(got_slope) == np.sign(slope), name
-                        signs += 1
-                    compared += 1
-        assert compared == 54
-        assert signs >= 2 * compared // 3
-
-
-class TestBrent:
-    @pytest.mark.parametrize(("f", "a", "b", "root"), [
-        (lambda x: x ** 3 - 2.0, 0.0, 4.0, 2.0 ** (1.0 / 3.0)),
-        (lambda x: math.exp(x) - 40.0, 1.0, 60.0, math.log(40.0)),
-        (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
-        (lambda x: math.atan(x - 0.3), 60.0, -50.0, 0.3)])
-    def test_root_within_xtol_in_few_steps(self, f, a, b, root):
-        """The root to FIT_XTOL (relative past 1) in far fewer steps
-        than the ~45 halvings of bisection."""
-        calls = []
-
-        def counted(x):
-            calls.append(x)
-            return f(x)
-
-        got = quad._brent(counted, a, b, f(a), f(b))
-        assert abs(got - root) <= quad.FIT_XTOL * max(1.0, abs(root))
-        assert min(a, b) <= got <= max(a, b)
-        assert len(calls) <= 20
-
-    def test_zero_end_is_the_root(self):
-        assert quad._brent(lambda x: 1 / 0, 2.0, 3.0, 0.0, 1.0) == 2.0
-        assert quad._brent(lambda x: 1 / 0, 2.0, 3.0, -1.0, 0.0) == 3.0
+    def test_short_or_non_ladder_series_rejected(self):
+        """Fewer than four samples, or radii whose ratios differ (a repeat
+        included), raise a ValueError."""
+        for radii in ((), (1.0, 2.0), (1.0, 2.0, 4.0), (1.0, 2.0, 3.0, 4.0),
+                      (1.0, 2.0, 2.0, 4.0),
+                      (1.0, 2.0, 4.0, 8.0 * (1.0 + 1e-9))):
+            with pytest.raises(ValueError):
+                extrapolate_limit([(r, 1.0 / r) for r in radii])
 
 
 class TestQuadConfig:
