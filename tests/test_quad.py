@@ -586,10 +586,19 @@ class TestExtrapolateLimit:
         assert res.limit == 1.8
         assert res.uncertainty >= 0.8
 
+    def test_two_samples(self):
+        """Two samples fix no two-term model: a ValueError, not a limit."""
+        with pytest.raises(ValueError, match="at least four samples"):
+            extrapolate_limit([(1.0, 1.0), (2.0, 1.5)])
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            extrapolate_limit([])
+
     def test_short_or_non_ladder_series_rejected(self):
-        """Fewer than four samples, or radii whose ratios differ (a repeat
+        """Three samples, or radii whose ratios differ (a repeat
         included), raise a ValueError."""
-        for radii in ((), (1.0, 2.0), (1.0, 2.0, 4.0), (1.0, 2.0, 3.0, 4.0),
+        for radii in ((1.0, 2.0, 4.0), (1.0, 2.0, 3.0, 4.0),
                       (1.0, 2.0, 2.0, 4.0),
                       (1.0, 2.0, 4.0, 8.0 * (1.0 + 1e-9))):
             with pytest.raises(ValueError):
