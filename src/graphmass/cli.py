@@ -216,6 +216,14 @@ def _build_scenario(entry: EntryConfig, run: RunConfig) -> Scenario:
             f"from {r_low:g}) and the flux radii (smallest "
             f"{min(quad.radii):g}) must exceed {clearance:.6g}, the radius "
             f"enclosing every horizon")
+    # h = u'/(2 sqrt u) needs u = f_r^2 > 0 out to the largest radius read
+    r_far = max(*quad.radii, quad.r_max)
+    if scenario.profile and not scenario.profile.slopes(
+            np.array([r_far]), 1)[0][0]:
+        raise ConfigError(
+            f"scenario '{entry.name}': f_r^2 underflows to 0 at r = "
+            f"{r_far:g} for " + ", ".join(
+                f"{k} = {v:g}" for k, v in sorted(scenario.params.items())))
     return scenario
 
 

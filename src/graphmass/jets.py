@@ -427,7 +427,7 @@ def _profile_at(profile: RadialProfile, r: np.ndarray, orders):
     """The profile's derivatives of the given orders (0 is f) at radii r
     outside r_min: the elementwise slopes from one call on the batch as
     given, f from one call on the distinct radii (batches repeat a
-    handful; a lone radius stays a 0-d array).  Only ``RadialField.value``
+    handful; a lone radius is its own).  Only ``RadialField.value``
     asks for f, an integral of f_r (a numerical one on most profiles)."""
     if np.any(r <= profile.r_min):
         raise DomainError(
@@ -435,7 +435,7 @@ def _profile_at(profile: RadialProfile, r: np.ndarray, orders):
             f"of {profile.label}")
     table = [None, *(profile.slopes(r, max(orders)) if max(orders) else [])]
     if 0 in orders:
-        uniq, inverse = ((r, ...) if r.ndim == 0
+        uniq, inverse = ((r, ...) if r.size < 2
                          else np.unique(r.reshape(-1), return_inverse=True))
         table[0] = np.asarray(profile.f(uniq), float)[inverse].reshape(r.shape)
     return [np.asarray(table[k], float) for k in orders]

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field as _field, replace
 from functools import cached_property, lru_cache, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,6 +62,11 @@ HORIZON_OFFSETS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)  # boundary-flux study
 # cost resident memory instead of saving it: each freed batch raises
 # glibc's mmap threshold, which then keeps later temporaries on the heap.
 JET3_BATCH_BYTES = 1 << 25
+# Where R is radial on a sample shell, the samples read it on a geometric
+# grid of this many radii per decade, and refine its minimum in
+# REFINE_ROUNDS batched rounds of REFINE_POINTS radii each.
+SAMPLE_RADII_PER_DECADE = 32
+REFINE_ROUNDS, REFINE_POINTS = 2, 32
 
 
 def mass_normalization(n: int) -> float:
@@ -80,21 +85,49 @@ def _unit_draw(d: int, count: int, seed: int) -> tuple:
     return first, dirs
 
 
-def shell_sampler(n: int, lo: float, hi: float
-                  ) -> Callable[[int, int], np.ndarray]:
-    """Quasi-random point generator on the shell lo <= |x| <= hi.
+class Shell(NamedTuple):
+    """lo <= |x - center| <= hi (center None: the origin), with its
+    ``weight`` in a draw over several shells."""
 
-    Radii are log-uniform, directions uniform.  Exactly ``count`` Sobol
-    points are drawn; they are the first ``count`` of any longer draw.
-    """
-    if not 0 < lo < hi:
-        raise ValueError("need 0 < lo < hi")
+    lo: float
+    hi: float
+    center: tuple[float, ...] | None = None
+    weight: int = 1
 
-    def sample(count: int, seed: int) -> np.ndarray:
-        first, dirs = _unit_draw(n + 1, count, seed)
-        return (lo * (hi / lo) ** first)[:, None] * dirs
 
-    return sample
+@dataclass(frozen=True)
+class ShellSampler:
+    """Quasi-random points on the sample shells it states: radii
+    log-uniform, directions uniform.  Of ``count`` points, shell i takes
+    count * weight_i // (sum of weights), the last shell the rest, drawn at
+    seed + i: the first points of any longer draw of that shell."""
+
+    n: int
+    shells: tuple[Shell, ...]
+
+    def __post_init__(self):
+        if not all(0 < s.lo < s.hi for s in self.shells):
+            raise ValueError("need 0 < lo < hi")
+
+    def parts(self, count: int, seed: int, skip=()) -> list[np.ndarray]:
+        """The points of each shell not in ``skip``."""
+        total, out = sum(s.weight for s in self.shells), []
+        counts = [count * s.weight // total for s in self.shells[:-1]]
+        for i, (s, k) in enumerate(zip(self.shells,
+                                       counts + [count - sum(counts)])):
+            if s not in skip:
+                first, dirs = _unit_draw(self.n + 1, k, seed + i)
+                pts = (s.lo * (s.hi / s.lo) ** first)[:, None] * dirs
+                out.append(pts if s.center is None else s.center + pts)
+        return out
+
+    def __call__(self, count: int, seed: int) -> np.ndarray:
+        return np.concatenate(self.parts(count, seed))
+
+
+def shell_sampler(n: int, lo: float, hi: float) -> ShellSampler:
+    """Sampler of the one shell lo <= |x| <= hi."""
+    return ShellSampler(n, (Shell(lo, hi),))
 
 
 @dataclass
@@ -162,6 +195,14 @@ class MassEstimate:
     series: FluxSeries
     plain_limit: ExtrapolationResult
     weighted_limit: ExtrapolationResult
+
+
+def _R_on_axes(fld: ScalarField, centers: np.ndarray, radii) -> np.ndarray:
+    """R at c + r e_1 for each centre c and the radii in its row of
+    ``radii``, flattened."""
+    pts = np.repeat(centers, [len(r) for r in radii], axis=0)
+    pts[:, 0] += np.concatenate([np.empty(0), *radii])
+    return scalar_curvature(fld, pts)
 
 
 def horizon_clearance(scenario: Scenario) -> float:
@@ -407,14 +448,16 @@ class Decomposition:
     identity_ok: bool
 
 
-def divergence_identity_sup(field: ScalarField, pts: np.ndarray) -> float:
+def divergence_identity_sup(field: ScalarField, pts: np.ndarray,
+                            R: np.ndarray | None = None) -> float:
     """sup of |div V - R| / (1 + |R|) over the points: the order-3 route
-    against the closed form, its jets built in batches of at most
-    JET3_BATCH_BYTES of third tensors."""
+    against the closed form (``R`` if given, read at the points' radii),
+    its jets built in batches of at most JET3_BATCH_BYTES of third
+    tensors."""
     step = max(1, JET3_BATCH_BYTES // (8 * field.n ** 3))
     dv = np.concatenate([divergence_of_V(field, pts[i:i + step])
                          for i in range(0, len(pts), step)])
-    R = scalar_curvature(field, pts)
+    R = scalar_curvature(field, pts) if R is None else R
     return float(np.max(np.abs(dv - R) / (1.0 + np.abs(R))))
 
 
@@ -524,15 +567,90 @@ class ScenarioEvaluation:
         return horizon_hypotheses(self.scenario)
 
     @cached_property
+    def radial_grid(self) -> tuple:
+        """(shells, centres, grids, R): the sample shells on which the
+        field is radial about the centre (``ScalarField.radial_about``),
+        a geometric grid of SAMPLE_RADII_PER_DECADE radii per decade over
+        each [lo, hi], and R on the grids at c + r e_1, in one call."""
+        scn = self.scenario
+        fld, zero = scn.require_field(), (0.0,) * scn.n
+        shells = [s for s in getattr(scn.sampler, "shells", ())
+                  if fld.radial_about(s.center or zero, s.lo, s.hi)]
+        grids = [np.geomspace(s.lo, s.hi, 1 + math.ceil(
+            SAMPLE_RADII_PER_DECADE * math.log10(s.hi / s.lo)))
+            for s in shells]
+        centers = np.array([s.center or zero for s in shells]).reshape(
+            -1, scn.n)
+        return shells, centers, grids, _R_on_axes(fld, centers, grids)
+
+    def _refined_R(self) -> np.ndarray:
+        """R about each radial shell's lowest grid node, every shell in
+        one call per step (Brent 1973, ch. 5, batched): REFINE_ROUNDS
+        rounds of REFINE_POINTS equally spaced log-radii, one previous
+        spacing either side of the lowest value so far, then the vertex of
+        the parabola through the last round's lowest value and its
+        neighbours."""
+        _, centers, grids, R = self.radial_grid
+        parts = np.split(R, np.cumsum([len(g) for g in grids])[:-1])
+        t, lo, hi, h = (np.log(np.array(x)) for x in zip(*(
+            (g[np.argmin(v)], g[0], g[-1], g[1] / g[0])
+            for g, v in zip(grids, parts))))
+        best, rows = np.array([v.min() for v in parts]), np.arange(len(t))
+        for _ in range(REFINE_ROUNDS):
+            ts = np.linspace(np.maximum(t - h, lo), np.minimum(t + h, hi),
+                             REFINE_POINTS, axis=-1)
+            v = _R_on_axes(self.scenario.field, centers, np.exp(ts))
+            parts.append(v)
+            v = v.reshape(ts.shape)
+            k = v.argmin(axis=1)
+            t = np.where(v[rows, k] < best, ts[rows, k], t)
+            best, h = np.minimum(v[rows, k], best), ts[:, 1] - ts[:, 0]
+        k = np.clip(k, 1, REFINE_POINTS - 2)
+        y0, y1, y2 = (v[rows, k + d] for d in (-1, 0, 1))
+        curv = np.maximum(y0 - 2.0 * y1 + y2, 0.0)
+        shift = np.divide(y0 - y2, 2.0 * curv, out=np.zeros_like(curv),
+                          where=curv > 0.0)
+        vertex = ts[rows, k] + h * np.clip(shift, -1.0, 1.0)
+        parts.append(_R_on_axes(self.scenario.field, centers,
+                                np.exp(vertex)[:, None]))
+        return np.concatenate(parts)
+
+    def _other_points(self, count: int, seed: int) -> np.ndarray:
+        """The sampler's points (count, seed) on the shells outside
+        ``radial_grid``; all of them from a sampler that states none."""
+        scn = self.scenario
+        if not isinstance(scn.sampler, ShellSampler):
+            return scn.sample_points(count, seed)
+        return np.concatenate([np.empty((0, scn.n)), *scn.sampler.parts(
+            count, seed, self.radial_grid[0])])
+
+    @cached_property
     def sampled_R(self) -> tuple[float, float, int]:
-        """(min R, max |R|, count) over quasi-random bulk points plus the
-        volume-quadrature nodes outside the boundary guard band."""
-        pts = self.scenario.sample_points(10_000, self.scenario.quad.seed + 1)
-        vals = scalar_curvature(self.scenario.require_field(), pts)
+        """(min R, max |R|, count) over the radial shells' grids and their
+        refinement, the sampler's 10,000 points on the other shells, and
+        the volume-quadrature nodes outside the boundary guard band."""
+        pts = self._other_points(10_000, self.scenario.quad.seed + 1)
+        vals = np.concatenate([
+            self._refined_R() if self.radial_grid[0] else [],
+            scalar_curvature(self.scenario.field, pts)])
         bulk = self.bulk
         return (min(float(vals.min()), bulk.min_R),
                 max(float(np.abs(vals).max()), bulk.max_abs_R),
-                len(pts) + bulk.sign_nodes)
+                len(vals) + bulk.sign_nodes)
+
+    def identity_sup(self) -> float:
+        """``divergence_identity_sup`` in one batch: the radial shells'
+        grid radii along Sobol directions, against the grid's R, and the
+        sampler's 1,000 points on the other shells."""
+        scn = self.scenario
+        _, centers, grids, R = self.radial_grid
+        radii = np.concatenate([np.empty(0), *grids])
+        pts = np.repeat(centers, [len(g) for g in grids], axis=0) + radii[
+            :, None] * _unit_draw(scn.n + 1, len(radii), scn.quad.seed)[1]
+        other = self._other_points(1000, scn.quad.seed)
+        return divergence_identity_sup(
+            scn.field, np.concatenate([pts, other]),
+            np.concatenate([R, scalar_curvature(scn.field, other)]))
 
     @cached_property
     def R_sign_ok(self) -> bool:
@@ -590,8 +708,7 @@ class ScenarioEvaluation:
         ok = True
 
         if scn.field is not None:
-            sup = divergence_identity_sup(
-                scn.field, scn.sample_points(1000, scn.quad.seed))
+            sup = self.identity_sup()
             values["div_identity_sup"] = sup
             if sup > DIV_IDENTITY_TOL:
                 ok = False

@@ -30,7 +30,7 @@ from .errors import ConfigError, DomainError
 from .jets import (Jet3, RadialField, RadialProfile, ScalarField, ExprField,
                    check_order, horizon_profile, profile_from_gradsq,
                    radial_jet, schwarzschild_profile)
-from .mass import Scenario, shell_sampler
+from .mass import Scenario, Shell, ShellSampler, shell_sampler
 from .quad import ExteriorRegion, QuadConfig, norm_sq
 
 
@@ -123,19 +123,19 @@ class PiecewiseRadialField(ScalarField):
     def __init__(self, pieces: list[_Piece], n: int):
         self.pieces = pieces
         self.n = n
+        self._centers = np.array([p.field.center for p in pieces])
+        self._bounds = np.array([[p.r_lo, p.r_hi] for p in pieces]).T
 
     def _split(self, points):
         """The batch, and (field, selection, radii of the selected points
-        about the piece's centre) of each piece it meets."""
+        about the piece's centre) of each piece it meets: the distances to
+        every centre in one pass."""
         pts = np.atleast_2d(np.asarray(points, float))
-        parts = []
-        for piece in self.pieces:
-            d = pts - piece.field.center
-            rad = np.sqrt(norm_sq(d))
-            sel = (rad > piece.r_lo) & (rad < piece.r_hi)
-            if sel.any():
-                parts.append((piece.field, sel, rad[sel]))
-        return pts, parts
+        rad = np.sqrt(norm_sq(pts[:, None, :] - self._centers))
+        sel = (rad > self._bounds[0]) & (rad < self._bounds[1])
+        return pts, [(piece.field, sel[:, i], rad[sel[:, i], i])
+                     for i, piece in enumerate(self.pieces)
+                     if sel[:, i].any()]
 
     def value(self, points):
         pts, parts = self._split(points)
@@ -172,9 +172,8 @@ class PiecewiseRadialField(ScalarField):
         max(0, d - r_hi, r_lo - d) to d + r_hi from a piece centred at
         distance d, and meets its support when that range overlaps
         (r_lo, r_hi) of the piece."""
-        center = np.asarray(center, float)
         for piece in self.pieces:
-            d = float(np.linalg.norm(piece.field.center - center))
+            d = math.dist(piece.field.center, center)
             if (max(0.0, d - r_hi, r_lo - d) < piece.r_hi
                     and d + r_hi > piece.r_lo
                     and not piece.field.radial_about(center, r_lo, r_hi)):
@@ -216,12 +215,11 @@ def _schwarzschild(n: int, m: float) -> Scenario:
     if n == 3:
         radii = tuple(r * scale for r in (100.0, 200.0, 400.0, 800.0))
         r_max = 400.0 * scale
-    elif n == 4:
-        radii = (20.0, 40.0, 80.0, 160.0)
-        r_max = 120.0
-    else:
-        radii = (10.0, 20.0, 40.0, 80.0)
-        r_max = 60.0
+    else:  # the ladder in units of the mass past m = 1
+        scale = max(1.0, m) ** (1.0 / (n - 2))
+        radii = tuple(r * scale for r in ((20.0, 40.0, 80.0, 160.0) if n == 4
+                                      else (10.0, 20.0, 40.0, 80.0)))
+        r_max = 120.0 if n == 4 else 60.0
     return _horizon_graph(
         profile, n, name="schwarzschild3" if n == 3 else "schwarzschild_n",
         quad=QuadConfig(radii=radii, r_max=r_max), params={"n": n, "m": m},
@@ -352,14 +350,10 @@ def _two_body_glued(m1: float, m2: float) -> Scenario:
     quad = QuadConfig(radii=(400.0, 800.0, 1600.0, 3200.0), r_max=400.0,
                       radial_tol=1e-4)
 
-    def sampler(count, seed):  # 2/5 of the points near each body
-        k = count * 2 // 5
-        near = [shell_sampler(n, 2.5 * m, near_cut + near_width)
-                for m in (m1, m2)]
-        far = shell_sampler(n, far_cut * 0.4, 390.0)
-        return np.concatenate([centers[0] + near[0](k, seed),
-                               centers[1] + near[1](k, seed + 1),
-                               far(count - 2 * k, seed + 2)])
+    # 2/5 of the points near each body
+    sampler = ShellSampler(n, tuple(
+        Shell(2.5 * m, near_cut + near_width, tuple(c.tolist()), 2)
+        for c, m in zip(centers, (m1, m2))) + (Shell(far_cut * 0.4, 390.0),))
 
     return Scenario(
         name="two_body_glued", n=n, field=field,

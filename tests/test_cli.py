@@ -164,6 +164,28 @@ class TestRunCommand:
         adm = json.loads(out)["body"]["scenarios"][0]["adm_mass"]
         assert abs(adm["value"] - 1e-300) <= 1e-3 * 1e-300
 
+    @pytest.mark.parametrize("args", [["--m", "1e-310", "--n", "8"]])
+    def test_subnormal_slope_runs(self, args, capsys):
+        """u = f_r^2 at r_max = 200 is subnormal but not 0: the run
+        exits 0."""
+        assert main(["run", "radial_custom", *args]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("args", [
+        ["--m", "1e-300", "--n", "32"], ["--m", "1e-315", "--n", "8"],
+        ["--m", "5e-324"]])
+    def test_underflowing_slope_is_a_config_error(self, args, capsys):
+        """Where u = f_r^2 is exactly 0 at the largest radius the run reads,
+        h = u'/(2 sqrt u) is undefined: the run exits 3 before evaluating,
+        with a message that names m and n."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "radial_custom", *args])
+        _, err = capsys.readouterr()
+        assert code == 3
+        assert "underflows to 0 at r = 200" in err
+        assert "m = " in err and "n = " in err
+
     def test_overflowing_radii_are_numerical_failures(self, capsys):
         """Radii near the float limit overflow in the sphere quadrature;
         the run records an error that names the radius and the operation,

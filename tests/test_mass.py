@@ -94,6 +94,22 @@ class TestShellSampler:
         with pytest.raises(ValueError):
             shell_sampler(3, 5.0, 1.0)
 
+    def test_glued_shells_are_the_hand_written_draw(self):
+        """two_body_glued states its three shells; its points are those
+        of 2/5 of the draw on each near shell (seeds s, s + 1) and the
+        rest on the far shell (seed s + 2), bit for bit."""
+        scn = make_scenario("two_body_glued")
+        near = [shell_sampler(3, 2.5 * m, 56.0) for m in (1.0, 0.8)]
+        for count, seed in ((1000, 7), (10_000, 8), (3, 0)):
+            k = count * 2 // 5
+            want = np.concatenate([
+                (-100.0, 0.0, 0.0) + near[0](k, seed),
+                (100.0, 0.0, 0.0) + near[1](k, seed + 1),
+                shell_sampler(3, 80.0, 390.0)(count - 2 * k, seed + 2)])
+            assert np.array_equal(scn.sample_points(count, seed), want)
+        assert [s.center for s in scn.sampler.shells] == [
+            (-100.0, 0.0, 0.0), (100.0, 0.0, 0.0), None]
+
 
 class TestFluxMass:
     def test_schwarzschild3_closed_forms(self, scn3):
@@ -213,6 +229,14 @@ class TestAdmMass:
         est = adm_mass(scn)
         for res in (est.plain_limit, est.weighted_limit):
             assert abs(res.limit - scn.expected["mass"]) <= res.uncertainty
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_large_mass_ladder_fits_two_terms(self, n):
+        """At the m box end the n >= 4 flux radii scale as m^{1/(n-2)}:
+        the plain series takes the two-term fit, not the fallback."""
+        est = adm_mass(make_scenario("schwarzschild_n", n=n, m=100.0))
+        assert est.plain_limit.rate is not None
+        assert abs(est.value - 100.0) <= est.uncertainty <= 1e-4
 
 
 class TestSphericalMass:
@@ -703,6 +727,50 @@ class TestChecks:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+    def test_rescaled_bump_refines_below_the_sobol_sample(self, bump):
+        """f(x) = l a exp(-(r/l)^2) at l = 1e-3, on shells scaled by l:
+        the shell is radial, the grid and its refinement read R once per
+        radius, and their minimum lies at or below that of the 10,000
+        Sobol points the sampler would draw; the sign hypothesis fails."""
+        lam = 1e-3
+        scn = Scenario(
+            name="bump_small", n=3,
+            field=ExprField("l*a*exp(-(r/l)^2)", 3, {"a": 0.1, "l": lam}),
+            horizons=HorizonSet(()),
+            quad=QuadConfig(radii=tuple(lam * r for r in bump.quad.radii),
+                            r_max=12.0 * lam),
+            # a bounded region: the tail fit past r_max is not yet scale
+            # covariant (its power of r_max overflows at this scale)
+            bulk_region=(ExteriorRegion(r_outer=12.0 * lam),),
+            sampler=shell_sampler(3, 0.05 * lam, 6.0 * lam))
+        ev = ScenarioEvaluation(scn)
+        assert len(ev.radial_grid[0]) == 1
+        sobol = mass.scalar_curvature(
+            scn.field, scn.sample_points(10_000, scn.quad.seed + 1)).min()
+        assert ev.sampled_R[0] <= min(sobol, ev.bulk.min_R)
+        assert ev.sampled_R[0] < -1e3
+        assert not ev.check("pmt").hypothesis_ok
+
+    def test_non_radial_field_keeps_the_sobol_samples(self, bump):
+        """A field that reads x_i is not radial on its shell, so both
+        samples read the sampler's points as before, bit for bit."""
+        scn = dataclasses.replace(
+            bump, name="twist",
+            field=ExprField("0.1*x1*x2*exp(-r^2)", 3))
+        ev = ScenarioEvaluation(scn)
+        seed = scn.quad.seed
+        out = ev.check("identities").values
+        assert out["div_identity_sup"] == mass.divergence_identity_sup(
+            scn.field, scn.sample_points(1000, seed))
+        R = mass.scalar_curvature(scn.field,
+                                  scn.sample_points(10_000, seed + 1))
+        bulk = ev.bulk
+        assert ev.sampled_R == (min(float(R.min()), bulk.min_R),
+                                max(float(np.abs(R).max()), bulk.max_abs_R),
+                                10_000 + bulk.sign_nodes)
+        assert ev.check("pmt").values["sign_sample_size"] == (
+            10_000 + bulk.sign_nodes)
 
     @pytest.mark.parametrize("min_R", [-1.9e-9, -2.1e-9])
     def test_one_sign_rule(self, scn3, min_R):
