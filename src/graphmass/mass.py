@@ -27,7 +27,9 @@ where ``ScalarField.radial_about`` says the field is radial about the
 sphere's centre, on ``quad.point_rule``: one point per radius.
 ``_rule_about`` makes that choice, also for the horizon hypotheses,
 which read one node of a round horizon; ``quad`` walks the rule it is
-given.
+given.  The same test picks the sample shells (``Shell``) on which the
+sign and identity samples read R once per radius of a geometric grid;
+other shells keep the sampler's Sobol points.
 """
 
 from __future__ import annotations
@@ -62,11 +64,10 @@ HORIZON_OFFSETS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)  # boundary-flux study
 # cost resident memory instead of saving it: each freed batch raises
 # glibc's mmap threshold, which then keeps later temporaries on the heap.
 JET3_BATCH_BYTES = 1 << 25
-# Where R is radial on a sample shell, the samples read it on a geometric
-# grid of this many radii per decade, and refine its minimum in
-# REFINE_ROUNDS batched rounds of REFINE_POINTS radii each.
+# R radial on a sample shell: radii per decade of its geometric grid, and
+# the batched rounds refining its minimum and their radii
 SAMPLE_RADII_PER_DECADE = 32
-REFINE_ROUNDS, REFINE_POINTS = 2, 32
+REFINE_ROUNDS, REFINE_POINTS = 3, 33
 
 
 def mass_normalization(n: int) -> float:
@@ -86,8 +87,8 @@ def _unit_draw(d: int, count: int, seed: int) -> tuple:
 
 
 class Shell(NamedTuple):
-    """lo <= |x - center| <= hi (center None: the origin), with its
-    ``weight`` in a draw over several shells."""
+    """lo <= |x - center| <= hi (center None: the origin), drawing
+    ``weight`` shares of a sampler's points."""
 
     lo: float
     hi: float
@@ -97,36 +98,31 @@ class Shell(NamedTuple):
 
 @dataclass(frozen=True)
 class ShellSampler:
-    """Quasi-random points on the sample shells it states: radii
-    log-uniform, directions uniform.  Of ``count`` points, shell i takes
-    count * weight_i // (sum of weights), the last shell the rest, drawn at
-    seed + i: the first points of any longer draw of that shell."""
+    """Quasi-random points on the shells it states: radii log-uniform,
+    directions uniform.  Of ``count`` points shell i takes count * weight_i
+    // (sum of weights), the last shell the rest, drawn at seed + i: the
+    first points of any longer draw of that shell."""
 
     n: int
     shells: tuple[Shell, ...]
 
-    def __post_init__(self):
-        if not all(0 < s.lo < s.hi for s in self.shells):
-            raise ValueError("need 0 < lo < hi")
-
-    def parts(self, count: int, seed: int, skip=()) -> list[np.ndarray]:
-        """The points of each shell not in ``skip``."""
-        total, out = sum(s.weight for s in self.shells), []
-        counts = [count * s.weight // total for s in self.shells[:-1]]
-        for i, (s, k) in enumerate(zip(self.shells,
-                                       counts + [count - sum(counts)])):
+    def __call__(self, count: int, seed: int, skip=()) -> np.ndarray:
+        """The points of the shells not in ``skip``, shell by shell."""
+        w = [s.weight for s in self.shells]
+        ks = [count * x // sum(w) for x in w[:-1]]
+        out = [np.empty((0, self.n))]
+        for i, (s, k) in enumerate(zip(self.shells, ks + [count - sum(ks)])):
             if s not in skip:
                 first, dirs = _unit_draw(self.n + 1, k, seed + i)
                 pts = (s.lo * (s.hi / s.lo) ** first)[:, None] * dirs
                 out.append(pts if s.center is None else s.center + pts)
-        return out
-
-    def __call__(self, count: int, seed: int) -> np.ndarray:
-        return np.concatenate(self.parts(count, seed))
+        return np.concatenate(out)
 
 
 def shell_sampler(n: int, lo: float, hi: float) -> ShellSampler:
     """Sampler of the one shell lo <= |x| <= hi."""
+    if not 0 < lo < hi:
+        raise ValueError("need 0 < lo < hi")
     return ShellSampler(n, (Shell(lo, hi),))
 
 
@@ -197,12 +193,17 @@ class MassEstimate:
     weighted_limit: ExtrapolationResult
 
 
-def _R_on_axes(fld: ScalarField, centers: np.ndarray, radii) -> np.ndarray:
-    """R at c + r e_1 for each centre c and the radii in its row of
-    ``radii``, flattened."""
-    pts = np.repeat(centers, [len(r) for r in radii], axis=0)
-    pts[:, 0] += np.concatenate([np.empty(0), *radii])
-    return scalar_curvature(fld, pts)
+def _on_rays(centers: np.ndarray, radii, dirs) -> np.ndarray:
+    """c + r d for each centre c and the radii r in its row of ``radii``,
+    d the one row of ``dirs`` or the row of each radius."""
+    r = np.concatenate([np.empty(0), *radii])
+    return (np.repeat(centers, [len(x) for x in radii], axis=0)
+            + r[:, None] * dirs)
+
+
+def _R_at(field: ScalarField, pts: np.ndarray) -> np.ndarray:
+    """``scalar_curvature``, without its fixed cost on no points."""
+    return scalar_curvature(field, pts) if len(pts) else np.empty(0)
 
 
 def horizon_clearance(scenario: Scenario) -> float:
@@ -568,89 +569,61 @@ class ScenarioEvaluation:
 
     @cached_property
     def radial_grid(self) -> tuple:
-        """(shells, centres, grids, R): the sample shells on which the
-        field is radial about the centre (``ScalarField.radial_about``),
-        a geometric grid of SAMPLE_RADII_PER_DECADE radii per decade over
-        each [lo, hi], and R on the grids at c + r e_1, in one call."""
+        """(shells, centres, grids, R): the sample shells about whose centre
+        the field is radial (``ScalarField.radial_about``), a geometric
+        grid of SAMPLE_RADII_PER_DECADE radii per decade over each, and R
+        on the grids at c + r e_1, in one call."""
         scn = self.scenario
         fld, zero = scn.require_field(), (0.0,) * scn.n
         shells = [s for s in getattr(scn.sampler, "shells", ())
                   if fld.radial_about(s.center or zero, s.lo, s.hi)]
-        grids = [np.geomspace(s.lo, s.hi, 1 + math.ceil(
-            SAMPLE_RADII_PER_DECADE * math.log10(s.hi / s.lo)))
-            for s in shells]
+        ks = [math.ceil(SAMPLE_RADII_PER_DECADE * math.log10(s.hi / s.lo))
+              for s in shells]
+        grids = [s.lo * (s.hi / s.lo) ** (np.arange(k + 1) / k)
+                 for s, k in zip(shells, ks)]
         centers = np.array([s.center or zero for s in shells]).reshape(
             -1, scn.n)
-        return shells, centers, grids, _R_on_axes(fld, centers, grids)
+        return shells, centers, grids, _R_at(
+            fld, _on_rays(centers, grids, np.eye(scn.n)[0]))
 
-    def _refined_R(self) -> np.ndarray:
-        """R about each radial shell's lowest grid node, every shell in
-        one call per step (Brent 1973, ch. 5, batched): REFINE_ROUNDS
-        rounds of REFINE_POINTS equally spaced log-radii, one previous
-        spacing either side of the lowest value so far, then the vertex of
-        the parabola through the last round's lowest value and its
-        neighbours."""
-        _, centers, grids, R = self.radial_grid
-        parts = np.split(R, np.cumsum([len(g) for g in grids])[:-1])
-        t, lo, hi, h = (np.log(np.array(x)) for x in zip(*(
-            (g[np.argmin(v)], g[0], g[-1], g[1] / g[0])
-            for g, v in zip(grids, parts))))
-        best, rows = np.array([v.min() for v in parts]), np.arange(len(t))
-        for _ in range(REFINE_ROUNDS):
-            ts = np.linspace(np.maximum(t - h, lo), np.minimum(t + h, hi),
-                             REFINE_POINTS, axis=-1)
-            v = _R_on_axes(self.scenario.field, centers, np.exp(ts))
-            parts.append(v)
-            v = v.reshape(ts.shape)
-            k = v.argmin(axis=1)
-            t = np.where(v[rows, k] < best, ts[rows, k], t)
-            best, h = np.minimum(v[rows, k], best), ts[:, 1] - ts[:, 0]
-        k = np.clip(k, 1, REFINE_POINTS - 2)
-        y0, y1, y2 = (v[rows, k + d] for d in (-1, 0, 1))
-        curv = np.maximum(y0 - 2.0 * y1 + y2, 0.0)
-        shift = np.divide(y0 - y2, 2.0 * curv, out=np.zeros_like(curv),
-                          where=curv > 0.0)
-        vertex = ts[rows, k] + h * np.clip(shift, -1.0, 1.0)
-        parts.append(_R_on_axes(self.scenario.field, centers,
-                                np.exp(vertex)[:, None]))
-        return np.concatenate(parts)
-
-    def _other_points(self, count: int, seed: int) -> np.ndarray:
+    def _other(self, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         """The sampler's points (count, seed) on the shells outside
-        ``radial_grid``; all of them from a sampler that states none."""
+        ``radial_grid`` (all of them if it states none), and R there."""
         scn = self.scenario
-        if not isinstance(scn.sampler, ShellSampler):
-            return scn.sample_points(count, seed)
-        return np.concatenate([np.empty((0, scn.n)), *scn.sampler.parts(
-            count, seed, self.radial_grid[0])])
+        pts = (scn.sampler(count, seed, self.radial_grid[0])
+               if isinstance(scn.sampler, ShellSampler)
+               else scn.sample_points(count, seed))
+        return pts, _R_at(scn.field, pts)
 
     @cached_property
     def sampled_R(self) -> tuple[float, float, int]:
-        """(min R, max |R|, count) over the radial shells' grids and their
-        refinement, the sampler's 10,000 points on the other shells, and
-        the volume-quadrature nodes outside the boundary guard band."""
-        pts = self._other_points(10_000, self.scenario.quad.seed + 1)
-        vals = np.concatenate([
-            self._refined_R() if self.radial_grid[0] else [],
-            scalar_curvature(self.scenario.field, pts)])
-        bulk = self.bulk
+        """(min R, max |R|, count) over the radial shells' grids, the
+        sampler's 10,000 points on the other shells, the volume-quadrature
+        nodes outside the boundary guard band, and REFINE_ROUNDS batched
+        bracket rounds (Brent 1973, ch. 5) about each radial shell's lowest
+        grid radius: REFINE_POINTS geometric radii one previous spacing
+        either side of the last round's lowest, clipped to the shell,
+        every shell in one call."""
+        shells, centers, grids, R = self.radial_grid
+        vals = [R, self._other(10_000, self.scenario.quad.seed + 1)[1]]
+        e1 = np.eye(self.scenario.n)[0]
+        if shells:
+            lo, hi = np.array([[s.lo, s.hi] for s in shells]).T[..., None]
+            q = np.array([[g[1] / g[0]] for g in grids])
+            r = np.array([[g[v.argmin()]] for g, v in zip(grids, np.split(
+                R, np.cumsum([len(g) for g in grids])[:-1]))])
+            for _ in range(REFINE_ROUNDS):
+                rs = np.clip(r * q ** np.linspace(-1.0, 1.0, REFINE_POINTS),
+                             lo, hi)
+                vals.append(_R_at(self.scenario.field,
+                                  _on_rays(centers, rs, e1)))
+                r = np.take_along_axis(
+                    rs, vals[-1].reshape(rs.shape).argmin(1)[:, None], 1)
+                q = q ** (2.0 / (REFINE_POINTS - 1))
+        vals, bulk = np.concatenate(vals), self.bulk
         return (min(float(vals.min()), bulk.min_R),
                 max(float(np.abs(vals).max()), bulk.max_abs_R),
                 len(vals) + bulk.sign_nodes)
-
-    def identity_sup(self) -> float:
-        """``divergence_identity_sup`` in one batch: the radial shells'
-        grid radii along Sobol directions, against the grid's R, and the
-        sampler's 1,000 points on the other shells."""
-        scn = self.scenario
-        _, centers, grids, R = self.radial_grid
-        radii = np.concatenate([np.empty(0), *grids])
-        pts = np.repeat(centers, [len(g) for g in grids], axis=0) + radii[
-            :, None] * _unit_draw(scn.n + 1, len(radii), scn.quad.seed)[1]
-        other = self._other_points(1000, scn.quad.seed)
-        return divergence_identity_sup(
-            scn.field, np.concatenate([pts, other]),
-            np.concatenate([R, scalar_curvature(scn.field, other)]))
 
     @cached_property
     def R_sign_ok(self) -> bool:
@@ -708,7 +681,14 @@ class ScenarioEvaluation:
         ok = True
 
         if scn.field is not None:
-            sup = self.identity_sup()
+            # the radial shells' grid radii along Sobol directions, against
+            # the grid's R, and the sampler's points on the other shells
+            _, centers, grids, R = self.radial_grid
+            dirs = _unit_draw(scn.n + 1, len(R), scn.quad.seed)[1]
+            other, R_other = self._other(1000, scn.quad.seed)
+            sup = divergence_identity_sup(scn.field, np.concatenate(
+                [_on_rays(centers, grids, dirs), other]), np.concatenate(
+                [R, R_other]))
             values["div_identity_sup"] = sup
             if sup > DIV_IDENTITY_TOL:
                 ok = False

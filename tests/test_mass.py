@@ -752,6 +752,49 @@ class TestChecks:
         assert ev.sampled_R[0] < -1e3
         assert not ev.check("pmt").hypothesis_ok
 
+    def test_glued_far_shell_keeps_its_sobol_points(self):
+        """two_body_glued's near shells are radial about their centres and
+        read grids; its far shell, which the near pieces cross, keeps its
+        share of the Sobol points: 2,000 of 10,000 and 200 of 1,000."""
+        scn = make_scenario("two_body_glued")
+        ev = ScenarioEvaluation(scn)
+        shells, _, grids, _ = ev.radial_grid
+        assert shells == list(scn.sampler.shells[:2])
+        seed = scn.quad.seed
+        for count, seed in ((10_000, seed + 1), (1000, seed)):
+            far, R = ev._other(count, seed)
+            assert np.array_equal(far, scn.sample_points(count, seed)[
+                -count // 5:])
+            assert np.array_equal(R, mass.scalar_curvature(scn.field, far))
+        assert ev.sampled_R[2] == (
+            sum(map(len, grids)) + 2 * mass.REFINE_ROUNDS * mass.REFINE_POINTS
+            + 2000 + ev.bulk.sign_nodes)
+
+    @pytest.mark.parametrize(("name", "end"), [("schwarzschild_n", 0),
+                                               ("radial_custom", 1)])
+    def test_refinement_stays_on_the_shell(self, name, end, monkeypatch):
+        """The lowest grid R sits at the inner end of schwarzschild_n's
+        shell, next to the horizon, and at the outer end of radial_custom's:
+        the bracket rounds are clipped there, and every radius read lies in
+        [lo, hi] to roundoff."""
+        scn, seen = make_scenario(name), []
+        lo, hi = scn.sampler.shells[0][:2]
+        orig = mass._R_at
+
+        def spy(fld, pts):
+            seen.append(np.sqrt(quad.norm_sq(pts)))
+            return orig(fld, pts)
+
+        monkeypatch.setattr(mass, "_R_at", spy)
+        ScenarioEvaluation(scn).sampled_R
+        rounds = [r for r in seen if len(r)]
+        assert len(rounds) == 1 + mass.REFINE_ROUNDS
+        r = np.concatenate(rounds)
+        assert r.min() == pytest.approx(lo, rel=1e-12)
+        assert r.max() == pytest.approx(hi, rel=1e-12)
+        assert rounds[-1][[0, -1][end]] == pytest.approx((lo, hi)[end],
+                                                         rel=1e-12)
+
     def test_non_radial_field_keeps_the_sobol_samples(self, bump):
         """A field that reads x_i is not radial on its shell, so both
         samples read the sampler's points as before, bit for bit."""
