@@ -106,6 +106,10 @@ class ShellSampler:
     n: int
     shells: tuple[Shell, ...]
 
+    def __post_init__(self):
+        if not all(0 < s.lo < s.hi for s in self.shells):
+            raise ValueError("need 0 < lo < hi")
+
     def __call__(self, count: int, seed: int, skip=()) -> np.ndarray:
         """The points of the shells not in ``skip``, shell by shell."""
         w = [s.weight for s in self.shells]
@@ -121,8 +125,6 @@ class ShellSampler:
 
 def shell_sampler(n: int, lo: float, hi: float) -> ShellSampler:
     """Sampler of the one shell lo <= |x| <= hi."""
-    if not 0 < lo < hi:
-        raise ValueError("need 0 < lo < hi")
     return ShellSampler(n, (Shell(lo, hi),))
 
 
