@@ -396,7 +396,7 @@ def cmd_run(args, extras: list[str]) -> int:
                               "scenario name")
         run = RunConfig(entries=[EntryConfig(name=n)
                                  for n in scenario_names()], **flags)
-    if args.scenario and len(run.entries) > 1:
+    if args.scenario:
         run.entries = [e for e in run.entries if e.name == args.scenario]
         if not run.entries:
             raise ConfigError(

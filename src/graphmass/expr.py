@@ -366,12 +366,6 @@ def free_symbols(node: Expr) -> frozenset[Expr]:
     return frozenset(leaves)
 
 
-def param_names(node: Expr) -> tuple[str, ...]:
-    """Sorted names of the free parameters of an expression."""
-    return tuple(sorted(e.name for e in free_symbols(node)
-                        if isinstance(e, Param)))
-
-
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 

@@ -542,15 +542,15 @@ class ExprField(ScalarField):
                  params: dict[str, float] | None = None):
         if isinstance(expression, str):
             expression = ex.parse(expression, n)
-        missing = [p for p in ex.param_names(expression)
-                   if p not in (params or {})]
-        if missing:
-            raise UnboundParameterError(
-                f"parameters {missing} are not bound")
         self.expression = expression
         self.n = n
         self.params = dict(params or {})
         symbols = ex.free_symbols(expression)
+        missing = sorted(e.name for e in symbols if isinstance(e, ex.Param)
+                         and e.name not in self.params)
+        if missing:
+            raise UnboundParameterError(
+                f"parameters {missing} are not bound")
         self._reads_x = any(isinstance(e, ex.Coord) for e in symbols)
         self._reads_r = ex.Radial() in symbols
 

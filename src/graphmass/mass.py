@@ -27,9 +27,10 @@ where ``ScalarField.radial_about`` says the field is radial about the
 sphere's centre, on ``quad.point_rule``: one point per radius.
 ``_rule_about`` makes that choice, also for the horizon hypotheses,
 which read one node of a round horizon; ``quad`` walks the rule it is
-given.  The same test picks the sample shells (``Shell``) on which the
-sign and identity samples read R once per radius of a geometric grid;
-other shells keep the sampler's Sobol points.
+given.  The same test picks the scenario's sample shells (``Shell``) on
+which the sign and identity samples read R once per radius of a
+geometric grid; other shells keep ``Scenario.sample_points``' Sobol
+points.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field as _field, replace
 from functools import cached_property, lru_cache, partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,7 +80,7 @@ def mass_normalization(n: int) -> float:
 def _unit_draw(d: int, count: int, seed: int) -> tuple:
     """The first coordinate of ``sobol(d, count, seed)`` and the unit
     directions of the others, drawn once per process and read-only:
-    every shell sampler of one dimension shares them."""
+    every sample shell of one dimension shares them."""
     u = sobol(d, count, seed)
     first, dirs = u[:, 0].copy(), sphere_directions(u[:, 1:])
     first.flags.writeable = dirs.flags.writeable = False
@@ -88,44 +89,12 @@ def _unit_draw(d: int, count: int, seed: int) -> tuple:
 
 class Shell(NamedTuple):
     """lo <= |x - center| <= hi (center None: the origin), drawing
-    ``weight`` shares of a sampler's points."""
+    ``weight`` shares of a scenario's sample points."""
 
     lo: float
     hi: float
     center: tuple[float, ...] | None = None
     weight: int = 1
-
-
-@dataclass(frozen=True)
-class ShellSampler:
-    """Quasi-random points on the shells it states: radii log-uniform,
-    directions uniform.  Of ``count`` points shell i takes count * weight_i
-    // (sum of weights), the last shell the rest, drawn at seed + i: the
-    first points of any longer draw of that shell."""
-
-    n: int
-    shells: tuple[Shell, ...]
-
-    def __post_init__(self):
-        if not all(0 < s.lo < s.hi for s in self.shells):
-            raise ValueError("need 0 < lo < hi")
-
-    def __call__(self, count: int, seed: int, skip=()) -> np.ndarray:
-        """The points of the shells not in ``skip``, shell by shell."""
-        w = [s.weight for s in self.shells]
-        ks = [count * x // sum(w) for x in w[:-1]]
-        out = [np.empty((0, self.n))]
-        for i, (s, k) in enumerate(zip(self.shells, ks + [count - sum(ks)])):
-            if s not in skip:
-                first, dirs = _unit_draw(self.n + 1, k, seed + i)
-                pts = (s.lo * (s.hi / s.lo) ** first)[:, None] * dirs
-                out.append(pts if s.center is None else s.center + pts)
-        return np.concatenate(out)
-
-
-def shell_sampler(n: int, lo: float, hi: float) -> ShellSampler:
-    """Sampler of the one shell lo <= |x| <= hi."""
-    return ShellSampler(n, (Shell(lo, hi),))
 
 
 @dataclass
@@ -141,9 +110,13 @@ class Scenario:
     params: dict = _field(default_factory=dict)
     expected: dict = _field(default_factory=dict)
     checks: tuple[str, ...] = ("identities",)
-    sampler: Callable[[int, int], np.ndarray] | None = None
+    shells: tuple[Shell, ...] = ()  # where the hypothesis samples draw
     description: str = ""
     exercises: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if not all(0 < s.lo < s.hi for s in self.shells):
+            raise ValueError("need 0 < lo < hi")
 
     @property
     def geometry_only(self) -> bool:
@@ -155,13 +128,23 @@ class Scenario:
         return (self.field.profile if isinstance(self.field, RadialField)
                 else None)
 
-    def sample_points(self, count: int, seed: int) -> np.ndarray:
-        if self.sampler is None:
+    def sample_points(self, count: int, seed: int, skip=()) -> np.ndarray:
+        """Quasi-random points on the shells not in ``skip``, shell by
+        shell: radii log-uniform, directions uniform.  Of ``count`` points
+        shell i takes count * weight_i // (sum of weights), the last shell
+        the rest, drawn at seed + i: the first points of any longer draw
+        of that shell."""
+        if not self.shells:
             raise ConfigError(f"scenario '{self.name}' has no point sampler")
-        pts = np.asarray(self.sampler(count, seed), float)
-        if pts.shape != (count, self.n):
-            raise ConfigError("sampler returned a mismatched shape")
-        return pts
+        w = [s.weight for s in self.shells]
+        ks = [count * x // sum(w) for x in w[:-1]]
+        out = [np.empty((0, self.n))]
+        for i, (s, k) in enumerate(zip(self.shells, ks + [count - sum(ks)])):
+            if s not in skip:
+                first, dirs = _unit_draw(self.n + 1, k, seed + i)
+                pts = (s.lo * (s.hi / s.lo) ** first)[:, None] * dirs
+                out.append(pts if s.center is None else s.center + pts)
+        return np.concatenate(out)
 
     def require_field(self) -> ScalarField:
         if self.field is None:
@@ -577,7 +560,7 @@ class ScenarioEvaluation:
         on the grids at c + r e_1, in one call."""
         scn = self.scenario
         fld, zero = scn.require_field(), (0.0,) * scn.n
-        shells = [s for s in getattr(scn.sampler, "shells", ())
+        shells = [s for s in scn.shells
                   if fld.radial_about(s.center or zero, s.lo, s.hi)]
         ks = [math.ceil(SAMPLE_RADII_PER_DECADE * math.log10(s.hi / s.lo))
               for s in shells]
@@ -589,18 +572,15 @@ class ScenarioEvaluation:
             fld, _on_rays(centers, grids, np.eye(scn.n)[0]))
 
     def _other(self, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        """The sampler's points (count, seed) on the shells outside
-        ``radial_grid`` (all of them if it states none), and R there."""
-        scn = self.scenario
-        pts = (scn.sampler(count, seed, self.radial_grid[0])
-               if isinstance(scn.sampler, ShellSampler)
-               else scn.sample_points(count, seed))
-        return pts, _R_at(scn.field, pts)
+        """The sample points (count, seed) on the shells outside
+        ``radial_grid``, and R there."""
+        pts = self.scenario.sample_points(count, seed, self.radial_grid[0])
+        return pts, _R_at(self.scenario.field, pts)
 
     @cached_property
     def sampled_R(self) -> tuple[float, float, int]:
         """(min R, max |R|, count) over the radial shells' grids, the
-        sampler's 10,000 points on the other shells, the volume-quadrature
+        10,000 sample points on the other shells, the volume-quadrature
         nodes outside the boundary guard band, and REFINE_ROUNDS batched
         bracket rounds (Brent 1973, ch. 5) about each radial shell's lowest
         grid radius: REFINE_POINTS geometric radii one previous spacing
@@ -684,7 +664,7 @@ class ScenarioEvaluation:
 
         if scn.field is not None:
             # the radial shells' grid radii along Sobol directions, against
-            # the grid's R, and the sampler's points on the other shells
+            # the grid's R, and the sample points on the other shells
             _, centers, grids, R = self.radial_grid
             dirs = _unit_draw(scn.n + 1, len(R), scn.quad.seed)[1]
             other, R_other = self._other(1000, scn.quad.seed)

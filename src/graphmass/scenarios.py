@@ -1,9 +1,9 @@
 """Built-in graph configurations with known or constructed mass data.
 
 Each factory assembles a Scenario: the graph function (as jets), its
-horizon bodies, quadrature settings tuned to the field's decay, a
-quasi-random point sampler for the hypothesis checks, and whatever
-exact values exist for that configuration.
+horizon bodies, quadrature settings tuned to the field's decay, the
+sample shells on which the hypothesis checks test R >= 0 and R = div V,
+and whatever exact values exist for that configuration.
 
 The two-body configuration deserves a note: no closed-form graph with
 two exact horizon components is available, so it glues two
@@ -30,7 +30,7 @@ from .errors import ConfigError, DomainError
 from .jets import (Jet3, RadialField, RadialProfile, ScalarField, ExprField,
                    check_order, horizon_profile, profile_from_gradsq,
                    radial_jet, schwarzschild_profile)
-from .mass import Scenario, Shell, ShellSampler, shell_sampler
+from .mass import Scenario, Shell
 from .quad import ExteriorRegion, QuadConfig, norm_sq
 
 
@@ -192,7 +192,7 @@ def _flat(n: int) -> Scenario:
         quad=quad, bulk_region=(ExteriorRegion(),), params={"n": n},
         expected={"mass": 0.0, "bound": 0.0},
         checks=("identities", "pmt"),
-        sampler=shell_sampler(n, 0.1, 50.0),
+        shells=(Shell(0.1, 50.0),),
         description="Euclidean space as the graph of f = 0.",
         exercises=("zero-mass baseline", "divergence identity"))
 
@@ -206,7 +206,7 @@ def _horizon_graph(profile: RadialProfile, n: int, **scenario) -> Scenario:
         horizons=HorizonSet((Sphere(np.zeros(n), a),)),
         bulk_region=(ExteriorRegion(r_inner=a, graded=True),),
         checks=("identities", "pmt", "penrose"),
-        sampler=shell_sampler(n, 1.05 * a, 50.0 * a), **scenario)
+        shells=(Shell(1.05 * a, 50.0 * a),), **scenario)
 
 
 def _schwarzschild(n: int, m: float) -> Scenario:
@@ -254,7 +254,7 @@ def _radial_custom(m: float, n: int) -> Scenario:
         horizons=HorizonSet(()), quad=quad,
         bulk_region=(ExteriorRegion(),), params={"n": n, "m": m},
         expected={"mass": m}, checks=("identities", "pmt"),
-        sampler=shell_sampler(n, 0.05, 40.0),
+        shells=(Shell(0.05, 40.0),),
         description="Smooth horizonless radial graph whose flux mass "
                     "approaches m from below.",
         exercises=("radial nonnegativity", "flux vs bulk identity",
@@ -269,7 +269,7 @@ def _bump(alpha: float, n: int) -> Scenario:
         horizons=HorizonSet(()), quad=quad,
         bulk_region=(ExteriorRegion(),), params={"alpha": alpha, "n": n},
         expected={"mass": 0.0}, checks=("identities",),
-        sampler=shell_sampler(n, 0.05, 6.0),
+        shells=(Shell(0.05, 6.0),),
         description="Gaussian bump graph: zero mass with sign-indefinite "
                     "curvature canceling between the two routes.",
         exercises=("flux vs bulk identity", "sign-indefinite curvature"))
@@ -351,15 +351,15 @@ def _two_body_glued(m1: float, m2: float) -> Scenario:
                       radial_tol=1e-4)
 
     # 2/5 of the points near each body
-    sampler = ShellSampler(n, tuple(
+    shells = tuple(
         Shell(2.5 * m, near_cut + near_width, tuple(c.tolist()), 2)
-        for c, m in zip(centers, (m1, m2))) + (Shell(far_cut * 0.4, 390.0),))
+        for c, m in zip(centers, (m1, m2))) + (Shell(far_cut * 0.4, 390.0),)
 
     return Scenario(
         name="two_body_glued", n=n, field=field,
         horizons=HorizonSet(tuple(horizons)), quad=quad,
         bulk_region=regions, params={"m1": m1, "m2": m2},
-        expected={"mass": total}, checks=("identities",), sampler=sampler,
+        expected={"mass": total}, checks=("identities",), shells=shells,
         description="Two far-separated horizon components glued to a "
                     "common far field; exact total mass, and a bulk term "
                     "that cancels between the gluing annuli.",
@@ -406,7 +406,7 @@ class RegistryEntry:
 # puts it past r_max = 60; m = 50 runs at n = 4, beta = 0.01).  Past
 # radial_custom's m end the tail window [50, 200] is not yet asymptotic:
 # the fit reads q = 2.98 <= n at m = 52 and 2.68 at m = 100, and the run
-# exits 2.  Its n end is the Sobol table: the sampler draws n + 1 <= 33
+# exits 2.  Its n end is the Sobol table: a sample draws n + 1 <= 33
 # coordinates.  schwarzschild3's tail is R = 0 roundoff, which is no
 # tail, and m from 2e7 to 1e30 passes (the fit to that noise failed at
 # m = 1e8 with q = 2.91); its end stays until a test covers the scale

@@ -311,11 +311,16 @@ class TestConfigFile:
         assert "bump" not in err
 
     def test_scenario_filter_miss(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, self.PAYLOAD)
-        code = main(["run", cfg, "--scenario", "nope"])
-        _, err = capsys.readouterr()
-        assert code == 3
-        assert "config has no scenario named" in err
+        """A --scenario that names no entry of the run exits 3, whether
+        the run has two entries or one, from a config file or a name."""
+        two = write_config(tmp_path, self.PAYLOAD)
+        (tmp_path / "one").mkdir()
+        one = write_config(tmp_path / "one", {"scenarios": ["flat"]})
+        for target, name in ((two, "nope"), (one, "bump"), ("flat", "bump")):
+            code = main(["run", target, "--scenario", name])
+            _, err = capsys.readouterr()
+            assert code == 3
+            assert f"config has no scenario named '{name}'" in err
 
     def test_overrides_need_a_name(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.PAYLOAD)

@@ -7,7 +7,7 @@ import pytest
 
 from graphmass.errors import ParseError, UnboundParameterError
 from graphmass.expr import (Coord, Param, Radial, const_fold, free_symbols,
-                            param_names, parse, power, to_text)
+                            parse, power, to_text)
 from graphmass.jets import ExprField
 
 
@@ -105,8 +105,12 @@ class TestFoldingAndParams:
         assert info.value.position == 2
 
     def test_param_names_sorted(self):
-        assert param_names(parse("b*x1 + a*sin(c*x2)", 3)) == ("a", "b", "c")
-        assert param_names(parse("x1+x2", 3)) == ()
+        """An unbound-parameter error names the missing ones, sorted."""
+        for params, names in (({}, "'a', 'b', 'c'"), ({"b": 1.0}, "'a', 'c'")):
+            with pytest.raises(UnboundParameterError,
+                               match=rf"\[{names}\] are not bound"):
+                ExprField("c*x1 + b*sin(a*x2)", 3, params)
+        assert ExprField("x1+x2", 3).params == {}
 
     def test_free_symbols(self):
         """Every distinct variable leaf once, under any node kind."""

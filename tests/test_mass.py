@@ -16,10 +16,10 @@ from graphmass.errors import ConfigError, DomainError, NonConvexError
 from graphmass.jets import (ExprField, RadialField, RadialProfile,
                             schwarzschild_profile)
 from graphmass.mass import (HORIZON_OFFSETS, Scenario, ScenarioEvaluation,
-                            adm_flux_mass, adm_mass, bulk_mass, flux_series,
-                            horizon_flux_convergence, horizon_hypotheses,
-                            identity_tolerance, mass_normalization,
-                            shell_sampler, spherical_mass)
+                            Shell, adm_flux_mass, adm_mass, bulk_mass,
+                            flux_series, horizon_flux_convergence,
+                            horizon_hypotheses, identity_tolerance,
+                            mass_normalization, spherical_mass)
 from graphmass.quad import HORIZON_OFFSET, ExteriorRegion, QuadConfig
 from graphmass.scenarios import make_scenario, scenario_names
 
@@ -52,24 +52,48 @@ class TestNormalization:
                                                       rel=1e-15)
 
 
+def shelled(n, *shells):
+    """A field-less scenario that states only its sample shells."""
+    return Scenario(name="shells", n=n, field=None, horizons=HorizonSet(()),
+                    quad=QuadConfig(), bulk_region=(), shells=shells)
+
+
+def hand_draw(scn, count, seed):
+    """``scn.sample_points(count, seed)`` written out from ``quad.sobol``:
+    shell i takes count * weight_i // (sum of weights), the last the rest,
+    at seed + i, radii log-uniform and directions from the other
+    coordinates."""
+    w = [s.weight for s in scn.shells]
+    ks = [count * x // sum(w) for x in w[:-1]]
+    out = []
+    for i, (s, k) in enumerate(zip(scn.shells, ks + [count - sum(ks)])):
+        u = quad.sobol(scn.n + 1, k, seed + i)
+        pts = (s.lo * (s.hi / s.lo) ** u[:, 0])[:, None] * (
+            quad.sphere_directions(u[:, 1:]))
+        out.append(pts if s.center is None else s.center + pts)
+    return np.concatenate(out)
+
+
 class TestShellSampler:
+    """The shell draw of ``Scenario.sample_points``."""
+
     def test_shape_and_bounds(self):
-        sample = shell_sampler(3, 0.5, 20.0)
-        pts = sample(500, 7)
+        pts = shelled(3, Shell(0.5, 20.0)).sample_points(500, 7)
         assert pts.shape == (500, 3)
         r = np.linalg.norm(pts, axis=1)
         assert r.min() >= 0.5 and r.max() <= 20.0
 
     def test_same_seed_is_deterministic(self):
-        sample = shell_sampler(4, 1.0, 10.0)
-        assert np.array_equal(sample(200, 3), sample(200, 3))
-        assert not np.array_equal(sample(200, 3), sample(200, 4))
+        scn = shelled(4, Shell(1.0, 10.0))
+        assert np.array_equal(scn.sample_points(200, 3),
+                              scn.sample_points(200, 3))
+        assert not np.array_equal(scn.sample_points(200, 3),
+                                  scn.sample_points(200, 4))
 
     def test_samplers_share_one_unit_draw(self, monkeypatch):
-        """Samplers of one dimension draw each (count, seed) once and
+        """Scenarios of one dimension draw each (count, seed) once and
         share its read-only arrays; their points equal those of an
         uncached draw bit for bit."""
-        from graphmass import mass
         mass._unit_draw.cache_clear()
         draws = []
 
@@ -78,37 +102,57 @@ class TestShellSampler:
             return quad.sobol(*key)
 
         monkeypatch.setattr(mass, "sobol", counted)
-        near, far = shell_sampler(3, 0.5, 20.0), shell_sampler(3, 2.0, 90.0)
-        points = near(300, 5), far(300, 5)
+        near, far = shelled(3, Shell(0.5, 20.0)), shelled(3, Shell(2.0, 90.0))
+        points = near.sample_points(300, 5), far.sample_points(300, 5)
         assert draws == [(4, 300, 5)]
         assert not any(a.flags.writeable for a in mass._unit_draw(4, 300, 5))
-        u = quad.sobol(4, 300, 5)
-        for (lo, hi), pts in zip(((0.5, 20.0), (2.0, 90.0)), points):
-            radii = lo * (hi / lo) ** u[:, 0]
-            assert np.array_equal(
-                pts, radii[:, None] * quad.sphere_directions(u[:, 1:]))
+        for scn, pts in zip((near, far), points):
+            assert np.array_equal(pts, hand_draw(scn, 300, 5))
 
     def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            shell_sampler(3, 0.0, 5.0)
-        with pytest.raises(ValueError):
-            shell_sampler(3, 5.0, 1.0)
+        """A shell with lo <= 0 or lo >= hi is rejected when the scenario
+        is built, whether it states one shell or three."""
+        glued = make_scenario("two_body_glued")
+        for lo, hi in ((0.0, 5.0), (-1.0, 5.0), (5.0, 5.0), (5.0, 1.0)):
+            with pytest.raises(ValueError, match="0 < lo < hi"):
+                shelled(3, Shell(lo, hi))
+            with pytest.raises(ValueError, match="0 < lo < hi"):
+                dataclasses.replace(glued, shells=glued.shells[:1] + (
+                    Shell(lo, hi, (100.0, 0.0, 0.0), 2), glued.shells[2]))
 
     def test_glued_shells_are_the_hand_written_draw(self):
         """two_body_glued states its three shells; its points are those
         of 2/5 of the draw on each near shell (seeds s, s + 1) and the
         rest on the far shell (seed s + 2), bit for bit."""
         scn = make_scenario("two_body_glued")
-        near = [shell_sampler(3, 2.5 * m, 56.0) for m in (1.0, 0.8)]
+        near = [shelled(3, Shell(2.5 * m, 56.0)) for m in (1.0, 0.8)]
         for count, seed in ((1000, 7), (10_000, 8), (3, 0)):
             k = count * 2 // 5
             want = np.concatenate([
-                (-100.0, 0.0, 0.0) + near[0](k, seed),
-                (100.0, 0.0, 0.0) + near[1](k, seed + 1),
-                shell_sampler(3, 80.0, 390.0)(count - 2 * k, seed + 2)])
+                (-100.0, 0.0, 0.0) + near[0].sample_points(k, seed),
+                (100.0, 0.0, 0.0) + near[1].sample_points(k, seed + 1),
+                shelled(3, Shell(80.0, 390.0)).sample_points(
+                    count - 2 * k, seed + 2)])
             assert np.array_equal(scn.sample_points(count, seed), want)
-        assert [s.center for s in scn.sampler.shells] == [
+        assert [s.center for s in scn.shells] == [
             (-100.0, 0.0, 0.0), (100.0, 0.0, 0.0), None]
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_registry_shells_are_the_hand_written_draw(self, name):
+        """Every registry default that states shells draws the points of
+        ``hand_draw`` bit for bit, at both sample sizes and seeds of a
+        run; one without shells (the geometry-only ellipsoid_horizon) has
+        no point sampler."""
+        scn = make_scenario(name)
+        if not scn.shells:
+            assert scn.geometry_only
+            with pytest.raises(ConfigError, match="no point sampler"):
+                scn.sample_points(10, 0)
+            return
+        seed = scn.quad.seed
+        for count, seed in ((1000, seed), (10_000, seed + 1), (3, 0)):
+            assert np.array_equal(scn.sample_points(count, seed),
+                                  hand_draw(scn, count, seed))
 
 
 class TestFluxMass:
@@ -732,7 +776,7 @@ class TestChecks:
         """f(x) = l a exp(-(r/l)^2) at l = 1e-3, on shells scaled by l:
         the shell is radial, the grid and its refinement read R once per
         radius, and their minimum lies at or below that of the 10,000
-        Sobol points the sampler would draw; the sign hypothesis fails."""
+        Sobol points of ``sample_points``; the sign hypothesis fails."""
         lam = 1e-3
         scn = Scenario(
             name="bump_small", n=3,
@@ -743,7 +787,7 @@ class TestChecks:
             # a bounded region: the tail fit past r_max is not yet scale
             # covariant (its power of r_max overflows at this scale)
             bulk_region=(ExteriorRegion(r_outer=12.0 * lam),),
-            sampler=shell_sampler(3, 0.05 * lam, 6.0 * lam))
+            shells=(Shell(0.05 * lam, 6.0 * lam),))
         ev = ScenarioEvaluation(scn)
         assert len(ev.radial_grid[0]) == 1
         sobol = mass.scalar_curvature(
@@ -759,7 +803,7 @@ class TestChecks:
         scn = make_scenario("two_body_glued")
         ev = ScenarioEvaluation(scn)
         shells, _, grids, _ = ev.radial_grid
-        assert shells == list(scn.sampler.shells[:2])
+        assert shells == list(scn.shells[:2])
         seed = scn.quad.seed
         for count, seed in ((10_000, seed + 1), (1000, seed)):
             far, R = ev._other(count, seed)
@@ -778,7 +822,7 @@ class TestChecks:
         the bracket rounds are clipped there, and every radius read lies in
         [lo, hi] to roundoff."""
         scn, seen = make_scenario(name), []
-        lo, hi = scn.sampler.shells[0][:2]
+        lo, hi = scn.shells[0][:2]
         orig = mass._R_at
 
         def spy(fld, pts):
@@ -797,7 +841,7 @@ class TestChecks:
 
     def test_non_radial_field_keeps_the_sobol_samples(self, bump):
         """A field that reads x_i is not radial on its shell, so both
-        samples read the sampler's points as before, bit for bit."""
+        samples read ``sample_points`` on the whole shell, bit for bit."""
         scn = dataclasses.replace(
             bump, name="twist",
             field=ExprField("0.1*x1*x2*exp(-r^2)", 3))
@@ -896,7 +940,7 @@ class TestChecks:
             horizons=HorizonSet((Sphere(np.zeros(3), 0.5),)),
             quad=QuadConfig(radii=(2.0, 4.0, 8.0, 16.0), r_max=12.0),
             bulk_region=(ExteriorRegion(),),
-            sampler=shell_sampler(3, 0.05, 6.0))
+            shells=(Shell(0.05, 6.0),))
         out = check(scn, "penrose")
         assert not out.passed
         assert not out.hypothesis_ok
@@ -917,7 +961,7 @@ class TestChecks:
             horizons=HorizonSet((NonConvexSphere(np.zeros(3), 0.5),)),
             quad=QuadConfig(radii=(2.0, 4.0, 8.0, 16.0), r_max=12.0),
             bulk_region=(ExteriorRegion(),),
-            sampler=shell_sampler(3, 0.05, 6.0))
+            shells=(Shell(0.05, 6.0),))
         out = check(scn, "penrose")
         assert not out.passed
         assert not out.hypothesis_ok
@@ -932,9 +976,3 @@ class TestScenarioPlumbing:
             scn.require_field()
         with pytest.raises(ConfigError, match="no point sampler"):
             scn.sample_points(10, 0)
-
-    def test_sampler_shape_guard(self, scn3):
-        bad = dataclasses.replace(
-            scn3, sampler=lambda count, seed: np.zeros((count, 2)))
-        with pytest.raises(ConfigError, match="mismatched shape"):
-            bad.sample_points(5, 0)
