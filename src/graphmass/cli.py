@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -296,7 +296,8 @@ def execute_run(run: RunConfig) -> tuple[int, ReportDocument, list[dict]]:
             "seed": run.seed,
             "radii": list(run.radii) if run.radii is not None else None,
             "format": run.format,
-            "entries": [{**asdict(entry),
+            # plain rows in field order: __init__ sets the fields in order
+            "entries": [{**vars(entry),
                          "params": dict(sorted(entry.params.items()))}
                         for entry in entries],
         },
@@ -387,6 +388,14 @@ def cmd_run(args, extras: list[str]) -> int:
             raise ConfigError("scenario parameter overrides need a "
                               "scenario name, not a config file")
         run = replace(load_config_file(target), **flags)
+        run.entries = [e for e in run.entries
+                       if args.scenario in (None, e.name)]
+        if not run.entries:  # a config file names at least one scenario
+            raise ConfigError(
+                f"config has no scenario named '{args.scenario}'")
+    elif target and args.scenario not in (None, target):
+        raise ConfigError(f"run target '{target}' and --scenario "
+                          f"'{args.scenario}' name different scenarios")
     elif target or args.scenario:
         run = RunConfig(entries=[EntryConfig(name=target or args.scenario,
                                              params=overrides)], **flags)
@@ -396,11 +405,6 @@ def cmd_run(args, extras: list[str]) -> int:
                               "scenario name")
         run = RunConfig(entries=[EntryConfig(name=n)
                                  for n in scenario_names()], **flags)
-    if args.scenario:
-        run.entries = [e for e in run.entries if e.name == args.scenario]
-        if not run.entries:
-            raise ConfigError(
-                f"config has no scenario named '{args.scenario}'")
     code, document, results = execute_run(run)
     _emit(run, document, results)
     return code

@@ -294,7 +294,8 @@ def evaluate(node: Expr, params: dict[str, float] | None, points,
     def checked(e: Expr, op: str, arg, c: float = 0.0):
         v = ops["value"](arg)
         for rejects, reason in DOMAIN_RULES.get(op, ()):
-            if np.any(rejects(v, c, order)):
+            bad = rejects(v, c, order)  # a bool where the rule short-circuits
+            if bad.any() if isinstance(bad, np.ndarray) else bad:
                 raise DomainError(f"{reason} in '{to_text(e)}'")
         return arg
 

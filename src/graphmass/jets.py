@@ -147,7 +147,7 @@ class Jet3:
 
     def check_finite(self, context: str | Callable[[], str] = "jet"):
         for part in (self.value, self.grad, self.hess, self.third):
-            if part is not None and not np.all(np.isfinite(part)):
+            if part is not None and not np.isfinite(part).all():
                 raise DomainError("non-finite derivatives in " + (
                     context() if callable(context) else context))
         return self
@@ -319,7 +319,7 @@ def profile_from_gradsq(gradsq: Callable, r_min: float = 0.0,
 
     def slopes(r, k):
         ur, *dus = gradsq(r, k)
-        if np.any(ur < 0.0):
+        if np.less(ur, 0.0).any():  # ur may be a float
             raise DomainError(f"negative squared slope in {label}")
         root = np.sqrt(ur)
         out = [sign * root]
@@ -429,7 +429,7 @@ def _profile_at(profile: RadialProfile, r: np.ndarray, orders):
     given, f from one call on the distinct radii (batches repeat a
     handful; a lone radius is its own).  Only ``RadialField.value``
     asks for f, an integral of f_r (a numerical one on most profiles)."""
-    if np.any(r <= profile.r_min):
+    if (r <= profile.r_min).any():
         raise DomainError(
             f"radius {float(np.min(r)):.6g} inside r_min={profile.r_min:.6g} "
             f"of {profile.label}")
@@ -558,7 +558,7 @@ class ExprField(ScalarField):
         # an overflow, and a NaN it leads to, is reported as not finite
         with np.errstate(over="ignore", invalid="ignore"):
             vals = ex.evaluate(self.expression, self.params, points)
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise DomainError(
                 f"non-finite value of '{ex.to_text(self.expression)}'")
         return vals
@@ -625,7 +625,7 @@ class RadialField(ScalarField):
         """``r``: the points' distances to the centre, if known."""
         r = self._radii(points) if r is None else r
         hr, hrr = _profile_at(self.profile, r, (1, 2))
-        if np.all(np.isfinite(hr + hrr)):
+        if np.isfinite(hr + hrr).all():
             return r, hr, hrr
         raise DomainError(f"non-finite derivatives in {self.profile.label}")
 

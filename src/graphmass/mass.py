@@ -21,22 +21,21 @@ the bulk integral (one panel walk per bulk region), one quermassintegral
 vector per horizon body (read by the horizon term, the Penrose bound and
 the geometry table), the decomposition, whose horizon term the Penrose
 check also reads, and the horizon hypotheses, which only the report
-reads.  Every sphere integral is
-one ``quad`` core call, on a rule that the scenario's config names or,
-where ``ScalarField.radial_about`` says the field is radial about the
-sphere's centre, on ``quad.point_rule``: one point per radius.
-``_rule_about`` makes that choice, also for the horizon hypotheses,
-which read one node of a round horizon; ``quad`` walks the rule it is
-given.  The same test picks the scenario's sample shells (``Shell``) on
-which the sign and identity samples read R once per radius of a
-geometric grid; other shells keep ``Scenario.sample_points``' Sobol
-points.
+reads.  Every sphere integral is one ``quad`` core call, on a rule that
+the scenario's config names or, where ``ScalarField.radial_about`` says
+the field is radial about the sphere's centre, on ``quad.point_rule``:
+one point per radius.  ``_rule_about`` makes that choice, also for the
+horizon hypotheses, which read one node of a round horizon; ``quad``
+walks the rule it is given.  The same test picks the scenario's sample
+shells (``Shell``) on which the sign and identity samples read R once
+per radius of a geometric grid; other shells keep
+``Scenario.sample_points``' Sobol points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field as _field, replace
+from dataclasses import dataclass, field as _field, replace
 from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
@@ -66,9 +65,11 @@ HORIZON_OFFSETS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)  # boundary-flux study
 # glibc's mmap threshold, which then keeps later temporaries on the heap.
 JET3_BATCH_BYTES = 1 << 25
 # R radial on a sample shell: radii per decade of its geometric grid, and
-# the batched rounds refining its minimum and their radii
+# the batched rounds refining its minimum and their radii, as powers of
+# the last round's spacing
 SAMPLE_RADII_PER_DECADE = 32
 REFINE_ROUNDS, REFINE_POINTS = 3, 33
+_REFINE_STEPS = np.linspace(-1.0, 1.0, REFINE_POINTS)
 
 
 def mass_normalization(n: int) -> float:
@@ -595,8 +596,7 @@ class ScenarioEvaluation:
             r = np.array([[g[v.argmin()]] for g, v in zip(grids, np.split(
                 R, np.cumsum([len(g) for g in grids])[:-1]))])
             for _ in range(REFINE_ROUNDS):
-                rs = np.clip(r * q ** np.linspace(-1.0, 1.0, REFINE_POINTS),
-                             lo, hi)
+                rs = np.clip(r * q ** _REFINE_STEPS, lo, hi)
                 vals.append(_R_at(self.scenario.field,
                                   _on_rays(centers, rs, e1)))
                 r = np.take_along_axis(
@@ -637,21 +637,14 @@ class ScenarioEvaluation:
                              self.scenario.n)
 
     def check(self, name: str) -> CheckOutcome:
-        if name == "identities":
-            return self._identities()
-        if name == "pmt":
-            return self._pmt()
-        if name == "penrose":
-            return self._penrose()
-        raise ConfigError(f"unknown check '{name}'")
+        if name not in ("identities", "pmt", "penrose"):
+            raise ConfigError(f"unknown check '{name}'")
+        return getattr(self, "_" + name)()
 
     def run(self, names=("all",)) -> list[CheckOutcome]:
-        requested: list[str] = []
-        for name in names:
-            if name == "all":
-                requested.extend(self.scenario.checks)
-            else:
-                requested.append(name)
+        """The named checks, "all" the scenario's, each once in order."""
+        requested = [check for name in names for check in (
+            self.scenario.checks if name == "all" else (name,))]
         return [self.check(name) for name in dict.fromkeys(requested)]
 
     # -- individual checks ------------------------------------------------
@@ -659,8 +652,7 @@ class ScenarioEvaluation:
     def _identities(self) -> CheckOutcome:
         scn = self.scenario
         values: dict = {}
-        notes: list[str] = []
-        ok = True
+        notes: list[str] = []  # one per failed part
 
         if scn.field is not None:
             # the radial shells' grid radii along Sobol directions, against
@@ -673,7 +665,6 @@ class ScenarioEvaluation:
                 [R, R_other]))
             values["div_identity_sup"] = sup
             if sup > DIV_IDENTITY_TOL:
-                ok = False
                 notes.append(f"divergence identity off by {sup:.3e}")
 
             dec = self.decomposition
@@ -681,7 +672,6 @@ class ScenarioEvaluation:
                           bulk_term=dec.bulk, residual=dec.residual,
                           residual_tolerance=dec.tolerance)
             if not dec.identity_ok:
-                ok = False
                 notes.append(
                     f"mass routes disagree: residual {dec.residual:.3e} "
                     f"exceeds {dec.tolerance:.3e}")
@@ -694,7 +684,6 @@ class ScenarioEvaluation:
             values["variant_gap"] = gap
             values["variant_budget"] = budget
             if gap > budget:
-                ok = False
                 notes.append("integrand variants extrapolate apart")
 
             if scn.profile is not None:
@@ -705,7 +694,6 @@ class ScenarioEvaluation:
                                    / (1.0 + np.abs(closed))))
                 values["radial_agreement"] = rel
                 if rel > 1e-10:
-                    ok = False
                     notes.append("radial closed form disagrees with flux")
 
         if len(scn.horizons):
@@ -714,21 +702,18 @@ class ScenarioEvaluation:
             values["gauss_defect"] = defect
             values["min_chain_gap_rel"] = chain
             if defect > 1e-6:
-                ok = False
                 notes.append("Gauss-map normalization violated")
             if chain < -1e-9:
-                ok = False
                 notes.append("a quermassintegral chain inequality failed")
             if len(scn.horizons) > 1:
                 gap = superadditivity_gap(
                     [g["area"] for g in self.geometry], scn.n)
                 values["superadditivity_gap"] = gap
                 if gap < 0.0:
-                    ok = False
                     notes.append("bound superadditivity failed")
 
         return CheckOutcome(name="identities", scenario=scn.name,
-                            passed=ok, hypothesis_ok=True, vacuous=False,
+                            passed=not notes, hypothesis_ok=True, vacuous=False,
                             values=values, notes=tuple(notes))
 
     def _pmt(self) -> CheckOutcome:
@@ -750,22 +735,20 @@ class ScenarioEvaluation:
             values["min_radial_flux_mass"] = float(np.min(sm))
             notes.append("rotationally symmetric: flux mass nonnegative "
                          "at every sampled radius")
-        if not self.R_sign_ok:
+        # without R >= 0 the check is vacuous and passes on the identity
+        hyp_ok = self.R_sign_ok
+        tol = max(est.uncertainty, 1e-12 * (1.0 + abs(est.value)))
+        passed = est.value >= -tol if hyp_ok else dec.identity_ok
+        if not hyp_ok:
             notes.append("hypothesis not met (R changes sign); "
                          "identity still verified" if dec.identity_ok
                          else "hypothesis not met and the mass identity "
                               "residual is out of tolerance")
-            return CheckOutcome(name="pmt", scenario=scn.name,
-                                passed=dec.identity_ok, hypothesis_ok=False,
-                                vacuous=True, values=values,
-                                notes=tuple(notes))
-        tol = max(est.uncertainty, 1e-12 * (1.0 + abs(est.value)))
-        passed = est.value >= -tol
-        if not passed:
+        elif not passed:
             notes.append(f"mass {est.value:.3e} is negative beyond "
                          f"tolerance {tol:.3e}")
         return CheckOutcome(name="pmt", scenario=scn.name, passed=passed,
-                            hypothesis_ok=True, vacuous=False,
+                            hypothesis_ok=hyp_ok, vacuous=not hyp_ok,
                             values=values, notes=tuple(notes))
 
     def _penrose(self) -> CheckOutcome:
@@ -800,21 +783,14 @@ class ScenarioEvaluation:
                   "margin": margin, "slack": slack, "af_deficit": af_deficit,
                   "tolerance": tol, "min_R": min_R,
                   "sign_sample_size": count}
-        if not hyp_ok:
-            return CheckOutcome(name="penrose", scenario=scn.name,
-                                passed=False, hypothesis_ok=False,
-                                vacuous=False, values=values,
-                                notes=tuple(notes))
-        passed = est.value >= bound - tol
-        if not passed:
+        passed = hyp_ok and est.value >= bound - tol
+        if hyp_ok:
             notes.append(f"mass {est.value:.6g} falls below the bound "
-                         f"{bound:.6g}")
-        elif slack > tol:
-            notes.append("inequality holds strictly")
-        else:
-            notes.append("equality case within tolerance")
+                         f"{bound:.6g}" if not passed
+                         else "inequality holds strictly" if slack > tol
+                         else "equality case within tolerance")
         return CheckOutcome(name="penrose", scenario=scn.name,
-                            passed=passed, hypothesis_ok=True,
+                            passed=passed, hypothesis_ok=hyp_ok,
                             vacuous=False, values=values,
                             notes=tuple(notes))
 
@@ -853,11 +829,12 @@ class ScenarioEvaluation:
                 "q_fit": self.bulk.q_fit,
                 "panels": self.bulk.panels,
             }
-            out["decomposition"] = asdict(self.decomposition)
+            # plain rows in field order: __init__ sets the fields in order
+            out["decomposition"] = dict(vars(self.decomposition))
             out["scalar_curvature_sample"] = {
                 "min": min_R, "max_abs": max_abs_R, "count": count}
             if len(scn.horizons):
-                out["hypotheses"] = [asdict(h) for h in self.hypotheses]
+                out["hypotheses"] = [dict(vars(h)) for h in self.hypotheses]
                 out["boundary_convergence"] = horizon_flux_convergence(
                     scn, self.quermass)
         if len(scn.horizons):

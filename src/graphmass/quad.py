@@ -311,22 +311,26 @@ def _checked(vals, count: int) -> np.ndarray:
     vals = np.asarray(vals, float)
     if vals.ndim > 2 or vals.shape[-1:] != (count,):
         raise QuadratureError("integrand returned a mismatched shape")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise QuadratureError("integrand is not finite on a sphere")
     return vals
 
 
 def _radius_powers(radii: np.ndarray, n: int) -> list[float]:
-    """The area factor r^{n-1} of each sphere; an overflow names its radius."""
-    scale = []
-    for r in radii.tolist():
+    """The area factor r^{n-1} of each sphere; an overflow names the
+    first radius whose factor overflows."""
+    rs = radii.tolist()
+    try:
+        return [r ** (n - 1) for r in rs]
+    except OverflowError:
+        pass
+    for r in rs:
         try:
-            scale.append(r ** (n - 1))
+            r ** (n - 1)
         except OverflowError:
             raise QuadratureError(
                 f"the area factor r^{n - 1} of a sphere integral overflows "
                 f"at radius r = {r:g}") from None
-    return scale
 
 
 def sphere_integrals(fn: Callable[[np.ndarray], np.ndarray], radii,

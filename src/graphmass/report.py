@@ -5,56 +5,68 @@ versions: anything that legitimately varies between runs) and a body
 (everything the run computed).  Identical configuration and seed must
 produce byte-identical bodies, so the body serializer is hand-rolled:
 floats print as %.17g, key order is insertion order fixed by the
-assembly code, and no timestamps or durations may appear inside.
+assembly code, and no timestamps or durations may appear inside.  It is
+one pass that dispatches on each node's exact type and quotes with
+json's C quoting.  A document encodes its body once, on first use, for
+both ``body_bytes`` and ``to_json``: do not mutate a body after that.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
+# the isinstance rules, in order, for what the exact-type dispatch leaves:
+# numpy scalars and arrays, and subclasses of the JSON types
+_PLAIN = (((bool, np.bool_), bool), (str, str.__str__),  # not its __str__
+          ((int, np.integer), int), ((float, np.floating), float),
+          (dict, lambda d: dict(d.items())), ((list, tuple), list),
+          (np.ndarray, np.ndarray.tolist))
+
 
 def format_float(x: float) -> str:
-    if math.isnan(x):
+    if x - x == 0.0:  # finite: inf - inf and nan - nan are nan
+        return "%.17g" % x
+    if x != x:
         return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return "%.17g" % x
+    return '"inf"' if x > 0 else '"-inf"'
 
 
 def _encode(value, out: list[str]) -> None:
-    if value is None:
-        out.append("null")
-    elif isinstance(value, (bool, np.bool_)):
+    t = type(value)
+    if t is float:
+        out.append(format_float(value))
+    elif t is str:
+        out.append(_quote(value))
+    elif t is dict:
+        sep = "{"  # the first item opens the object, the rest follow a comma
+        for k, v in value.items():
+            out.append(sep + _quote(k if type(k) is str else str(k)) + ":")
+            _encode(v, out)
+            sep = ","
+        out.append("}" if value else "{}")
+    elif t is list or t is tuple:
+        sep = "["
+        for v in value:
+            out.append(sep)
+            _encode(v, out)
+            sep = ","
+        out.append("]" if value else "[]")
+    elif t is bool:
         out.append("true" if value else "false")
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(format_float(float(value)))
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(k)))
-            out.append(":")
-            _encode(v, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        seq = value.tolist() if isinstance(value, np.ndarray) else value
-        out.append("[")
-        for i, v in enumerate(seq):
-            if i:
-                out.append(",")
-            _encode(v, out)
-        out.append("]")
+    elif t is int:
+        out.append(str(value))
+    elif value is None:
+        out.append("null")
     else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+        plain = next((f for kinds, f in _PLAIN if isinstance(value, kinds)),
+                     None)
+        if plain is None:
+            raise TypeError(f"cannot serialize {t.__name__}")
+        _encode(plain(value), out)
 
 
 def encode_body(body: dict) -> str:
@@ -70,11 +82,16 @@ class ReportDocument:
     header: dict = field(default_factory=dict)
     body: dict = field(default_factory=dict)
 
+    @cached_property
+    def _body_text(self) -> str:
+        return encode_body(self.body)
+
     def body_bytes(self) -> bytes:
-        return encode_body(self.body).encode("ascii")
+        return self._body_text.encode("ascii")
 
     def to_json(self) -> str:
-        return encode_body({"header": self.header, "body": self.body})
+        return ('{"header":' + encode_body(self.header) + ',"body":'
+                + self._body_text + "}")
 
 
 def flux_csv(body: dict) -> str:

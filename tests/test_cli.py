@@ -312,15 +312,29 @@ class TestConfigFile:
 
     def test_scenario_filter_miss(self, tmp_path, capsys):
         """A --scenario that names no entry of the run exits 3, whether
-        the run has two entries or one, from a config file or a name."""
+        the run has two entries or one, from a config file or a name; a
+        name target and a different --scenario are rejected up front,
+        with a message naming both."""
         two = write_config(tmp_path, self.PAYLOAD)
         (tmp_path / "one").mkdir()
         one = write_config(tmp_path / "one", {"scenarios": ["flat"]})
-        for target, name in ((two, "nope"), (one, "bump"), ("flat", "bump")):
+        for target, name in ((two, "nope"), (one, "bump")):
             code = main(["run", target, "--scenario", name])
             _, err = capsys.readouterr()
             assert code == 3
             assert f"config has no scenario named '{name}'" in err
+        code = main(["run", "flat", "--scenario", "bump"])
+        _, err = capsys.readouterr()
+        assert code == 3
+        assert ("run target 'flat' and --scenario 'bump' name different "
+                "scenarios") in err
+
+    def test_name_target_with_its_own_scenario_runs(self, capsys):
+        """``run NAME --scenario NAME`` runs that one scenario."""
+        code = main(["run", "flat", "--scenario", "flat", "--checks", "pmt"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert "[PASS] flat/pmt" in err
 
     def test_overrides_need_a_name(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.PAYLOAD)

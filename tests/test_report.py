@@ -2,13 +2,78 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from graphmass.cli import EntryConfig, RunConfig, execute_run
 from graphmass.report import (ReportDocument, bulk_csv, encode_body,
                               flux_csv, format_float)
+from graphmass.scenarios import scenario_names
+
+
+def _reference(value) -> str:
+    """The serializer's rules as one isinstance chain with one json.dumps
+    per key and string: the parity oracle for the exact-type dispatch."""
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format_float(float(value))
+    if isinstance(value, dict):
+        return "{" + ",".join(json.dumps(str(k)) + ":" + _reference(v)
+                              for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        seq = value.tolist() if isinstance(value, np.ndarray) else value
+        return "[" + ",".join(_reference(v) for v in seq) + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+class _Label(str):
+    """A str subclass whose __str__ is not its characters."""
+
+    def __str__(self):
+        return "relabelled"
+
+
+class _Measure(float):
+    pass
+
+
+class _Rows(dict):
+    pass
+
+
+# values for the exact-type dispatch and for its isinstance fallback
+PARITY = {
+    "float64": np.float64(0.1), "float32": np.float32(0.1),
+    "float16": np.float16(-2.5), "int64": np.int64(-9),
+    "uint8": np.uint8(200), "bool_true": np.bool_(True),
+    "bool_false": np.bool_(False), "array_2d": np.arange(6.0).reshape(2, 3),
+    "array_bool": np.array([[True], [False]]),
+    "array_int32": np.array([1, 2], dtype=np.int32),
+    "array_empty": np.array([]), "longdouble": np.longdouble(0.5),
+    "np_str": np.str_("x"), "str_subclass": _Label("caf\u00e9"),
+    "float_subclass": _Measure(1 / 3),
+    "float_subclass_inf": _Measure(math.inf),
+    "dict_subclass": _Rows(b=1, a=[2.0]),
+    "non_str_keys": {1: "int key", 2.5: "float key", None: "none key"},
+    "str_subclass_key": {_Label("k"): 1.0},
+    "nested_tuples": ((1, (2.5, ())), ()), "empty_dict": {},
+    "empty_list": [], "empty_tuple": (), "nested_empty": [{"e": {}}, [[]]],
+    "nan": math.nan, "inf": math.inf, "minus_inf": -math.inf,
+    "float64_nan": np.float64(math.nan), "minus_zero": -0.0,
+    "big_int": 10 ** 30, "negative_int": -1,
+    "escapes": "tab\there \"quoted\" \\ \u2603 \U0001f600",
+}
 
 
 class TestFormatFloat:
@@ -54,6 +119,33 @@ class TestEncodeBody:
         with pytest.raises(TypeError, match="cannot serialize set"):
             encode_body({"x": {1, 2}})
 
+    @pytest.mark.parametrize("value", PARITY.values(), ids=PARITY.keys())
+    def test_exact_type_and_fallback_parity(self, value):
+        """Every value, as a node and as a key's value inside containers,
+        reads as the isinstance chain reads it."""
+        for body in (value, {"v": value}, [value, {"w": (value,)}]):
+            assert encode_body(body) == _reference(body)
+
+    def test_zero_dim_array_is_its_scalar(self):
+        """A 0-d array reads as its one element (the isinstance chain
+        iterates it and fails)."""
+        assert encode_body({"a": np.array(2.5), "b": np.array(True),
+                            "c": np.array(7)}) == '{"a":2.5,"b":true,"c":7}'
+
+    def test_str_subclass_reads_its_characters(self):
+        """A str subclass's value is its characters, as json.dumps reads
+        it; as a key it reads as str() of it, as the chain does."""
+        assert encode_body([_Label("abc")]) == '["abc"]'
+        assert encode_body({_Label("abc"): 1}) == '{"relabelled":1}'
+
+    def test_unknown_type_messages(self):
+        for value, name in ((object(), "object"), ({1, 2}, "set"),
+                            (1j, "complex"), (b"x", "bytes")):
+            for body in ({"x": value}, [[value]]):
+                with pytest.raises(TypeError) as info:
+                    encode_body(body)
+                assert str(info.value) == f"cannot serialize {name}"
+
     def test_byte_determinism(self):
         body = {"m": 1 / 3, "series": np.linspace(0.0, 1.0, 5),
                 "flags": {"ok": np.bool_(True)}}
@@ -70,6 +162,29 @@ class TestReportDocument:
     def test_to_json_layout(self):
         doc = ReportDocument(header={"runtime": 1.5}, body={"x": 2.0})
         assert doc.to_json() == '{"header":{"runtime":1.5},"body":{"x":2}}'
+
+    def test_to_json_is_the_whole_document_encoded(self):
+        header = {"runtime": 0.25, "versions": {"numpy": "2"},
+                  "times": [1.5, np.float64(2.0)]}
+        body = {"x": [1.0, None, True], "rows": ({"k": np.int64(3)},),
+                "empty": {}, "nan": math.nan}
+        doc = ReportDocument(header=header, body=body)
+        assert doc.to_json() == encode_body({"header": header,
+                                             "body": body})
+        assert doc.body_bytes() == encode_body(body).encode("ascii")
+        assert ReportDocument().to_json() == '{"header":{},"body":{}}'
+
+    def test_body_bytes_repeat(self):
+        """body_bytes and to_json read one encoding of the body, in
+        either order and any number of times."""
+        doc = ReportDocument(header={"t": 1.0}, body={"x": [0.1, 0.2]})
+        first = doc.body_bytes()
+        assert doc.body_bytes() == first
+        assert doc.to_json().endswith(',"body":' + first.decode() + "}")
+        assert doc.body_bytes() == first
+        other = ReportDocument(header={"t": 2.0}, body={"x": [0.1, 0.2]})
+        assert other.to_json() != doc.to_json()
+        assert other.body_bytes() == first
 
     def test_header_excluded_from_body(self):
         a = ReportDocument(header={"runtime": 0.1}, body={"x": 1.0})
@@ -108,3 +223,20 @@ class TestCsvTables:
         assert flux_csv({}) == "scenario,radius,plain_mass,weighted_mass\n"
         assert bulk_csv({}) == (
             "scenario,region,r_inner,r_outer,bulk_mass,uncertainty,panels\n")
+
+
+# sha256[:16] of the default suite's report body per seed
+PINNED_BODIES = {1: "8eea4679276a97b7", 5: "c25bdcac16718486",
+                 7: "3159464d491c7217"}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_BODIES))
+def test_default_bodies_are_pinned(seed):
+    """The report body of every registry default at seeds 1, 5 and 7,
+    byte for byte, with exit code 0.  A change that moves a body value
+    updates the digest here and lists the moved values in CHANGES.md."""
+    code, document, _ = execute_run(RunConfig(
+        [EntryConfig(name, {}) for name in scenario_names()], seed=seed))
+    assert code == 0
+    digest = hashlib.sha256(document.body_bytes()).hexdigest()[:16]
+    assert digest == PINNED_BODIES[seed]
