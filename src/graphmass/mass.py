@@ -713,8 +713,8 @@ class ScenarioEvaluation:
                     notes.append("bound superadditivity failed")
 
         return CheckOutcome(name="identities", scenario=scn.name,
-                            passed=not notes, hypothesis_ok=True, vacuous=False,
-                            values=values, notes=tuple(notes))
+                            passed=not notes, hypothesis_ok=True,
+                            vacuous=False, values=values, notes=tuple(notes))
 
     def _pmt(self) -> CheckOutcome:
         scn = self.scenario
