@@ -2,10 +2,12 @@
 
 A body is a smooth closed convex hypersurface in R^n.  Curvature comes
 from the Weingarten map of the defining function phi: with outward unit
-normal m = grad phi/|grad phi| and any orthonormal tangent frame T, the
+normal m = grad phi/|grad phi| and the Householder tangent frame T, the
 shape operator is T' (Hess phi) T / |grad phi|, whose eigenvalues are
-the principal curvatures.  Surface integrals map a unit-sphere rule onto
-the body with the exact area-element Jacobian of the parametrization.
+the principal curvatures: eigvalsh finds them, but at n = 3 they come in
+closed form from the three entries of that 2x2 matrix, formed without a
+frame.  Surface integrals map a unit-sphere rule onto the body with the
+exact area-element Jacobian of the parametrization.
 
 Quermassintegrals are V_k = integral over the surface of sigma_k, the
 binomially normalized elementary symmetric function of the principal
@@ -42,17 +44,38 @@ _GAUSS_MAP_TOL = 0.05
 _EPS = np.finfo(float).eps
 
 
-def _tangent_frame(normals: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent vectors (N, n, n-1) via Householder frames."""
-    m = normals
-    npts, n = m.shape
-    s = np.where(m[:, 0] >= 0.0, -1.0, 1.0)
-    w = m.copy()
-    w[:, 0] -= s
-    wsq = np.einsum("...i,...i->...", w, w)
-    H = (np.eye(n)[None, :, :]
-         - 2.0 * w[:, :, None] * w[:, None, :] / wsq[:, None, None])
-    return H[:, :, 1:]
+def _householder(normals: np.ndarray):
+    """w and |w|^2 of the reflections I - 2ww'/|w|^2 that swap each unit
+    normal m with +-e_0, so that columns 1..n-1 are tangent vectors."""
+    w = normals.copy()
+    w[:, 0] -= np.where(w[:, 0] >= 0.0, -1.0, 1.0)
+    return w, np.einsum("...i,...i->...", w, w)
+
+
+def _principal_n(normals, hess, gn) -> np.ndarray:
+    """Ascending principal curvatures: eigvalsh of S = T'HT/|grad phi|,
+    with T the Householder tangent frame (N, n, n-1)."""
+    w, wsq = _householder(normals)
+    T = (np.eye(normals.shape[1])[:, 1:]
+         - 2.0 * w[:, :, None] * w[:, None, 1:] / wsq[:, None, None])
+    return np.linalg.eigvalsh(
+        (np.swapaxes(T, -1, -2) @ hess @ T) / gn[:, None, None])
+
+
+def _principal_3(normals, hess, gn) -> np.ndarray:
+    """The same at n = 3, in closed form: with the tangents t_i = e_i -
+    c w_i w (i = 1, 2; c = 2/|w|^2) and u = Hw, S = [[a, b], [b, d]] has
+    entries (H_ij - c (w_i u_j + w_j u_i) + c^2 w_i w_j w'u)/|grad phi|,
+    with no frame, and eigenvalues (a + d)/2 -+ hypot((a - d)/2, b)."""
+    w, wsq = _householder(normals)
+    c = 2.0 / wsq
+    u = np.einsum("nij,nj->ni", hess, w)
+    q = np.einsum("ni,ni->n", w, u)
+    a, b, d = ((hess[:, i, j] - c * (w[:, i] * u[:, j] + w[:, j] * u[:, i])
+                + c * c * w[:, i] * w[:, j] * q) / gn
+               for i, j in ((1, 1), (1, 2), (2, 2)))
+    mean, r = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
+    return np.stack([mean - r, mean + r], axis=-1)
 
 
 class ConvexBody:
@@ -83,9 +106,8 @@ class ConvexBody:
         if np.any(gn == 0.0):
             raise BodyError("defining function has a critical point "
                             "on the surface")
-        T = _tangent_frame(grad / gn[:, None])
-        S = (np.swapaxes(T, -1, -2) @ hess @ T) / gn[:, None, None]
-        kappas = np.linalg.eigvalsh(S)
+        principal = _principal_3 if self.n == 3 else _principal_n
+        kappas = principal(grad / gn[:, None], hess, gn)
         if np.min(kappas) < -_CONVEXITY_TOL:
             raise NonConvexError(
                 f"principal curvature {np.min(kappas):.3e} < 0: "
@@ -159,8 +181,8 @@ class Ellipsoid(ConvexBody):
         c = 2.0 / self.semiaxes ** 2
         table = np.array([_elementary_all(np.delete(c, i))
                           for i in range(self.n)])
-        m = q / qn[:, None]
-        e = (m * m) @ table
+        q /= qn[:, None]  # m, then m^2, in q's own buffer
+        e = np.square(q, out=q) @ table
         e[:, 0] = 1.0  # sum_i m_i^2 = 1 up to roundoff
         inv = power = 0.5 / qn
         for k in range(1, self.n):  # a running product, column by column
@@ -175,17 +197,19 @@ class Ellipsoid(ConvexBody):
 class SmoothLevelSet(ConvexBody):
     """Boundary {phi = level} of a smooth convex sublevel set.
 
-    ``phi`` is any ScalarField whose Hessian is positive semidefinite on
-    the surface (validated by sampling at construction).  The center
-    must be an interior point (phi(center) < level); the surface is
-    parametrized radially from it.  Each ray's radius is bracketed by
-    doubling, narrowed to a few ulp by Chandrupatla's method and halved
-    until its ends are adjacent floats, inside and outside.  A surface
-    pass takes weights and curvatures from one order-2 jet of phi; the
-    construction's convexity check makes that pass on ``rule`` (default
-    ``sphere_rule(n)``) and keeps it for that rule object, so a body read
-    on the rule it was built on solves its radii once.  The same pass
-    rejects an unbounded set, whose V_{n-1} misses the unit sphere's area.
+    ``phi`` is any ScalarField whose Hessian is positive semidefinite on the
+    surface (validated by sampling at construction).  The center must be an
+    interior point (phi(center) < level); the surface is parametrized
+    radially from it.  Each ray's radius is bracketed by doubling, narrowed
+    to a few ulp by Chandrupatla's method and halved until its ends are
+    adjacent floats, inside and outside.  Rays close in the last step or
+    two, so the Chandrupatla steps run on the full arrays until the first
+    one does.  A surface pass takes weights and curvatures from one order-2
+    jet of phi; the construction's convexity check makes that pass on
+    ``rule`` (default ``sphere_rule(n)``) and keeps it for that rule object,
+    so a body read on the rule it was built on solves its radii once.  The
+    same pass rejects an unbounded set, whose V_{n-1} misses the unit
+    sphere's area.
     """
 
     def __init__(self, phi: ScalarField, level: float, center=None,
@@ -231,19 +255,22 @@ class SmoothLevelSet(ConvexBody):
         # Chandrupatla's steps until each bracket is at most 4 ulp wide:
         # per ray, a is the newest point, b the other end of the bracket
         # [lo, hi] (lo inside, hi outside) and c the end that a replaced
-        rays, a, fa, b, fb, t = np.arange(len(dirs)), lo, f_lo, hi, f_hi, 0.5
+        rays, a, fa, b, fb, t, d = slice(None), lo, f_lo, hi, f_hi, 0.5, dirs
         for _ in range(60):
             x = a + t * (b - a)
-            fx = self._excess(x, dirs[rays])
+            fx = self._excess(x, d)
             same = (fx < 0.0) == (fa < 0.0)
             a, b, c = x, np.where(same, b, a), np.where(same, a, b)
             fa, fb, fc = fx, np.where(same, fb, fa), np.where(same, fa, fb)
-            lo[rays], hi[rays] = np.where(fa < 0.0, (a, b), (b, a))
+            ins = fa < 0.0
+            lo[rays], hi[rays] = np.where(ins, a, b), np.where(ins, b, a)
             keep = np.abs(b - a) > 4.0 * _EPS * np.maximum(a, b)
             if not keep.any():
                 break
-            rays, a, b, c, fa, fb, fc = (
-                v[keep] for v in (rays, a, b, c, fa, fb, fc))
+            if not keep.all():
+                rays = np.arange(len(dirs))[rays][keep]
+                a, b, c, fa, fb, fc, d = (
+                    v[keep] for v in (a, b, c, fa, fb, fc, d))
             with np.errstate(all="ignore"):  # iqi is taken only where safe
                 xi, ph = (a - b) / (c - b), (fa - fb) / (fc - fb)
                 iqi = (fa / (fb - fa) * fc / (fb - fc)

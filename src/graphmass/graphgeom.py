@@ -62,12 +62,6 @@ def curvature_from_jet(jet: Jet3) -> np.ndarray:
     return _jet_curvature(jet, False)[0]
 
 
-def flux_field_from_jet(jet: Jet3) -> np.ndarray:
-    """V_j = (f_ii f_j - f_ij f_i) / W."""
-    W, tr, _, Hg, _ = _curvature_parts(jet)
-    return (tr[..., None] * jet.grad - Hg) / W[..., None]
-
-
 def scalar_curvature(field: ScalarField, points):
     """R from the field's radial derivatives when it has them, else from
     its order-2 jet."""

@@ -59,7 +59,8 @@ def _outer3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _sym_vec_mat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     """v_i m_jk + v_j m_ik + v_k m_ij (symmetric if m is)."""
     t = v[..., :, None, None] * m[..., None, :, :]  # t_ijk = v_i m_jk
-    return t + np.swapaxes(t, -3, -2) + np.moveaxis(t, -3, -1)
+    return (t + np.swapaxes(t, -3, -2)  # + v_k m_ij, by two swaps
+            + np.swapaxes(np.swapaxes(t, -3, -1), -3, -2))
 
 
 def check_order(order: int) -> None:

@@ -406,13 +406,14 @@ class RegistryEntry:
 # puts it past r_max = 60; m = 50 runs at n = 4, beta = 0.01).  Past
 # radial_custom's m end the tail window [50, 200] is not yet asymptotic:
 # the fit reads q = 2.98 <= n at m = 52 and 2.68 at m = 100, and the run
-# exits 2.  Its n end is the Sobol table: a sample draws n + 1 <= 33
-# coordinates.  schwarzschild3's tail is R = 0 roundoff, which is no
-# tail, and m from 2e7 to 1e30 passes (the fit to that noise failed at
-# m = 1e8 with q = 2.91); its end stays until a test covers the scale
-# covariance of the checks.  bump's flux radii 2-16 reach its exp(-2 r^2)
-# decay to roundoff (|adm| 6.0e-214 at n = 9, 9.6e-213 at n = 10), so they
-# no longer set its n end, which stays at 9 until a run past it is tested.
+# exits 2.  Its n end, like flat's and schwarzschild_n's, is the Sobol
+# table: a sample draws n + 1 <= 33 coordinates.  schwarzschild3's tail
+# is R = 0 roundoff, which is no tail, and m from 2e7 to 1e30 passes (the
+# fit to that noise failed at m = 1e8 with q = 2.91); its end stays until
+# a test covers the scale covariance of the checks.  bump's flux radii
+# 2-16 reach its exp(-2 r^2) decay to roundoff (|adm| 6.0e-214 at n = 9,
+# 9.6e-213 at n = 10), so they no longer set its n end, which stays at 9
+# until a run past it is tested.
 # Limits that couple a parameter to another one, or to the fixed flux
 # radii and r_max, are checked when the scenario or the run is built.
 REGISTRY: dict[str, RegistryEntry] = {
@@ -421,7 +422,7 @@ REGISTRY: dict[str, RegistryEntry] = {
         RegistryEntry("schwarzschild3", partial(_schwarzschild, 3),
                       {"m": Box(1.0, 0.0, 1e7, lo_open=True)}),
         RegistryEntry("schwarzschild_n", _schwarzschild,
-                      {"n": Box(4, 4, 6, integer=True),
+                      {"n": Box(4, 4, 32, integer=True),
                        "m": Box(1.0, 0.0, 100.0, lo_open=True)}),
         RegistryEntry("radial_custom", _radial_custom,
                       {"m": Box(0.7, 0.0, 50.0, lo_open=True),

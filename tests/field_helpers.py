@@ -7,6 +7,17 @@ import numpy as np
 from graphmass.jets import Jet3, ScalarField
 
 
+def flux_field(field: ScalarField, points) -> np.ndarray:
+    """V_j = (f_ii f_j - f_ij f_i) / W, W = 1 + |grad f|^2, from the
+    field's jet: the field whose flat divergence is the scalar curvature."""
+    jet = field.jet3_many(points)
+    g, H = jet.grad, jet.hess
+    W = 1.0 + np.einsum("...i,...i->...", g, g)
+    tr = np.einsum("...ii->...", H)
+    Hg = np.einsum("...ij,...j->...i", H, g)
+    return (tr[..., None] * g - Hg) / W[..., None]
+
+
 class RotatedField(ScalarField):
     """h(x) = f(Qx) for an orthogonal matrix Q."""
 

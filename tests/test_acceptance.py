@@ -43,6 +43,37 @@ def test_array_criteria_keep_their_detail_lines(index, detail):
     assert run_criteria(only=index)[0].detail == detail
 
 
+def test_criterion_5_keeps_its_detail_line():
+    """Criterion 5's detail line, but for its trailing timing."""
+    detail = run_criteria(only=5)[0].detail
+    assert detail.rsplit(", ", 1)[0] == (
+        "sphere rel gap 2.3e-14; ratio 1.5: gap 6.154e+00 > 2x err 1.7e-13; "
+        "ratio 2.5: gap 6.656e+01 > 2x err 1.7e-09; ratio 4.0: gap "
+        "2.907e+02 > 2x err 1.6e-04; worst chain rel gap -2.0e-14")
+
+
+# the notes of criterion 9's 27 probes: the 7 registry fields, then the
+# 20 expressions drawn at SEED + 9, as a max-abs reduction per step and
+# part and np.polyfit's log-log slope gave them
+FD_NOTES = ("exact", "2.00", "2.00", "2.00", "1.99", "2.00", "2.00",
+            "1.92", "2.00", "2.00", "1.99", "2.00", "1.93", "2.00", "2.00",
+            "2.00", "1.89", "2.00", "2.03", "2.00", "2.00", "1.83", "2.01",
+            "1.99", "2.00", "2.00", "1.96")
+
+
+def test_criterion_9_keeps_its_slope_notes(monkeypatch):
+    """One reduction per jet part over all four steps and a closed-form
+    slope on centred logs leave every probe's note as it was."""
+    notes = []
+    slope = acceptance._fd_slope
+    monkeypatch.setattr(acceptance, "_fd_slope",
+                        lambda field, x: notes.append(slope(field, x))
+                        or notes[-1])
+    assert acceptance._criterion_9() == (
+        True, "all built-ins and 20 random expressions at slope 2")
+    assert [note for _, note in notes] == list(FD_NOTES)
+
+
 def test_criterion_6_solves_the_quartic_radii_once(monkeypatch):
     """Criterion 6 builds its quartic on the 64-node rule it reads it on,
     so the construction's radius solve is the only one, and the detail

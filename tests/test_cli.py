@@ -221,7 +221,7 @@ class TestRunCommand:
         ("radial_custom", "m", "50", "100"),
         ("radial_custom", "n", "32", "40"),
         ("schwarzschild3", "m", "1e7", "1e8"),
-        ("schwarzschild_n", "n", "6", "7"),
+        ("schwarzschild_n", "n", "32", "33"),
         ("schwarzschild_n", "m", "100", "101"),
         ("schwarzschild_perturbed", "n", "4", "5"),
         ("bump", "n", "9", "10"),

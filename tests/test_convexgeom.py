@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -189,9 +190,20 @@ class TestSmoothLevelSet:
         assert 0.99 * 3.0 ** 0.25 <= body.outer_radius() <= 3.0 ** 0.25 + 1e-9
 
     def test_nonconvex_rejected_at_construction(self):
-        """A dumbbell level set has negative curvature at the waist."""
+        """A dumbbell level set has negative curvature at the waist; the
+        message names the least one, from the closed-form 2x2 route."""
         phi = ExprField("x1^4 - 1.5*x1^2 + x2^4 + x3^4", 3)
-        with pytest.raises(NonConvexError):
+        with pytest.raises(NonConvexError, match=(
+                r"^principal curvature -2\.906e\+00 < 0: surface is not "
+                r"convex$")):
+            SmoothLevelSet(phi, level=0.2)
+
+    def test_nonconvex_rejected_at_n4(self):
+        """The same waist at n = 4, where eigvalsh finds the curvatures."""
+        phi = ExprField("x1^4 - 1.5*x1^2 + x2^4 + x3^4 + x4^4", 4)
+        with pytest.raises(NonConvexError, match=(
+                r"^principal curvature -2\.765e\+00 < 0: surface is not "
+                r"convex$")):
             SmoothLevelSet(phi, level=0.2)
 
     def test_unbounded_ray_rejected(self):
@@ -227,6 +239,59 @@ class TestSmoothLevelSet:
         with pytest.raises(BodyError, match=r"rule has n = 4, phi has n = 3"):
             SmoothLevelSet(ExprField("x1^2 + x2^2 + x3^2", 3), 1.0,
                            rule=sphere_rule(4))
+
+
+class TestShapeOperator3:
+    """At n = 3 the two principal curvatures come in closed form from the
+    entries of T'HT/|grad phi|; eigvalsh of that matrix, with T the
+    Householder frame, is the reference, to 4 ulp of max|kappa|."""
+
+    @staticmethod
+    def eigvalsh(grad, hess):
+        """eigvalsh of T'HT/|grad phi|, T the last n - 1 columns of the
+        Householder reflection that swaps m and -sign(m_0) e_0."""
+        gn = np.linalg.norm(grad, axis=1)
+        w = grad / gn[:, None]
+        w[:, 0] += np.where(w[:, 0] >= 0.0, 1.0, -1.0)
+        T = (np.eye(3) - 2.0 * w[:, :, None] * w[:, None, :]
+             / np.einsum("ni,ni->n", w, w)[:, None, None])[:, :, 1:]
+        return np.linalg.eigvalsh(
+            np.swapaxes(T, -1, -2) @ hess @ T / gn[:, None, None])
+
+    def assert_matches(self, body, grad, hess):
+        got = body._weingarten(grad, hess)
+        want = self.eigvalsh(grad, hess)
+        assert got.shape == want.shape == (len(grad), 2)
+        assert np.all(got[:, 0] <= got[:, 1])
+        tol = 4 * np.spacing(np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= tol
+
+    @staticmethod
+    def surface_jet(name):
+        text, n, level, center = LEVEL_SETS[name]
+        body = SmoothLevelSet(ExprField(text, n), level, center=center)
+        pts, _ = body.surface_sample(sphere_rule(3, 32))
+        jet = body.phi.jet3_many(pts, order=2)
+        return body, jet.grad, jet.hess
+
+    @pytest.mark.parametrize("name", ["quartic3", "ellipsoid"])
+    def test_matches_eigvalsh_on_level_sets(self, name):
+        self.assert_matches(*self.surface_jet(name))
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_matches_eigvalsh_on_scaled_entries(self, scale):
+        body, grad, hess = self.surface_jet("quartic3")
+        self.assert_matches(body, grad, scale * hess)
+
+    def test_umbilic(self):
+        """With the normal on an axis, a = d and b = 0: both curvatures
+        equal k/|grad phi| exactly, on either side of the axis."""
+        body, _, _ = self.surface_jet("quartic3")
+        grad = np.array([[2.0, 0.0, 0.0], [-4.0, 0.0, 0.0]])
+        hess = np.broadcast_to(np.diag([5.0, 3.0, 3.0]), (2, 3, 3))
+        assert np.array_equal(body._weingarten(grad, hess),
+                              [[1.5, 1.5], [0.75, 0.75]])
+        self.assert_matches(body, grad, hess)
 
 
 def inside(body, t, dirs):
@@ -340,6 +405,19 @@ class TestLevelSetRadii:
         ref = fixed_bisection(body, dirs)
         assert np.all(np.abs(r - ref) <= 2 * np.spacing(ref))
 
+    @pytest.mark.parametrize(("name", "order", "digest"), [
+        ("quartic3", None, "99fba2eac36c5609"),
+        ("quartic3", 64, "67be209be7c5cebf"),
+        ("exp", 32, "0a6ed6fbb1d522de"),
+        ("quartic4", None, "2a9ddb1202d0121f")])
+    def test_radii_are_pinned(self, name, order, digest):
+        """sha256[:16] of the radii that the bracket loop gave when it
+        gathered the open rays at every step: the same bits now that it
+        runs on the full arrays until the first ray closes."""
+        body, dirs = level_set_rays(name, order)
+        r = body._solve_radii(dirs)
+        assert hashlib.sha256(r.tobytes()).hexdigest()[:16] == digest
+
     def test_probe_rule_is_solved_once(self, monkeypatch):
         """Construction solves the radii on the default rule; a surface
         pass on that same rule object reuses them, and an equal rule
@@ -369,11 +447,14 @@ class TestLevelSetRadii:
 
 class TestLevelSetPasses:
     QUARTIC = "x1^4 + x2^4 + x3^4"
-    # V of the quartic body as bisected radii and two jets per pass gave
-    V_RULE64 = ("0x1.1965205d857d7p+4", "0x1.e54187a1335bap+3",
+    # V of the quartic body as bisected radii and two jets per pass gave,
+    # but for V_RULE64[1] and V_PROBE[2]: the closed-form 2x2 shape
+    # operator moved each by 1 ulp from the eigvalsh route's ...335ba
+    # and ...edb57
+    V_RULE64 = ("0x1.1965205d857d7p+4", "0x1.e54187a1335bbp+3",
                 "0x1.921fb54442d1ap+3")
     V_PROBE = ("0x1.1965205d858a6p+4", "0x1.e54187a1270d6p+3",
-               "0x1.921fb543edb57p+3")
+               "0x1.921fb543edb56p+3")
 
     def test_one_jet_per_node_set(self, monkeypatch):
         """A pass on a new rule builds one order-2 jet; a pass on the

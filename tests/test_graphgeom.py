@@ -7,24 +7,20 @@ import dataclasses
 import numpy as np
 import pytest
 
-from field_helpers import RotatedField
+from field_helpers import RotatedField, flux_field
 from graphmass import expr, quad
 from graphmass.convexgeom import SmoothLevelSet
 from graphmass.errors import DomainError
 from graphmass.graphgeom import (boundary_integrand, curvature_and_scale,
                                  curvature_from_jet, divergence_of_V,
-                                 flat_mean_curvature, flux_field_from_jet,
-                                 mass_flux_integrand, scalar_curvature)
+                                 flat_mean_curvature, mass_flux_integrand,
+                                 scalar_curvature)
 from graphmass.jets import (ExprField, RadialField, RadialProfile, ScalarField,
                             schwarzschild_profile)
 from graphmass.mass import adm_flux_mass, horizon_hypotheses
 from graphmass.scenarios import make_scenario
 
 GENERIC = ExprField("0.3*x1^2*x2 + sin(1.1*x2)*x3 + 0.2*exp(x3)", 3)
-
-
-def flux_field(field, pts):
-    return flux_field_from_jet(field.jet3_many(pts))
 
 
 def curvature_by_christoffel(field, x):

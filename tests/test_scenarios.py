@@ -57,8 +57,8 @@ class TestRegistry:
     def test_value_validation(self):
         cases = [
             ("schwarzschild3", "m", -1.0, "a number in (0, 1e+07]"),
-            ("schwarzschild_n", "n", 3, "an integer in [4, 6]"),
-            ("schwarzschild_n", "n", 7, "an integer in [4, 6]"),
+            ("schwarzschild_n", "n", 3, "an integer in [4, 32]"),
+            ("schwarzschild_n", "n", 33, "an integer in [4, 32]"),
             ("bump", "alpha", 0.6, "a number in (0, 0.5]"),
             ("schwarzschild_perturbed", "beta", 0.7, "a number in (0, 0.5)"),
             ("two_body_glued", "m1", 3.0, "a number in (0, 2]"),
