@@ -411,9 +411,8 @@ class TestLevelSetRadii:
         ("exp", 32, "0a6ed6fbb1d522de"),
         ("quartic4", None, "2a9ddb1202d0121f")])
     def test_radii_are_pinned(self, name, order, digest):
-        """sha256[:16] of the radii that the bracket loop gave when it
-        gathered the open rays at every step: the same bits now that it
-        runs on the full arrays until the first ray closes."""
+        """sha256[:16] of the radii, pinned bit for bit: the solve's
+        steps may be reorganised, never their arithmetic."""
         body, dirs = level_set_rays(name, order)
         r = body._solve_radii(dirs)
         assert hashlib.sha256(r.tobytes()).hexdigest()[:16] == digest
@@ -447,10 +446,8 @@ class TestLevelSetRadii:
 
 class TestLevelSetPasses:
     QUARTIC = "x1^4 + x2^4 + x3^4"
-    # V of the quartic body as bisected radii and two jets per pass gave,
-    # but for V_RULE64[1] and V_PROBE[2]: the closed-form 2x2 shape
-    # operator moved each by 1 ulp from the eigvalsh route's ...335ba
-    # and ...edb57
+    # V of the quartic body as bisected radii, one jet per pass and the
+    # closed-form 2x2 shape operator give it
     V_RULE64 = ("0x1.1965205d857d7p+4", "0x1.e54187a1335bbp+3",
                 "0x1.921fb54442d1ap+3")
     V_PROBE = ("0x1.1965205d858a6p+4", "0x1.e54187a1270d6p+3",
