@@ -200,13 +200,10 @@ def _criterion_6() -> tuple[bool, str]:
 
 def _criterion_7() -> tuple[bool, str]:
     """Radial masses: nonnegative by construction, equal to the flux."""
-    rng = np.random.default_rng(SEED)
-    dims, radii = np.empty(1000, int), np.empty(1000)
-    coefs = np.empty((4, 1000))
-    for i in range(1000):  # one random profile and radius per draw
-        dims[i] = rng.integers(3, 6)
-        coefs[:, i] = rng.uniform(-2.0, 2.0, 4)
-        radii[i] = rng.uniform(0.2, 50.0)
+    rng = np.random.default_rng(SEED)  # case i: column i of each draw
+    dims = rng.integers(3, 6, 1000)
+    coefs = rng.uniform(-2.0, 2.0, (4, 1000))
+    radii = rng.uniform(0.2, 50.0, 1000)
     order = np.argsort(radii)
 
     def slopes(r, k):  # at each drawn radius, the profile drawn with it
@@ -232,13 +229,10 @@ def _criterion_7() -> tuple[bool, str]:
 
 def _criterion_8() -> tuple[bool, str]:
     """Splitting a horizon area never lowers the Penrose bound."""
-    rng = np.random.default_rng(SEED)
-    parts, dims = np.empty(1000, int), np.empty(1000, int)
-    areas = np.empty((1000, 6))
-    for i in range(1000):  # k areas in dimension n per draw
-        parts[i] = rng.integers(1, 7)
-        dims[i] = rng.integers(3, 6)
-        areas[i, :parts[i]] = rng.uniform(0.01, 50.0, parts[i])
+    rng = np.random.default_rng(SEED)  # case i: row i, its first k areas
+    parts = rng.integers(1, 7, 1000)
+    dims = rng.integers(3, 6, 1000)
+    areas = rng.uniform(0.01, 50.0, (1000, 6))
     failures = zero_misses = 0
     for k, n in set(zip(parts.tolist(), dims.tolist())):
         gap = superadditivity_gap(areas[(parts == k) & (dims == n), :k], n)

@@ -406,11 +406,12 @@ class RegistryEntry:
 # puts it past r_max = 60; m = 50 runs at n = 4, beta = 0.01).  Past
 # radial_custom's m end the tail window [50, 200] is not yet asymptotic:
 # the fit reads q = 2.98 <= n at m = 52 and 2.68 at m = 100, and the run
-# exits 2.  Its n end, like flat's and schwarzschild_n's, is the Sobol
-# table: a sample draws n + 1 <= 33 coordinates.  schwarzschild3's tail
-# is R = 0 roundoff, which is no tail, and m from 2e7 to 1e30 passes (the
-# fit to that noise failed at m = 1e8 with q = 2.91); its end stays until
-# a test covers the scale covariance of the checks.  bump's flux radii
+# exits 2.  Its n end, like flat's, schwarzschild_n's and
+# schwarzschild_perturbed's, is the Sobol table: a sample draws n + 1 <=
+# 33 coordinates.  schwarzschild3's tail is R = 0 roundoff, which is no
+# tail, and m from 2e7 to 1e30 passes (the fit to that noise failed at
+# m = 1e8 with q = 2.91); its end stays until a test covers the scale
+# covariance of the checks.  bump's flux radii
 # 2-16 reach its exp(-2 r^2) decay to roundoff (|adm| 6.0e-214 at n = 9,
 # 9.6e-213 at n = 10), so they no longer set its n end, which stays at 9
 # until a run past it is tested.
@@ -435,7 +436,7 @@ REGISTRY: dict[str, RegistryEntry] = {
                       {"m": Box(1.0, 0.0, 50.0, lo_open=True),
                        "beta": Box(0.3, 0.0, 0.5, lo_open=True,
                                    hi_open=True),
-                       "n": Box(3, 3, 4, integer=True)}),
+                       "n": Box(3, 3, 32, integer=True)}),
         RegistryEntry("ellipsoid_horizon", _ellipsoid_horizon,
                       {"ratio": Box(2.0, 1.0, 4.0)}),
         # the windows are tuned for horizons of radius 2m <= 4, a quarter

@@ -8,7 +8,7 @@ import pytest
 
 from graphmass import acceptance
 from graphmass.acceptance import CRITERIA, CriterionResult, run_criteria
-from graphmass.convexgeom import SmoothLevelSet
+from graphmass.convexgeom import SmoothLevelSet, superadditivity_gap
 from graphmass.jets import RadialProfile
 from graphmass.mass import spherical_mass
 from graphmass.quad import sphere_rule
@@ -88,11 +88,58 @@ def test_criterion_6_solves_the_quartic_radii_once(monkeypatch):
     assert solves == [len(sphere_rule(3, 64).weights)]
 
 
+class _CountingRng:
+    """A Generator that records each method call and what it returned."""
+
+    def __init__(self, seed, calls):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self._calls = calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            self._calls.append((name, args, method(*args, **kwargs)))
+            return self._calls[-1][2]
+        return call
+
+
+def _draws(monkeypatch, criterion):
+    """Run one criterion on counting generators; return its calls."""
+    calls = []
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: _CountingRng(seed, calls))
+    assert criterion()[0]
+    return calls
+
+
+def test_criteria_7_and_8_draw_their_cases_as_arrays(monkeypatch):
+    """Each criterion draws its 1000 cases in three array calls on one
+    generator, where a draw per case took 3,000, and the draws cover the
+    supports they are drawn from."""
+    (i7, d7, dims7), (u7, c7, coefs), (u7r, r7, radii) = _draws(
+        monkeypatch, acceptance._criterion_7)
+    assert (i7, u7, u7r) == ("integers", "uniform", "uniform")
+    assert (d7, c7, r7) == ((3, 6, 1000), (-2.0, 2.0, (4, 1000)),
+                            (0.2, 50.0, 1000))
+    (i8, p8, parts), (i8d, d8, dims8), (u8, a8, areas) = _draws(
+        monkeypatch, acceptance._criterion_8)
+    assert (i8, i8d, u8) == ("integers", "integers", "uniform")
+    assert (p8, d8, a8) == ((1, 7, 1000), (3, 6, 1000),
+                            (0.01, 50.0, (1000, 6)))
+    for dims in (dims7, dims8):
+        assert set(dims.tolist()) == {3, 4, 5}
+    assert set(parts.tolist()) == {1, 2, 3, 4, 5, 6}
+    assert coefs.shape == (4, 1000) and np.all(np.abs(coefs) <= 2.0)
+    assert radii.min() >= 0.2 and radii.max() < 50.0
+    assert areas.min() >= 0.01 and areas.max() < 50.0
+
+
 def test_criterion_7_batch_matches_scalar_calls(monkeypatch):
     """Criterion 7 evaluates its 1000 draws in one spherical_mass call on
     arrays of radii and dimensions.  Each value is within 4 ulp of the
-    scalar call on that draw's own profile, drawn in the same generator
-    order."""
+    scalar call on that draw's own profile, the columns i of its three
+    array draws."""
     calls = []
 
     def spy(profile, r, n):
@@ -104,14 +151,40 @@ def test_criterion_7_batch_matches_scalar_calls(monkeypatch):
     radii, dims, batch = calls[0]
     assert len(calls) == 5 and batch.shape == (1000,)
     rng = np.random.default_rng(acceptance.SEED)
+    drawn = (rng.integers(3, 6, 1000), rng.uniform(-2.0, 2.0, (4, 1000)),
+             rng.uniform(0.2, 50.0, 1000))
     zero = lambda r: np.zeros_like(np.asarray(r, float))  # noqa: E731
-    for i in range(1000):
-        n = int(rng.integers(3, 6))
-        a, b, c, d = rng.uniform(-2.0, 2.0, 4)
-        r = float(rng.uniform(0.2, 50.0))
+    for i, (n, (a, b, c, d), r) in enumerate(zip(*(x.T for x in drawn))):
         assert (n, r) == (dims[i], radii[i])
         slopes = (lambda r, k: [a * np.sin(b * r) / (1.0 + r)
                                 + c * r / (1.0 + r * r) + d]
                   + [zero(r)] * (k - 1))
-        want = spherical_mass(RadialProfile(zero, slopes), r, n)
+        want = spherical_mass(RadialProfile(zero, slopes), float(r), int(n))
         assert abs(batch[i] - want) <= 4 * np.spacing(want), i
+
+
+def test_criterion_8_groups_match_one_row_calls(monkeypatch):
+    """Criterion 8 takes one superadditivity_gap call per (k, n) group of
+    its draws.  Each gap equals the one-row call on the same k areas, bit
+    for bit, and the groups hold the 1000 rows once each."""
+    calls = []
+
+    def spy(areas, n):
+        calls.append((areas, n, superadditivity_gap(areas, n)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(acceptance, "superadditivity_gap", spy)
+    assert acceptance._criterion_8()[0]
+    rng = np.random.default_rng(acceptance.SEED)
+    parts, dims = rng.integers(1, 7, 1000), rng.integers(3, 6, 1000)
+    areas = rng.uniform(0.01, 50.0, (1000, 6))
+    assert len(calls) == len(set(zip(parts.tolist(), dims.tolist())))
+    rows = []
+    for group, n, gaps in calls:
+        k = group.shape[1]
+        [picked] = np.nonzero((parts == k) & (dims == n))
+        assert np.array_equal(group, areas[picked, :k])
+        rows += picked.tolist()
+        for row, gap in zip(group, gaps):
+            assert superadditivity_gap(row[None], n)[0] == gap
+    assert sorted(rows) == list(range(1000))

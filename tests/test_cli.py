@@ -223,7 +223,7 @@ class TestRunCommand:
         ("schwarzschild3", "m", "1e7", "1e8"),
         ("schwarzschild_n", "n", "32", "33"),
         ("schwarzschild_n", "m", "100", "101"),
-        ("schwarzschild_perturbed", "n", "4", "5"),
+        ("schwarzschild_perturbed", "n", "32", "33"),
         ("bump", "n", "9", "10"),
         ("bump", "alpha", "0.5", "0.6"),
         ("flat", "n", "32", "33"),
