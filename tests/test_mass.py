@@ -259,14 +259,16 @@ class TestAdmMass:
           for m in (0.01, 1.0, 100.0)),
         *(("radial_custom", {"n": n, "m": m}) for n in (3, 5, 9, 32)
           for m in (0.01, 0.7, 50.0)),
-        *(("schwarzschild_perturbed", {"n": n, "beta": b})
-          for n in (3, 4, 16, 32) for b in (0.01, 0.3, 0.49)),
+        *(("schwarzschild_perturbed", {"n": n, "beta": b}) for n in (3, 4)
+          for b in (0.01, 0.3, 0.49)),
         *(("bump", {"n": n, "alpha": a}) for n in (3, 6, 9)
           for a in (0.01, 0.5)),
         *(("two_body_glued", {"m1": m1, "m2": m2})
           for m1, m2 in ((1.0, 0.8), (2.0, 2.0), (0.1, 0.1))),
         *(("schwarzschild_n", {"n": n, "m": m}) for n in (16, 32)
-          for m in (0.01, 1.0, 100.0))])
+          for m in (0.01, 1.0, 100.0)),
+        *(("schwarzschild_perturbed", {"n": n, "beta": b}) for n in (16, 32)
+          for b in (0.01, 0.3, 0.49))])
     def test_each_limit_covers_the_expected_mass(self, name, params):
         """Each variant's limit lies within its own uncertainty of the
         expected mass across the registry boxes, at large masses, high
