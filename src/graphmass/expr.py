@@ -371,7 +371,7 @@ _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
 def _fmt_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):  # not int(inf), which raises
         return str(int(v))
     return repr(v)
 

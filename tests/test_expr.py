@@ -83,6 +83,30 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse("x1", 0)
 
+    @pytest.mark.parametrize(("text", "n", "message", "position"), [
+        ("x1 # x2", 3, "unexpected character '#'", 3),
+        ("x1 +  \t", 3, "expected a value, found 'end of input'", 7),
+        ("x1 x2", 3, "unexpected trailing input 'x2'", 3),
+        ("(x1 + 2", 3, "expected ')', found 'end of input'", 7),
+        ("sin(x1 x2)", 3, "expected ')', found 'x2'", 7),
+        ("x1 + * 2", 3, "expected a value, found '*'", 5),
+        ("tanh(x1)", 3, "unknown function 'tanh'", 0),
+        ("2 + sin", 3, "function name 'sin' used without arguments", 4),
+        ("x2 - x4", 3, "coordinate 'x4' out of range for dimension 3", 5),
+        ("x1", 0, "dimension must be >= 1, got 0", 0),
+        ("x1 ^ (2*x2)", 3, "power exponent must be a constant", 3),
+        ("x1^1e400", 3, "power exponent: 'inf' is not finite", 2),
+        ("x1^-1e400", 3, "power exponent: '-inf' is not finite", 2),
+    ])
+    def test_every_error_names_its_cause_and_offset(self, text, n, message,
+                                                     position):
+        """Each raise site's message and offset, whitespace and a
+        literal exponent that overflows included."""
+        with pytest.raises(ParseError) as info:
+            parse(text, n)
+        assert str(info.value) == f"{message} (at position {position})"
+        assert info.value.position == position
+
 
 class TestFoldingAndParams:
     def test_const_fold(self):
