@@ -34,11 +34,12 @@ from .quad import norm_sq
 
 FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos")
 
-_COORD_RE = re.compile(r"^x([0-9]+)$")
+# one token per match, whitespace between them skipped; "bad" is any other
+# character
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])|(?P<bad>\S)"
 )
 
 
@@ -109,130 +110,116 @@ class Pow(Expr):
     exponent: float
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "ident" | "op" | "end"
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}",
-                             len(text) - len(stripped))
-        if m.lastgroup is None:  # pure whitespace tail
-            break
-        start = m.start(m.lastgroup)
-        tokens.append(_Token(m.lastgroup, m.group(m.lastgroup), start))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) tokens of ``text``, in one regex pass, and
+    an ("end", "", len(text)) token; kind is "num", "ident" or "op"."""
+    tokens = [(m.lastgroup, m.group(), m.start())
+              for m in _TOKEN_RE.finditer(text)]
+    for kind, tok, pos in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", pos)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the tokens; an operator is known by its text
+    alone, since no number or identifier is spelt like one."""
+
     def __init__(self, text: str, n: int):
-        self.text = text
         self.n = n
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def peek(self) -> str:
+        return self.tokens[self.i][1]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
     def expect_op(self, op: str) -> None:
-        tok = self.advance()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"expected {op!r}, found {tok.text or 'end of input'!r}",
-                             tok.pos)
+        _, text, pos = self.advance()
+        if text != op:
+            raise ParseError(f"expected {op!r}, found {text or 'end of input'!r}",
+                             pos)
 
     def parse(self) -> Expr:
         node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+        kind, text, pos = self.tokens[self.i]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {text!r}", pos)
+        return node
+
+    def chain(self, ops: dict, operand) -> Expr:
+        """Operands joined by the binary ``ops``, left-associative."""
+        node = operand()
+        while self.peek() in ops:
+            node = ops[self.advance()[1]](node, operand())
         return node
 
     def expr(self) -> Expr:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+        return self.chain({"+": Add, "-": Sub}, self.term)
 
     def term(self) -> Expr:
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
+        return self.chain({"*": Mul, "/": Div}, self.unary)
 
     def unary(self) -> Expr:
-        if self.peek().kind == "op" and self.peek().text == "-":
+        if self.peek() == "-":
             self.advance()
             return Neg(self.unary())
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            caret = self.advance()
-            exp_node = self.unary()
-            try:
-                exponent = const_fold(exp_node)
-            except DomainError as err:
-                raise ParseError(f"power exponent: {err}", caret.pos) from None
-            if exponent is None:
-                raise ParseError("power exponent must be a constant", caret.pos)
-            return Pow(base, exponent)
-        return base
+        if self.peek() != "^":
+            return base
+        caret = self.advance()[2]
+        exp_node = self.unary()
+        match exp_node:  # a finite literal folds here, the rest in const_fold
+            case Num(v) if math.isfinite(v):
+                return Pow(base, v)
+            case Neg(Num(v)) if math.isfinite(v):
+                return Pow(base, -v)
+        try:
+            exponent = const_fold(exp_node)
+        except DomainError as err:
+            raise ParseError(f"power exponent: {err}", caret) from None
+        if exponent is None:
+            raise ParseError("power exponent must be a constant", caret)
+        return Pow(base, exponent)
 
     def atom(self) -> Expr:
-        tok = self.advance()
-        if tok.kind == "num":
-            return Num(float(tok.text))
-        if tok.kind == "op" and tok.text == "(":
+        kind, text, pos = self.advance()
+        if kind == "num":
+            return Num(float(text))
+        if text == "(":
             node = self.expr()
             self.expect_op(")")
             return node
-        if tok.kind == "ident":
-            return self.ident(tok)
-        raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}",
-                         tok.pos)
+        if kind == "ident":
+            return self.ident(text, pos)
+        raise ParseError(f"expected a value, found {text or 'end of input'!r}",
+                         pos)
 
-    def ident(self, tok: _Token) -> Expr:
-        name = tok.text
-        is_call = self.peek().kind == "op" and self.peek().text == "("
-        if is_call:
+    def ident(self, name: str, pos: int) -> Expr:
+        if self.peek() == "(":
             if name not in FUNCTIONS:
-                raise ParseError(f"unknown function {name!r}", tok.pos)
+                raise ParseError(f"unknown function {name!r}", pos)
             self.advance()
             arg = self.expr()
             self.expect_op(")")
             return Call(name, arg)
         if name in FUNCTIONS:
             raise ParseError(f"function name {name!r} used without arguments",
-                             tok.pos)
-        m = _COORD_RE.match(name)
-        if m is not None:
-            index = int(m.group(1))
+                             pos)
+        if name[0] == "x" and name[1:].isdigit():  # ASCII, as tokenized
+            index = int(name[1:])
             if not 1 <= index <= self.n:
                 raise ParseError(
                     f"coordinate {name!r} out of range for dimension {self.n}",
-                    tok.pos)
+                    pos)
             return Coord(index)
         if name == "r":
             return Radial()
@@ -368,6 +355,8 @@ def free_symbols(node: Expr) -> frozenset[Expr]:
 
 
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+_BINARY_TEXT = {Add: (" + ", _PREC_ADD), Sub: (" - ", _PREC_ADD),
+                Mul: ("*", _PREC_MUL), Div: ("/", _PREC_MUL)}
 
 
 def _fmt_number(v: float) -> str:
@@ -388,10 +377,8 @@ def _render(node: Expr) -> tuple[str, int]:
         return f"({text})" if prec < minimum else text
 
     match node:
-        case Num(v):
-            if v < 0:  # negative literal behaves like a unary minus
-                return _fmt_number(v), _PREC_UNARY
-            return _fmt_number(v), _PREC_ATOM
+        case Num(v):  # a negative literal behaves like a unary minus
+            return _fmt_number(v), _PREC_UNARY if v < 0 else _PREC_ATOM
         case Coord(i):
             return f"x{i}", _PREC_ATOM
         case Radial():
@@ -403,17 +390,10 @@ def _render(node: Expr) -> tuple[str, int]:
         case Call(fn, a):
             text, _ = _render(a)
             return f"{fn}({text})", _PREC_ATOM
-        case Add(a, b):
-            return f"{wrap(a, _PREC_ADD)} + {wrap(b, _PREC_ADD + 1)}", _PREC_ADD
-        case Sub(a, b):
-            return f"{wrap(a, _PREC_ADD)} - {wrap(b, _PREC_ADD + 1)}", _PREC_ADD
-        case Mul(a, b):
-            return f"{wrap(a, _PREC_MUL)}*{wrap(b, _PREC_MUL + 1)}", _PREC_MUL
-        case Div(a, b):
-            return f"{wrap(a, _PREC_MUL)}/{wrap(b, _PREC_MUL + 1)}", _PREC_MUL
+        case Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b):
+            op, prec = _BINARY_TEXT[type(node)]
+            return f"{wrap(a, prec)}{op}{wrap(b, prec + 1)}", prec
         case Pow(a, e):
-            exp_text = _fmt_number(e)
-            if e < 0:
-                exp_text = f"({exp_text})"
+            exp_text = _fmt_number(e) if e >= 0 else f"({_fmt_number(e)})"
             return f"{wrap(a, _PREC_ATOM)}^{exp_text}", _PREC_POW
     raise TypeError(f"not an expression node: {node!r}")

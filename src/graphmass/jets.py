@@ -59,8 +59,8 @@ def _outer3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _sym_vec_mat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     """v_i m_jk + v_j m_ik + v_k m_ij (symmetric if m is)."""
     t = v[..., :, None, None] * m[..., None, :, :]  # t_ijk = v_i m_jk
-    return (t + np.swapaxes(t, -3, -2)  # + v_k m_ij, by two swaps
-            + np.swapaxes(np.swapaxes(t, -3, -1), -3, -2))
+    return (t + t.swapaxes(-3, -2)  # + v_k m_ij, by two swaps
+            + t.swapaxes(-3, -1).swapaxes(-3, -2))
 
 
 def check_order(order: int) -> None:
@@ -167,6 +167,15 @@ def _leaf(shape: tuple[int, ...], order: int, value, grad=None,
     return Jet3(*parts[:4])
 
 
+def _coord_leaf(pts: np.ndarray, i: int, order: int) -> Jet3:
+    """The jet of x_i at points (..., n): gradient e_i, no curvature."""
+    batch, n = pts.shape[:-1], pts.shape[-1]
+    grad = np.zeros(batch + (n,))
+    grad[..., i] = 1.0
+    return Jet3(pts[..., i].copy(), grad, np.zeros(batch + (n, n)),
+                np.zeros(batch + (n, n, n)) if order == 3 else None)
+
+
 def jet_compose(w: Jet3, d0, d1, d2, d3) -> Jet3:
     """Chain rule for phi(w) given derivative values d0..d3 of phi at w
     (d3 is not read for an order-2 w)."""
@@ -178,8 +187,7 @@ def jet_compose(w: Jet3, d0, d1, d2, d3) -> Jet3:
                               * _outer3(g, g, g)
                               + d2e[..., None] * _sym_vec_mat(g, h)
                               + d1e[..., None, None] * wt), w.third)
-    return Jet3(np.broadcast_to(np.asarray(d0, float), w.value.shape).copy(),
-                d1e * g, hess, third)
+    return Jet3(np.array(d0, float), d1e * g, hess, third)
 
 
 # jet_sqrt, jet_log and jet_pow trust the walk's domain rules; jet_recip
@@ -250,8 +258,7 @@ def _on_jets(jet_op: Callable, value_op: Callable) -> Callable:
 # constant stays a number, so a product with it is a scaling
 _JET_OPS = {
     "const": lambda v, pts, order: float(v),
-    "coord": lambda pts, i, order: _leaf(pts.shape, order, pts[..., i],
-                                         np.eye(pts.shape[-1])[i]),
+    "coord": _coord_leaf,
     "radius_sq": lambda pts, order: _leaf(
         pts.shape, order, norm_sq(pts), 2.0 * pts,
         2.0 * np.eye(pts.shape[-1])),
@@ -639,35 +646,58 @@ class RadialField(ScalarField):
 # ----------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _fd_stencil(n: int):
-    """The central-difference stencil in R^n, built once per n: its points'
-    offsets from x in steps (x first); the ordered pairs i != j and the
-    triples i < j < k; the parities si sj sk; and the indices of the
-    points x + m e_i (m = 1, -1, 2, -2), x + si e_i + sj e_j and
-    x + si e_i + sj e_j + sk e_k, signs in product order."""
+def _fd_table(n: int):
+    """Central differences in R^n as one term table, built once per n: the
+    points' offsets from x in steps (x first); per output entry a row of
+    terms, (point, integer coefficient) in summation order, a divisor
+    column and a start (0.0 for f_ijk, else -0.0, which adds nothing);
+    the Hessian's and third tensor's gather maps; and per k the count of
+    rows with a k-th term, which lead.  The gradient is the last n rows."""
     index = {(): 0}
 
     def at(*steps):
         return index.setdefault(tuple(sorted(steps)), len(index))
 
-    signs = list(itertools.product((1, -1), repeat=3))
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     triples = list(itertools.combinations(range(n), 3))
-    tables = ([[at((i, m)) for i in range(n)] for m in (1, -1, 2, -2)],
-              [[at((i, si), (j, sj)) for i, j in pairs]
-               for si, sj in itertools.product((1, -1), repeat=2)],
-              [[at(*zip(t, s)) for t in triples] for s in signs])
+    signs = list(itertools.product((1, -1), repeat=3))
+    # the points in evaluation order, then per row: its divisor column,
+    # its terms and the entries it fills
+    p1, m1, p2, m2 = ([at((i, m)) for i in range(n)] for m in (1, -1, 2, -2))
+    pp, pm, mp, mm = ([at((i, si), (j, sj)) for i, j in pairs]
+                      for si, sj in itertools.product((1, -1), repeat=2))
+    corners = [[at(*zip(t, s)) for t in triples] for s in signs]
+    rows = [(4, [(c[q], math.prod(s)) for c, s in zip(corners, signs)],
+             itertools.permutations(t)) for q, t in enumerate(triples)]
+    for q, (i, j) in enumerate(pairs):
+        rows.append((3, [(pp[q], 1), (p1[j], -2), (mp[q], 1), (pm[q], -1),
+                         (m1[j], 2), (mm[q], -1)],
+                     [(i, i, j), (i, j, i), (j, i, i)]))
+        if i < j:
+            rows.append((2, [(pp[q], 1), (pm[q], -1), (mp[q], -1),
+                             (mm[q], 1)], [(i, j), (j, i)]))
+    for i in range(n):
+        rows += [(3, [(p2[i], 1), (p1[i], -2), (m1[i], 2), (m2[i], -1)],
+                  [(i, i, i)]),
+                 (1, [(p1[i], 1), (0, -2), (m1[i], 1)], [(i, i)]),
+                 (0, [(p1[i], 1), (m1[i], -1)], [])]
+    rows.sort(key=lambda row: -len(row[1]))  # stable: the gradient last
+    width = len(rows[0][1])
+    terms = np.array([t + [(0, 1)] * (width - len(t)) for _, t, _ in rows])
+    div = np.array([d for d, _, _ in rows])
+    place = {e: k for k, (_, _, fills) in enumerate(rows) for e in fills}
     offsets = np.zeros((len(index), n))
     for key, k in index.items():
         for axis, mult in key:
             offsets[k, axis] = mult
-    out = (offsets, np.array(pairs, int).reshape(-1, 2).T,
-           np.array(triples, int).reshape(-1, 3).T,
-           np.prod(signs, axis=1).astype(float),
-           *(np.array(t, int).reshape(len(t), -1) for t in tables))
+    out = (offsets, terms[..., 0], terms[..., 1].astype(float),
+           np.where(div == 4, 0.0, -0.0), div,
+           *(np.array([place[e] for e in itertools.product(range(n), repeat=k)])
+             for k in (2, 3)))
     for table in out:  # the cache hands the same arrays to every call
         table.flags.writeable = False
-    return out
+    return out + (tuple(sum(len(t) > k for _, t, _ in rows)
+                        for k in range(1, width)),)
 
 
 def fd_jet(field: ScalarField, point, h=None) -> Jet3:
@@ -676,8 +706,8 @@ def fd_jet(field: ScalarField, point, h=None) -> Jet3:
     Only ``field.value`` is used, so this is an independent check of the
     analytic propagation rules.  A 1-D array ``h`` of steps gives a jet
     with a leading step axis from one ``field.value`` call; each step's
-    2h, h^2 and h^3 are Python floats, so its components equal those of
-    a call with that step alone.
+    divisors are Python floats, so its components equal those of a call
+    with that step alone.
     """
     x = np.asarray(point, float)
     n = x.shape[-1]
@@ -688,30 +718,19 @@ def fd_jet(field: ScalarField, point, h=None) -> Jet3:
     if np.ndim(h) > 1:
         raise ValueError("fd_jet takes one step or a 1-D array of steps")
     steps = [float(s) for s in np.atleast_1d(h)]
-    offsets, (I, J), tri, parity, one, two, three = _fd_stencil(n)
+    offsets, idx, coefs, start, div, hess_at, third_at, counts = _fd_table(n)
     pts = x + offsets * np.array(steps)[:, None, None]
     vals = np.asarray(field.value(pts.reshape(-1, n)), float).reshape(
         len(steps), -1)
-    d1, d2, d3, d2x, d3x = np.array(
-        [[2 * s, s ** 2, 2 * s ** 3, 4 * s ** 2, 8 * s ** 3]
-         for s in steps]).T[:, :, None]
-    p1, m1, p2, m2, pp, pm, mp, mm = (vals[:, k] for k in (*one, *two))
-    diag, upper = np.arange(n), I < J
-    hess = np.zeros((len(steps), n, n))
-    hess[:, diag, diag] = (p1 - 2 * vals[:, :1] + m1) / d2
-    # formed for i < j only, as hess[j, i] would sum in another order
-    hess[:, I[upper], J[upper]] = hess[:, J[upper], I[upper]] = (
-        pp - pm - mp + mm)[:, upper] / d2x
-    third = np.zeros((len(steps), n, n, n))
-    third[:, diag, diag, diag] = (p2 - 2 * p1 + 2 * m1 - m2) / d3
-    third[:, I, I, J] = third[:, I, J, I] = third[:, J, I, I] = (
-        pp - 2 * p1[:, J] + mp - pm + 2 * m1[:, J] - mm) / d3
-    acc = np.zeros((len(steps), tri.shape[1]))
-    for k, sign in zip(three, parity):
-        acc = acc + sign * vals[:, k]
-    for a, b, c in itertools.permutations(tri):
-        third[:, a, b, c] = acc / d3x
-    jet = Jet3(vals[:, 0], (p1 - m1) / d1, hess, third)
+    terms = coefs * vals[:, idx]
+    acc = start + terms[..., 0]
+    for k, count in enumerate(counts, 1):  # the rows with a k-th term
+        acc[:, :count] += terms[:, :count, k]
+    acc /= np.array([[2 * s, s ** 2, 4 * s ** 2, 2 * s ** 3, 8 * s ** 3]
+                     for s in steps])[:, div]  # a divisor column per row
+    jet = Jet3(vals[:, 0], acc[:, -n:],
+               acc[:, hess_at].reshape(len(steps), n, n),
+               acc[:, third_at].reshape(len(steps), n, n, n))
     return jet if np.ndim(h) else jet[0]
 
 

@@ -3,13 +3,15 @@ prints one pass/fail line."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from graphmass import acceptance
+from graphmass import acceptance, expr
 from graphmass.acceptance import CRITERIA, CriterionResult, run_criteria
 from graphmass.convexgeom import SmoothLevelSet, superadditivity_gap
-from graphmass.jets import RadialProfile
+from graphmass.jets import RadialProfile, ScalarField
 from graphmass.mass import spherical_mass
 from graphmass.quad import sphere_rule
 
@@ -62,8 +64,9 @@ FD_NOTES = ("exact", "2.00", "2.00", "2.00", "1.99", "2.00", "2.00",
 
 
 def test_criterion_9_keeps_its_slope_notes(monkeypatch):
-    """One reduction per jet part over all four steps and a closed-form
-    slope on centred logs leave every probe's note as it was."""
+    """One max-abs reduction over every jet part and all four steps and a
+    closed-form slope on centred logs leave every probe's note as it
+    was."""
     notes = []
     slope = acceptance._fd_slope
     monkeypatch.setattr(acceptance, "_fd_slope",
@@ -72,6 +75,35 @@ def test_criterion_9_keeps_its_slope_notes(monkeypatch):
     assert acceptance._criterion_9() == (
         True, "all built-ins and 20 random expressions at slope 2")
     assert [note for _, note in notes] == list(FD_NOTES)
+
+
+def test_criterion_9_calls_each_layer_once_per_probe(monkeypatch):
+    """Each of criterion 9's 27 probes makes one fd_jet and one analytic
+    jet, and each expression is parsed once per run: the 20 drawn ones
+    and the registry's two (flat's and bump's).  A second run repeats
+    every call, so nothing is kept from one run to the next."""
+    calls = []
+
+    def counting(name, fn):
+        return lambda *args, **kwargs: (calls.append((name, args[0])),
+                                        fn(*args, **kwargs))[1]
+    monkeypatch.setattr(expr, "parse", counting("parse", expr.parse))
+    monkeypatch.setattr(acceptance, "fd_jet",
+                        counting("fd_jet", acceptance.fd_jet))
+    monkeypatch.setattr(ScalarField, "jet3",
+                        counting("jet3", ScalarField.jet3))
+    rng = np.random.default_rng(acceptance.SEED + 9)
+    texts = Counter(["0", "a*exp(-r^2)"])
+    for _ in range(20):
+        texts[acceptance._random_expression(rng)] += 1
+        rng.uniform(-0.8, 0.8, 3)  # the probe point drawn after each text
+    for run in (1, 2):
+        assert acceptance._criterion_9()[0]
+        names = Counter(name for name, _ in calls)
+        assert names == {"parse": 22 * run, "fd_jet": 27 * run,
+                         "jet3": 27 * run}
+        assert Counter(text for name, text in calls if name == "parse") \
+            == Counter({text: k * run for text, k in texts.items()})
 
 
 def test_criterion_6_solves_the_quartic_radii_once(monkeypatch):

@@ -79,7 +79,8 @@ class TestExprJets:
 def fd_probes():
     """Acceptance criterion 9's probe points (every registry field with
     one, then the 20 seeded random expressions) and one point each in
-    n = 4 and n = 5."""
+    n = 4 and n = 5, and in n = 1 and n = 2, whose stencils have no pairs
+    or no triples."""
     out = []
     for name in scenario_names():
         scn = make_scenario(name)
@@ -100,6 +101,10 @@ def fd_probes():
                                 4), np.array([0.3, -0.2, 0.5, 0.1])))
     out.append(("n5", ExprField("x1*x3*x5 + x2^2*x4 + cos(x1 + x5)", 5),
                 np.array([0.3, -0.2, 0.5, 0.1, -0.4])))
+    out.append(("n1", ExprField("exp(x1) - 0.3*x1^3 + sin(2*x1)", 1),
+                np.array([0.35])))
+    out.append(("n2", ExprField("x1^2*x2 + cos(x1 - x2) + exp(0.5*x2)", 2),
+                np.array([0.4, -0.25])))
     return out
 
 
@@ -109,7 +114,7 @@ class TestFdSteps:
         each step's value, grad, hess and third equal the one-step loop's
         bit for bit."""
         probes = fd_probes()
-        assert len(probes) == 29
+        assert len(probes) == 31
         steps = acceptance.FD_STEPS
         for name, field, x in probes:
             calls = []
