@@ -648,11 +648,11 @@ class RadialField(ScalarField):
 @functools.lru_cache(maxsize=None)
 def _fd_table(n: int):
     """Central differences in R^n as one term table, built once per n: the
-    points' offsets from x in steps (x first); per output entry a row of
-    terms, (point, integer coefficient) in summation order, a divisor
-    column and a start (0.0 for f_ijk, else -0.0, which adds nothing);
-    the Hessian's and third tensor's gather maps; and per k the count of
-    rows with a k-th term, which lead.  The gradient is the last n rows."""
+    points' offsets from x in steps (x first); per output entry its padded
+    row of terms, (point, integer coefficient) in summation order, divisor
+    column and start (0.0 for f_ijk, else -0.0, which adds nothing); the
+    gather maps of the Hessian and third tensor; and per k the count of
+    rows with a real k-th term, which lead.  The gradient: the last n."""
     index = {(): 0}
 
     def at(*steps):
@@ -692,7 +692,7 @@ def _fd_table(n: int):
             offsets[k, axis] = mult
     out = (offsets, terms[..., 0], terms[..., 1].astype(float),
            np.where(div == 4, 0.0, -0.0), div,
-           *(np.array([place[e] for e in itertools.product(range(n), repeat=k)])
+           *(np.array([place[e] for e in np.ndindex((n,) * k)])
              for k in (2, 3)))
     for table in out:  # the cache hands the same arrays to every call
         table.flags.writeable = False
